@@ -15,7 +15,7 @@ bottleneck the engine removes.
 import random
 import time
 
-from conftest import persist_bench_record, print_report
+from conftest import print_report
 
 from repro.experiments.common import derive_seed
 from repro.metrics.reporting import format_table
@@ -62,17 +62,6 @@ def test_incremental_beats_full_sweep(scale):
     assert ratios[largest] >= 5.0, (
         f"incremental path only {ratios[largest]:.1f}x faster than the full "
         f"sweep at N={largest}; expected at least 5x"
-    )
-    # The PR-1 scenario joins the machine-readable trajectory: one record
-    # for the largest cross-checked size, keyed on the incremental arm's
-    # wall-clock with the full sweep as the recorded baseline.
-    persist_bench_record(
-        "incremental_convergence_cross_check",
-        peer_count=largest,
-        wall_seconds=fast_seconds,
-        speedup=ratios[largest],
-        speedup_floor=5.0,
-        full_sweep_seconds=round(slow_seconds, 3),
     )
 
 

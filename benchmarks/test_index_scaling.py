@@ -17,10 +17,19 @@ two-phase scenario through an index-backed overlay and a scan-path overlay:
 
 Both arms must land on the byte-identical overlay fixed point and
 byte-identical maintained stability tree, and the index-backed run must be
-at least 5x faster end to end (the acceptance floor; measured headroom is
-~2x above it).  Marked ``slow``: the scan arm alone takes about a minute,
-so the CI tier-1 job deselects it and the weekly scheduled job asserts the
-floor.
+at least 5x faster end to end (the acceptance floor).  Marked ``slow``: the
+scan arm alone takes several seconds, so the CI tier-1 job deselects it and
+the weekly scheduled job asserts the floor.
+
+Known failing since the batched quadrant kernel: both arms now answer full
+recomputes with it -- the indexed arm over the index's coordinate column, a
+cohort of references per call; the scan arm over arrays it rebuilds from
+``PeerInfo`` objects for every reference -- so the ratio measures column
+reuse and batching, not a tree against a Python loop.  Three runs measured
+5.1x, 4.79x (1.514 s against 7.248 s) and 4.95x (1.78 s against 8.83 s),
+where the k-d walk had taken 8.605 s against the old scan's 68.696 s (7.98x,
+the persisted record).  The floor is kept as it was; re-scoping the
+comparison is a ROADMAP open item.
 """
 
 import time

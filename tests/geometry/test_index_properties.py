@@ -9,10 +9,15 @@ deliberately small lattice (so duplicate coordinates, collinear
 configurations, and points exactly on query boundaries all occur), with the
 tree rebuilt, tombstoned and buffered states all reachable, then every query
 cross-checked against the literal ``brute_force_*`` reference over a plain
-dict mirror.
+dict mirror.  The coordinate column is held to the point store after every
+mutation, and the batched quadrant kernel over it to the same brute-force
+skyline -- on the lattice and on magnitudes where float key sums tie.
 """
 
 import math
+from itertools import product
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +32,7 @@ from repro.geometry.index import (
     brute_force_orthant_skyline,
     brute_force_range,
     brute_force_region_top_k,
+    quadrant_skylines,
 )
 from repro.geometry.rectangle import HyperRectangle, Interval
 
@@ -37,17 +43,35 @@ _COORDINATE = st.integers(min_value=0, max_value=10).map(lambda v: v / 2.0)
 _ORDERS = st.sampled_from([1.0, 2.0, float("inf")])
 
 
+# Magnitudes where adding a small second coordinate is absorbed: the float
+# key sums of a dominated point and its dominator round equal, and the
+# canonical (key sum, id) visiting order falls back on the id.
+_EXTREME = st.sampled_from(
+    [-1e17, 1e17, 1e17 + 16.0, 1e17 + 32.0, 2.0**53, 2.0**53 + 2.0, 0.0, 1.0, 2.0, 3.0]
+)
+
+
 @st.composite
-def _histories(draw, max_dimension=3, max_operations=40):
+def _histories(
+    draw, max_dimension=3, max_operations=40, min_dimension=1, coordinate=_COORDINATE
+):
     """A mutation script and the resulting live ``id -> coords`` mirror."""
-    dimension = draw(st.integers(min_value=1, max_value=max_dimension))
-    coords = st.tuples(*([_COORDINATE] * dimension))
+    dimension = draw(st.integers(min_value=min_dimension, max_value=max_dimension))
+    coords = st.tuples(*([coordinate] * dimension))
     operations = []
     alive = []
+    removed = []
     next_id = 0
     for _ in range(draw(st.integers(min_value=1, max_value=max_operations))):
-        kind = draw(st.sampled_from(["insert", "insert", "insert", "remove", "move"]))
-        if kind == "insert" or not alive:
+        kind = draw(
+            st.sampled_from(["insert", "insert", "insert", "reinsert", "remove", "move"])
+        )
+        if kind == "reinsert" and removed:
+            revived = draw(st.sampled_from(removed))
+            operations.append(("insert", revived, draw(coords)))
+            removed.remove(revived)
+            alive.append(revived)
+        elif kind in ("insert", "reinsert") or not alive:
             operations.append(("insert", next_id, draw(coords)))
             alive.append(next_id)
             next_id += 1
@@ -55,6 +79,7 @@ def _histories(draw, max_dimension=3, max_operations=40):
             victim = draw(st.sampled_from(alive))
             operations.append(("remove", victim, None))
             alive.remove(victim)
+            removed.append(victim)
         else:
             victim = draw(st.sampled_from(alive))
             operations.append(("move", victim, draw(coords)))
@@ -83,12 +108,47 @@ def _replay(operations):
         else:
             index.move(point_id, coords)
             mirror[point_id] = coords
+        _assert_column_is_the_point_store(index, mirror)
         if step % 7 == 2 and mirror:
             some_id = next(iter(mirror))
             assert index.nearest_k(index.point(some_id), 1) == (
                 brute_force_nearest_k(mirror, mirror[some_id], 1)
             )
     return index, mirror
+
+
+def _assert_column_is_the_point_store(index, mirror):
+    """Every live id has exactly one column row, holding ``point(id)``."""
+    ids, coordinates = index.columns()
+    assert sorted(ids.tolist()) == sorted(mirror)
+    assert coordinates.shape == (len(mirror), index.dimension)
+    for point_id, row in zip(ids.tolist(), coordinates.tolist()):
+        assert tuple(row) == index.point(point_id) == tuple(mirror[point_id])
+
+
+def _assert_kernel_matches_brute_force(index, mirror):
+    """The batched kernel vs the brute-force skyline of every quadrant."""
+    ids, coordinates = index.columns()
+    references = sorted(mirror)
+    selected = quadrant_skylines(
+        np.asarray(
+            [mirror[reference] for reference in references], dtype=float
+        ).reshape(-1, 2),
+        np.asarray(references, dtype=np.int64),
+        ids,
+        coordinates,
+    )
+    for reference, chosen in zip(references, selected):
+        # The quadrants partition the members, so the sorted union is equal
+        # exactly when every quadrant's skyline is.
+        expected = []
+        for signs in product((-1, 1), repeat=2):
+            expected.extend(
+                brute_force_orthant_skyline(
+                    mirror, mirror[reference], signs, exclude=(reference,)
+                )
+            )
+        assert chosen == sorted(expected)
 
 
 @st.composite
@@ -179,6 +239,42 @@ def test_orthant_skyline_matches_brute_force(history, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(history=_histories(min_dimension=2, max_dimension=2))
+def test_quadrant_kernel_matches_brute_force_on_the_lattice(history):
+    """Duplicate points, shared per-axis values, references on boundaries."""
+    _, operations = history
+    _assert_kernel_matches_brute_force(*_replay(operations))
+
+
+@settings(max_examples=60, deadline=None)
+@given(history=_histories(min_dimension=2, max_dimension=2, coordinate=_EXTREME))
+def test_quadrant_kernel_matches_brute_force_where_key_sums_tie(history):
+    _, operations = history
+    _assert_kernel_matches_brute_force(*_replay(operations))
+
+
+def test_quadrant_kernel_follows_the_id_order_of_a_rounded_key_sum_tie():
+    """A dominated point whose float key sum equals its dominator's.
+
+    ``pareto_minima`` visits by ``(key sum, id)``: with the smaller id the
+    dominated point is visited first and kept, with the larger it is dropped.
+    A plain skyline would drop it either way; the kernel must not.
+    """
+    assert 1e17 + 1.0 == 1e17 + 2.0
+    for dominated, dominator in ((1, 2), (2, 1)):
+        mirror = {dominated: (1e17, 2.0), dominator: (1e17, 1.0), 3: (5.0, 5.0), 9: (0.0, 0.0)}
+        index = SpatialIndex()
+        for point_id, coords in mirror.items():
+            index.insert(point_id, coords)
+        _assert_kernel_matches_brute_force(index, mirror)
+        ids, coordinates = index.columns()
+        (chosen,) = quadrant_skylines(
+            np.zeros((1, 2)), np.asarray([9]), ids, coordinates
+        )
+        assert chosen == ([1, 2, 3] if dominated == 1 else [1, 3])
+
+
+@settings(max_examples=60, deadline=None)
 @given(history=_histories(max_dimension=2), data=st.data())
 def test_region_top_k_matches_brute_force(history, data):
     dimension, operations = history
@@ -222,11 +318,15 @@ def test_queries_stay_exact_after_drain_and_regrowth(history, data):
     assert index.nearest_k((0.0,) * dimension, 3) == []
     assert index.orthant_skyline((0.0,) * dimension, (1,) * dimension) == []
     assert index.region_top_k((0.0,) * dimension, None, 2) == {}
+    _assert_column_is_the_point_store(index, {})
     regrown = {}
-    for offset in range(data.draw(st.integers(min_value=0, max_value=8))):
+    # Ids the drain removed come back first, then fresh ones.
+    regrown_ids = sorted(mirror) + [1000 + offset for offset in range(8)]
+    for point_id in regrown_ids[: data.draw(st.integers(min_value=0, max_value=8))]:
         coords = tuple(data.draw(_COORDINATE) for _ in range(dimension))
-        index.insert(1000 + offset, coords)
-        regrown[1000 + offset] = coords
+        index.insert(point_id, coords)
+        regrown[point_id] = coords
+    _assert_column_is_the_point_store(index, regrown)
     assert index.range(whole) == brute_force_range(regrown, whole)
     origin = tuple(data.draw(_COORDINATE) for _ in range(dimension))
     assert index.nearest_k(origin, 4) == brute_force_nearest_k(regrown, origin, 4)
@@ -287,6 +387,7 @@ def test_maintenance_error_paths():
     with pytest.raises(ValueError, match="dimension"):
         index.move(1, (1.0, 1.0, 1.0))
     assert 1 in index and index.point(1) == (0.0, 0.0)  # rejected move is a no-op
+    _assert_column_is_the_point_store(index, {1: (0.0, 0.0)})
     with pytest.raises(ValueError, match="dimension"):
         index.range(HyperRectangle.whole_space(3))
     with pytest.raises(ValueError, match="orthant signs"):

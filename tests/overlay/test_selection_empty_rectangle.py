@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.empty_rectangle import (
+    _VECTORISE_THRESHOLD,
     EmptyRectangleSelection,
     brute_force_empty_rectangle_neighbours,
 )
@@ -58,6 +59,24 @@ class TestAgainstBruteForce:
             fast = selection.select(reference, candidates)
             slow = brute_force_empty_rectangle_neighbours(reference, candidates)
             assert fast == slow
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_batched_scan_arm_matches_brute_force(self, dimension):
+        """``select_many`` without an index, at candidate counts that take
+        the numpy path: the quadrant kernel in 2-D, the orthant loop above."""
+        peers = generate_peers(2 * _VECTORISE_THRESHOLD, dimension, seed=40 + dimension)
+        selection = EmptyRectangleSelection()
+        references = peers[:12]
+        candidates = {
+            reference.peer_id: [p for p in peers if p.peer_id != reference.peer_id]
+            for reference in references
+        }
+        assert len(peers) - 1 >= _VECTORISE_THRESHOLD
+        batched = selection.select_many(references, candidates)
+        for reference in references:
+            assert batched[reference.peer_id] == brute_force_empty_rectangle_neighbours(
+                reference, candidates[reference.peer_id]
+            )
 
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_equilibrium_matches_per_peer_selection(self, dimension):

@@ -14,7 +14,7 @@ flags must follow the identical per-peer path).
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.multicast.incremental import StabilityTreeMaintainer
@@ -50,9 +50,20 @@ def _paired(selection_factory, arm):
     return overlays, streams, maintainers
 
 
+# Off both lattices the populations here are drawn from (integers, k/8), so a
+# move target never lands on another peer's coordinate on any axis: shared
+# per-axis values are outside the paper's distinct-coordinate envelope, where
+# the arms may diverge and lifetimes (the first coordinate) may collide.
+_MOVE_SHIFT = 0.0625
+
+
 def _scripted_epochs(peers, seed):
     """A deterministic mixed churn script: joins, leaves, moves, rejoins."""
     rng = random.Random(seed)
+    lattice = [
+        {peer.coordinates[axis] for peer in peers}
+        for axis in range(peers[0].dimension)
+    ]
     half = len(peers) // 2
     seed_epoch = [BatchJoin(peer) for peer in peers[:half]]
     epochs = [seed_epoch]
@@ -80,7 +91,10 @@ def _scripted_epochs(peers, seed):
             elif alive:
                 mover = rng.choice(alive)
                 original = next(p for p in peers if p.peer_id == mover)
-                shifted = tuple(value + 0.25 for value in original.coordinates)
+                shifted = tuple(value + _MOVE_SHIFT for value in original.coordinates)
+                assert all(
+                    value not in lattice[axis] for axis, value in enumerate(shifted)
+                ), f"move target {shifted} of peer {mover} repeats a per-axis coordinate"
                 epoch.append(BatchMove(mover, shifted))
         if epoch:
             epochs.append(epoch)
@@ -181,6 +195,32 @@ def _populations(min_size=4, max_size=14, max_dimension=3):
     columnar=st.booleans(),
     use_index=st.booleans(),
     script_seed=st.integers(min_value=0, max_value=999),
+)
+# With moves of +0.25 (on the k/8 lattice) these two failed: the arms diverged
+# on a shared per-axis value, and a mover's lifetime collided with a peer's.
+@example(
+    peers=[
+        make_peer(index, point)
+        for index, point in enumerate(
+            [(0.0, 0.0), (0.125, 0.25), (0.25, 0.375), (0.375, 0.125)]
+        )
+    ],
+    selection_factory=EmptyRectangleSelection,
+    columnar=True,
+    use_index=True,
+    script_seed=1,
+)
+@example(
+    peers=[
+        make_peer(index, point)
+        for index, point in enumerate(
+            [(1.125, 0.5), (0.5, 0.125), (1.0, 1.25), (0.25, 0.625)]
+        )
+    ],
+    selection_factory=EmptyRectangleSelection,
+    columnar=False,
+    use_index=False,
+    script_seed=175,
 )
 def test_random_churn_scripts_are_byte_identical(
     peers, selection_factory, columnar, use_index, script_seed
