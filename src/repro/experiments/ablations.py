@@ -25,7 +25,7 @@ DESIGN.md):
   :class:`repro.multicast.incremental.IncrementalConnectivity` tracker fed
   by the overlay delta stream -- no per-event graph reconstruction; edge
   additions fold into the union-find structure on the fly and deletion
-  batches trigger at most one epoch rebuild per query.
+  batches trigger at most one spanning-forest repair per query.
 * **Message replay (A5)** -- the message-level simulator replays the same
   join/leave churn twice, once reapplying the neighbour selection method on
   every reselect tick and once with the dirty-set tick of
@@ -173,6 +173,8 @@ class OverlayChurnRow:
     maximum_rounds_per_event: int
     disconnected_events: int
     connectivity_rebuilds: int
+    connectivity_edges_scanned: int
+    connectivity_full_scans: int
 
 
 @dataclass(frozen=True)
@@ -407,7 +409,9 @@ def run_overlay_churn_ablation(
     observed disconnected after settling.  The connectivity check runs on
     the delta-fed :class:`IncrementalConnectivity` tracker, so no graph is
     reconstructed inside the per-event loop; the row also reports how many
-    epoch rebuilds the deletion batches actually triggered.
+    certificate repairs the deletion batches actually triggered, how many
+    unions those repairs attempted and how often one fell back to scanning
+    every stored edge.
     """
     resolved = scale if scale is not None else resolve_scale()
     seed = derive_seed(resolved.seed, 14, dimension, k)
@@ -430,7 +434,10 @@ def run_overlay_churn_ablation(
         )
         if not feed.is_connected():
             join_disconnected += 1
-    join_rebuilds = feed.tracker.rebuilds
+    tracker = feed.tracker
+    join_rebuilds = tracker.rebuilds
+    join_scanned = tracker.edges_scanned
+    join_full_scans = tracker.full_scans
     rows.append(
         OverlayChurnRow(
             phase="join",
@@ -441,6 +448,8 @@ def run_overlay_churn_ablation(
             maximum_rounds_per_event=max(join_rounds, default=0),
             disconnected_events=join_disconnected,
             connectivity_rebuilds=join_rebuilds,
+            connectivity_edges_scanned=join_scanned,
+            connectivity_full_scans=join_full_scans,
         )
     )
 
@@ -466,7 +475,9 @@ def run_overlay_churn_ablation(
             total_rounds=sum(leave_rounds),
             maximum_rounds_per_event=max(leave_rounds, default=0),
             disconnected_events=leave_disconnected,
-            connectivity_rebuilds=feed.tracker.rebuilds - join_rebuilds,
+            connectivity_rebuilds=tracker.rebuilds - join_rebuilds,
+            connectivity_edges_scanned=tracker.edges_scanned - join_scanned,
+            connectivity_full_scans=tracker.full_scans - join_full_scans,
         )
     )
 
@@ -481,6 +492,8 @@ def run_overlay_churn_ablation(
             "max rounds",
             "disconnected",
             "uf rebuilds",
+            "uf edges scanned",
+            "uf full scans",
         ),
         rows=tuple(
             (
@@ -492,6 +505,8 @@ def run_overlay_churn_ablation(
                 row.maximum_rounds_per_event,
                 row.disconnected_events,
                 row.connectivity_rebuilds,
+                row.connectivity_edges_scanned,
+                row.connectivity_full_scans,
             )
             for row in rows
         ),

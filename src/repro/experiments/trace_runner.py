@@ -86,6 +86,8 @@ class TraceRunResult:
     reparent_operations: int
     full_rebuilds: int
     connectivity_rebuilds: int
+    connectivity_edges_scanned: int
+    connectivity_full_scans: int
     wall_seconds: float
     final_neighbours: Dict[int, FrozenSet[int]]
     final_parents: Dict[int, Optional[int]]
@@ -228,6 +230,8 @@ class TraceRunner:
             reparent_operations=maintainer.engine.reparent_operations,
             full_rebuilds=maintainer.full_rebuilds,
             connectivity_rebuilds=feed.tracker.rebuilds,
+            connectivity_edges_scanned=feed.tracker.edges_scanned,
+            connectivity_full_scans=feed.tracker.full_scans,
             wall_seconds=wall_seconds,
             final_neighbours=overlay.directed_neighbour_map(),
             final_parents=maintainer.engine.parent_map(),
@@ -273,6 +277,9 @@ class TraceScenarioRow:
     engine_rounds: int
     reparent_operations: int
     always_connected: bool
+    connectivity_rebuilds: int
+    connectivity_edges_scanned: int
+    connectivity_full_scans: int
     maximum_height: int
     maximum_degree: int
     wall_seconds: float
@@ -384,6 +391,9 @@ def run_trace_scenarios(
                 engine_rounds=result.total_rounds,
                 reparent_operations=result.reparent_operations,
                 always_connected=result.always_connected,
+                connectivity_rebuilds=result.connectivity_rebuilds,
+                connectivity_edges_scanned=result.connectivity_edges_scanned,
+                connectivity_full_scans=result.connectivity_full_scans,
                 maximum_height=result.maximum_height,
                 maximum_degree=result.maximum_degree,
                 wall_seconds=result.wall_seconds,
@@ -402,6 +412,9 @@ def run_trace_scenarios(
             "rounds",
             "reparents",
             "connected",
+            "uf rebuilds",
+            "uf edges scanned",
+            "uf full scans",
             "max height",
             "max degree",
             "wall [s]",
@@ -417,6 +430,9 @@ def run_trace_scenarios(
                 row.engine_rounds,
                 row.reparent_operations,
                 row.always_connected,
+                row.connectivity_rebuilds,
+                row.connectivity_edges_scanned,
+                row.connectivity_full_scans,
                 row.maximum_height,
                 row.maximum_degree,
                 f"{row.wall_seconds:.2f}",

@@ -24,11 +24,14 @@ Three cooperating pieces:
   the peers whose adjacency may have changed, and feeds the resulting
   :class:`TreeDelta` to the engine.
 * :class:`IncrementalConnectivity` -- a union-find connectivity tracker over
-  a dynamic graph: edge and node additions are unioned on the fly in
-  near-constant time, deletions mark an epoch dirty and the structure is
-  rebuilt once per *batch* of deletions, at the next query.  It replaces the
-  per-event full-graph connectivity recomputation in the overlay-churn
-  ablation (A4).
+  a dynamic graph that keeps its spanning forest (the edges whose union
+  merged two classes) as a certificate: edge and node additions are unioned
+  on the fly in near-constant time, deleting an edge outside the forest
+  changes nothing, and deleting a forest edge marks the epoch dirty so the
+  next query repairs the certificate -- surviving forest edges, edges added
+  meanwhile, then the edges around the hole, with a scan of every stored
+  edge only when those leave the graph split.  It replaces the per-event
+  full-graph connectivity recomputation in the overlay-churn ablation (A4).
 
 Invariants the repair engine preserves (and validates on every operation):
 
@@ -51,7 +54,7 @@ rejects them (the paper assumes pairwise-distinct lifetimes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.contracts import hot_path
 from repro.geometry.distance import DistanceFunction, get_distance
@@ -546,7 +549,7 @@ class OverlayConnectivityFeed:
     Subscribes to the overlay's delta stream and mirrors the *directed*
     selection edges of touched peers into the tracker (the undirected
     closure has the same components), so a connectivity query after a
-    membership event costs the tracker's union/rebuild work instead of a
+    membership event costs the tracker's union/repair work instead of a
     full topology snapshot plus graph traversal per event.  This is the
     glue ablation A4 and the churn experiments query between events; it
     also owns the one subtle delta-stream corner the tracker itself cannot
@@ -603,16 +606,40 @@ class OverlayConnectivityFeed:
 
 
 class IncrementalConnectivity:
-    """Connectivity of a dynamic graph: union-find plus epoch rebuilds.
+    """Connectivity of a dynamic graph: union-find plus a spanning-forest certificate.
 
     Node and edge *additions* are folded into the union-find structure on
     the fly (near-constant amortised time), so pure-growth phases -- the
     paper's insertion procedure -- never pay more than the union cost.
-    *Deletions* only mark the epoch dirty; the structure is rebuilt from the
-    surviving edge set once per batch of deletions, at the next query,
-    instead of once per event.  Edges are directed pairs as given (the
-    overlay's selection edges); connectivity is judged on the undirected
-    closure, which has the same components.
+    Every stored edge whose union merged two classes is remembered in the
+    *forest*: a spanning forest of the undirected closure, so that
+    ``len(forest) == node_count - component_count()`` whenever the
+    structure is clean.  The forest is the certificate of the current
+    component count, and deletions are judged against it:
+
+    * deleting a stored edge **outside** the forest changes no component
+      (the forest still spans every class), so nothing is invalidated;
+    * deleting a forest edge, or a node that carried one, drops the edge
+      from the forest, marks the surviving endpoints *loose* -- the only
+      places where the certificate has a hole -- and marks the epoch dirty.
+
+    The next query after a dirty mark *repairs* the certificate instead of
+    re-unioning every edge (:attr:`rebuilds` counts these repairs, one per
+    batch of certificate deletions queried).  The union-find is
+    re-initialised and fed, in order: the surviving forest edges (at most
+    ``N - 1``, each a guaranteed merge); the *pending* list -- edges added
+    while dirty, which could not be unioned into a stale structure; and the
+    stored edges incident to loose nodes.  Every stage stops as soon as one
+    component is left.  Only when more than one component survives these
+    local stages does the repair fall back to scanning all stored edges
+    (:attr:`full_scans`), with the same early exit; the fallback is what
+    keeps the answer exact -- a replacement edge need not touch a loose
+    node (a chord around the cut does not) -- because whatever the full
+    scan leaves split is split.
+
+    Edges are directed pairs as given (the overlay's selection edges) and
+    each orientation is stored, and certifies, on its own; connectivity is
+    judged on the undirected closure, which has the same components.
     """
 
     def __init__(self) -> None:
@@ -623,7 +650,12 @@ class IncrementalConnectivity:
         self._uf_rank: Dict[int, int] = {}
         self._components = 0
         self._dirty = False
+        self._forest: Set[Tuple[int, int]] = set()
+        self._loose: Set[int] = set()
+        self._pending: List[Tuple[int, int]] = []
         self._rebuilds = 0
+        self._edges_scanned = 0
+        self._full_scans = 0
 
     # ------------------------------------------------------------------
     # Mutations
@@ -641,21 +673,29 @@ class IncrementalConnectivity:
 
     @hot_path
     def remove_node(self, node: int) -> None:
-        """Forget a node and every edge incident to it (marks the epoch dirty)."""
+        """Forget a node and every edge incident to it.
+
+        Dirties the epoch when the node carried a forest edge -- in a clean
+        structure, whenever it had any edge at all -- and marks the far
+        endpoints of those forest edges loose.
+        """
         if node not in self._nodes:
             raise KeyError(f"node {node} is not tracked")
-        incident = self._incident.pop(node)
-        if incident:
-            for edge in incident:
-                self._edges.discard(edge)
-                other = edge[1] if edge[0] == node else edge[0]
-                other_incident = self._incident.get(other)
-                if other_incident:
-                    other_incident.discard(edge)
-            self._dirty = True
-        elif not self._dirty:
-            # An isolated node is its own component in the exact structure.
+        forest = self._forest
+        loose = self._loose
+        for edge in self._incident.pop(node):
+            self._edges.discard(edge)
+            other = edge[1] if edge[0] == node else edge[0]
+            self._incident[other].discard(edge)
+            if edge in forest:
+                forest.discard(edge)
+                loose.add(other)
+                self._dirty = True
+        if not self._dirty:
+            # Only an isolated node -- its own component in the exact
+            # structure -- can leave a clean epoch clean.
             self._components -= 1
+        loose.discard(node)
         self._nodes.discard(node)
         self._uf_parent.pop(node, None)
         self._uf_rank.pop(node, None)
@@ -674,19 +714,30 @@ class IncrementalConnectivity:
         self._edges.add(edge)
         self._incident[source].add(edge)
         self._incident[target].add(edge)
-        if not self._dirty and self._union(source, target):
+        if self._dirty:
+            self._pending.append(edge)
+        elif self._union(source, target):
+            self._forest.add(edge)
             self._components -= 1
 
     @hot_path
     def remove_edge(self, source: int, target: int) -> None:
-        """Remove one (directed) edge if present (marks the epoch dirty)."""
+        """Remove one (directed) edge if present.
+
+        Only a forest edge dirties the epoch (its endpoints become loose);
+        any other stored edge leaves every component as it was.
+        """
         edge = (source, target)
         if edge not in self._edges:
             return
         self._edges.discard(edge)
         self._incident[source].discard(edge)
         self._incident[target].discard(edge)
-        self._dirty = True
+        if edge in self._forest:
+            self._forest.discard(edge)
+            self._loose.add(source)
+            self._loose.add(target)
+            self._dirty = True
 
     # ------------------------------------------------------------------
     # Queries
@@ -701,11 +752,21 @@ class IncrementalConnectivity:
 
     @property
     def rebuilds(self) -> int:
-        """Epoch rebuilds performed so far (one per deletion batch queried)."""
+        """Certificate repairs so far (one per queried batch of forest deletions)."""
         return self._rebuilds
 
+    @property
+    def edges_scanned(self) -> int:
+        """Unions attempted inside dirty queries, over all repairs."""
+        return self._edges_scanned
+
+    @property
+    def full_scans(self) -> int:
+        """Repairs whose local stages left a split and scanned every stored edge."""
+        return self._full_scans
+
     def component_count(self) -> int:
-        """Number of connected components (rebuilding first if dirty)."""
+        """Number of connected components (repairing first if dirty)."""
         self._ensure_clean()
         return self._components
 
@@ -716,6 +777,9 @@ class IncrementalConnectivity:
 
     def same_component(self, first: int, second: int) -> bool:
         """``True`` when both tracked nodes lie in one component."""
+        for node in (first, second):
+            if node not in self._nodes:
+                raise KeyError(f"node {node} is not tracked")
         self._ensure_clean()
         return self._find(first) == self._find(second)
 
@@ -725,14 +789,44 @@ class IncrementalConnectivity:
     def _ensure_clean(self) -> None:
         if not self._dirty:
             return
-        self._uf_parent = {node: node for node in self._nodes}
-        self._uf_rank = {node: 0 for node in self._nodes}
-        self._components = len(self._nodes)
-        for source, target in self._edges:
-            if self._union(source, target):
-                self._components -= 1
+        nodes = self._nodes
+        self._uf_parent = dict(zip(nodes, nodes))
+        self._uf_rank = dict.fromkeys(nodes, 0)
+        self._components = len(nodes)
+        # The forest is re-grown from the edges that merge: its survivors
+        # first (acyclic, so each one does), then the candidate replacements.
+        survivors, self._forest = self._forest, set()
+        stored = self._edges
+        incident = self._incident
+        scanned = self._absorb(survivors)
+        scanned += self._absorb(edge for edge in self._pending if edge in stored)
+        scanned += self._absorb(
+            edge for node in self._loose for edge in incident[node]
+        )
+        if self._components > 1:
+            self._full_scans += 1
+            scanned += self._absorb(stored)
+        self._pending.clear()
+        self._loose.clear()
+        self._edges_scanned += scanned
         self._dirty = False
         self._rebuilds += 1
+
+    def _absorb(self, edges: Iterable[Tuple[int, int]]) -> int:
+        """Union ``edges`` until one component is left; merging ones join the forest.
+
+        Returns the number of unions attempted.
+        """
+        attempted = 0
+        forest = self._forest
+        for edge in edges:
+            if self._components <= 1:
+                break
+            attempted += 1
+            if self._union(edge[0], edge[1]):
+                forest.add(edge)
+                self._components -= 1
+        return attempted
 
     def _find(self, node: int) -> int:
         parent = self._uf_parent

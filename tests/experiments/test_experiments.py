@@ -174,6 +174,11 @@ class TestAblations:
         # edges) but never more than once per event.
         for row in rows:
             assert 0 <= row.connectivity_rebuilds <= row.events
+            # Every repair re-unions the surviving forest; the overlay never
+            # splits, so none of them needs the fallback scan.
+            assert row.connectivity_edges_scanned >= row.connectivity_rebuilds
+            assert row.connectivity_full_scans == 0
+        assert {"uf rebuilds", "uf edges scanned", "uf full scans"} <= set(table.headers)
 
     def test_tree_maintenance_ablation(self):
         rows, table = run_tree_maintenance_ablation(TINY, dimension=2, k=2)
@@ -270,6 +275,9 @@ class TestAblations:
             # Every scenario keeps the overlay connected at every epoch
             # sample (the batched path converges before sampling).
             assert row.always_connected
+            assert row.connectivity_edges_scanned >= row.connectivity_rebuilds > 0
+            assert row.connectivity_full_scans == 0
+        assert {"uf rebuilds", "uf edges scanned", "uf full scans"} <= set(table.headers)
         # The flash crowd doubles the base population in one epoch.
         assert by_scenario["flash-crowd"].peak_peers == 2 * max(
             2, TINY.peer_count // 2

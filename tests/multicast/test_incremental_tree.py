@@ -29,11 +29,14 @@ from repro.multicast.incremental import (
 )
 from repro.multicast.stability import StabilityTreeBuilder
 from repro.multicast.tree import MulticastTree, TreeValidationError
-from repro.overlay.network import OverlayNetwork
+from repro.experiments.trace_runner import region_radius_for_fraction
+from repro.overlay.network import BatchJoin, BatchLeave, OverlayNetwork
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.k_closest import KClosestSelection
 from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
+from repro.workloads.peers import generate_peers_with_lifetimes
+from repro.workloads.traces import mass_departure_trace
 
 
 # ----------------------------------------------------------------------
@@ -253,6 +256,206 @@ class TestIncrementalConnectivity:
         assert tracker.rebuilds == 1
         assert tracker.component_count() == 5
         assert tracker.rebuilds == 1  # clean epoch, no further rebuild
+
+    def test_chord_around_the_cut_is_found_by_the_fallback_scan(self):
+        """Path a-x-y-b certifies; the chord (a, b) touches no loose node."""
+        a, x, y, b = range(4)
+        tracker = IncrementalConnectivity()
+        for node in (a, x, y, b):
+            tracker.add_node(node)
+        for edge in ((a, x), (x, y), (y, b), (a, b)):
+            tracker.add_edge(*edge)
+        tracker.remove_edge(x, y)
+        assert tracker.is_connected()
+        assert (tracker.rebuilds, tracker.full_scans) == (1, 1)
+        _assert_certificate(tracker)
+
+    def test_genuine_cut_heals_without_another_scan(self):
+        tracker = IncrementalConnectivity()
+        for node in range(4):
+            tracker.add_node(node)
+        for node in range(3):
+            tracker.add_edge(node, node + 1)
+        tracker.remove_edge(1, 2)
+        assert tracker.component_count() == 2
+        assert not tracker.same_component(0, 3)
+        assert (tracker.rebuilds, tracker.full_scans) == (1, 1)
+        scanned = tracker.edges_scanned
+        tracker.add_edge(3, 0)
+        assert tracker.is_connected()
+        assert tracker.same_component(1, 2)
+        assert (tracker.rebuilds, tracker.full_scans) == (1, 1)
+        assert tracker.edges_scanned == scanned
+        _assert_certificate(tracker)
+
+    def test_deleting_non_certificate_edges_never_rebuilds(self):
+        tracker = IncrementalConnectivity()
+        for node in range(3):
+            tracker.add_node(node)
+        # The first two edges merge classes; the other four do not.
+        stored = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
+        for edge in stored:
+            tracker.add_edge(*edge)
+        for edge in stored[2:]:
+            tracker.remove_edge(*edge)
+        assert tracker.is_connected()
+        assert tracker.component_count() == 1
+        assert (tracker.rebuilds, tracker.edges_scanned) == (0, 0)
+        _assert_certificate(tracker)
+
+    def test_surviving_orientation_replaces_a_cut_certificate_edge(self):
+        tracker = IncrementalConnectivity()
+        tracker.add_node(0)
+        tracker.add_node(1)
+        tracker.add_edge(0, 1)
+        tracker.add_edge(1, 0)
+        tracker.remove_edge(0, 1)
+        assert tracker.is_connected()
+        assert (tracker.rebuilds, tracker.full_scans) == (1, 0)
+        _assert_certificate(tracker)
+
+    def test_same_component_names_the_untracked_node_before_any_repair(self):
+        tracker = IncrementalConnectivity()
+        for node in (1, 2):
+            tracker.add_node(node)
+        tracker.add_edge(1, 2)
+        tracker.remove_edge(1, 2)  # dirty: a query would have to repair
+        for pair in ((1, 99), (99, 1)):
+            with pytest.raises(KeyError, match="node 99 is not tracked"):
+                tracker.same_component(*pair)
+        assert tracker.rebuilds == 0
+
+
+def _assert_certificate(tracker):
+    """The forest is stored, acyclic and -- when clean -- spanning."""
+    forest = tracker._forest
+    assert forest <= tracker._edges
+    spanning = nx.Graph()
+    spanning.add_nodes_from(tracker._nodes)
+    spanning.add_edges_from(forest)
+    # Acyclic also rules out both orientations of one link certifying twice.
+    assert spanning.number_of_edges() == len(forest)
+    assert not spanning or nx.is_forest(spanning)
+    if not tracker._dirty:
+        assert len(forest) == tracker.node_count - tracker.component_count()
+
+
+# Few nodes and long scripts make cycles common, and with them the forest
+# cuts that only a chord heals (the fallback scan).
+_EDIT_NODE_CAP = 8
+_EDIT_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["add_node", "remove_node", "add_edge", "add_edge", "remove_edge", "remove_edge"]
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    ),
+    min_size=40,
+    max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_EDIT_STEPS)
+def test_connectivity_certificate_matches_networkx_under_directed_edit_scripts(steps):
+    """One stored orientation at a time, queries at random: tracker == networkx.
+
+    The stored pairs are directed, so ``(u, v)`` can leave while ``(v, u)``
+    stays; a step only queries when its flag says so, which leaves dirty
+    windows of every length between repairs.  The certificate's structural
+    invariants are read off the private state after every step (reading
+    repairs nothing); the verdicts are held to networkx at every query.
+    """
+    tracker = IncrementalConnectivity()
+    nodes = []
+    directed = set()
+    next_id = 0
+
+    def query(first, second):
+        graph = nx.Graph()
+        graph.add_nodes_from(nodes)
+        graph.add_edges_from(directed)
+        assert tracker.component_count() == nx.number_connected_components(graph)
+        assert tracker.is_connected() == (not nodes or nx.is_connected(graph))
+        for offset in range(min(3, len(nodes))):
+            one = nodes[(first + offset) % len(nodes)]
+            other = nodes[(second + 2 * offset) % len(nodes)]
+            assert tracker.same_component(one, other) == nx.has_path(graph, one, other)
+        _assert_certificate(tracker)
+
+    for action, first, second, queried in steps:
+        if len(nodes) < 2 or (action == "add_node" and len(nodes) < _EDIT_NODE_CAP):
+            tracker.add_node(next_id)
+            nodes.append(next_id)
+            next_id += 1
+        elif action == "remove_node":
+            victim = nodes.pop(first % len(nodes))
+            tracker.remove_node(victim)
+            directed = {edge for edge in directed if victim not in edge}
+        elif action in ("add_node", "add_edge"):
+            source = nodes[first % len(nodes)]
+            target = nodes[second % len(nodes)]
+            tracker.add_edge(source, target)
+            if source != target:
+                directed.add((source, target))
+        elif directed:
+            edge = sorted(directed)[first % len(directed)]
+            tracker.remove_edge(*edge)
+            directed.discard(edge)
+        assert tracker._edges == directed
+        _assert_certificate(tracker)
+        if queried:
+            query(first, second)
+    query(0, 0)
+
+
+_MASS_DEPARTURE_SELECTIONS = {
+    # Empty-rectangle overlays reconverge connected; 2-closest ones split
+    # after the regional outage and when the region rejoins.
+    "empty-rectangle": (EmptyRectangleSelection, {True}),
+    "2-closest": (lambda: KClosestSelection(k=2), {True, False}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MASS_DEPARTURE_SELECTIONS))
+def test_feed_matches_networkx_through_a_mass_departure_and_rejoin(name):
+    selection_factory, expected_verdicts = _MASS_DEPARTURE_SELECTIONS[name]
+    seed = 2
+    peers = generate_peers_with_lifetimes(40, 2, seed=seed)
+    center = tuple(peers[0].coordinates)
+    trace = mass_departure_trace(
+        peers,
+        center=center,
+        radius=region_radius_for_fraction(peers, center, 0.4),
+        epoch_length=5.0,
+        rejoin_after_epochs=1,
+        seed=seed,
+    )
+    overlay = OverlayNetwork(selection_factory())
+    feed = OverlayConnectivityFeed(overlay)
+    rng = random.Random(seed)
+
+    def materialize(batch):
+        for event in batch.events:
+            if event.kind == "leave":
+                yield BatchLeave(event.peer_id)
+            else:
+                contacts = {rng.choice(overlay.peer_ids)} if overlay.peer_count else ()
+                yield BatchJoin(peers[event.peer_id], bootstrap=frozenset(contacts))
+
+    verdicts = set()
+    for batch in trace.batches:
+        overlay.apply_batch(materialize(batch))
+        graph = overlay.snapshot().to_networkx()
+        assert feed.is_connected() == nx.is_connected(graph)
+        assert feed.tracker.component_count() == nx.number_connected_components(graph)
+        _assert_certificate(feed.tracker)
+        verdicts.add(feed.is_connected())
+    assert verdicts == expected_verdicts
+    if expected_verdicts == {True}:
+        assert feed.tracker.full_scans == 0
 
 
 # ----------------------------------------------------------------------
