@@ -107,7 +107,8 @@ _COLUMN_ROWS = 64
 # first and the last.
 _KERNEL_ELEMENTS = 4096
 
-# Quadrant code of the reference's own row (excluded by id, never selected).
+# Quadrant code of the reference's own row (excluded by id, never selected)
+# and of the members a reference's mask leaves out.
 _OWN_ROW = 4
 
 
@@ -1017,6 +1018,7 @@ def quadrant_skylines(
     reference_ids: np.ndarray,
     member_ids: np.ndarray,
     member_coords: np.ndarray,
+    member_mask: Optional[np.ndarray] = None,
 ) -> List[List[int]]:
     """Empty-rectangle selections of many 2-D references over one member set.
 
@@ -1037,6 +1039,12 @@ def quadrant_skylines(
     and may keep both.  Quadrants holding such members are recognised from
     the coordinates and answered by :func:`pareto_minima` itself.
 
+    ``member_mask`` (``bool[R, n]``, columns in ``member_ids`` order)
+    restricts reference ``r`` to the members its row marks -- per-reference
+    candidate subsets of one shared member set, answered in the same passes.
+    Unmarked members take the quadrant code of the reference's own row,
+    which no quadrant's skyline reads, so nothing else changes.
+
     References are processed ``_KERNEL_ELEMENTS // n`` at a time.
     """
     origins = np.asarray(origins, dtype=np.float64)
@@ -1054,6 +1062,14 @@ def quadrant_skylines(
         return [[] for _ in origins]
     first = member_coords[by_id, 0]
     second = member_coords[by_id, 1]
+    outside = None
+    if member_mask is not None:
+        if np.shape(member_mask) != (len(origins), ids.size):
+            raise ValueError(
+                f"member_mask must be references x members {(len(origins), ids.size)}, "
+                f"got {np.shape(member_mask)}"
+            )
+        outside = ~np.asarray(member_mask, dtype=bool)[:, by_id]
     # key0 + key1 is +-(first + second) where the quadrant flips both axes
     # or neither (codes 0 and 3), +-(first - second) where it flips one.
     same_flip = _rounded_sum_suspects(first, second)
@@ -1070,6 +1086,7 @@ def quadrant_skylines(
                 first,
                 second,
                 suspects,
+                None if outside is None else outside[start : start + step],
             )
         )
     return selected
@@ -1082,6 +1099,7 @@ def _quadrant_skyline_pass(
     first: np.ndarray,
     second: np.ndarray,
     suspects: Sequence[Optional[np.ndarray]],
+    outside: Optional[np.ndarray],
 ) -> List[List[int]]:
     """One ``references x members`` pass of :func:`quadrant_skylines`."""
     greater0 = first > origins[:, 0:1]
@@ -1090,6 +1108,8 @@ def _quadrant_skyline_pass(
     key1 = np.where(greater1, second, -second)
     quadrant = greater0 + 2 * greater1.astype(np.int8)
     quadrant[ids == reference_ids[:, None]] = _OWN_ROW
+    if outside is not None:
+        quadrant[outside] = _OWN_ROW
     order = np.lexsort((key1, key0, quadrant))
     quadrant_sorted = np.take_along_axis(quadrant, order, axis=1)
     key1_sorted = np.take_along_axis(key1, order, axis=1)

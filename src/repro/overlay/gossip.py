@@ -8,12 +8,44 @@ applied to.
 
 Two layers use this module:
 
-* :class:`repro.overlay.network.OverlayNetwork` uses the bounded-hop
-  reachability helpers to compute the steady-state knowledge sets (every
-  announcement that can reach ``P`` within ``BR`` hops has reached it).
+* :class:`repro.overlay.network.OverlayNetwork` models the steady state
+  (every announcement that can reach ``P`` within ``BR`` hops has reached
+  it).  Its incremental engine keeps every ``I(P)`` as *maintained state*,
+  :class:`MaintainedKnowledgeSets`; the full sweep and the tests derive the
+  same sets from scratch with :func:`knowledge_sets`, a plain BFS per peer
+  and the oracle the maintained sets are held equal to.
 * :mod:`repro.simulation.protocol` replays the gossip at the message level
   (individual announcements with timestamps and expiry) and uses
   :class:`AnnouncementStore` to model the ``Tmax`` window.
+
+Maintained knowledge sets
+-------------------------
+
+*Flip sources.*  The overlay knows every undirected edge flip when it makes
+it: ``notify_selection_change`` (the edge ``{P, T}`` flips exactly when
+``T`` enters or leaves ``P``'s selection while ``T`` does not select ``P``)
+and ``remove_peer`` (every edge of the departed peer).  Nothing is ever
+re-derived by diffing two adjacencies.
+
+*Support counts.*  Write ``M_0(q) = {q}`` and ``M_k(q)`` for ``q`` plus the
+peers within ``k`` hops of it.  Level ``k`` (``0 <= k < BR``) holds, for
+every peer ``p`` and every other peer ``x``, the number of neighbours ``q``
+of ``p`` with ``x in M_k(q)`` -- the number of ways ``x`` is supported
+through a neighbour -- and ``x`` is within ``k + 1`` hops of ``p`` exactly
+when that count is positive.  Level 0 is the adjacency itself, the last
+level's keys are ``I(p)``.  A flip of ``{a, b}`` adds (or withdraws) one
+term per level at each endpoint -- the other endpoint's ``M_k`` as it was
+before the flip -- and every count that crosses between 0 and 1 bumps the
+same id one level up at each neighbour across the post-flip adjacency.  All
+bumps of one flip share its sign, so a count crosses at most once and the
+order of the bumps is immaterial.  At ``BR = 2`` the count is
+``[x in N(p)] + |N(p) & N(x)|`` and a flip costs ``2 (deg a + deg b + 1)``
+bumps; every radius runs the same code.
+
+*Net-delta window.*  Crossings of the last level are what a consumer sees:
+they are netted per peer (a gain and a loss of one id cancel) until
+:meth:`MaintainedKnowledgeSets.drain_changed` hands out the peers whose set
+differs from what it was at the previous drain.
 
 A bounded radius makes every ``I(P)`` a genuinely *explicit* per-peer set,
 which is why gossip-limited overlays always run the incremental engine on
@@ -26,7 +58,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Set
+from typing import Dict, Iterable, KeysView, List, Mapping, Set, Tuple
 
 from repro.geometry.point import Point
 from repro.overlay.peer import NetworkAddress
@@ -35,10 +67,8 @@ __all__ = [
     "ExistenceAnnouncement",
     "AnnouncementStore",
     "peers_within_hops",
-    "peers_within_hops_of_any",
-    "changed_edge_endpoints",
     "knowledge_sets",
-    "knowledge_set_deltas",
+    "MaintainedKnowledgeSets",
 ]
 
 
@@ -154,56 +184,6 @@ def peers_within_hops(
     return visited
 
 
-def peers_within_hops_of_any(
-    adjacency: Mapping[int, Iterable[int]], sources: Iterable[int], radius: int
-) -> Set[int]:
-    """Peers within ``radius`` hops of *any* source (multi-source BFS).
-
-    Unlike :func:`peers_within_hops` the sources themselves are included --
-    a source's own knowledge set is affected by whatever made it a source.
-    Sources absent from ``adjacency`` are ignored (e.g. a peer that has
-    already departed).
-    """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    visited: Set[int] = {source for source in sources if source in adjacency}
-    frontier = deque((source, 0) for source in sorted(visited))
-    while frontier:
-        node, depth = frontier.popleft()
-        if depth == radius:
-            continue
-        for neighbour in adjacency.get(node, ()):
-            if neighbour not in visited:
-                visited.add(neighbour)
-                frontier.append((neighbour, depth + 1))
-    return visited
-
-
-def changed_edge_endpoints(
-    old_adjacency: Mapping[int, Iterable[int]],
-    new_adjacency: Mapping[int, Iterable[int]],
-) -> Set[int]:
-    """Endpoints of every edge present in one adjacency but not the other.
-
-    Peers that appear or disappear entirely count as changed endpoints too
-    (their incident edges, possibly none, changed by definition).  This is
-    the seed set for incremental knowledge-set maintenance: a bounded-radius
-    reachability set can only change if an edge changed within ``radius``
-    hops of it.
-    """
-    endpoints: Set[int] = set()
-    for peer_id in set(old_adjacency) | set(new_adjacency):
-        old_neighbours = set(old_adjacency.get(peer_id, ()))
-        new_neighbours = set(new_adjacency.get(peer_id, ()))
-        if peer_id not in old_adjacency or peer_id not in new_adjacency:
-            endpoints.add(peer_id)
-            endpoints |= old_neighbours | new_neighbours
-        elif old_neighbours != new_neighbours:
-            endpoints.add(peer_id)
-            endpoints |= old_neighbours ^ new_neighbours
-    return endpoints
-
-
 def knowledge_sets(
     adjacency: Mapping[int, Iterable[int]], radius: int
 ) -> Dict[int, Set[int]]:
@@ -220,35 +200,104 @@ def knowledge_sets(
     }
 
 
-def knowledge_set_deltas(
-    old_adjacency: Mapping[int, Iterable[int]],
-    new_adjacency: Mapping[int, Iterable[int]],
-    radius: int,
-    known: Mapping[int, Set[int]],
-) -> Dict[int, Set[int]]:
-    """Recomputed ``I(P)`` for every peer whose reachability may have changed.
+class MaintainedKnowledgeSets:
+    """Every peer's ``I(P)`` under one radius, kept exact from edge flips.
 
-    ``known`` holds the cached steady-state reachability sets under
-    ``old_adjacency``.  Only peers within ``radius`` hops of a changed edge
-    (in the union of the two graphs, so both vanished and appeared edges are
-    covered) are re-explored; the returned mapping contains exactly the peers
-    of ``new_adjacency`` whose recomputed set differs from the cached one --
-    the *reachability delta* the incremental reselection engine consumes.
-    Departed peers simply stop appearing; the caller drops their cache entry.
+    See the module docstring for the support-count rule.  The owner reports
+    membership (:meth:`add_peer` / :meth:`remove_peer`) and every undirected
+    edge flip (:meth:`flip`); :meth:`known` is then a dictionary read and
+    :meth:`drain_changed` names the peers whose set moved since it was last
+    called.  Cost is O(bumps), never O(population).
     """
-    seeds = changed_edge_endpoints(old_adjacency, new_adjacency)
-    if not seeds:
-        return {}
-    union_adjacency: Dict[int, Set[int]] = {}
-    for source in (old_adjacency, new_adjacency):
-        for peer_id, neighbours in source.items():
-            union_adjacency.setdefault(peer_id, set()).update(neighbours)
-    affected = peers_within_hops_of_any(union_adjacency, seeds, radius)
-    deltas: Dict[int, Set[int]] = {}
-    for peer_id in affected:
-        if peer_id not in new_adjacency:
-            continue
-        recomputed = peers_within_hops(new_adjacency, peer_id, radius)
-        if recomputed != known.get(peer_id):
-            deltas[peer_id] = recomputed
-    return deltas
+
+    def __init__(self, radius: int) -> None:
+        if radius < 1:
+            raise ValueError("radius must be at least 1")
+        # _levels[k][p][x]: neighbours q of p with x == q or x within k hops
+        # of q (x != p; zero counts are deleted, so the keys are the set).
+        self._levels: List[Dict[int, Dict[int, int]]] = [{} for _ in range(radius)]
+        # Net +1 / -1 per (peer, id) of the last level since the last drain.
+        self._pending: Dict[int, Dict[int, int]] = {}
+
+    @classmethod
+    def from_adjacency(
+        cls, adjacency: Mapping[int, Iterable[int]], radius: int
+    ) -> "MaintainedKnowledgeSets":
+        """The state of a live undirected topology, by flipping its edges on."""
+        knowledge = cls(radius)
+        for peer_id in adjacency:
+            knowledge.add_peer(peer_id)
+        for peer_id, neighbours in adjacency.items():
+            for other in neighbours:
+                if peer_id < other:
+                    knowledge.flip(peer_id, other, True)
+        knowledge._pending.clear()
+        return knowledge
+
+    def add_peer(self, peer_id: int) -> None:
+        """Start tracking an (isolated) peer."""
+        for level in self._levels:
+            level[peer_id] = {}
+
+    def remove_peer(self, peer_id: int) -> None:
+        """Withdraw every edge of a peer, then stop tracking it."""
+        for other in list(self._levels[0][peer_id]):
+            self.flip(peer_id, other, False)
+        for level in self._levels:
+            del level[peer_id]
+        self._pending.pop(peer_id, None)
+
+    def known(self, peer_id: int) -> KeysView[int]:
+        """``I(P)``: the peers within ``radius`` hops (live view, no self)."""
+        return self._levels[-1][peer_id].keys()
+
+    def drain_changed(self) -> List[int]:
+        """Peers whose set differs from what it was at the previous drain."""
+        changed = [peer_id for peer_id, net in self._pending.items() if net]
+        self._pending = {}
+        return changed
+
+    def flip(self, first: int, second: int, present: bool) -> None:
+        """The undirected edge ``{first, second}`` appeared or vanished."""
+        levels = self._levels
+        adjacency = levels[0]
+        sign, crossing = (1, 1) if present else (-1, 0)
+        ends = [(first, second), (second, first)]
+        # The term each endpoint gains or loses at every level: the edge
+        # itself at level 0, above it the other endpoint's M_k as it is now,
+        # before anything moves.
+        terms = [ends] + [
+            [
+                (peer, member)
+                for peer, other in ends
+                for member in (other, *level[other])
+                if member != peer
+            ]
+            for level in levels[:-1]
+        ]
+        # (peer, id) pairs whose count crossed between 0 and 1 one level down.
+        crossed: List[Tuple[int, int]] = []
+        for level, bumps in zip(levels, terms):
+            bumps += [
+                (neighbour, member)
+                for peer, member in crossed
+                for neighbour in adjacency[peer]
+                if neighbour != member
+            ]
+            crossed = []
+            for peer, member in bumps:
+                support = level[peer]
+                count = support.get(member, 0) + sign
+                if count:
+                    support[member] = count
+                else:
+                    del support[member]
+                if count == crossing:
+                    crossed.append((peer, member))
+        for peer, member in crossed:
+            net = self._pending.setdefault(peer, {})
+            total = net.get(member, 0) + sign
+            if total:
+                net[member] = total
+            else:
+                del net[member]

@@ -41,11 +41,11 @@ contract, with two interchangeable implementations:
   are O(1)/O(selectors) array writes;
 * the **explicit representation** (:class:`ExplicitCandidateState`, the
   fallback): per-peer ``last_candidates`` frozensets with pending gain/loss
-  accumulators under full knowledge, and cached bounded-hop reachability
-  via :func:`repro.overlay.gossip.knowledge_set_deltas` (which re-explores
-  only peers within ``BR`` hops of a changed overlay edge) under a gossip
-  radius.  Required whenever candidate sets are per-peer subsets; also
-  selectable under full knowledge (``columnar=False``) for cross-checks.
+  accumulators under full knowledge, and -- under a gossip radius -- every
+  ``I(P)`` as maintained state
+  (:class:`repro.overlay.gossip.MaintainedKnowledgeSets`, see below).
+  Required whenever candidate sets are per-peer subsets; also selectable
+  under full knowledge (``columnar=False``) for cross-checks.
 
 Both representations feed the same :func:`classify_reselect` rule with
 identical candidate deltas (up to a documented widening for
@@ -56,6 +56,29 @@ them; the hypothesis suites in ``tests/overlay`` assert this.
 Dirtiness is seeded by membership events (the joined peer, departed peers'
 selectors, a moved peer and its selectors) and propagated each round
 through candidate-set deltas.
+
+Bounded radius: knowledge sets are maintained, never re-derived
+---------------------------------------------------------------
+
+Under a gossip radius ``I(P)`` is the set of peers within ``BR`` hops of
+``P`` in the undirected topology, and the overlay reports every undirected
+edge flip at the moment it makes it (:meth:`CandidateView.note_edge_flip`,
+from ``OverlayNetwork.notify_selection_change``: ``{P, T}`` flips exactly
+when ``T`` enters or leaves ``P``'s selection while ``T`` does not select
+``P``; a departure withdraws every edge of the departed peer from the
+maintained adjacency itself).  ``MaintainedKnowledgeSets`` turns each flip
+into support-count bumps (its module states the rule), so a round costs
+O(changes) and reading ``I(P)`` is a dictionary read.  Flips are applied on
+arrival -- a round resolves and memoises every ``delta()`` /
+``full_candidate_ids()`` before its installs, so it only ever reads the
+pre-round sets -- but the dirtiness they cause waits in the maintained
+state's *net-delta window*: per peer, ids gained and lost since the previous
+``begin_round()``, a gain and a loss of one id cancelling.  The next
+``begin_round()`` drains the window into the dirty set (it has to outlive
+``end_round()``'s clear), which schedules exactly the peers whose ``I(P)``
+differs from the one the previous round saw.  The oracle is
+:func:`repro.overlay.gossip.knowledge_sets` -- plain BFS per peer over
+``OverlayNetwork.adjacency()`` -- used by the full sweep and the tests.
 
 When the selection method declares itself *path independent*
 (:attr:`~repro.overlay.selection.base.NeighbourSelectionMethod.path_independent`),
@@ -120,7 +143,7 @@ from typing import (
 import numpy as np
 
 from repro.contracts import hot_path
-from repro.overlay.gossip import knowledge_set_deltas, knowledge_sets
+from repro.overlay.gossip import MaintainedKnowledgeSets
 from repro.overlay.peer import PeerInfo
 from repro.overlay.selection.base import AdditiveCohort
 
@@ -413,7 +436,9 @@ class CandidateView:
     ``forget`` -> engine installs, materialising scan-path candidate sets
     via ``full_candidate_ids`` -> ``commit`` per planned peer ->
     ``end_round``.  Membership notifications (``note_join`` / ``note_leave``
-    / ``note_move``) arrive between rounds, never inside one.
+    / ``note_move``) arrive between rounds, never inside one;
+    ``note_edge_flip`` also arrives from a round's own installs, after
+    every read of that round.
 
     Views may additionally support the *vectorised* round protocol by
     overriding :meth:`plan_round`: one call replaces ``begin_round`` + the
@@ -435,6 +460,13 @@ class CandidateView:
     def note_move(self, peer_id: int) -> None:
         """A peer's coordinates changed in place (same id, same links)."""
         raise NotImplementedError
+
+    def note_edge_flip(self, peer_id: int, other_id: int, present: bool) -> None:
+        """An undirected overlay edge appeared or vanished (bounded radius).
+
+        Only reported on gossip-limited overlays; full-knowledge candidate
+        sets do not depend on the topology, so the default ignores it.
+        """
 
     def begin_round(self) -> List[int]:
         """Start a round; return the sorted ids scheduled for classification."""
@@ -489,19 +521,18 @@ class ExplicitCandidateState(CandidateView):
     """Explicit dict/frozenset candidate bookkeeping (the fallback view).
 
     Keeps a materialised ``last_candidates`` frozenset per peer, pending
-    gain/loss id accumulators under full knowledge, and cached bounded-hop
-    reachability under a gossip radius.  This is the only representation
+    gain/loss id accumulators under full knowledge, and the maintained
+    knowledge sets under a gossip radius.  This is the only representation
     that can express per-peer candidate *subsets*, so gossip-limited
     overlays always use it; full-knowledge overlays built with
     ``columnar=False`` use it too (the benchmark baselines, and the
     property suites cross-checking the columnar path).  Its per-event cost
-    is O(N) -- ``note_join``/``note_leave`` walk every tracked peer -- which
-    is exactly what the columnar view exists to avoid.
+    is O(N) under full knowledge -- ``note_join``/``note_leave`` walk every
+    tracked peer -- which is exactly what the columnar view exists to avoid.
     """
 
     def __init__(self, overlay: "OverlayNetwork") -> None:
         self._overlay = overlay
-        self._radius = overlay.gossip_radius
         # I(P) at each peer's last installed selection; None forces a full
         # recomputation for that peer.
         self._last_candidates: Dict[int, Optional[FrozenSet[int]]] = {}
@@ -510,24 +541,23 @@ class ExplicitCandidateState(CandidateView):
         self._pending_gain: Dict[int, Set[int]] = {}
         self._pending_loss: Dict[int, Set[int]] = {}
         self._dirty: Set[int] = set()
-        # Gossip-limited mode: cached bounded-hop reachability and the
-        # adjacency it was computed under.
-        self._known: Dict[int, Set[int]] = {}
-        self._prev_adjacency: Dict[int, Set[int]] = {}
+        # Gossip-limited mode: every I(P), kept exact from the edge flips
+        # the overlay reports (adopted from the live topology here).
+        radius = overlay.gossip_radius
+        self._knowledge: Optional[MaintainedKnowledgeSets] = (
+            None
+            if radius is None
+            else MaintainedKnowledgeSets.from_adjacency(overlay.adjacency(), radius)
+        )
         # Candidate id sets materialised during the current round, so the
         # classification (gossip deltas) and the install/commit phases
-        # compute each set once.
+        # compute each set once -- and read it before the round's own
+        # installs move the maintained sets.
         self._round_candidates: Dict[int, Set[int]] = {}
         # Adopt the overlay's current state: everything dirty, no history.
         for peer_id in overlay.peer_ids:
             self._last_candidates[peer_id] = None
             self._dirty.add(peer_id)
-        if self._radius is not None:
-            self._prev_adjacency = {
-                peer_id: set(neighbour_ids)
-                for peer_id, neighbour_ids in overlay.adjacency().items()
-            }
-            self._known = knowledge_sets(self._prev_adjacency, self._radius)
 
     # ------------------------------------------------------------------
     # Membership notifications
@@ -536,10 +566,9 @@ class ExplicitCandidateState(CandidateView):
         members = self._overlay._peers  # noqa: SLF001 - view is a friend class
         self._last_candidates[peer_id] = None
         self._dirty.add(peer_id)
-        if self._radius is not None:
-            # Reachability deltas at the next round pick up the new edges;
-            # seed an empty cache entry so candidate building never KeyErrors.
-            self._known.setdefault(peer_id, set())
+        if self._knowledge is not None:
+            # Isolated until its bootstrap edges are reported as flips.
+            self._knowledge.add_peer(peer_id)
             return
         for other in members:
             if other == peer_id:
@@ -561,9 +590,9 @@ class ExplicitCandidateState(CandidateView):
         for selector in selector_ids:
             self._last_candidates[selector] = None
             self._dirty.add(selector)
-        if self._radius is not None:
-            # The vanished edges are picked up by the adjacency diff at the
-            # next round; _prev_adjacency still holds them on purpose.
+        if self._knowledge is not None:
+            # The maintained adjacency is exactly selectors + selected.
+            self._knowledge.remove_peer(peer_id)
             return
         for other in self._overlay._peers:  # noqa: SLF001
             if self._last_candidates.get(other) is None:
@@ -582,7 +611,7 @@ class ExplicitCandidateState(CandidateView):
         are resolved from the live peer map at install time)."""
         self._last_candidates[peer_id] = None
         self._dirty.add(peer_id)
-        if self._radius is not None:
+        if self._knowledge is not None:
             # Bounded knowledge tracks candidate *ids*, which a move leaves
             # untouched -- the changed coordinates are only visible through
             # a recomputation, so every peer that may know the mover is
@@ -609,48 +638,50 @@ class ExplicitCandidateState(CandidateView):
         self._pending_gain.pop(peer_id, None)
         self._pending_loss.pop(peer_id, None)
         self._dirty.discard(peer_id)
-        self._known.pop(peer_id, None)
+
+    def note_edge_flip(self, peer_id: int, other_id: int, present: bool) -> None:
+        assert self._knowledge is not None  # only bounded overlays report flips
+        self._knowledge.flip(peer_id, other_id, present)
 
     # ------------------------------------------------------------------
     # Rounds
     # ------------------------------------------------------------------
     def begin_round(self) -> List[int]:
-        """Refresh reachability (gossip mode), return the sorted dirty ids."""
-        if self._radius is not None:
-            self._refresh_reachability()
+        """Drain the net-delta window (gossip mode), return the sorted dirty ids."""
+        if self._knowledge is not None:
+            self._dirty.update(self._knowledge.drain_changed())
         return sorted(self._dirty)
 
     def delta(self, peer_id: int) -> Tuple[bool, Set[int], Set[int]]:
         last = self._last_candidates.get(peer_id)
         if last is None:
             return False, set(), set()
-        if self._radius is None:
+        if self._knowledge is None:
             members = self._overlay._peers  # noqa: SLF001
             gained = {g for g in self._pending_gain.get(peer_id, ()) if g in members}
             lost = set(self._pending_loss.get(peer_id, ()))
             return True, gained, lost
-        current_ids = self._overlay._candidate_ids(  # noqa: SLF001
-            peer_id, self._known.get(peer_id, ())
-        )
-        self._round_candidates[peer_id] = current_ids
+        current_ids = self.full_candidate_ids(peer_id)
         return True, current_ids - last, last - current_ids
 
     def full_candidate_ids(self, peer_id: int) -> Set[int]:
         cached = self._round_candidates.get(peer_id)
         if cached is not None:
             return cached
-        if self._radius is None:
+        if self._knowledge is None:
             current_ids = set(self._overlay._peers)  # noqa: SLF001
             current_ids.discard(peer_id)
         else:
             current_ids = self._overlay._candidate_ids(  # noqa: SLF001
-                peer_id, self._known.get(peer_id, ())
+                peer_id, self._knowledge.known(peer_id)
             )
         self._round_candidates[peer_id] = current_ids
         return current_ids
 
     def commit(self, peer_id: int, verdict: str, gained: Set[int], lost: Set[int]) -> None:
-        if verdict == RESELECT_FULL:
+        if verdict == RESELECT_FULL or peer_id in self._round_candidates:
+            # Under a gossip radius delta() already resolved (and memoised)
+            # the set this round saw, whatever the verdict.
             self._last_candidates[peer_id] = frozenset(self.full_candidate_ids(peer_id))
         else:
             last = self._last_candidates[peer_id]
@@ -667,25 +698,6 @@ class ExplicitCandidateState(CandidateView):
 
     def dirty_ids(self) -> FrozenSet[int]:
         return frozenset(self._dirty)
-
-    def _refresh_reachability(self) -> None:
-        """Diff adjacency against the cached graph; dirty changed knowledge."""
-        current = {
-            peer_id: set(neighbour_ids)
-            for peer_id, neighbour_ids in self._overlay.adjacency().items()
-        }
-        if current == self._prev_adjacency:
-            return
-        deltas = knowledge_set_deltas(
-            self._prev_adjacency, current, self._radius, self._known
-        )
-        for peer_id, reachable in deltas.items():
-            self._known[peer_id] = reachable
-            self._dirty.add(peer_id)
-        for peer_id in list(self._known):
-            if peer_id not in current:
-                del self._known[peer_id]
-        self._prev_adjacency = current
 
 
 class IncrementalReselectionEngine:
@@ -754,6 +766,11 @@ class IncrementalReselectionEngine:
         """A peer's coordinates changed in place (same id, same links)."""
         self._view.note_move(peer_id)
 
+    @hot_path
+    def note_edge_flip(self, peer_id: int, other_id: int, present: bool) -> None:
+        """An undirected edge appeared or vanished (bounded radius only)."""
+        self._view.note_edge_flip(peer_id, other_id, present)
+
     # ------------------------------------------------------------------
     # Rounds
     # ------------------------------------------------------------------
@@ -761,7 +778,7 @@ class IncrementalReselectionEngine:
         """One partial synchronous round; ``True`` if any selection changed.
 
         Candidate sets are derived from the pre-round topology (the view
-        refreshes reachability before any selection is installed), and all
+        resolves every scheduled set before any selection is installed), and all
         updates are installed at once -- the same synchronous semantics as
         the full sweep, restricted to dirty peers.
 

@@ -54,11 +54,11 @@ from typing import (
 
 from repro.geometry.index import SpatialIndex
 from repro.overlay.columnar import ColumnarDeltaRecorder, DenseIdMap
-from repro.overlay.gossip import knowledge_sets
+from repro.overlay.gossip import knowledge_sets, peers_within_hops
 from repro.overlay.incremental import IncrementalReselectionEngine, OverlayDeltaRecorder
 from repro.overlay.peer import PeerInfo
 from repro.overlay.selection.base import NeighbourSelectionMethod
-from repro.overlay.topology import TopologySnapshot, undirected_closure
+from repro.overlay.topology import TopologySnapshot
 
 __all__ = [
     "OverlayNetwork",
@@ -417,8 +417,17 @@ class OverlayNetwork:
         return {peer_id: frozenset(neighbours) for peer_id, neighbours in self._neighbours.items()}
 
     def adjacency(self) -> Dict[int, Set[int]]:
-        """Undirected communication topology (closure of the selection map)."""
-        return undirected_closure(self._neighbours)
+        """Undirected communication topology (closure of the selection map).
+
+        A peer's links are the peers it selected plus the peers that
+        selected it; both are maintained exactly (``_neighbours`` and the
+        reverse selector index), so nothing is re-derived per call.
+        """
+        selectors_of = self._selectors_of
+        return {
+            peer_id: selected.union(selectors_of.get(peer_id, ()))
+            for peer_id, selected in self._neighbours.items()
+        }
 
     def snapshot(self) -> TopologySnapshot:
         """Immutable snapshot of the current topology."""
@@ -470,7 +479,17 @@ class OverlayNetwork:
         The same routing invariant is what keeps the reverse selector index
         exact: every installed selection change updates ``_selectors_of``
         here, in O(changed edges), before the recorders are notified.
+
+        Under a gossip radius it is also where the incremental engine learns
+        the *undirected* edge flips its maintained knowledge sets are built
+        from: ``{peer_id, target}`` appears or vanishes exactly when
+        ``target`` enters or leaves the selection while ``target`` does not
+        itself select ``peer_id``.
         """
+        if self._gossip_radius is not None and self._engine is not None:
+            for target in previous ^ selected:
+                if peer_id not in self._neighbours[target]:
+                    self._engine.note_edge_flip(peer_id, target, target in selected)
         for target in selected:
             if target not in previous:
                 self._selectors_of.setdefault(target, set()).add(peer_id)
@@ -540,7 +559,7 @@ class OverlayNetwork:
             raise KeyError(f"unknown peer {peer_id}")
         if self._gossip_radius is None:
             return [info for other, info in self._peers.items() if other != peer_id]
-        reachable = knowledge_sets(self.adjacency(), self._gossip_radius)[peer_id]
+        reachable = peers_within_hops(self.adjacency(), peer_id, self._gossip_radius)
         return [
             self._peers[other]
             for other in sorted(self._candidate_ids(peer_id, reachable))
@@ -563,6 +582,10 @@ class OverlayNetwork:
         neighbour sets (property-tested), so the cross-check contract holds
         either way.
         """
+        # Dropped first: the engine's bookkeeping (under a gossip radius, the
+        # knowledge sets it maintains from the edge flips notified below)
+        # must not see a sweep it cannot follow.
+        self.invalidate_engine()
         index = self._selection_index()
         if index is not None:
             # The batched entry point is the one every supports_index method
@@ -582,7 +605,6 @@ class OverlayNetwork:
                     )
                     changed = True
             self._neighbours = new_neighbours
-            self.invalidate_engine()
             return changed
         if self._gossip_radius is None:
             candidates_by_peer = {
@@ -610,7 +632,6 @@ class OverlayNetwork:
                 )
                 changed = True
         self._neighbours = new_neighbours
-        self.invalidate_engine()
         return changed
 
     def invalidate_engine(self) -> None:

@@ -51,13 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["EmptyRectangleSelection", "brute_force_empty_rectangle_neighbours"]
 
-# Below this many candidates the plain-python select() beats the numpy path;
-# the batched API switches implementation per reference so churn-scale
-# workloads get the best of both.  Measured in two dimensions (one reference
-# against n candidates): select() costs ~2.9 us per candidate, the quadrant
-# kernel ~66 us of array construction and call overhead plus ~0.75 us per
-# candidate -- 81 against 87 us at n = 28, 93 against 90 us at n = 32, 190
-# against 111 us at n = 64.
+# Outside two dimensions (where a whole batch is one kernel call, see
+# _select_batch) the batched API switches implementation per reference:
+# below this many candidates the plain-python select() beats the per-orthant
+# numpy loop, whose array construction would dominate.
 _VECTORISE_THRESHOLD = 32
 
 
@@ -114,22 +111,70 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         *,
         index: "Optional[SpatialIndex]" = None,
     ) -> Dict[int, List[int]]:
-        """Batched selection, vectorising each large candidate set in numpy.
+        """Batched selection: one kernel call for all 2-D references.
 
-        The incremental convergence engine mixes tiny candidate sets (a
-        peer's previous selection plus the few newly learned peers) with
-        occasional full-knowledge recomputations; each reference uses the
-        implementation that is faster at its candidate count.  With an
-        ``index`` every reference is answered from the index instead of any
-        scan (see :meth:`_select_many_indexed`).
+        With an ``index`` every reference is answered from the index instead
+        of any scan (see :meth:`_select_many_indexed`); without one, from
+        its own candidate list (see :meth:`_select_batch`) -- the arm a
+        bounded gossip radius runs, where candidate sets are per-peer.
         """
-        return self._select_many_dispatch(
-            references,
+        if index is not None:
+            return self._select_many_indexed(references, index)
+        return self._select_batch(references, candidates_by_peer)
+
+    def _select_batch(
+        self,
+        references: Sequence[PeerInfo],
+        candidates_by_peer: Mapping[int, Sequence[PeerInfo]],
+    ) -> Dict[int, List[int]]:
+        """Every reference answered from its own candidate list.
+
+        All two-dimensional references share one
+        :func:`~repro.geometry.index.quadrant_skylines` call over the sorted
+        union of their candidate sets, each restricted to its own set by a
+        membership mask row (within one batch a peer id names one peer).
+        The dimension is validated once per distinct member.  References of
+        other dimensions keep the per-reference dispatch: :meth:`select`
+        below ``_VECTORISE_THRESHOLD`` candidates, the per-orthant numpy
+        loop above.  Shared by :meth:`select_many` and the multi-gain
+        updates of :meth:`select_many_additive`.
+        """
+        planar = [reference for reference in references if reference.dimension == 2]
+        results = self._select_many_dispatch(
+            [reference for reference in references if reference.dimension != 2],
             candidates_by_peer,
             _VECTORISE_THRESHOLD,
             self._select_vectorised,
-            index=index,
         )
+        if not planar:
+            return results
+        members: Dict[int, PeerInfo] = {}
+        candidate_ids: List[List[int]] = []
+        for reference in planar:
+            candidates = candidates_by_peer[reference.peer_id]
+            candidate_ids.append([candidate.peer_id for candidate in candidates])
+            members.update(zip(candidate_ids[-1], candidates))
+        for member in members.values():
+            if member.dimension != 2:
+                raise ValueError(
+                    f"candidate {member.peer_id} has dimension {member.dimension}, "
+                    "expected 2"
+                )
+        member_ids = np.asarray(sorted(members), dtype=np.int64)
+        mask = np.zeros((len(planar), member_ids.size), dtype=bool)
+        for row, ids in zip(mask, candidate_ids):
+            row[np.searchsorted(member_ids, ids)] = True
+        selected = quadrant_skylines(
+            np.asarray([tuple(peer.coordinates) for peer in planar], dtype=float),
+            np.asarray([peer.peer_id for peer in planar], dtype=np.int64),
+            member_ids,
+            np.asarray(
+                [tuple(members[i].coordinates) for i in member_ids.tolist()], dtype=float
+            ).reshape(-1, 2),
+            mask,
+        )
+        results.update(zip((reference.peer_id for reference in planar), selected))
+        return results
 
     def _select_many_indexed(
         self, references: Sequence[PeerInfo], index: "SpatialIndex"
@@ -198,11 +243,11 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         pairs, so the whole batch is a handful of numpy operations
         regardless of how many peers are dirty.  References whose selection
         is unchanged may be omitted from the result.  Updates with several
-        gained peers (rare: only gossip-limited rounds produce them, on
-        small neighbourhoods) simply re-select from ``selected + gained``,
-        which path independence makes exact.  Like the fast ``select`` path,
-        the vectorised rule relies on the paper's distinct-coordinate
-        assumption.
+        gained peers (only gossip-limited rounds produce them, on small
+        neighbourhoods) re-select from ``selected + gained`` -- all of them
+        in one batch -- which path independence makes exact.  Like the fast
+        ``select`` path, the vectorised rule relies on the paper's
+        distinct-coordinate assumption.
 
         ``index`` is accepted for batched-API uniformity; the delta rule
         already touches only the selection and the gained peers, so it never
@@ -210,15 +255,18 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         """
         if index is not None:
             self._check_index_support()
-        results: Dict[int, List[int]] = {}
         singles = []
+        multiples: List[PeerInfo] = []
+        merged: Dict[int, List[PeerInfo]] = {}
         for reference, selected, gained in updates:
             if len(gained) == 1:
                 singles.append((reference, list(selected), gained[0]))
             else:
-                results[reference.peer_id] = self.select(
-                    reference, self.merge_candidate_delta(selected, gained)
-                )
+                multiples.append(reference)
+                merged[reference.peer_id] = self.merge_candidate_delta(selected, gained)
+        # Not through the public select_many: that entry is the surface of
+        # full recomputes, and is counted as such.
+        results = self._select_batch(multiples, merged)
         results.update(self._additive_step(singles) if singles else {})
         return results
 
@@ -363,20 +411,14 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
     def _select_vectorised(
         self, reference: PeerInfo, candidates: Sequence[PeerInfo]
     ) -> List[int]:
-        """Numpy per-orthant skyline for one reference (see select()).
-
-        Two-dimensional candidates go through the same quadrant kernel as
-        the indexed path, on the arrays built here; other dimensions loop
-        over the occupied orthants.
-        """
+        """Numpy per-orthant skyline for one reference outside two dimensions
+        (see select()): a loop over the occupied orthants."""
         others = self._exclude_reference(reference, candidates)
         if not others:
             return []
         ids = np.asarray([peer.peer_id for peer in others], dtype=np.int64)
         coords = np.asarray([tuple(peer.coordinates) for peer in others], dtype=float)
         origin = np.asarray(tuple(reference.coordinates), dtype=float)
-        if coords.shape[1] == 2:
-            return quadrant_skylines(origin[None, :], [reference.peer_id], ids, coords)[0]
         greater = coords > origin
         # Sign-flipped raw coordinates (see select()): dominance checks on
         # these are exactly the bounding-box comparisons of the paper.

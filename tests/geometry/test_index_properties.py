@@ -11,7 +11,9 @@ tree rebuilt, tombstoned and buffered states all reachable, then every query
 cross-checked against the literal ``brute_force_*`` reference over a plain
 dict mirror.  The coordinate column is held to the point store after every
 mutation, and the batched quadrant kernel over it to the same brute-force
-skyline -- on the lattice and on magnitudes where float key sums tie.
+skyline -- on the lattice and on magnitudes where float key sums tie, over
+the whole member set and over per-reference candidate subsets (the
+membership mask the scan arm's batched ``select_many`` answers through).
 """
 
 import math
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 import pytest
 
+from repro.geometry import index as index_module
 from repro.geometry.hyperplane import Hyperplane, HyperplaneSet
 from repro.geometry.index import (
     SpatialIndex,
@@ -35,6 +38,8 @@ from repro.geometry.index import (
     quadrant_skylines,
 )
 from repro.geometry.rectangle import HyperRectangle, Interval
+from repro.overlay.peer import make_peer
+from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 
 # A small lattice provokes the degenerate geometry the paper assumes away:
 # duplicate points, shared per-axis values, points exactly on boundaries.
@@ -272,6 +277,119 @@ def test_quadrant_kernel_follows_the_id_order_of_a_rounded_key_sum_tie():
             np.zeros((1, 2)), np.asarray([9]), ids, coordinates
         )
         assert chosen == ([1, 2, 3] if dominated == 1 else [1, 3])
+
+
+def _subset_skyline(mirror, reference, subset):
+    """Brute-force selection of ``reference`` over exactly ``subset``."""
+    members = {point_id: mirror[point_id] for point_id in subset}
+    expected = []
+    for signs in product((-1, 1), repeat=2):
+        expected.extend(
+            brute_force_orthant_skyline(
+                members, mirror[reference], signs, exclude=(reference,)
+            )
+        )
+    return sorted(expected)
+
+
+def _assert_masked_kernel_matches_brute_force(index, mirror, data):
+    """Per-reference candidate subsets: kernel mask and scan-arm batch.
+
+    Every live point is a reference with its own drawn subset of the
+    members; the first reference's subset is empty (an all-False mask row)
+    and the last one's is everybody, itself included.  The same subsets go
+    through ``EmptyRectangleSelection.select_many`` without an index, which
+    builds the sorted union and the mask itself.
+    """
+    ids, coordinates = index.columns()
+    references = sorted(mirror)
+    subsets = [
+        set(data.draw(st.lists(st.sampled_from(references), unique=True)))
+        for _ in references
+    ]
+    subsets[0] = set()
+    subsets[-1] = set(references)
+    mask = np.asarray(
+        [[point_id in subset for point_id in ids.tolist()] for subset in subsets],
+        dtype=bool,
+    ).reshape(len(references), len(ids))
+    selected = quadrant_skylines(
+        np.asarray([mirror[reference] for reference in references], dtype=float),
+        np.asarray(references, dtype=np.int64),
+        ids,
+        coordinates,
+        mask,
+    )
+    peers = {point_id: make_peer(point_id, mirror[point_id]) for point_id in references}
+    batched = EmptyRectangleSelection().select_many(
+        [peers[reference] for reference in references],
+        {
+            reference: [peers[point_id] for point_id in sorted(subset)]
+            for reference, subset in zip(references, subsets)
+        },
+    )
+    for reference, subset, chosen in zip(references, subsets, selected):
+        assert chosen == _subset_skyline(mirror, reference, subset)
+        assert batched[reference] == chosen
+    assert selected[0] == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(history=_histories(min_dimension=2, max_dimension=2), data=st.data())
+def test_masked_quadrant_kernel_matches_brute_force_on_the_lattice(history, data):
+    _, operations = history
+    index, mirror = _replay(operations)
+    if mirror:
+        _assert_masked_kernel_matches_brute_force(index, mirror, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    history=_histories(min_dimension=2, max_dimension=2, coordinate=_EXTREME),
+    data=st.data(),
+)
+def test_masked_quadrant_kernel_matches_brute_force_where_key_sums_tie(history, data):
+    _, operations = history
+    index, mirror = _replay(operations)
+    if mirror:
+        _assert_masked_kernel_matches_brute_force(index, mirror, data)
+
+
+def test_masked_quadrant_kernel_chunks_a_member_set_larger_than_one_pass():
+    """More members than ``_KERNEL_ELEMENTS``: one reference per pass."""
+    count = index_module._KERNEL_ELEMENTS + 5
+    rng = np.random.default_rng(16)
+    coordinates = np.stack([rng.permutation(count), rng.permutation(count)], axis=1) / 4.0
+    ids = rng.permutation(count).astype(np.int64)
+    mirror = {int(i): tuple(row) for i, row in zip(ids.tolist(), coordinates.tolist())}
+    references = ids[:3].tolist()
+    mask = rng.random((3, count)) < 0.5
+    mask[1] = False
+    selected = quadrant_skylines(
+        coordinates[:3], np.asarray(references, dtype=np.int64), ids, coordinates, mask
+    )
+    for reference, row, chosen in zip(references, mask, selected):
+        assert chosen == _subset_skyline(mirror, reference, ids[row].tolist())
+    assert selected[1] == []
+    with pytest.raises(ValueError, match="member_mask"):
+        quadrant_skylines(
+            coordinates[:3], np.asarray(references), ids, coordinates, mask[:2]
+        )
+
+
+def test_batched_scan_selection_rejects_a_mixed_dimension_candidate():
+    """One validation per distinct member, same error as the per-reference scan."""
+    selection = EmptyRectangleSelection()
+    reference, flat, solid = (
+        make_peer(0, (0.0, 0.0)), make_peer(1, (1.0, 2.0)), make_peer(2, (1.0, 2.0, 3.0))
+    )
+    with pytest.raises(ValueError, match="candidate 2 has dimension 3"):
+        selection.select(reference, [flat, solid])
+    with pytest.raises(ValueError, match="candidate 2 has dimension 3"):
+        selection.select_many([reference, flat], {0: [flat], 1: [reference, solid]})
+    with pytest.raises(ValueError, match="candidate 2 has dimension 3"):
+        selection.select_many_additive([(reference, [flat], [solid, make_peer(3, (4.0, 5.0))])])
+    assert selection.select_many([reference, flat], {0: [], 1: []}) == {0: [], 1: []}
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ paths (emptying the overlay, leave+rejoin inside one epoch) and the
 engine-invalidation contract of the :class:`ConvergenceError` path.
 """
 
+import copy
 import random
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from repro.metrics.trees import tree_metrics
 from repro.multicast.incremental import StabilityTreeMaintainer
 from repro.multicast.stability import StabilityTreeBuilder
+from repro.overlay.gossip import knowledge_sets
 from repro.overlay.network import (
     BatchJoin,
     BatchLeave,
@@ -30,6 +32,7 @@ from repro.overlay.peer import make_peer
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.k_closest import KClosestSelection
 from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
+from repro.workloads.peers import generate_peers_with_lifetimes
 
 
 def _peers(count, dimension=2):
@@ -210,6 +213,50 @@ class TestConvergenceErrorRecovery:
             reference.converge(incremental=False, max_rounds=1)
         reference.converge(incremental=False)
         assert overlay.directed_neighbour_map() == reference.directed_neighbour_map()
+
+    @pytest.mark.parametrize("gossip_radius", [1, 2, 3])
+    def test_abort_inside_a_bounded_batch_rebuilds_the_maintained_knowledge(
+        self, gossip_radius
+    ):
+        """Fault injection: ``ConvergenceError`` in the middle of ``apply_batch``.
+
+        The aborted engine's maintained knowledge sets are dropped with it;
+        the next incremental convergence adopts the live topology (equal to
+        the BFS oracle afterwards) and ends where a full sweep started from
+        the same post-abort state ends -- overlay and stability tree.  The
+        bounded fixed point is path-dependent, so the twin is a copy of that
+        state, not a fresh build.
+        """
+        peers = generate_peers_with_lifetimes(40, 2, seed=16)
+        overlay = OverlayNetwork.build_incremental(
+            peers[:30],
+            EmptyRectangleSelection(),
+            gossip_radius=gossip_radius,
+            rng=random.Random(16),
+        )
+        maintainer = StabilityTreeMaintainer(overlay)
+        maintainer.refresh()
+        assert overlay._engine is not None  # noqa: SLF001 - live maintained state
+        batch = [BatchLeave(3), BatchLeave(17)]
+        batch += [
+            BatchJoin(peer, bootstrap=frozenset({peer.peer_id - 1})) for peer in peers[30:]
+        ]
+        batch += [BatchMove(5, (0.123, 0.877)), BatchJoin(peers[3], bootstrap=frozenset({39}))]
+        with pytest.raises(ConvergenceError):
+            overlay.apply_batch(batch, max_rounds=1)
+        assert overlay._engine is None  # noqa: SLF001
+        twin = copy.deepcopy(overlay)
+
+        overlay.converge(incremental=True)
+        knowledge = overlay._engine._view._knowledge  # noqa: SLF001
+        oracle = knowledge_sets(overlay.adjacency(), gossip_radius)
+        assert {p: set(knowledge.known(p)) for p in overlay.peer_ids} == oracle
+
+        twin.converge(incremental=False)
+        assert overlay.directed_neighbour_map() == twin.directed_neighbour_map()
+        maintainer.refresh()
+        expected = StabilityTreeBuilder().build(twin.snapshot())
+        assert maintainer.forest().preferred == dict(expected.preferred)
 
 
 # ----------------------------------------------------------------------

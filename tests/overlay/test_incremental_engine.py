@@ -11,12 +11,6 @@ import random
 
 import pytest
 
-from repro.overlay.gossip import (
-    changed_edge_endpoints,
-    knowledge_set_deltas,
-    knowledge_sets,
-    peers_within_hops_of_any,
-)
 from repro.overlay.incremental import (
     RESELECT_ADDITIVE,
     RESELECT_FULL,
@@ -259,44 +253,6 @@ class TestSelectManyAgreement:
                     assert full == sorted(equilibrium[reference.peer_id])
                 else:
                     assert sorted(got) == full
-
-
-class TestGossipDeltas:
-    def test_changed_edge_endpoints_detects_edge_and_membership_changes(self):
-        old = {0: {1}, 1: {0}, 2: set()}
-        new = {0: {1, 2}, 1: {0}, 2: {0}, 3: set()}
-        assert changed_edge_endpoints(old, new) == {0, 2, 3}
-
-    def test_no_changes_means_no_endpoints(self):
-        adjacency = {0: {1}, 1: {0}}
-        assert changed_edge_endpoints(adjacency, adjacency) == set()
-
-    def test_multi_source_bfs_includes_sources_and_respects_radius(self):
-        line = {i: {i - 1, i + 1} for i in range(1, 5)}
-        line[0] = {1}
-        line[5] = {4}
-        assert peers_within_hops_of_any(line, [0], 2) == {0, 1, 2}
-        assert peers_within_hops_of_any(line, [0, 5], 1) == {0, 1, 4, 5}
-        assert peers_within_hops_of_any(line, [99], 3) == set()
-
-    def test_knowledge_set_deltas_only_reports_real_changes(self):
-        old = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}
-        known = knowledge_sets(old, 2)
-        new = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2, 4}, 4: {3, 0}}
-        deltas = knowledge_set_deltas(old, new, 2, known)
-        fresh = knowledge_sets(new, 2)
-        assert deltas  # the new 0-4 edge changes several footprints
-        for peer_id, reachable in deltas.items():
-            assert reachable == fresh[peer_id]
-            assert reachable != known[peer_id]
-        # Peers absent from the deltas really are unchanged.
-        for peer_id in set(new) - set(deltas):
-            assert fresh[peer_id] == known[peer_id]
-
-    def test_knowledge_set_deltas_ignores_untouched_graph(self):
-        adjacency = {0: {1}, 1: {0, 2}, 2: {1}}
-        known = knowledge_sets(adjacency, 2)
-        assert knowledge_set_deltas(adjacency, adjacency, 2, known) == {}
 
 
 class TestClassifyReselect:

@@ -161,11 +161,8 @@ class TestGossipLimitedKnowledge:
     def test_knowledge_set_respects_radius(self):
         peers = [make_peer(i, (float(i), float(i % 2))) for i in range(5)]
         overlay = OverlayNetwork(EmptyRectangleSelection(), gossip_radius=1)
-        for peer in peers:
-            overlay.add_peer(peer)
-        # Build a line topology by hand through bootstrap-only neighbours.
-        for index in range(1, 5):
-            overlay._neighbours[index] = {index - 1}  # noqa: SLF001 - test shortcut
-        overlay._neighbours[0] = set()  # noqa: SLF001
+        # A line topology through bootstrap-only neighbours.
+        for index, peer in enumerate(peers):
+            overlay.add_peer(peer, bootstrap={index - 1} if index else ())
         knowledge_ids = {p.peer_id for p in overlay.knowledge_set(2)}
         assert knowledge_ids == {1, 3}
