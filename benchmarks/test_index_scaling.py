@@ -16,20 +16,17 @@ two-phase scenario through an index-backed overlay and a scan-path overlay:
   recomputations, the rejoins exercise the additive path both arms share.
 
 Both arms must land on the byte-identical overlay fixed point and
-byte-identical maintained stability tree, and the index-backed run must be
-at least 5x faster end to end (the acceptance floor).  Marked ``slow``: the
-scan arm alone takes several seconds, so the CI tier-1 job deselects it and
-the weekly scheduled job asserts the floor.
-
-Known failing since the batched quadrant kernel: both arms now answer full
-recomputes with it -- the indexed arm over the index's coordinate column, a
-cohort of references per call; the scan arm over arrays it rebuilds from
-``PeerInfo`` objects for every reference -- so the ratio measures column
-reuse and batching, not a tree against a Python loop.  Three runs measured
-5.1x, 4.79x (1.514 s against 7.248 s) and 4.95x (1.78 s against 8.83 s),
-where the k-d walk had taken 8.605 s against the old scan's 68.696 s (7.98x,
-the persisted record).  The floor is kept as it was; re-scoping the
-comparison is a ROADMAP open item.
+byte-identical maintained stability tree.  Both also answer full recomputes
+with the batched quadrant kernel -- the indexed arm over the index's
+coordinate column, a cohort of references per call; the scan arm over arrays
+it builds from ``PeerInfo`` objects, one masked call per round -- so their
+ratio measures column reuse, not an index against a Python loop, and stopped
+being a floor worth asserting (7.98x with the k-d walk, ~5x at PR 14, 2.5x
+once PR 16 batched the scan arm).  The index-backed arm is therefore held to
+an **absolute** wall-clock budget (ROADMAP aim 1), and the ratio only to
+``>= 1``: the index may never be the slower way to converge.  Marked
+``slow``: the two arms take several seconds, so the CI tier-1 job deselects
+it and the weekly scheduled job asserts the budget.
 """
 
 import time
@@ -49,7 +46,10 @@ pytestmark = pytest.mark.slow
 _PEER_COUNT = 2000
 _DIMENSION = 2
 _CHURN_STRIDE = 20  # every 20th peer departs and rejoins: 100 peers per phase
-_SPEEDUP_FLOOR = 5.0
+_SPEEDUP_FLOOR = 1.0
+# Index-backed arm, converge + churn.  Measured 0.6-0.8 s with the packed-key
+# kernel (1.95 s before it); the slack is for slower runners, not for drift.
+_WALL_BUDGET_SECONDS = 1.5
 
 
 def _run(peers, *, use_index):
@@ -71,7 +71,7 @@ def _run(peers, *, use_index):
     return overlay, maintainer, rounds, converge_seconds, churn_seconds
 
 
-def test_indexed_convergence_is_5x_faster_with_identical_fixed_point(scale):
+def test_indexed_convergence_meets_its_budget_with_identical_fixed_point(scale):
     seed = derive_seed(scale.seed, 29, _PEER_COUNT)
     peers = generate_peers_with_lifetimes(_PEER_COUNT, _DIMENSION, seed=seed)
 
@@ -113,12 +113,16 @@ def test_indexed_convergence_is_5x_faster_with_identical_fixed_point(scale):
             ],
         ),
         f"kd-tree rebuilds on the indexed arm: {fast.index.rebuilds}",
-        f"end-to-end speedup: {speedup:.1f}x (floor {_SPEEDUP_FLOOR:.0f}x)",
+        f"index-backed wall: {fast_total:.2f}s (budget {_WALL_BUDGET_SECONDS}s); "
+        f"against the scan path: {speedup:.1f}x (floor {_SPEEDUP_FLOOR:.0f}x)",
+    )
+    assert fast_total <= _WALL_BUDGET_SECONDS, (
+        f"the index-backed run took {fast_total:.2f}s; its budget is "
+        f"{_WALL_BUDGET_SECONDS}s"
     )
     assert speedup >= _SPEEDUP_FLOOR, (
         f"the index-backed run took {fast_total:.2f}s against {slow_total:.2f}s "
-        f"for the scan path (only {speedup:.1f}x); expected at least "
-        f"{_SPEEDUP_FLOOR:.0f}x"
+        "for the scan path: the index is the slower way to converge"
     )
     persist_bench_record(
         "index_scaling_full_convergence",
@@ -126,6 +130,7 @@ def test_indexed_convergence_is_5x_faster_with_identical_fixed_point(scale):
         wall_seconds=fast_total,
         speedup=speedup,
         speedup_floor=_SPEEDUP_FLOOR,
+        wall_budget_seconds=_WALL_BUDGET_SECONDS,
         baseline_wall_seconds=round(slow_total, 3),
         dimension=_DIMENSION,
         converge_wall_seconds=round(fast_converge, 3),

@@ -100,11 +100,11 @@ _REBUILD_DIVISOR = 4
 _COLUMN_ROWS = 64
 
 # References x members one pass of the batched skyline kernel holds at once.
-# Every temporary of a pass is an array of this many elements, and the
-# process's peak RSS is a benchmark metric with a 5 % bound: on the ledger's
-# churn trace (62.0 MB before the kernel) 65536 elements peak at 67.5 MB,
-# 16384 at 64.1 MB and 4096 at 63.5 MB, for 5 % of wall-clock between the
-# first and the last.
+# Every temporary of a pass (the packed keys, two halves, the running
+# minimum) is an int64 array of this many elements, and the process's peak
+# RSS is a benchmark metric with a 5 % bound: on the ledger's churn trace
+# 4096 elements peak at 63.5 MB and 16384 at 63.7 MB, for the 2-3 % of
+# wall-clock that half as many passes save -- inside the run-to-run spread.
 _KERNEL_ELEMENTS = 4096
 
 # Quadrant code of the reference's own row (excluded by id, never selected)
@@ -1026,18 +1026,23 @@ def quadrant_skylines(
     ``reference_ids[r]``) the sorted union of its four quadrants'
     :func:`pareto_minima` -- what four :meth:`SpatialIndex.orthant_skyline`
     calls or four :func:`brute_force_orthant_skyline` calls return -- from
-    array passes over ``member_ids`` (``int64[n]``, distinct) and
-    ``member_coords`` (``float64[n, 2]``) instead of one walk per quadrant.
+    array passes over ``member_ids`` (``int64[n]``, distinct, fewer than
+    ``2**20``) and ``member_coords`` (``float64[n, 2]``; a member may lie
+    at infinity, an origin may not, NaN is legal nowhere) instead of one walk
+    per quadrant.
 
-    Per reference the members' raw coordinates are sign-flipped per quadrant
-    (the scan's keys: comparisons only, no subtraction) and sorted by
-    ``(quadrant, key0, key1, id)``; a member survives when its ``key1`` is
-    strictly below the smallest ``key1`` before it in its quadrant.  That
-    equals :func:`pareto_minima` -- exact duplicates included, where the
-    smallest id survives -- unless a dominated member's float ``key0 + key1``
-    rounds equal to its dominator's, where the canonical rule visits by id
-    and may keep both.  Quadrants holding such members are recognised from
-    the coordinates and answered by :func:`pareto_minima` itself.
+    Once per call the members' coordinates become dense per-axis ranks:
+    equal coordinates share a rank, so comparing ranks *is* comparing the
+    floats, and the scan's per-quadrant sign flip of a coordinate becomes
+    ``rank`` or ``top - rank``.  Per reference every member is then one
+    integer ``quadrant | key0 rank | key1 rank | id position``, sorted by
+    value; a member survives when its ``key1`` rank is strictly below the
+    smallest before it in its quadrant.  That equals :func:`pareto_minima`
+    -- exact duplicates included, where the smallest id survives -- unless a
+    dominated member's float ``key0 + key1`` rounds equal to its dominator's,
+    where the canonical rule visits by id and may keep both.  Quadrants
+    holding such members are recognised from the coordinates and answered
+    by :func:`pareto_minima` itself, on the float keys.
 
     ``member_mask`` (``bool[R, n]``, columns in ``member_ids`` order)
     restricts reference ``r`` to the members its row marks -- per-reference
@@ -1055,27 +1060,59 @@ def quadrant_skylines(
             f"{origins.shape} and member coordinates of shape {member_coords.shape}"
         )
     reference_ids = np.asarray(reference_ids, dtype=np.int64)
-    # Members in id order, so the stable sorts below break ties by id.
-    by_id = np.argsort(member_ids, kind="stable")
-    ids = np.asarray(member_ids, dtype=np.int64)[by_id]
-    if not ids.size:
+    member_ids = np.asarray(member_ids, dtype=np.int64)
+    count = member_ids.size
+    if member_mask is not None and np.shape(member_mask) != (len(origins), count):
+        raise ValueError(
+            f"member_mask must be references x members {(len(origins), count)}, "
+            f"got {np.shape(member_mask)}"
+        )
+    bits = count.bit_length()
+    if 3 * bits + 3 > 63:  # three fields under a 3-bit quadrant code, below the sign bit
+        raise ValueError(
+            f"the quadrant kernel packs at most {(1 << 20) - 1} members into "
+            f"a 64-bit key, got {count}"
+        )
+    # Ranks would sort a NaN above everything; the float rule puts it nowhere.
+    # A member level with an origin at +inf has the key -inf, and -inf + inf
+    # is a NaN key sum: pareto_minima's visiting order is undefined there.
+    for what, fault, names, invalid in (
+        ("reference", "NaN or infinite", reference_ids, ~np.isfinite(origins)),
+        ("member", "NaN", member_ids, np.isnan(member_coords)),
+    ):
+        if invalid.any():
+            raise ValueError(
+                f"{what} {names[invalid.any(axis=1).argmax()]} has a {fault} coordinate"
+            )
+    if not count:
         return [[] for _ in origins]
+    # Members in id order: the position in the key breaks ties by id.
+    by_id = np.argsort(member_ids)
+    ids = member_ids[by_id]
     first = member_coords[by_id, 0]
     second = member_coords[by_id, 1]
     outside = None
     if member_mask is not None:
-        if np.shape(member_mask) != (len(origins), ids.size):
-            raise ValueError(
-                f"member_mask must be references x members {(len(origins), ids.size)}, "
-                f"got {np.shape(member_mask)}"
-            )
         outside = ~np.asarray(member_mask, dtype=bool)[:, by_id]
+    # A member's key on either side of the origin, one half per axis: the
+    # first axis brings quadrant bit 0 and the key0 rank, the second quadrant
+    # bit 1, the key1 rank and the id position.
+    rank0 = np.unique(first, return_inverse=True)[1].astype(np.int64, copy=False)
+    rank1 = np.unique(second, return_inverse=True)[1].astype(np.int64, copy=False)
+    position = np.arange(count, dtype=np.int64)
+    top = count - 1
+    halves = (
+        (1 << bits | rank0) << 2 * bits,
+        (top - rank0) << 2 * bits,
+        (2 << 2 * bits | rank1) << bits | position,
+        (top - rank1) << bits | position,
+    )
     # key0 + key1 is +-(first + second) where the quadrant flips both axes
     # or neither (codes 0 and 3), +-(first - second) where it flips one.
     same_flip = _rounded_sum_suspects(first, second)
     mixed_flip = _rounded_sum_suspects(first, -second)
     suspects = (same_flip, mixed_flip, mixed_flip, same_flip)
-    step = max(1, _KERNEL_ELEMENTS // ids.size)
+    step = max(1, _KERNEL_ELEMENTS // count)
     selected: List[List[int]] = []
     for start in range(0, len(origins), step):
         selected.extend(
@@ -1085,6 +1122,8 @@ def quadrant_skylines(
                 ids,
                 first,
                 second,
+                bits,
+                halves,
                 suspects,
                 None if outside is None else outside[start : start + step],
             )
@@ -1098,55 +1137,59 @@ def _quadrant_skyline_pass(
     ids: np.ndarray,
     first: np.ndarray,
     second: np.ndarray,
+    bits: int,
+    halves: Sequence[np.ndarray],
     suspects: Sequence[Optional[np.ndarray]],
     outside: Optional[np.ndarray],
 ) -> List[List[int]]:
     """One ``references x members`` pass of :func:`quadrant_skylines`."""
-    greater0 = first > origins[:, 0:1]
-    greater1 = second > origins[:, 1:2]
-    key0 = np.where(greater0, first, -first)
-    key1 = np.where(greater1, second, -second)
-    quadrant = greater0 + 2 * greater1.astype(np.int8)
-    quadrant[ids == reference_ids[:, None]] = _OWN_ROW
+    count = ids.size
+    low = (1 << bits) - 1
+    own_row = _OWN_ROW << 3 * bits
+    above0, below0, above1, below1 = halves
+    packed = np.where(first > origins[:, 0:1], above0, below0)
+    packed += np.where(second > origins[:, 1:2], above1, below1)
+    packed[ids == reference_ids[:, None]] = own_row
     if outside is not None:
-        quadrant[outside] = _OWN_ROW
-    order = np.lexsort((key1, key0, quadrant))
-    quadrant_sorted = np.take_along_axis(quadrant, order, axis=1)
-    key1_sorted = np.take_along_axis(key1, order, axis=1)
-    # The first member of a quadrant has nothing before it to dominate it.
-    keep = quadrant_sorted != _OWN_ROW
-    keep[:, 1:] &= quadrant_sorted[:, 1:] != quadrant_sorted[:, :-1]
-    for code in range(4):
-        inside = quadrant_sorted == code
-        floor = np.minimum.accumulate(
-            np.where(inside, key1_sorted, _INF), axis=1
-        )
-        keep[:, 1:] |= inside[:, 1:] & (key1_sorted[:, 1:] < floor[:, :-1])
+        packed[outside] = own_row
+    packed.sort(axis=1)
+    # ``7 - quadrant | key1 rank``, the other two fields masked out: a later
+    # quadrant lives in a strictly lower range, so the running minimum
+    # restarts by itself at a quadrant boundary and a quadrant's first member
+    # always survives.
+    level = (packed ^ 7 << 3 * bits) & (7 << 3 * bits | low << bits)
+    keep = packed < own_row
+    keep[:, 1:] &= level[:, 1:] < np.minimum.accumulate(level, axis=1)[:, :-1]
 
     exact: Dict[int, List[int]] = {}
     for code, suspect in enumerate(suspects):
         if suspect is None:
             continue
-        inside = quadrant == code
-        crowded = np.count_nonzero(inside & suspect, axis=1) >= 2
+        inside = packed >> 3 * bits == code
+        crowded = np.count_nonzero(inside & suspect[packed & low], axis=1) >= 2
+        flip0, flip1 = (1.0 if code & 1 else -1.0), (1.0 if code & 2 else -1.0)
         for row in np.flatnonzero(crowded).tolist():
-            members = np.flatnonzero(inside[row])
+            members = packed[row, inside[row]] & low
             entries = [
-                ((float(key0[row, member]), float(key1[row, member])), int(ids[member]))
+                ((flip0 * float(first[member]), flip1 * float(second[member])), int(ids[member]))
                 for member in members.tolist()
             ]
-            keep[row, quadrant_sorted[row] == code] = False
+            keep[row, inside[row]] = False
             exact.setdefault(row, []).extend(
                 point_id for _, point_id in pareto_minima(entries)
             )
 
-    rows, columns = np.nonzero(keep)
-    chosen = ids[order[rows, columns]]
-    bounds = np.searchsorted(rows, np.arange(1, len(origins)))
-    return [
-        sorted(part.tolist() + exact.get(row, []))
-        for row, part in enumerate(np.split(chosen, bounds))
-    ]
+    # Survivors as ``row * count + id position``: one flat sort leaves every
+    # reference's ids ascending.
+    kept = np.flatnonzero(keep)
+    chosen = kept - kept % count + (packed.ravel()[kept] & low)
+    chosen.sort()
+    bounds = np.searchsorted(chosen, np.arange(len(origins) + 1) * count).tolist()
+    picked = ids[chosen % count].tolist()
+    selected = [picked[a:b] for a, b in zip(bounds, bounds[1:])]
+    for row, extra in exact.items():
+        selected[row] = sorted(selected[row] + extra)
+    return selected
 
 
 def _rounded_sum_suspects(
@@ -1164,7 +1207,8 @@ def _rounded_sum_suspects(
     adjacent comparable pair in the run's ``(first, second)`` order, but not
     that the adjacent pair is the dominated one.
     """
-    total = first + second
+    with np.errstate(invalid="ignore"):  # inf - inf: origins are finite, none reads that sum
+        total = first + second
     # Ordinary inputs stop here, at one plain sort: no two sums are equal.
     ranked = np.sort(total)
     if not (ranked[1:] == ranked[:-1]).any():

@@ -13,10 +13,13 @@ dict mirror.  The coordinate column is held to the point store after every
 mutation, and the batched quadrant kernel over it to the same brute-force
 skyline -- on the lattice and on magnitudes where float key sums tie, over
 the whole member set and over per-reference candidate subsets (the
-membership mask the scan arm's batched ``select_many`` answers through).
+membership mask the scan arm's batched ``select_many`` answers through),
+and at the edges of its packed integer key: one rank level on an axis,
+infinities, member counts where the field width steps, inputs it refuses.
 """
 
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -374,6 +377,138 @@ def test_masked_quadrant_kernel_chunks_a_member_set_larger_than_one_pass():
     with pytest.raises(ValueError, match="member_mask"):
         quadrant_skylines(
             coordinates[:3], np.asarray(references), ids, coordinates, mask[:2]
+        )
+
+
+def _assert_raw_kernel_matches_brute_force(mirror, references=None, mask=None):
+    """Plain arrays into the kernel, no index in between.
+
+    ``references`` (default: every member) sit at their own points; row
+    ``r`` of ``mask`` restricts reference ``r`` as in the masked suites.
+    Every returned list is ascending and duplicate-free.
+    """
+    ids = np.asarray(list(mirror), dtype=np.int64)
+    coordinates = np.asarray(list(mirror.values()), dtype=float).reshape(-1, 2)
+    references = list(mirror) if references is None else references
+    selected = quadrant_skylines(
+        np.asarray([mirror[reference] for reference in references], dtype=float),
+        np.asarray(references, dtype=np.int64),
+        ids,
+        coordinates,
+        mask,
+    )
+    assert len(selected) == len(references)
+    for row, (reference, chosen) in enumerate(zip(references, selected)):
+        subset = ids.tolist() if mask is None else ids[mask[row]].tolist()
+        assert chosen == _subset_skyline(mirror, reference, subset)
+        assert chosen == sorted(set(chosen))
+    return selected
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_quadrant_kernel_with_every_member_on_one_axis_parallel_line(axis):
+    """One axis has a single rank level: its key field is constant."""
+    mirror = {}
+    for point_id, along in zip((8, 3, 11, 0, 5, 9, 2), (4.0, 1.0, 6.0, 4.0, -2.0, 0.0, 9.0)):
+        coords = [2.5, 2.5]
+        coords[1 - axis] = along
+        mirror[point_id] = tuple(coords)
+    selected = _assert_raw_kernel_matches_brute_force(mirror)
+    # On a line everybody sees at most the nearest member on either side.
+    assert all(len(chosen) <= 2 for chosen in selected)
+
+
+def test_quadrant_kernel_with_all_members_at_one_point():
+    """Mutual non-strict dominance everywhere: the smallest other id survives."""
+    mirror = {point_id: (1.5, -0.5) for point_id in (7, 3, 9, 1, 4)}
+    selected = _assert_raw_kernel_matches_brute_force(mirror)
+    assert selected == [[1], [1], [1], [3], [1]]
+
+
+def test_quadrant_kernel_sends_a_member_level_with_the_origin_to_the_flipped_side():
+    """``>`` decides the side: equal on an axis means *not greater*.
+
+    Member 1 shares the reference's x, so it belongs with the members to the
+    left, where it dominates member 2; counted to the right it would instead
+    dominate member 3.  Same construction on the other axis.
+    """
+    for swap in (False, True):
+        mirror = {0: (5.0, 5.0), 1: (5.0, 7.0), 2: (4.0, 8.0), 3: (6.0, 7.5)}
+        if swap:
+            mirror = {point_id: (y, x) for point_id, (x, y) in mirror.items()}
+        selected = _assert_raw_kernel_matches_brute_force(mirror, references=[0])
+        assert selected == [[1, 3]]
+
+
+def test_quadrant_kernel_is_exact_on_infinite_coordinates():
+    """+-inf on either axis is one more rank level, not a special case.
+
+    For the members only: an origin at ``+inf`` gives a member level with it
+    the key ``-inf``, and paired with ``+inf`` on the other axis the canonical
+    key sum is NaN, so a reference at infinity is refused.
+    """
+    inf = math.inf
+    mirror = {
+        0: (0.0, 0.0), 1: (inf, 1.0), 2: (-inf, 2.0), 3: (3.0, inf), 4: (4.0, -inf),
+        5: (inf, inf), 6: (-inf, -inf), 7: (inf, -inf), 8: (-inf, inf),
+        9: (2.0, 2.0), 10: (-1.0, 5.0), 11: (inf, 1.0), 12: (6.0, -3.0),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf in the tie screen stays silent
+        _assert_raw_kernel_matches_brute_force(mirror, references=[0, 9, 10, 12])
+    with pytest.raises(ValueError, match="reference 1 has a NaN or infinite"):
+        _assert_raw_kernel_matches_brute_force(mirror, references=[0, 1, 5])
+
+
+@pytest.mark.parametrize("exponent", [1, 4, 8])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_quadrant_kernel_at_the_field_width_boundaries(exponent, offset):
+    """``2**k - 1``, ``2**k`` and ``2**k + 1`` members: where ``bits`` steps."""
+    count = 2**exponent + offset
+    rng = np.random.default_rng(100 * exponent + offset)
+    # Fewer levels than members, so ranks are shared on both axes.
+    levels = rng.integers(0, max(2, count // 2), size=(count, 2)) / 2.0
+    mirror = {
+        int(point_id): tuple(row)
+        for point_id, row in zip(rng.permutation(3 * count)[:count], levels.tolist())
+    }
+    references = sorted(mirror)[:: max(1, count // 24)]
+    _assert_raw_kernel_matches_brute_force(mirror, references=references)
+
+
+def test_masked_quadrant_kernel_with_an_empty_row_beside_a_full_one():
+    rng = np.random.default_rng(18)
+    mirror = {
+        int(point_id): tuple(row)
+        for point_id, row in zip(rng.permutation(40), rng.integers(0, 12, (40, 2)) / 2.0)
+    }
+    references = list(mirror)[:3]
+    mask = np.zeros((3, 40), dtype=bool)
+    mask[1] = True
+    mask[2] = rng.random(40) < 0.5
+    selected = _assert_raw_kernel_matches_brute_force(mirror, references, mask)
+    assert selected[0] == [] and selected[1]
+
+
+def test_quadrant_kernel_rejects_what_its_keys_cannot_hold():
+    ids = np.asarray([4, 2, 6], dtype=np.int64)
+    coordinates = np.asarray([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    poisoned = coordinates.copy()
+    poisoned[1, 1] = math.nan
+    with pytest.raises(ValueError, match="member 2 has a NaN"):
+        quadrant_skylines(coordinates, ids, ids, poisoned)
+    with pytest.raises(ValueError, match="reference 2 has a NaN"):
+        quadrant_skylines(poisoned, ids, ids, coordinates)
+    # The mask is checked against an empty member set too.
+    nobody = np.empty(0, dtype=np.int64), np.empty((0, 2))
+    assert quadrant_skylines(coordinates, ids, *nobody, np.ones((3, 0), dtype=bool)) == [[], [], []]
+    with pytest.raises(ValueError, match="member_mask"):
+        quadrant_skylines(coordinates, ids, *nobody, np.ones((3, 3), dtype=bool))
+    # Refused before any array the size of the member set is built.
+    crowd = 1 << 20
+    with pytest.raises(ValueError, match=f"at most {crowd - 1} members.*got {crowd}"):
+        quadrant_skylines(
+            coordinates, ids, np.arange(crowd), np.broadcast_to(np.zeros(2), (crowd, 2))
         )
 
 
