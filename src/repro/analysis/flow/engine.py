@@ -10,7 +10,7 @@ interprocedural rules ask:
   class-body method aliases),
 * attribute dispatch through ``__init__``-inferred attribute types
   (``self._engine = TreeMaintenanceEngine()`` types ``self._engine``) and
-  through constructor-assigned locals (``mirror = DirectedSelectionMirror()``),
+  through constructor-assigned locals (``recorder = OverlayDeltaRecorder()``),
 
 and every call it cannot resolve degrades the caller to "may call
 anything": the :attr:`FunctionNode.calls_unknown` flag.  Degradation is

@@ -20,8 +20,8 @@ def hot_path(function: _F) -> _F:
 
     A ``@hot_path`` function is one the "Road to N>=100k" ROADMAP item
     promises stays proportional to the *change set*, never the population:
-    the delta-recorder notifications, the mirror/tree/connectivity repair
-    paths that consume drained deltas, the engine's membership notes
+    the delta-recorder notifications, the tree/connectivity repair paths
+    that consume drained deltas, the engine's membership notes
     (``note_join``/``note_leave``/``note_move``) and its round-scheduling
     core (``_plan_round``; the public ``run_round`` wrapper is documented
     O(N)-capable and deliberately unmarked), and the columnar candidate

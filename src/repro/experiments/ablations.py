@@ -22,10 +22,12 @@ DESIGN.md):
   path that makes per-event convergence affordable), and reports the
   reconvergence effort and whether the overlay ever disconnects.  The
   connectivity verdict comes from an
-  :class:`repro.multicast.incremental.IncrementalConnectivity` tracker fed
-  by the overlay delta stream -- no per-event graph reconstruction; edge
-  additions fold into the union-find structure on the fly and deletion
-  batches trigger at most one spanning-forest repair per query.
+  :class:`repro.multicast.incremental.IncrementalConnectivity` tracker that
+  reads the overlay's links in place, told where to look by the overlay
+  delta stream -- no per-event graph reconstruction, no second copy of the
+  graph; new edges are unioned at the next query that still has a split to
+  heal and deletion batches trigger at most one spanning-forest repair per
+  query.
 * **Message replay (A5)** -- the message-level simulator replays the same
   join/leave churn twice, once reapplying the neighbour selection method on
   every reselect tick and once with the dirty-set tick of
@@ -410,8 +412,8 @@ def run_overlay_churn_ablation(
     the delta-fed :class:`IncrementalConnectivity` tracker, so no graph is
     reconstructed inside the per-event loop; the row also reports how many
     certificate repairs the deletion batches actually triggered, how many
-    unions those repairs attempted and how often one fell back to scanning
-    every stored edge.
+    edges those repairs fed to the union-find and how often one fell back to
+    scanning every node's links.
     """
     resolved = scale if scale is not None else resolve_scale()
     seed = derive_seed(resolved.seed, 14, dimension, k)

@@ -6,7 +6,13 @@ preferred-neighbour forest (:func:`repro.multicast.stability.build_stability_tre
 from a fresh topology snapshot after every membership event.  This module is
 the event-driven replacement: overlay deltas in, single edge repairs out.
 
-Three cooperating pieces:
+Nothing here keeps a copy of the overlay's graph.  The overlay already
+maintains the exact directed selection and its reverse selector index, so
+both consumers below drain the delta stream (see
+:mod:`repro.overlay.incremental`) to learn *which* peers to look at and then
+read those peers' links in place, through
+:meth:`repro.overlay.network.OverlayNetwork.links` -- always through the
+overlay object, because a full sweep rebinds the dict behind it.
 
 * :class:`TreeMaintenanceEngine` -- a mutable preferred-neighbour forest.
   It consumes :class:`TreeDelta` records (peers joined with their lifetimes,
@@ -16,22 +22,27 @@ Three cooperating pieces:
   :class:`repro.metrics.trees.StreamingTreeMetrics`; only the diameter is
   recomputed lazily, cached per structure version.
 * :class:`StabilityTreeMaintainer` -- binds an engine to a live
-  :class:`repro.overlay.network.OverlayNetwork` through the overlay delta
-  stream (see :mod:`repro.overlay.incremental`).  On every
-  :meth:`~StabilityTreeMaintainer.refresh` it re-derives the preferred
-  parent -- via the *same* rule the snapshot builder uses
-  (:func:`repro.multicast.stability.choose_preferred_parent`) -- for exactly
-  the peers whose adjacency may have changed, and feeds the resulting
-  :class:`TreeDelta` to the engine.
+  :class:`repro.overlay.network.OverlayNetwork`.  Every
+  :meth:`~StabilityTreeMaintainer.refresh` applies the drained window's
+  departures and joins to the engine, then re-derives the preferred parent
+  -- via the *same* rule the snapshot builder uses
+  (:func:`repro.multicast.stability.choose_preferred_parent`), over the
+  overlay's links and the engine's own lifetimes -- for exactly the peers
+  whose adjacency may have changed, and re-issues the links that differ.
 * :class:`IncrementalConnectivity` -- a union-find connectivity tracker over
-  a dynamic graph that keeps its spanning forest (the edges whose union
-  merged two classes) as a certificate: edge and node additions are unioned
-  on the fly in near-constant time, deleting an edge outside the forest
-  changes nothing, and deleting a forest edge marks the epoch dirty so the
-  next query repairs the certificate -- surviving forest edges, edges added
-  meanwhile, then the edges around the hole, with a scan of every stored
-  edge only when those leave the graph split.  It replaces the per-event
-  full-graph connectivity recomputation in the overlay-churn ablation (A4).
+  a graph it *reads* through a neighbour function and never stores.  Its only
+  state besides the union-find is the spanning forest whose unions built it,
+  kept as a certificate of the component count: :meth:`~IncrementalConnectivity.recheck`
+  takes the delta stream's ``touched`` set, drops the certificate edges that
+  no longer exist (which is the only thing that dirties the epoch) and marks
+  the rechecked nodes *loose* -- the places where new edges can be.  A clean
+  query unions the links around loose nodes, and only while more than one
+  component is left; a dirty one first resets the union-find to the trees
+  of the surviving forest, and scans every node's links only when all that
+  leaves the graph split.
+  :class:`OverlayConnectivityFeed` is the tracker bound to an overlay; it
+  replaces the per-event full-graph connectivity recomputation in the
+  overlay-churn ablation (A4).
 
 Invariants the repair engine preserves (and validates on every operation):
 
@@ -54,7 +65,7 @@ rejects them (the paper assumes pairwise-distinct lifetimes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.contracts import hot_path
 from repro.geometry.distance import DistanceFunction, get_distance
@@ -67,7 +78,6 @@ from repro.multicast.stability import (
     lifetime_of,
 )
 from repro.multicast.tree import MulticastTree, TreeValidationError, _farthest
-from repro.overlay.incremental import DirectedSelectionMirror
 from repro.overlay.network import OverlayNetwork
 
 __all__ = [
@@ -314,12 +324,31 @@ class TreeMaintenanceEngine:
             raise ValueError(
                 f"peers {sorted(overlap)[:10]} appear both departed and re-parented"
             )
-        for peer_id in sorted(delta.departed):
+        self.apply_membership(delta.departed, delta.joined)
+        self.apply_reparents(delta.reparented)
+
+    @hot_path
+    def apply_membership(
+        self, departed: Iterable[int], joined: Mapping[int, float]
+    ) -> None:
+        """First half of a batch: departures, then joins.
+
+        Split out for callers that derive the re-parents from the forest as
+        it stands *after* the membership change (the
+        :class:`StabilityTreeMaintainer` reads the lifetimes of freshly
+        joined peers, and the orphaning of a departed parent's children,
+        straight from the engine); :meth:`apply_reparents` closes the batch.
+        """
+        for peer_id in sorted(departed):
             self.remove_peer(peer_id)
-        for peer_id in sorted(delta.joined):
-            self.add_peer(peer_id, delta.joined[peer_id])
-        for peer_id in sorted(delta.reparented):
-            self.set_parent(peer_id, delta.reparented[peer_id])
+        for peer_id in sorted(joined):
+            self.add_peer(peer_id, joined[peer_id])
+
+    @hot_path
+    def apply_reparents(self, reparented: Mapping[int, Optional[int]]) -> None:
+        """Second half of a batch: the re-parents; counts the batch applied."""
+        for peer_id in sorted(reparented):
+            self.set_parent(peer_id, reparented[peer_id])
         self._applied_deltas += 1
 
     # ------------------------------------------------------------------
@@ -380,21 +409,6 @@ class TreeMaintenanceEngine:
         )
 
 
-class _LifetimeView:
-    """Read-only lifetime lookup across the engine and a pending join batch."""
-
-    __slots__ = ("_engine", "_joined")
-
-    def __init__(self, engine: TreeMaintenanceEngine, joined: Mapping[int, float]) -> None:
-        self._engine = engine
-        self._joined = joined
-
-    def __getitem__(self, peer_id: int) -> float:
-        if peer_id in self._joined:
-            return self._joined[peer_id]
-        return self._engine.lifetime(peer_id)
-
-
 class StabilityTreeMaintainer:
     """Keeps a :class:`TreeMaintenanceEngine` in lockstep with a live overlay.
 
@@ -406,9 +420,10 @@ class StabilityTreeMaintainer:
     snapshot-builder rule -- only for peers whose adjacency may have
     changed, and only actual changes reach the engine.
 
-    A directed-selection mirror plus a reverse (selector) index give
-    ``O(degree)`` per-peer adjacency reads, so a refresh costs time
-    proportional to the overlay churn, not to the population.
+    It keeps no graph of its own: a touched peer's adjacency is one
+    ``O(degree)`` :meth:`~repro.overlay.network.OverlayNetwork.links` read
+    and the lifetimes are the engine's, so a refresh costs time proportional
+    to the overlay churn, not to the population.
     """
 
     def __init__(
@@ -431,7 +446,6 @@ class StabilityTreeMaintainer:
         # both in the snapshot and in the first drain, and re-deriving a
         # clean peer's parent from current state is harmless by contract.
         self._recorder = overlay.delta_stream()
-        self._mirror = DirectedSelectionMirror()
         self._full_rebuilds = 0
         self.rebuild()
 
@@ -474,7 +488,6 @@ class StabilityTreeMaintainer:
             tie_break=self._tie_break, distance=self._distance
         ).build(self._overlay.snapshot())
         self._engine.bootstrap(forest)
-        self._mirror.adopt(self._overlay)
         self._full_rebuilds += 1
 
     @hot_path
@@ -485,21 +498,24 @@ class StabilityTreeMaintainer:
         happened), so callers can log or assert on the repair traffic.
         """
         overlay = self._overlay
+        engine = self._engine
         raw = self._recorder.drain()
         if raw.is_empty:
             return TreeDelta()
 
-        # Membership: net joins/leaves relative to what the engine holds.
-        departed = frozenset(p for p in raw.departed if p in self._engine)
+        # Membership: net joins/leaves relative to what the engine holds,
+        # applied before any parent is derived -- the engine's own lifetime
+        # dict then covers every alive peer the rule can read, and a
+        # departed parent's children are already orphaned, so a link onto a
+        # departed-and-rejoined id compares unequal below and is re-issued
+        # onto the fresh instance without a special case.
+        departed = frozenset(p for p in raw.departed if p in engine)
         joined = {
             p: lifetime_of(overlay.peer(p))
             for p in raw.joined
-            if p in overlay and (p in departed or p not in self._engine)
+            if p in overlay and (p in departed or p not in engine)
         }
-
-        # Fold the delta into the shared directed mirror; its key set is
-        # exactly the alive peers whose adjacency may have changed.
-        recheck = self._mirror.apply(raw, overlay)
+        engine.apply_membership(departed, joined)
 
         # Re-derive the preferred parent of every possibly-affected peer
         # with the snapshot builder's rule; only actual changes are applied.
@@ -510,65 +526,52 @@ class StabilityTreeMaintainer:
         coordinates_of = (
             None if index is not None else (lambda n: overlay.peer(n).coordinates)
         )
-        lifetimes = _LifetimeView(self._engine, joined)
+        lifetimes = engine._lifetimes  # noqa: SLF001 - maintainer is a friend class
         reparented: Dict[int, Optional[int]] = {}
-        for peer_id in recheck:
-            adjacency = self._mirror.adjacency(peer_id)
+        for peer_id in raw.touched | raw.joined:
+            if peer_id not in overlay:
+                continue
             parent = choose_preferred_parent(
                 peer_id,
-                adjacency,
+                overlay.links(peer_id),
                 lifetimes,
                 tie_break=self._tie_break,
                 coordinates_of=coordinates_of,
                 distance=self._distance,
                 index=index,
             )
-            if peer_id in joined:
-                if parent is not None:
-                    reparented[peer_id] = parent
-                continue
-            # Compare against the link as it will stand *after* the delta's
-            # departure phase: removing a departed parent orphans the child,
-            # so a link onto a departed-and-rejoined id must be re-issued
-            # even though the pre-delta parent value looks unchanged.
-            current_parent = self._engine.parent(peer_id)
-            if current_parent in departed:
-                current_parent = None
-            if parent != current_parent:
+            if parent != engine.parent(peer_id):
                 reparented[peer_id] = parent
 
         delta = TreeDelta(joined=joined, departed=departed, reparented=reparented)
         if not delta.is_empty:
-            self._engine.apply(delta)
+            engine.apply_reparents(reparented)
         return delta
 
 
 class OverlayConnectivityFeed:
     """Keeps an :class:`IncrementalConnectivity` in sync with a live overlay.
 
-    Subscribes to the overlay's delta stream and mirrors the *directed*
-    selection edges of touched peers into the tracker (the undirected
-    closure has the same components), so a connectivity query after a
-    membership event costs the tracker's union/repair work instead of a
-    full topology snapshot plus graph traversal per event.  This is the
-    glue ablation A4 and the churn experiments query between events; it
-    also owns the one subtle delta-stream corner the tracker itself cannot
-    see -- restoring the incoming edges of a peer that left and rejoined
-    inside a single sync window.
+    The tracker reads the overlay's undirected links in place; the feed
+    subscribes to the overlay's delta stream and tells the tracker where to
+    look -- departed peers removed, unknown alive ones added, every alive
+    touched peer rechecked -- so a connectivity query after a membership
+    event costs the tracker's union/repair work instead of a full topology
+    snapshot plus graph traversal per event.  This is the glue ablation A4
+    and the churn experiments query between events.
     """
 
     def __init__(self, overlay: OverlayNetwork) -> None:
         self._overlay = overlay
         self._recorder = overlay.delta_stream()
-        self._mirror = DirectedSelectionMirror()
-        self._mirror.adopt(overlay)
-        self.tracker = IncrementalConnectivity()
-        for peer_id in overlay.peer_ids:
+        # The bound method, not the dicts behind it: reselect_round()
+        # rebinds the overlay's selection map.
+        self.tracker = IncrementalConnectivity(overlay.links)
+        peer_ids = overlay.peer_ids
+        for peer_id in peer_ids:
             self.tracker.add_node(peer_id)
-        for peer_id in overlay.peer_ids:
-            for target in self._mirror.selected(peer_id):
-                self.tracker.add_edge(peer_id, target)
-        self._recorder.drain()
+        # Every node loose: the first query unions the edges found there.
+        self.tracker.recheck(peer_ids)
 
     @hot_path
     def sync(self) -> None:
@@ -576,28 +579,18 @@ class OverlayConnectivityFeed:
         delta = self._recorder.drain()
         if delta.is_empty:
             return
+        overlay = self._overlay
+        tracker = self.tracker
+        # Departures first: a peer that left and rejoined inside the window
+        # comes back as a fresh node, certified by its new edges only.
         for peer_id in delta.departed:
-            if peer_id in self.tracker:
-                self.tracker.remove_node(peer_id)
-        diffs = self._mirror.apply(delta, self._overlay)
-        for peer_id in diffs:
-            if peer_id not in self.tracker:
-                self.tracker.add_node(peer_id)
-        for peer_id, (gained, lost) in diffs.items():
-            for target in gained:
-                self.tracker.add_edge(peer_id, target)
-            for target in lost:
-                # Already gone when the target departed (remove_node drops
-                # incident edges); remove_edge is idempotent.
-                self.tracker.remove_edge(peer_id, target)
-        for peer_id in delta.departed:
-            if peer_id not in self.tracker:
-                continue
-            # Leave-then-rejoin inside one window: remove_node dropped the
-            # incoming edges of selectors whose selection is net-unchanged
-            # (empty diff), so restore them from the mirror's reverse index.
-            for selector in self._mirror.selectors(peer_id):
-                self.tracker.add_edge(selector, peer_id)
+            if peer_id in tracker:
+                tracker.remove_node(peer_id)
+        alive = [p for p in delta.touched | delta.joined if p in overlay]
+        for peer_id in alive:
+            if peer_id not in tracker:
+                tracker.add_node(peer_id)
+        tracker.recheck(alive)
 
     def is_connected(self) -> bool:
         """Sync, then ask the tracker."""
@@ -606,53 +599,53 @@ class OverlayConnectivityFeed:
 
 
 class IncrementalConnectivity:
-    """Connectivity of a dynamic graph: union-find plus a spanning-forest certificate.
+    """Connectivity of a dynamic graph it reads but does not store.
 
-    Node and edge *additions* are folded into the union-find structure on
-    the fly (near-constant amortised time), so pure-growth phases -- the
-    paper's insertion procedure -- never pay more than the union cost.
-    Every stored edge whose union merged two classes is remembered in the
-    *forest*: a spanning forest of the undirected closure, so that
-    ``len(forest) == node_count - component_count()`` whenever the
-    structure is clean.  The forest is the certificate of the current
-    component count, and deletions are judged against it:
+    The graph lives with its owner; the tracker is built over a *neighbour
+    function* (``node -> iterable of the nodes it is linked to``, undirected)
+    and keeps only the node set, a union-find over it, and the *forest*: the
+    edges whose union merged two classes, as per-node forest-neighbour sets.
+    The forest is a spanning forest of the graph as of the last query --
+    ``forest edges == node_count - component_count()`` whenever the
+    structure is clean -- and so the certificate of the component count.
 
-    * deleting a stored edge **outside** the forest changes no component
-      (the forest still spans every class), so nothing is invalidated;
-    * deleting a forest edge, or a node that carried one, drops the edge
-      from the forest, marks the surviving endpoints *loose* -- the only
-      places where the certificate has a hole -- and marks the epoch dirty.
+    The owner reports changes the way the overlay's delta stream does -- by
+    naming the nodes whose links may have changed, both endpoints of every
+    added or removed edge -- through :meth:`recheck`, which
 
-    The next query after a dirty mark *repairs* the certificate instead of
-    re-unioning every edge (:attr:`rebuilds` counts these repairs, one per
-    batch of certificate deletions queried).  The union-find is
-    re-initialised and fed, in order: the surviving forest edges (at most
-    ``N - 1``, each a guaranteed merge); the *pending* list -- edges added
-    while dirty, which could not be unioned into a stale structure; and the
-    stored edges incident to loose nodes.  Every stage stops as soon as one
-    component is left.  Only when more than one component survives these
-    local stages does the repair fall back to scanning all stored edges
-    (:attr:`full_scans`), with the same early exit; the fallback is what
-    keeps the answer exact -- a replacement edge need not touch a loose
-    node (a chord around the cut does not) -- because whatever the full
-    scan leaves split is split.
+    * drops the forest edges of a rechecked node that no longer exist, marks
+      their far endpoints *loose* and the epoch dirty (an edge **outside**
+      the forest can vanish without changing any component, so it dirties
+      nothing -- and nothing even looks at it);
+    * marks the rechecked node itself loose: the only places a *new* edge
+      can be.
 
-    Edges are directed pairs as given (the overlay's selection edges) and
-    each orientation is stored, and certifies, on its own; connectivity is
-    judged on the undirected closure, which has the same components.
+    A forest edge that vanishes without either endpoint being rechecked (or
+    removed) is out of contract: the tracker would keep certifying with it.
+
+    Queries read the graph as it is *then*.  A clean query with a single
+    component ignores the loose nodes (no new edge can merge anything); with
+    more, it unions the links around them.  A dirty query *repairs* the
+    certificate (:attr:`rebuilds` counts these, one per queried batch of
+    certificate deletions): the union-find is reset to the trees of the
+    surviving forest (one walk over at most ``N - 1`` edges), then fed the
+    links around loose nodes, stopping once one component is left.  Only
+    when those local stages leave a split does the repair scan the links of
+    every node (:attr:`full_scans`), with the same early exit; the fallback
+    is what keeps the answer exact -- a replacement edge need not touch a
+    loose node (a chord around the cut does not) -- because whatever the
+    full scan leaves split is split.
     """
 
-    def __init__(self) -> None:
-        self._nodes: Set[int] = set()
-        self._edges: Set[Tuple[int, int]] = set()
-        self._incident: Dict[int, Set[Tuple[int, int]]] = {}
+    def __init__(self, links_of: Callable[[int], Iterable[int]]) -> None:
+        self._links_of = links_of
+        # Forest-neighbour sets; the keys are the tracked nodes.
+        self._forest: Dict[int, Set[int]] = {}
         self._uf_parent: Dict[int, int] = {}
         self._uf_rank: Dict[int, int] = {}
         self._components = 0
         self._dirty = False
-        self._forest: Set[Tuple[int, int]] = set()
         self._loose: Set[int] = set()
-        self._pending: List[Tuple[int, int]] = []
         self._rebuilds = 0
         self._edges_scanned = 0
         self._full_scans = 0
@@ -662,93 +655,71 @@ class IncrementalConnectivity:
     # ------------------------------------------------------------------
     @hot_path
     def add_node(self, node: int) -> None:
-        """Track a new isolated node."""
-        if node in self._nodes:
+        """Track a new node, isolated until a :meth:`recheck` names it."""
+        if node in self._forest:
             raise ValueError(f"node {node} is already tracked")
-        self._nodes.add(node)
-        self._incident[node] = set()
+        self._forest[node] = set()
         self._uf_parent[node] = node
         self._uf_rank[node] = 0
         self._components += 1
 
     @hot_path
     def remove_node(self, node: int) -> None:
-        """Forget a node and every edge incident to it.
+        """Forget a node (its links are the owner's to drop).
 
         Dirties the epoch when the node carried a forest edge -- in a clean
-        structure, whenever it had any edge at all -- and marks the far
-        endpoints of those forest edges loose.
+        structure, whenever it had any edge at the last query -- and marks
+        the far endpoints of those forest edges loose.
         """
-        if node not in self._nodes:
-            raise KeyError(f"node {node} is not tracked")
         forest = self._forest
-        loose = self._loose
-        for edge in self._incident.pop(node):
-            self._edges.discard(edge)
-            other = edge[1] if edge[0] == node else edge[0]
-            self._incident[other].discard(edge)
-            if edge in forest:
-                forest.discard(edge)
-                loose.add(other)
-                self._dirty = True
+        try:
+            certified = forest.pop(node)
+        except KeyError:
+            raise KeyError(f"node {node} is not tracked") from None
+        if certified:
+            for other in certified:
+                forest[other].discard(node)
+            self._loose |= certified
+            self._dirty = True
         if not self._dirty:
-            # Only an isolated node -- its own component in the exact
-            # structure -- can leave a clean epoch clean.
+            # Only a node without forest edges -- its own class in the
+            # union-find -- can leave a clean epoch clean.
             self._components -= 1
-        loose.discard(node)
-        self._nodes.discard(node)
+        self._loose.discard(node)
         self._uf_parent.pop(node, None)
         self._uf_rank.pop(node, None)
 
     @hot_path
-    def add_edge(self, source: int, target: int) -> None:
-        """Add one (directed) edge; unioned immediately unless the epoch is dirty."""
-        if source == target:
-            return
-        if source not in self._nodes or target not in self._nodes:
-            missing = source if source not in self._nodes else target
-            raise KeyError(f"node {missing} is not tracked")
-        edge = (source, target)
-        if edge in self._edges:
-            return
-        self._edges.add(edge)
-        self._incident[source].add(edge)
-        self._incident[target].add(edge)
-        if self._dirty:
-            self._pending.append(edge)
-        elif self._union(source, target):
-            self._forest.add(edge)
-            self._components -= 1
-
-    @hot_path
-    def remove_edge(self, source: int, target: int) -> None:
-        """Remove one (directed) edge if present.
-
-        Only a forest edge dirties the epoch (its endpoints become loose);
-        any other stored edge leaves every component as it was.
-        """
-        edge = (source, target)
-        if edge not in self._edges:
-            return
-        self._edges.discard(edge)
-        self._incident[source].discard(edge)
-        self._incident[target].discard(edge)
-        if edge in self._forest:
-            self._forest.discard(edge)
-            self._loose.add(source)
-            self._loose.add(target)
-            self._dirty = True
+    def recheck(self, nodes: Iterable[int]) -> None:
+        """The links of these tracked nodes may have changed; see the class docstring."""
+        forest = self._forest
+        loose = self._loose
+        links_of = self._links_of
+        for node in nodes:
+            try:
+                certified = forest[node]
+            except KeyError:
+                raise KeyError(f"node {node} is not tracked") from None
+            if certified:
+                gone = certified.difference(links_of(node))
+                if gone:
+                    certified -= gone
+                    for other in gone:
+                        forest[other].discard(node)
+                    loose |= gone
+                    self._dirty = True
+            loose.add(node)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, node: int) -> bool:
-        return node in self._nodes
+        return node in self._forest
 
     @property
     def node_count(self) -> int:
         """Number of tracked nodes."""
-        return len(self._nodes)
+        return len(self._forest)
 
     @property
     def rebuilds(self) -> int:
@@ -757,12 +728,13 @@ class IncrementalConnectivity:
 
     @property
     def edges_scanned(self) -> int:
-        """Unions attempted inside dirty queries, over all repairs."""
+        """Edges fed to the union-find inside dirty queries, over all repairs:
+        the surviving forest's plus every link a repair tried to union."""
         return self._edges_scanned
 
     @property
     def full_scans(self) -> int:
-        """Repairs whose local stages left a split and scanned every stored edge."""
+        """Repairs whose local stages left a split and scanned every node's links."""
         return self._full_scans
 
     def component_count(self) -> int:
@@ -778,7 +750,7 @@ class IncrementalConnectivity:
     def same_component(self, first: int, second: int) -> bool:
         """``True`` when both tracked nodes lie in one component."""
         for node in (first, second):
-            if node not in self._nodes:
+            if node not in self._forest:
                 raise KeyError(f"node {node} is not tracked")
         self._ensure_clean()
         return self._find(first) == self._find(second)
@@ -788,44 +760,65 @@ class IncrementalConnectivity:
     # ------------------------------------------------------------------
     def _ensure_clean(self) -> None:
         if not self._dirty:
+            self._absorb_around(self._loose)
+            self._loose.clear()
             return
-        nodes = self._nodes
-        self._uf_parent = dict(zip(nodes, nodes))
-        self._uf_rank = dict.fromkeys(nodes, 0)
-        self._components = len(nodes)
-        # The forest is re-grown from the edges that merge: its survivors
-        # first (acyclic, so each one does), then the candidate replacements.
-        survivors, self._forest = self._forest, set()
-        stored = self._edges
-        incident = self._incident
-        scanned = self._absorb(survivors)
-        scanned += self._absorb(edge for edge in self._pending if edge in stored)
-        scanned += self._absorb(
-            edge for node in self._loose for edge in incident[node]
-        )
+        # Reset the union-find to the surviving forest's trees: one walk per
+        # tree, every member pointing straight at its root -- what unioning
+        # the tree's edges one by one would compress to.
+        forest = self._forest
+        parent: Dict[int, int] = {}
+        components = 0
+        for root in forest:
+            if root in parent:
+                continue
+            components += 1
+            parent[root] = root
+            stack = [root]
+            while stack:
+                for other in forest[stack.pop()]:
+                    if other not in parent:
+                        parent[other] = root
+                        stack.append(other)
+        self._uf_parent = parent
+        self._uf_rank = dict.fromkeys(forest, 1)
+        self._components = components
+        scanned = len(forest) - components  # the forest's edges
+        scanned += self._absorb_around(self._loose)
         if self._components > 1:
             self._full_scans += 1
-            scanned += self._absorb(stored)
-        self._pending.clear()
+            scanned += self._absorb_around(forest)
         self._loose.clear()
         self._edges_scanned += scanned
         self._dirty = False
         self._rebuilds += 1
 
-    def _absorb(self, edges: Iterable[Tuple[int, int]]) -> int:
-        """Union ``edges`` until one component is left; merging ones join the forest.
+    def _absorb_around(self, nodes: Iterable[int]) -> int:
+        """Union the links of ``nodes`` until one component is left.
 
-        Returns the number of unions attempted.
+        Merging links join the forest.  Returns the number of unions
+        attempted.
         """
         attempted = 0
         forest = self._forest
-        for edge in edges:
+        links_of = self._links_of
+        for node in nodes:
             if self._components <= 1:
                 break
-            attempted += 1
-            if self._union(edge[0], edge[1]):
-                forest.add(edge)
-                self._components -= 1
+            links = links_of(node)
+            other = None
+            try:
+                for other in links:
+                    attempted += 1
+                    if self._union(node, other):
+                        forest[node].add(other)
+                        forest[other].add(node)
+                        self._components -= 1
+            except KeyError:
+                raise KeyError(
+                    f"the neighbour function links node {node} to node {other}, "
+                    "which is not tracked"
+                ) from None
         return attempted
 
     def _find(self, node: int) -> int:

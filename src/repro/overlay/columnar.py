@@ -26,12 +26,6 @@ representation:
   (mechanically enforced: the notification methods carry
   :func:`~repro.contracts.hot_path` and reprolint rule RPL005 rejects
   population materialisation inside the hot region).
-* :class:`ColumnarDeltaRecorder` -- the delta-stream recorder over the same
-  dense rows: ``note_join`` / ``note_leave`` / ``note_touch`` are boolean
-  array writes instead of Python set operations, and ``drain`` rebuilds the
-  same :class:`~repro.overlay.incremental.OverlayDelta` frozensets the
-  dict-backed recorder produces (the contract, including join+leave
-  cancellation inside one window, is byte-identical).
 
 Equivalence with the explicit representation
 --------------------------------------------
@@ -56,18 +50,11 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 import numpy as np
 
 from repro.contracts import hot_path
-from repro.overlay.incremental import (
-    CandidateView,
-    OverlayDelta,
-    OverlayDeltaRecorder,
-    RoundPlan,
-    RoundWindow,
-)
+from repro.overlay.incremental import CandidateView, RoundPlan, RoundWindow
 
 __all__ = [
     "DenseIdMap",
     "ColumnarCandidateState",
-    "ColumnarDeltaRecorder",
 ]
 
 _INITIAL_CAPACITY = 64
@@ -89,12 +76,11 @@ class DenseIdMap:
     """Dense ``peer id -> row`` map shared by the columnar engine components.
 
     The overlay owns one instance and keeps the alive flags in lockstep with
-    its peer map; the candidate state and the columnar delta recorders hang
-    their own numpy columns off the same row numbering (growing them lazily
-    to :attr:`capacity`).  Rows are never recycled: a departed id keeps its
-    row and a rejoin reuses it, which is what lets per-row state like the
-    recorder's cancellation flags survive membership churn without any
-    compaction bookkeeping.
+    its peer map; the candidate state hangs its own numpy columns off the
+    same row numbering (growing them lazily to :attr:`capacity`).  Rows are
+    never recycled: a departed id keeps its row and a rejoin reuses it,
+    which is what lets per-row state like the epoch stamps survive
+    membership churn without any compaction bookkeeping.
     """
 
     def __init__(self) -> None:
@@ -477,93 +463,3 @@ class ColumnarCandidateState(CandidateView):
         alive = self._rows.alive_mask()
         stale = self._needs_full[:count] | (self._stamps[:count] != self.epoch)
         return frozenset(self._rows.id_at(int(row)) for row in np.flatnonzero(alive & stale))
-
-
-class ColumnarDeltaRecorder(OverlayDeltaRecorder):
-    """Delta-stream recorder whose event notes are dense boolean array writes.
-
-    Handed out by :meth:`repro.overlay.network.OverlayNetwork.delta_stream`
-    on overlays that own a :class:`DenseIdMap`; implements the exact
-    recorder contract of the set-backed base class (join+leave inside one
-    window cancels, leave+rejoin appears as both, ``drain`` resets), with
-    every note collapsed to flag writes at the shared row numbering.
-    """
-
-    def __init__(self, rows: DenseIdMap) -> None:
-        self._rows = rows
-        self._joined_rows = np.zeros(rows.capacity, dtype=bool)
-        self._departed_rows = np.zeros(rows.capacity, dtype=bool)
-        self._touched_rows = np.zeros(rows.capacity, dtype=bool)
-        # One past the highest row noted since the last drain.  Keeps drain
-        # O(touched area) -- an idle stream drains (and resets) nothing
-        # instead of scanning three capacity-length columns.
-        self._high_water = 0
-
-    def _sync(self) -> None:
-        capacity = self._rows.capacity
-        if len(self._joined_rows) < capacity:
-            self._joined_rows = _grown(self._joined_rows, capacity, False)
-            self._departed_rows = _grown(self._departed_rows, capacity, False)
-            self._touched_rows = _grown(self._touched_rows, capacity, False)
-
-    @hot_path
-    def note_join(self, peer_id: int) -> None:
-        """A peer entered the overlay (possibly re-using a departed id)."""
-        row = self._rows.ensure_row(peer_id)
-        self._sync()
-        self._joined_rows[row] = True
-        self._touched_rows[row] = True
-        if row >= self._high_water:
-            self._high_water = row + 1
-
-    @hot_path
-    def note_leave(self, peer_id: int) -> None:
-        """A peer left the overlay."""
-        row = self._rows.ensure_row(peer_id)
-        self._sync()
-        if row >= self._high_water:
-            self._high_water = row + 1
-        if self._joined_rows[row]:
-            # Join and leave inside one window cancel: the consumer never
-            # saw the peer, so it must not be asked to remove it.
-            self._joined_rows[row] = False
-        else:
-            self._departed_rows[row] = True
-
-    @hot_path
-    def note_touch(self, touched_ids: Iterable[int]) -> None:
-        """The undirected adjacency of these peers may have changed."""
-        rows = self._rows
-        for touched_id in touched_ids:
-            row = rows.ensure_row(touched_id)
-            if row >= len(self._touched_rows):
-                self._sync()
-            self._touched_rows[row] = True
-            if row >= self._high_water:
-                self._high_water = row + 1
-
-    @hot_path
-    def drain(self) -> OverlayDelta:
-        """Return the accumulated delta and reset the flag columns."""
-        limit = self._high_water
-        if limit == 0:
-            return OverlayDelta(
-                joined=frozenset(), departed=frozenset(), touched=frozenset()
-            )
-        rows = self._rows
-        delta = OverlayDelta(
-            joined=frozenset(
-                rows.id_at(int(row)) for row in np.flatnonzero(self._joined_rows[:limit])
-            ),
-            departed=frozenset(
-                rows.id_at(int(row)) for row in np.flatnonzero(self._departed_rows[:limit])
-            ),
-            touched=frozenset(
-                rows.id_at(int(row)) for row in np.flatnonzero(self._touched_rows[:limit])
-            ),
-        )
-        self._joined_rows[:limit] = False
-        self._departed_rows[:limit] = False
-        self._touched_rows[:limit] = False
-        self._high_water = 0
-        return delta

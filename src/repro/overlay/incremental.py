@@ -103,13 +103,16 @@ and the offline engine skip and shortcut under exactly the same conditions.
 Delta-stream contract
 ---------------------
 
-Downstream consumers (the event-driven multicast layer of
-:mod:`repro.multicast.incremental`, the incremental connectivity tracker of
-ablation A4) react to overlay changes without re-reading the whole topology.
-They subscribe through :meth:`repro.overlay.network.OverlayNetwork.delta_stream`,
-which hands out an :class:`OverlayDeltaRecorder`; every membership event and
-every installed selection change -- whichever convergence path produced it --
-is recorded, and :meth:`OverlayDeltaRecorder.drain` returns the accumulated
+Downstream consumers (the stability-tree maintainer and the connectivity
+feed of :mod:`repro.multicast.incremental`) react to overlay changes without
+re-reading the whole topology, and without keeping a copy of it: the overlay
+already maintains the exact directed selection and its reverse selector
+index, so the stream only has to say *where to look*.  Consumers subscribe
+through :meth:`repro.overlay.network.OverlayNetwork.delta_stream`, which
+hands every overlay the same set-backed :class:`OverlayDeltaRecorder` (three
+id sets; a touch is one ``set.update``); every membership event and every
+installed selection change -- whichever convergence path produced it -- is
+recorded, and :meth:`OverlayDeltaRecorder.drain` returns the accumulated
 :class:`OverlayDelta` and resets the recorder.  The contract:
 
 * ``joined`` / ``departed`` are the net membership changes since the last
@@ -123,6 +126,11 @@ is recorded, and :meth:`OverlayDeltaRecorder.drain` returns the accumulated
   overlay's *current* state for every touched peer provably reaches the
   same result as a from-scratch recomputation.  Re-processing an
   already-clean peer is always harmless, so over-approximation is safe.
+
+The current state of one touched peer is read in place, through
+:meth:`repro.overlay.network.OverlayNetwork.links` (selected plus selectors,
+O(degree)) -- always through the overlay object, never through a captured
+reference to its dicts, because a full sweep *rebinds* the selection map.
 """
 
 from __future__ import annotations
@@ -160,7 +168,6 @@ __all__ = [
     "IncrementalReselectionEngine",
     "OverlayDelta",
     "OverlayDeltaRecorder",
-    "DirectedSelectionMirror",
     "RoundPlan",
     "RoundWindow",
 ]
@@ -228,93 +235,6 @@ class OverlayDeltaRecorder:
         self._touched = set()
         return delta
 
-
-class DirectedSelectionMirror:
-    """Per-peer copies of the directed selection, maintained from drained deltas.
-
-    The delta-stream consumers (the stability-tree maintainer, the A4
-    connectivity feed) all need the same two things the overlay does not
-    index: ``O(degree)`` reads of one peer's undirected adjacency (its own
-    selection plus the reverse *selector* index) and the per-peer directed
-    edge diffs behind each drained :class:`OverlayDelta`.  This mirror is
-    the single implementation of that bookkeeping -- departed peers'
-    outgoing links dropped first, then every alive touched peer's current
-    selection diffed against the stored copy -- so the subtle ordering
-    rules live in one place.
-    """
-
-    def __init__(self) -> None:
-        self._selected: Dict[int, FrozenSet[int]] = {}
-        self._selectors: Dict[int, Set[int]] = {}
-
-    def adopt(self, overlay: "OverlayNetwork") -> None:
-        """Reset to the overlay's current directed selection wholesale."""
-        self._selected = {}
-        self._selectors = {}
-        for peer_id, selected in overlay.directed_neighbour_map().items():
-            self._selected[peer_id] = selected
-            for target in selected:
-                self._selectors.setdefault(target, set()).add(peer_id)
-
-    def selected(self, peer_id: int) -> FrozenSet[int]:
-        """Mirrored directed selection of one peer."""
-        return self._selected.get(peer_id, frozenset())
-
-    def selectors(self, peer_id: int) -> FrozenSet[int]:
-        """Peers whose mirrored selection contains ``peer_id``."""
-        return frozenset(self._selectors.get(peer_id, ()))
-
-    def adjacency(self, peer_id: int) -> Set[int]:
-        """Undirected adjacency of one peer: selected plus selectors."""
-        return set(self._selected.get(peer_id, frozenset())) | self._selectors.get(
-            peer_id, set()
-        )
-
-    @hot_path
-    def apply(
-        self, delta: OverlayDelta, overlay: "OverlayNetwork"
-    ) -> Dict[int, "tuple[FrozenSet[int], FrozenSet[int]]"]:
-        """Fold one drained delta in; return per-peer ``(gained, lost)`` targets.
-
-        A departed peer's *outgoing* links are dropped up front; its
-        *selector* index is deliberately left alone and drained by the alive
-        endpoints' own diffs instead (every ex-selector is in ``touched`` by
-        contract).  This is what keeps a leave-then-rejoin inside one window
-        correct: a selector whose selection is net-unchanged across the
-        rejoin produces an empty diff, and its (still valid) reverse-index
-        entry must survive.  Selector entries of peers that departed for
-        good are popped once empty.
-
-        The result maps every *alive* touched or joined peer -- including
-        ones whose selection turned out unchanged, so callers can use the
-        key set as their recheck set -- to the directed targets its
-        selection gained and lost.
-        """
-        for peer_id in delta.departed:
-            for target in self._selected.pop(peer_id, frozenset()):
-                selectors = self._selectors.get(target)
-                if selectors:
-                    selectors.discard(peer_id)
-        diffs: Dict[int, "tuple[FrozenSet[int], FrozenSet[int]]"] = {}
-        for peer_id in delta.touched | delta.joined:
-            if peer_id not in overlay:
-                continue
-            current = overlay.selected_neighbours(peer_id)
-            previous = self._selected.get(peer_id, frozenset())
-            gained = current - previous
-            lost = previous - current
-            for target in gained:
-                self._selectors.setdefault(target, set()).add(peer_id)
-            for target in lost:
-                selectors = self._selectors.get(target)
-                if selectors:
-                    selectors.discard(peer_id)
-            self._selected[peer_id] = current
-            diffs[peer_id] = (gained, lost)
-        for peer_id in delta.departed:
-            if peer_id not in overlay:
-                self._selectors.pop(peer_id, None)
-        return diffs
 
 #: Re-run the selection against the complete candidate set.
 RESELECT_FULL = "full"
@@ -724,8 +644,8 @@ class IncrementalReselectionEngine:
         self, overlay: "OverlayNetwork", *, vectorised: Optional[bool] = None
     ) -> None:
         # Imported here: repro.overlay.columnar subclasses this module's
-        # CandidateView/OverlayDeltaRecorder, so the dependency must stay
-        # one-directional at import time.
+        # CandidateView, so the dependency must stay one-directional at
+        # import time.
         from repro.overlay.columnar import ColumnarCandidateState
 
         self._overlay = overlay

@@ -53,7 +53,7 @@ from typing import (
 )
 
 from repro.geometry.index import SpatialIndex
-from repro.overlay.columnar import ColumnarDeltaRecorder, DenseIdMap
+from repro.overlay.columnar import DenseIdMap
 from repro.overlay.gossip import knowledge_sets, peers_within_hops
 from repro.overlay.incremental import IncrementalReselectionEngine, OverlayDeltaRecorder
 from repro.overlay.peer import PeerInfo
@@ -156,8 +156,8 @@ class OverlayNetwork:
         ``False`` to pin the scan path (the benchmark baselines do).
     columnar:
         Whether the overlay owns a :class:`~repro.overlay.columnar.DenseIdMap`
-        and hands the incremental engine / delta recorders the columnar
-        (implicit candidate set) representation.  ``None`` (the default)
+        and hands the incremental engine the columnar (implicit candidate
+        set) representation.  ``None`` (the default)
         enables it exactly under full knowledge -- the representation's
         validity condition, since only there is ``I(P)`` "everyone alive
         but me".  Pass ``False`` to pin the explicit dict/frozenset
@@ -203,10 +203,9 @@ class OverlayNetwork:
         # apply_batch / the bulk builders); convergence failures never touch
         # coordinates, so the index stays exact through them.
         self._index: Optional[SpatialIndex] = SpatialIndex() if use_index else None
-        # The dense id->row map the columnar engine state and delta
-        # recorders share; rows are never recycled, so a departed-then-
-        # rejoined id keeps its row and every consumer's columns stay
-        # aligned for the overlay's lifetime.
+        # The dense id->row map the columnar engine state hangs its columns
+        # off; rows are never recycled, so a departed-then-rejoined id keeps
+        # its row and the columns stay aligned for the overlay's lifetime.
         self._id_rows: Optional[DenseIdMap] = DenseIdMap() if columnar else None
         # Threaded into every lazily created engine; see the class docstring.
         self._vectorised_rounds = vectorised_rounds
@@ -416,18 +415,21 @@ class OverlayNetwork:
         """The whole directed selection map."""
         return {peer_id: frozenset(neighbours) for peer_id, neighbours in self._neighbours.items()}
 
-    def adjacency(self) -> Dict[int, Set[int]]:
-        """Undirected communication topology (closure of the selection map).
+    def links(self, peer_id: int) -> Set[int]:
+        """Undirected links of one peer, as a fresh set, in O(degree).
 
         A peer's links are the peers it selected plus the peers that
         selected it; both are maintained exactly (``_neighbours`` and the
-        reverse selector index), so nothing is re-derived per call.
+        reverse selector index), so nothing is re-derived per call.  This is
+        the read the delta-stream consumers make per touched peer.  Hold on
+        to the overlay, not to its dicts: a full sweep rebinds the selection
+        map, so a captured dict silently goes stale.
         """
-        selectors_of = self._selectors_of
-        return {
-            peer_id: selected.union(selectors_of.get(peer_id, ()))
-            for peer_id, selected in self._neighbours.items()
-        }
+        return self._neighbours[peer_id].union(self._selectors_of.get(peer_id, ()))
+
+    def adjacency(self) -> Dict[int, Set[int]]:
+        """Undirected communication topology: :meth:`links` of every peer."""
+        return {peer_id: self.links(peer_id) for peer_id in self._neighbours}
 
     def snapshot(self) -> TopologySnapshot:
         """Immutable snapshot of the current topology."""
@@ -447,16 +449,8 @@ class OverlayNetwork:
         bootstrap from :meth:`snapshot` first (events before the attachment
         are not replayed); re-processing peers touched both before and after
         the snapshot is harmless by the contract.
-
-        Columnar overlays get a :class:`~repro.overlay.columnar.ColumnarDeltaRecorder`
-        sharing the overlay's dense id map, so recorder touches are flag-array
-        writes; the drained deltas are identical either way.
         """
-        recorder: OverlayDeltaRecorder = (
-            ColumnarDeltaRecorder(self._id_rows)
-            if self._id_rows is not None
-            else OverlayDeltaRecorder()
-        )
+        recorder = OverlayDeltaRecorder()
         self._delta_recorders.append(recorder)
         return recorder
 

@@ -74,6 +74,7 @@ def test_pristine_copies_are_clean(tmp_path, network_source):
             SRC / "overlay" / "selection" / "hyperplanes.py",
         ),
         ("simulation/netmodel.py", SRC / "simulation" / "netmodel.py"),
+        ("multicast/incremental.py", SRC / "multicast" / "incremental.py"),
     ]:
         source = network_source if source_path is None else source_path.read_text()
         copy = _mirror(tmp_path, relative, source)
@@ -198,22 +199,19 @@ def test_rpl004_catches_a_seeded_wall_clock_read(tmp_path, network_source):
     assert [(v.rule_id, v.line) for v in violations] == [("RPL004", expected_line)]
 
 
-def test_rpl005_catches_population_work_in_the_mirror_hot_path(
-    tmp_path, incremental_source
-):
-    """Reading the full directed map inside the @hot_path mirror repair --
-    instead of the one touched peer's selection -- reintroduces O(N) work
-    per churn event."""
+def test_rpl005_catches_population_work_in_the_tree_refresh_hot_path(tmp_path):
+    """Reading the whole undirected topology inside the @hot_path tree
+    refresh -- instead of the one touched peer's links -- reintroduces O(N)
+    work per churn event."""
+    source = (SRC / "multicast" / "incremental.py").read_text(encoding="utf-8")
     seeded = _seed(
-        incremental_source,
-        "current = overlay.selected_neighbours(peer_id)",
-        "current = frozenset(overlay.directed_neighbour_map()[peer_id])",
+        source,
+        "overlay.links(peer_id),",
+        "overlay.adjacency()[peer_id],",
     )
-    copy = _mirror(tmp_path, "overlay/incremental.py", seeded)
+    copy = _mirror(tmp_path, "multicast/incremental.py", seeded)
     violations = lint_paths([copy])
-    expected_line = _line_of(
-        seeded, "overlay.directed_neighbour_map()[peer_id]"
-    )
+    expected_line = _line_of(seeded, "overlay.adjacency()[peer_id]")
     assert [(v.rule_id, v.line) for v in violations] == [("RPL005", expected_line)]
 
 

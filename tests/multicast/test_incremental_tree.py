@@ -199,59 +199,117 @@ class TestMaintenanceEngine:
 # ----------------------------------------------------------------------
 # IncrementalConnectivity vs networkx
 # ----------------------------------------------------------------------
+# One networkx graph is both the adjacency the tracker reads in place and
+# the oracle; the helpers below edit it and report the edit the way the
+# overlay's delta stream does -- both endpoints of a changed edge rechecked,
+# a removed node removed.
+def _tracker_over(graph):
+    """A tracker reading ``graph``; ``graph[n]`` raises ``KeyError`` off-graph."""
+    tracker = IncrementalConnectivity(graph.__getitem__)
+    for node in graph:
+        tracker.add_node(node)
+    tracker.recheck(graph)
+    return tracker
+
+
+def _add_node(tracker, graph, node):
+    graph.add_node(node)
+    tracker.add_node(node)
+
+
+def _add_edge(tracker, graph, u, v):
+    graph.add_edge(u, v)
+    tracker.recheck((u, v))
+
+
+def _remove_edge(tracker, graph, u, v):
+    graph.remove_edge(u, v)
+    tracker.recheck((u, v))
+
+
+def _remove_node(tracker, graph, node):
+    graph.remove_node(node)
+    tracker.remove_node(node)
+
+
+def _forest_edges(tracker):
+    return {
+        (node, other)
+        for node, certified in tracker._forest.items()
+        for other in certified
+        if node < other
+    }
+
+
+def _assert_certificate(tracker, graph):
+    """The forest-neighbour sets: symmetric, acyclic, real and -- clean -- spanning.
+
+    Reads private state only, so asserting repairs nothing.  ``graph`` is the
+    undirected graph the tracker reads.
+    """
+    forest = tracker._forest
+    assert set(forest) == set(graph)
+    for node, certified in forest.items():
+        assert node not in certified
+        for other in certified:
+            assert node in forest[other]
+            assert graph.has_edge(node, other)
+    edges = _forest_edges(tracker)
+    spanning = nx.Graph()
+    spanning.add_nodes_from(forest)
+    spanning.add_edges_from(edges)
+    assert not spanning or nx.is_forest(spanning)
+    if not tracker._dirty:
+        assert len(edges) == tracker.node_count - tracker._components
+        if not tracker._loose:
+            assert tracker._components == nx.number_connected_components(graph)
+
+
 class TestIncrementalConnectivity:
     def test_matches_networkx_under_random_edit_scripts(self):
         rng = random.Random(4242)
         for _ in range(10):
-            tracker = IncrementalConnectivity()
             graph = nx.Graph()
+            tracker = _tracker_over(graph)
             nodes = []
             next_id = 0
             for _ in range(120):
                 action = rng.random()
                 if action < 0.3 or len(nodes) < 2:
-                    tracker.add_node(next_id)
-                    graph.add_node(next_id)
+                    _add_node(tracker, graph, next_id)
                     nodes.append(next_id)
                     next_id += 1
                 elif action < 0.6:
-                    u, v = rng.sample(nodes, 2)
-                    tracker.add_edge(u, v)
-                    graph.add_edge(u, v)
+                    _add_edge(tracker, graph, *rng.sample(nodes, 2))
                 elif action < 0.8 and graph.number_of_edges():
-                    u, v = rng.choice(list(graph.edges()))
-                    # The tracker stores directed pairs; remove whichever
-                    # orientations are present.
-                    tracker.remove_edge(u, v)
-                    tracker.remove_edge(v, u)
-                    graph.remove_edge(u, v)
+                    _remove_edge(tracker, graph, *rng.choice(list(graph.edges())))
                 else:
                     victim = rng.choice(nodes)
-                    tracker.remove_node(victim)
-                    graph.remove_node(victim)
+                    _remove_node(tracker, graph, victim)
                     nodes.remove(victim)
                 expected_components = nx.number_connected_components(graph)
                 assert tracker.component_count() == expected_components
                 expected = graph.number_of_nodes() == 0 or nx.is_connected(graph)
                 assert tracker.is_connected() == expected
+                _assert_certificate(tracker, graph)
 
     def test_pure_growth_needs_no_rebuilds(self):
-        tracker = IncrementalConnectivity()
+        graph = nx.Graph()
+        tracker = _tracker_over(graph)
         for node in range(50):
-            tracker.add_node(node)
+            _add_node(tracker, graph, node)
             if node:
-                tracker.add_edge(node - 1, node)
+                _add_edge(tracker, graph, node - 1, node)
             assert tracker.is_connected()
         assert tracker.rebuilds == 0
+        _assert_certificate(tracker, graph)
 
     def test_deletion_batches_rebuild_once_per_query(self):
-        tracker = IncrementalConnectivity()
-        for node in range(10):
-            tracker.add_node(node)
-        for node in range(1, 10):
-            tracker.add_edge(0, node)
+        graph = nx.star_graph(9)
+        tracker = _tracker_over(graph)
+        assert tracker.is_connected()
         for node in range(1, 5):
-            tracker.remove_edge(0, node)
+            _remove_edge(tracker, graph, 0, node)
         assert not tracker.is_connected()
         assert tracker.rebuilds == 1
         assert tracker.component_count() == 5
@@ -260,84 +318,124 @@ class TestIncrementalConnectivity:
     def test_chord_around_the_cut_is_found_by_the_fallback_scan(self):
         """Path a-x-y-b certifies; the chord (a, b) touches no loose node."""
         a, x, y, b = range(4)
-        tracker = IncrementalConnectivity()
-        for node in (a, x, y, b):
-            tracker.add_node(node)
-        for edge in ((a, x), (x, y), (y, b), (a, b)):
-            tracker.add_edge(*edge)
-        tracker.remove_edge(x, y)
+        graph = nx.path_graph([a, x, y, b])
+        tracker = _tracker_over(graph)
+        assert tracker.is_connected()
+        # Added to a connected graph: ignored by the clean query, so the
+        # certificate is the path whatever order the links are read in.
+        _add_edge(tracker, graph, a, b)
+        assert tracker.is_connected()
+        assert _forest_edges(tracker) == {(a, x), (x, y), (y, b)}
+        _remove_edge(tracker, graph, x, y)
         assert tracker.is_connected()
         assert (tracker.rebuilds, tracker.full_scans) == (1, 1)
-        _assert_certificate(tracker)
+        _assert_certificate(tracker, graph)
 
     def test_genuine_cut_heals_without_another_scan(self):
-        tracker = IncrementalConnectivity()
-        for node in range(4):
-            tracker.add_node(node)
-        for node in range(3):
-            tracker.add_edge(node, node + 1)
-        tracker.remove_edge(1, 2)
+        graph = nx.path_graph(4)
+        tracker = _tracker_over(graph)
+        assert tracker.is_connected()
+        _remove_edge(tracker, graph, 1, 2)
         assert tracker.component_count() == 2
         assert not tracker.same_component(0, 3)
         assert (tracker.rebuilds, tracker.full_scans) == (1, 1)
         scanned = tracker.edges_scanned
-        tracker.add_edge(3, 0)
+        _add_edge(tracker, graph, 3, 0)
         assert tracker.is_connected()
         assert tracker.same_component(1, 2)
         assert (tracker.rebuilds, tracker.full_scans) == (1, 1)
         assert tracker.edges_scanned == scanned
-        _assert_certificate(tracker)
+        _assert_certificate(tracker, graph)
 
     def test_deleting_non_certificate_edges_never_rebuilds(self):
-        tracker = IncrementalConnectivity()
-        for node in range(3):
-            tracker.add_node(node)
-        # The first two edges merge classes; the other four do not.
-        stored = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
-        for edge in stored:
-            tracker.add_edge(*edge)
-        for edge in stored[2:]:
-            tracker.remove_edge(*edge)
+        graph = nx.complete_graph(5)
+        tracker = _tracker_over(graph)
+        assert tracker.is_connected()
+        certificate = _forest_edges(tracker)
+        assert len(certificate) == 4
+        for u, v in sorted(set(graph.edges()) - certificate):
+            _remove_edge(tracker, graph, u, v)
+            assert not tracker._dirty
         assert tracker.is_connected()
         assert tracker.component_count() == 1
         assert (tracker.rebuilds, tracker.edges_scanned) == (0, 0)
-        _assert_certificate(tracker)
+        assert _forest_edges(tracker) == certificate == set(graph.edges())
+        _assert_certificate(tracker, graph)
 
-    def test_surviving_orientation_replaces_a_cut_certificate_edge(self):
-        tracker = IncrementalConnectivity()
-        tracker.add_node(0)
-        tracker.add_node(1)
-        tracker.add_edge(0, 1)
-        tracker.add_edge(1, 0)
-        tracker.remove_edge(0, 1)
+    def test_an_orientation_swap_keeps_the_certificate_edge(self):
+        """The overlay's edges are directed selections read as undirected links:
+        dropping one of two orientations, or replacing ``a -> b`` by
+        ``b -> a`` inside one window, leaves the link -- and the certificate,
+        and the epoch -- as they were."""
+        a, b = 0, 1
+        selected = nx.DiGraph([(a, b), (b, a)])
+        graph = selected.to_undirected(as_view=True)
+        tracker = _tracker_over(graph)
         assert tracker.is_connected()
-        assert (tracker.rebuilds, tracker.full_scans) == (1, 0)
-        _assert_certificate(tracker)
+        selected.remove_edge(a, b)
+        tracker.recheck((a, b))
+        assert not tracker._dirty
+        selected.remove_edge(b, a)
+        selected.add_edge(a, b)
+        tracker.recheck((a, b))
+        assert not tracker._dirty
+        assert tracker.is_connected()
+        assert _forest_edges(tracker) == {(a, b)}
+        assert (tracker.rebuilds, tracker.edges_scanned) == (0, 0)
+        _assert_certificate(tracker, graph)
+
+    def test_a_node_removed_and_re_added_in_one_window_is_certified_by_its_new_edges(self):
+        graph = nx.path_graph(4)
+        tracker = _tracker_over(graph)
+        assert tracker.is_connected()
+        # Node 1 leaves and comes back linked to 3 instead of 0 and 2,
+        # before anyone queries.
+        _remove_node(tracker, graph, 1)
+        _add_node(tracker, graph, 1)
+        _add_edge(tracker, graph, 1, 3)
+        assert tracker.component_count() == 2
+        assert tracker.same_component(1, 2) and not tracker.same_component(0, 1)
+        assert _forest_edges(tracker) == {(1, 3), (2, 3)}
+        assert tracker.rebuilds == 1
+        _assert_certificate(tracker, graph)
+
+    def test_an_unreported_certificate_deletion_is_out_of_contract(self):
+        """Documented limit: the tracker stores no graph, so a certificate
+        edge that vanishes with *neither* endpoint rechecked keeps
+        certifying; rechecking either endpoint restores the truth."""
+        graph = nx.path_graph(3)
+        tracker = _tracker_over(graph)
+        assert tracker.is_connected()
+        graph.remove_edge(1, 2)
+        assert tracker.is_connected()  # stale, by contract
+        tracker.recheck((2,))
+        assert tracker.component_count() == 2
+        _assert_certificate(tracker, graph)
 
     def test_same_component_names_the_untracked_node_before_any_repair(self):
-        tracker = IncrementalConnectivity()
-        for node in (1, 2):
-            tracker.add_node(node)
-        tracker.add_edge(1, 2)
-        tracker.remove_edge(1, 2)  # dirty: a query would have to repair
+        graph = nx.path_graph([1, 2])
+        tracker = _tracker_over(graph)
+        assert tracker.is_connected()
+        _remove_edge(tracker, graph, 1, 2)  # dirty: a query would have to repair
         for pair in ((1, 99), (99, 1)):
             with pytest.raises(KeyError, match="node 99 is not tracked"):
                 tracker.same_component(*pair)
         assert tracker.rebuilds == 0
 
+    def test_recheck_names_the_untracked_node(self):
+        tracker = _tracker_over(nx.path_graph(2))
+        with pytest.raises(KeyError, match="node 7 is not tracked"):
+            tracker.recheck((0, 7))
 
-def _assert_certificate(tracker):
-    """The forest is stored, acyclic and -- when clean -- spanning."""
-    forest = tracker._forest
-    assert forest <= tracker._edges
-    spanning = nx.Graph()
-    spanning.add_nodes_from(tracker._nodes)
-    spanning.add_edges_from(forest)
-    # Acyclic also rules out both orientations of one link certifying twice.
-    assert spanning.number_of_edges() == len(forest)
-    assert not spanning or nx.is_forest(spanning)
-    if not tracker._dirty:
-        assert len(forest) == tracker.node_count - tracker.component_count()
+    def test_an_untracked_neighbour_is_named_with_the_node_being_scanned(self):
+        """What a stale adjacency looks like from inside: the neighbour
+        function still names a node the tracker was told to forget."""
+        graph = nx.path_graph(3)
+        graph.add_node(9)  # a second component, so no scan stops early
+        tracker = _tracker_over(graph)
+        tracker.remove_node(2)  # ... but the graph keeps linking 1 to it
+        with pytest.raises(KeyError, match="links node 1 to node 2, which is not tracked"):
+            tracker.is_connected()
 
 
 # Few nodes and long scripts make cycles common, and with them the forest
@@ -360,52 +458,47 @@ _EDIT_STEPS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(steps=_EDIT_STEPS)
 def test_connectivity_certificate_matches_networkx_under_directed_edit_scripts(steps):
-    """One stored orientation at a time, queries at random: tracker == networkx.
+    """One orientation at a time, queries at random: tracker == networkx.
 
-    The stored pairs are directed, so ``(u, v)`` can leave while ``(v, u)``
-    stays; a step only queries when its flag says so, which leaves dirty
-    windows of every length between repairs.  The certificate's structural
-    invariants are read off the private state after every step (reading
-    repairs nothing); the verdicts are held to networkx at every query.
+    The edits are directed pairs, as the overlay's selections are, in one
+    ``DiGraph`` whose undirected view is both what the tracker reads and the
+    oracle -- so ``(u, v)`` can leave while ``(v, u)`` keeps the link.  A
+    step only queries when its flag says so, which leaves dirty windows of
+    every length between repairs.  The certificate's structural invariants
+    are read off the private state after every step (reading repairs
+    nothing); the verdicts are held to networkx at every query.
     """
-    tracker = IncrementalConnectivity()
+    directed = nx.DiGraph()
+    graph = directed.to_undirected(as_view=True)
+    tracker = _tracker_over(graph)
     nodes = []
-    directed = set()
     next_id = 0
 
     def query(first, second):
-        graph = nx.Graph()
-        graph.add_nodes_from(nodes)
-        graph.add_edges_from(directed)
         assert tracker.component_count() == nx.number_connected_components(graph)
         assert tracker.is_connected() == (not nodes or nx.is_connected(graph))
         for offset in range(min(3, len(nodes))):
             one = nodes[(first + offset) % len(nodes)]
             other = nodes[(second + 2 * offset) % len(nodes)]
             assert tracker.same_component(one, other) == nx.has_path(graph, one, other)
-        _assert_certificate(tracker)
+        _assert_certificate(tracker, graph)
 
     for action, first, second, queried in steps:
         if len(nodes) < 2 or (action == "add_node" and len(nodes) < _EDIT_NODE_CAP):
-            tracker.add_node(next_id)
+            _add_node(tracker, directed, next_id)
             nodes.append(next_id)
             next_id += 1
         elif action == "remove_node":
-            victim = nodes.pop(first % len(nodes))
-            tracker.remove_node(victim)
-            directed = {edge for edge in directed if victim not in edge}
+            _remove_node(tracker, directed, nodes.pop(first % len(nodes)))
         elif action in ("add_node", "add_edge"):
             source = nodes[first % len(nodes)]
             target = nodes[second % len(nodes)]
-            tracker.add_edge(source, target)
             if source != target:
-                directed.add((source, target))
-        elif directed:
-            edge = sorted(directed)[first % len(directed)]
-            tracker.remove_edge(*edge)
-            directed.discard(edge)
-        assert tracker._edges == directed
-        _assert_certificate(tracker)
+                _add_edge(tracker, directed, source, target)
+        elif directed.number_of_edges():
+            edges = sorted(directed.edges())
+            _remove_edge(tracker, directed, *edges[first % len(edges)])
+        _assert_certificate(tracker, graph)
         if queried:
             query(first, second)
     query(0, 0)
@@ -451,7 +544,7 @@ def test_feed_matches_networkx_through_a_mass_departure_and_rejoin(name):
         graph = overlay.snapshot().to_networkx()
         assert feed.is_connected() == nx.is_connected(graph)
         assert feed.tracker.component_count() == nx.number_connected_components(graph)
-        _assert_certificate(feed.tracker)
+        _assert_certificate(feed.tracker, graph)
         verdicts.add(feed.is_connected())
     assert verdicts == expected_verdicts
     if expected_verdicts == {True}:
@@ -514,9 +607,8 @@ def test_maintained_tree_matches_snapshot_rebuild_at_every_step(
     metric bundle must equal ``tree_metrics`` of the rebuilt tree whenever
     the forest is a single tree, and the delta-fed connectivity tracker must
     agree with a networkx recomputation.  ``columnar`` draws the engine's
-    candidate representation *and* the delta-recorder implementation
-    (set-backed vs dense-row), so both recorder contracts stay under the
-    hunt.
+    candidate representation; the delta recorder is the same set-backed one
+    either way.
     """
     rng = random.Random(script_seed)
     overlay = OverlayNetwork(selection_factory(), columnar=columnar)
@@ -566,6 +658,50 @@ def test_maintained_tree_matches_snapshot_rebuild_at_every_step(
         expected_connected = graph.number_of_nodes() == 0 or nx.is_connected(graph)
         assert feed.is_connected() == expected_connected
 
+    assert maintainer.full_rebuilds == 1
+
+
+def test_consumers_follow_the_overlay_through_a_rebinding_full_sweep():
+    """Regression: the consumers read the overlay in place, and a full sweep
+    *rebinds* ``OverlayNetwork._neighbours``.  A consumer that captured the
+    dict (the tracker's first draft did, in a closure) keeps reading the old
+    one: the next departure is stripped from the new dict only, the stale
+    one still names the departed peer, and the query dies inside the
+    union-find.  Join, sweep, leave, leave-then-rejoin in one window --
+    exact after every step."""
+    peers = generate_peers_with_lifetimes(12, 2, seed=5)
+    overlay = OverlayNetwork(EmptyRectangleSelection())
+    assert overlay.index is not None
+    maintainer = StabilityTreeMaintainer(overlay)
+    feed = OverlayConnectivityFeed(overlay)
+    builder = StabilityTreeBuilder()
+
+    def assert_exact():
+        maintainer.refresh()
+        snapshot = overlay.snapshot()
+        assert maintainer.forest().preferred == dict(builder.build(snapshot).preferred)
+        graph = snapshot.to_networkx()
+        assert feed.is_connected() == nx.is_connected(graph)
+        assert feed.tracker.component_count() == nx.number_connected_components(graph)
+        _assert_certificate(feed.tracker, graph)
+
+    for peer in peers[:10]:
+        bootstrap = {overlay.peer_ids[0]} if overlay.peer_count else set()
+        overlay.insert_and_converge(peer, bootstrap=bootstrap, incremental=True)
+        assert_exact()
+    before = overlay._neighbours  # noqa: SLF001 - the hazard under test
+    overlay.add_peer(peers[10], bootstrap={peers[0].peer_id})
+    overlay.reselect_round()
+    assert overlay._neighbours is not before  # noqa: SLF001
+    assert_exact()
+    overlay.remove_and_converge(peers[3].peer_id, incremental=True)
+    assert_exact()
+    overlay.reselect_round()
+    overlay.remove_and_converge(peers[0].peer_id, incremental=True)
+    overlay.insert_and_converge(peers[0], bootstrap={peers[5].peer_id}, incremental=True)
+    assert_exact()
+    overlay.insert_and_converge(peers[11], bootstrap={peers[0].peer_id}, incremental=True)
+    assert_exact()
     assert maintainer.full_rebuilds == 1
 
 
