@@ -41,21 +41,21 @@ class _CountingSelection(EmptyRectangleSelection):
         self.reselections = 0
         self._installing = False
 
-    def select_many(self, references, candidates_by_peer, *, index=None):
+    def select_many(self, references, candidates_by_peer, **kwargs):
         if not self._installing:
             self.reselections += len(references)
-        return super().select_many(references, candidates_by_peer, index=index)
+        return super().select_many(references, candidates_by_peer, **kwargs)
 
-    def select_many_additive(self, updates):
+    def select_many_additive(self, updates, **kwargs):
         self.reselections += len(updates)
-        return super().select_many_additive(updates)
+        return super().select_many_additive(updates, **kwargs)
 
-    def install_many(self, full_references, candidates_by_peer, additive_cohorts, *, index=None):
+    def install_many(self, full_references, candidates_by_peer, additive_cohorts, **kwargs):
         self.reselections += len(full_references)
         self._installing = True
         try:
             return super().install_many(
-                full_references, candidates_by_peer, additive_cohorts, index=index
+                full_references, candidates_by_peer, additive_cohorts, **kwargs
             )
         finally:
             self._installing = False

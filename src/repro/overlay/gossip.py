@@ -43,14 +43,21 @@ order of the bumps is immaterial.  At ``BR = 2`` the count is
 bumps; every radius runs the same code.
 
 *Net-delta window.*  Crossings of the last level are what a consumer sees:
-they are netted per peer (a gain and a loss of one id cancel) until
-:meth:`MaintainedKnowledgeSets.drain_changed` hands out the peers whose set
-differs from what it was at the previous drain.
+they are netted per peer -- ``peer -> {id: +1 gained | -1 lost}``, a gain and
+a loss of one id cancelling -- until
+:meth:`MaintainedKnowledgeSets.drain_changed` hands the window out: exactly
+how every ``I(P)`` differs from what it was at the previous drain, in
+O(changes).  An untracked id counts as knowing nobody, so a departed id's
+entry (all losses) stays until the drain and a rejoin nets against it: the
+window is as *symmetric* as the knowledge it differences (``x`` gained by
+``p`` exactly when ``p`` gained by ``x``), which is what lets
+:meth:`MaintainedKnowledgeSets.known_at_last_drain` answer "who knew ``P`` a
+window ago" from ``P``'s own entry.
 
 A bounded radius makes every ``I(P)`` a genuinely *explicit* per-peer set,
 which is why gossip-limited overlays always run the incremental engine on
-``repro.overlay.incremental.ExplicitCandidateState``: the implicit
-columnar representation (``repro.overlay.columnar``) can only express the
+``repro.overlay.incremental.RadiusCandidateState``: the implicit columnar
+representation (``repro.overlay.columnar``) can only express the
 full-knowledge "everyone alive but me" shape.
 """
 
@@ -206,7 +213,7 @@ class MaintainedKnowledgeSets:
     See the module docstring for the support-count rule.  The owner reports
     membership (:meth:`add_peer` / :meth:`remove_peer`) and every undirected
     edge flip (:meth:`flip`); :meth:`known` is then a dictionary read and
-    :meth:`drain_changed` names the peers whose set moved since it was last
+    :meth:`drain_changed` hands out how every set moved since it was last
     called.  Cost is O(bumps), never O(population).
     """
 
@@ -240,22 +247,37 @@ class MaintainedKnowledgeSets:
             level[peer_id] = {}
 
     def remove_peer(self, peer_id: int) -> None:
-        """Withdraw every edge of a peer, then stop tracking it."""
+        """Withdraw every edge of a peer, then stop tracking it (its window
+        entry -- everything it knew, lost -- stays until the next drain)."""
         for other in list(self._levels[0][peer_id]):
             self.flip(peer_id, other, False)
         for level in self._levels:
             del level[peer_id]
-        self._pending.pop(peer_id, None)
 
     def known(self, peer_id: int) -> KeysView[int]:
-        """``I(P)``: the peers within ``radius`` hops (live view, no self)."""
+        """``I(P)``: the peers within ``radius`` hops (no self).  A *live*
+        view, not a copy: a round reads it before its own installs move it."""
         return self._levels[-1][peer_id].keys()
 
-    def drain_changed(self) -> List[int]:
-        """Peers whose set differs from what it was at the previous drain."""
-        changed = [peer_id for peer_id, net in self._pending.items() if net]
+    def known_at_last_drain(self, peer_id: int) -> Set[int]:
+        """``I(P)`` as the previous drain left it (live set - gains + losses):
+        by symmetry, also the peers whose own set held ``peer_id`` then."""
+        net = self._pending.get(peer_id, {})
+        before = {other for other in self.known(peer_id) if other not in net}
+        before.update(other for other, sign in net.items() if sign < 0)
+        return before
+
+    def changed_peers(self) -> List[int]:
+        """Tracked peers whose set differs from what the previous drain saw."""
+        tracked = self._levels[0]
+        return [peer_id for peer_id, net in self._pending.items() if net and peer_id in tracked]
+
+    def drain_changed(self) -> Dict[int, Dict[int, int]]:
+        """Hand out the net-delta window, ``peer -> {id: +1 | -1}``: how each
+        set (a departed id's included) differs from the previous drain's."""
+        window = {peer_id: net for peer_id, net in self._pending.items() if net}
         self._pending = {}
-        return changed
+        return window
 
     def flip(self, first: int, second: int, present: bool) -> None:
         """The undirected edge ``{first, second}`` appeared or vanished."""

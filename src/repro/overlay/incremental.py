@@ -14,11 +14,10 @@ Dirty-set invariants
 
 The engine tracks, for every peer ``P``:
 
-* the candidate id set ``I(P)`` at the moment of ``P``'s last installed
-  selection -- or the fact that no selection consistent with the engine's
-  bookkeeping exists (freshly joined peers, peers whose neighbour set was
-  mutated behind the engine's back by a departure), which forces a full
-  recomputation;
+* whether ``P`` has *history* -- an installed selection consistent with a
+  candidate set ``I(P)`` the engine can still name -- or not (freshly
+  joined peers, peers whose neighbour set was mutated behind the engine's
+  back by a departure, movers), which forces a full recomputation;
 * membership of the *dirty set* -- ``P`` is dirty exactly when its current
   ``I(P)`` may differ from the one its selection was installed under.
 
@@ -29,36 +28,32 @@ full-sweep trajectory round for round and terminates in the identical fixed
 point (the cross-check property tests exercise exactly this).
 
 *How* that state is represented lives behind the :class:`CandidateView`
-contract, with two interchangeable implementations:
+contract.  Under full knowledge two interchangeable implementations exist:
 
 * the **implicit columnar representation**
-  (:class:`repro.overlay.columnar.ColumnarCandidateState`, the default
-  under full knowledge): ``I(P)`` is "everyone alive but ``P``", so the
-  engine stores a population epoch counter plus per-row epoch stamps and
-  needs-full flags in dense numpy columns, and resolves candidate deltas
-  lazily from a membership event log in O(changes) -- no O(N) id set is
-  ever materialised on the per-event path, and ``note_join``/``note_leave``
-  are O(1)/O(selectors) array writes;
-* the **explicit representation** (:class:`ExplicitCandidateState`, the
-  fallback): per-peer ``last_candidates`` frozensets with pending gain/loss
-  accumulators under full knowledge, and -- under a gossip radius -- every
-  ``I(P)`` as maintained state
-  (:class:`repro.overlay.gossip.MaintainedKnowledgeSets`, see below).
-  Required whenever candidate sets are per-peer subsets; also selectable
-  under full knowledge (``columnar=False``) for cross-checks.
+  (:class:`repro.overlay.columnar.ColumnarCandidateState`, the default):
+  ``I(P)`` is "everyone alive but ``P``", so the engine stores a population
+  epoch counter plus per-row epoch stamps and needs-full flags in dense
+  numpy columns, and resolves candidate deltas lazily from a membership
+  event log in O(changes) -- no O(N) id set is ever materialised on the
+  per-event path, and ``note_join``/``note_leave`` are O(1)/O(selectors)
+  array writes;
+* the **explicit representation** (:class:`ExplicitCandidateState`,
+  ``columnar=False``, for cross-checks and baselines): per-peer
+  ``last_candidates`` frozensets with pending gain/loss accumulators.
 
-Both representations feed the same :func:`classify_reselect` rule with
-identical candidate deltas (up to a documented widening for
-leave-then-rejoin windows that provably classifies the same), so fixed
-points -- and whole convergence trajectories -- are byte-identical across
-them; the hypothesis suites in ``tests/overlay`` assert this.
+Both feed the same :func:`classify_reselect` rule with identical candidate
+deltas (up to a documented widening for leave-then-rejoin windows that
+provably classifies the same), so fixed points -- and whole convergence
+trajectories -- are byte-identical across them; the hypothesis suites in
+``tests/overlay`` assert this.
 
 Dirtiness is seeded by membership events (the joined peer, departed peers'
-selectors, a moved peer and its selectors) and propagated each round
-through candidate-set deltas.
+selectors, a moved peer and the peers that held it as a candidate) and
+propagated each round through candidate-set deltas.
 
-Bounded radius: knowledge sets are maintained, never re-derived
----------------------------------------------------------------
+Bounded radius: the maintained sets' window is the delta
+--------------------------------------------------------
 
 Under a gossip radius ``I(P)`` is the set of peers within ``BR`` hops of
 ``P`` in the undirected topology, and the overlay reports every undirected
@@ -67,16 +62,15 @@ from ``OverlayNetwork.notify_selection_change``: ``{P, T}`` flips exactly
 when ``T`` enters or leaves ``P``'s selection while ``T`` does not select
 ``P``; a departure withdraws every edge of the departed peer from the
 maintained adjacency itself).  ``MaintainedKnowledgeSets`` turns each flip
-into support-count bumps (its module states the rule), so a round costs
-O(changes) and reading ``I(P)`` is a dictionary read.  Flips are applied on
-arrival -- a round resolves and memoises every ``delta()`` /
-``full_candidate_ids()`` before its installs, so it only ever reads the
-pre-round sets -- but the dirtiness they cause waits in the maintained
-state's *net-delta window*: per peer, ids gained and lost since the previous
-``begin_round()``, a gain and a loss of one id cancelling.  The next
-``begin_round()`` drains the window into the dirty set (it has to outlive
-``end_round()``'s clear), which schedules exactly the peers whose ``I(P)``
-differs from the one the previous round saw.  The oracle is
+into support-count bumps and nets what they did to every ``I(P)`` in its
+*net-delta window* (its module states both rules).  The third view,
+:class:`RadiusCandidateState`, consumes exactly that and keeps nothing per
+peer but a has-history flag: ``begin_round()`` drains the window and
+schedules the peers it names, ``delta(P)`` *is* ``P``'s entry (exact --
+see :meth:`RadiusCandidateState.delta`), ``known(P)`` is read in place, for
+FULL verdicts only, before the round's installs move it, and ``note_move``
+forces the peers that knew the mover a window ago, which by symmetry are
+its own set of a window ago.  The oracle is
 :func:`repro.overlay.gossip.knowledge_sets` -- plain BFS per peer over
 ``OverlayNetwork.adjacency()`` -- used by the full sweep and the tests.
 
@@ -138,6 +132,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -168,6 +163,7 @@ __all__ = [
     "IncrementalReselectionEngine",
     "OverlayDelta",
     "OverlayDeltaRecorder",
+    "RadiusCandidateState",
     "RoundPlan",
     "RoundWindow",
 ]
@@ -340,13 +336,14 @@ class CandidateView:
     A view owns everything the engine knows about candidate sets -- per-peer
     history, dirtiness, pending deltas -- behind a representation-neutral
     surface, so the engine's orchestration (classification, batched
-    selection, installs) is written once.  Two implementations exist: the
-    implicit columnar one (:class:`repro.overlay.columnar.ColumnarCandidateState`,
-    full knowledge only, the default) and the explicit dict-backed one
-    (:class:`ExplicitCandidateState`, the gossip-radius/fallback path).
+    selection, installs) is written once.  Under full knowledge two
+    implementations exist: the implicit columnar one
+    (:class:`repro.overlay.columnar.ColumnarCandidateState`, the default)
+    and the explicit dict-backed one (:class:`ExplicitCandidateState`);
+    under a gossip radius, :class:`RadiusCandidateState` alone.
 
-    The contract both must satisfy: for every scheduled peer,
-    :meth:`delta` must return a ``(has_history, gained, lost)`` triple such
+    The contract the two interchangeable ones must satisfy: for every
+    scheduled peer, :meth:`delta` must return a ``(has_history, gained, lost)`` triple such
     that :func:`classify_reselect` reaches a verdict installing the same
     selection the other representation would install -- the deltas may
     differ in documented, verdict-equivalent ways (see
@@ -416,8 +413,9 @@ class CandidateView:
         """``(has_history, gained, lost)`` for one scheduled peer."""
         raise NotImplementedError
 
-    def full_candidate_ids(self, peer_id: int) -> Set[int]:
-        """Materialise one peer's current candidate id set (scan path only)."""
+    def full_candidate_ids(self, peer_id: int) -> AbstractSet[int]:
+        """One peer's current candidate ids (scan path only; may be a live
+        view, so the round consumes it before its installs)."""
         raise NotImplementedError
 
     def commit(self, peer_id: int, verdict: str, gained: Set[int], lost: Set[int]) -> None:
@@ -438,59 +436,38 @@ class CandidateView:
 
 
 class ExplicitCandidateState(CandidateView):
-    """Explicit dict/frozenset candidate bookkeeping (the fallback view).
+    """Explicit dict/frozenset candidate bookkeeping (full knowledge only).
 
-    Keeps a materialised ``last_candidates`` frozenset per peer, pending
-    gain/loss id accumulators under full knowledge, and the maintained
-    knowledge sets under a gossip radius.  This is the only representation
-    that can express per-peer candidate *subsets*, so gossip-limited
-    overlays always use it; full-knowledge overlays built with
-    ``columnar=False`` use it too (the benchmark baselines, and the
-    property suites cross-checking the columnar path).  Its per-event cost
-    is O(N) under full knowledge -- ``note_join``/``note_leave`` walk every
-    tracked peer -- which is exactly what the columnar view exists to avoid.
+    Keeps a materialised ``last_candidates`` frozenset per peer plus pending
+    gain/loss id accumulators.  Full-knowledge overlays built with
+    ``columnar=False`` use it (the benchmark baselines, and the property
+    suites cross-checking the columnar path).  Its per-event cost is O(N) --
+    ``note_join``/``note_leave`` walk every tracked peer -- which is exactly
+    what the columnar view exists to avoid.
     """
 
     def __init__(self, overlay: "OverlayNetwork") -> None:
         self._overlay = overlay
         # I(P) at each peer's last installed selection; None forces a full
-        # recomputation for that peer.
-        self._last_candidates: Dict[int, Optional[FrozenSet[int]]] = {}
-        # Full-knowledge mode: membership deltas accumulated since each
-        # peer's last selection (ids only, so a join costs O(N) set adds).
+        # recomputation for that peer.  Adopting the overlay's current
+        # state: everything dirty, no history.
+        self._last_candidates: Dict[int, Optional[FrozenSet[int]]] = dict.fromkeys(
+            overlay.peer_ids
+        )
+        # Membership deltas accumulated since each peer's last selection
+        # (ids only, so a join costs O(N) set adds).
         self._pending_gain: Dict[int, Set[int]] = {}
         self._pending_loss: Dict[int, Set[int]] = {}
-        self._dirty: Set[int] = set()
-        # Gossip-limited mode: every I(P), kept exact from the edge flips
-        # the overlay reports (adopted from the live topology here).
-        radius = overlay.gossip_radius
-        self._knowledge: Optional[MaintainedKnowledgeSets] = (
-            None
-            if radius is None
-            else MaintainedKnowledgeSets.from_adjacency(overlay.adjacency(), radius)
-        )
-        # Candidate id sets materialised during the current round, so the
-        # classification (gossip deltas) and the install/commit phases
-        # compute each set once -- and read it before the round's own
-        # installs move the maintained sets.
-        self._round_candidates: Dict[int, Set[int]] = {}
-        # Adopt the overlay's current state: everything dirty, no history.
-        for peer_id in overlay.peer_ids:
-            self._last_candidates[peer_id] = None
-            self._dirty.add(peer_id)
+        self._dirty: Set[int] = set(self._last_candidates)
 
     # ------------------------------------------------------------------
     # Membership notifications
     # ------------------------------------------------------------------
     def note_join(self, peer_id: int) -> None:
-        members = self._overlay._peers  # noqa: SLF001 - view is a friend class
         self._last_candidates[peer_id] = None
         self._dirty.add(peer_id)
-        if self._knowledge is not None:
-            # Isolated until its bootstrap edges are reported as flips.
-            self._knowledge.add_peer(peer_id)
-            return
-        for other in members:
+        # reprolint: disable=RPL005 reason=the explicit view is the O(N)-per-event baseline arm by design; the columnar view is the O(changes) one
+        for other in self._overlay._peers:  # noqa: SLF001 - view is a friend class
             if other == peer_id:
                 continue
             self._dirty.add(other)
@@ -510,10 +487,7 @@ class ExplicitCandidateState(CandidateView):
         for selector in selector_ids:
             self._last_candidates[selector] = None
             self._dirty.add(selector)
-        if self._knowledge is not None:
-            # The maintained adjacency is exactly selectors + selected.
-            self._knowledge.remove_peer(peer_id)
-            return
+        # reprolint: disable=RPL005 reason=the explicit view is the O(N)-per-event baseline arm by design; the columnar view is the O(changes) one
         for other in self._overlay._peers:  # noqa: SLF001
             if self._last_candidates.get(other) is None:
                 self._dirty.add(other)
@@ -531,16 +505,7 @@ class ExplicitCandidateState(CandidateView):
         are resolved from the live peer map at install time)."""
         self._last_candidates[peer_id] = None
         self._dirty.add(peer_id)
-        if self._knowledge is not None:
-            # Bounded knowledge tracks candidate *ids*, which a move leaves
-            # untouched -- the changed coordinates are only visible through
-            # a recomputation, so every peer that may know the mover is
-            # forced onto the full path.
-            for other, last in self._last_candidates.items():
-                if last is not None and peer_id in last:
-                    self._last_candidates[other] = None
-                    self._dirty.add(other)
-            return
+        # reprolint: disable=RPL005 reason=the explicit view is the O(N)-per-event baseline arm by design; the columnar view is the O(changes) one
         for other in self._overlay._peers:  # noqa: SLF001
             if other == peer_id:
                 continue
@@ -559,49 +524,27 @@ class ExplicitCandidateState(CandidateView):
         self._pending_loss.pop(peer_id, None)
         self._dirty.discard(peer_id)
 
-    def note_edge_flip(self, peer_id: int, other_id: int, present: bool) -> None:
-        assert self._knowledge is not None  # only bounded overlays report flips
-        self._knowledge.flip(peer_id, other_id, present)
-
     # ------------------------------------------------------------------
     # Rounds
     # ------------------------------------------------------------------
     def begin_round(self) -> List[int]:
-        """Drain the net-delta window (gossip mode), return the sorted dirty ids."""
-        if self._knowledge is not None:
-            self._dirty.update(self._knowledge.drain_changed())
         return sorted(self._dirty)
 
     def delta(self, peer_id: int) -> Tuple[bool, Set[int], Set[int]]:
-        last = self._last_candidates.get(peer_id)
-        if last is None:
+        if self._last_candidates.get(peer_id) is None:
             return False, set(), set()
-        if self._knowledge is None:
-            members = self._overlay._peers  # noqa: SLF001
-            gained = {g for g in self._pending_gain.get(peer_id, ()) if g in members}
-            lost = set(self._pending_loss.get(peer_id, ()))
-            return True, gained, lost
-        current_ids = self.full_candidate_ids(peer_id)
-        return True, current_ids - last, last - current_ids
+        members = self._overlay._peers  # noqa: SLF001
+        gained = {g for g in self._pending_gain.get(peer_id, ()) if g in members}
+        lost = set(self._pending_loss.get(peer_id, ()))
+        return True, gained, lost
 
     def full_candidate_ids(self, peer_id: int) -> Set[int]:
-        cached = self._round_candidates.get(peer_id)
-        if cached is not None:
-            return cached
-        if self._knowledge is None:
-            current_ids = set(self._overlay._peers)  # noqa: SLF001
-            current_ids.discard(peer_id)
-        else:
-            current_ids = self._overlay._candidate_ids(  # noqa: SLF001
-                peer_id, self._knowledge.known(peer_id)
-            )
-        self._round_candidates[peer_id] = current_ids
+        current_ids = set(self._overlay._peers)  # noqa: SLF001
+        current_ids.discard(peer_id)
         return current_ids
 
     def commit(self, peer_id: int, verdict: str, gained: Set[int], lost: Set[int]) -> None:
-        if verdict == RESELECT_FULL or peer_id in self._round_candidates:
-            # Under a gossip radius delta() already resolved (and memoised)
-            # the set this round saw, whatever the verdict.
+        if verdict == RESELECT_FULL:
             self._last_candidates[peer_id] = frozenset(self.full_candidate_ids(peer_id))
         else:
             last = self._last_candidates[peer_id]
@@ -614,10 +557,103 @@ class ExplicitCandidateState(CandidateView):
 
     def end_round(self) -> None:
         self._dirty.clear()
-        self._round_candidates.clear()
 
     def dirty_ids(self) -> FrozenSet[int]:
         return frozenset(self._dirty)
+
+
+class RadiusCandidateState(CandidateView):
+    """Candidate bookkeeping under a gossip radius: the window *is* the delta.
+
+    Every ``I(P)`` is maintained state
+    (:class:`repro.overlay.gossip.MaintainedKnowledgeSets`, adopted from the
+    live topology here, kept exact from the edge flips the overlay reports),
+    so this view stores no candidate ids: a has-history flag per peer, and
+    per round the net-delta window ``begin_round`` drained.
+    """
+
+    def __init__(self, overlay: "OverlayNetwork") -> None:
+        self._knowledge = MaintainedKnowledgeSets.from_adjacency(
+            overlay.adjacency(), overlay.gossip_radius
+        )
+        # Peers whose installed selection is consistent with known(P) as of
+        # the previous drain; everyone else is dirty and recomputes in full.
+        self._history: Set[int] = set()
+        self._dirty: Set[int] = set(overlay.peer_ids)
+        self._window: Dict[int, Dict[int, int]] = {}
+
+    def note_join(self, peer_id: int) -> None:
+        # Isolated until its bootstrap edges are reported as flips.  An id
+        # that left inside this window may be back at other coordinates,
+        # which its knowers of a window ago would never notice: a move.
+        self._knowledge.add_peer(peer_id)
+        self.note_move(peer_id)
+
+    def note_leave(self, peer_id: int, selector_ids: Iterable[int]) -> None:
+        # Selectors lost a selected neighbour behind the engine's back; the
+        # departed peer's maintained adjacency is selectors + selected.
+        self.forget(peer_id)
+        self._force_full(selector_ids)
+        self._knowledge.remove_peer(peer_id)
+
+    def note_move(self, peer_id: int) -> None:
+        """Candidate *ids* do not move with the coordinates, so no window
+        will show the change: the mover, and every peer whose selection was
+        installed with the mover as a candidate, recompute in full.  By
+        symmetry those are ``I(mover)`` as of the previous drain, read from
+        the mover's own undrained window entry in O(|I(mover)|)."""
+        knowers = self._knowledge.known_at_last_drain(peer_id)
+        self._force_full([peer_id, *(other for other in knowers if other in self._history)])
+
+    def _force_full(self, peer_ids: Iterable[int]) -> None:
+        for peer_id in peer_ids:
+            self._history.discard(peer_id)
+            self._dirty.add(peer_id)
+
+    def forget(self, peer_id: int) -> None:
+        self._history.discard(peer_id)
+        self._dirty.discard(peer_id)
+
+    def note_edge_flip(self, peer_id: int, other_id: int, present: bool) -> None:
+        self._knowledge.flip(peer_id, other_id, present)
+
+    def begin_round(self) -> List[int]:
+        """Drain the net-delta window and schedule every id it names (a
+        departed id's entry is dropped by the engine's ``forget``)."""
+        self._window = self._knowledge.drain_changed()
+        self._dirty.update(self._window)
+        return sorted(self._dirty)
+
+    def delta(self, peer_id: int) -> Tuple[bool, Set[int], Set[int]]:
+        """``P``'s window entry, in O(changes) -- exact, not approximate: a
+        peer with history was last committed in a round that read
+        ``known(P)`` right after that round's drain; it stays unscheduled
+        only while every later window nets to nothing for it; and flips
+        arrive only from a round's installs (after all of its reads) or from
+        membership notes (between rounds).  So at every ``begin_round`` the
+        set its selection was installed under *is* ``known(P)`` as of the
+        previous drain."""
+        if peer_id not in self._history:
+            return False, set(), set()
+        net = self._window.get(peer_id, {})
+        gained = {other for other, sign in net.items() if sign > 0}
+        return True, gained, net.keys() - gained
+
+    def full_candidate_ids(self, peer_id: int) -> AbstractSet[int]:
+        """``known(P)``, live; it already holds ``_neighbours[P]`` (bootstrap
+        edges are reported as flips like any other)."""
+        return self._knowledge.known(peer_id)
+
+    def commit(self, peer_id: int, verdict: str, gained: Set[int], lost: Set[int]) -> None:
+        self._history.add(peer_id)
+
+    def end_round(self) -> None:
+        self._dirty.clear()
+        self._window = {}
+
+    def dirty_ids(self) -> FrozenSet[int]:
+        """Dirty peers plus the ones the undrained window will schedule."""
+        return frozenset(self._dirty).union(self._knowledge.changed_peers())
 
 
 class IncrementalReselectionEngine:
@@ -633,11 +669,12 @@ class IncrementalReselectionEngine:
     Candidate bookkeeping lives behind the :class:`CandidateView` contract.
     A full-knowledge overlay that owns a dense id map (the default) gets the
     implicit columnar representation -- per-event notifications are O(1)
-    array writes; see :mod:`repro.overlay.columnar` -- while gossip-limited
-    overlays, and full-knowledge overlays built with ``columnar=False``,
-    fall back to :class:`ExplicitCandidateState`.  Both feed the shared
-    :func:`classify_reselect` rule and install byte-identical selections,
-    so the representation choice is invisible above this class.
+    array writes; see :mod:`repro.overlay.columnar` -- while one built with
+    ``columnar=False`` falls back to :class:`ExplicitCandidateState`, and
+    a gossip-limited overlay gets :class:`RadiusCandidateState`, which
+    reads its deltas from the maintained knowledge sets.  All feed the
+    shared :func:`classify_reselect` rule and install what a full sweep
+    would, so the representation choice is invisible above this class.
     """
 
     def __init__(
@@ -650,14 +687,16 @@ class IncrementalReselectionEngine:
 
         self._overlay = overlay
         id_rows = overlay.id_rows
-        self._view: CandidateView = (
-            ColumnarCandidateState(id_rows)
-            if id_rows is not None and overlay.gossip_radius is None
-            else ExplicitCandidateState(overlay)
-        )
+        self._view: CandidateView
+        if overlay.gossip_radius is not None:
+            self._view = RadiusCandidateState(overlay)
+        elif id_rows is not None:
+            self._view = ColumnarCandidateState(id_rows)
+        else:
+            self._view = ExplicitCandidateState(overlay)
         # Vectorised rounds are on unless explicitly disabled; the flag only
         # decides whether plan_round is *offered* -- views without a plan
-        # (the explicit fallback) keep the per-peer protocol either way.
+        # (explicit, radius) keep the per-peer protocol either way.
         self._vectorised = vectorised is not False
 
     # ------------------------------------------------------------------
@@ -705,8 +744,7 @@ class IncrementalReselectionEngine:
         This wrapper is the *deliberately O(N)* sweep entry: building the
         schedule costs one pass over the population (a vectorised mask over
         the row columns in the columnar view, a sort of the dirty set in
-        the explicit one), which is the right trade for a synchronous
-        round.
+        the others), which is the right trade for a synchronous round.
 
         Two protocols sit below it.  The vectorised one (the default on
         views that support it, i.e. the columnar representation): one
@@ -715,8 +753,8 @@ class IncrementalReselectionEngine:
         resolves it through the selection family's cohort entry
         (:meth:`~repro.overlay.selection.base.NeighbourSelectionMethod.install_many`)
         -- the O(N) sweep is numpy passes, every Python loop is O(dirty
-        ids + changes).  The per-peer one (the explicit view, and the
-        ``vectorised_rounds=False`` baseline arm): the O(dirty + changes)
+        ids + changes).  The per-peer one (the explicit and radius views,
+        and the ``vectorised_rounds=False`` baseline arm): the O(dirty + changes)
         classification core :meth:`_plan_round` -- the hot-path half --
         followed by a batched install phase that only touches planned
         peers.  Both install byte-identical selections (property-tested on
@@ -794,8 +832,10 @@ class IncrementalReselectionEngine:
         index = overlay._selection_index()  # noqa: SLF001
         references: List[PeerInfo] = []
         indexed_references: List[PeerInfo] = []
-        candidates_by_peer: Dict[int, List[PeerInfo]] = {}
-        additive_updates: List = []
+        # Ids throughout: the selection resolves the ones it needs (member_of).
+        candidates_by_peer: Dict[int, AbstractSet[int]] = {}
+        additive_updates: List[Tuple[PeerInfo, Set[int], Set[int]]] = []
+        member_of = members.__getitem__
 
         for peer_id, verdict, gained, _lost in plan:
             if verdict == RESELECT_FULL:
@@ -803,38 +843,31 @@ class IncrementalReselectionEngine:
                 if index is not None:
                     indexed_references.append(members[peer_id])
                 else:
-                    candidates_by_peer[peer_id] = [
-                        members[other]
-                        for other in sorted(view.full_candidate_ids(peer_id))
-                    ]
+                    candidates_by_peer[peer_id] = view.full_candidate_ids(peer_id)
                     references.append(members[peer_id])
             elif verdict == RESELECT_ADDITIVE:
                 # Gains only: path independence lets the previous selection
                 # stand in for the full previous candidate set.
-                additive_updates.append(
-                    (
-                        members[peer_id],
-                        [members[other] for other in sorted(neighbour_sets[peer_id])],
-                        [members[other] for other in sorted(gained)],
-                    )
-                )
+                additive_updates.append((members[peer_id], neighbour_sets[peer_id], gained))
             # RESELECT_SKIP: the installed selection provably still holds.
 
         additive_results: Optional[Dict[int, List[int]]] = None
         if additive_updates:
-            additive_results = selection.select_many_additive(additive_updates)
+            additive_results = selection.select_many_additive(
+                additive_updates, member_of=member_of
+            )
             if additive_results is None:
-                # No specialised delta rule: rebuild the reduced candidate
-                # sets (selection + gained) and go through the batched API.
-                for reference, selected, gained_infos in additive_updates:
-                    candidates_by_peer[reference.peer_id] = (
-                        selection.merge_candidate_delta(selected, gained_infos)
-                    )
+                # No specialised delta rule: re-select from the reduced
+                # candidate sets (selection + gained) in the batched scan.
+                for reference, selected, gained in additive_updates:
+                    candidates_by_peer[reference.peer_id] = selected | gained
                     references.append(reference)
 
         results: Dict[int, List[int]] = {}
         if references:
-            results.update(selection.select_many(references, candidates_by_peer))
+            results.update(
+                selection.select_many(references, candidates_by_peer, member_of=member_of)
+            )
         if indexed_references:
             # The additive fallback above may have appended scan references
             # with *reduced* candidate sets, so the indexed batch is kept
@@ -873,30 +906,25 @@ class IncrementalReselectionEngine:
 
         full_ids = np.sort(ids[plan.full_mask])
         full_references = [members[int(peer_id)] for peer_id in full_ids]
-        candidates_by_peer: Dict[int, List[PeerInfo]] = {}
+        candidates_by_peer: Dict[int, AbstractSet[int]] = {}
         if index is None:
             for reference in full_references:
-                candidates_by_peer[reference.peer_id] = [
-                    members[other]
-                    for other in sorted(view.full_candidate_ids(reference.peer_id))
-                ]
-
-        def member_info(peer_id: int) -> PeerInfo:
-            return members[int(peer_id)]
-
-        def selected_infos(peer_id: int) -> List[PeerInfo]:
-            return [members[other] for other in sorted(neighbour_sets[int(peer_id)])]
-
+                candidates_by_peer[reference.peer_id] = view.full_candidate_ids(
+                    reference.peer_id
+                )
         cohorts = [
             AdditiveCohort(
                 member_ids=np.sort(ids[window.members]),
-                gained=tuple(members[gain] for gain in sorted(window.gained)),
-                member_of=member_info,
-                selected_of=selected_infos,
+                gained=tuple(sorted(window.gained)),
+                selected_of=neighbour_sets.__getitem__,
             )
             for window in plan.windows
         ]
         results = selection.install_many(
-            full_references, candidates_by_peer, cohorts, index=index
+            full_references,
+            candidates_by_peer,
+            cohorts,
+            member_of=members.__getitem__,
+            index=index,
         )
         return overlay.install_selections(results)

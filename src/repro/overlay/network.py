@@ -122,14 +122,31 @@ def _validate_dimension(peer: PeerInfo, dimension: int) -> None:
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when reselection rounds fail to reach a fixed point."""
+    """Raised when reselection rounds fail to reach a fixed point.
 
-    def __init__(self, rounds: int) -> None:
+    ``dirty`` are the peers the incremental engine still had to re-select
+    when it gave up (under a gossip radius: those whose ``I(P)`` the last
+    round's installs moved); the count and the lowest ids are kept.
+    """
+
+    def __init__(
+        self, rounds: int, dirty: Iterable[int] = (), gossip_radius: Optional[int] = None
+    ) -> None:
+        lowest = sorted(dirty)
+        self.rounds = rounds
+        self.dirty_count = len(lowest)
+        self.dirty_sample = tuple(lowest[:5])
+        self.gossip_radius = gossip_radius
         super().__init__(
             f"overlay did not converge within {rounds} reselection rounds; "
             "increase max_rounds or check the selection method for oscillation"
+            + (
+                f" ({self.dirty_count} peers still dirty, lowest ids "
+                f"{list(self.dirty_sample)}, gossip radius {gossip_radius})"
+                if lowest
+                else ""
+            )
         )
-        self.rounds = rounds
 
 
 class OverlayNetwork:
@@ -538,9 +555,11 @@ class OverlayNetwork:
         peer knows everything its announcements footprint covers, *plus* its
         bootstrap contacts (a joining peer always knows them even before any
         gossip round has run over the new links), and never itself.  Both the
-        public :meth:`knowledge_set`, the full-sweep round and the
-        incremental engine build candidate sets through here, so the
-        semantics cannot drift between the paths.
+        public :meth:`knowledge_set` and the full-sweep round build candidate
+        sets through here.  The incremental engine reads its maintained sets
+        as they are: a peer's selection is part of its links, so a footprint
+        over the live adjacency already covers it (the maintained-knowledge
+        suite asserts ``_neighbours[P] <= known(P)`` after every converge).
         """
         known = set(reachable)
         known |= self._neighbours[peer_id]
@@ -631,7 +650,7 @@ class OverlayNetwork:
     def invalidate_engine(self) -> None:
         """Discard any live incremental-reselection engine state.
 
-        The engine's dirty set and ``last_candidates`` describe one
+        The engine's dirty set and per-peer history describe one
         convergence trajectory; whenever that trajectory is abandoned --
         a full sweep rewrote every neighbour set, or a convergence aborted
         with :class:`ConvergenceError` -- the engine must be dropped so the
@@ -654,10 +673,10 @@ class OverlayNetwork:
         Raises :class:`ConvergenceError` if the topology is still changing
         after ``max_rounds`` rounds.  On that exception path the incremental
         engine is invalidated: the abandoned engine holds mid-trajectory
-        state (a consumed dirty set, ``last_candidates`` describing a
-        topology the caller may now mutate or abandon), so the next
-        incremental convergence rebootstraps from an all-dirty state instead
-        of resuming from it.
+        state (a consumed dirty set, history describing a topology the
+        caller may now mutate or abandon), so the next incremental
+        convergence rebootstraps from an all-dirty state instead of resuming
+        from it -- after the error has recorded which peers were still dirty.
         """
         if max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
@@ -670,8 +689,9 @@ class OverlayNetwork:
             for round_index in range(1, max_rounds + 1):
                 if not engine.run_round():
                     return round_index
+            dirty = engine.dirty_peers
             self.invalidate_engine()
-            raise ConvergenceError(max_rounds)
+            raise ConvergenceError(max_rounds, dirty, self._gossip_radius)
         for round_index in range(1, max_rounds + 1):
             if not self.reselect_round():
                 return round_index

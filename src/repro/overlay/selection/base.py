@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Collection,
     Dict,
     List,
     Mapping,
@@ -21,7 +22,7 @@ from repro.overlay.peer import PeerInfo
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.geometry.index import SpatialIndex
 
-__all__ = ["AdditiveCohort", "NeighbourSelectionMethod"]
+__all__ = ["AdditiveCohort", "MemberOf", "NeighbourSelectionMethod"]
 
 
 @dataclass(frozen=True)
@@ -31,23 +32,30 @@ class AdditiveCohort:
     A cohort is the vectorised round protocol's unit of additive work: every
     member's candidate set gained exactly the same peers (they share one
     delta window), so the batch is described *implicitly* -- an ascending id
-    array plus two resolver callables -- instead of per-member Python lists.
-    Methods that can exploit the shared structure (one gain set, many
-    members) stay O(changes); the generic fallback expands members into
-    per-peer :meth:`~NeighbourSelectionMethod.select_many_additive` updates.
+    array, the gained ids and one resolver callable -- instead of per-member
+    Python lists.  Methods that can exploit the shared structure (one gain
+    set, many members) stay O(changes); the generic fallback expands members
+    into per-peer :meth:`~NeighbourSelectionMethod.select_many_additive`
+    updates.
 
     ``member_ids`` must be ascending and contain only peers whose installed
     selection is known to equal their previous full selection (the additive
-    verdict's precondition); ``gained`` must be ascending by id.  The
-    resolvers are only invoked for members a method actually touches, which
-    is what lets a sub-linear install path skip provably unchanged members
-    without ever materialising their state.
+    verdict's precondition); ``gained`` must be ascending.  ``selected_of``
+    (member id -> ids of its installed selection) is only invoked for
+    members a method actually touches, which is what lets a sub-linear
+    install path skip provably unchanged members without ever materialising
+    their state; ids become :class:`~repro.overlay.peer.PeerInfo` through
+    the ``member_of`` resolver of the :meth:`install_many` call.
     """
 
     member_ids: Sequence[int]
-    gained: Tuple[PeerInfo, ...]
-    member_of: Callable[[int], PeerInfo]
-    selected_of: Callable[[int], List[PeerInfo]]
+    gained: Tuple[int, ...]
+    selected_of: Callable[[int], Collection[int]]
+
+
+#: ``peer id -> PeerInfo``: the resolver a caller that holds ids (the
+#: incremental engine) passes to the batched entry points instead of lists.
+MemberOf = Callable[[int], PeerInfo]
 
 
 class NeighbourSelectionMethod(abc.ABC):
@@ -128,19 +136,23 @@ class NeighbourSelectionMethod(abc.ABC):
     def select_many(
         self,
         references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Sequence[PeerInfo]],
+        candidates_by_peer: Mapping[int, Collection],
         *,
         index: "Optional[SpatialIndex]" = None,
+        member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
         """Batched :meth:`select`: one selection per reference peer.
 
         ``candidates_by_peer`` maps each reference's ``peer_id`` to its
-        candidate set ``I(P)``.  The default implementation simply loops over
-        :meth:`select`; methods with a vectorised path override it so the
-        incremental reselection engine can amortise per-call overhead across
-        a whole batch of dirty peers.  Overrides must return exactly what the
-        per-peer loop would (same ids per reference, order irrelevant to
-        callers that treat the result as a set).
+        candidate set ``I(P)``: a ``PeerInfo`` sequence, or -- when the
+        caller passes the ``member_of`` resolver -- a collection of peer
+        *ids* in any order, which methods without an array path read as the
+        id-sorted ``PeerInfo`` list.  The default implementation simply
+        loops over :meth:`select`; methods with a vectorised path override
+        it so the incremental reselection engine can amortise per-call
+        overhead across a whole batch of dirty peers.  Overrides must return
+        exactly what the per-peer loop would (same ids per reference, order
+        irrelevant to callers that treat the result as a set).
 
         When ``index`` is given (only valid on methods with
         :attr:`supports_index`), every reference is answered from the index
@@ -148,14 +160,9 @@ class NeighbourSelectionMethod(abc.ABC):
         *are* the candidate set by the caller's contract, so entries need
         not (and for the churn-scale hot path deliberately do not) exist.
         """
-        if index is not None:
-            return self._select_many_indexed(references, index)
-        return {
-            reference.peer_id: self.select(
-                reference, candidates_by_peer[reference.peer_id]
-            )
-            for reference in references
-        }
+        return self._select_many_dispatch(
+            references, candidates_by_peer, 0, self.select, index=index, member_of=member_of
+        )
 
     def _check_index_support(self) -> None:
         """Reject ``index=`` on methods that never opted in (shared guard)."""
@@ -187,24 +194,29 @@ class NeighbourSelectionMethod(abc.ABC):
     def _select_many_dispatch(
         self,
         references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Sequence[PeerInfo]],
+        candidates_by_peer: Mapping[int, Collection],
         threshold: int,
         vectorised,
         *,
         index: "Optional[SpatialIndex]" = None,
+        member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
-        """Shared :meth:`select_many` body for methods with a numpy path.
+        """Shared :meth:`select_many` body: one candidate list per reference.
 
         Per reference: candidate sets below ``threshold`` go through the
         plain-python :meth:`select` (array construction would dominate),
         larger ones through ``vectorised(reference, candidates)``.  With an
-        ``index`` every reference goes through the indexed path instead.
+        ``index`` every reference goes through the indexed path instead;
+        with ``member_of`` the candidate ids are resolved here, to the same
+        id-sorted list a ``PeerInfo``-holding caller would have passed.
         """
         if index is not None:
             return self._select_many_indexed(references, index)
         results: Dict[int, List[int]] = {}
         for reference in references:
             candidates = candidates_by_peer[reference.peer_id]
+            if member_of is not None:
+                candidates = self._id_sorted(candidates, member_of)
             if len(candidates) < threshold:
                 results[reference.peer_id] = self.select(reference, candidates)
             else:
@@ -213,16 +225,19 @@ class NeighbourSelectionMethod(abc.ABC):
 
     def select_many_additive(
         self,
-        updates: Sequence[Tuple[PeerInfo, Sequence[PeerInfo], Sequence[PeerInfo]]],
+        updates: Sequence[Tuple[PeerInfo, Collection, Collection]],
         *,
         index: "Optional[SpatialIndex]" = None,
+        member_of: Optional[MemberOf] = None,
     ) -> Optional[Dict[int, List[int]]]:
         """Batched re-selection for purely additive candidate-set deltas.
 
         Each update is ``(reference, currently_selected, gained)`` where
         ``currently_selected`` is the reference's installed selection (known
         to equal ``select(reference, I(P))`` for its previous candidate set)
-        and ``gained`` are the candidates its set gained.  By path
+        and ``gained`` are the candidates its set gained -- ``PeerInfo``
+        sequences, or collections of peer ids when the caller passes the
+        ``member_of`` resolver (as in :meth:`select_many`).  By path
         independence the new selection is ``select(reference,
         currently_selected + gained)``; methods with a vectorised delta rule
         override this to compute the whole batch at once and may *omit*
@@ -248,16 +263,18 @@ class NeighbourSelectionMethod(abc.ABC):
     def install_many(
         self,
         full_references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Sequence[PeerInfo]],
+        candidates_by_peer: Mapping[int, Collection[int]],
         additive_cohorts: Sequence[AdditiveCohort],
         *,
+        member_of: MemberOf,
         index: "Optional[SpatialIndex]" = None,
     ) -> Dict[int, List[int]]:
         """One batched selection call for a whole convergence round.
 
-        The cohort install entry the vectorised round protocol drives:
-        ``full_references`` are recomputed against their complete candidate
-        sets (from ``index`` when given, else from ``candidates_by_peer``),
+        The cohort install entry the vectorised round protocol drives, and
+        id-speaking throughout (``member_of`` resolves): ``full_references``
+        are recomputed against their complete candidate sets (from ``index``
+        when given, else from the candidate ids in ``candidates_by_peer``),
         and every :class:`AdditiveCohort` is resolved through the method's
         additive delta rule.  Returns ``peer_id -> selected ids``; cohort
         members omitted from the result are provably unchanged -- exactly
@@ -266,18 +283,18 @@ class NeighbourSelectionMethod(abc.ABC):
 
         The default implementation reproduces the per-peer engine loop:
         cohorts expand into one additive update per member (sharing the
-        cohort's gain list), methods without a delta rule fall back to a
-        scan over ``selected + gained``, and -- matching the engine's
-        install phase -- only full-candidate recomputations may consult the
-        index.  Methods with structure linking full and additive results
-        (see :class:`~repro.overlay.selection.empty_rectangle.EmptyRectangleSelection`)
+        cohort's gains), methods without a delta rule fall back to a scan
+        over ``selected + gained``, and -- matching the engine's install
+        phase -- only full-candidate recomputations may consult the index.
+        Methods with structure linking full and additive results (see
+        :class:`~repro.overlay.selection.empty_rectangle.EmptyRectangleSelection`)
         override this to keep the whole round sub-linear in the population.
         """
         if index is not None:
             self._check_index_support()
         results: Dict[int, List[int]] = {}
         scan_references: List[PeerInfo] = []
-        scan_candidates: Dict[int, Sequence[PeerInfo]] = {}
+        scan_candidates: Dict[int, Collection[int]] = {}
         if index is not None:
             if full_references:
                 results.update(self.select_many(full_references, {}, index=index))
@@ -287,28 +304,25 @@ class NeighbourSelectionMethod(abc.ABC):
                 scan_candidates[reference.peer_id] = candidates_by_peer[
                     reference.peer_id
                 ]
-        updates: List[Tuple[PeerInfo, Sequence[PeerInfo], Sequence[PeerInfo]]] = []
-        for cohort in additive_cohorts:
-            gained = list(cohort.gained)
-            for raw_id in cohort.member_ids:
-                member_id = int(raw_id)
-                updates.append(
-                    (cohort.member_of(member_id), cohort.selected_of(member_id), gained)
-                )
+        updates = [
+            (member_of(member_id), cohort.selected_of(member_id), cohort.gained)
+            for cohort in additive_cohorts
+            for member_id in map(int, cohort.member_ids)
+        ]
         if updates:
-            additive_results = self.select_many_additive(updates)
+            additive_results = self.select_many_additive(updates, member_of=member_of)
             if additive_results is None:
-                # No specialised delta rule: rebuild the reduced candidate
-                # sets (selection + gained) and go through the scan batch.
+                # No specialised delta rule: re-select from the reduced
+                # candidate sets (selection + gained) in the scan batch.
                 for reference, selected, gained in updates:
-                    scan_candidates[reference.peer_id] = self.merge_candidate_delta(
-                        selected, gained
-                    )
+                    scan_candidates[reference.peer_id] = {*selected, *gained}
                     scan_references.append(reference)
             else:
                 results.update(additive_results)
         if scan_references:
-            results.update(self.select_many(scan_references, scan_candidates))
+            results.update(
+                self.select_many(scan_references, scan_candidates, member_of=member_of)
+            )
         return results
 
     def select_additive(
@@ -355,6 +369,11 @@ class NeighbourSelectionMethod(abc.ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
+    @staticmethod
+    def _id_sorted(ids: Collection[int], member_of: MemberOf) -> List[PeerInfo]:
+        """The ``PeerInfo`` list a scan iterates: ascending peer id."""
+        return [member_of(other) for other in sorted(ids)]
+
     @staticmethod
     def _exclude_reference(
         reference: PeerInfo, candidates: Sequence[PeerInfo]

@@ -32,8 +32,8 @@ distinct-coordinate assumption; the workload generators enforce it.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import chain, product
+from typing import TYPE_CHECKING, Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.geometry.rectangle import HyperRectangle
 from repro.geometry.index import pareto_minima as _pareto_minima
 from repro.geometry.index import quadrant_skylines
 from repro.overlay.peer import PeerInfo
-from repro.overlay.selection.base import AdditiveCohort, NeighbourSelectionMethod
+from repro.overlay.selection.base import AdditiveCohort, MemberOf, NeighbourSelectionMethod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.geometry.index import SpatialIndex
@@ -56,6 +56,26 @@ __all__ = ["EmptyRectangleSelection", "brute_force_empty_rectangle_neighbours"]
 # below this many candidates the plain-python select() beats the per-orthant
 # numpy loop, whose array construction would dominate.
 _VECTORISE_THRESHOLD = 32
+
+
+def _coordinates(ids: np.ndarray, member_of: MemberOf, dimension: int) -> np.ndarray:
+    """The coordinate table of ``ids``: each resolved, and validated, once."""
+    members = list(map(member_of, ids.tolist()))
+    coordinates = [member.coordinates for member in members]
+    for member, point in zip(members, coordinates):
+        if len(point) != dimension:
+            raise ValueError(
+                f"candidate {member.peer_id} has dimension {len(point)}, expected {dimension}"
+            )
+    return np.fromiter(chain.from_iterable(coordinates), dtype=float).reshape(-1, dimension)
+
+
+def _ids_of(peers: Sequence[PeerInfo], members: Dict[int, PeerInfo]) -> List[int]:
+    """Ids of ``peers``, recording each in ``members`` (the later info wins):
+    how the ``PeerInfo`` entry points adapt onto the id-fed cores."""
+    ids = [peer.peer_id for peer in peers]
+    members.update(zip(ids, peers))
+    return ids
 
 
 class EmptyRectangleSelection(NeighbourSelectionMethod):
@@ -107,70 +127,70 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
     def select_many(
         self,
         references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Sequence[PeerInfo]],
+        candidates_by_peer: Mapping[int, Collection],
         *,
         index: "Optional[SpatialIndex]" = None,
+        member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
         """Batched selection: one kernel call for all 2-D references.
 
         With an ``index`` every reference is answered from the index instead
         of any scan (see :meth:`_select_many_indexed`); without one, from
-        its own candidate list (see :meth:`_select_batch`) -- the arm a
+        its own candidate ids (see :meth:`_select_batch`) -- the arm a
         bounded gossip radius runs, where candidate sets are per-peer.
+        ``PeerInfo`` candidate lists (no ``member_of``) are adapted to ids.
         """
         if index is not None:
             return self._select_many_indexed(references, index)
-        return self._select_batch(references, candidates_by_peer)
+        if member_of is None:
+            members: Dict[int, PeerInfo] = {}
+            candidates_by_peer = {
+                reference.peer_id: _ids_of(candidates_by_peer[reference.peer_id], members)
+                for reference in references
+            }
+            member_of = members.__getitem__
+        return self._select_batch(references, candidates_by_peer, member_of)
 
     def _select_batch(
         self,
         references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Sequence[PeerInfo]],
+        candidate_ids: Mapping[int, Collection[int]],
+        member_of: MemberOf,
     ) -> Dict[int, List[int]]:
-        """Every reference answered from its own candidate list.
+        """Every reference answered from its own candidate ids (any order).
 
         All two-dimensional references share one
         :func:`~repro.geometry.index.quadrant_skylines` call over the sorted
         union of their candidate sets, each restricted to its own set by a
         membership mask row (within one batch a peer id names one peer).
-        The dimension is validated once per distinct member.  References of
-        other dimensions keep the per-reference dispatch: :meth:`select`
-        below ``_VECTORISE_THRESHOLD`` candidates, the per-orthant numpy
-        loop above.  Shared by :meth:`select_many` and the multi-gain
-        updates of :meth:`select_many_additive`.
+        The mask is one flat pass over the ids, one sort and one fancy
+        assignment; each distinct member is resolved -- and its dimension
+        validated -- once.  References of other dimensions keep the per-reference
+        dispatch: :meth:`select` below ``_VECTORISE_THRESHOLD`` candidates,
+        the per-orthant numpy loop above.  Shared by :meth:`select_many` and
+        the multi-gain updates of :meth:`select_many_additive`.
         """
         planar = [reference for reference in references if reference.dimension == 2]
         results = self._select_many_dispatch(
             [reference for reference in references if reference.dimension != 2],
-            candidates_by_peer,
+            candidate_ids,
             _VECTORISE_THRESHOLD,
             self._select_vectorised,
+            member_of=member_of,
         )
         if not planar:
             return results
-        members: Dict[int, PeerInfo] = {}
-        candidate_ids: List[List[int]] = []
-        for reference in planar:
-            candidates = candidates_by_peer[reference.peer_id]
-            candidate_ids.append([candidate.peer_id for candidate in candidates])
-            members.update(zip(candidate_ids[-1], candidates))
-        for member in members.values():
-            if member.dimension != 2:
-                raise ValueError(
-                    f"candidate {member.peer_id} has dimension {member.dimension}, "
-                    "expected 2"
-                )
-        member_ids = np.asarray(sorted(members), dtype=np.int64)
+        rows = [candidate_ids[reference.peer_id] for reference in planar]
+        member_ids, columns = np.unique(
+            np.fromiter(chain.from_iterable(rows), dtype=np.int64), return_inverse=True
+        )
         mask = np.zeros((len(planar), member_ids.size), dtype=bool)
-        for row, ids in zip(mask, candidate_ids):
-            row[np.searchsorted(member_ids, ids)] = True
+        mask[np.repeat(np.arange(len(planar)), [len(row) for row in rows]), columns] = True
         selected = quadrant_skylines(
             np.asarray([tuple(peer.coordinates) for peer in planar], dtype=float),
             np.asarray([peer.peer_id for peer in planar], dtype=np.int64),
             member_ids,
-            np.asarray(
-                [tuple(members[i].coordinates) for i in member_ids.tolist()], dtype=float
-            ).reshape(-1, 2),
+            _coordinates(member_ids, member_of, 2),
             mask,
         )
         results.update(zip((reference.peer_id for reference in planar), selected))
@@ -222,9 +242,10 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
 
     def select_many_additive(
         self,
-        updates: Sequence[Tuple[PeerInfo, Sequence[PeerInfo], Sequence[PeerInfo]]],
+        updates: Sequence[Tuple[PeerInfo, Collection, Collection]],
         *,
         index: "Optional[SpatialIndex]" = None,
+        member_of: Optional[MemberOf] = None,
     ) -> Optional[Dict[int, List[int]]]:
         """Vectorised skyline update for candidate sets that only gained peers.
 
@@ -249,33 +270,42 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         ``select`` path, the vectorised rule relies on the paper's
         distinct-coordinate assumption.
 
-        ``index`` is accepted for batched-API uniformity; the delta rule
-        already touches only the selection and the gained peers, so it never
-        consults the index.
+        ``PeerInfo`` updates (no ``member_of``) are adapted to ids, a gained
+        info winning a duplicate id.  ``index`` is accepted for batched-API
+        uniformity; the delta rule already touches only the selection and
+        the gained peers, so it never consults the index.
         """
         if index is not None:
             self._check_index_support()
+        if member_of is None:
+            members: Dict[int, PeerInfo] = {}
+            updates = [
+                (reference, _ids_of(selected, members), _ids_of(gained, members))
+                for reference, selected, gained in updates
+            ]
+            member_of = members.__getitem__
         singles = []
         multiples: List[PeerInfo] = []
-        merged: Dict[int, List[PeerInfo]] = {}
+        merged: Dict[int, Set[int]] = {}
         for reference, selected, gained in updates:
             if len(gained) == 1:
-                singles.append((reference, list(selected), gained[0]))
+                singles.append((reference, selected, *gained))
             else:
                 multiples.append(reference)
-                merged[reference.peer_id] = self.merge_candidate_delta(selected, gained)
+                merged[reference.peer_id] = {*selected, *gained}
         # Not through the public select_many: that entry is the surface of
         # full recomputes, and is counted as such.
-        results = self._select_batch(multiples, merged)
-        results.update(self._additive_step(singles) if singles else {})
+        results = self._select_batch(multiples, merged, member_of)
+        results.update(self._additive_step(singles, member_of) if singles else {})
         return results
 
     def install_many(
         self,
         full_references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Sequence[PeerInfo]],
+        candidates_by_peer: Mapping[int, Collection[int]],
         additive_cohorts: Sequence[AdditiveCohort],
         *,
+        member_of: MemberOf,
         index: "Optional[SpatialIndex]" = None,
     ) -> Dict[int, List[int]]:
         """Cohort install via the empty-rectangle symmetry fan-out.
@@ -302,110 +332,78 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         arms) or when a caller hands a cohort whose gains were not fully
         recomputed (never the engine; the precondition is asserted cheaply).
         """
-        if index is None:
-            return super().install_many(
-                full_references, candidates_by_peer, additive_cohorts, index=index
-            )
         full_ids = {reference.peer_id for reference in full_references}
-        if any(
-            gain.peer_id not in full_ids
-            for cohort in additive_cohorts
-            for gain in cohort.gained
+        if index is None or any(
+            gain not in full_ids for cohort in additive_cohorts for gain in cohort.gained
         ):
             return super().install_many(
-                full_references, candidates_by_peer, additive_cohorts, index=index
+                full_references,
+                candidates_by_peer,
+                additive_cohorts,
+                member_of=member_of,
+                index=index,
             )
         results = self._select_many_indexed(full_references, index)
-        updates: List[Tuple[PeerInfo, Sequence[PeerInfo], Sequence[PeerInfo]]] = []
+        updates: List[Tuple[PeerInfo, Collection[int], List[int]]] = []
         for cohort in additive_cohorts:
             member_ids = np.asarray(cohort.member_ids, dtype=np.int64)
-            affected: Dict[int, List[PeerInfo]] = {}
+            affected: Dict[int, List[int]] = {}
             for gain in cohort.gained:
-                selected = np.asarray(results[gain.peer_id], dtype=np.int64)
+                selected = np.asarray(results[gain], dtype=np.int64)
                 for selected_id in selected[np.isin(selected, member_ids)].tolist():
                     affected.setdefault(selected_id, []).append(gain)
             for member_id in sorted(affected):
                 updates.append(
-                    (
-                        cohort.member_of(member_id),
-                        cohort.selected_of(member_id),
-                        affected[member_id],
-                    )
+                    (member_of(member_id), cohort.selected_of(member_id), affected[member_id])
                 )
         if updates:
-            delta = self.select_many_additive(updates)
+            delta = self.select_many_additive(updates, member_of=member_of)
             if delta:
                 results.update(delta)
         return results
 
     def _additive_step(
-        self, batch: Sequence[Tuple[PeerInfo, List[PeerInfo], PeerInfo]]
+        self, batch: Sequence[Tuple[PeerInfo, Collection[int], int]], member_of: MemberOf
     ) -> Dict[int, List[int]]:
-        """One gained candidate per reference; returns only changed selections."""
+        """One gained id per reference; returns only changed selections.
+
+        ``batch`` holds ``(reference, selected ids, gained id)``.  Every
+        distinct id of the call is resolved once into one coordinate table;
+        the ``(reference, selected)`` pairs and the gains are gathered from
+        it by position, and blocked references and evicted pairs are
+        resolved as arrays.
+        """
+        owners = np.repeat(np.arange(len(batch)), [len(selected) for _, selected, _ in batch])
+        pair_ids = np.fromiter(
+            chain.from_iterable(selected for _, selected, _ in batch), dtype=np.int64
+        )
+        gain_ids = np.asarray([gained for _, _, gained in batch], dtype=np.int64)
+        table_ids, positions = np.unique(np.concatenate((pair_ids, gain_ids)), return_inverse=True)
         ref_coords = np.asarray(
             [tuple(reference.coordinates) for reference, _, _ in batch], dtype=float
         )
-        gain_coords = np.asarray(
-            [tuple(gained.coordinates) for _, _, gained in batch], dtype=float
-        )
-        dimension = ref_coords.shape[1]
-        powers = 1 << np.arange(dimension)
+        table = _coordinates(table_ids, member_of, ref_coords.shape[1])[positions]
+        member_coords, gain_coords = table[: pair_ids.size], table[pair_ids.size :]
+        powers = 1 << np.arange(ref_coords.shape[1])
         greater_gain = gain_coords > ref_coords
-        gain_keys = np.where(greater_gain, gain_coords, -gain_coords)
-        gain_codes = (greater_gain @ powers).astype(np.int64)
-
-        owners: List[int] = []
-        pair_coords: List[Tuple[float, ...]] = []
-        for index, (_, selected, _) in enumerate(batch):
-            for peer in selected:
-                owners.append(index)
-                pair_coords.append(tuple(peer.coordinates))
-        blocked = np.zeros(len(batch), dtype=bool)
-        if owners:
-            owner_index = np.asarray(owners, dtype=np.int64)
-            member_coords = np.asarray(pair_coords, dtype=float)
-            origin = ref_coords[owner_index]
-            greater = member_coords > origin
-            member_keys = np.where(greater, member_coords, -member_coords)
-            member_codes = (greater @ powers).astype(np.int64)
-            same_orthant = member_codes == gain_codes[owner_index]
-            member_dominates = same_orthant & np.all(
-                member_keys <= gain_keys[owner_index], axis=1
-            )
-            gain_dominates = same_orthant & np.all(
-                gain_keys[owner_index] <= member_keys, axis=1
-            )
-            np.logical_or.at(blocked, owner_index, member_dominates)
-            evicted_pairs = np.nonzero(gain_dominates)[0]
-        else:
-            owner_index = np.zeros(0, dtype=np.int64)
-            evicted_pairs = np.zeros(0, dtype=np.int64)
-
-        evicted_by_owner: Dict[int, Set[int]] = {}
-        flat_position = 0
-        positions: List[int] = []
-        for index, (_, selected, _) in enumerate(batch):
-            positions.append(flat_position)
-            flat_position += len(selected)
-        for pair in evicted_pairs:
-            owner = int(owner_index[pair])
-            if blocked[owner]:
-                continue
-            offset = int(pair) - positions[owner]
-            evicted_by_owner.setdefault(owner, set()).add(offset)
-
+        gain_keys = np.where(greater_gain, gain_coords, -gain_coords)[owners]
+        greater = member_coords > ref_coords[owners]
+        member_keys = np.where(greater, member_coords, -member_coords)
+        same_orthant = (greater @ powers) == (greater_gain @ powers)[owners]
+        member_dominates = same_orthant & np.all(member_keys <= gain_keys, axis=1)
+        gain_dominates = same_orthant & np.all(gain_keys <= member_keys, axis=1)
+        # A reference some selected member blocks keeps its selection; every
+        # other one takes the gain and drops the members the gain dominates.
+        changed = np.ones(len(batch), dtype=bool)
+        changed[owners[member_dominates]] = False
+        evicted = gain_dominates & changed[owners]
+        dropped: Dict[int, Set[int]] = {}
+        for owner, member_id in zip(owners[evicted].tolist(), pair_ids[evicted].tolist()):
+            dropped.setdefault(owner, set()).add(member_id)
         results: Dict[int, List[int]] = {}
-        for index, (reference, selected, gained) in enumerate(batch):
-            if blocked[index]:
-                continue
-            evicted = evicted_by_owner.get(index, ())
-            kept = [
-                peer.peer_id
-                for offset, peer in enumerate(selected)
-                if offset not in evicted
-            ]
-            kept.append(gained.peer_id)
-            results[reference.peer_id] = sorted(kept)
+        for owner in np.flatnonzero(changed).tolist():
+            reference, selected, gained = batch[owner]
+            results[reference.peer_id] = sorted({*selected, gained} - dropped.get(owner, set()))
         return results
 
     def _select_vectorised(

@@ -16,14 +16,24 @@ specialisations:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Collection,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.geometry.distance import DistanceFunction, get_distance
 from repro.geometry.hyperplane import HyperplaneSet
 from repro.overlay.peer import PeerInfo
-from repro.overlay.selection.base import NeighbourSelectionMethod
+from repro.overlay.selection.base import MemberOf, NeighbourSelectionMethod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.geometry.index import SpatialIndex
@@ -175,6 +185,38 @@ class HyperplanesSelection(NeighbourSelectionMethod):
             selected.extend(peer.peer_id for peer in region_candidates[: self._k])
         return selected
 
+    #: ``(reference, candidates) -> ids``: the numpy selection of the instances
+    #: that have one (orthogonal, K-closest), for named Minkowski distances.
+    _select_vectorised: Optional[Callable[[PeerInfo, Sequence[PeerInfo]], List[int]]] = None
+
+    def select_many(
+        self,
+        references: Sequence[PeerInfo],
+        candidates_by_peer: Mapping[int, Collection],
+        *,
+        index: "Optional[SpatialIndex]" = None,
+        member_of: Optional[MemberOf] = None,
+    ) -> Dict[int, List[int]]:
+        """Batched selection; numpy per reference where an instance has it.
+
+        The numpy path assumes the well-formed inputs the overlay layer
+        provides and is only taken for large candidate sets where it pays
+        off; everything else goes through the generic per-peer loop.  With
+        an ``index`` every reference is one ``region_top_k`` query.
+        """
+        if self._distance_order is None or self._select_vectorised is None:
+            return super().select_many(
+                references, candidates_by_peer, index=index, member_of=member_of
+            )
+        return self._select_many_dispatch(
+            references,
+            candidates_by_peer,
+            VECTORISE_THRESHOLD,
+            self._select_vectorised,
+            index=index,
+            member_of=member_of,
+        )
+
     def _select_indexed(
         self, reference: PeerInfo, index: "SpatialIndex"
     ) -> List[int]:
@@ -205,9 +247,10 @@ class HyperplanesSelection(NeighbourSelectionMethod):
 
     def select_many_additive(
         self,
-        updates: Sequence[Tuple[PeerInfo, Sequence[PeerInfo], Sequence[PeerInfo]]],
+        updates: Sequence[Tuple[PeerInfo, Collection, Collection]],
         *,
         index: "Optional[SpatialIndex]" = None,
+        member_of: Optional[MemberOf] = None,
     ) -> Optional[Dict[int, List[int]]]:
         """Per-region top-``K`` delta rule for candidate sets that only gained.
 
@@ -237,6 +280,9 @@ class HyperplanesSelection(NeighbourSelectionMethod):
             self._check_index_support()
         results: Dict[int, List[int]] = {}
         for reference, selected, gained in updates:
+            if member_of is not None:  # the rule ranks PeerInfo objects
+                selected = self._id_sorted(selected, member_of)
+                gained = self._id_sorted(gained, member_of)
             gained_others = self._exclude_reference(reference, gained)
             if not gained_others:
                 continue

@@ -10,21 +10,14 @@ quantify that difference.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.geometry.distance import DistanceFunction
 from repro.geometry.hyperplane import HyperplaneSet
 from repro.overlay.peer import PeerInfo
-from repro.overlay.selection.hyperplanes import (
-    VECTORISE_THRESHOLD,
-    HyperplanesSelection,
-    minkowski,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.index import SpatialIndex
+from repro.overlay.selection.hyperplanes import HyperplanesSelection, minkowski
 
 __all__ = ["KClosestSelection"]
 
@@ -34,31 +27,6 @@ class KClosestSelection(HyperplanesSelection):
 
     def __init__(self, *, k: int = 1, distance: "DistanceFunction | str" = "l2") -> None:
         super().__init__(HyperplaneSet.empty, k=k, distance=distance)
-
-    def select_many(
-        self,
-        references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Sequence[PeerInfo]],
-        *,
-        index: "Optional[SpatialIndex]" = None,
-    ) -> Dict[int, List[int]]:
-        """Batched selection; a numpy top-``K`` when the distance is Minkowski.
-
-        The numpy path assumes the well-formed inputs the overlay layer
-        provides and is only taken for large candidate sets where it pays
-        off; everything else goes through the generic per-peer loop.  With
-        an ``index`` the query is the classic nearest-``K`` over the k-d
-        tree (the single-region instance of ``region_top_k``).
-        """
-        if self._distance_order is None:
-            return super().select_many(references, candidates_by_peer, index=index)
-        return self._select_many_dispatch(
-            references,
-            candidates_by_peer,
-            VECTORISE_THRESHOLD,
-            self._select_vectorised,
-            index=index,
-        )
 
     def _select_vectorised(
         self, reference: PeerInfo, candidates: Sequence[PeerInfo]

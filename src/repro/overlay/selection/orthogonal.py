@@ -12,21 +12,14 @@ vectorised equilibrium path keeps that sweep tractable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
 from repro.geometry.distance import DistanceFunction
 from repro.geometry.hyperplane import HyperplaneSet
 from repro.overlay.peer import PeerInfo
-from repro.overlay.selection.hyperplanes import (
-    VECTORISE_THRESHOLD,
-    HyperplanesSelection,
-    minkowski,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.index import SpatialIndex
+from repro.overlay.selection.hyperplanes import HyperplanesSelection, minkowski
 
 __all__ = ["OrthogonalHyperplanesSelection"]
 
@@ -36,24 +29,6 @@ class OrthogonalHyperplanesSelection(HyperplanesSelection):
 
     def __init__(self, *, k: int = 1, distance: "DistanceFunction | str" = "l2") -> None:
         super().__init__(HyperplaneSet.orthogonal, k=k, distance=distance)
-
-    def select_many(
-        self,
-        references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Sequence[PeerInfo]],
-        *,
-        index: "Optional[SpatialIndex]" = None,
-    ) -> Dict[int, List[int]]:
-        """Batched per-orthant top-``K``; numpy for named Minkowski distances."""
-        if self._distance_order is None:
-            return super().select_many(references, candidates_by_peer, index=index)
-        return self._select_many_dispatch(
-            references,
-            candidates_by_peer,
-            VECTORISE_THRESHOLD,
-            self._select_vectorised,
-            index=index,
-        )
 
     def _select_vectorised(
         self, reference: PeerInfo, candidates: Sequence[PeerInfo]

@@ -114,6 +114,33 @@ class TestApplyBatch:
         )
         assert overlay.peer_ids == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rejoin_at_other_coordinates_under_a_radius_matches_the_full_sweep(self, seed):
+        """A leave and a rejoin of one id net to nothing in its knowers'
+        windows, but the id may be back somewhere else: the peers that knew
+        it a window ago recompute, as they do for a move.  (Before PR 20 the
+        ones that had not selected it kept a selection computed at its old
+        coordinates -- 36 of 40 seeds of this script diverged.)"""
+        peers = generate_peers_with_lifetimes(14, 2, seed=seed)
+        rng = random.Random(seed)
+        fast, slow = (
+            OverlayNetwork(EmptyRectangleSelection(), gossip_radius=2) for _ in range(2)
+        )
+        for peer in peers[:12]:
+            bootstrap = frozenset({rng.randrange(peer.peer_id)}) if peer.peer_id else frozenset()
+            fast.apply_batch([BatchJoin(peer, bootstrap=bootstrap)])
+            slow.apply_batch([BatchJoin(peer, bootstrap=bootstrap)], incremental=False)
+        victim = rng.randrange(12)
+        batch = [
+            BatchLeave(victim),
+            BatchJoin(
+                replace(peers[victim], coordinates=peers[13].coordinates),
+                bootstrap=frozenset({(victim + 1) % 12}),
+            ),
+        ]
+        assert fast.apply_batch(batch) == slow.apply_batch(batch, incremental=False)
+        assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+
 
 # ----------------------------------------------------------------------
 # Delta-stream contract on the degenerate paths
@@ -213,6 +240,29 @@ class TestConvergenceErrorRecovery:
             reference.converge(incremental=False, max_rounds=1)
         reference.converge(incremental=False)
         assert overlay.directed_neighbour_map() == reference.directed_neighbour_map()
+
+    def test_the_error_says_what_was_still_moving(self):
+        """Under a radius the peers left dirty are the ones whose ``I(P)``
+        the last round's installs moved; the error carries their count, the
+        lowest few ids and the radius, read before the engine is dropped."""
+        overlay = _chain_overlay()
+        before = knowledge_sets(overlay.adjacency(), 2)
+        with pytest.raises(ConvergenceError) as raised:
+            overlay.converge(incremental=True, max_rounds=1)
+        after = knowledge_sets(overlay.adjacency(), 2)
+        moving = sorted(peer_id for peer_id in after if before[peer_id] != after[peer_id])
+        error = raised.value
+        assert moving and error.dirty_count == len(moving)
+        assert error.dirty_sample == tuple(moving[: 5])
+        assert (error.rounds, error.gossip_radius) == (1, 2)
+        assert f"{len(moving)} peers still dirty" in str(error)
+        assert f"lowest ids {moving[: 5]}" in str(error)
+        assert "gossip radius 2" in str(error)
+        # The full sweep tracks no dirty set, and the bare form still works.
+        with pytest.raises(ConvergenceError) as swept:
+            _chain_overlay().converge(incremental=False, max_rounds=1)
+        assert (swept.value.dirty_count, swept.value.dirty_sample) == (0, ())
+        assert str(swept.value) == str(ConvergenceError(1))
 
     @pytest.mark.parametrize("gossip_radius", [1, 2, 3])
     def test_abort_inside_a_bounded_batch_rebuilds_the_maintained_knowledge(

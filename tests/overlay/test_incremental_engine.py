@@ -173,6 +173,59 @@ class TestSelectManyAgreement:
             )
             assert sorted(batched[reference.peer_id]) == sorted(expected)
 
+    @pytest.mark.parametrize(
+        "selection_factory",
+        [
+            EmptyRectangleSelection,
+            lambda: OrthogonalHyperplanesSelection(k=2),
+            lambda: KClosestSelection(k=4),
+        ],
+        ids=["empty-rectangle", "orthogonal", "k-closest"],
+    )
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("count", [10, 80])
+    def test_id_fed_batches_equal_the_peerinfo_entry_points(
+        self, selection_factory, dimension, count
+    ):
+        """What the engine hands over under a radius -- per-peer candidate
+        *ids* in no particular order plus one resolver -- against the same
+        subsets as id-sorted ``PeerInfo`` lists: equal results, order
+        included, on the kernel path (2-D empty rectangle) and on every
+        method that resolves the ids in the base class."""
+        peers = generate_peers(count, dimension, seed=count + dimension)
+        by_id = {peer.peer_id: peer for peer in peers}
+        rng = random.Random(count)
+        selection = selection_factory()
+        subsets = {
+            peer.peer_id: rng.sample(sorted(by_id), rng.randint(0, count)) for peer in peers
+        }
+        subsets[peers[0].peer_id] = []
+        as_infos = {
+            peer_id: [by_id[other] for other in sorted(ids)] for peer_id, ids in subsets.items()
+        }
+        assert selection.select_many(
+            peers, subsets, member_of=by_id.__getitem__
+        ) == selection.select_many(peers, as_infos)
+
+        updates = []
+        for reference in peers:
+            known = [other for other in subsets[reference.peer_id] if other != reference.peer_id]
+            gains = rng.choice([1, 1, 3])
+            selected = set(selection.select(reference, [by_id[other] for other in known[gains:]]))
+            updates.append((reference, selected, set(known[:gains]) - selected))
+        assert selection.select_many_additive(
+            updates, member_of=by_id.__getitem__
+        ) == selection.select_many_additive(
+            [
+                (
+                    reference,
+                    [by_id[other] for other in sorted(selected)],
+                    [by_id[other] for other in sorted(gained)],
+                )
+                for reference, selected, gained in updates
+            ]
+        )
+
     def test_select_many_additive_matches_full_reselection(self):
         peers = generate_peers(60, 2, seed=77)
         joiner, existing = peers[-1], peers[:-1]

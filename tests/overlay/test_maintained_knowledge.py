@@ -10,8 +10,16 @@ after every convergence, that
 * the maintained sets equal ``knowledge_sets(overlay.adjacency(), BR)`` --
   plain BFS per peer, the oracle -- and the maintained adjacency equals
   ``overlay.adjacency()``;
-* no support, adjacency, pending or history entry is keyed by a departed id;
+* no support, adjacency, pending or history entry is keyed by a departed id,
+  and the view's history is one flag per alive peer, never an id collection;
+* every move forced exactly the peers whose oracle set held the mover at the
+  previous converge;
 * the topology is in lockstep with ``incremental=False``.
+
+The net-delta window the engine reads its deltas from is held to the same
+oracle on its own (``test_the_window_is_the_difference_of_two_bfs_oracles``):
+no engine in the loop, so a window that is wrong in a way the engine happens
+to tolerate still fails.
 
 The schedules include the shapes the bookkeeping is most likely to get
 wrong: the first peer's empty bootstrap, multi-peer bootstraps, a leave and
@@ -76,10 +84,34 @@ def _assert_maintained_state_is_exact(overlay):
         for peer_id, support in level.items():
             assert set(support) <= alive - {peer_id}
             assert all(count > 0 for count in support.values())
+    for peer_id in alive:
+        # Why the engine may read known(P) without adding the selection to it.
+        assert overlay.selected_neighbours(peer_id) <= knowledge.known(peer_id)
     # A finished convergence drained the window and installed nothing after.
     assert not knowledge._pending  # noqa: SLF001
-    assert set(view._last_candidates) == alive  # noqa: SLF001
+    assert not view._window  # noqa: SLF001
+    # History is a flag per alive peer: the view stores no candidate ids.
+    assert view._history == alive  # noqa: SLF001
+    assert not hasattr(view, "_last_candidates")
     assert not view.dirty_ids()
+    return oracle
+
+
+def _expect_moves_to_force_the_previous_knowers(overlay, oracle):
+    """From here to the next converge, every ``note_move`` must drop the
+    history flag of the mover and of exactly the peers whose BFS set *at the
+    previous converge* (``oracle``) held it -- whatever the batch did to the
+    live sets in between."""
+    view = overlay._engine._view  # noqa: SLF001
+    note_move = type(view).note_move.__get__(view)
+
+    def checked(mover):
+        before = set(view._history)  # noqa: SLF001
+        note_move(mover)
+        holders = {peer_id for peer_id, known in oracle.items() if mover in known}
+        assert before - view._history == before & (holders | {mover})  # noqa: SLF001
+
+    view.note_move = checked
 
 
 def _bootstrap(rng, alive):
@@ -138,12 +170,22 @@ def test_maintained_knowledge_sets_equal_the_bfs_oracle_after_every_converge(
             # else the batch holds.
             batch = [leave_event()]
             rejoined = by_id[departed.pop()]
+            if move_targets and rng.random() < 0.3:
+                # Back somewhere else: its knowers see no id come or go.
+                rejoined = by_id[rejoined.peer_id] = make_peer(
+                    rejoined.peer_id, move_targets.pop()
+                )
             if alive and move_targets and rng.random() < 0.5:
                 batch.append(move_event())
             if pending and rng.random() < 0.5:
                 batch.append(join_event())
             batch.append(BatchJoin(rejoined, bootstrap=_bootstrap(rng, alive)))
             alive.append(rejoined.peer_id)
+            if move_targets and rng.random() < 0.3:
+                # ... and moves at once: its knowers of a window ago are only
+                # on record because its window entry outlived the departure.
+                by_id[rejoined.peer_id] = make_peer(rejoined.peer_id, move_targets.pop())
+                batch.append(BatchMove(rejoined.peer_id, by_id[rejoined.peer_id].coordinates))
             fast.apply_batch(batch, incremental=incremental)
             slow.apply_batch(batch, incremental=False)
         elif roll < 0.5 and len(alive) >= 2:
@@ -165,7 +207,109 @@ def test_maintained_knowledge_sets_equal_the_bfs_oracle_after_every_converge(
             continue
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
         if incremental:
-            _assert_maintained_state_is_exact(fast)
+            oracle = _assert_maintained_state_is_exact(fast)
+            _expect_moves_to_force_the_previous_knowers(fast, oracle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    radius=st.sampled_from([1, 2, 3]),
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(["flip", "flip", "flip", "toggle", "drain"]),
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=7),
+        ),
+        max_size=60,
+    ),
+)
+def test_the_window_is_the_difference_of_two_bfs_oracles(radius, script):
+    """``add_peer`` / ``flip`` / ``remove_peer`` on the structure alone.
+
+    At every drain each id's ``+1`` / ``-1`` entries are exactly how its BFS
+    set differs from the one at the previous drain (an absent id knows
+    nobody), ids without an entry did not move, and the window is symmetric
+    -- the property ``note_move`` rests on, also checked before the drain
+    through ``known_at_last_drain``.
+    """
+    knowledge = MaintainedKnowledgeSets(radius)
+    adjacency = {}
+    previous = {}
+    for action, first, second in script + [("drain", 0, 0)]:
+        if action == "toggle":
+            if first in adjacency:
+                knowledge.remove_peer(first)
+                for other in adjacency.pop(first):
+                    adjacency[other].discard(first)
+            else:
+                knowledge.add_peer(first)
+                adjacency[first] = set()
+        elif action == "flip":
+            if first == second or first not in adjacency or second not in adjacency:
+                continue
+            present = second not in adjacency[first]
+            knowledge.flip(first, second, present)
+            for peer, other in ((first, second), (second, first)):
+                (adjacency[peer].add if present else adjacency[peer].discard)(other)
+        else:
+            oracle = knowledge_sets(adjacency, radius)
+            for peer_id in adjacency:
+                assert knowledge.known_at_last_drain(peer_id) == previous.get(peer_id, set())
+            expected = {}
+            for peer_id in oracle.keys() | previous.keys():
+                now, then = oracle.get(peer_id, set()), previous.get(peer_id, set())
+                if now != then:
+                    expected[peer_id] = {
+                        **{x: +1 for x in now - then}, **{x: -1 for x in then - now}
+                    }
+            assert sorted(knowledge.changed_peers()) == sorted(expected.keys() & oracle.keys())
+            window = knowledge.drain_changed()
+            assert window == expected
+            for peer_id, net in window.items():
+                assert all(window[other][peer_id] == sign for other, sign in net.items())
+            assert {p: set(knowledge.known(p)) for p in adjacency} == oracle
+            previous = oracle
+
+
+def test_a_move_forces_the_knowers_of_a_window_ago_not_the_live_ones():
+    """``note_move`` by symmetry, where the live set is the wrong answer.
+
+    A K-closest line 0 - 1 - ... - 6 at radius 2, then one batch: peer 2
+    leaves, which cuts the only two-hop path between the mover 3 and its
+    knower 1 (1 did not select 2, so nothing else forces it); peer 7 joins
+    off 3 and 6, which lets 6 gain the mover; then 3 moves.  Peer 1's
+    selection was installed with the mover as a candidate, so it recomputes
+    in full although it no longer knows the mover; peer 6's was not, so it
+    is not forced -- it meets the mover as a plain gain, at its fresh
+    coordinates.  Reading ``known(mover)`` as it is now gets both wrong.
+    """
+
+    def line(**converge):
+        overlay = OverlayNetwork(KClosestSelection(k=1), gossip_radius=2)
+        for index in range(7):
+            x = index * (index + 1) / 2  # growing gaps: everyone selects its left neighbour
+            overlay.add_peer(make_peer(index, (x, x / 100)), bootstrap={index - 1} if index else ())
+        overlay.converge(**converge)
+        return overlay
+
+    fast, slow = line(incremental=True), line(incremental=False)
+    assert fast.adjacency() == {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2, 4}, 4: {3, 5}, 5: {4, 6}, 6: {5}}
+    batch = [
+        BatchLeave(2),
+        BatchJoin(make_peer(7, (30.0, 0.3)), bootstrap=frozenset({3, 6})),
+        BatchMove(3, (17.5, 0.175)),
+    ]
+    engine = fast._engine  # noqa: SLF001 - the verdicts are the engine's decisions
+    plan_round, plans = engine._plan_round, []  # noqa: SLF001
+    engine._plan_round = lambda schedule: plans.append(plan_round(schedule)) or plans[-1]  # noqa: SLF001
+
+    assert fast.apply_batch(batch) == slow.apply_batch(batch, incremental=False)
+    verdicts = {peer_id: (verdict, gained) for peer_id, verdict, gained, _ in plans[0]}
+    assert verdicts[1] == ("full", set())
+    assert verdicts[6] == ("additive", {3, 7})
+    assert verdicts[0] == ("skip", set())  # lost 2, never selected it
+    assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+    _assert_maintained_state_is_exact(fast)
 
 
 class TestMaintainedKnowledgeSets:
@@ -181,7 +325,7 @@ class TestMaintainedKnowledgeSets:
             adjacency, knowledge = self._line(radius)
             oracle = knowledge_sets(adjacency, radius)
             assert {p: set(knowledge.known(p)) for p in adjacency} == oracle
-            assert knowledge.drain_changed() == []
+            assert knowledge.drain_changed() == {}
 
     def test_a_flip_dirties_exactly_the_peers_whose_set_moved(self):
         adjacency, knowledge = self._line(2)
@@ -191,16 +335,18 @@ class TestMaintainedKnowledgeSets:
         before = knowledge_sets({0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}, 2)
         after = knowledge_sets(adjacency, 2)
         assert {p: set(knowledge.known(p)) for p in adjacency} == after
-        assert sorted(knowledge.drain_changed()) == sorted(
-            p for p in adjacency if before[p] != after[p]
-        )
-        assert knowledge.drain_changed() == []
+        assert knowledge.drain_changed() == {
+            p: {x: +1 for x in after[p] - before[p]}
+            for p in adjacency
+            if before[p] != after[p]
+        }
+        assert knowledge.drain_changed() == {}
 
     def test_a_gain_and_a_loss_of_one_id_inside_a_window_cancel(self):
         _, knowledge = self._line(2)
         knowledge.flip(0, 4, True)
         knowledge.flip(0, 4, False)
-        assert knowledge.drain_changed() == []
+        assert knowledge.drain_changed() == {}
 
     def test_a_departure_leaves_no_entry_keyed_by_the_departed_id(self):
         _, knowledge = self._line(3)
@@ -210,4 +356,23 @@ class TestMaintainedKnowledgeSets:
         for level in knowledge._levels:  # noqa: SLF001
             assert set(level) == set(remaining)
             assert all(2 not in support for support in level.values())
-        assert 2 not in knowledge.drain_changed()
+        # Only the window still names it: everything it knew, lost, mirrored
+        # by everyone who knew it -- and gone with the drain.
+        window = knowledge.drain_changed()
+        assert window[2] == {0: -1, 1: -1, 3: -1, 4: -1}
+        assert all(window[p][2] == -1 for p in remaining)
+        assert knowledge.drain_changed() == {}
+
+    def test_a_rejoin_nets_against_what_the_departed_id_knew(self):
+        adjacency, knowledge = self._line(2)
+        assert knowledge.known_at_last_drain(2) == {0, 1, 3, 4}
+        knowledge.remove_peer(2)
+        knowledge.add_peer(2)
+        knowledge.flip(2, 1, True)
+        # Peer 2 now knows {0, 1}; a window ago the id knew {0, 1, 3, 4}.
+        assert knowledge.known_at_last_drain(2) == {0, 1, 3, 4}
+        assert sorted(knowledge.changed_peers()) == [1, 2, 3, 4]
+        assert knowledge.drain_changed() == {
+            1: {3: -1}, 2: {3: -1, 4: -1}, 3: {1: -1, 2: -1}, 4: {2: -1}
+        }
+        assert knowledge.known_at_last_drain(2) == {0, 1}
