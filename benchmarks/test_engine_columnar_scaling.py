@@ -23,19 +23,22 @@ byte-identical, and persist the headline numbers:
   plus a ``searchsorted`` membership pass) and ``peak_rss_mb`` recorded.
 
 The small fixed-size smoke tests are *not* slow-marked: they are the PR-CI
-guards that the columnar path converges byte-identically at N ~ 2k -- and
-that the vectorised round protocol replays a churn trace byte-identically
-with the per-peer loop -- on every pull request, not just in the weekly
-job.
+guards that the columnar path converges to the paper's fixed point at
+N ~ 2k (sampled references against the brute-force definition, a sweep that
+changes nothing, the equilibrium witness on a prefix) -- and that the
+vectorised round protocol replays a churn trace byte-identically with the
+per-peer loop -- on every pull request, not just in the weekly job.
 """
 
 import random
 import time
+from itertools import product
 
 import pytest
 from conftest import peak_rss_mb, persist_bench_record, print_report
 
 from repro.experiments.common import derive_seed
+from repro.geometry.index import brute_force_orthant_skyline
 from repro.metrics.reporting import format_table
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
@@ -49,6 +52,11 @@ _SPEEDUP_FLOOR = 5.0
 #: The smoke test pins its size: it is the PR-CI columnar guard and must
 #: cost the same regardless of REPRO_SCALE.
 _SMOKE_SIZE = 2000
+#: References the smoke holds against the literal definition at that size
+#: (~10 ms each), and the prefix on which the O(N^2) equilibrium witness is
+#: still cheap (1.5 s at 500; 6.5-10 s at 1000, 25-38 s at 2000).
+_SMOKE_REFERENCES = 128
+_SMOKE_WITNESS_SIZE = 500
 _CONVERGENCE_SIZES = {"smoke": 2000, "bench": 10000, "paper": 20000}
 _TRACE_SIZES = {"smoke": 2000, "bench": 10000, "paper": 10000}
 _TRACE_EVENTS = {"smoke": 10000, "bench": 100000, "paper": 100000}
@@ -193,8 +201,15 @@ def _apply_epoch(overlay, epoch):
 
 
 def test_columnar_smoke_matches_equilibrium(scale):
-    """PR-CI smoke: at N ~ 2k the columnar default converges byte-identically
-    with the vectorised equilibrium witness.
+    """PR-CI smoke: at N ~ 2k the columnar default converges to the paper's
+    fixed point.
+
+    Checked the way the ledger checks benchmark scale: sampled references
+    against the literal per-orthant skyline (independent of kernel and
+    engine), then "a full sweep changes nothing".  The full-map equality
+    with the equilibrium witness stays, on a prefix of the same peers: the
+    witness is O(N^2) Python and was 25-38 s of this test at N = 2000, where
+    the converge under test takes 0.2 s.
 
     Only the columnar arm runs here (the explicit cross-check at this size
     lives in the slow scaling test; tier-1 covers columnar-vs-explicit
@@ -203,13 +218,25 @@ def test_columnar_smoke_matches_equilibrium(scale):
     seed = derive_seed(scale.seed, 30, _SMOKE_SIZE)
     peers = generate_peers(_SMOKE_SIZE, 2, seed=seed)
     columnar, _, _, _, _ = _seeded_arm(peers, columnar=True)
-    equilibrium = OverlayNetwork.build_equilibrium(peers, EmptyRectangleSelection())
-    assert columnar.directed_neighbour_map() == equilibrium.directed_neighbour_map()
+    points = {peer.peer_id: peer.coordinates for peer in peers}
+    for peer_id in random.Random(seed).sample(sorted(points), _SMOKE_REFERENCES):
+        expected = set()
+        for signs in product((-1, 1), repeat=2):
+            expected.update(
+                brute_force_orthant_skyline(points, points[peer_id], signs, exclude=(peer_id,))
+            )
+        assert columnar.selected_neighbours(peer_id) == expected
+    prefix = peers[:_SMOKE_WITNESS_SIZE]
+    small, _, _, _, _ = _seeded_arm(prefix, columnar=True)
+    equilibrium = OverlayNetwork.build_equilibrium(prefix, EmptyRectangleSelection())
+    assert small.directed_neighbour_map() == equilibrium.directed_neighbour_map()
+    # Last: a full sweep invalidates the incremental engine.
+    assert columnar.reselect_round() is False
     print_report(
         "Columnar engine smoke",
         format_table(
-            ["N", "path", "matches equilibrium"],
-            [[_SMOKE_SIZE, "columnar", True]],
+            ["N", "path", "brute-force references", "fixed point", "equilibrium prefix"],
+            [[_SMOKE_SIZE, "columnar", _SMOKE_REFERENCES, True, _SMOKE_WITNESS_SIZE]],
         ),
     )
 
@@ -219,9 +246,9 @@ def test_vectorised_rounds_match_per_peer_loop(scale):
     install_many) replays a short churn trace byte-identically with the
     per-peer begin_round/delta/classify loop, round counts included.
 
-    Named explicitly in the CI workflow: this is the guard that every pull
-    request exercises the vectorised install path against its per-peer
-    reference, not just the weekly job.
+    Not slow-marked, so the tier-1 run is the guard that every pull request
+    exercises the vectorised install path against its per-peer reference,
+    not just the weekly job.
     """
     seed = derive_seed(scale.seed, 33, _SMOKE_SIZE)
     peers = generate_peers(_SMOKE_SIZE, 2, seed=seed)

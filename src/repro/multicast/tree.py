@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["MulticastTree", "TreeValidationError"]
 
@@ -377,7 +378,11 @@ class MulticastTree:
     # Export
     # ------------------------------------------------------------------
     def to_networkx(self) -> "nx.DiGraph":
-        """Export as a :class:`networkx.DiGraph` with edges parent -> child."""
+        """Export as a :class:`networkx.DiGraph` (``graph`` extra) with edges parent -> child."""
+        try:
+            import networkx as nx
+        except ImportError as error:
+            raise ImportError("to_networkx() needs networkx: install the 'graph' extra") from error
         graph = nx.DiGraph()
         graph.add_nodes_from(self._parents)
         graph.add_edges_from(self.edges())

@@ -426,7 +426,10 @@ class OverlayNetwork:
     # ------------------------------------------------------------------
     def selected_neighbours(self, peer_id: int) -> FrozenSet[int]:
         """Peers that ``peer_id`` currently selects as neighbours (directed)."""
-        return frozenset(self._neighbours[peer_id])
+        try:
+            return frozenset(self._neighbours[peer_id])
+        except KeyError:
+            raise KeyError(f"unknown peer {peer_id}") from None
 
     def directed_neighbour_map(self) -> Dict[int, FrozenSet[int]]:
         """The whole directed selection map."""
@@ -442,7 +445,10 @@ class OverlayNetwork:
         to the overlay, not to its dicts: a full sweep rebinds the selection
         map, so a captured dict silently goes stale.
         """
-        return self._neighbours[peer_id].union(self._selectors_of.get(peer_id, ()))
+        try:
+            return self._neighbours[peer_id].union(self._selectors_of.get(peer_id, ()))
+        except KeyError:
+            raise KeyError(f"unknown peer {peer_id}") from None
 
     def adjacency(self) -> Dict[int, Set[int]]:
         """Undirected communication topology: :meth:`links` of every peer."""

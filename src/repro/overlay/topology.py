@@ -10,11 +10,12 @@ degree* of a peer, i.e. degrees in this undirected graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Set, Tuple
 
 from repro.overlay.peer import PeerInfo
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["TopologySnapshot", "undirected_closure"]
 
@@ -143,8 +144,13 @@ class TopologySnapshot:
 
         Node attributes carry the peer coordinates and lifetime, so standard
         networkx algorithms (diameter, centrality, drawing) can be applied
-        directly by downstream users.
+        directly by downstream users.  networkx is the optional ``graph``
+        extra and is imported here, by the call that needs it.
         """
+        try:
+            import networkx as nx
+        except ImportError as error:
+            raise ImportError("to_networkx() needs networkx: install the 'graph' extra") from error
         graph = nx.Graph()
         for peer_id, info in self.peers.items():
             graph.add_node(

@@ -44,6 +44,13 @@ class TestMembership:
         with pytest.raises(KeyError):
             overlay.remove_peer(3)
 
+    @pytest.mark.parametrize("read", ["links", "selected_neighbours"])
+    def test_per_peer_reads_name_the_unknown_peer(self, read):
+        overlay = OverlayNetwork(EmptyRectangleSelection())
+        overlay.add_peer(make_peer(0, (0.0, 0.0)))
+        with pytest.raises(KeyError, match="unknown peer 5"):
+            getattr(overlay, read)(5)
+
     def test_default_bootstrap_is_lowest_id(self):
         overlay = OverlayNetwork(EmptyRectangleSelection())
         overlay.add_peer(make_peer(5, (0.0, 0.0)))

@@ -1,11 +1,20 @@
 """Smoke tests for the top-level public API (the README quickstart)."""
 
+import re
+from pathlib import Path
+
 import repro
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 class TestPublicSurface:
     def test_version(self):
         assert repro.__version__
+        # One value in both places; a regex because tomllib is 3.11+ and
+        # requires-python is 3.9.
+        declared = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.MULTILINE)
+        assert declared is not None and declared.group(1) == repro.__version__
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
