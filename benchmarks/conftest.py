@@ -10,7 +10,8 @@ digitized from Figure 1; EXPERIMENTS.md summarizes one such run.
 The minutes-scale (``slow``-marked) benchmarks additionally *persist* their
 headline numbers through :func:`persist_bench_record`: one
 ``benchmarks/results/BENCH_<scenario>.json`` record per scenario (scenario,
-``N``, wall-clock, measured speedup and its asserted floor), so the perf
+``N``, wall-clock, and either the absolute budget it is held to or the
+measured speedup over a baseline arm with its asserted floor), so the perf
 trajectory is machine-readable across PRs instead of living only in captured
 stdout.  Records are committed when a PR moves the numbers (the trajectory
 is diffable in-repo); the weekly CI job additionally uploads the directory
@@ -64,10 +65,10 @@ def peak_rss_mb() -> Optional[float]:
     """Peak resident-set size of this process in MB, or ``None`` if unknown.
 
     ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalised to MB
-    so the ``peak_rss_mb`` record field is platform-comparable.  Callers
-    pass the value to :func:`persist_bench_record` only when it is truthy --
-    the schema types the field but keeps it optional, exactly for
-    environments where ``resource`` is unavailable (e.g. Windows).
+    so the ``peak_rss_mb`` record field is platform-comparable.  The schema
+    types the field but keeps it optional, exactly for environments where
+    ``resource`` is unavailable (e.g. Windows): :func:`persist_bench_record`
+    leaves a ``None`` out of the record.
     """
     try:
         import resource
@@ -92,10 +93,12 @@ def persist_bench_record(
 ) -> Path:
     """Write one benchmark's headline numbers to ``BENCH_<scenario>.json``.
 
-    ``wall_seconds`` is the measured arm's wall-clock, ``speedup`` the
-    benchmark's headline ratio and ``speedup_floor`` the value its assertion
-    enforces; extra keyword fields (baseline wall-clocks, event counts, ...)
-    are stored verbatim.  Returns the written path.
+    ``wall_seconds`` is the measured arm's wall-clock; a benchmark that
+    also times a baseline arm passes ``speedup``, its headline ratio, and
+    ``speedup_floor``, the value its assertion enforces.  Extra keyword
+    fields (budgets, baseline wall-clocks, event counts, ...) are stored
+    verbatim; a field that is ``None`` is left out of the record, never
+    written as ``null``.  Returns the written path.
     """
     record = {
         "scenario": scenario,
@@ -107,6 +110,7 @@ def persist_bench_record(
         "python": platform.python_version(),
         **extra,
     }
+    record = {key: value for key, value in record.items() if value is not None}
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{scenario}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -26,29 +26,27 @@ __all__ = [
 ]
 
 #: The contract every BENCH_*.json record must satisfy.  Extra keys are
-#: welcome (records carry per-scenario detail); the five required ones are
-#: what the cross-PR trajectory tooling keys on.  Three keys are *typed
+#: welcome (records carry per-scenario detail); the three required ones are
+#: what the cross-PR trajectory tooling keys on.  The other keys are *typed
 #: optional*: when a record carries them they must be well-formed, but a
-#: record may omit them.  ``peak_rss_mb`` (memory headroom, part of the
+#: record may omit them.  ``speedup`` / ``speedup_floor`` belong to the
+#: benchmarks that time a baseline arm beside the measured one, and
+#: ``wall_budget_seconds`` to the ones held to an absolute budget; all three
+#: are positive numbers.  ``peak_rss_mb`` (memory headroom, part of the
 #: road-to-100k trajectory) is a positive number when present;
 #: ``p99_latency_s`` (tail dissemination latency under the real-network
 #: model) a non-negative number; ``bytes_sent`` (the run's wire volume
 #: under the byte estimator) a non-negative integer.
 BENCH_RECORD_SCHEMA: Dict[str, Any] = {
     "type": "object",
-    "required": [
-        "scenario",
-        "peer_count",
-        "wall_seconds",
-        "speedup",
-        "speedup_floor",
-    ],
+    "required": ["scenario", "peer_count", "wall_seconds"],
     "properties": {
         "scenario": {"type": "string", "minLength": 1},
         "peer_count": {"type": "integer", "minimum": 1},
         "wall_seconds": {"type": "number", "exclusiveMinimum": 0},
         "speedup": {"type": "number", "exclusiveMinimum": 0},
         "speedup_floor": {"type": "number", "exclusiveMinimum": 0},
+        "wall_budget_seconds": {"type": "number", "exclusiveMinimum": 0},
         "peak_rss_mb": {"type": "number", "exclusiveMinimum": 0},
         "p99_latency_s": {"type": "number", "minimum": 0},
         "bytes_sent": {"type": "integer", "minimum": 0},

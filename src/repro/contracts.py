@@ -22,10 +22,11 @@ def hot_path(function: _F) -> _F:
     promises stays proportional to the *change set*, never the population:
     the delta-recorder notifications, the tree/connectivity repair paths
     that consume drained deltas, the engine's membership notes
-    (``note_join``/``note_leave``/``note_move``) and its round-scheduling
-    core (``_plan_round``; the public ``run_round`` wrapper is documented
-    O(N)-capable and deliberately unmarked), and the columnar candidate
-    state's epoch/log writes.  reprolint's RPL005 rule walks the
+    (``note_join``/``note_leave``/``note_move``) and its round-classification
+    cores (``_plan_round`` under a gossip radius, the columnar candidate
+    state's ``plan_round`` under full knowledge; the public ``run_round``
+    wrapper is documented O(N)-capable and deliberately unmarked), and the
+    columnar state's epoch/log writes.  reprolint's RPL005 rule walks the
     call graph from every marked function and flags full-population
     iteration or O(N) id-set materialisation anywhere in the closure; a
     flagged construct needs either a restructure or a justified pragma with

@@ -1,56 +1,50 @@
 """Columnar engine state: the implicit full-knowledge candidate representation.
 
 Under full knowledge every peer's candidate set is "everyone alive but me",
-so the per-peer frozensets the dict-backed engine bookkeeping materialises
-are pure redundancy: the whole population history can be captured once, as a
-**population epoch counter** plus an append-only membership event log, and
-each peer's candidate state collapses to two scalars -- the epoch at its
-last installed selection and a needs-full flag.  This module holds that
-representation:
+so materialising it per peer would be pure redundancy: the whole population
+history can be captured once, as a **population epoch counter** plus an
+append-only membership event log, and each peer's candidate state collapses
+to two scalars -- the epoch at its last installed selection and a needs-full
+flag.  This module holds that representation:
 
-* :class:`DenseIdMap` -- the overlay-owned ``peer id -> row`` map.  Rows are
-  dense array indices, never recycled (a rejoin of a departed id reuses its
-  row), so every per-peer quantity anywhere in the engine can live in a flat
-  numpy column indexed by row.
-* :class:`ColumnarCandidateState` -- the full-knowledge implementation of
-  the :class:`~repro.overlay.incremental.CandidateView` contract.  Membership
-  notifications are O(1) array writes plus one event-log append; a peer's
-  candidate delta since its stamp is resolved lazily from the log window in
-  O(events in window), shared across every peer with the same stamp; the
-  per-round dirty scan is a single vectorised mask over the row columns,
-  and :meth:`~ColumnarCandidateState.plan_round` collapses the whole
-  schedule-and-classify step into verdict mask columns (one shared gained
-  window per stamp group) so a round costs numpy passes plus O(changes)
-  Python, never a per-peer loop.
+* :class:`DenseIdMap` -- the ``peer id -> row`` map the candidate state owns.
+  Rows are dense array indices, never recycled (a rejoin of a departed id
+  reuses its row), so every per-peer quantity can live in a flat numpy
+  column indexed by row.
+* :class:`ColumnarCandidateState` -- the full-knowledge
+  :class:`~repro.overlay.incremental.CandidateView`, built from the
+  overlay's alive peers when the engine adopts it.  Membership
+  notifications are O(1) array writes plus one event-log append; the
+  candidate delta since a stamp is resolved lazily from the log window in
+  O(events in window), once for every peer carrying that stamp; and
+  :meth:`~ColumnarCandidateState.plan_round` -- the view's whole round
+  protocol -- collapses schedule-and-classify into verdict mask columns (one
+  vectorised dirty scan, one shared gained window per stamp group), so a
+  round costs numpy passes plus O(changes) Python, never a per-peer loop.
   Nothing ever materialises an O(N) id set on the per-event path
   (mechanically enforced: the notification methods carry
   :func:`~repro.contracts.hot_path` and reprolint rule RPL005 rejects
   population materialisation inside the hot region).
 
-Equivalence with the explicit representation
---------------------------------------------
-
-The event-log delta rule reproduces the dict engine's pending gain/loss
-accumulators, with one deliberate widening: a leave followed by a rejoin of
-the same id inside one window yields the id in *both* ``gained`` and
-``lost`` (the explicit path yields it only in ``gained``).  Both classify to
-the same verdict -- the rejoined id is never in the peer's installed
-selection (its selectors were forced onto the full-recompute path at the
-departure), so the extra ``lost`` entry cannot trigger the full path -- and
-the widened delta is what keeps a rejoin *with different coordinates*
-correct without per-peer pending sets.  The property suites in
-``tests/overlay`` assert both representations install byte-identical fixed
-points over whole churn scripts.
+A leave followed by a rejoin of the same id inside one window yields the id
+in *both* ``gained`` and ``lost``, like a move: the rejoined id is never in a
+stamped peer's installed selection (its selectors were forced onto the
+full-recompute path at the departure), so the ``lost`` entry cannot trigger
+the full path, and the ``gained`` one is what keeps a rejoin *with different
+coordinates* correct without per-peer pending sets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 import numpy as np
 
 from repro.contracts import hot_path
 from repro.overlay.incremental import CandidateView, RoundPlan, RoundWindow
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.overlay.network import OverlayNetwork
 
 __all__ = [
     "DenseIdMap",
@@ -73,14 +67,14 @@ def _grown(array: "np.ndarray", capacity: int, fill: object) -> "np.ndarray":
 
 
 class DenseIdMap:
-    """Dense ``peer id -> row`` map shared by the columnar engine components.
+    """Dense ``peer id -> row`` map under the columnar candidate state.
 
-    The overlay owns one instance and keeps the alive flags in lockstep with
-    its peer map; the candidate state hangs its own numpy columns off the
-    same row numbering (growing them lazily to :attr:`capacity`).  Rows are
-    never recycled: a departed id keeps its row and a rejoin reuses it,
-    which is what lets per-row state like the epoch stamps survive
-    membership churn without any compaction bookkeeping.
+    :class:`ColumnarCandidateState` owns one instance, keeps the alive flags
+    in lockstep with the membership notes it receives, and hangs its own
+    numpy columns off the same row numbering (growing them lazily to
+    :attr:`capacity`).  Rows are never recycled: a departed id keeps its row
+    and a rejoin reuses it, which is what lets per-row state like the epoch
+    stamps survive membership churn without any compaction bookkeeping.
     """
 
     def __init__(self) -> None:
@@ -105,24 +99,18 @@ class DenseIdMap:
         return int(self._alive[: self._row_count].sum())
 
     @hot_path
-    def ensure_row(self, peer_id: int) -> int:
-        """Row of ``peer_id``, allocating one (amortised O(1)) if unseen."""
-        row = self._row_of_id.get(peer_id)
-        if row is not None:
-            return row
-        row = self._row_count
-        if row == len(self._id_of_row):
-            self._id_of_row = _grown(self._id_of_row, 2 * row, 0)
-            self._alive = _grown(self._alive, 2 * row, False)
-        self._row_of_id[peer_id] = row
-        self._id_of_row[row] = peer_id
-        self._row_count = row + 1
-        return row
-
-    @hot_path
     def mark_alive(self, peer_id: int) -> int:
-        """Flag ``peer_id`` alive (allocating its row); returns the row."""
-        row = self.ensure_row(peer_id)
+        """Flag ``peer_id`` alive and return its row, allocating one
+        (amortised O(1)) for an id never seen before."""
+        row = self._row_of_id.get(peer_id)
+        if row is None:
+            row = self._row_count
+            if row == len(self._id_of_row):
+                self._id_of_row = _grown(self._id_of_row, 2 * row, 0)
+                self._alive = _grown(self._alive, 2 * row, False)
+            self._row_of_id[peer_id] = row
+            self._id_of_row[row] = peer_id
+            self._row_count = row + 1
         self._alive[row] = True
         return row
 
@@ -136,10 +124,6 @@ class DenseIdMap:
     def row_of(self, peer_id: int) -> int:
         """Row of a known id (:class:`KeyError` for ids never seen)."""
         return self._row_of_id[peer_id]
-
-    def id_at(self, row: int) -> int:
-        """Peer id stored at ``row`` (as a Python int)."""
-        return int(self._id_of_row[row])
 
     def ids_at(self, rows: "np.ndarray") -> "np.ndarray":
         """Peer ids at an array of rows (one vectorised gather)."""
@@ -181,20 +165,24 @@ class ColumnarCandidateState(CandidateView):
     The log is compacted after every round: entries below the minimum stamp
     of any tracked alive peer can never be consulted again and are dropped,
     so a converged overlay always carries an empty window.
+
+    Round protocol: :meth:`plan_round` -> the engine installs the plan's
+    cohorts -> :meth:`end_round`.
     """
 
-    def __init__(self, rows: DenseIdMap) -> None:
+    def __init__(self, overlay: "OverlayNetwork") -> None:
+        # Adopting the overlay's current state: a row per alive peer, no
+        # history (everyone is flagged needs-full, hence dirty).
+        rows = DenseIdMap()
+        for peer_id in overlay.peer_ids:
+            rows.mark_alive(peer_id)
         self._rows = rows
         self._base_epoch = 0
         self._events: List[Tuple[int, int]] = []
         self._stamps = np.full(rows.capacity, -1, dtype=np.int64)
         self._needs_full = np.ones(rows.capacity, dtype=bool)
-        #: stamp -> (gained, lost), valid for the current round only.
-        self._window_cache: Dict[int, Tuple[Set[int], Set[int]]] = {}
-        #: Rows scheduled by the open round: a Python list on the per-peer
-        #: protocol (``begin_round``), an int64 array on the vectorised one
-        #: (``plan_round``); ``end_round`` stamps either wholesale.
-        self._scheduled_rows: Union[List[int], "np.ndarray"] = []
+        #: Rows scheduled by the open round; ``end_round`` stamps them.
+        self._scheduled_rows = np.zeros(0, dtype=np.int64)
 
     @property
     def epoch(self) -> int:
@@ -202,7 +190,7 @@ class ColumnarCandidateState(CandidateView):
         return self._base_epoch + len(self._events)
 
     def _sync(self) -> None:
-        """Grow the per-row columns to the shared map's capacity."""
+        """Grow the per-row columns to the row map's capacity."""
         capacity = self._rows.capacity
         if len(self._stamps) < capacity:
             self._stamps = _grown(self._stamps, capacity, -1)
@@ -213,24 +201,20 @@ class ColumnarCandidateState(CandidateView):
     # ------------------------------------------------------------------
     @hot_path
     def note_join(self, peer_id: int) -> None:
-        """O(1): flag the joiner for a full recompute, bump the epoch."""
-        row = self._rows.ensure_row(peer_id)
+        """O(1): flag the joiner alive and for a full recompute, bump the epoch."""
+        row = self._rows.mark_alive(peer_id)
         self._sync()
         self._needs_full[row] = True
         self._events.append((_JOIN, peer_id))
-        self._window_cache.clear()
 
     @hot_path
     def note_leave(self, peer_id: int, selector_ids: Iterable[int]) -> None:
         """O(selectors): force selectors onto the full path, bump the epoch."""
         rows = self._rows
-        row = rows.ensure_row(peer_id)
-        self._sync()
-        self._needs_full[row] = True
+        self._needs_full[rows.mark_dead(peer_id)] = True
         for selector in selector_ids:
-            self._needs_full[rows.ensure_row(selector)] = True
+            self._needs_full[rows.row_of(selector)] = True
         self._events.append((_LEAVE, peer_id))
-        self._window_cache.clear()
 
     @hot_path
     def note_move(self, peer_id: int) -> None:
@@ -243,14 +227,8 @@ class ColumnarCandidateState(CandidateView):
         (lost ∩ installed) and re-offers the new coordinates to everyone
         else additively.
         """
-        row = self._rows.ensure_row(peer_id)
-        self._sync()
-        self._needs_full[row] = True
+        self._needs_full[self._rows.row_of(peer_id)] = True
         self._events.append((_MOVE, peer_id))
-        self._window_cache.clear()
-
-    def forget(self, peer_id: int) -> None:
-        """No-op: columnar bookkeeping is row-keyed and alive-gated."""
 
     # ------------------------------------------------------------------
     # Rounds
@@ -258,7 +236,6 @@ class ColumnarCandidateState(CandidateView):
     def _dirty_row_array(self) -> "np.ndarray":
         """The alive-and-stale rows, as one vectorised mask pass."""
         self._sync()
-        self._window_cache.clear()
         count = self._rows.row_count
         if count == 0:
             return np.zeros(0, dtype=np.int64)
@@ -266,43 +243,37 @@ class ColumnarCandidateState(CandidateView):
         stale = self._needs_full[:count] | (self._stamps[:count] != self.epoch)
         return np.flatnonzero(alive & stale)
 
-    def begin_round(self) -> List[int]:
-        """Vectorised dirty scan; returns the sorted alive dirty ids."""
-        dirty_rows = self._dirty_row_array()
-        self._scheduled_rows = [int(row) for row in dirty_rows]
-        schedule = [self._rows.id_at(row) for row in self._scheduled_rows]
-        schedule.sort()
-        return schedule
-
     @hot_path
     def plan_round(
         self,
         selectors_of: Mapping[int, Set[int]],
         path_independent: bool,
-    ) -> Optional[RoundPlan]:
+    ) -> RoundPlan:
         """Schedule and classify one round as verdict columns.
 
-        The vectorised round protocol (see
-        :meth:`repro.overlay.incremental.CandidateView.plan_round`): the
-        dirty scan, the per-peer history test and the whole
-        :func:`~repro.overlay.incremental.classify_reselect` decision table
-        collapse into numpy mask algebra over the scheduled rows.  Python
-        touches only change-sized structures -- the distinct stamp values
-        (one per converge generation still tracked, typically one), each
-        window's gained/lost id sets, and the selectors of each lost id
-        (how ``lost & installed_selection`` is resolved without per-peer
-        intersections) -- so the plan costs O(dirty rows) in numpy plus
-        O(changes) in Python, never O(alive) Python iteration.
+        ``selectors_of`` is the overlay's reverse selector index (``target
+        id -> ids whose installed selection contains it``), which is how the
+        ``lost & installed_selection`` term of
+        :func:`~repro.overlay.incremental.classify_reselect` is resolved in
+        O(changes) instead of per-peer set intersections.  The dirty scan,
+        the per-peer history test and the whole decision table collapse into
+        numpy mask algebra over the scheduled rows.  Python touches only
+        change-sized structures -- the distinct stamp values (one per
+        converge generation still tracked, typically one), each window's
+        gained/lost id sets, and the selectors of each lost id -- so the
+        plan costs O(dirty rows) in numpy plus O(changes) in Python, never
+        O(alive) Python iteration.  A returned plan opens the round;
+        ``end_round`` closes it.
 
-        Verdict equivalence with the per-peer loop, stamp group by stamp
-        group: rows flagged needs-full have no history -> ``full``; an
-        empty window -> ``skip``; a non-path-independent method -> ``full``;
-        otherwise members whose installed selection intersects the lost set
-        (exactly the scheduled selectors of lost ids) -> ``full``, the rest
-        -> ``additive`` when the window gained and ``skip`` when it only
-        lost.  The one per-peer subtlety -- ``delta()`` defensively drops a
-        peer from its own window, a case the representation provably never
-        produces -- is preserved by falling back (``None``) if it ever did.
+        The table, stamp group by stamp group: rows flagged needs-full have
+        no history -> ``full``; an empty window -> ``skip``; a
+        non-path-independent method -> ``full``; otherwise members whose
+        installed selection intersects the lost set (exactly the scheduled
+        selectors of lost ids) -> ``full``, the rest -> ``additive`` when
+        the window gained and ``skip`` when it only lost.  A stamped peer
+        never appears in its own window -- any event naming a peer also
+        sets its needs-full flag (join, move) or clears its alive flag
+        (leave) -- and a state that breaks this is an error, not a verdict.
         """
         scheduled_rows = self._dirty_row_array()
         self._scheduled_rows = scheduled_rows
@@ -324,10 +295,10 @@ class ColumnarCandidateState(CandidateView):
                 for window_id in gained | lost:
                     position = int(position_of_row[rows_map.row_of(window_id)])
                     if position >= 0 and member_mask[position]:
-                        # A peer inside its own window: documented-impossible
-                        # (see delta()); keep the per-peer path's defensive
-                        # semantics by handing the round back to it.
-                        return None
+                        raise RuntimeError(
+                            f"peer {window_id} is scheduled with history at stamp "
+                            f"{int(stamp)} but is named by an event in its own window"
+                        )
                 if not gained and not lost:
                     skip_mask |= member_mask
                     continue
@@ -362,20 +333,6 @@ class ColumnarCandidateState(CandidateView):
             windows=tuple(windows),
         )
 
-    def delta(self, peer_id: int) -> Tuple[bool, Set[int], Set[int]]:
-        """``(has history, gained, lost)`` for one scheduled peer."""
-        row = self._rows.row_of(peer_id)
-        if self._needs_full[row]:
-            return False, set(), set()
-        gained, lost = self._delta_since(int(self._stamps[row]))
-        if peer_id in gained or peer_id in lost:
-            # Defensive only: any event naming the peer itself also sets its
-            # needs-full flag (join, move) or its alive flag (leave), so a
-            # stamped scheduled peer never appears in its own window.
-            gained = gained - {peer_id}
-            lost = lost - {peer_id}
-        return True, gained, lost
-
     def _delta_since(self, stamp: int) -> Tuple[Set[int], Set[int]]:
         """Net candidate delta over the log window since ``stamp``.
 
@@ -383,12 +340,8 @@ class ColumnarCandidateState(CandidateView):
         flag: an id whose window flips are odd changed state, an id with an
         even (non-zero) flip count departed and rejoined -- same id,
         possibly a new identity, hence both gained and lost -- and a moved
-        id that stayed alive throughout is likewise both.  The result is
-        cached per distinct stamp and shared by every peer carrying it.
+        id that stayed alive throughout is likewise both.
         """
-        cached = self._window_cache.get(stamp)
-        if cached is not None:
-            return cached
         rows = self._rows
         toggles: Dict[int, int] = {}
         moved: Set[int] = set()
@@ -413,9 +366,7 @@ class ColumnarCandidateState(CandidateView):
             if event_id not in toggles and rows.is_alive(event_id):
                 gained.add(event_id)
                 lost.add(event_id)
-        result = (gained, lost)
-        self._window_cache[stamp] = result
-        return result
+        return gained, lost
 
     def full_candidate_ids(self, peer_id: int) -> Set[int]:
         """Materialise one peer's candidates (scan-path full recomputes only)."""
@@ -423,19 +374,12 @@ class ColumnarCandidateState(CandidateView):
         ids.discard(peer_id)
         return ids
 
-    def commit(
-        self, peer_id: int, verdict: str, gained: Set[int], lost: Set[int]
-    ) -> None:
-        """No-op: every scheduled row is stamped wholesale in ``end_round``."""
-
     def end_round(self) -> None:
         """Stamp the scheduled rows to the current epoch; compact the log."""
-        if len(self._scheduled_rows):
-            scheduled = np.asarray(self._scheduled_rows, dtype=np.int64)
-            self._stamps[scheduled] = self.epoch
-            self._needs_full[scheduled] = False
-            self._scheduled_rows = []
-        self._window_cache.clear()
+        scheduled = self._scheduled_rows
+        self._stamps[scheduled] = self.epoch
+        self._needs_full[scheduled] = False
+        self._scheduled_rows = np.zeros(0, dtype=np.int64)
         self._compact_log()
 
     def _compact_log(self) -> None:
@@ -456,10 +400,4 @@ class ColumnarCandidateState(CandidateView):
     # ------------------------------------------------------------------
     def dirty_ids(self) -> FrozenSet[int]:
         """Alive peers whose candidate sets may have changed since stamping."""
-        self._sync()
-        count = self._rows.row_count
-        if count == 0:
-            return frozenset()
-        alive = self._rows.alive_mask()
-        stale = self._needs_full[:count] | (self._stamps[:count] != self.epoch)
-        return frozenset(self._rows.id_at(int(row)) for row in np.flatnonzero(alive & stale))
+        return frozenset(self._rows.ids_at(self._dirty_row_array()).tolist())

@@ -54,11 +54,11 @@ window is as *symmetric* as the knowledge it differences (``x`` gained by
 :meth:`MaintainedKnowledgeSets.known_at_last_drain` answer "who knew ``P`` a
 window ago" from ``P``'s own entry.
 
-A bounded radius makes every ``I(P)`` a genuinely *explicit* per-peer set,
-which is why gossip-limited overlays always run the incremental engine on
-``repro.overlay.incremental.RadiusCandidateState``: the implicit columnar
-representation (``repro.overlay.columnar``) can only express the
-full-knowledge "everyone alive but me" shape.
+A bounded radius makes every ``I(P)`` a genuinely per-peer set, which is why
+gossip-limited overlays run the incremental engine on
+``repro.overlay.incremental.RadiusCandidateState``, the view that reads this
+window; full knowledge, where ``I(P)`` is "everyone alive but me", has its
+own (``repro.overlay.columnar``).
 """
 
 from __future__ import annotations

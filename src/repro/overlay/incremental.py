@@ -27,26 +27,27 @@ full synchronous sweep would; by induction the incremental path follows the
 full-sweep trajectory round for round and terminates in the identical fixed
 point (the cross-check property tests exercise exactly this).
 
-*How* that state is represented lives behind the :class:`CandidateView`
-contract.  Under full knowledge two interchangeable implementations exist:
+*How* that state is represented follows the knowledge regime, and
+``overlay.gossip_radius`` alone picks it.  Each regime has one view, each
+view speaks one round protocol, and :class:`CandidateView` is what the
+engine asks of either:
 
-* the **implicit columnar representation**
-  (:class:`repro.overlay.columnar.ColumnarCandidateState`, the default):
-  ``I(P)`` is "everyone alive but ``P``", so the engine stores a population
-  epoch counter plus per-row epoch stamps and needs-full flags in dense
-  numpy columns, and resolves candidate deltas lazily from a membership
-  event log in O(changes) -- no O(N) id set is ever materialised on the
-  per-event path, and ``note_join``/``note_leave`` are O(1)/O(selectors)
-  array writes;
-* the **explicit representation** (:class:`ExplicitCandidateState`,
-  ``columnar=False``, for cross-checks and baselines): per-peer
-  ``last_candidates`` frozensets with pending gain/loss accumulators.
+* **full knowledge** --
+  :class:`repro.overlay.columnar.ColumnarCandidateState`: ``I(P)`` is
+  "everyone alive but ``P``", so the view keeps a population epoch counter
+  plus per-row epoch stamps and needs-full flags in dense numpy columns
+  over a ``peer id -> row`` map it builds when the engine adopts the
+  overlay.  Membership notes are O(1) / O(selectors) array writes; a round
+  is one ``plan_round()`` call that schedules *and* classifies it as
+  verdict columns (:class:`RoundPlan`), installed cohort by cohort;
+* **a gossip radius** -- :class:`RadiusCandidateState` (next section):
+  ``begin_round()`` schedules, the engine classifies peer by peer from
+  ``delta(P)`` and commits each planned peer after the batched install.
 
-Both feed the same :func:`classify_reselect` rule with identical candidate
-deltas (up to a documented widening for leave-then-rejoin windows that
-provably classifies the same), so fixed points -- and whole convergence
-trajectories -- are byte-identical across them; the hypothesis suites in
-``tests/overlay`` assert this.
+Both apply the :func:`classify_reselect` decision table.  Neither is the
+other's reference: the oracles are the synchronous sweep,
+``OverlayNetwork.build_equilibrium`` and the ``brute_force_*`` geometry,
+which the suites in ``tests/`` hold both views to.
 
 Dirtiness is seeded by membership events (the joined peer, departed peers'
 selectors, a moved peer and the peers that held it as a candidate) and
@@ -63,8 +64,8 @@ when ``T`` enters or leaves ``P``'s selection while ``T`` does not select
 ``P``; a departure withdraws every edge of the departed peer from the
 maintained adjacency itself).  ``MaintainedKnowledgeSets`` turns each flip
 into support-count bumps and nets what they did to every ``I(P)`` in its
-*net-delta window* (its module states both rules).  The third view,
-:class:`RadiusCandidateState`, consumes exactly that and keeps nothing per
+*net-delta window* (its module states both rules).
+:class:`RadiusCandidateState` consumes exactly that and keeps nothing per
 peer but a has-history flag: ``begin_round()`` drains the window and
 schedules the peers it names, ``delta(P)`` *is* ``P``'s entry (exact --
 see :meth:`RadiusCandidateState.delta`), ``known(P)`` is read in place, for
@@ -159,7 +160,6 @@ __all__ = [
     "RESELECT_ADDITIVE",
     "classify_reselect",
     "CandidateView",
-    "ExplicitCandidateState",
     "IncrementalReselectionEngine",
     "OverlayDelta",
     "OverlayDeltaRecorder",
@@ -306,14 +306,15 @@ class RoundWindow:
 class RoundPlan:
     """A whole convergence round, classified as columns over dense rows.
 
-    Produced by :meth:`CandidateView.plan_round` on views that support the
-    vectorised round protocol: ``scheduled_rows`` are the dirty
+    Produced by
+    :meth:`repro.overlay.columnar.ColumnarCandidateState.plan_round`:
+    ``scheduled_rows`` are the dirty
     :class:`~repro.overlay.columnar.DenseIdMap` rows (in row order),
     ``scheduled_ids`` the aligned peer ids, and the three verdict masks
-    partition the scheduled positions exactly as the per-peer
-    :func:`classify_reselect` loop would (``full | skip | additive``, mutually
-    disjoint).  Additive positions are grouped into :class:`RoundWindow`
-    cohorts sharing one gained set each.
+    partition the scheduled positions by the :func:`classify_reselect`
+    decision table (``full | skip | additive``, mutually disjoint).
+    Additive positions are grouped into :class:`RoundWindow` cohorts sharing
+    one gained set each.
     """
 
     scheduled_rows: "np.ndarray"
@@ -331,39 +332,18 @@ _HAS_HISTORY: FrozenSet[int] = frozenset()
 
 
 class CandidateView:
-    """Representation contract for the engine's candidate bookkeeping.
+    """What the engine asks of either candidate view.
 
     A view owns everything the engine knows about candidate sets -- per-peer
-    history, dirtiness, pending deltas -- behind a representation-neutral
-    surface, so the engine's orchestration (classification, batched
-    selection, installs) is written once.  Under full knowledge two
-    implementations exist: the implicit columnar one
-    (:class:`repro.overlay.columnar.ColumnarCandidateState`, the default)
-    and the explicit dict-backed one (:class:`ExplicitCandidateState`);
-    under a gossip radius, :class:`RadiusCandidateState` alone.
-
-    The contract the two interchangeable ones must satisfy: for every
-    scheduled peer, :meth:`delta` must return a ``(has_history, gained, lost)`` triple such
-    that :func:`classify_reselect` reaches a verdict installing the same
-    selection the other representation would install -- the deltas may
-    differ in documented, verdict-equivalent ways (see
-    :mod:`repro.overlay.columnar`), the installed topologies may not.
-
-    Round protocol: ``begin_round`` -> engine classifies via ``delta`` and
-    ``forget`` -> engine installs, materialising scan-path candidate sets
-    via ``full_candidate_ids`` -> ``commit`` per planned peer ->
-    ``end_round``.  Membership notifications (``note_join`` / ``note_leave``
-    / ``note_move``) arrive between rounds, never inside one;
+    history, dirtiness, pending deltas -- for one knowledge regime:
+    :class:`repro.overlay.columnar.ColumnarCandidateState` under full
+    knowledge, :class:`RadiusCandidateState` under a gossip radius.  How a
+    round is scheduled and classified is each view's own protocol (see the
+    two classes); this is the part the engine drives without knowing which
+    regime it is in.  Membership notifications (``note_join`` /
+    ``note_leave`` / ``note_move``) arrive between rounds, never inside one;
     ``note_edge_flip`` also arrives from a round's own installs, after
     every read of that round.
-
-    Views may additionally support the *vectorised* round protocol by
-    overriding :meth:`plan_round`: one call replaces ``begin_round`` + the
-    per-peer ``delta``/classify loop, returning verdict columns instead of
-    per-peer triples.  A vectorised round still closes with ``end_round``,
-    but ``commit`` is never invoked on it -- a view that returns plans must
-    fold its round history wholesale in ``end_round`` (the columnar view
-    already does; its ``commit`` is a no-op for exactly this reason).
     """
 
     def note_join(self, peer_id: int) -> None:
@@ -385,45 +365,9 @@ class CandidateView:
         sets do not depend on the topology, so the default ignores it.
         """
 
-    def begin_round(self) -> List[int]:
-        """Start a round; return the sorted ids scheduled for classification."""
-        raise NotImplementedError
-
-    def plan_round(
-        self,
-        selectors_of: Mapping[int, Set[int]],
-        path_independent: bool,
-    ) -> Optional[RoundPlan]:
-        """Start a round *and* classify it in vectorised column form.
-
-        ``selectors_of`` is the overlay's reverse selector index (``target
-        id -> ids whose installed selection contains it``), which is how a
-        plan resolves the ``lost & installed_selection`` term of
-        :func:`classify_reselect` in O(changes) instead of per-peer set
-        intersections.  Returns ``None`` (the default) when the view keeps
-        the per-peer protocol -- the engine then falls back to
-        ``begin_round``/``delta``/``commit`` -- or a :class:`RoundPlan`
-        whose verdict columns the engine installs directly.  A returned
-        plan, even an empty one, claims the round: the engine will close a
-        non-empty plan with ``end_round`` and never call ``commit``.
-        """
-        return None
-
-    def delta(self, peer_id: int) -> Tuple[bool, Set[int], Set[int]]:
-        """``(has_history, gained, lost)`` for one scheduled peer."""
-        raise NotImplementedError
-
     def full_candidate_ids(self, peer_id: int) -> AbstractSet[int]:
         """One peer's current candidate ids (scan path only; may be a live
         view, so the round consumes it before its installs)."""
-        raise NotImplementedError
-
-    def commit(self, peer_id: int, verdict: str, gained: Set[int], lost: Set[int]) -> None:
-        """Record that the peer's selection is now consistent with ``I(P)``."""
-        raise NotImplementedError
-
-    def forget(self, peer_id: int) -> None:
-        """Drop bookkeeping for a scheduled id that left the overlay."""
         raise NotImplementedError
 
     def end_round(self) -> None:
@@ -435,133 +379,6 @@ class CandidateView:
         raise NotImplementedError
 
 
-class ExplicitCandidateState(CandidateView):
-    """Explicit dict/frozenset candidate bookkeeping (full knowledge only).
-
-    Keeps a materialised ``last_candidates`` frozenset per peer plus pending
-    gain/loss id accumulators.  Full-knowledge overlays built with
-    ``columnar=False`` use it (the benchmark baselines, and the property
-    suites cross-checking the columnar path).  Its per-event cost is O(N) --
-    ``note_join``/``note_leave`` walk every tracked peer -- which is exactly
-    what the columnar view exists to avoid.
-    """
-
-    def __init__(self, overlay: "OverlayNetwork") -> None:
-        self._overlay = overlay
-        # I(P) at each peer's last installed selection; None forces a full
-        # recomputation for that peer.  Adopting the overlay's current
-        # state: everything dirty, no history.
-        self._last_candidates: Dict[int, Optional[FrozenSet[int]]] = dict.fromkeys(
-            overlay.peer_ids
-        )
-        # Membership deltas accumulated since each peer's last selection
-        # (ids only, so a join costs O(N) set adds).
-        self._pending_gain: Dict[int, Set[int]] = {}
-        self._pending_loss: Dict[int, Set[int]] = {}
-        self._dirty: Set[int] = set(self._last_candidates)
-
-    # ------------------------------------------------------------------
-    # Membership notifications
-    # ------------------------------------------------------------------
-    def note_join(self, peer_id: int) -> None:
-        self._last_candidates[peer_id] = None
-        self._dirty.add(peer_id)
-        # reprolint: disable=RPL005 reason=the explicit view is the O(N)-per-event baseline arm by design; the columnar view is the O(changes) one
-        for other in self._overlay._peers:  # noqa: SLF001 - view is a friend class
-            if other == peer_id:
-                continue
-            self._dirty.add(other)
-            if self._last_candidates.get(other) is None:
-                continue
-            # A re-join of a previously departed id supersedes its loss.
-            self._pending_loss.setdefault(other, set()).discard(peer_id)
-            self._pending_gain.setdefault(other, set()).add(peer_id)
-
-    def note_leave(self, peer_id: int, selector_ids: Iterable[int]) -> None:
-        """Selectors' installed neighbour sets were just mutated (the
-        departed id was stripped), so no selection consistent with any
-        candidate set exists for them any more: they are forced onto the
-        full-recompute path.  Everyone else merely lost a candidate it had
-        not selected."""
-        self.forget(peer_id)
-        for selector in selector_ids:
-            self._last_candidates[selector] = None
-            self._dirty.add(selector)
-        # reprolint: disable=RPL005 reason=the explicit view is the O(N)-per-event baseline arm by design; the columnar view is the O(changes) one
-        for other in self._overlay._peers:  # noqa: SLF001
-            if self._last_candidates.get(other) is None:
-                self._dirty.add(other)
-                continue
-            self._pending_gain.setdefault(other, set()).discard(peer_id)
-            if peer_id in self._last_candidates[other]:
-                self._pending_loss.setdefault(other, set()).add(peer_id)
-                self._dirty.add(other)
-
-    def note_move(self, peer_id: int) -> None:
-        """The mover needs a full recompute; everyone that tracked it sees
-        the id in both ``gained`` and ``lost``, which forces its selectors
-        onto the full path (lost ∩ installed) and re-offers the refreshed
-        :class:`~repro.overlay.peer.PeerInfo` additively to the rest (infos
-        are resolved from the live peer map at install time)."""
-        self._last_candidates[peer_id] = None
-        self._dirty.add(peer_id)
-        # reprolint: disable=RPL005 reason=the explicit view is the O(N)-per-event baseline arm by design; the columnar view is the O(changes) one
-        for other in self._overlay._peers:  # noqa: SLF001
-            if other == peer_id:
-                continue
-            last = self._last_candidates.get(other)
-            if last is None:
-                self._dirty.add(other)
-                continue
-            if peer_id in last:
-                self._pending_gain.setdefault(other, set()).add(peer_id)
-                self._pending_loss.setdefault(other, set()).add(peer_id)
-                self._dirty.add(other)
-
-    def forget(self, peer_id: int) -> None:
-        self._last_candidates.pop(peer_id, None)
-        self._pending_gain.pop(peer_id, None)
-        self._pending_loss.pop(peer_id, None)
-        self._dirty.discard(peer_id)
-
-    # ------------------------------------------------------------------
-    # Rounds
-    # ------------------------------------------------------------------
-    def begin_round(self) -> List[int]:
-        return sorted(self._dirty)
-
-    def delta(self, peer_id: int) -> Tuple[bool, Set[int], Set[int]]:
-        if self._last_candidates.get(peer_id) is None:
-            return False, set(), set()
-        members = self._overlay._peers  # noqa: SLF001
-        gained = {g for g in self._pending_gain.get(peer_id, ()) if g in members}
-        lost = set(self._pending_loss.get(peer_id, ()))
-        return True, gained, lost
-
-    def full_candidate_ids(self, peer_id: int) -> Set[int]:
-        current_ids = set(self._overlay._peers)  # noqa: SLF001
-        current_ids.discard(peer_id)
-        return current_ids
-
-    def commit(self, peer_id: int, verdict: str, gained: Set[int], lost: Set[int]) -> None:
-        if verdict == RESELECT_FULL:
-            self._last_candidates[peer_id] = frozenset(self.full_candidate_ids(peer_id))
-        else:
-            last = self._last_candidates[peer_id]
-            assert last is not None  # non-FULL verdicts imply history
-            # (last - lost) | gained, in this order: an id in both sets (a
-            # move, a leave-then-rejoin) must survive in the new history.
-            self._last_candidates[peer_id] = frozenset((last - lost) | gained)
-        self._pending_gain.pop(peer_id, None)
-        self._pending_loss.pop(peer_id, None)
-
-    def end_round(self) -> None:
-        self._dirty.clear()
-
-    def dirty_ids(self) -> FrozenSet[int]:
-        return frozenset(self._dirty)
-
-
 class RadiusCandidateState(CandidateView):
     """Candidate bookkeeping under a gossip radius: the window *is* the delta.
 
@@ -570,6 +387,11 @@ class RadiusCandidateState(CandidateView):
     live topology here, kept exact from the edge flips the overlay reports),
     so this view stores no candidate ids: a has-history flag per peer, and
     per round the net-delta window ``begin_round`` drained.
+
+    Round protocol (per peer): ``begin_round`` -> the engine classifies each
+    scheduled peer from ``delta`` (``forget`` for ids that left) -> it
+    installs, reading FULL verdicts' candidates through
+    ``full_candidate_ids`` -> ``commit`` per planned peer -> ``end_round``.
     """
 
     def __init__(self, overlay: "OverlayNetwork") -> None:
@@ -644,7 +466,8 @@ class RadiusCandidateState(CandidateView):
         edges are reported as flips like any other)."""
         return self._knowledge.known(peer_id)
 
-    def commit(self, peer_id: int, verdict: str, gained: Set[int], lost: Set[int]) -> None:
+    def commit(self, peer_id: int) -> None:
+        """The peer's installed selection is now consistent with ``known(P)``."""
         self._history.add(peer_id)
 
     def end_round(self) -> None:
@@ -666,38 +489,26 @@ class IncrementalReselectionEngine:
     convergence starts from an all-dirty state -- one batched full round --
     and is incremental from there on.
 
-    Candidate bookkeeping lives behind the :class:`CandidateView` contract.
-    A full-knowledge overlay that owns a dense id map (the default) gets the
-    implicit columnar representation -- per-event notifications are O(1)
-    array writes; see :mod:`repro.overlay.columnar` -- while one built with
-    ``columnar=False`` falls back to :class:`ExplicitCandidateState`, and
-    a gossip-limited overlay gets :class:`RadiusCandidateState`, which
-    reads its deltas from the maintained knowledge sets.  All feed the
-    shared :func:`classify_reselect` rule and install what a full sweep
-    would, so the representation choice is invisible above this class.
+    Candidate bookkeeping lives in one of two views, picked by
+    ``overlay.gossip_radius`` when the engine adopts the overlay (and by
+    nothing else): :class:`repro.overlay.columnar.ColumnarCandidateState`
+    under full knowledge, :class:`RadiusCandidateState` under a radius.
+    Both are built from the overlay's current peers, all dirty; both feed
+    the :func:`classify_reselect` rule and install what a full sweep would.
     """
 
-    def __init__(
-        self, overlay: "OverlayNetwork", *, vectorised: Optional[bool] = None
-    ) -> None:
+    def __init__(self, overlay: "OverlayNetwork") -> None:
         # Imported here: repro.overlay.columnar subclasses this module's
         # CandidateView, so the dependency must stay one-directional at
         # import time.
         from repro.overlay.columnar import ColumnarCandidateState
 
         self._overlay = overlay
-        id_rows = overlay.id_rows
-        self._view: CandidateView
-        if overlay.gossip_radius is not None:
-            self._view = RadiusCandidateState(overlay)
-        elif id_rows is not None:
-            self._view = ColumnarCandidateState(id_rows)
-        else:
-            self._view = ExplicitCandidateState(overlay)
-        # Vectorised rounds are on unless explicitly disabled; the flag only
-        # decides whether plan_round is *offered* -- views without a plan
-        # (explicit, radius) keep the per-peer protocol either way.
-        self._vectorised = vectorised is not False
+        self._view: CandidateView = (
+            ColumnarCandidateState(overlay)
+            if overlay.gossip_radius is None
+            else RadiusCandidateState(overlay)
+        )
 
     # ------------------------------------------------------------------
     # Introspection (used by tests)
@@ -743,52 +554,45 @@ class IncrementalReselectionEngine:
 
         This wrapper is the *deliberately O(N)* sweep entry: building the
         schedule costs one pass over the population (a vectorised mask over
-        the row columns in the columnar view, a sort of the dirty set in
-        the others), which is the right trade for a synchronous round.
+        the row columns under full knowledge, a sort of the dirty set under
+        a radius), which is the right trade for a synchronous round.
 
-        Two protocols sit below it.  The vectorised one (the default on
-        views that support it, i.e. the columnar representation): one
-        :meth:`CandidateView.plan_round` call schedules *and* classifies
-        the round as numpy verdict columns, and :meth:`_install_plan`
-        resolves it through the selection family's cohort entry
+        Under full knowledge one ``plan_round`` call schedules *and*
+        classifies the round as numpy verdict columns, and
+        :meth:`_install_plan` resolves it through the selection family's
+        cohort entry
         (:meth:`~repro.overlay.selection.base.NeighbourSelectionMethod.install_many`)
-        -- the O(N) sweep is numpy passes, every Python loop is O(dirty
-        ids + changes).  The per-peer one (the explicit and radius views,
-        and the ``vectorised_rounds=False`` baseline arm): the O(dirty + changes)
-        classification core :meth:`_plan_round` -- the hot-path half --
-        followed by a batched install phase that only touches planned
-        peers.  Both install byte-identical selections (property-tested on
-        every representation arm).
+        -- the O(N) sweep is numpy passes, every Python loop is O(dirty ids
+        + changes).  Under a radius the O(dirty + changes) classification
+        core :meth:`_plan_round` -- the hot-path half -- is followed by a
+        batched install phase that only touches planned peers.
         """
-        if self._vectorised:
-            plan = self._view.plan_round(
+        view = self._view
+        if self._overlay.gossip_radius is None:
+            plan = view.plan_round(
                 self._overlay._selectors_of,  # noqa: SLF001 - friend class
                 self._overlay.selection.path_independent,
             )
-            if plan is not None:
-                if plan.scheduled_rows.size == 0:
-                    return False
-                changed = self._install_plan(plan)
-                self._view.end_round()
-                return changed
-        schedule = self._view.begin_round()
-        if not schedule:
-            return False
-        entries = self._plan_round(schedule)
-        changed = self._install_round(entries)
-        self._view.end_round()
+            if plan.scheduled_rows.size == 0:
+                return False
+            changed = self._install_plan(plan)
+        else:
+            schedule = view.begin_round()
+            if not schedule:
+                return False
+            changed = self._install_round(self._plan_round(schedule))
+        view.end_round()
         return changed
 
     @hot_path
     def _plan_round(self, schedule: List[int]) -> List[_PlanEntry]:
-        """Classify every scheduled peer: O(dirty + changes), no id sets.
+        """Classify every scheduled peer of a bounded-radius round.
 
-        Resolves each scheduled peer's candidate delta through the view and
-        runs :func:`classify_reselect` on it; all population-sized work
-        (candidate materialisation for scan-path full recomputes, the
-        selections themselves) is deferred to the install phase, so this
-        core stays within the hot-path complexity contract whichever
-        representation is active.
+        O(dirty + changes), no id sets: resolves each scheduled peer's
+        candidate delta through the radius view and runs
+        :func:`classify_reselect` on it; reading ``known(P)`` for full
+        recomputes and the selections themselves are deferred to the install
+        phase, so this core stays within the hot-path complexity contract.
         """
         overlay = self._overlay
         members = overlay._peers  # noqa: SLF001 - engine is a friend class
@@ -812,26 +616,15 @@ class IncrementalReselectionEngine:
         return plan
 
     def _install_round(self, plan: List[_PlanEntry]) -> bool:
-        """Run and install the planned selections; commit view history.
-
-        Under full knowledge with an owned index, full recomputations are
-        answered from the index: the O(N) candidate scan inside the
-        selection disappears.  (The index only exists when the population
-        is every peer's candidate set, so the two paths are byte-identical
-        by the selection methods' indexed-path contract.)  With the
-        columnar view active nothing here materialises an O(N) id set
-        either -- indexed full recomputes and additive updates never call
-        :meth:`CandidateView.full_candidate_ids` -- so the engine's whole
-        per-round cost beyond the selections is O(dirty + changes).
-        """
+        """Run and install a bounded-radius round's planned selections, then
+        commit the radius view's history.  Every selection scans its own
+        candidate set: a shared index cannot answer per-peer subsets."""
         overlay = self._overlay
         view = self._view
         members = overlay._peers  # noqa: SLF001
         neighbour_sets = overlay._neighbours  # noqa: SLF001
         selection = overlay.selection
-        index = overlay._selection_index()  # noqa: SLF001
         references: List[PeerInfo] = []
-        indexed_references: List[PeerInfo] = []
         # Ids throughout: the selection resolves the ones it needs (member_of).
         candidates_by_peer: Dict[int, AbstractSet[int]] = {}
         additive_updates: List[Tuple[PeerInfo, Set[int], Set[int]]] = []
@@ -840,11 +633,8 @@ class IncrementalReselectionEngine:
         for peer_id, verdict, gained, _lost in plan:
             if verdict == RESELECT_FULL:
                 # Full recomputation against the complete candidate set.
-                if index is not None:
-                    indexed_references.append(members[peer_id])
-                else:
-                    candidates_by_peer[peer_id] = view.full_candidate_ids(peer_id)
-                    references.append(members[peer_id])
+                candidates_by_peer[peer_id] = view.full_candidate_ids(peer_id)
+                references.append(members[peer_id])
             elif verdict == RESELECT_ADDITIVE:
                 # Gains only: path independence lets the previous selection
                 # stand in for the full previous candidate set.
@@ -868,24 +658,17 @@ class IncrementalReselectionEngine:
             results.update(
                 selection.select_many(references, candidates_by_peer, member_of=member_of)
             )
-        if indexed_references:
-            # The additive fallback above may have appended scan references
-            # with *reduced* candidate sets, so the indexed batch is kept
-            # separate: only full-candidate recomputations may consult the
-            # index.
-            results.update(selection.select_many(indexed_references, {}, index=index))
         if additive_results:
             results.update(additive_results)
         changed = overlay.install_selections(results)
-        for peer_id, verdict, gained, lost in plan:
-            view.commit(peer_id, verdict, gained, lost)
+        for peer_id, _verdict, _gained, _lost in plan:
+            view.commit(peer_id)
         return changed
 
     def _install_plan(self, plan: RoundPlan) -> bool:
-        """Resolve and install one vectorised round plan.
+        """Resolve and install one full-knowledge round plan.
 
-        The column counterpart of :meth:`_install_round`: the verdict masks
-        are gathered into one cohort-install call --
+        The verdict masks are gathered into one cohort-install call --
         :meth:`~repro.overlay.selection.base.NeighbourSelectionMethod.install_many`
         -- and the results land in ``OverlayNetwork._neighbours`` through
         the single :meth:`~repro.overlay.network.OverlayNetwork.install_selections`
@@ -893,8 +676,8 @@ class IncrementalReselectionEngine:
         Python work here is O(full verdicts + changed selections): additive
         cohorts stay implicit id arrays, so the (usually population-sized)
         additive cohort after an epoch costs numpy passes plus the changed
-        members only.  ``commit`` is never called on this path; the view
-        folds the round wholesale in ``end_round``.
+        members only.  The view folds the round's history wholesale in
+        ``end_round``.
         """
         overlay = self._overlay
         members = overlay._peers  # noqa: SLF001

@@ -53,7 +53,6 @@ from typing import (
 )
 
 from repro.geometry.index import SpatialIndex
-from repro.overlay.columnar import DenseIdMap
 from repro.overlay.gossip import knowledge_sets, peers_within_hops
 from repro.overlay.incremental import IncrementalReselectionEngine, OverlayDeltaRecorder
 from repro.overlay.peer import PeerInfo
@@ -171,27 +170,6 @@ class OverlayNetwork:
         the shared index cannot answer, so convergence always falls back to
         scans (the index, if forced on, is still maintained).  Pass
         ``False`` to pin the scan path (the benchmark baselines do).
-    columnar:
-        Whether the overlay owns a :class:`~repro.overlay.columnar.DenseIdMap`
-        and hands the incremental engine the columnar (implicit candidate
-        set) representation.  ``None`` (the default)
-        enables it exactly under full knowledge -- the representation's
-        validity condition, since only there is ``I(P)`` "everyone alive
-        but me".  Pass ``False`` to pin the explicit dict/frozenset
-        bookkeeping (the benchmark baselines and the cross-checking
-        property suites do); passing ``True`` with a ``gossip_radius`` is
-        a :class:`ValueError`.
-    vectorised_rounds:
-        Whether the incremental engine may drive convergence rounds through
-        the vectorised round protocol
-        (:meth:`~repro.overlay.incremental.CandidateView.plan_round` +
-        the selection family's cohort install entry).  ``None``/``True``
-        (the default) offers it -- only views that support it (the columnar
-        representation) actually take it, so the flag is inert on explicit
-        or gossip-limited overlays.  Pass ``False`` to pin the per-peer
-        classify/install loop: the baseline arm of the vectorised-round
-        benchmarks and equivalence suites, which install byte-identical
-        topologies either way.
     """
 
     def __init__(
@@ -200,18 +178,9 @@ class OverlayNetwork:
         *,
         gossip_radius: Optional[int] = None,
         use_index: Optional[bool] = None,
-        columnar: Optional[bool] = None,
-        vectorised_rounds: Optional[bool] = None,
     ) -> None:
         if gossip_radius is not None and gossip_radius < 1:
             raise ValueError("gossip_radius must be at least 1 when given")
-        if columnar is None:
-            columnar = gossip_radius is None
-        elif columnar and gossip_radius is not None:
-            raise ValueError(
-                "columnar candidate state is implicit full-knowledge state; "
-                "it cannot represent gossip-limited candidate subsets"
-            )
         self._selection = selection
         self._gossip_radius = gossip_radius
         if use_index is None:
@@ -220,12 +189,6 @@ class OverlayNetwork:
         # apply_batch / the bulk builders); convergence failures never touch
         # coordinates, so the index stays exact through them.
         self._index: Optional[SpatialIndex] = SpatialIndex() if use_index else None
-        # The dense id->row map the columnar engine state hangs its columns
-        # off; rows are never recycled, so a departed-then-rejoined id keeps
-        # its row and the columns stay aligned for the overlay's lifetime.
-        self._id_rows: Optional[DenseIdMap] = DenseIdMap() if columnar else None
-        # Threaded into every lazily created engine; see the class docstring.
-        self._vectorised_rounds = vectorised_rounds
         self._peers: Dict[int, PeerInfo] = {}
         self._neighbours: Dict[int, Set[int]] = {}
         # Reverse selector index: _selectors_of[target] is the set of peers
@@ -262,11 +225,6 @@ class OverlayNetwork:
         """The owned spatial index over alive peers (``None`` when disabled)."""
         return self._index
 
-    @property
-    def id_rows(self) -> Optional[DenseIdMap]:
-        """The shared dense id map (``None`` when the columnar path is off)."""
-        return self._id_rows
-
     def _selection_index(self) -> Optional[SpatialIndex]:
         """The index, when this overlay's selections may be answered from it.
 
@@ -295,7 +253,10 @@ class OverlayNetwork:
 
     def peer(self, peer_id: int) -> PeerInfo:
         """Metadata of one peer."""
-        return self._peers[peer_id]
+        try:
+            return self._peers[peer_id]
+        except KeyError:
+            raise KeyError(f"unknown peer {peer_id}") from None
 
     def peers(self) -> List[PeerInfo]:
         """Metadata of all peers, sorted by id."""
@@ -326,8 +287,6 @@ class OverlayNetwork:
                 raise KeyError(f"bootstrap peers {sorted(unknown)} are not in the overlay")
         self._peers[peer.peer_id] = peer
         self._neighbours[peer.peer_id] = set(bootstrap_ids)
-        if self._id_rows is not None:
-            self._id_rows.mark_alive(peer.peer_id)
         if self._index is not None:
             if len(self._peers) == 1 and self._index.dimension not in (
                 None,
@@ -359,8 +318,6 @@ class OverlayNetwork:
         except KeyError:
             raise KeyError(f"unknown peer {peer_id}") from None
         selected = self._neighbours.pop(peer_id, set())
-        if self._id_rows is not None:
-            self._id_rows.mark_dead(peer_id)
         if self._index is not None:
             self._index.remove(peer_id)
         # The reverse selector index answers "who selected the departed
@@ -535,11 +492,11 @@ class OverlayNetwork:
         each entry replaces one peer's directed selection, and every actual
         change routes through :meth:`notify_selection_change` -- so the
         delta-stream contract (RPL001) and the reverse selector index hold
-        per peer no matter how the batch was computed (per-peer loop,
-        vectorised cohort install, or a mix).  Entries equal to the
-        installed selection are skipped without notifying, matching the
-        per-peer install loops this replaces; peers absent from ``results``
-        are untouched.  Iteration is in ascending peer id for determinism.
+        per peer no matter how the batch was computed (the radius view's
+        per-peer plan or the full-knowledge cohort install).  Entries equal
+        to the installed selection are skipped without notifying; peers
+        absent from ``results`` are untouched.  Iteration is in ascending
+        peer id for determinism.
         """
         changed = False
         for peer_id in sorted(results):
@@ -688,9 +645,7 @@ class OverlayNetwork:
             raise ValueError("max_rounds must be at least 1")
         if incremental:
             if self._engine is None:
-                self._engine = IncrementalReselectionEngine(
-                    self, vectorised=self._vectorised_rounds
-                )
+                self._engine = IncrementalReselectionEngine(self)
             engine = self._engine
             for round_index in range(1, max_rounds + 1):
                 if not engine.run_round():
@@ -803,7 +758,6 @@ class OverlayNetwork:
         selection: NeighbourSelectionMethod,
         *,
         use_index: Optional[bool] = None,
-        columnar: Optional[bool] = None,
     ) -> "OverlayNetwork":
         """Full-knowledge equilibrium overlay for a fixed population.
 
@@ -816,9 +770,7 @@ class OverlayNetwork:
         :class:`ValueError` up front instead of crashing deep inside the
         vectorised equilibrium code.
         """
-        overlay = cls(
-            selection, gossip_radius=None, use_index=use_index, columnar=columnar
-        )
+        overlay = cls(selection, gossip_radius=None, use_index=use_index)
         dimension: Optional[int] = None
         for peer in peers:
             if peer.peer_id in overlay._peers:
@@ -828,8 +780,6 @@ class OverlayNetwork:
             else:
                 _validate_dimension(peer, dimension)
             overlay._peers[peer.peer_id] = peer
-            if overlay._id_rows is not None:
-                overlay._id_rows.mark_alive(peer.peer_id)
             if overlay._index is not None:
                 overlay._index.insert(peer.peer_id, peer.coordinates)
         equilibrium = selection.compute_equilibrium(peers)
@@ -850,8 +800,6 @@ class OverlayNetwork:
         rng: Optional[random.Random] = None,
         incremental: bool = True,
         use_index: Optional[bool] = None,
-        columnar: Optional[bool] = None,
-        vectorised_rounds: Optional[bool] = None,
     ) -> "OverlayNetwork":
         """Insert peers one at a time, converging after every insertion.
 
@@ -867,13 +815,7 @@ class OverlayNetwork:
         ``incremental=False`` to cross-check against full sweeps.
         """
         generator = rng if rng is not None else random.Random(0)
-        overlay = cls(
-            selection,
-            gossip_radius=gossip_radius,
-            use_index=use_index,
-            columnar=columnar,
-            vectorised_rounds=vectorised_rounds,
-        )
+        overlay = cls(selection, gossip_radius=gossip_radius, use_index=use_index)
         for peer in peers:
             if overlay.peer_count == 0:
                 overlay.add_peer(peer, bootstrap=())

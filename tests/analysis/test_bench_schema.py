@@ -25,9 +25,24 @@ def test_extra_keys_are_allowed():
 
 def test_missing_required_key_fails():
     record = dict(GOOD_RECORD)
-    del record["speedup_floor"]
+    del record["wall_seconds"]
     errors = validate_bench_record(record)
-    assert any("speedup_floor" in error for error in errors)
+    assert any("wall_seconds" in error for error in errors)
+
+
+def test_speedup_and_budget_are_optional_but_typed():
+    """A benchmark held to an absolute budget has no baseline arm to divide
+    by: its record omits ``speedup`` / ``speedup_floor`` (omits -- a ``null``
+    is malformed) and may carry ``wall_budget_seconds`` instead."""
+    single_arm = {
+        key: value for key, value in GOOD_RECORD.items() if not key.startswith("speedup")
+    }
+    assert validate_bench_record(single_arm) == []
+    assert validate_bench_record(dict(single_arm, wall_budget_seconds=10.0)) == []
+    assert validate_bench_record(dict(single_arm, speedup=None))
+    assert validate_bench_record(dict(single_arm, speedup_floor=None))
+    assert validate_bench_record(dict(single_arm, wall_budget_seconds=0))
+    assert validate_bench_record(dict(single_arm, wall_budget_seconds="soon"))
 
 
 def test_wrong_types_fail():

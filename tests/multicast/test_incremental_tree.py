@@ -595,10 +595,9 @@ _SELECTIONS = st.sampled_from(
     peers=_populations(min_size=4, max_size=14),
     selection_factory=_SELECTIONS,
     script_seed=st.integers(min_value=0, max_value=999),
-    columnar=st.booleans(),
 )
 def test_maintained_tree_matches_snapshot_rebuild_at_every_step(
-    peers, selection_factory, script_seed, columnar
+    peers, selection_factory, script_seed
 ):
     """Arbitrary join/leave/reselect schedules: engine == snapshot rebuild.
 
@@ -606,12 +605,10 @@ def test_maintained_tree_matches_snapshot_rebuild_at_every_step(
     ``StabilityTreeBuilder`` build over the current snapshot, the streaming
     metric bundle must equal ``tree_metrics`` of the rebuilt tree whenever
     the forest is a single tree, and the delta-fed connectivity tracker must
-    agree with a networkx recomputation.  ``columnar`` draws the engine's
-    candidate representation; the delta recorder is the same set-backed one
-    either way.
+    agree with a networkx recomputation.
     """
     rng = random.Random(script_seed)
-    overlay = OverlayNetwork(selection_factory(), columnar=columnar)
+    overlay = OverlayNetwork(selection_factory())
     maintainer = StabilityTreeMaintainer(overlay)
     feed = OverlayConnectivityFeed(overlay)
     builder = StabilityTreeBuilder()

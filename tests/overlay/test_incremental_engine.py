@@ -11,10 +11,13 @@ import random
 
 import pytest
 
+from repro.overlay.columnar import ColumnarCandidateState
 from repro.overlay.incremental import (
     RESELECT_ADDITIVE,
     RESELECT_FULL,
     RESELECT_SKIP,
+    CandidateView,
+    RadiusCandidateState,
     classify_reselect,
 )
 from repro.overlay.network import OverlayNetwork
@@ -112,6 +115,21 @@ class TestEngineLifecycle:
         assert overlay._engine is not None  # noqa: SLF001 - white-box check
         assert overlay._engine.dirty_peers == frozenset()  # noqa: SLF001
 
+    @pytest.mark.parametrize(
+        "gossip_radius, view_type", [(None, ColumnarCandidateState), (2, RadiusCandidateState)]
+    )
+    def test_the_gossip_radius_picks_the_view_and_each_view_speaks_one_protocol(
+        self, gossip_radius, view_type
+    ):
+        overlay = OverlayNetwork.build_incremental(
+            generate_peers(8, 2, seed=2), EmptyRectangleSelection(), gossip_radius=gossip_radius
+        )
+        assert type(overlay._engine._view) is view_type  # noqa: SLF001
+        per_peer, planned = {"begin_round", "delta", "commit", "forget"}, {"plan_round"}
+        theirs, others = (planned, per_peer) if gossip_radius is None else (per_peer, planned)
+        assert theirs <= set(vars(view_type))
+        assert not others & (set(vars(view_type)) | set(vars(CandidateView)))
+
     def test_membership_events_dirty_the_engine(self):
         peers = generate_peers(12, 2, seed=9)
         overlay = OverlayNetwork.build_incremental(
@@ -146,6 +164,113 @@ class TestEngineLifecycle:
         rounds = overlay.converge(incremental=True)
         assert rounds >= 1
         assert overlay.converge(incremental=True) == 1
+
+
+class PathDependentWrapper(EmptyRectangleSelection):
+    """The same selection rule, declared path *dependent*."""
+
+    path_independent = False
+
+
+def _next_plan(overlay):
+    """The round the live full-knowledge engine would run next.  Planning is
+    a pure function of the view's state until ``end_round`` closes a round."""
+    view = overlay._engine._view  # noqa: SLF001 - the verdicts are the view's decisions
+    plan = view.plan_round(
+        overlay._selectors_of, overlay.selection.path_independent  # noqa: SLF001
+    )
+    assert set(plan.scheduled_ids.tolist()) == set(overlay.peer_ids)
+    masks = (plan.full_mask, plan.skip_mask, plan.additive_mask)
+    # Pairwise disjoint and covering the schedule.
+    assert (sum(mask.astype(int) for mask in masks) == 1).all()
+    windowed = sum(window.members.astype(int) for window in plan.windows)
+    assert ((windowed == 1) == plan.additive_mask).all()
+    return plan
+
+
+def _ids(plan, mask):
+    return set(plan.scheduled_ids[mask].tolist())
+
+
+class TestRoundPlanDecisionTable:
+    """``ColumnarCandidateState.plan_round`` is the only classifier under
+    full knowledge: its verdict columns, event by event."""
+
+    def test_verdict_counts_for_a_leave_a_join_and_a_move(self):
+        peers = generate_peers(41, 2, seed=5)
+        fast, slow = (
+            OverlayNetwork.build_incremental(
+                peers[:40], EmptyRectangleSelection(), rng=random.Random(1), incremental=flag
+            )
+            for flag in (True, False)
+        )
+
+        def selectors_of(target):
+            return {p for p in fast.peer_ids if target in fast.selected_neighbours(p)}
+
+        def converge_both():
+            fast.converge(incremental=True)
+            slow.converge(incremental=False)
+            assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+
+        # A leave: the departed peer's former selectors lost a selected
+        # neighbour; everyone else lost a candidate it never selected.
+        former = selectors_of(7)
+        for overlay in (fast, slow):
+            overlay.remove_peer(7)
+        plan = _next_plan(fast)
+        assert _ids(plan, plan.full_mask) == former and len(former) == 8
+        assert int(plan.skip_mask.sum()) == 31 and not plan.windows
+        converge_both()
+
+        # A single join: the joiner has no history; everyone else gained it.
+        for overlay in (fast, slow):
+            overlay.add_peer(peers[40])
+        plan = _next_plan(fast)
+        assert _ids(plan, plan.full_mask) == {40}
+        assert int(plan.additive_mask.sum()) == 39
+        assert [window.gained for window in plan.windows] == [frozenset({40})]
+        converge_both()
+
+        # A move: lost and gained at once -- full for the mover and for the
+        # peers that selected it, additive (the new point) for the rest.
+        holders = selectors_of(12)
+        for overlay in (fast, slow):
+            overlay.move_peer(12, (512.25, 256.75))
+        plan = _next_plan(fast)
+        assert _ids(plan, plan.full_mask) == holders | {12} and len(holders) == 9
+        assert int(plan.additive_mask.sum()) == 30
+        assert [window.gained for window in plan.windows] == [frozenset({12})]
+        converge_both()
+
+    def test_a_path_dependent_method_recomputes_every_scheduled_peer(self):
+        peers = generate_peers(41, 2, seed=5)
+        fast, slow = (
+            OverlayNetwork.build_incremental(
+                peers[:40], PathDependentWrapper(), rng=random.Random(1), incremental=flag
+            )
+            for flag in (True, False)
+        )
+        for overlay in (fast, slow):
+            overlay.add_peer(peers[40])
+        plan = _next_plan(fast)
+        assert int(plan.full_mask.sum()) == 41 and not plan.windows
+        fast.converge(incremental=True)
+        slow.converge(incremental=False)
+        assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+
+    def test_a_peer_with_history_inside_its_own_window_is_an_error(self):
+        """Every event naming a peer clears its history or its alive flag;
+        a state where one did not is corruption, and planning says which
+        peer and which stamp instead of classifying it."""
+        overlay = OverlayNetwork.build_incremental(
+            generate_peers(12, 2, seed=5), EmptyRectangleSelection(), rng=random.Random(1)
+        )
+        overlay.move_peer(3, (512.25, 256.75))
+        view = overlay._engine._view  # noqa: SLF001
+        view._needs_full[view._rows.row_of(3)] = False  # noqa: SLF001 - the injected fault
+        with pytest.raises(RuntimeError, match=r"peer 3 .* stamp \d+ .* own window"):
+            overlay.converge(incremental=True)
 
 
 class TestSelectManyAgreement:

@@ -49,12 +49,21 @@ def _populations(min_size=2, max_size=16, max_dimension=3):
     return build()
 
 
+class PathDependentWrapper(EmptyRectangleSelection):
+    """The same selection rule, declared path *dependent*: every non-empty
+    candidate delta takes the conservative full recomputation (no method in
+    ``src`` declares ``False``, so this is what reaches that arm)."""
+
+    path_independent = False
+
+
 _SELECTIONS = st.sampled_from(
     [
         EmptyRectangleSelection,
         lambda: OrthogonalHyperplanesSelection(k=1),
         lambda: OrthogonalHyperplanesSelection(k=2),
         lambda: KClosestSelection(k=2),
+        PathDependentWrapper,
     ]
 )
 
@@ -67,26 +76,16 @@ _RADII = st.sampled_from([None, 2, 3])
     selection_factory=_SELECTIONS,
     gossip_radius=_RADII,
     seed=st.integers(min_value=0, max_value=999),
-    columnar=st.booleans(),
-    vectorised=st.booleans(),
 )
 def test_insertion_convergence_matches_full_sweep(
-    peers, selection_factory, gossip_radius, seed, columnar, vectorised
+    peers, selection_factory, gossip_radius, seed
 ):
-    # Under full knowledge the engine's candidate bookkeeping has two
-    # representations (implicit columnar / explicit dicts); draw both so the
-    # byte-identity hunt covers the representation boundary too.  Gossip
-    # overlays only have the explicit one.  The vectorised-round flag is
-    # drawn as well: plan_round-batched rounds and the per-peer loop must
-    # land on the same fixed point on every arm.
     fast = OverlayNetwork.build_incremental(
         peers,
         selection_factory(),
         gossip_radius=gossip_radius,
         rng=random.Random(seed),
         incremental=True,
-        columnar=columnar if gossip_radius is None else None,
-        vectorised_rounds=vectorised,
     )
     slow = OverlayNetwork.build_incremental(
         peers,
@@ -104,21 +103,15 @@ def test_insertion_convergence_matches_full_sweep(
     selection_factory=_SELECTIONS,
     gossip_radius=_RADII,
     script_seed=st.integers(min_value=0, max_value=999),
-    columnar=st.booleans(),
-    vectorised=st.booleans(),
 )
 def test_churn_script_matches_full_sweep_at_every_step(
-    peers, selection_factory, gossip_radius, script_seed, columnar, vectorised
+    peers, selection_factory, gossip_radius, script_seed
 ):
     """Random interleavings of joins and departures stay in lockstep."""
     rng = random.Random(script_seed)
-    fast = OverlayNetwork(
-        selection_factory(),
-        gossip_radius=gossip_radius,
-        columnar=columnar if gossip_radius is None else None,
-        vectorised_rounds=vectorised,
+    fast, slow = (
+        OverlayNetwork(selection_factory(), gossip_radius=gossip_radius) for _ in range(2)
     )
-    slow = OverlayNetwork(selection_factory(), gossip_radius=gossip_radius)
     alive = []
     pending = list(peers)
     while pending or (alive and rng.random() < 0.5):

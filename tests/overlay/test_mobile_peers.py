@@ -7,11 +7,9 @@ trajectories must agree everywhere coordinate state is replicated:
 
 * indexed vs scan (``use_index``): the index is re-keyed by ``move_peer``,
   so index-answered selections must equal scan selections at every step;
-* columnar vs explicit (``columnar``): a move reaches the engine as
-  ``note_move`` in both candidate representations, and both must install
-  the same fixed point;
-* incremental vs full sweep: the post-move fixed point is a function of the
-  current coordinates alone.
+* incremental vs full sweep: a move reaches the engine as ``note_move``,
+  and the post-move fixed point is a function of the current coordinates
+  alone.
 """
 
 import random
@@ -62,10 +60,7 @@ def _drift_schedule(overlay, rng, *, steps, incremental):
 
 
 @pytest.mark.parametrize("selection_factory", _SELECTIONS)
-@pytest.mark.parametrize("columnar", [True, False])
-def test_indexed_and_scan_trajectories_agree_under_drift(
-    selection_factory, columnar
-):
+def test_indexed_and_scan_trajectories_agree_under_drift(selection_factory):
     """Coordinate drift keeps the index exact: indexed == scan at every step."""
     seeds = random.Random(11)
     peers = _population(40, seeds)
@@ -75,7 +70,6 @@ def test_indexed_and_scan_trajectories_agree_under_drift(
             selection_factory(),
             rng=random.Random(5),
             use_index=use_index,
-            columnar=columnar,
         )
         for use_index in (True, False)
     }
@@ -95,41 +89,20 @@ def test_indexed_and_scan_trajectories_agree_under_drift(
 
 
 @pytest.mark.parametrize("selection_factory", _SELECTIONS)
-def test_columnar_and_explicit_agree_under_drift(selection_factory):
-    """Both candidate representations land on the same post-move fixed points."""
-    peers = _population(40, random.Random(17))
-    arms = {
-        columnar: OverlayNetwork.build_incremental(
-            peers, selection_factory(), rng=random.Random(5), columnar=columnar
-        )
-        for columnar in (True, False)
-    }
-    schedules = {columnar: random.Random(41) for columnar in arms}
-    for step in range(30):
-        for columnar, overlay in arms.items():
-            _drift_schedule(
-                overlay, schedules[columnar], steps=1, incremental=True
-            )
-        assert (
-            arms[True].directed_neighbour_map() == arms[False].directed_neighbour_map()
-        )
-
-
-def test_incremental_move_matches_full_sweep_fixed_point():
-    """After a drift schedule, incremental == full sweep == fresh equilibrium."""
+def test_incremental_move_matches_full_sweep_fixed_point(selection_factory):
+    """Under drift, incremental == full sweep after every step, and the last
+    fixed point is the fresh equilibrium."""
     peers = _population(32, random.Random(29))
-    fast = OverlayNetwork.build_incremental(
-        peers, EmptyRectangleSelection(), rng=random.Random(5)
+    fast, slow = (
+        OverlayNetwork.build_incremental(peers, selection_factory(), rng=random.Random(5))
+        for _ in range(2)
     )
-    slow = OverlayNetwork.build_incremental(
-        peers, EmptyRectangleSelection(), rng=random.Random(5)
-    )
-    _drift_schedule(fast, random.Random(61), steps=25, incremental=True)
-    _drift_schedule(slow, random.Random(61), steps=25, incremental=False)
-    assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
-    equilibrium = OverlayNetwork.build_equilibrium(
-        fast.peers(), EmptyRectangleSelection()
-    )
+    fast_schedule, slow_schedule = random.Random(61), random.Random(61)
+    for _ in range(25):
+        _drift_schedule(fast, fast_schedule, steps=1, incremental=True)
+        _drift_schedule(slow, slow_schedule, steps=1, incremental=False)
+        assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+    equilibrium = OverlayNetwork.build_equilibrium(fast.peers(), selection_factory())
     assert fast.directed_neighbour_map() == equilibrium.directed_neighbour_map()
 
 

@@ -44,7 +44,7 @@ class TestMembership:
         with pytest.raises(KeyError):
             overlay.remove_peer(3)
 
-    @pytest.mark.parametrize("read", ["links", "selected_neighbours"])
+    @pytest.mark.parametrize("read", ["links", "selected_neighbours", "peer"])
     def test_per_peer_reads_name_the_unknown_peer(self, read):
         overlay = OverlayNetwork(EmptyRectangleSelection())
         overlay.add_peer(make_peer(0, (0.0, 0.0)))

@@ -1,7 +1,10 @@
 """Smoke tests for the top-level public API (the README quickstart)."""
 
+import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -19,6 +22,15 @@ class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.{name} is exported but missing"
+
+    def test_overlay_constructor_has_no_implementation_knobs(self):
+        """``gossip_radius`` alone picks the engine's candidate view: the two
+        knobs that only selected a slower twin are gone, not deprecated."""
+        parameters = list(inspect.signature(repro.OverlayNetwork.__init__).parameters)
+        assert parameters == ["self", "selection", "gossip_radius", "use_index"]
+        for removed in ("columnar", "vectorised_rounds"):
+            with pytest.raises(TypeError):
+                repro.OverlayNetwork(repro.EmptyRectangleSelection(), **{removed: False})
 
     def test_readme_quickstart(self):
         peers = repro.generate_peers(count=60, dimension=2, seed=7)
