@@ -102,14 +102,14 @@ def _seeded_overlay(peers):
     overlay = OverlayNetwork(EmptyRectangleSelection())
     for peer in peers[:_SEED_POPULATION]:
         overlay.add_peer(peer)
-    overlay.converge(incremental=True, max_rounds=80)
+    overlay.converge(max_rounds=80)
     notes = _instrument_notes(overlay)
     started = time.perf_counter()
     for peer in peers[_SEED_POPULATION:]:
         overlay.add_peer(peer)
     join_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    rounds = overlay.converge(incremental=True, max_rounds=80)
+    rounds = overlay.converge(max_rounds=80)
     converge_seconds = time.perf_counter() - started
     return overlay, notes["seconds"], join_seconds, converge_seconds, rounds
 
@@ -222,10 +222,10 @@ def test_columnar_smoke_matches_equilibrium(scale):
     # That sweep dropped the engine.  The next one adopts the 2,000 peers all
     # dirty -- one round of full recomputes that must install nothing -- and
     # then replays an epoch of 1,000 leaves and 1,000 joins from live notes.
-    assert overlay.converge(incremental=True, max_rounds=80) == 1
+    assert overlay.converge(max_rounds=80) == 1
     (epoch,) = _trace_script(peers, _EPOCH_EVENTS, seed)
     _apply_epoch(overlay, epoch)
-    epoch_rounds = overlay.converge(incremental=True, max_rounds=80)
+    epoch_rounds = overlay.converge(max_rounds=80)
     _assert_sampled_references(overlay, seed, _REFERENCES // 2)
     assert overlay.reselect_round() is False
     print_report(
@@ -289,13 +289,13 @@ def test_columnar_churn_trace(scale):
     overlay = OverlayNetwork(EmptyRectangleSelection())
     for peer in peers:
         overlay.add_peer(peer)
-    overlay.converge(incremental=True, max_rounds=80)
+    overlay.converge(max_rounds=80)
     notes = _instrument_notes(overlay)
     apply_seconds = converge_seconds = 0.0
     for epoch in epochs:
         apply_seconds += _apply_epoch(overlay, epoch)
         started = time.perf_counter()
-        overlay.converge(incremental=True, max_rounds=80)
+        overlay.converge(max_rounds=80)
         converge_seconds += time.perf_counter() - started
     assert overlay.peer_count == count
     wall_seconds = apply_seconds + converge_seconds
@@ -309,7 +309,7 @@ def test_columnar_churn_trace(scale):
         # Guest ids sit far above the trace script's joiner id range.
         overlay.add_peer(make_peer(10_000_000 + offset, _fresh_coordinates(rng, used)))
         started = time.perf_counter()
-        overlay.converge(incremental=True, max_rounds=80)
+        overlay.converge(max_rounds=80)
         single_join_seconds += time.perf_counter() - started
     _assert_sampled_references(overlay, seed)
 

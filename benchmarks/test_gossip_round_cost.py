@@ -65,9 +65,7 @@ def test_gossip_rounds_are_counted_o_changes():
     overlay = OverlayNetwork(selection, gossip_radius=_RADIUS)
     alive = []
     for peer in peers[:_ALIVE]:
-        overlay.insert_and_converge(
-            peer, bootstrap={rng.choice(alive)} if alive else (), incremental=True
-        )
+        overlay.insert_and_converge(peer, bootstrap={rng.choice(alive)} if alive else ())
         alive.append(peer.peer_id)
 
     engine = overlay._engine  # noqa: SLF001 - the counts are about internal reads
@@ -132,7 +130,7 @@ def test_gossip_rounds_are_counted_o_changes():
         started = time.perf_counter()
         overlay.move_peer(mover, target)
         asked = set(_Asked.log)
-        overlay.converge(incremental=True)
+        overlay.converge()
         walls[-1] += time.perf_counter() - started
         assert asked <= before | now | {mover}
         counts["move_asks"] += len(asked)

@@ -1,19 +1,15 @@
-"""Benchmark: incremental vs full-sweep insert-one-converge convergence.
+"""Benchmark: insert-one-converge convergence on the incremental engine.
 
 The paper's experimental procedure inserts peers one by one and lets the
-overlay converge after every insertion.  The full-sweep path re-runs
-selection for every peer in every round (roughly cubic overall); the
-incremental engine re-selects only peers whose candidate sets changed.  This
-benchmark builds the same empty-rectangle overlays on both paths, checks
-they produce identical directed neighbour maps, and counts the reselections
-each path asks of the selection method -- the incremental path must ask for
-at least 5x fewer at the largest cross-checked size (a counted healthy run:
-12x at ``N = 150``, 20x at ``N = 300``; an engine that stopped skipping
-clean peers reads 1x).  The counts repeat exactly for a seed; the wall times
-are reported beside them and not asserted, because the sweep's cost is all
-selection kernel and so prices the kernel, not the engine.  At churn scale
-(``N = 1000``) only the incremental path runs: the full sweep needs tens of
-minutes there, which is exactly the bottleneck the engine removes.
+overlay converge after every insertion; the engine re-selects only the peers
+whose candidate sets changed.  This benchmark builds empty-rectangle
+overlays that way, checks each against the equilibrium witness, and counts
+the reselections the engine asks of the selection method against an
+absolute ceiling per size (measured 1,041 at ``N = 100`` and 4,309 at
+``N = 300``, where a synchronous sweep per insertion asks 10,098 and 90,298;
+an engine that stopped skipping clean peers would read like the sweep).  The
+counts repeat exactly for a seed; the wall time is printed, not asserted.
+At churn scale (``N = 1000``) the same build is timed.
 """
 
 import random
@@ -27,8 +23,11 @@ from repro.overlay.network import OverlayNetwork
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.workloads.peers import generate_peers
 
-# Sizes cross-checked on both paths, and the incremental-only churn scale.
-_CROSS_CHECK_SIZES = {"smoke": (60, 150), "bench": (100, 300), "paper": (100, 300)}
+# Counted sizes with their reselection ceilings (about twice the measured
+# 522 / 1,812 at smoke scale and 1,041 / 4,309 at bench scale), and the churn
+# scale.
+_COUNTED_SIZES = {"smoke": (60, 150), "bench": (100, 300), "paper": (100, 300)}
+_RESELECTION_CEILINGS = {60: 1_000, 150: 3_600, 100: 2_000, 300: 9_000}
 _CHURN_SCALE_SIZE = {"smoke": 300, "bench": 1000, "paper": 1000}
 
 
@@ -61,58 +60,33 @@ class _CountingSelection(EmptyRectangleSelection):
             self._installing = False
 
 
-def _build(peers, seed, *, incremental, selection=None):
+def _build(peers, seed, *, selection=None):
     start = time.perf_counter()
     overlay = OverlayNetwork.build_incremental(
-        peers,
-        selection or EmptyRectangleSelection(),
-        rng=random.Random(seed),
-        incremental=incremental,
+        peers, selection or EmptyRectangleSelection(), rng=random.Random(seed)
     )
     return overlay, time.perf_counter() - start
 
 
-def test_incremental_beats_full_sweep(scale):
-    sizes = _CROSS_CHECK_SIZES.get(scale.name, (100, 300))
+def test_engine_reselections_stay_under_their_ceilings(scale):
     rows = []
-    ratios = {}
-    for count in sizes:
+    for count in _COUNTED_SIZES.get(scale.name, (100, 300)):
         seed = derive_seed(scale.seed, 20, count)
         peers = generate_peers(count, 2, seed=seed)
-        fast_counts, slow_counts = _CountingSelection(), _CountingSelection()
-        fast, fast_seconds = _build(peers, seed, incremental=True, selection=fast_counts)
-        slow, slow_seconds = _build(peers, seed, incremental=False, selection=slow_counts)
-        assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
-        ratios[count] = slow_counts.reselections / max(fast_counts.reselections, 1)
-        rows.append(
-            [
-                count,
-                slow_counts.reselections,
-                fast_counts.reselections,
-                f"{ratios[count]:.1f}x",
-                f"{slow_seconds:.2f}",
-                f"{fast_seconds:.2f}",
-            ]
+        counting = _CountingSelection()
+        overlay, seconds = _build(peers, seed, selection=counting)
+        equilibrium = OverlayNetwork.build_equilibrium(peers, EmptyRectangleSelection())
+        assert overlay.directed_neighbour_map() == equilibrium.directed_neighbour_map()
+        ceiling = _RESELECTION_CEILINGS[count]
+        rows.append([count, counting.reselections, ceiling, f"{seconds:.2f}"])
+        assert counting.reselections <= ceiling, (
+            f"the engine asked for {counting.reselections} reselections at N={count}; "
+            f"the ceiling is {ceiling}"
         )
     print_report(
-        f"Incremental vs full-sweep insert-one-converge [{scale.name}]",
-        format_table(
-            [
-                "N",
-                "full sweep (reselections)",
-                "incremental (reselections)",
-                "fewer",
-                "full sweep (s)",
-                "incremental (s)",
-            ],
-            rows,
-        ),
-        "identical directed neighbour maps at every size",
-    )
-    largest = max(sizes)
-    assert ratios[largest] >= 5.0, (
-        f"incremental path asked for only {ratios[largest]:.1f}x fewer reselections "
-        f"than the full sweep at N={largest}; expected at least 5x"
+        f"Insert-one-converge reselections [{scale.name}]",
+        format_table(["N", "reselections", "ceiling", "wall (s)"], rows),
+        "directed neighbour maps equal the equilibrium at every size",
     )
 
 
@@ -122,7 +96,7 @@ def test_incremental_converges_at_churn_scale(benchmark, scale):
     peers = generate_peers(count, 2, seed=seed)
 
     overlay = benchmark.pedantic(
-        lambda: _build(peers, seed, incremental=True)[0], iterations=1, rounds=1
+        lambda: _build(peers, seed)[0], iterations=1, rounds=1
     )
 
     assert overlay.peer_count == count

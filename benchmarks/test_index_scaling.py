@@ -57,7 +57,7 @@ def _run(peers, *, use_index):
     started = time.perf_counter()
     for peer in peers:
         overlay.add_peer(peer)
-    rounds = overlay.converge(incremental=True, max_rounds=80)
+    rounds = overlay.converge(max_rounds=80)
     converge_seconds = time.perf_counter() - started
 
     maintainer = StabilityTreeMaintainer(overlay)

@@ -85,16 +85,14 @@ def test_event_driven_maintenance_beats_snapshot_rebuilds(scale):
         else:
             run_event(
                 lambda p=peer: overlay.insert_and_converge(
-                    p, bootstrap={rng.choice(overlay.peer_ids)}, incremental=True
+                    p, bootstrap={rng.choice(overlay.peer_ids)}
                 )
             )
 
     departures = sorted(peers, key=lambda p: (p.lifetime, p.peer_id))
     departures = departures[: int(_PEER_COUNT * _LEAVE_FRACTION)]
     for peer in departures:
-        run_event(
-            lambda p=peer: overlay.remove_and_converge(p.peer_id, incremental=True)
-        )
+        run_event(lambda p=peer: overlay.remove_and_converge(p.peer_id))
 
     # Final full equality on top of the sampled per-event checks.
     final_reference = builder.build(overlay.snapshot())

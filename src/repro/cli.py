@@ -6,11 +6,9 @@ one-to-one onto the experiment drivers:
 
 * ``figure1a`` / ``figure1b`` / ``figure1c`` -- the Section 2 panels,
 * ``figure1d`` / ``figure1e`` -- the Section 3 sweep (diameter / degree view),
-* ``ablations`` -- the ablations of DESIGN.md (A1-A3), the overlay-churn
-  reconvergence ablation (A4), the message-replay dirty-set reselection
-  ablation (A5), the event-driven tree-maintenance ablation (A6), the
-  batched-epoch trace-convergence ablation (A7) and the real-network
-  link-model ablation (A8),
+* ``ablations`` -- the construction-strategy, region-pick and tree-churn
+  ablations (A1-A3), the overlay-churn reconvergence ablation (A4) and the
+  real-network link-model ablation (A8),
 * ``network`` -- the A8 link-model sweep alone (loss, latency
   distributions, bandwidth queueing, dissemination-latency percentiles);
   what the CI smoke job runs,
@@ -39,12 +37,9 @@ from typing import List, Optional
 from repro.experiments.ablations import (
     run_baseline_comparison,
     run_churn_ablation,
-    run_message_replay_ablation,
     run_overlay_churn_ablation,
     run_network_model_ablation,
     run_pick_strategy_ablation,
-    run_trace_convergence_ablation,
-    run_tree_maintenance_ablation,
 )
 from repro.analysis import main as lint_main
 from repro.experiments.trace_runner import run_trace_scenarios
@@ -143,9 +138,6 @@ def _run_ablations(scale) -> None:
         ("Ablation A2 - region pick strategy", run_pick_strategy_ablation),
         ("Ablation A3 - departures vs tree strategy", run_churn_ablation),
         ("Ablation A4 - overlay churn reconvergence", run_overlay_churn_ablation),
-        ("Ablation A5 - message-replay dirty-set reselection", run_message_replay_ablation),
-        ("Ablation A6 - event-driven tree maintenance", run_tree_maintenance_ablation),
-        ("Ablation A7 - batched-epoch trace convergence", run_trace_convergence_ablation),
         ("Ablation A8 - real-network link models", run_network_model_ablation),
     ):
         _, table = runner(scale)

@@ -24,11 +24,9 @@ from repro.experiments.ablations import (
     BaselineComparisonRow,
     ChurnRow,
     PickStrategyRow,
-    TraceConvergenceRow,
     run_baseline_comparison,
     run_churn_ablation,
     run_pick_strategy_ablation,
-    run_trace_convergence_ablation,
 )
 from repro.experiments.trace_runner import (
     EpochSample,
@@ -63,8 +61,6 @@ __all__ = [
     "run_baseline_comparison",
     "run_pick_strategy_ablation",
     "run_churn_ablation",
-    "TraceConvergenceRow",
-    "run_trace_convergence_ablation",
     "EpochSample",
     "TraceRunner",
     "TraceRunResult",

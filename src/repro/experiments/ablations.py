@@ -1,7 +1,6 @@
 """Ablations: design choices the paper states but does not quantify.
 
-Three ablations complement the figure reproductions (ids A1-A3 in
-DESIGN.md):
+Five ablations complement the figure reproductions (ids A1-A4 and A8):
 
 * **Baseline comparison (A1)** -- the introduction motivates the work with
   "existing solutions send many messages"; this ablation measures the
@@ -28,20 +27,6 @@ DESIGN.md):
   graph; new edges are unioned at the next query that still has a split to
   heal and deletion batches trigger at most one spanning-forest repair per
   query.
-* **Message replay (A5)** -- the message-level simulator replays the same
-  join/leave churn twice, once reapplying the neighbour selection method on
-  every reselect tick and once with the dirty-set tick of
-  :class:`repro.simulation.protocol.PeerProcess`; the rows show both runs
-  settle to the identical topology while the dirty-set run invokes the
-  selection method a fraction as often -- the measurement behind trusting
-  the fast path in the protocol-faithful experiments.
-* **Trace convergence (A7)** -- the batched-epoch path
-  (:meth:`repro.overlay.network.OverlayNetwork.apply_batch`, one convergence
-  and one tree ``refresh()`` per epoch) against the per-event loop on the
-  same Poisson churn trace: both arms must land on the identical overlay
-  fixed point and byte-identical maintained stability tree, while the
-  per-epoch arm pays a fraction of the engine rounds -- the amortisation
-  that makes long churn traces at ``N >= 1000`` tractable.
 * **Network model (A8)** -- the message-level replay under the real-network
   :class:`~repro.simulation.netmodel.LinkModel`: the same seeded population
   is settled under the ideal constant-latency network and under arms with
@@ -51,15 +36,6 @@ DESIGN.md):
   analytic fixed point, and the per-peer dissemination-latency percentiles
   of a probe down the maintained Section 3 tree -- the protocol's
   loss-tolerance story, quantified.
-* **Tree maintenance (A6)** -- the event-driven multicast layer
-  (:class:`repro.multicast.incremental.StabilityTreeMaintainer`) against the
-  snapshot-batch path: the same churn trace is driven through both, the
-  event-driven arm repairing the stability tree in place (one bootstrap
-  rebuild, then single edge re-parents with streaming metrics) while the
-  snapshot arm rebuilds :func:`repro.multicast.stability.build_stability_tree`
-  per event.  The rows assert the two stay byte-identical at every event and
-  report the repair traffic, the rebuild counts, the wall-clock of each arm
-  and a "tree health over time" summary drawn from the streaming samples.
 """
 
 from __future__ import annotations
@@ -76,10 +52,8 @@ from repro.experiments.common import (
     sample_roots,
 )
 from repro.experiments.config import ExperimentScale, resolve_scale
-from repro.experiments.trace_runner import TraceRunner
 from repro.metrics.paths import path_statistics
 from repro.metrics.reporting import format_table
-from repro.metrics.trees import tree_metrics
 from repro.multicast.baselines import (
     bfs_tree,
     flood_multicast,
@@ -87,7 +61,7 @@ from repro.multicast.baselines import (
     sequential_unicast_tree,
 )
 from repro.multicast.dissemination import simulate_departures
-from repro.multicast.incremental import OverlayConnectivityFeed, StabilityTreeMaintainer
+from repro.multicast.incremental import OverlayConnectivityFeed
 from repro.multicast.space_partition import PickStrategy, SpacePartitionTreeBuilder
 from repro.multicast.stability import StabilityTreeBuilder
 from repro.multicast.tree import MulticastTree
@@ -101,28 +75,20 @@ from repro.simulation.netmodel import (
     UniformLatency,
 )
 from repro.simulation.runner import run_dissemination_probe, run_gossip_overlay
-from repro.workloads.churn import interleaved_join_leave_schedule
-from repro.workloads.peers import generate_peers, generate_peers_with_lifetimes
-from repro.workloads.traces import poisson_trace
+from repro.workloads.peers import generate_peers_with_lifetimes
 
 __all__ = [
     "BaselineComparisonRow",
     "PickStrategyRow",
     "ChurnRow",
     "OverlayChurnRow",
-    "MessageReplayRow",
     "NetworkModelRow",
-    "TreeMaintenanceRow",
-    "TraceConvergenceRow",
     "AblationResult",
     "run_baseline_comparison",
     "run_pick_strategy_ablation",
     "run_churn_ablation",
     "run_overlay_churn_ablation",
-    "run_message_replay_ablation",
     "run_network_model_ablation",
-    "run_tree_maintenance_ablation",
-    "run_trace_convergence_ablation",
 ]
 
 
@@ -196,62 +162,6 @@ class NetworkModelRow:
     probe_p99_ms: float
     probe_unreached: int
     wall_seconds: float
-
-
-@dataclass(frozen=True)
-class TreeMaintenanceRow:
-    """Event-driven tree maintenance versus snapshot rebuilds, one churn phase."""
-
-    phase: str
-    dimension: int
-    k: int
-    events: int
-    reparent_operations: int
-    full_rebuilds: int
-    snapshot_rebuilds: int
-    identical_events: int
-    maximum_height: int
-    maximum_degree: int
-    single_tree_events: int
-    event_driven_seconds: float
-    snapshot_seconds: float
-
-    @property
-    def identical(self) -> bool:
-        """``True`` when both arms agreed at every event of the phase."""
-        return self.identical_events == self.events
-
-
-@dataclass(frozen=True)
-class TraceConvergenceRow:
-    """Cost of one convergence cadence over the same churn trace."""
-
-    arm: str
-    dimension: int
-    epochs: int
-    events: int
-    engine_rounds: int
-    convergences: int
-    reparent_operations: int
-    connectivity_rebuilds: int
-    wall_seconds: float
-    identical: bool
-
-
-@dataclass(frozen=True)
-class MessageReplayRow:
-    """Cost of one message-level replay mode over the same churn schedule."""
-
-    mode: str
-    dimension: int
-    peers: int
-    departures: int
-    reselect_ticks: int
-    selection_invocations: int
-    additive_updates: int
-    skipped_ticks: int
-    wall_seconds: float
-    identical_topology: bool
 
 
 @dataclass(frozen=True)
@@ -432,7 +342,7 @@ def run_overlay_churn_ablation(
             continue
         bootstrap = {rng.choice(overlay.peer_ids)}
         join_rounds.append(
-            overlay.insert_and_converge(peer, bootstrap=bootstrap, incremental=True)
+            overlay.insert_and_converge(peer, bootstrap=bootstrap)
         )
         if not feed.is_connected():
             join_disconnected += 1
@@ -461,7 +371,7 @@ def run_overlay_churn_ablation(
     leave_rounds: List[int] = []
     leave_disconnected = 0
     for peer in departure_order:
-        leave_rounds.append(overlay.remove_and_converge(peer.peer_id, incremental=True))
+        leave_rounds.append(overlay.remove_and_converge(peer.peer_id))
         if overlay.peer_count > 1 and not feed.is_connected():
             leave_disconnected += 1
     # The last one or two departures skip the connectivity query (a 0/1-peer
@@ -589,298 +499,6 @@ def run_churn_ablation(
     return rows, table
 
 
-def run_message_replay_ablation(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    dimension: int = 2,
-    replay_cap: int = 80,
-) -> Tuple[List[MessageReplayRow], AblationResult]:
-    """A5: dirty-set reselect ticks versus per-tick full reselection.
-
-    Replays the identical seeded join/leave churn schedule through the
-    message-level simulator twice -- once reapplying the selection method on
-    every peer's every reselect tick, once with the dirty-set tick -- and
-    reports the selection-invocation counts, skip counts and wall-clock of
-    each mode, together with whether the two settled to the identical
-    topology (they must; the equivalence tests assert it).  The population
-    is capped at ``replay_cap`` so the full-reselect arm stays affordable
-    inside ``ablations``/``all`` CLI runs; the uncapped scaling measurement
-    lives in ``benchmarks/test_message_replay_scaling.py``.
-    """
-    resolved = scale if scale is not None else resolve_scale()
-    count = min(resolved.peer_count, replay_cap)
-    seed = derive_seed(resolved.seed, 15, dimension, count)
-    peers = generate_peers(count, dimension, seed=seed)
-    schedule = interleaved_join_leave_schedule(
-        count, join_interval=1.0, leave_fraction=0.2, holdoff=6.0, seed=seed
-    )
-
-    runs = {}
-    timings = {}
-    for mode, incremental in (("full-reselect", False), ("dirty-set", True)):
-        started = time.perf_counter()
-        runs[mode] = run_gossip_overlay(
-            peers,
-            EmptyRectangleSelection(),
-            churn=schedule,
-            settle_time=20.0,
-            seed=seed,
-            incremental_reselect=incremental,
-        )
-        timings[mode] = time.perf_counter() - started
-
-    identical = (
-        runs["dirty-set"].alive_snapshot().edges()
-        == runs["full-reselect"].alive_snapshot().edges()
-    )
-    departures = sum(1 for event in schedule if event.kind == "leave")
-    rows = [
-        MessageReplayRow(
-            mode=mode,
-            dimension=dimension,
-            peers=count,
-            departures=departures,
-            reselect_ticks=result.total_reselect_ticks(),
-            selection_invocations=result.total_selection_invocations(),
-            additive_updates=result.total_additive_updates(),
-            skipped_ticks=result.total_reselect_skips(),
-            wall_seconds=timings[mode],
-            identical_topology=identical,
-        )
-        for mode, result in runs.items()
-    ]
-
-    table = _message_replay_table(rows)
-    return rows, table
-
-
-def run_tree_maintenance_ablation(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    dimension: int = 3,
-    k: int = 2,
-) -> Tuple[List[TreeMaintenanceRow], AblationResult]:
-    """A6: event-driven tree maintenance versus per-event snapshot rebuilds.
-
-    Replays the A4 churn trace (joins one at a time, then lifetime-ordered
-    departures, the overlay reconverging incrementally after every event)
-    while the Section 3 stability tree is kept current on *both* paths:
-
-    * the event-driven arm -- a :class:`StabilityTreeMaintainer` consuming
-      the overlay delta stream, repairing the tree with single edge
-      re-parents and streaming metrics (one full rebuild total, at
-      bootstrap);
-    * the snapshot arm -- :class:`repro.multicast.stability.StabilityTreeBuilder`
-      re-run over a fresh topology snapshot after every event, exactly what
-      the pipeline did before the event-driven layer existed.
-
-    After every event the two parent maps (and, whenever the forest is one
-    tree, the full metric bundles) are compared; ``identical_events`` counts
-    the agreements and must equal ``events``.  The health columns summarise
-    the streaming tree-health series over the phase.
-    """
-    resolved = scale if scale is not None else resolve_scale()
-    seed = derive_seed(resolved.seed, 16, dimension, k)
-    peers = generate_peers_with_lifetimes(resolved.peer_count, dimension, seed=seed)
-    rng = random.Random(seed)
-    overlay = OverlayNetwork(OrthogonalHyperplanesSelection(k=k))
-    maintainer = StabilityTreeMaintainer(overlay)
-    builder = StabilityTreeBuilder()
-
-    rows: List[TreeMaintenanceRow] = []
-
-    def run_phase(phase: str, events) -> None:
-        event_count = 0
-        identical = 0
-        single_tree_events = 0
-        maximum_height = 0
-        maximum_degree = 0
-        event_driven_seconds = 0.0
-        snapshot_seconds = 0.0
-        reparents_before = maintainer.engine.reparent_operations
-        rebuilds_before = maintainer.full_rebuilds
-        for event in events:
-            event()
-            event_count += 1
-
-            started = time.perf_counter()
-            maintainer.refresh()
-            health = maintainer.engine.health_sample(event_count)
-            event_driven_seconds += time.perf_counter() - started
-
-            started = time.perf_counter()
-            reference = builder.build(overlay.snapshot())
-            snapshot_seconds += time.perf_counter() - started
-
-            maximum_height = max(maximum_height, health.height)
-            maximum_degree = max(maximum_degree, health.maximum_degree)
-            agree = maintainer.forest().preferred == dict(reference.preferred)
-            if health.is_single_tree and health.size:
-                single_tree_events += 1
-                if agree:
-                    agree = maintainer.metrics() == tree_metrics(
-                        reference.to_multicast_tree()
-                    )
-            if agree:
-                identical += 1
-        rows.append(
-            TreeMaintenanceRow(
-                phase=phase,
-                dimension=dimension,
-                k=k,
-                events=event_count,
-                reparent_operations=maintainer.engine.reparent_operations
-                - reparents_before,
-                full_rebuilds=maintainer.full_rebuilds - rebuilds_before,
-                snapshot_rebuilds=event_count,
-                identical_events=identical,
-                maximum_height=maximum_height,
-                maximum_degree=maximum_degree,
-                single_tree_events=single_tree_events,
-                event_driven_seconds=event_driven_seconds,
-                snapshot_seconds=snapshot_seconds,
-            )
-        )
-
-    def join_events():
-        for peer in peers:
-            if overlay.peer_count == 0:
-                yield lambda p=peer: overlay.add_peer(p, bootstrap=())
-            else:
-                yield lambda p=peer: overlay.insert_and_converge(
-                    p, bootstrap={rng.choice(overlay.peer_ids)}, incremental=True
-                )
-
-    def leave_events():
-        for peer in sorted(peers, key=lambda p: (p.lifetime, p.peer_id)):
-            yield lambda p=peer: overlay.remove_and_converge(
-                p.peer_id, incremental=True
-            )
-
-    run_phase("join", join_events())
-    run_phase("leave", leave_events())
-
-    table = AblationResult(
-        name="tree-maintenance",
-        headers=(
-            "phase",
-            "D",
-            "K",
-            "events",
-            "reparents",
-            "rebuilds",
-            "snapshot rebuilds",
-            "identical",
-            "max height",
-            "max degree",
-            "single tree",
-            "event-driven [s]",
-            "snapshot [s]",
-        ),
-        rows=tuple(
-            (
-                row.phase,
-                row.dimension,
-                row.k,
-                row.events,
-                row.reparent_operations,
-                row.full_rebuilds,
-                row.snapshot_rebuilds,
-                row.identical,
-                row.maximum_height,
-                row.maximum_degree,
-                row.single_tree_events,
-                f"{row.event_driven_seconds:.2f}",
-                f"{row.snapshot_seconds:.2f}",
-            )
-            for row in rows
-        ),
-    )
-    return rows, table
-
-
-def run_trace_convergence_ablation(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    dimension: int = 3,
-) -> Tuple[List[TraceConvergenceRow], AblationResult]:
-    """A7: batched-epoch convergence versus the per-event loop on one trace.
-
-    Generates a Poisson join/leave trace over the Section 3 population and
-    replays it twice through the :class:`~repro.experiments.trace_runner.TraceRunner`
-    -- once converging after every single event (the pre-batching cadence),
-    once converging once per epoch via
-    :meth:`~repro.overlay.network.OverlayNetwork.apply_batch` -- with the
-    stability-tree maintainer and the connectivity tracker live in both
-    arms.  The rows report the engine-round budget each cadence paid and
-    assert the equivalence the batching relies on: identical final overlay
-    topology and byte-identical maintained stability tree.
-    """
-    resolved = scale if scale is not None else resolve_scale()
-    count = resolved.peer_count
-    seed = derive_seed(resolved.seed, 17, dimension, count)
-    peers = generate_peers_with_lifetimes(count, dimension, seed=seed)
-    trace = poisson_trace(
-        count, session_mean=count / 2.0, epoch_length=count / 12.0, seed=seed
-    )
-    runner = TraceRunner(peers, EmptyRectangleSelection, bootstrap_seed=seed)
-
-    per_event = runner.run(trace, per_event=True)
-    per_epoch = runner.run(trace, per_event=False)
-    identical = (
-        per_epoch.final_neighbours == per_event.final_neighbours
-        and per_epoch.final_parents == per_event.final_parents
-    )
-
-    rows = [
-        TraceConvergenceRow(
-            arm=result.mode,
-            dimension=dimension,
-            epochs=result.epoch_count,
-            events=result.total_events,
-            engine_rounds=result.total_rounds,
-            convergences=result.convergences,
-            reparent_operations=result.reparent_operations,
-            connectivity_rebuilds=result.connectivity_rebuilds,
-            wall_seconds=result.wall_seconds,
-            identical=identical,
-        )
-        for result in (per_event, per_epoch)
-    ]
-
-    table = AblationResult(
-        name="trace-convergence",
-        headers=(
-            "arm",
-            "D",
-            "epochs",
-            "events",
-            "engine rounds",
-            "convergences",
-            "reparents",
-            "uf rebuilds",
-            "wall [s]",
-            "identical",
-        ),
-        rows=tuple(
-            (
-                row.arm,
-                row.dimension,
-                row.epochs,
-                row.events,
-                row.engine_rounds,
-                row.convergences,
-                row.reparent_operations,
-                row.connectivity_rebuilds,
-                f"{row.wall_seconds:.2f}",
-                row.identical,
-            )
-            for row in rows
-        ),
-    )
-    return rows, table
-
-
 def run_network_model_ablation(
     scale: Optional[ExperimentScale] = None,
     *,
@@ -890,9 +508,9 @@ def run_network_model_ablation(
     """A8: the message-level replay under realistic link models.
 
     Settles the same seeded population four times -- under the ideal
-    degenerate network (constant latency, no loss; byte-identical to the
-    legacy scalar-latency path) and under arms that add i.i.d. loss, wider
-    latency distributions and a per-link bandwidth cap -- then probes the
+    degenerate network (constant latency, no loss, the simulator's default)
+    and under arms that add i.i.d. loss, wider latency distributions and a
+    per-link bandwidth cap -- then probes the
     maintained Section 3 tree for per-peer dissemination latencies.  Each
     row reports the overlay-construction traffic (messages, bytes and the
     retransmissions the reliable link notices paid), whether the settled
@@ -1001,36 +619,3 @@ def run_network_model_ablation(
     )
     return rows, table
 
-
-def _message_replay_table(rows: List[MessageReplayRow]) -> AblationResult:
-    """Table view of the A5 rows (split out to keep the driver readable)."""
-    return AblationResult(
-        name="message-replay",
-        headers=(
-            "mode",
-            "D",
-            "peers",
-            "departures",
-            "ticks",
-            "full selections",
-            "additive",
-            "skipped",
-            "wall [s]",
-            "identical",
-        ),
-        rows=tuple(
-            (
-                row.mode,
-                row.dimension,
-                row.peers,
-                row.departures,
-                row.reselect_ticks,
-                row.selection_invocations,
-                row.additive_updates,
-                row.skipped_ticks,
-                f"{row.wall_seconds:.2f}",
-                row.identical_topology,
-            )
-            for row in rows
-        ),
-    )

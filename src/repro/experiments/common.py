@@ -56,9 +56,7 @@ def _build_overlay(peers, selection, *, procedure: str, seed: int) -> OverlayNet
     if procedure == "equilibrium":
         return OverlayNetwork.build_equilibrium(peers, selection)
     if procedure == "insertion":
-        return OverlayNetwork.build_incremental(
-            peers, selection, rng=random.Random(seed), incremental=True
-        )
+        return OverlayNetwork.build_incremental(peers, selection, rng=random.Random(seed))
     raise ValueError(
         f"unknown build procedure {procedure!r}; known: {', '.join(PROCEDURES)}"
     )

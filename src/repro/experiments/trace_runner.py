@@ -7,22 +7,10 @@ event-driven observability stack attached -- a
 metrics, no snapshot rebuilds) and an
 :class:`~repro.multicast.incremental.OverlayConnectivityFeed` (union-find
 connectivity, no per-event graph reconstruction) -- and samples tree health
-and connectivity once per epoch.
-
-Two execution arms share the code path:
-
-* ``per_event=False`` (the default) applies each batch through
-  :meth:`~repro.overlay.network.OverlayNetwork.apply_batch` and pays **one**
-  convergence and one tree ``refresh()`` per epoch;
-* ``per_event=True`` replays the same flattened events through the
-  ``insert_and_converge`` / ``remove_and_converge`` loop, converging and
-  refreshing after every single event -- the pre-batching cadence ablation
-  A7 and the scaling benchmark compare against.
-
-Both arms make identical bootstrap choices (the join order is the same and
-the bootstrap rng is re-seeded per run), so under full knowledge they land on
-the identical overlay fixed point and byte-identical maintained stability
-tree; the equivalence is asserted by A7 and by the hypothesis tests.
+and connectivity once per epoch.  Each batch goes through
+:meth:`~repro.overlay.network.OverlayNetwork.apply_batch`, so an epoch pays
+**one** convergence and one tree ``refresh()``; the bootstrap rng is
+re-seeded per run, so replays of one trace are identical.
 """
 
 from __future__ import annotations
@@ -32,6 +20,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.experiments.ablations import AblationResult
+from repro.experiments.common import derive_seed
+from repro.experiments.config import resolve_scale
 from repro.geometry.distance import euclidean_distance
 from repro.multicast.incremental import OverlayConnectivityFeed, StabilityTreeMaintainer
 from repro.overlay.network import (
@@ -43,7 +34,16 @@ from repro.overlay.network import (
 )
 from repro.overlay.peer import PeerInfo
 from repro.overlay.selection.base import NeighbourSelectionMethod
-from repro.workloads.traces import ChurnTrace, EventBatch
+from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
+from repro.workloads.peers import generate_peers_with_lifetimes
+from repro.workloads.traces import (
+    ChurnTrace,
+    EventBatch,
+    diurnal_trace,
+    flash_crowd_trace,
+    mass_departure_trace,
+    poisson_trace,
+)
 
 __all__ = [
     "EpochSample",
@@ -76,13 +76,11 @@ class EpochSample:
 
 @dataclass(frozen=True)
 class TraceRunResult:
-    """Summary of one trace replay (one arm)."""
+    """Summary of one trace replay."""
 
-    mode: str
     samples: Tuple[EpochSample, ...]
     total_events: int
     total_rounds: int
-    convergences: int
     reparent_operations: int
     full_rebuilds: int
     connectivity_rebuilds: int
@@ -94,7 +92,7 @@ class TraceRunResult:
 
     @property
     def epoch_count(self) -> int:
-        """Number of epochs sampled."""
+        """Number of epochs sampled (one convergence each)."""
         return len(self.samples)
 
     @property
@@ -127,12 +125,11 @@ class TraceRunner:
         stability tree is well-defined.
     selection_factory:
         Zero-argument callable building the neighbour selection method; a
-        fresh instance is created per run so the two arms never share
+        fresh instance is created per run so runs never share
         method-internal caches.
     bootstrap_seed:
-        Seed of the per-run bootstrap-contact rng.  Both arms replay the
-        joins in the same order, so re-seeding per run makes their bootstrap
-        choices identical.
+        Seed of the per-run bootstrap-contact rng, re-seeded per run so
+        replays of one trace make identical bootstrap choices.
     use_index:
         Forwarded to :class:`~repro.overlay.network.OverlayNetwork`:
         ``None`` (the default) gives every full-knowledge run an owned
@@ -160,7 +157,7 @@ class TraceRunner:
         self._max_rounds = max_rounds
         self._use_index = use_index
 
-    def run(self, trace: ChurnTrace, *, per_event: bool = False) -> TraceRunResult:
+    def run(self, trace: ChurnTrace) -> TraceRunResult:
         """Replay one trace from an empty overlay; returns the run summary."""
         trace.validate()
         missing = trace.peer_ids() - set(self._population)
@@ -182,24 +179,12 @@ class TraceRunner:
         samples = []
         total_rounds = 0
         total_events = 0
-        convergences = 0
         started = time.perf_counter()
         for epoch, batch in enumerate(trace.batches):
-            if per_event:
-                rounds = 0
-                for event in self._materialize(batch, overlay, rng):
-                    rounds += overlay.apply_batch(
-                        (event,), max_rounds=self._max_rounds
-                    )
-                    convergences += 1
-                    maintainer.refresh()
-            else:
-                rounds = overlay.apply_batch(
-                    self._materialize(batch, overlay, rng),
-                    max_rounds=self._max_rounds,
-                )
-                convergences += 1
-                maintainer.refresh()
+            rounds = overlay.apply_batch(
+                self._materialize(batch, overlay, rng), max_rounds=self._max_rounds
+            )
+            maintainer.refresh()
             total_rounds += rounds
             total_events += len(batch.events)
             health = maintainer.engine.health_sample(epoch)
@@ -222,11 +207,9 @@ class TraceRunner:
             )
         wall_seconds = time.perf_counter() - started
         return TraceRunResult(
-            mode="per-event" if per_event else "per-epoch",
             samples=tuple(samples),
             total_events=total_events,
             total_rounds=total_rounds,
-            convergences=convergences,
             reparent_operations=maintainer.engine.reparent_operations,
             full_rebuilds=maintainer.full_rebuilds,
             connectivity_rebuilds=feed.tracker.rebuilds,
@@ -314,7 +297,7 @@ def run_trace_scenarios(
     scale=None,
     *,
     dimension: int = 3,
-) -> Tuple[list, "AblationResult"]:
+) -> Tuple[list, AblationResult]:
     """Replay every trace scenario per-epoch and summarise one row each.
 
     This is what the ``trace`` CLI subcommand prints: the four scenario
@@ -322,20 +305,6 @@ def run_trace_scenarios(
     wave) at the resolved scale, each driven through the batched-epoch path
     with live tree and connectivity metrics.
     """
-    # Imported lazily: ablations.py imports TraceRunner for A7, so a
-    # module-level import here would be a cycle.
-    from repro.experiments.ablations import AblationResult
-    from repro.experiments.common import derive_seed
-    from repro.experiments.config import resolve_scale
-    from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
-    from repro.workloads.peers import generate_peers_with_lifetimes
-    from repro.workloads.traces import (
-        diurnal_trace,
-        flash_crowd_trace,
-        mass_departure_trace,
-        poisson_trace,
-    )
-
     resolved = scale if scale is not None else resolve_scale()
     count = resolved.peer_count
     seed = derive_seed(resolved.seed, 17, dimension, count)

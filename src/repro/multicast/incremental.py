@@ -508,13 +508,23 @@ class StabilityTreeMaintainer:
         # dict then covers every alive peer the rule can read, and a
         # departed parent's children are already orphaned, so a link onto a
         # departed-and-rejoined id compares unequal below and is re-issued
-        # onto the fresh instance without a special case.
-        departed = frozenset(p for p in raw.departed if p in engine)
+        # onto the fresh instance without a special case.  A peer whose
+        # lifetime changed (a move of a peer without a declared lifetime
+        # changes its first coordinate) is a departure plus a join too; a
+        # move touches the mover, so checking the touched peers finds it.
+        lifetimes = engine._lifetimes  # noqa: SLF001 - maintainer is a friend class
+        departed = {p for p in raw.departed if p in engine}
         joined = {
             p: lifetime_of(overlay.peer(p))
             for p in raw.joined
             if p in overlay and (p in departed or p not in engine)
         }
+        for peer_id in raw.touched:
+            if peer_id in lifetimes and peer_id not in departed and peer_id in overlay:
+                lifetime = lifetime_of(overlay.peer(peer_id))
+                if lifetime != lifetimes[peer_id]:
+                    departed.add(peer_id)
+                    joined[peer_id] = lifetime
         engine.apply_membership(departed, joined)
 
         # Re-derive the preferred parent of every possibly-affected peer
@@ -526,7 +536,6 @@ class StabilityTreeMaintainer:
         coordinates_of = (
             None if index is not None else (lambda n: overlay.peer(n).coordinates)
         )
-        lifetimes = engine._lifetimes  # noqa: SLF001 - maintainer is a friend class
         reparented: Dict[int, Optional[int]] = {}
         for peer_id in raw.touched | raw.joined:
             if peer_id not in overlay:
@@ -543,7 +552,7 @@ class StabilityTreeMaintainer:
             if parent != engine.parent(peer_id):
                 reparented[peer_id] = parent
 
-        delta = TreeDelta(joined=joined, departed=departed, reparented=reparented)
+        delta = TreeDelta(joined=joined, departed=frozenset(departed), reparented=reparented)
         if not delta.is_empty:
             engine.apply_reparents(reparented)
         return delta

@@ -482,12 +482,12 @@ class RadiusCandidateState(CandidateView):
 class IncrementalReselectionEngine:
     """Delta-driven convergence state for one :class:`OverlayNetwork`.
 
-    The engine is created lazily by the first ``converge(incremental=True)``
-    call and kept in sync through the overlay's membership methods; a
-    full-sweep round invalidates it (the sweep rewrites every neighbour set
-    outside the engine's bookkeeping), after which the next incremental
-    convergence starts from an all-dirty state -- one batched full round --
-    and is incremental from there on.
+    The engine is created lazily by the first ``converge()`` call and kept
+    in sync through the overlay's membership methods; a full-sweep
+    ``reselect_round()`` invalidates it (the sweep rewrites every neighbour
+    set outside the engine's bookkeeping), after which the next convergence
+    starts from an all-dirty state -- one batched full round -- and is
+    incremental from there on.
 
     Candidate bookkeeping lives in one of two views, picked by
     ``overlay.gossip_radius`` when the engine adopts the overlay (and by

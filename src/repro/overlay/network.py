@@ -4,25 +4,19 @@
 which peers exist, which neighbours each peer has selected -- and exposes the
 two ways of reaching the equilibrium topology:
 
-* :meth:`OverlayNetwork.converge` runs synchronous *reselection rounds*.
-  Two equivalent convergence paths implement them:
-
-  - the **full sweep** (``incremental=False``, the reference path): in every
-    round each peer recomputes its candidate set ``I(P)`` (either every
-    other peer, or the peers within ``gossip_radius`` = ``BR`` overlay hops
-    of it) and applies the neighbour selection method.  This mirrors the
-    paper's procedure of letting the overlay converge after every membership
-    change, at ``O(N)`` selections per round.
-  - the **incremental engine** (``incremental=True``, backed by
-    :class:`repro.overlay.incremental.IncrementalReselectionEngine`): only
-    *dirty* peers -- those whose candidate set may have changed since their
-    last selection -- are re-selected each round, with dirtiness seeded by
-    membership events and propagated through candidate-set deltas.  Partial
-    rounds install exactly what a full sweep would (clean peers provably
-    reproduce their selection), so both paths follow the same trajectory and
-    reach the identical fixed point; property tests cross-check this.  The
-    engine is what makes the paper's insert-one-converge procedure tractable
-    at churn scale (``N = 1000`` and beyond).
+* :meth:`OverlayNetwork.converge` runs synchronous *reselection rounds* on
+  the incremental engine
+  (:class:`repro.overlay.incremental.IncrementalReselectionEngine`): each
+  round re-selects only the *dirty* peers -- those whose candidate set
+  ``I(P)`` (every other peer, or the peers within ``gossip_radius`` =
+  ``BR`` overlay hops) may have changed since their last selection -- with
+  dirtiness seeded by membership events and propagated through
+  candidate-set deltas.  Clean peers provably reproduce their selection, so
+  every round installs what :meth:`OverlayNetwork.reselect_round` -- one
+  synchronous sweep in which every peer re-selects, kept as the oracle the
+  tests hold the engine to -- would.  This is the paper's procedure of
+  letting the overlay converge after every membership change, at churn
+  scale (``N = 1000`` and beyond).
 
 * :meth:`OverlayNetwork.build_equilibrium` jumps straight to the
   full-knowledge fixed point using the selection method's (possibly
@@ -198,9 +192,9 @@ class OverlayNetwork:
         # departed peer's selectors in O(selectors) instead of scanning
         # every neighbour set.
         self._selectors_of: Dict[int, Set[int]] = {}
-        # Created lazily by the first converge(incremental=True); kept in
-        # sync by the membership methods and dropped whenever a full sweep
-        # rewrites the topology behind its back.
+        # Created lazily by the first converge(); kept in sync by the
+        # membership methods and dropped whenever a sweep rewrites the
+        # topology behind its back.
         self._engine: Optional[IncrementalReselectionEngine] = None
         # Delta-stream subscribers (see repro.overlay.incremental): every
         # membership event and installed selection change is mirrored into
@@ -550,9 +544,10 @@ class OverlayNetwork:
         and are the discrete-time counterpart of "periodically, every peer
         broadcasts its existence ... then selects its new overlay neighbours".
 
-        This is the reference path the incremental engine is cross-checked
-        against; running it rewrites every neighbour set, so any live engine
-        state is discarded.  With an owned index under full knowledge, every
+        This is the oracle the incremental engine is cross-checked against
+        (the tests loop it to a fixed point); running it rewrites every
+        neighbour set, so any live engine state is discarded.  With an owned
+        index under full knowledge, every
         selection is answered from the index instead of a materialised
         candidate list -- the indexed and scan sweeps install byte-identical
         neighbour sets (property-tested), so the cross-check contract holds
@@ -624,39 +619,32 @@ class OverlayNetwork:
         """
         self._engine = None
 
-    def converge(self, *, max_rounds: int = 50, incremental: bool = False) -> int:
+    def converge(self, *, max_rounds: int = 50) -> int:
         """Run reselection rounds until a fixed point; returns the round count.
 
-        With ``incremental=True`` the rounds are driven by the dirty-set
-        engine (only peers whose candidate sets may have changed are
-        re-selected); otherwise every round is a full sweep.  Both paths
-        reach the identical fixed point -- the incremental one merely skips
-        provably unchanged work, so it may report fewer rounds.
+        The rounds are driven by the dirty-set engine: only peers whose
+        candidate sets may have changed are re-selected, and each round
+        installs what a :meth:`reselect_round` sweep would.
 
         Raises :class:`ConvergenceError` if the topology is still changing
-        after ``max_rounds`` rounds.  On that exception path the incremental
-        engine is invalidated: the abandoned engine holds mid-trajectory
-        state (a consumed dirty set, history describing a topology the
-        caller may now mutate or abandon), so the next incremental
-        convergence rebootstraps from an all-dirty state instead of resuming
-        from it -- after the error has recorded which peers were still dirty.
+        after ``max_rounds`` rounds.  On that exception path the engine is
+        invalidated: the abandoned engine holds mid-trajectory state (a
+        consumed dirty set, history describing a topology the caller may now
+        mutate or abandon), so the next convergence rebootstraps from an
+        all-dirty state instead of resuming from it -- after the error has
+        recorded which peers were still dirty.
         """
         if max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
-        if incremental:
-            if self._engine is None:
-                self._engine = IncrementalReselectionEngine(self)
-            engine = self._engine
-            for round_index in range(1, max_rounds + 1):
-                if not engine.run_round():
-                    return round_index
-            dirty = engine.dirty_peers
-            self.invalidate_engine()
-            raise ConvergenceError(max_rounds, dirty, self._gossip_radius)
+        if self._engine is None:
+            self._engine = IncrementalReselectionEngine(self)
+        engine = self._engine
         for round_index in range(1, max_rounds + 1):
-            if not self.reselect_round():
+            if not engine.run_round():
                 return round_index
-        raise ConvergenceError(max_rounds)
+        dirty = engine.dirty_peers
+        self.invalidate_engine()
+        raise ConvergenceError(max_rounds, dirty, self._gossip_radius)
 
     def insert_and_converge(
         self,
@@ -664,28 +652,19 @@ class OverlayNetwork:
         *,
         bootstrap: Optional[Iterable[int]] = None,
         max_rounds: int = 50,
-        incremental: bool = False,
     ) -> int:
         """Insert one peer and let the overlay converge (the paper's procedure)."""
         self.add_peer(peer, bootstrap=bootstrap)
-        return self.converge(max_rounds=max_rounds, incremental=incremental)
+        return self.converge(max_rounds=max_rounds)
 
-    def remove_and_converge(
-        self, peer_id: int, *, max_rounds: int = 50, incremental: bool = False
-    ) -> int:
+    def remove_and_converge(self, peer_id: int, *, max_rounds: int = 50) -> int:
         """Remove one peer and let the overlay converge."""
         self.remove_peer(peer_id)
         if not self._peers:
             return 0
-        return self.converge(max_rounds=max_rounds, incremental=incremental)
+        return self.converge(max_rounds=max_rounds)
 
-    def apply_batch(
-        self,
-        events: Iterable[BatchEvent],
-        *,
-        incremental: bool = True,
-        max_rounds: int = 50,
-    ) -> int:
+    def apply_batch(self, events: Iterable[BatchEvent], *, max_rounds: int = 50) -> int:
         """Apply one epoch of membership events, then converge **once**.
 
         This is the batched-epoch counterpart of the per-event
@@ -733,7 +712,7 @@ class OverlayNetwork:
             applied = True
         if not applied or not self._peers:
             return 0
-        return self.converge(max_rounds=max_rounds, incremental=incremental)
+        return self.converge(max_rounds=max_rounds)
 
     # ------------------------------------------------------------------
     # Bulk builders
@@ -798,7 +777,6 @@ class OverlayNetwork:
         gossip_radius: Optional[int] = None,
         max_rounds: int = 50,
         rng: Optional[random.Random] = None,
-        incremental: bool = True,
         use_index: Optional[bool] = None,
     ) -> "OverlayNetwork":
         """Insert peers one at a time, converging after every insertion.
@@ -808,11 +786,6 @@ class OverlayNetwork:
         converge after every insertion)").  Bootstrap contacts are chosen
         uniformly at random among the peers already present (deterministic
         when ``rng`` is seeded).
-
-        Per-insertion convergence uses the incremental engine by default --
-        the two paths produce identical topologies and the dirty-set path is
-        what keeps churn-scale runs (``N = 1000``) tractable; pass
-        ``incremental=False`` to cross-check against full sweeps.
         """
         generator = rng if rng is not None else random.Random(0)
         overlay = cls(selection, gossip_radius=gossip_radius, use_index=use_index)
@@ -821,10 +794,5 @@ class OverlayNetwork:
                 overlay.add_peer(peer, bootstrap=())
                 continue
             bootstrap = {generator.choice(overlay.peer_ids)}
-            overlay.insert_and_converge(
-                peer,
-                bootstrap=bootstrap,
-                max_rounds=max_rounds,
-                incremental=incremental,
-            )
+            overlay.insert_and_converge(peer, bootstrap=bootstrap, max_rounds=max_rounds)
         return overlay

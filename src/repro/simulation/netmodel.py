@@ -18,10 +18,10 @@ Each link owns an independent stream, so one link's traffic never perturbs
 another link's draws, and the whole model replays byte-identically for a
 given seed and event order.
 
-The degenerate model -- constant latency, zero loss, no bandwidth cap --
-takes a fast path that touches no generator at all, which is what makes it
-*provably* equivalent to the legacy scalar-latency network (the
-seeded-equivalence suite asserts the equality end to end).
+The degenerate model -- constant latency, zero loss, no bandwidth cap; a
+bare ``LinkModel()`` and the simulator's default network -- takes a fast path
+that touches no generator at all, so a default run consumes no randomness
+beyond the protocol's own (a seeded regression test pins its digest).
 
 Byte accounting uses :func:`estimate_message_bytes`, a structural estimator
 over the simulation's payload dataclasses (no per-kind registry, hence no
@@ -53,7 +53,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ConstantLatency:
-    """Every message takes exactly ``value`` seconds (the legacy behaviour)."""
+    """Every message takes exactly ``value`` seconds."""
 
     value: float
 
@@ -246,10 +246,8 @@ class LinkModel:
 
     @property
     def is_degenerate(self) -> bool:
-        """True when the model is exactly the legacy network: constant
-        latency, no loss, infinite bandwidth.  The degenerate path consumes
-        no randomness, which is what makes byte-identical equivalence with
-        the scalar-latency network provable rather than merely likely."""
+        """True for constant latency, no loss and infinite bandwidth: the
+        path that consumes no randomness."""
         return (
             isinstance(self._latency, ConstantLatency)
             and self._loss_rate == 0.0
@@ -316,8 +314,7 @@ class LinkModel:
         distinction is below the estimator's resolution).
         """
         if self.is_degenerate:
-            # Fast path: no per-link state, no draws.  This is the branch the
-            # seeded-equivalence suite pins against the legacy network.
+            # Fast path: no per-link state, no draws.
             return now + self._latency.value  # type: ignore[union-attr]
         state = self._state(sender, recipient)
         if self._loss_rate and float(state.rng.random()) < self._loss_rate:

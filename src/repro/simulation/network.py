@@ -1,23 +1,15 @@
 """An in-memory message network with latencies and per-kind counters.
 
 Peers address each other by peer id (the simulated counterpart of the public
-IP / port pair of the paper); the network delivers each message after a
-configurable latency by scheduling a delivery event on the simulation engine.
-Message counters are the ground truth for every "number of messages" claim --
-in particular the ``N - 1`` construction-message claim of Section 2 is
-verified against the ``construct`` counter of this class, not against any
-by-product of the tree data structure.
-
-Two delay regimes are supported:
-
-* the legacy ``latency=`` scalar/callable (constant or topology-dependent
-  delay, every message delivered), and
-* a :class:`~repro.simulation.netmodel.LinkModel` (``link_model=``), which
-  adds per-link latency distributions, i.i.d. loss and FIFO bandwidth
-  queueing -- see :mod:`repro.simulation.netmodel`.
-
-Byte accounting runs in both regimes (the estimator is model-independent),
-so overhead is measured in bytes as well as counts everywhere.
+IP / port pair of the paper); the network delivers each message at the time
+its :class:`~repro.simulation.netmodel.LinkModel` assigns (per-link latency
+distributions, i.i.d. loss, FIFO bandwidth queueing -- see
+:mod:`repro.simulation.netmodel`) by scheduling a delivery event on the
+simulation engine.  Message counters are the ground truth for every "number
+of messages" claim -- in particular the ``N - 1`` construction-message claim
+of Section 2 is verified against the ``construct`` counter of this class, not
+against any by-product of the tree data structure.  Byte accounting is
+model-independent, so overhead is measured in bytes as well as counts.
 """
 
 from __future__ import annotations
@@ -29,8 +21,6 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.netmodel import LinkModel, estimate_message_bytes
 
 __all__ = ["Message", "NetworkStats", "SimulatedNetwork"]
-
-LatencyModel = Callable[[int, int], float]
 
 
 @dataclass(frozen=True)
@@ -79,46 +69,27 @@ class SimulatedNetwork:
     ----------
     engine:
         The simulation engine used to schedule deliveries.
-    latency:
-        Either a constant latency in simulated seconds, or a callable
-        ``latency(sender, recipient)`` for topology-dependent delays.
-        Mutually exclusive with ``link_model``.
     link_model:
         A :class:`~repro.simulation.netmodel.LinkModel` supplying latency
-        distributions, loss and bandwidth queueing.  Mutually exclusive
-        with ``latency``.  The model is claimed for this network's run
-        (its RNG streams and FIFO frontiers are positioned by the traffic);
+        distributions, loss and bandwidth queueing; ``None`` means a fresh
+        ``LinkModel()`` (constant 0.01 s, no loss, no cap, no randomness
+        consumed).  The model is claimed for this network's run (its RNG
+        streams and FIFO frontiers are positioned by the traffic);
         constructing a second network with the same instance raises unless
         ``link_model.reset()`` is called in between.
     """
 
     def __init__(
-        self,
-        engine: SimulationEngine,
-        *,
-        latency: "float | LatencyModel | None" = None,
-        link_model: Optional[LinkModel] = None,
+        self, engine: SimulationEngine, *, link_model: Optional[LinkModel] = None
     ) -> None:
         self._engine = engine
-        if link_model is not None and latency is not None:
-            raise ValueError("pass either latency= or link_model=, not both")
-        if link_model is not None:
-            # A model is single-run: its RNG positions and FIFO frontiers
-            # advance as messages flow, so sharing one across networks would
-            # silently couple the runs.  Claim it; reset() releases it.
-            link_model._attach()
-        self._link_model = link_model
-        self._latency_model: Optional[LatencyModel] = None
         if link_model is None:
-            if latency is None:
-                latency = 0.01
-            if callable(latency):
-                self._latency_model = latency
-            else:
-                constant = float(latency)
-                if constant < 0:
-                    raise ValueError("latency must be non-negative")
-                self._latency_model = lambda sender, recipient: constant
+            link_model = LinkModel()
+        # A model is single-run: its RNG positions and FIFO frontiers advance
+        # as messages flow, so sharing one across networks would silently
+        # couple the runs.  Claim it; reset() releases it.
+        link_model._attach()
+        self._link_model = link_model
         self._handlers: Dict[int, Callable[[Message], None]] = {}
         self._stats = NetworkStats()
 
@@ -143,7 +114,7 @@ class SimulatedNetwork:
     # Sending
     # ------------------------------------------------------------------
     def send(self, sender: int, recipient: int, kind: str, payload: Any) -> None:
-        """Send one message; it is delivered after the configured latency.
+        """Send one message; it is delivered when the link model says.
 
         Messages to peers that are not registered (departed or never joined)
         are counted as sent and as dropped -- exactly what happens to a UDP
@@ -162,23 +133,12 @@ class SimulatedNetwork:
         self._stats.bytes_sent += size
         self._stats.by_kind[kind] = self._stats.by_kind.get(kind, 0) + 1
         self._stats.bytes_by_kind[kind] = self._stats.bytes_by_kind.get(kind, 0) + size
-        if self._link_model is not None:
-            deliver_at = self._link_model.delivery_time(
-                sender, recipient, size, self._engine.now
-            )
-            if deliver_at is None:
-                self._stats.messages_lost += 1
-                return
-            self._engine.schedule(
-                deliver_at,
-                lambda: self._deliver(message, size),
-                description=f"{kind} {sender}->{recipient}",
-            )
+        deliver_at = self._link_model.delivery_time(sender, recipient, size, self._engine.now)
+        if deliver_at is None:
+            self._stats.messages_lost += 1
             return
-        assert self._latency_model is not None
-        delay = self._latency_model(sender, recipient)
-        self._engine.schedule_after(
-            delay,
+        self._engine.schedule(
+            deliver_at,
             lambda: self._deliver(message, size),
             description=f"{kind} {sender}->{recipient}",
         )
@@ -192,8 +152,8 @@ class SimulatedNetwork:
         return self._stats
 
     @property
-    def link_model(self) -> Optional[LinkModel]:
-        """The link model in force, or ``None`` on the legacy latency path."""
+    def link_model(self) -> LinkModel:
+        """The link model in force."""
         return self._link_model
 
     def reset_stats(self) -> None:

@@ -354,7 +354,6 @@ class PeerProcess:
         config: GossipConfig,
         pick_strategy: str = PickStrategy.MEDIAN,
         rng: Optional[random.Random] = None,
-        incremental_reselect: bool = True,
     ) -> None:
         self._info = info
         self._engine = engine
@@ -363,7 +362,6 @@ class PeerProcess:
         self._config = config
         self._pick_strategy = pick_strategy
         self._rng = rng if rng is not None else random.Random(info.peer_id)
-        self._incremental_reselect = incremental_reselect
 
         self._alive = False
         self._life = 0
@@ -466,10 +464,9 @@ class PeerProcess:
     def selection_invocations(self) -> int:
         """Full applications of the selection method over the complete ``I(P)``.
 
-        Every reselect tick of the per-tick full-reselect mode is one;
-        dirty-set ticks only count when the delta forces a full recompute
-        (no consistent history, a non-path-independent method, or the loss
-        of a selected candidate).
+        A tick counts only when its delta forces a full recompute (no
+        consistent history, a non-path-independent method, or the loss of a
+        selected candidate).
         """
         return self._selection_invocations
 
@@ -873,7 +870,7 @@ class PeerProcess:
 
         last = self._last_candidates
         verdict = RESELECT_FULL
-        if self._incremental_reselect and last is not None:
+        if last is not None:
             verdict = classify_reselect(
                 last,
                 current_ids - last,

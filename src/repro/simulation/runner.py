@@ -17,12 +17,10 @@ events interleaved with the joins, e.g. the ones generated by
 :mod:`repro.workloads.churn` -- exercising the departure protocol and the
 dirty-set reselection fast path under realistic membership dynamics.
 
-The runners used to be deliberately small-scale tools; with the dirty-set
-reselect tick in :class:`~repro.simulation.protocol.PeerProcess`
-(``incremental_reselect=True``, the default) the message-level replay now
-scales to hundreds of peers, which is what lets the protocol validate the
-offline equilibrium builders well beyond toy instances
-(``benchmarks/test_message_replay_scaling.py``).
+The dirty-set reselect tick of :class:`~repro.simulation.protocol.PeerProcess`
+is what lets the message-level replay scale to hundreds of peers
+(``benchmarks/test_message_replay_scaling.py``), so the protocol validates
+the offline equilibrium builders well beyond toy instances.
 
 With ``maintain_tree=True`` the runner additionally keeps the Section 3
 stability tree *live across churn*: every peer process reports its joins,
@@ -225,11 +223,9 @@ def run_gossip_overlay(
     config: Optional[GossipConfig] = None,
     join_interval: float = 2.0,
     settle_time: float = 30.0,
-    latency: Optional[float] = None,
     network: Optional[LinkModel] = None,
     seed: int = 0,
     pick_strategy: str = PickStrategy.MEDIAN,
-    incremental_reselect: bool = True,
     churn: Optional[Sequence[ChurnEvent]] = None,
     maintain_tree: bool = False,
 ) -> GossipSimulationResult:
@@ -251,24 +247,13 @@ def run_gossip_overlay(
     settle_time:
         Extra simulated time after the last join (or churn event) before the
         run stops.
-    latency:
-        One-way message latency (defaults to ``0.01``); the legacy constant
-        model.  Mutually exclusive with ``network``.
     network:
         A :class:`~repro.simulation.netmodel.LinkModel` supplying per-link
-        latency distributions, loss and bandwidth queueing.  The degenerate
-        model (constant latency, zero loss, no bandwidth cap) reproduces
-        the ``latency=`` run byte-identically -- the seeded-equivalence
-        suite pins that down.
+        latency distributions, loss and bandwidth queueing; ``None`` (the
+        default) is a fresh ``LinkModel()``: a constant 0.01 s one-way
+        latency, no loss, no bandwidth cap.
     seed:
         Seed controlling bootstrap choices and per-peer tick phases.
-    incremental_reselect:
-        ``True`` (default) runs every peer's reselect tick through the
-        dirty-set fast path (skip unchanged candidate sets, additive shortcut
-        on pure gains); ``False`` reapplies the full selection method every
-        tick.  The two settle to identical topologies -- the seeded
-        equivalence tests assert exactly that -- the flag exists for those
-        tests and for measuring the fast path's effect.
     churn:
         Optional membership schedule (:class:`repro.workloads.churn.ChurnEvent`
         sequence).  When given, joins and leaves happen at the scheduled
@@ -285,12 +270,10 @@ def run_gossip_overlay(
     """
     if join_interval <= 0 or settle_time < 0:
         raise ValueError("join_interval must be positive and settle_time non-negative")
-    if latency is not None and network is not None:
-        raise ValueError("pass either latency= or network=, not both")
     gossip_config = config if config is not None else GossipConfig()
     rng = random.Random(seed)
     engine = SimulationEngine()
-    simulated_network = SimulatedNetwork(engine, latency=latency, link_model=network)
+    simulated_network = SimulatedNetwork(engine, link_model=network)
     processes: Dict[int, PeerProcess] = {}
     monitor = LiveStabilityTreeMonitor() if maintain_tree else None
 
@@ -303,7 +286,6 @@ def run_gossip_overlay(
             config=gossip_config,
             pick_strategy=pick_strategy,
             rng=random.Random(rng.randrange(1 << 30)),
-            incremental_reselect=incremental_reselect,
         )
         if monitor is not None:
             process.attach_tree_listener(monitor)

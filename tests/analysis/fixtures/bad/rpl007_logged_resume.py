@@ -9,7 +9,7 @@ tuple is still a catch.
 def converge_with_retry(overlay, attempts):
     for _ in range(attempts):
         try:
-            return overlay.converge(incremental=True)
+            return overlay.converge()
         except (ValueError, ConvergenceError) as error:  # expect: RPL007
             print("convergence failed:", error)
     return None

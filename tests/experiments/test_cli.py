@@ -51,17 +51,10 @@ class TestExecution:
     def test_ablations_prints_every_ablation(self, capsys):
         assert main(["ablations"]) == 0
         output = capsys.readouterr().out
-        assert "Ablation A1" in output
-        assert "Ablation A2" in output
-        assert "Ablation A3" in output
-        assert "Ablation A4" in output
-        assert "Ablation A5" in output
-        assert "Ablation A6" in output
-        assert "Ablation A7" in output
-        assert "Ablation A8" in output
-        assert "dirty-set" in output
-        assert "snapshot rebuilds" in output
-        assert "per-epoch" in output
+        for ablation in ("A1", "A2", "A3", "A4", "A8"):
+            assert f"Ablation {ablation}" in output
+        for deleted in ("A5", "A6", "A7"):
+            assert f"Ablation {deleted}" not in output
         assert "lognormal" in output
 
     def test_network_subcommand_runs_the_link_model_sweep(self, capsys):

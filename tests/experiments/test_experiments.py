@@ -5,12 +5,9 @@ import pytest
 from repro.experiments.ablations import (
     run_baseline_comparison,
     run_churn_ablation,
-    run_message_replay_ablation,
     run_network_model_ablation,
     run_overlay_churn_ablation,
     run_pick_strategy_ablation,
-    run_trace_convergence_ablation,
-    run_tree_maintenance_ablation,
 )
 from repro.experiments.config import SCALES, ExperimentScale, resolve_scale
 from repro.experiments.trace_runner import TraceRunner, run_trace_scenarios
@@ -180,38 +177,6 @@ class TestAblations:
             assert row.connectivity_full_scans == 0
         assert {"uf rebuilds", "uf edges scanned", "uf full scans"} <= set(table.headers)
 
-    def test_tree_maintenance_ablation(self):
-        rows, table = run_tree_maintenance_ablation(TINY, dimension=2, k=2)
-        by_phase = {row.phase: row for row in rows}
-        assert set(by_phase) == {"join", "leave"}
-        assert by_phase["join"].events == TINY.peer_count
-        assert by_phase["leave"].events == TINY.peer_count
-        for row in rows:
-            # Event-driven maintenance stays byte-identical to the snapshot
-            # rebuild at every event while never rebuilding after bootstrap.
-            assert row.identical
-            assert row.full_rebuilds == 0
-            assert row.snapshot_rebuilds == row.events
-            assert row.reparent_operations > 0
-        assert "tree-maintenance" == table.name
-        assert "join" in table.to_table()
-
-    def test_message_replay_ablation(self):
-        rows, table = run_message_replay_ablation(TINY, dimension=2, replay_cap=30)
-        by_mode = {row.mode: row for row in rows}
-        assert set(by_mode) == {"full-reselect", "dirty-set"}
-        full, dirty = by_mode["full-reselect"], by_mode["dirty-set"]
-        # Identical message streams: both modes settle to the same topology.
-        assert full.identical_topology and dirty.identical_topology
-        assert full.reselect_ticks == dirty.reselect_ticks
-        # The full-reselect arm applies the method on every tick; the
-        # dirty-set arm resolves most ticks as skips or additive updates.
-        assert full.selection_invocations == full.reselect_ticks
-        assert dirty.selection_invocations < full.selection_invocations
-        assert dirty.skipped_ticks > 0
-        assert "message-replay" == table.name
-        assert "dirty-set" in table.to_table()
-
     def test_network_model_ablation(self):
         rows, table = run_network_model_ablation(TINY, dimension=2, replay_cap=16)
         by_arm = {row.arm: row for row in rows}
@@ -239,25 +204,6 @@ class TestAblations:
         assert by_arm["lognormal+loss-10%+bw"].messages_lost > 0
         assert "network-model" == table.name
         assert "ideal" in table.to_table()
-
-    def test_trace_convergence_ablation(self):
-        rows, table = run_trace_convergence_ablation(TINY, dimension=2)
-        by_arm = {row.arm: row for row in rows}
-        assert set(by_arm) == {"per-event", "per-epoch"}
-        per_event, per_epoch = by_arm["per-event"], by_arm["per-epoch"]
-        # Same trace, same epochs and events -- only the cadence differs.
-        assert per_event.events == per_epoch.events
-        assert per_event.epochs == per_epoch.epochs
-        # Both arms land on the identical overlay fixed point and
-        # byte-identical maintained stability tree...
-        assert per_event.identical and per_epoch.identical
-        # ...while the batched arm converges once per epoch instead of once
-        # per event, for a fraction of the engine rounds.
-        assert per_epoch.convergences == per_epoch.epochs
-        assert per_event.convergences == per_event.events
-        assert per_epoch.engine_rounds < per_event.engine_rounds
-        assert "trace-convergence" == table.name
-        assert "per-epoch" in table.to_table()
 
     def test_trace_scenarios(self):
         rows, table = run_trace_scenarios(TINY, dimension=2)
@@ -319,18 +265,15 @@ class TestAblations:
         assert result.samples[0].moves == 0
         assert result.samples[1].moves == 1
         assert result.samples[1].events == 1
-        # The replayed fixed point matches an overlay converged after an
-        # explicit move_peer of the same peer.
+        # The replayed fixed point is the equilibrium of the survivors at
+        # their current coordinates, and the maintained tree is the snapshot
+        # rule over it.
         from dataclasses import replace
 
-        reference = OverlayNetwork(EmptyRectangleSelection())
-        reference.apply_batch(
-            [
-                replace(peer, coordinates=moved) if peer.peer_id == 2 else peer
-                for peer in peers
-            ]
-        )
-        assert result.final_neighbours == reference.directed_neighbour_map()
-        # Both arms replay moves identically.
-        per_event = runner.run(trace, per_event=True)
-        assert per_event.final_neighbours == result.final_neighbours
+        from repro.multicast.stability import StabilityTreeBuilder
+
+        survivors = [replace(p, coordinates=moved) if p.peer_id == 2 else p for p in peers]
+        equilibrium = OverlayNetwork.build_equilibrium(survivors, EmptyRectangleSelection())
+        assert result.final_neighbours == equilibrium.directed_neighbour_map()
+        expected = StabilityTreeBuilder().build(equilibrium.snapshot())
+        assert result.final_parents == dict(expected.preferred)

@@ -30,7 +30,7 @@ from repro.multicast.incremental import (
 from repro.multicast.stability import StabilityTreeBuilder
 from repro.multicast.tree import MulticastTree, TreeValidationError
 from repro.experiments.trace_runner import region_radius_for_fraction
-from repro.overlay.network import BatchJoin, BatchLeave, OverlayNetwork
+from repro.overlay.network import BatchJoin, BatchLeave, BatchMove, OverlayNetwork
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.k_closest import KClosestSelection
@@ -164,12 +164,12 @@ class TestMaintenanceEngine:
         # must re-issue the link onto the rejoined instance.
         child, parent = make_peer(2, (0.25, 0.25)), make_peer(3, (0.375, 0.375))
         overlay = OverlayNetwork(EmptyRectangleSelection())
-        overlay.insert_and_converge(parent, bootstrap=set(), incremental=True)
-        overlay.insert_and_converge(child, bootstrap={3}, incremental=True)
+        overlay.insert_and_converge(parent, bootstrap=set())
+        overlay.insert_and_converge(child, bootstrap={3})
         maintainer = StabilityTreeMaintainer(overlay)
         assert maintainer.forest().preferred == {2: 3, 3: None}
-        overlay.remove_and_converge(3, incremental=True)
-        overlay.insert_and_converge(parent, bootstrap={2}, incremental=True)
+        overlay.remove_and_converge(3)
+        overlay.insert_and_converge(parent, bootstrap={2})
         maintainer.refresh()
         expected = StabilityTreeBuilder().build(overlay.snapshot())
         assert dict(maintainer.forest().preferred) == dict(expected.preferred)
@@ -627,19 +627,17 @@ def test_maintained_tree_matches_snapshot_rebuild_at_every_step(
             # one refresh window, so the drained delta carries the peer as
             # departed *and* joined (and usually re-parented too).
             victim = rng.choice(alive)
-            overlay.remove_and_converge(victim, incremental=True)
+            overlay.remove_and_converge(victim)
             bootstrap = {rng.choice([p for p in alive if p != victim])} if len(alive) > 1 else set()
-            overlay.insert_and_converge(
-                info_by_id[victim], bootstrap=bootstrap, incremental=True
-            )
+            overlay.insert_and_converge(info_by_id[victim], bootstrap=bootstrap)
         elif alive and (not pending or roll < 0.4):
             victim = rng.choice(alive)
             alive.remove(victim)
-            overlay.remove_and_converge(victim, incremental=True)
+            overlay.remove_and_converge(victim)
         else:
             peer = pending.pop()
             bootstrap = {rng.choice(alive)} if alive else set()
-            overlay.insert_and_converge(peer, bootstrap=bootstrap, incremental=True)
+            overlay.insert_and_converge(peer, bootstrap=bootstrap)
             alive.append(peer.peer_id)
 
         maintainer.refresh()
@@ -684,22 +682,39 @@ def test_consumers_follow_the_overlay_through_a_rebinding_full_sweep():
 
     for peer in peers[:10]:
         bootstrap = {overlay.peer_ids[0]} if overlay.peer_count else set()
-        overlay.insert_and_converge(peer, bootstrap=bootstrap, incremental=True)
+        overlay.insert_and_converge(peer, bootstrap=bootstrap)
         assert_exact()
     before = overlay._neighbours  # noqa: SLF001 - the hazard under test
     overlay.add_peer(peers[10], bootstrap={peers[0].peer_id})
     overlay.reselect_round()
     assert overlay._neighbours is not before  # noqa: SLF001
     assert_exact()
-    overlay.remove_and_converge(peers[3].peer_id, incremental=True)
+    overlay.remove_and_converge(peers[3].peer_id)
     assert_exact()
     overlay.reselect_round()
-    overlay.remove_and_converge(peers[0].peer_id, incremental=True)
-    overlay.insert_and_converge(peers[0], bootstrap={peers[5].peer_id}, incremental=True)
+    overlay.remove_and_converge(peers[0].peer_id)
+    overlay.insert_and_converge(peers[0], bootstrap={peers[5].peer_id})
     assert_exact()
-    overlay.insert_and_converge(peers[11], bootstrap={peers[0].peer_id}, incremental=True)
+    overlay.insert_and_converge(peers[11], bootstrap={peers[0].peer_id})
     assert_exact()
     assert maintainer.full_rebuilds == 1
+
+
+def test_a_move_that_changes_a_lifetime_reparents_the_mover():
+    """Without a declared lifetime ``T(P)`` is the first coordinate, which a
+    move changes; ``refresh()`` re-admits the mover at its new lifetime
+    (the maintainer used to keep ``{2: 3, 3: None}`` here)."""
+    points = [(0.5, 0.5), (0.75, 0.125), (0.25, 0.875), (0.875, 0.625)]
+    overlay = OverlayNetwork(EmptyRectangleSelection())
+    maintainer = StabilityTreeMaintainer(overlay)
+    overlay.apply_batch([make_peer(index, point) for index, point in enumerate(points)])
+    maintainer.refresh()
+    overlay.apply_batch([BatchMove(2, (0.9375, 0.875))])
+    maintainer.refresh()
+    expected = StabilityTreeBuilder().build(overlay.snapshot())
+    assert maintainer.engine.parent_map() == dict(expected.preferred)
+    assert {2: None, 3: 2}.items() <= maintainer.engine.parent_map().items()
+    assert maintainer.engine.lifetime(2) == 0.9375
 
 
 @settings(max_examples=25, deadline=None)
@@ -775,13 +790,13 @@ def test_multi_peer_bootstrap_joins_keep_the_maintained_tree_exact(
         alive.append(peer.peer_id)
         maintainer.refresh()
         assert_exact()
-        overlay.converge(incremental=True)
+        overlay.converge()
         maintainer.refresh()
         assert_exact()
         if len(alive) > 1 and rng.random() < 0.25:
             victim = rng.choice(alive)
             alive.remove(victim)
-            overlay.remove_and_converge(victim, incremental=True)
+            overlay.remove_and_converge(victim)
             maintainer.refresh()
             assert_exact()
     assert maintainer.full_rebuilds == 1

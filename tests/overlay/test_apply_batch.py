@@ -16,6 +16,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sweep_oracle import sweep_apply_batch, sweep_converge
 
 from repro.metrics.trees import tree_metrics
 from repro.multicast.incremental import StabilityTreeMaintainer
@@ -129,7 +130,7 @@ class TestApplyBatch:
         for peer in peers[:12]:
             bootstrap = frozenset({rng.randrange(peer.peer_id)}) if peer.peer_id else frozenset()
             fast.apply_batch([BatchJoin(peer, bootstrap=bootstrap)])
-            slow.apply_batch([BatchJoin(peer, bootstrap=bootstrap)], incremental=False)
+            sweep_apply_batch(slow, [BatchJoin(peer, bootstrap=bootstrap)])
         victim = rng.randrange(12)
         batch = [
             BatchLeave(victim),
@@ -138,7 +139,7 @@ class TestApplyBatch:
                 bootstrap=frozenset({(victim + 1) % 12}),
             ),
         ]
-        assert fast.apply_batch(batch) == slow.apply_batch(batch, incremental=False)
+        assert fast.apply_batch(batch) == sweep_apply_batch(slow, batch)
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
 
 
@@ -151,8 +152,8 @@ class TestDeltaStreamDegenerates:
         overlay = OverlayNetwork(EmptyRectangleSelection())
         overlay.apply_batch(peers)
         recorder = overlay.delta_stream()
-        overlay.remove_and_converge(1, incremental=True)
-        assert overlay.remove_and_converge(0, incremental=True) == 0
+        overlay.remove_and_converge(1)
+        assert overlay.remove_and_converge(0) == 0
         delta = recorder.drain()
         assert delta.departed == frozenset({0, 1})
         assert delta.joined == frozenset()
@@ -164,7 +165,7 @@ class TestDeltaStreamDegenerates:
         overlay.apply_batch(peers)
         maintainer.refresh()
         for peer_id in (2, 1, 0):
-            overlay.remove_and_converge(peer_id, incremental=True)
+            overlay.remove_and_converge(peer_id)
         delta = maintainer.refresh()
         assert delta.departed == frozenset({0, 1, 2})
         assert maintainer.engine.peer_count == 0
@@ -223,22 +224,22 @@ class TestConvergenceErrorRecovery:
     def test_engine_is_invalidated_on_the_exception_path(self):
         overlay = _chain_overlay()
         with pytest.raises(ConvergenceError):
-            overlay.converge(incremental=True, max_rounds=1)
+            overlay.converge(max_rounds=1)
         assert overlay._engine is None  # noqa: SLF001 - the regression is internal
 
     def test_subsequent_converge_reaches_the_true_fixed_point(self):
         overlay = _chain_overlay()
         with pytest.raises(ConvergenceError):
-            overlay.converge(incremental=True, max_rounds=1)
-        overlay.converge(incremental=True)
+            overlay.converge(max_rounds=1)
+        overlay.converge()
 
-        # The reference arm fails the same way mid-trajectory (the first
-        # incremental round equals the first full sweep) and continues on
-        # full sweeps; both recoveries must land on the same fixed point.
+        # The oracle fails the same way mid-trajectory (the first engine
+        # round equals the first sweep) and continues on sweeps; both
+        # recoveries must land on the same fixed point.
         reference = _chain_overlay()
         with pytest.raises(ConvergenceError):
-            reference.converge(incremental=False, max_rounds=1)
-        reference.converge(incremental=False)
+            sweep_converge(reference, max_rounds=1)
+        sweep_converge(reference)
         assert overlay.directed_neighbour_map() == reference.directed_neighbour_map()
 
     def test_the_error_says_what_was_still_moving(self):
@@ -248,7 +249,7 @@ class TestConvergenceErrorRecovery:
         overlay = _chain_overlay()
         before = knowledge_sets(overlay.adjacency(), 2)
         with pytest.raises(ConvergenceError) as raised:
-            overlay.converge(incremental=True, max_rounds=1)
+            overlay.converge(max_rounds=1)
         after = knowledge_sets(overlay.adjacency(), 2)
         moving = sorted(peer_id for peer_id in after if before[peer_id] != after[peer_id])
         error = raised.value
@@ -258,11 +259,6 @@ class TestConvergenceErrorRecovery:
         assert f"{len(moving)} peers still dirty" in str(error)
         assert f"lowest ids {moving[: 5]}" in str(error)
         assert "gossip radius 2" in str(error)
-        # The full sweep tracks no dirty set, and the bare form still works.
-        with pytest.raises(ConvergenceError) as swept:
-            _chain_overlay().converge(incremental=False, max_rounds=1)
-        assert (swept.value.dirty_count, swept.value.dirty_sample) == (0, ())
-        assert str(swept.value) == str(ConvergenceError(1))
 
     @pytest.mark.parametrize("gossip_radius", [1, 2, 3])
     def test_abort_inside_a_bounded_batch_rebuilds_the_maintained_knowledge(
@@ -297,12 +293,12 @@ class TestConvergenceErrorRecovery:
         assert overlay._engine is None  # noqa: SLF001
         twin = copy.deepcopy(overlay)
 
-        overlay.converge(incremental=True)
+        overlay.converge()
         knowledge = overlay._engine._view._knowledge  # noqa: SLF001
         oracle = knowledge_sets(overlay.adjacency(), gossip_radius)
         assert {p: set(knowledge.known(p)) for p in overlay.peer_ids} == oracle
 
-        twin.converge(incremental=False)
+        sweep_converge(twin)
         assert overlay.directed_neighbour_map() == twin.directed_neighbour_map()
         maintainer.refresh()
         expected = StabilityTreeBuilder().build(twin.snapshot())
@@ -351,7 +347,7 @@ class TestConvergenceErrorRecovery:
             witness = OverlayNetwork.build_equilibrium(overlay.peers(), selection_factory())
             assert overlay.directed_neighbour_map() == witness.directed_neighbour_map()
 
-        overlay.converge(incremental=True)
+        overlay.converge()
         assert 17 in overlay and 21 not in overlay
         assert_exact()
         overlay.apply_batch([BatchLeave(30), BatchJoin(peers[21], bootstrap=frozenset({0}))])
@@ -361,15 +357,10 @@ class TestConvergenceErrorRecovery:
 # ----------------------------------------------------------------------
 # Hypothesis: batched epochs == per-event convergence
 # ----------------------------------------------------------------------
-def _declared(index, point):
-    """A peer that declares its lifetime: its first coordinate at the join
-    (the Section 3 embedding).  A move then drifts the point, not ``T(P)``,
-    which the tree maintainer reads once, when the peer joins."""
-    return make_peer(index, point, lifetime=point[0])
-
-
 def _populations(min_size=4, max_size=14, max_dimension=3):
-    """Random populations with pairwise-distinct per-axis coordinates."""
+    """Random populations with pairwise-distinct per-axis coordinates.  No
+    peer declares a lifetime, so a move moves ``T(P)`` (the first
+    coordinate) too, and the maintained trees must follow it."""
 
     @st.composite
     def build(draw):
@@ -387,7 +378,7 @@ def _populations(min_size=4, max_size=14, max_dimension=3):
             for _ in range(dimension)
         ]
         return [
-            _declared(index, tuple(float(axis[index]) / 8 for axis in axes))
+            make_peer(index, tuple(float(axis[index]) / 8 for axis in axes))
             for index in range(count)
         ]
 
@@ -423,7 +414,7 @@ def _pinned_regressions(**fixed):
     def decorate(test):
         for points, script_seed in _SHARED_AXIS_VALUE_REGRESSIONS:
             test = example(
-                peers=[_declared(index, point) for index, point in enumerate(points)],
+                peers=[make_peer(index, point) for index, point in enumerate(points)],
                 selection_factory=EmptyRectangleSelection,
                 script_seed=script_seed,
                 **fixed,
@@ -510,7 +501,7 @@ def test_batched_epochs_match_per_event_convergence(peers, selection_factory, sc
         fast.apply_batch(batch)
         fast_maintainer.refresh()
         for event in batch:
-            slow.apply_batch((event,), incremental=True)
+            slow.apply_batch((event,))
             slow_maintainer.refresh()
 
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
@@ -545,11 +536,11 @@ def test_batched_epochs_match_per_event_convergence(peers, selection_factory, sc
 def test_batched_incremental_matches_batched_full_sweep(
     peers, selection_factory, gossip_radius, script_seed
 ):
-    """apply_batch(incremental=True) == apply_batch(incremental=False).
+    """apply_batch == the sweep oracle's batch, epoch by epoch.
 
     The engine's partial rounds install exactly what a full sweep would, so
-    the two convergence paths follow the same trajectory from the same
-    post-batch state -- under full knowledge and bounded gossip radii alike.
+    the two follow the same trajectory from the same post-batch state --
+    under full knowledge and bounded gossip radii alike.
     """
     rng = random.Random(script_seed)
     batches = _random_batched_script(peers, rng)
@@ -557,6 +548,6 @@ def test_batched_incremental_matches_batched_full_sweep(
         OverlayNetwork(selection_factory(), gossip_radius=gossip_radius) for _ in range(2)
     )
     for batch in batches:
-        fast.apply_batch(batch, incremental=True)
-        slow.apply_batch(batch, incremental=False)
+        fast.apply_batch(batch)
+        sweep_apply_batch(slow, batch)
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()

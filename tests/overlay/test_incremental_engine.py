@@ -1,15 +1,17 @@
 """Tests for the incremental reselection engine and the batched select APIs.
 
-The engine's contract is exact equivalence with the full-sweep reference
-path: same directed neighbour maps after every membership event, under full
-knowledge and under a bounded gossip radius.  These tests pin that contract
-on deterministic workloads; the hypothesis cross-checks live in
-``test_incremental_properties.py``.
+The engine's contract is exact equivalence with the synchronous-sweep
+oracle (``reselect_round()`` to a fixed point, ``sweep_*`` in
+``tests/sweep_oracle.py``): same directed neighbour maps after every membership
+event, under full knowledge and under a bounded gossip radius.  These tests
+pin that contract on deterministic workloads; the hypothesis cross-checks
+live in ``test_incremental_properties.py``.
 """
 
 import random
 
 import pytest
+from sweep_oracle import sweep_apply_batch, sweep_build, sweep_converge
 
 from repro.overlay.columnar import ColumnarCandidateState
 from repro.overlay.incremental import (
@@ -20,7 +22,7 @@ from repro.overlay.incremental import (
     RadiusCandidateState,
     classify_reselect,
 )
-from repro.overlay.network import OverlayNetwork
+from repro.overlay.network import BatchJoin, OverlayNetwork
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.base import NeighbourSelectionMethod
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
@@ -30,20 +32,12 @@ from repro.workloads.peers import generate_peers
 
 
 def _paired_overlays(selection_factory, peers, *, gossip_radius=None, seed=3):
-    """The same insertion sequence on the incremental and full-sweep paths."""
+    """The same insertion sequence on the production path and the oracle."""
     fast = OverlayNetwork.build_incremental(
-        peers,
-        selection_factory(),
-        gossip_radius=gossip_radius,
-        rng=random.Random(seed),
-        incremental=True,
+        peers, selection_factory(), gossip_radius=gossip_radius, rng=random.Random(seed)
     )
-    slow = OverlayNetwork.build_incremental(
-        peers,
-        selection_factory(),
-        gossip_radius=gossip_radius,
-        rng=random.Random(seed),
-        incremental=False,
+    slow = sweep_build(
+        peers, selection_factory(), gossip_radius=gossip_radius, rng=random.Random(seed)
     )
     return fast, slow
 
@@ -75,8 +69,8 @@ class TestFixedPointEquivalence:
             EmptyRectangleSelection, peers, gossip_radius=gossip_radius
         )
         for victim in [peer.peer_id for peer in peers[::4]]:
-            fast.remove_and_converge(victim, incremental=True)
-            slow.remove_and_converge(victim, incremental=False)
+            fast.remove_and_converge(victim)
+            sweep_apply_batch(slow, [victim])
             assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
 
     def test_interleaved_churn_matches_full_sweep(self):
@@ -87,21 +81,19 @@ class TestFixedPointEquivalence:
         alive = []
         for peer in peers:
             bootstrap = {rng.choice(alive)} if alive else set()
-            fast.insert_and_converge(peer, bootstrap=bootstrap, incremental=True)
-            slow.insert_and_converge(peer, bootstrap=bootstrap, incremental=False)
+            fast.insert_and_converge(peer, bootstrap=bootstrap)
+            sweep_apply_batch(slow, [BatchJoin(peer, frozenset(bootstrap))])
             alive.append(peer.peer_id)
             if len(alive) > 5 and rng.random() < 0.35:
                 victim = rng.choice(alive)
                 alive.remove(victim)
-                fast.remove_and_converge(victim, incremental=True)
-                slow.remove_and_converge(victim, incremental=False)
+                fast.remove_and_converge(victim)
+                sweep_apply_batch(slow, [victim])
             assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
 
     def test_incremental_matches_the_equilibrium_builder(self):
         peers = generate_peers(25, 2, seed=5)
-        overlay = OverlayNetwork.build_incremental(
-            peers, EmptyRectangleSelection(), incremental=True
-        )
+        overlay = OverlayNetwork.build_incremental(peers, EmptyRectangleSelection())
         equilibrium = OverlayNetwork.build_equilibrium(peers, EmptyRectangleSelection())
         assert overlay.directed_neighbour_map() == equilibrium.directed_neighbour_map()
 
@@ -109,9 +101,7 @@ class TestFixedPointEquivalence:
 class TestEngineLifecycle:
     def test_converged_overlay_has_no_dirty_peers(self):
         peers = generate_peers(15, 2, seed=2)
-        overlay = OverlayNetwork.build_incremental(
-            peers, EmptyRectangleSelection(), incremental=True
-        )
+        overlay = OverlayNetwork.build_incremental(peers, EmptyRectangleSelection())
         assert overlay._engine is not None  # noqa: SLF001 - white-box check
         assert overlay._engine.dirty_peers == frozenset()  # noqa: SLF001
 
@@ -132,25 +122,21 @@ class TestEngineLifecycle:
 
     def test_membership_events_dirty_the_engine(self):
         peers = generate_peers(12, 2, seed=9)
-        overlay = OverlayNetwork.build_incremental(
-            peers, EmptyRectangleSelection(), incremental=True
-        )
+        overlay = OverlayNetwork.build_incremental(peers, EmptyRectangleSelection())
         overlay.add_peer(make_peer(100, (0.123, 0.456)))
         engine = overlay._engine  # noqa: SLF001
         assert 100 in engine.dirty_peers
-        overlay.converge(incremental=True)
+        overlay.converge()
         assert engine.dirty_peers == frozenset()
 
     def test_full_sweep_round_invalidates_the_engine(self):
         peers = generate_peers(14, 2, seed=4)
-        overlay = OverlayNetwork.build_incremental(
-            peers, EmptyRectangleSelection(), incremental=True
-        )
+        overlay = OverlayNetwork.build_incremental(peers, EmptyRectangleSelection())
         overlay.reselect_round()
         assert overlay._engine is None  # noqa: SLF001
         # A later incremental convergence bootstraps a fresh engine and still
         # lands on the correct fixed point.
-        overlay.insert_and_converge(make_peer(200, (0.321, 0.654)), incremental=True)
+        overlay.insert_and_converge(make_peer(200, (0.321, 0.654)))
         expected = OverlayNetwork.build_equilibrium(
             peers + [make_peer(200, (0.321, 0.654))], EmptyRectangleSelection()
         )
@@ -161,9 +147,9 @@ class TestEngineLifecycle:
         overlay = OverlayNetwork(EmptyRectangleSelection())
         for peer in peers:
             overlay.add_peer(peer)
-        rounds = overlay.converge(incremental=True)
+        rounds = overlay.converge()
         assert rounds >= 1
-        assert overlay.converge(incremental=True) == 1
+        assert overlay.converge() == 1
 
 
 class PathDependentWrapper(EmptyRectangleSelection):
@@ -198,19 +184,17 @@ class TestRoundPlanDecisionTable:
 
     def test_verdict_counts_for_a_leave_a_join_and_a_move(self):
         peers = generate_peers(41, 2, seed=5)
-        fast, slow = (
-            OverlayNetwork.build_incremental(
-                peers[:40], EmptyRectangleSelection(), rng=random.Random(1), incremental=flag
-            )
-            for flag in (True, False)
+        fast = OverlayNetwork.build_incremental(
+            peers[:40], EmptyRectangleSelection(), rng=random.Random(1)
         )
+        slow = sweep_build(peers[:40], EmptyRectangleSelection(), rng=random.Random(1))
 
         def selectors_of(target):
             return {p for p in fast.peer_ids if target in fast.selected_neighbours(p)}
 
         def converge_both():
-            fast.converge(incremental=True)
-            slow.converge(incremental=False)
+            fast.converge()
+            sweep_converge(slow)
             assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
 
         # A leave: the departed peer's former selectors lost a selected
@@ -245,18 +229,16 @@ class TestRoundPlanDecisionTable:
 
     def test_a_path_dependent_method_recomputes_every_scheduled_peer(self):
         peers = generate_peers(41, 2, seed=5)
-        fast, slow = (
-            OverlayNetwork.build_incremental(
-                peers[:40], PathDependentWrapper(), rng=random.Random(1), incremental=flag
-            )
-            for flag in (True, False)
+        fast = OverlayNetwork.build_incremental(
+            peers[:40], PathDependentWrapper(), rng=random.Random(1)
         )
+        slow = sweep_build(peers[:40], PathDependentWrapper(), rng=random.Random(1))
         for overlay in (fast, slow):
             overlay.add_peer(peers[40])
         plan = _next_plan(fast)
         assert int(plan.full_mask.sum()) == 41 and not plan.windows
-        fast.converge(incremental=True)
-        slow.converge(incremental=False)
+        fast.converge()
+        sweep_converge(slow)
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
 
     def test_a_peer_with_history_inside_its_own_window_is_an_error(self):
@@ -270,7 +252,7 @@ class TestRoundPlanDecisionTable:
         view = overlay._engine._view  # noqa: SLF001
         view._needs_full[view._rows.row_of(3)] = False  # noqa: SLF001 - the injected fault
         with pytest.raises(RuntimeError, match=r"peer 3 .* stamp \d+ .* own window"):
-            overlay.converge(incremental=True)
+            overlay.converge()
 
 
 class TestSelectManyAgreement:

@@ -1,8 +1,9 @@
-"""Property-based cross-checks: incremental engine vs full-sweep convergence.
+"""Property-based cross-checks: the engine against the synchronous-sweep oracle.
 
 The engine's correctness argument (see :mod:`repro.overlay.incremental`) is
-that a partial round installs exactly what a full synchronous sweep would,
-so both paths follow the same trajectory to the same fixed point.  These
+that a partial round installs exactly what a full synchronous sweep
+(``reselect_round()``, looped by ``sweep_*`` in ``tests/sweep_oracle.py``) would,
+so both follow the same trajectory to the same fixed point.  These
 tests let hypothesis hunt for counterexamples over random populations and
 churn scripts, under full knowledge and under a small gossip radius.
 
@@ -15,8 +16,9 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweep_oracle import sweep_apply_batch, sweep_build
 
-from repro.overlay.network import OverlayNetwork
+from repro.overlay.network import BatchJoin, OverlayNetwork
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.k_closest import KClosestSelection
@@ -81,18 +83,10 @@ def test_insertion_convergence_matches_full_sweep(
     peers, selection_factory, gossip_radius, seed
 ):
     fast = OverlayNetwork.build_incremental(
-        peers,
-        selection_factory(),
-        gossip_radius=gossip_radius,
-        rng=random.Random(seed),
-        incremental=True,
+        peers, selection_factory(), gossip_radius=gossip_radius, rng=random.Random(seed)
     )
-    slow = OverlayNetwork.build_incremental(
-        peers,
-        selection_factory(),
-        gossip_radius=gossip_radius,
-        rng=random.Random(seed),
-        incremental=False,
+    slow = sweep_build(
+        peers, selection_factory(), gossip_radius=gossip_radius, rng=random.Random(seed)
     )
     assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
 
@@ -119,13 +113,13 @@ def test_churn_script_matches_full_sweep_at_every_step(
         if depart:
             victim = rng.choice(alive)
             alive.remove(victim)
-            fast.remove_and_converge(victim, incremental=True)
-            slow.remove_and_converge(victim, incremental=False)
+            fast.remove_and_converge(victim)
+            sweep_apply_batch(slow, [victim])
         else:
             peer = pending.pop()
             bootstrap = {rng.choice(alive)} if alive else set()
-            fast.insert_and_converge(peer, bootstrap=bootstrap, incremental=True)
-            slow.insert_and_converge(peer, bootstrap=bootstrap, incremental=False)
+            fast.insert_and_converge(peer, bootstrap=bootstrap)
+            sweep_apply_batch(slow, [BatchJoin(peer, frozenset(bootstrap))])
             alive.append(peer.peer_id)
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
 

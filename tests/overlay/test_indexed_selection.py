@@ -130,22 +130,18 @@ def test_indexed_overlay_tracks_scan_overlay_under_churn(
                 bootstrap = frozenset({rng.choice(alive)}) if alive else frozenset()
                 events.append(BatchJoin(joiner, bootstrap=bootstrap))
                 alive.append(joiner.peer_id)
-            fast_rounds = fast.apply_batch(events, incremental=True)
-            slow_rounds = slow.apply_batch(events, incremental=True)
+            fast_rounds = fast.apply_batch(events)
+            slow_rounds = slow.apply_batch(events)
         elif alive and (not pending or action < 0.35):
             victim = rng.choice(alive)
             alive.remove(victim)
-            fast_rounds = fast.remove_and_converge(victim, incremental=True)
-            slow_rounds = slow.remove_and_converge(victim, incremental=True)
+            fast_rounds = fast.remove_and_converge(victim)
+            slow_rounds = slow.remove_and_converge(victim)
         else:
             joiner = pending.pop()
             bootstrap = {rng.choice(alive)} if alive else set()
-            fast_rounds = fast.insert_and_converge(
-                joiner, bootstrap=bootstrap, incremental=True
-            )
-            slow_rounds = slow.insert_and_converge(
-                joiner, bootstrap=bootstrap, incremental=True
-            )
+            fast_rounds = fast.insert_and_converge(joiner, bootstrap=bootstrap)
+            slow_rounds = slow.insert_and_converge(joiner, bootstrap=bootstrap)
             alive.append(joiner.peer_id)
         if maintainers is None and fast.peer_count:
             maintainers = (StabilityTreeMaintainer(fast), StabilityTreeMaintainer(slow))
@@ -209,9 +205,9 @@ def test_build_equilibrium_populates_the_owned_index(peers, selection_factory):
     assert overlay.index.ids() == overlay.peer_ids
     # A follow-up indexed convergence sits at the same fixed point a scan
     # overlay reaches from the same state.
-    rounds = overlay.converge(incremental=True)
+    rounds = overlay.converge()
     scan = OverlayNetwork.build_equilibrium(peers, selection_factory(), use_index=False)
-    scan_rounds = scan.converge(incremental=True)
+    scan_rounds = scan.converge()
     assert rounds == scan_rounds
     assert overlay.directed_neighbour_map() == scan.directed_neighbour_map()
 
@@ -237,16 +233,16 @@ def test_convergence_error_invalidation_matches_scan_path():
     for overlay in (fast, slow):
         for peer in peers[:20]:
             overlay.add_peer(peer)
-        overlay.converge(incremental=True)
+        overlay.converge()
     for overlay in (fast, slow):
         for peer in peers[20:]:
             overlay.add_peer(peer)
         with pytest.raises(ConvergenceError):
-            overlay.converge(max_rounds=1, incremental=True)
+            overlay.converge(max_rounds=1)
     assert fast.index is not None
     assert fast.index.ids() == fast.peer_ids  # membership survived the abort
-    fast_rounds = fast.converge(incremental=True)
-    slow_rounds = slow.converge(incremental=True)
+    fast_rounds = fast.converge()
+    slow_rounds = slow.converge()
     assert fast_rounds == slow_rounds
     assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
 
@@ -256,18 +252,18 @@ def test_index_drains_to_empty_with_the_overlay():
     peers = [make_peer(i, (float(i), float(i * 7 % 13))) for i in range(8)]
     overlay = OverlayNetwork(EmptyRectangleSelection(), use_index=True)
     for peer in peers:
-        overlay.insert_and_converge(peer, incremental=True)
+        overlay.insert_and_converge(peer)
     for peer in peers:
-        overlay.remove_and_converge(peer.peer_id, incremental=True)
+        overlay.remove_and_converge(peer.peer_id)
     assert overlay.peer_count == 0
     assert overlay.index is not None and len(overlay.index) == 0
     assert overlay.index.dimension == 2  # retained for the next join
-    overlay.insert_and_converge(make_peer(99, (1.0, 2.0)), incremental=True)
+    overlay.insert_and_converge(make_peer(99, (1.0, 2.0)))
     assert overlay.index.ids() == [99]
     # An empty overlay accepts a population of any dimension; the index must
     # follow rather than reject the first joiner of the new population.
-    overlay.remove_and_converge(99, incremental=True)
-    overlay.insert_and_converge(make_peer(7, (1.0, 2.0, 3.0)), incremental=True)
+    overlay.remove_and_converge(99)
+    overlay.insert_and_converge(make_peer(7, (1.0, 2.0, 3.0)))
     assert overlay.index.dimension == 3
     assert overlay.index.ids() == [7]
 
@@ -283,7 +279,7 @@ def test_unsupported_methods_never_receive_an_index():
     assert not overlay.selection.supports_index
     assert overlay._selection_index() is None
     for peer in [make_peer(i, (float(i), float(9 - i))) for i in range(6)]:
-        overlay.insert_and_converge(peer, incremental=True)
+        overlay.insert_and_converge(peer)
     with pytest.raises(TypeError, match="no index-backed selection path"):
         overlay.selection.select_many([], {}, index=overlay.index)
     with pytest.raises(TypeError, match="no index-backed selection path"):

@@ -14,7 +14,8 @@ after every convergence, that
   and the view's history is one flag per alive peer, never an id collection;
 * every move forced exactly the peers whose oracle set held the mover at the
   previous converge;
-* the topology is in lockstep with ``incremental=False``.
+* the topology is in lockstep with the synchronous-sweep oracle
+  (``sweep_apply_batch`` in ``tests/sweep_oracle.py``).
 
 The net-delta window the engine reads its deltas from is held to the same
 oracle on its own (``test_the_window_is_the_difference_of_two_bfs_oracles``):
@@ -31,6 +32,7 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweep_oracle import sweep_apply_batch, sweep_converge
 
 from repro.overlay.gossip import MaintainedKnowledgeSets, knowledge_sets
 from repro.overlay.network import BatchJoin, BatchLeave, BatchMove, OverlayNetwork
@@ -161,8 +163,8 @@ def test_maintained_knowledge_sets_equal_the_bfs_oracle_after_every_converge(
     steps = 0
     while pending or (alive and steps < 3 * len(peers) and rng.random() < 0.6):
         steps += 1
-        # The first `lazy_joins` steps converge by full sweeps on both
-        # overlays, so the engine is created later, on a populated overlay.
+        # The first `lazy_joins` steps converge by sweeps on both overlays,
+        # so the engine is created later, on a populated overlay.
         incremental = steps > lazy_joins
         roll = rng.random()
         if roll < 0.35 and len(alive) >= 2:
@@ -186,25 +188,19 @@ def test_maintained_knowledge_sets_equal_the_bfs_oracle_after_every_converge(
                 # on record because its window entry outlived the departure.
                 by_id[rejoined.peer_id] = make_peer(rejoined.peer_id, move_targets.pop())
                 batch.append(BatchMove(rejoined.peer_id, by_id[rejoined.peer_id].coordinates))
-            fast.apply_batch(batch, incremental=incremental)
-            slow.apply_batch(batch, incremental=False)
         elif roll < 0.5 and len(alive) >= 2:
-            victim = leave_event().peer_id
-            fast.remove_and_converge(victim, incremental=incremental)
-            slow.remove_and_converge(victim, incremental=False)
+            batch = [leave_event()]
         elif roll < 0.65 and alive and move_targets:
-            move = move_event()
-            for overlay, mode in ((fast, incremental), (slow, False)):
-                overlay.move_peer(move.peer_id, move.coordinates)
-                overlay.converge(incremental=mode)
+            batch = [move_event()]
         elif pending or departed:
-            join = join_event()
-            for overlay, mode in ((fast, incremental), (slow, False)):
-                overlay.insert_and_converge(
-                    join.peer, bootstrap=join.bootstrap, incremental=mode
-                )
+            batch = [join_event()]
         else:
             continue
+        if incremental:
+            fast.apply_batch(batch)
+        else:
+            sweep_apply_batch(fast, batch)
+        sweep_apply_batch(slow, batch)
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
         if incremental:
             oracle = _assert_maintained_state_is_exact(fast)
@@ -284,15 +280,15 @@ def test_a_move_forces_the_knowers_of_a_window_ago_not_the_live_ones():
     coordinates.  Reading ``known(mover)`` as it is now gets both wrong.
     """
 
-    def line(**converge):
+    def line(converge):
         overlay = OverlayNetwork(KClosestSelection(k=1), gossip_radius=2)
         for index in range(7):
             x = index * (index + 1) / 2  # growing gaps: everyone selects its left neighbour
             overlay.add_peer(make_peer(index, (x, x / 100)), bootstrap={index - 1} if index else ())
-        overlay.converge(**converge)
+        converge(overlay)
         return overlay
 
-    fast, slow = line(incremental=True), line(incremental=False)
+    fast, slow = line(OverlayNetwork.converge), line(sweep_converge)
     assert fast.adjacency() == {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2, 4}, 4: {3, 5}, 5: {4, 6}, 6: {5}}
     batch = [
         BatchLeave(2),
@@ -303,7 +299,7 @@ def test_a_move_forces_the_knowers_of_a_window_ago_not_the_live_ones():
     plan_round, plans = engine._plan_round, []  # noqa: SLF001
     engine._plan_round = lambda schedule: plans.append(plan_round(schedule)) or plans[-1]  # noqa: SLF001
 
-    assert fast.apply_batch(batch) == slow.apply_batch(batch, incremental=False)
+    assert fast.apply_batch(batch) == sweep_apply_batch(slow, batch)
     verdicts = {peer_id: (verdict, gained) for peer_id, verdict, gained, _ in plans[0]}
     assert verdicts[1] == ("full", set())
     assert verdicts[6] == ("additive", {3, 7})

@@ -7,14 +7,15 @@ trajectories must agree everywhere coordinate state is replicated:
 
 * indexed vs scan (``use_index``): the index is re-keyed by ``move_peer``,
   so index-answered selections must equal scan selections at every step;
-* incremental vs full sweep: a move reaches the engine as ``note_move``,
-  and the post-move fixed point is a function of the current coordinates
-  alone.
+* engine vs the synchronous-sweep oracle (``sweep_converge`` in
+  ``tests/sweep_oracle.py``): a move reaches the engine as ``note_move``, and the
+  post-move fixed point is a function of the current coordinates alone.
 """
 
 import random
 
 import pytest
+from sweep_oracle import sweep_converge
 
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.peer import make_peer
@@ -36,7 +37,7 @@ def _population(count, rng, dimension=2):
     ]
 
 
-def _drift_schedule(overlay, rng, *, steps, incremental):
+def _drift_schedule(overlay, rng, *, steps, converge=OverlayNetwork.converge):
     """Move random peers (plus a little churn) and converge after each step."""
     for step in range(steps):
         alive = overlay.peer_ids
@@ -56,7 +57,7 @@ def _drift_schedule(overlay, rng, *, steps, incremental):
             overlay.add_peer(
                 make_peer(max(alive) + 1, coords), bootstrap={rng.choice(alive)}
             )
-        overlay.converge(incremental=incremental)
+        converge(overlay)
 
 
 @pytest.mark.parametrize("selection_factory", _SELECTIONS)
@@ -78,9 +79,7 @@ def test_indexed_and_scan_trajectories_agree_under_drift(selection_factory):
     }  # identical event streams per arm
     for step in range(30):
         for use_index, overlay in arms.items():
-            _drift_schedule(
-                overlay, schedules[use_index], steps=1, incremental=True
-            )
+            _drift_schedule(overlay, schedules[use_index], steps=1)
         indexed, scan = arms[True], arms[False]
         assert indexed.directed_neighbour_map() == scan.directed_neighbour_map()
         # The index itself must track the moved coordinates exactly.
@@ -90,7 +89,7 @@ def test_indexed_and_scan_trajectories_agree_under_drift(selection_factory):
 
 @pytest.mark.parametrize("selection_factory", _SELECTIONS)
 def test_incremental_move_matches_full_sweep_fixed_point(selection_factory):
-    """Under drift, incremental == full sweep after every step, and the last
+    """Under drift, engine == sweep oracle after every step, and the last
     fixed point is the fresh equilibrium."""
     peers = _population(32, random.Random(29))
     fast, slow = (
@@ -99,8 +98,8 @@ def test_incremental_move_matches_full_sweep_fixed_point(selection_factory):
     )
     fast_schedule, slow_schedule = random.Random(61), random.Random(61)
     for _ in range(25):
-        _drift_schedule(fast, fast_schedule, steps=1, incremental=True)
-        _drift_schedule(slow, slow_schedule, steps=1, incremental=False)
+        _drift_schedule(fast, fast_schedule, steps=1)
+        _drift_schedule(slow, slow_schedule, steps=1, converge=sweep_converge)
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
     equilibrium = OverlayNetwork.build_equilibrium(fast.peers(), selection_factory())
     assert fast.directed_neighbour_map() == equilibrium.directed_neighbour_map()

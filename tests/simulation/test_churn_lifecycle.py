@@ -7,19 +7,17 @@ Two families of guarantees:
   addresses and duplicate-suppression keys all drop the departed id, dropped
   message counts stop growing once the in-flight tail drains, and a
   post-churn construction session reaches every alive peer.
-* **Dirty-set equivalence** -- the dirty-set reselect tick elides provably
-  unchanged recomputations only, so a run with ``incremental_reselect=True``
-  settles to the identical topology as the per-tick full-reselect run, under
-  steady joins and under join/leave churn alike, while invoking the
-  selection method over the full candidate set far less often.
+* **Dirty-set settling** -- the dirty-set reselect tick elides provably
+  unchanged recomputations only, so a run settles to the full-knowledge
+  equilibrium of the peers still alive (``OverlayNetwork.build_equilibrium``),
+  under steady joins and under join/leave churn alike, while skipping the
+  selection method on unchanged ticks.
 """
-
-from typing import List, Sequence
 
 import pytest
 
 from repro.overlay.gossip import ExistenceAnnouncement
-from repro.overlay.peer import PeerInfo
+from repro.overlay.network import OverlayNetwork
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
 from repro.simulation.protocol import ANNOUNCE, GossipConfig
@@ -209,78 +207,55 @@ class TestChurnSchedule:
         assert simulated.alive_snapshot().peer_count == count - len(leavers)
 
 
-def _run_pair(
-    peers: Sequence[PeerInfo],
-    selection_factory,
-    *,
-    churn=None,
-    settle_time=35.0,
-    seed=7,
-):
-    runs = []
-    for incremental in (True, False):
-        runs.append(
-            run_gossip_overlay(
-                peers,
-                selection_factory(),
-                churn=churn,
-                settle_time=settle_time,
-                seed=seed,
-                incremental_reselect=incremental,
-            )
-        )
-    return runs
+def _settled_run(peers, selection_factory, *, alive_count, churn=None):
+    """One run (settle 35 s, seed 7) whose alive overlay must be the
+    full-knowledge equilibrium of its ``alive_count`` alive peers."""
+    run = run_gossip_overlay(
+        peers, selection_factory(), churn=churn, settle_time=35.0, seed=7
+    )
+    alive = [process.info for process in run.processes.values() if process.is_alive]
+    assert len(alive) == alive_count
+    equilibrium = OverlayNetwork.build_equilibrium(alive, selection_factory())
+    assert {
+        info.peer_id: frozenset(run.processes[info.peer_id].neighbours) for info in alive
+    } == equilibrium.directed_neighbour_map()
+    assert run.total_reselect_skips() > 0
+    return run
 
 
-def _directed(result) -> dict:
-    return {peer_id: proc.neighbours for peer_id, proc in result.processes.items()}
-
-
-class TestDirtySetEquivalence:
-    def test_steady_joins_settle_identically(self):
+class TestDirtySetSettling:
+    def test_steady_joins_settle_to_the_equilibrium(self):
         peers = generate_peers(18, 2, seed=23)
-        fast, slow = _run_pair(peers, EmptyRectangleSelection)
-        assert _directed(fast) == _directed(slow)
-        assert fast.snapshot().edges() == slow.snapshot().edges()
-        assert fast.total_selection_invocations() < slow.total_selection_invocations()
-        assert fast.total_reselect_skips() > 0
-        assert slow.total_reselect_skips() == 0
+        _settled_run(peers, EmptyRectangleSelection, alive_count=18)
 
-    def test_join_leave_churn_settles_identically(self):
+    def test_join_leave_churn_settles_to_the_equilibrium_of_the_survivors(self):
         count = 20
         peers = generate_peers(count, 2, seed=29)
         schedule = interleaved_join_leave_schedule(
             count, join_interval=2.0, leave_fraction=0.25, holdoff=6.0, seed=29
         )
-        fast, slow = _run_pair(peers, EmptyRectangleSelection, churn=schedule)
-        assert _directed(fast) == _directed(slow)
-        assert fast.alive_snapshot().edges() == slow.alive_snapshot().edges()
-        assert fast.total_selection_invocations() < slow.total_selection_invocations()
+        _settled_run(peers, EmptyRectangleSelection, alive_count=16, churn=schedule)
 
-    def test_churn_equivalence_with_the_orthogonal_method(self):
+    def test_orthogonal_churn_settles_to_the_equilibrium(self):
         count = 16
         peers = generate_peers_with_lifetimes(count, 3, seed=31)
         schedule = interleaved_join_leave_schedule(
             count, join_interval=2.0, leave_fraction=0.2, holdoff=6.0, seed=31
         )
-        fast, slow = _run_pair(
-            peers, lambda: OrthogonalHyperplanesSelection(k=2), churn=schedule
+        _settled_run(
+            peers, lambda: OrthogonalHyperplanesSelection(k=2), alive_count=13, churn=schedule
         )
-        assert _directed(fast) == _directed(slow)
-        assert fast.preferred_neighbours() == slow.preferred_neighbours()
 
-    def test_path_dependent_fallback_still_settles_identically(self):
+    def test_path_dependent_fallback_still_settles_to_the_equilibrium(self):
         count = 14
         peers = generate_peers(count, 2, seed=37)
         schedule = interleaved_join_leave_schedule(
             count, join_interval=2.0, leave_fraction=0.2, holdoff=6.0, seed=37
         )
-        fast, slow = _run_pair(peers, PathDependentWrapper, churn=schedule)
-        assert _directed(fast) == _directed(slow)
+        run = _settled_run(peers, PathDependentWrapper, alive_count=12, churn=schedule)
         # Without path independence every non-empty delta recomputes in full;
         # only genuinely unchanged ticks are skipped -- and they still are.
-        assert fast.total_additive_updates() == 0
-        assert fast.total_reselect_skips() > 0
+        assert run.total_additive_updates() == 0
 
     def test_dirty_invariant_bookkeeping(self):
         peers, simulated = _settled_overlay(count=8, seed=41, settle_time=30.0)

@@ -40,10 +40,10 @@ from repro.workloads.peers import generate_peers_with_lifetimes
 GHOST = 99
 
 
-def _lone_process(latency=0.0):
-    """One joined peer on an otherwise empty network."""
+def _lone_process():
+    """One joined peer on an otherwise empty, zero-latency network."""
     engine = SimulationEngine()
-    network = SimulatedNetwork(engine, latency=latency)
+    network = SimulatedNetwork(engine, link_model=LinkModel(0.0))
     process = PeerProcess(
         make_peer(1, (5.0, 5.0)),
         engine=engine,

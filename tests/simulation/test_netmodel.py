@@ -6,11 +6,10 @@ Three layers of guarantees:
   the loss draw drops the advertised fraction, bandwidth serialises a burst
   FIFO, and every stochastic draw comes from an independent per-directed-link
   seeded stream (RPL004: one link's traffic never perturbs another's draws).
-* **Seeded equivalence** (the keystone) -- the degenerate model (constant
-  latency, zero loss, no bandwidth cap) reproduces the legacy scalar-latency
-  run *byte-identically*: same topology, same preferred neighbours, same
-  message counts.  Hypothesis sweeps populations and seeds; a fixed-seed
-  test pins the flagship configuration.
+* **Seeded regression** -- the default network (the degenerate model:
+  constant latency, zero loss, no bandwidth cap) reproduces a pinned digest
+  of a seeded run: message and byte counts per kind, final clock, processed
+  events, and a settled topology equal to the analytic fixed point.
 * **Loss tolerance** -- under i.i.d. loss the settled overlay still equals
   the full-knowledge analytic fixed point, and the dissemination probe
   reaches every alive peer (latencies then include the retransmission
@@ -20,8 +19,6 @@ Three layers of guarantees:
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import numpy as np
 
@@ -252,11 +249,6 @@ class TestNetworkWithLinkModel:
         assert network.stats.bytes_delivered == expected
         assert network.stats.bytes_of("ping") == expected
 
-    def test_latency_and_link_model_are_mutually_exclusive(self):
-        engine = SimulationEngine()
-        with pytest.raises(ValueError):
-            SimulatedNetwork(engine, latency=0.01, link_model=LinkModel(0.01))
-
     def test_model_reuse_across_networks_is_rejected(self):
         model = LinkModel(0.01, loss_rate=0.1, seed=3)
         SimulatedNetwork(SimulationEngine(), link_model=model)
@@ -290,44 +282,25 @@ class TestNetworkWithLinkModel:
 
 
 # ----------------------------------------------------------------------
-# Seeded equivalence (the keystone)
+# Seeded runs
 # ----------------------------------------------------------------------
-def _run_pair(count, seed, settle_time=25.0):
-    """The same seeded run under the legacy network and the degenerate model."""
-    peers = generate_peers_with_lifetimes(count, 2, seed=seed)
-    legacy = run_gossip_overlay(
-        peers, EmptyRectangleSelection(), latency=0.01, settle_time=settle_time, seed=seed
-    )
-    modelled = run_gossip_overlay(
-        peers,
-        EmptyRectangleSelection(),
-        network=LinkModel(ConstantLatency(0.01)),
-        settle_time=settle_time,
-        seed=seed,
-    )
-    return legacy, modelled
-
-
-class TestSeededEquivalence:
-    def test_degenerate_model_reproduces_the_legacy_run_byte_identically(self):
-        legacy, modelled = _run_pair(count=18, seed=11)
-        assert modelled.snapshot().edges() == legacy.snapshot().edges()
-        assert modelled.preferred_neighbours() == legacy.preferred_neighbours()
-        # Not merely the same fixed point: the identical message history.
-        assert modelled.overlay_stats.messages_sent == legacy.overlay_stats.messages_sent
-        assert modelled.overlay_stats.by_kind == legacy.overlay_stats.by_kind
-        assert modelled.engine.now == legacy.engine.now
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        count=st.integers(min_value=4, max_value=10),
-        seed=st.integers(min_value=0, max_value=2**20),
-    )
-    def test_equivalence_holds_over_populations_and_seeds(self, count, seed):
-        legacy, modelled = _run_pair(count=count, seed=seed, settle_time=15.0)
-        assert modelled.snapshot().edges() == legacy.snapshot().edges()
-        assert modelled.overlay_stats.messages_sent == legacy.overlay_stats.messages_sent
-        assert modelled.overlay_stats.by_kind == legacy.overlay_stats.by_kind
+class TestSeededRuns:
+    def test_default_network_run_reproduces_its_pinned_digest(self):
+        """18 peers, seed 11, settle 25 s on the default network.  The digest
+        was recorded on the scalar constant-latency network the link model
+        replaced; the default model replays its message history exactly, not
+        merely its fixed point."""
+        peers = generate_peers_with_lifetimes(18, 2, seed=11)
+        run = run_gossip_overlay(peers, EmptyRectangleSelection(), settle_time=25.0, seed=11)
+        stats = run.overlay_stats
+        assert (stats.messages_sent, stats.bytes_sent) == (32_933, 3_025_060)
+        assert stats.by_kind == {
+            "ack": 178, "announce": 32_577, "link-close": 27, "link-open": 151
+        }
+        assert (run.engine.now, run.engine.processed_events) == (59.0, 34_403)
+        equilibrium = OverlayNetwork.build_equilibrium(peers, EmptyRectangleSelection())
+        assert run.snapshot().edges() == equilibrium.snapshot().edges()
+        assert len(run.snapshot().edges()) == 62
 
     def test_lossy_overlay_still_reaches_the_analytic_fixed_point(self):
         peers = generate_peers(22, 2, seed=11)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.netmodel import LinkModel
 from repro.simulation.network import SimulatedNetwork
 
 
@@ -13,23 +14,15 @@ def engine():
 
 class TestDelivery:
     def test_message_is_delivered_after_latency(self, engine):
-        network = SimulatedNetwork(engine, latency=0.5)
+        network = SimulatedNetwork(engine, link_model=LinkModel(0.5))
         received = []
         network.register(1, lambda msg: received.append((engine.now, msg.payload)))
         network.send(0, 1, "ping", "hello")
         engine.run()
         assert received == [(0.5, "hello")]
 
-    def test_latency_model_per_pair(self, engine):
-        network = SimulatedNetwork(engine, latency=lambda s, r: 0.1 * (r - s))
-        received = []
-        network.register(3, lambda msg: received.append(engine.now))
-        network.send(1, 3, "ping", None)
-        engine.run()
-        assert received == [pytest.approx(0.2)]
-
     def test_message_metadata(self, engine):
-        network = SimulatedNetwork(engine, latency=0.0)
+        network = SimulatedNetwork(engine, link_model=LinkModel(0.0))
         captured = []
         network.register(2, captured.append)
         network.send(7, 2, "construct", {"zone": None})
@@ -42,7 +35,7 @@ class TestDelivery:
 
     def test_negative_constant_latency_rejected(self, engine):
         with pytest.raises(ValueError):
-            SimulatedNetwork(engine, latency=-1.0)
+            SimulatedNetwork(engine, link_model=LinkModel(-1.0))
 
 
 class TestRegistration:
@@ -53,7 +46,7 @@ class TestRegistration:
             network.register(1, lambda msg: None)
 
     def test_messages_to_unregistered_peers_are_dropped(self, engine):
-        network = SimulatedNetwork(engine, latency=0.0)
+        network = SimulatedNetwork(engine, link_model=LinkModel(0.0))
         network.send(0, 99, "ping", None)
         engine.run()
         assert network.stats.messages_sent == 1
@@ -61,7 +54,7 @@ class TestRegistration:
         assert network.stats.messages_delivered == 0
 
     def test_unregister_stops_delivery(self, engine):
-        network = SimulatedNetwork(engine, latency=1.0)
+        network = SimulatedNetwork(engine, link_model=LinkModel(1.0))
         received = []
         network.register(1, lambda msg: received.append(msg))
         network.send(0, 1, "ping", None)
@@ -74,7 +67,7 @@ class TestRegistration:
 
 class TestCounters:
     def test_per_kind_counters(self, engine):
-        network = SimulatedNetwork(engine, latency=0.0)
+        network = SimulatedNetwork(engine, link_model=LinkModel(0.0))
         network.register(1, lambda msg: None)
         for _ in range(3):
             network.send(0, 1, "announce", None)
@@ -87,7 +80,7 @@ class TestCounters:
         assert network.stats.messages_delivered == 4
 
     def test_reset_stats(self, engine):
-        network = SimulatedNetwork(engine, latency=0.0)
+        network = SimulatedNetwork(engine, link_model=LinkModel(0.0))
         network.register(1, lambda msg: None)
         network.send(0, 1, "announce", None)
         engine.run()

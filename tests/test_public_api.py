@@ -7,8 +7,26 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.trace_runner import TraceRunner
+from repro.simulation.network import SimulatedNetwork
+from repro.simulation.protocol import PeerProcess
+from repro.simulation.runner import run_gossip_overlay
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+#: Parameters that only picked a slower twin of the production path.
+_REMOVED_KNOBS = ("incremental", "per_event", "incremental_reselect", "latency")
+_ENTRY_POINTS = (
+    repro.OverlayNetwork.converge,
+    repro.OverlayNetwork.insert_and_converge,
+    repro.OverlayNetwork.remove_and_converge,
+    repro.OverlayNetwork.apply_batch,
+    repro.OverlayNetwork.build_incremental,
+    TraceRunner.run,
+    run_gossip_overlay,
+    PeerProcess.__init__,
+    SimulatedNetwork.__init__,
+)
 
 
 class TestPublicSurface:
@@ -31,6 +49,14 @@ class TestPublicSurface:
         for removed in ("columnar", "vectorised_rounds"):
             with pytest.raises(TypeError):
                 repro.OverlayNetwork(repro.EmptyRectangleSelection(), **{removed: False})
+
+    @pytest.mark.parametrize("entry_point", _ENTRY_POINTS, ids=lambda f: f.__qualname__)
+    def test_no_entry_point_takes_a_twin_knob(self, entry_point):
+        """One production path per layer: the knobs are gone, not switchable."""
+        assert not set(_REMOVED_KNOBS) & set(inspect.signature(entry_point).parameters)
+        for knob in _REMOVED_KNOBS:
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+                entry_point(**{knob: True})
 
     def test_readme_quickstart(self):
         peers = repro.generate_peers(count=60, dimension=2, seed=7)
