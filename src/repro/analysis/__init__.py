@@ -1,39 +1,16 @@
-"""reprolint: mechanical enforcement of the repo's load-bearing contracts.
+"""reprolint: the two contracts that live in how a single module is written.
 
-The ROADMAP carries three "MUST" contracts that, until this package existed,
-were enforced only by hypothesis suites catching divergence *after* it
-shipped:
-
-* every mutation of ``OverlayNetwork._neighbours`` must notify the attached
-  delta recorders (the delta-stream contract of
-  :mod:`repro.overlay.incremental`),
-* every membership or coordinate mutation must keep the overlay's owned
-  :class:`~repro.geometry.index.SpatialIndex` in sync,
-* byte-identity-critical code (the spatial index and the selection family)
-  must preserve exact float summation order and tie-breaks, and all of
-  ``src/repro`` must stay deterministic under a fixed seed.
-
-``repro.analysis`` turns each contract into an AST-level rule with a
-machine-readable id.  Since reprolint v2 the rules run against a
-whole-program call graph (:mod:`repro.analysis.flow`), so RPL001/RPL002
-obligations may be satisfied by a *provably called* helper any number of
-call levels down, and three flow-powered rules guard the ROADMAP's next
-invariants:
+Most of the repo's invariants hold by construction and are tested as such:
+the overlay's neighbour map and peer map have a pinned set of writers
+(``tests/test_write_census.py``), the incremental paths never walk the
+peer population (``tests/test_population_check.py``, a runtime check), and
+path-independent selection classes keep no call history
+(``tests/test_selection_purity.py``).  What is left here are the two
+contracts a reviewed, per-line exception is the right tool for:
 
 ========  ==============================================================
-RPL001    delta-stream: ``_neighbours`` mutations must notify recorders
-          (directly or via a transitively-called function)
-RPL002    index-sync: peer/coordinate mutations must maintain the index
-          (directly or via a transitively-called function)
 RPL003    byte-identity: no unordered float accumulation in guarded modules
 RPL004    determinism: no global RNG, unseeded RNG, or wall-clock reads
-RPL005    hot-path complexity: no O(population) work reachable from a
-          ``@hot_path`` entry (:func:`repro.contracts.hot_path`)
-RPL006    purity: ``path_independent`` selection classes never write
-          attributes outside ``__init__`` nor read mutable module globals
-          on select paths
-RPL007    exception-safety: ``ConvergenceError`` handlers around an
-          incremental converge invalidate the engine before resuming
 RPL000    a suppression pragma without a justification is itself an error
 ========  ==============================================================
 
@@ -43,9 +20,8 @@ via the self-check in ``tests/analysis/test_self_check.py``.  Exit codes:
 0 clean, 1 findings (contract violations and/or bench-schema errors),
 2 parse-or-config error (an analyzed file does not parse, or an unknown
 rule id was passed to ``--select``/``--ignore``).  ``--format`` renders
-``text``, ``json`` or ``sarif`` (SARIF 2.1.0, for code-scanning upload);
-``--select``/``--ignore`` filter rules by id.  A rule is suppressed per
-line with an *explained* inline pragma::
+``text`` or ``json``; ``--select``/``--ignore`` filter rules by id.  A rule
+is suppressed per line with an *explained* inline pragma::
 
     acc = sum(block)  # reprolint: disable=RPL003 reason=block is a sorted list
 
@@ -63,28 +39,24 @@ from repro.analysis.core import (
     Pragma,
     Rule,
     Violation,
-    analyze_project,
+    analyze_file,
     analyze_source,
     parse_pragmas,
 )
-from repro.analysis.flow import FlowAnalysis
 from repro.analysis.runner import all_rules, lint_paths, main, resolve_selection
-from repro.analysis.sarif import render_sarif
 
 __all__ = [
     "BENCH_RECORD_SCHEMA",
-    "FlowAnalysis",
     "ModuleContext",
     "Pragma",
     "Rule",
     "Violation",
     "all_rules",
-    "analyze_project",
+    "analyze_file",
     "analyze_source",
     "lint_paths",
     "main",
     "parse_pragmas",
-    "render_sarif",
     "resolve_selection",
     "validate_bench_directory",
     "validate_bench_record",

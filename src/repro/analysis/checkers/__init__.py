@@ -1,35 +1,13 @@
 """The concrete contract checkers and the rule registry.
 
 Each submodule contributes one :class:`~repro.analysis.core.Rule`; the
-ordered tuple below is what the driver runs.  New contracts register here.
+ordered tuple below is what the lint runner executes.
 """
 
 from repro.analysis.checkers.byte_identity import BYTE_IDENTITY_RULE
-from repro.analysis.checkers.delta_stream import DELTA_STREAM_RULE
 from repro.analysis.checkers.determinism import DETERMINISM_RULE
-from repro.analysis.checkers.exception_safety import EXCEPTION_SAFETY_RULE
-from repro.analysis.checkers.hot_path import HOT_PATH_RULE
-from repro.analysis.checkers.index_sync import INDEX_SYNC_RULE
-from repro.analysis.checkers.purity import PURITY_RULE
 from repro.analysis.core import Rule
 
-ALL_RULES: "tuple[Rule, ...]" = (
-    DELTA_STREAM_RULE,
-    INDEX_SYNC_RULE,
-    BYTE_IDENTITY_RULE,
-    DETERMINISM_RULE,
-    HOT_PATH_RULE,
-    PURITY_RULE,
-    EXCEPTION_SAFETY_RULE,
-)
+ALL_RULES: "tuple[Rule, ...]" = (BYTE_IDENTITY_RULE, DETERMINISM_RULE)
 
-__all__ = [
-    "ALL_RULES",
-    "BYTE_IDENTITY_RULE",
-    "DELTA_STREAM_RULE",
-    "DETERMINISM_RULE",
-    "EXCEPTION_SAFETY_RULE",
-    "HOT_PATH_RULE",
-    "INDEX_SYNC_RULE",
-    "PURITY_RULE",
-]
+__all__ = ["ALL_RULES", "BYTE_IDENTITY_RULE", "DETERMINISM_RULE"]

@@ -25,7 +25,7 @@ safe.
 from __future__ import annotations
 
 import ast
-from typing import Optional, Set
+from typing import Optional, Set, Union
 
 from repro.analysis.checkers.common import dotted_name, is_setlike
 from repro.analysis.core import ModuleContext, Rule
@@ -104,6 +104,30 @@ class ByteIdentityChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     # -- alias bookkeeping --------------------------------------------------
+    def visit_FunctionDef(
+        self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
+    ) -> None:
+        # Aliases are per scope: a function sees the enclosing ones its
+        # parameters do not shadow, and its own do not leak out of it.
+        arguments = node.args
+        parameters = {
+            argument.arg
+            for argument in (
+                *arguments.posonlyargs,
+                *arguments.args,
+                *arguments.kwonlyargs,
+                arguments.vararg,
+                arguments.kwarg,
+            )
+            if argument is not None
+        }
+        enclosing = self._setlike_names
+        self._setlike_names = enclosing - parameters
+        self.generic_visit(node)
+        self._setlike_names = enclosing
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
     def visit_Assign(self, node: ast.Assign) -> None:
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             if is_setlike(node.value, self._setlike_names):

@@ -1,6 +1,6 @@
 """Core of the contract checker: rules, violations, pragmas, the driver.
 
-A *rule* pairs a machine-readable id (``RPL001`` ...) with a factory that
+A *rule* pairs a machine-readable id (``RPL003`` ...) with a factory that
 builds an :class:`ast.NodeVisitor` over one module and a *scope* predicate
 deciding which modules the rule guards (the byte-identity rule, for
 example, only guards :mod:`repro.geometry.index` and the selection family).
@@ -11,7 +11,7 @@ Suppression pragma grammar (one line of scope, trailing or on the line
 immediately above)::
 
     # reprolint: disable=RPL003 reason=entry[0] is a tuple; order is fixed
-    # reprolint: disable=RPL001,RPL002 reason=constructor, nothing attached
+    # reprolint: disable=RPL003,RPL004 reason=fixed-order tuple, seeded rng
 
 A pragma without a non-empty ``reason=`` is itself reported as
 :data:`PRAGMA_RULE_ID` (RPL000) and cannot be suppressed.
@@ -25,9 +25,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.analysis.flow.engine import FlowAnalysis, ProjectModule
+from typing import Callable, Dict, List, Optional, Sequence
 
 __all__ = [
     "PRAGMA_RULE_ID",
@@ -40,7 +38,6 @@ __all__ = [
     "infer_module",
     "analyze_source",
     "analyze_file",
-    "analyze_project",
 ]
 
 #: Rule id reported for malformed (reason-less) suppression pragmas.
@@ -100,20 +97,12 @@ class Rule:
 
 @dataclass
 class ModuleContext:
-    """Everything a checker may need about the module under analysis.
-
-    ``flow`` is the whole-program :class:`FlowAnalysis` shared by every
-    module of the run; when analyzing a single source string it still holds
-    a one-module analysis, so checkers can query it unconditionally.
-    ``flow_key`` is this module's key inside it.
-    """
+    """Everything a checker may need about the module under analysis."""
 
     path: str
     module: Optional[str]
     source: str
     tree: ast.Module
-    flow: FlowAnalysis
-    flow_key: str
     violations: List[Violation] = field(default_factory=list)
 
     def report(self, rule_id: str, line: int, message: str) -> None:
@@ -231,65 +220,13 @@ def analyze_source(
     path: str = "<string>",
     module: Optional[str] = None,
 ) -> List[Violation]:
-    """Run every applicable rule over one module's source text.
-
-    The flow analysis here covers just this module, so interprocedural
-    queries resolve same-module calls and degrade (conservatively) on
-    anything imported.  ``analyze_project`` is the whole-program entry.
-    """
+    """Run every applicable rule over one module's source text."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
         return [_parse_violation(path, error)]
-    project_module = ProjectModule(path=path, module=module, tree=tree)
-    flow = FlowAnalysis([project_module])
-    context = ModuleContext(
-        path=path,
-        module=module,
-        source=source,
-        tree=tree,
-        flow=flow,
-        flow_key=project_module.key,
-    )
+    context = ModuleContext(path=path, module=module, source=source, tree=tree)
     return _run_rules(context, rules)
-
-
-def analyze_project(
-    paths: Sequence[Path], rules: Sequence[Rule]
-) -> List[Violation]:
-    """Analyze many files against ONE whole-program flow analysis.
-
-    Every file is parsed exactly once; the union of the parseable modules
-    forms the call graph, so a notification made one call level below a
-    mutation -- even in a different module -- satisfies RPL001/RPL002.
-    Unparseable files report :data:`PARSE_RULE_ID` and simply do not
-    contribute symbols (their callers degrade to "may call anything").
-    """
-    violations: List[Violation] = []
-    parsed: List[Tuple[Path, str, Optional[str], ast.Module]] = []
-    modules: List[ProjectModule] = []
-    for path in paths:
-        source = path.read_text(encoding="utf-8")
-        module = infer_module(path)
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as error:
-            violations.append(_parse_violation(str(path), error))
-            continue
-        parsed.append((path, source, module, tree))
-        modules.append(ProjectModule(path=str(path), module=module, tree=tree))
-    flow = FlowAnalysis(modules)
-    for (path, source, module, tree), project_module in zip(parsed, modules):
-        context = ModuleContext(
-            path=str(path),
-            module=module,
-            source=source,
-            tree=tree,
-            flow=flow,
-            flow_key=project_module.key,
-        )
-        violations.extend(_run_rules(context, rules))
-    return violations
 
 
 def analyze_file(path: Path, rules: Sequence[Rule]) -> List[Violation]:

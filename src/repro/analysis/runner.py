@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -29,9 +28,8 @@ from repro.analysis.core import (
     PRAGMA_RULE_ID,
     Rule,
     Violation,
-    analyze_project,
+    analyze_file,
 )
-from repro.analysis.sarif import render_sarif
 
 __all__ = [
     "all_rules",
@@ -76,15 +74,13 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
 def lint_paths(
     paths: Sequence[Union[str, Path]], *, rules: Optional[Sequence[Rule]] = None
 ) -> List[Violation]:
-    """Analyze every Python file under ``paths`` against one call graph.
-
-    All files are parsed once and share a single whole-program
-    :class:`~repro.analysis.flow.FlowAnalysis`, which is what makes the
-    RPL001/RPL002 obligations and RPL005 reachability interprocedural
-    across module boundaries.
-    """
+    """Analyze every Python file under ``paths``, one module at a time."""
     active = tuple(rules) if rules is not None else ALL_RULES
-    return analyze_project(iter_python_files(paths), active)
+    return [
+        violation
+        for path in iter_python_files(paths)
+        for violation in analyze_file(path, active)
+    ]
 
 
 def resolve_selection(
@@ -131,9 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "reprolint: mechanically enforce the delta-stream, index-sync, "
-            "byte-identity, determinism, hot-path complexity, purity and "
-            "exception-safety contracts (exit 0 clean, 1 findings, "
+            "reprolint: mechanically enforce the byte-identity and "
+            "determinism contracts (exit 0 clean, 1 findings, "
             "2 parse-or-config error)"
         ),
     )
@@ -145,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -165,16 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print every rule id and the invariant it guards, then exit",
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help=(
-            "fail (exit 1) if the analysis itself takes longer than S "
-            "seconds -- the CI latency budget for the call-graph pass"
-        ),
     )
     parser.add_argument(
         "--bench-schema",
@@ -199,14 +184,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as error:
         print(f"reprolint: {error}", file=sys.stderr)
         return 2
-    started = time.perf_counter()
     violations = [
         violation
         for violation in lint_paths(args.paths, rules=active)
         if violation.rule_id in kept
     ]
-    elapsed = time.perf_counter() - started
-    over_budget = args.max_seconds is not None and elapsed > args.max_seconds
     failed = bool(violations)
     if args.format == "json":
         print(
@@ -223,8 +205,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 indent=2,
             )
         )
-    elif args.format == "sarif":
-        print(render_sarif(violations, active))
     else:
         for violation in violations:
             print(violation.render())
@@ -241,13 +221,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             failed = True
         elif args.format == "text":
             print("bench-schema: clean")
-    if over_budget:
-        print(
-            f"reprolint: analysis took {elapsed:.2f}s, over the "
-            f"{args.max_seconds:.2f}s budget",
-            file=sys.stderr,
-        )
-        failed = True
     if any(violation.rule_id == PARSE_RULE_ID for violation in violations):
         return 2
     return 1 if failed else 0

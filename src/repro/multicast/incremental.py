@@ -12,7 +12,7 @@ both consumers below drain the delta stream (see
 :mod:`repro.overlay.incremental`) to learn *which* peers to look at and then
 read those peers' links in place, through
 :meth:`repro.overlay.network.OverlayNetwork.links` -- always through the
-overlay object, because a full sweep rebinds the dict behind it.
+overlay object, never through its private dicts.
 
 * :class:`TreeMaintenanceEngine` -- a mutable preferred-neighbour forest.
   It consumes :class:`TreeDelta` records (peers joined with their lifetimes,
@@ -67,7 +67,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.contracts import hot_path
 from repro.geometry.distance import DistanceFunction, get_distance
 from repro.metrics.trees import StreamingTreeMetrics, TreeMetrics
 from repro.multicast.dissemination import TreeHealthSample
@@ -221,7 +220,6 @@ class TreeMaintenanceEngine:
         self._reparent_operations = 0
         self._applied_deltas = 0
 
-    @hot_path
     def add_peer(self, peer_id: int, lifetime: float) -> None:
         """Register a peer as a fresh isolated root."""
         if peer_id in self._parents:
@@ -241,7 +239,6 @@ class TreeMaintenanceEngine:
         self._metrics.add_node(peer_id, depth=0, has_parent=False)
         self._version += 1
 
-    @hot_path
     def remove_peer(self, peer_id: int) -> None:
         """Remove a peer; any children it still has become roots.
 
@@ -262,7 +259,6 @@ class TreeMaintenanceEngine:
         self._metrics.remove_node(peer_id)
         self._version += 1
 
-    @hot_path
     def set_parent(self, child: int, parent: Optional[int]) -> None:
         """Single edge repair: replace ``child``'s preferred-neighbour link.
 
@@ -309,7 +305,6 @@ class TreeMaintenanceEngine:
         self._version += 1
         self._reparent_operations += 1
 
-    @hot_path
     def apply(self, delta: TreeDelta) -> None:
         """Apply one repair batch: departures, then joins, then re-parents.
 
@@ -327,7 +322,6 @@ class TreeMaintenanceEngine:
         self.apply_membership(delta.departed, delta.joined)
         self.apply_reparents(delta.reparented)
 
-    @hot_path
     def apply_membership(
         self, departed: Iterable[int], joined: Mapping[int, float]
     ) -> None:
@@ -344,7 +338,6 @@ class TreeMaintenanceEngine:
         for peer_id in sorted(joined):
             self.add_peer(peer_id, joined[peer_id])
 
-    @hot_path
     def apply_reparents(self, reparented: Mapping[int, Optional[int]]) -> None:
         """Second half of a batch: the re-parents; counts the batch applied."""
         for peer_id in sorted(reparented):
@@ -490,7 +483,6 @@ class StabilityTreeMaintainer:
         self._engine.bootstrap(forest)
         self._full_rebuilds += 1
 
-    @hot_path
     def refresh(self) -> TreeDelta:
         """Drain the overlay delta stream and repair the tree accordingly.
 
@@ -573,8 +565,6 @@ class OverlayConnectivityFeed:
     def __init__(self, overlay: OverlayNetwork) -> None:
         self._overlay = overlay
         self._recorder = overlay.delta_stream()
-        # The bound method, not the dicts behind it: reselect_round()
-        # rebinds the overlay's selection map.
         self.tracker = IncrementalConnectivity(overlay.links)
         peer_ids = overlay.peer_ids
         for peer_id in peer_ids:
@@ -582,7 +572,6 @@ class OverlayConnectivityFeed:
         # Every node loose: the first query unions the edges found there.
         self.tracker.recheck(peer_ids)
 
-    @hot_path
     def sync(self) -> None:
         """Fold the overlay changes since the last sync into the tracker."""
         delta = self._recorder.drain()
@@ -662,7 +651,6 @@ class IncrementalConnectivity:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    @hot_path
     def add_node(self, node: int) -> None:
         """Track a new node, isolated until a :meth:`recheck` names it."""
         if node in self._forest:
@@ -672,7 +660,6 @@ class IncrementalConnectivity:
         self._uf_rank[node] = 0
         self._components += 1
 
-    @hot_path
     def remove_node(self, node: int) -> None:
         """Forget a node (its links are the owner's to drop).
 
@@ -698,7 +685,6 @@ class IncrementalConnectivity:
         self._uf_parent.pop(node, None)
         self._uf_rank.pop(node, None)
 
-    @hot_path
     def recheck(self, nodes: Iterable[int]) -> None:
         """The links of these tracked nodes may have changed; see the class docstring."""
         forest = self._forest

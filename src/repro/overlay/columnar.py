@@ -22,9 +22,8 @@ flag.  This module holds that representation:
   vectorised dirty scan, one shared gained window per stamp group), so a
   round costs numpy passes plus O(changes) Python, never a per-peer loop.
   Nothing ever materialises an O(N) id set on the per-event path
-  (mechanically enforced: the notification methods carry
-  :func:`~repro.contracts.hot_path` and reprolint rule RPL005 rejects
-  population materialisation inside the hot region).
+  (``tests/test_population_check.py`` fails any join, leave, move or
+  round that walks the overlay's peer map or this view's row map).
 
 A leave followed by a rejoin of the same id inside one window yields the id
 in *both* ``gained`` and ``lost``, like a move: the rejoined id is never in a
@@ -40,7 +39,6 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Set,
 
 import numpy as np
 
-from repro.contracts import hot_path
 from repro.overlay.incremental import CandidateView, RoundPlan, RoundWindow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -98,7 +96,6 @@ class DenseIdMap:
         """Number of rows currently flagged alive."""
         return int(self._alive[: self._row_count].sum())
 
-    @hot_path
     def mark_alive(self, peer_id: int) -> int:
         """Flag ``peer_id`` alive and return its row, allocating one
         (amortised O(1)) for an id never seen before."""
@@ -114,7 +111,6 @@ class DenseIdMap:
         self._alive[row] = True
         return row
 
-    @hot_path
     def mark_dead(self, peer_id: int) -> int:
         """Flag ``peer_id`` departed; its row stays allocated."""
         row = self._row_of_id[peer_id]
@@ -199,7 +195,6 @@ class ColumnarCandidateState(CandidateView):
     # ------------------------------------------------------------------
     # Membership notifications (the per-event hot path)
     # ------------------------------------------------------------------
-    @hot_path
     def note_join(self, peer_id: int) -> None:
         """O(1): flag the joiner alive and for a full recompute, bump the epoch."""
         row = self._rows.mark_alive(peer_id)
@@ -207,7 +202,6 @@ class ColumnarCandidateState(CandidateView):
         self._needs_full[row] = True
         self._events.append((_JOIN, peer_id))
 
-    @hot_path
     def note_leave(self, peer_id: int, selector_ids: Iterable[int]) -> None:
         """O(selectors): force selectors onto the full path, bump the epoch."""
         rows = self._rows
@@ -216,7 +210,6 @@ class ColumnarCandidateState(CandidateView):
             self._needs_full[rows.row_of(selector)] = True
         self._events.append((_LEAVE, peer_id))
 
-    @hot_path
     def note_move(self, peer_id: int) -> None:
         """O(1): a coordinate change re-identifies the peer as a candidate.
 
@@ -243,7 +236,6 @@ class ColumnarCandidateState(CandidateView):
         stale = self._needs_full[:count] | (self._stamps[:count] != self.epoch)
         return np.flatnonzero(alive & stale)
 
-    @hot_path
     def plan_round(
         self,
         selectors_of: Mapping[int, Set[int]],

@@ -125,7 +125,7 @@ recorded, and :meth:`OverlayDeltaRecorder.drain` returns the accumulated
 The current state of one touched peer is read in place, through
 :meth:`repro.overlay.network.OverlayNetwork.links` (selected plus selectors,
 O(degree)) -- always through the overlay object, never through a captured
-reference to its dicts, because a full sweep *rebinds* the selection map.
+reference to its private dicts.
 """
 
 from __future__ import annotations
@@ -146,7 +146,6 @@ from typing import (
 
 import numpy as np
 
-from repro.contracts import hot_path
 from repro.overlay.gossip import MaintainedKnowledgeSets
 from repro.overlay.peer import PeerInfo
 from repro.overlay.selection.base import AdditiveCohort
@@ -197,13 +196,11 @@ class OverlayDeltaRecorder:
         self._departed: Set[int] = set()
         self._touched: Set[int] = set()
 
-    @hot_path
     def note_join(self, peer_id: int) -> None:
         """A peer entered the overlay (possibly re-using a departed id)."""
         self._joined.add(peer_id)
         self._touched.add(peer_id)
 
-    @hot_path
     def note_leave(self, peer_id: int) -> None:
         """A peer left the overlay."""
         if peer_id in self._joined:
@@ -213,12 +210,10 @@ class OverlayDeltaRecorder:
         else:
             self._departed.add(peer_id)
 
-    @hot_path
     def note_touch(self, peer_ids: Iterable[int]) -> None:
         """The undirected adjacency of these peers may have changed."""
         self._touched.update(peer_ids)
 
-    @hot_path
     def drain(self) -> OverlayDelta:
         """Return the accumulated delta and reset the recorder."""
         delta = OverlayDelta(
@@ -240,7 +235,6 @@ RESELECT_SKIP = "skip"
 RESELECT_ADDITIVE = "additive"
 
 
-@hot_path
 def classify_reselect(
     last_candidates: Optional[FrozenSet[int]],
     gained: Set[int],
@@ -521,22 +515,18 @@ class IncrementalReselectionEngine:
     # ------------------------------------------------------------------
     # Membership notifications (the per-event hot path)
     # ------------------------------------------------------------------
-    @hot_path
     def note_join(self, peer_id: int) -> None:
         """A peer was added (already present in the overlay's peer map)."""
         self._view.note_join(peer_id)
 
-    @hot_path
     def note_leave(self, peer_id: int, selectors: Iterable[int]) -> None:
         """A peer was removed; ``selectors`` had it in their neighbour sets."""
         self._view.note_leave(peer_id, selectors)
 
-    @hot_path
     def note_move(self, peer_id: int) -> None:
         """A peer's coordinates changed in place (same id, same links)."""
         self._view.note_move(peer_id)
 
-    @hot_path
     def note_edge_flip(self, peer_id: int, other_id: int, present: bool) -> None:
         """An undirected edge appeared or vanished (bounded radius only)."""
         self._view.note_edge_flip(peer_id, other_id, present)
@@ -564,8 +554,8 @@ class IncrementalReselectionEngine:
         (:meth:`~repro.overlay.selection.base.NeighbourSelectionMethod.install_many`)
         -- the O(N) sweep is numpy passes, every Python loop is O(dirty ids
         + changes).  Under a radius the O(dirty + changes) classification
-        core :meth:`_plan_round` -- the hot-path half -- is followed by a
-        batched install phase that only touches planned peers.
+        core :meth:`_plan_round` is followed by a batched install phase
+        that only touches planned peers.
         """
         view = self._view
         if self._overlay.gossip_radius is None:
@@ -584,7 +574,6 @@ class IncrementalReselectionEngine:
         view.end_round()
         return changed
 
-    @hot_path
     def _plan_round(self, schedule: List[int]) -> List[_PlanEntry]:
         """Classify every scheduled peer of a bounded-radius round.
 
@@ -592,7 +581,7 @@ class IncrementalReselectionEngine:
         candidate delta through the radius view and runs
         :func:`classify_reselect` on it; reading ``known(P)`` for full
         recomputes and the selections themselves are deferred to the install
-        phase, so this core stays within the hot-path complexity contract.
+        phase.
         """
         overlay = self._overlay
         members = overlay._peers  # noqa: SLF001 - engine is a friend class
@@ -672,7 +661,7 @@ class IncrementalReselectionEngine:
         :meth:`~repro.overlay.selection.base.NeighbourSelectionMethod.install_many`
         -- and the results land in ``OverlayNetwork._neighbours`` through
         the single :meth:`~repro.overlay.network.OverlayNetwork.install_selections`
-        fan-out, which preserves the RPL001 delta-stream contract per peer.
+        fan-out, which preserves the delta-stream contract per peer.
         Python work here is O(full verdicts + changed selections): additive
         cohorts stay implicit id arrays, so the (usually population-sized)
         additive cohort after an epoch costs numpy passes plus the changed

@@ -276,7 +276,7 @@ class OverlayNetwork:
             bootstrap_ids: Set[int] = {min(self._peers)} if self._peers else set()
         else:
             bootstrap_ids = set(bootstrap)
-            unknown = bootstrap_ids - set(self._peers)
+            unknown = [other for other in bootstrap_ids if other not in self._peers]
             if unknown:
                 raise KeyError(f"bootstrap peers {sorted(unknown)} are not in the overlay")
         self._peers[peer.peer_id] = peer
@@ -303,7 +303,7 @@ class OverlayNetwork:
         # multi-peer-bootstrap joins on the delta-stream contract.  Called
         # unconditionally (not just when recorders are attached) because the
         # notifier also maintains the reverse selector index.
-        self._notify_selection_change(peer.peer_id, set(), bootstrap_ids)
+        self.notify_selection_change(peer.peer_id, set(), bootstrap_ids)
 
     def remove_peer(self, peer_id: int) -> PeerInfo:
         """Remove a peer and every link that references it."""
@@ -392,9 +392,7 @@ class OverlayNetwork:
         A peer's links are the peers it selected plus the peers that
         selected it; both are maintained exactly (``_neighbours`` and the
         reverse selector index), so nothing is re-derived per call.  This is
-        the read the delta-stream consumers make per touched peer.  Hold on
-        to the overlay, not to its dicts: a full sweep rebinds the selection
-        map, so a captured dict silently goes stale.
+        the read the delta-stream consumers make per touched peer.
         """
         try:
             return self._neighbours[peer_id].union(self._selectors_of.get(peer_id, ()))
@@ -437,12 +435,13 @@ class OverlayNetwork:
         gained and lost targets may have changed; everything else provably
         kept its adjacency.
 
-        This is the public half of the delta-stream contract: *every* code
-        path that mutates ``_neighbours`` -- the membership methods, both
-        convergence paths, and the incremental engine (a friend class that
-        installs selections directly) -- must route the change through here,
-        or downstream consumers silently diverge.  Mechanically enforced by
-        reprolint rule RPL001 (``python -m repro.analysis``).
+        This is the public half of the delta-stream contract: every code
+        path that mutates ``_neighbours`` must tell the recorders, or
+        downstream consumers silently diverge.  :meth:`add_peer` and every
+        convergence path (through :meth:`install_selections`) route the
+        change through here; :meth:`remove_peer` touches the departed peer's
+        links directly.  ``tests/test_write_census.py`` pins that set of
+        writers.
 
         The same routing invariant is what keeps the reverse selector index
         exact: every installed selection change updates ``_selectors_of``
@@ -475,19 +474,15 @@ class OverlayNetwork:
         for recorder in self._delta_recorders:
             recorder.note_touch(touched)
 
-    #: Thin alias: the notifier predates the public API and internal call
-    #: sites (plus external consumers of the private name) keep working.
-    _notify_selection_change = notify_selection_change
-
     def install_selections(self, results: Mapping[int, Iterable[int]]) -> bool:
         """Install a batch of computed selections; ``True`` if any changed.
 
-        The single install fan-out both incremental round protocols end in:
+        The single install fan-out every convergence path ends in (both
+        incremental round protocols and the :meth:`reselect_round` sweep):
         each entry replaces one peer's directed selection, and every actual
         change routes through :meth:`notify_selection_change` -- so the
-        delta-stream contract (RPL001) and the reverse selector index hold
-        per peer no matter how the batch was computed (the radius view's
-        per-peer plan or the full-knowledge cohort install).  Entries equal
+        delta-stream contract and the reverse selector index hold per peer
+        no matter how the batch was computed.  Entries equal
         to the installed selection are skipped without notifying; peers
         absent from ``results`` are untouched.  Iteration is in ascending
         peer id for determinism.
@@ -540,13 +535,15 @@ class OverlayNetwork:
 
         Every peer recomputes its candidate set against the *pre-round*
         topology and applies the selection method; all updates are then
-        installed at once.  Synchronous rounds make convergence deterministic
-        and are the discrete-time counterpart of "periodically, every peer
-        broadcasts its existence ... then selects its new overlay neighbours".
+        installed at once, through :meth:`install_selections`.  Synchronous
+        rounds make convergence deterministic and are the discrete-time
+        counterpart of "periodically, every peer broadcasts its existence ...
+        then selects its new overlay neighbours".
 
         This is the oracle the incremental engine is cross-checked against
-        (the tests loop it to a fixed point); running it rewrites every
-        neighbour set, so any live engine state is discarded.  With an owned
+        (the tests loop it to a fixed point); running it re-selects every
+        peer behind the engine's back, so any live engine state is
+        discarded.  With an owned
         index under full knowledge, every
         selection is answered from the index instead of a materialised
         candidate list -- the indexed and scan sweeps install byte-identical
@@ -565,18 +562,7 @@ class OverlayNetwork:
             results = self._selection.select_many(
                 list(self._peers.values()), {}, index=index
             )
-            changed = False
-            new_neighbours: Dict[int, Set[int]] = {}
-            for peer_id in self._peers:
-                selected = set(results[peer_id])
-                new_neighbours[peer_id] = selected
-                if selected != self._neighbours[peer_id]:
-                    self._notify_selection_change(
-                        peer_id, self._neighbours[peer_id], selected
-                    )
-                    changed = True
-            self._neighbours = new_neighbours
-            return changed
+            return self.install_selections(results)
         if self._gossip_radius is None:
             candidates_by_peer = {
                 peer_id: [info for other, info in self._peers.items() if other != peer_id]
@@ -591,31 +577,24 @@ class OverlayNetwork:
                 ]
                 for peer_id in self._peers
             }
-
-        changed = False
-        new_neighbours: Dict[int, Set[int]] = {}
-        for peer_id, candidates in candidates_by_peer.items():
-            selected = set(self._selection.select(self._peers[peer_id], candidates))
-            new_neighbours[peer_id] = selected
-            if selected != self._neighbours[peer_id]:
-                self._notify_selection_change(
-                    peer_id, self._neighbours[peer_id], selected
-                )
-                changed = True
-        self._neighbours = new_neighbours
-        return changed
+        # Every selection is computed against the pre-round topology before
+        # the first one is installed.
+        return self.install_selections(
+            {
+                peer_id: self._selection.select(self._peers[peer_id], candidates)
+                for peer_id, candidates in candidates_by_peer.items()
+            }
+        )
 
     def invalidate_engine(self) -> None:
         """Discard any live incremental-reselection engine state.
 
         The engine's dirty set and per-peer history describe one
         convergence trajectory; whenever that trajectory is abandoned --
-        a full sweep rewrote every neighbour set, or a convergence aborted
+        a full sweep re-selected every peer, or a convergence aborted
         with :class:`ConvergenceError` -- the engine must be dropped so the
         next incremental convergence rebootstraps from an all-dirty state.
-        Callers that catch :class:`ConvergenceError` and resume are
-        required (reprolint RPL007) to call this before their next
-        converge.
+        Both of those paths call it themselves.
         """
         self._engine = None
 

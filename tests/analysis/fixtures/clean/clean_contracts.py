@@ -8,39 +8,6 @@ import math
 import random
 
 
-class OverlayNetwork:
-    def install(self, peer_id, selected):
-        """Neighbour mutation paired with the public notification."""
-        previous = self._neighbours[peer_id]
-        self._neighbours[peer_id] = set(selected)
-        self.notify_selection_change(peer_id, previous, set(selected))
-
-    def evict_with_recorders(self, peer_id, selectors):
-        """Direct recorder notification also satisfies the contract."""
-        self._neighbours.pop(peer_id, set())
-        for recorder in self._delta_recorders:
-            recorder.note_leave(peer_id)
-            recorder.note_touch(selectors)
-
-    def add_peer(self, peer):
-        """Sanctioned membership method: may mutate peer state freely."""
-        self._peers[peer.peer_id] = peer
-        self._index.insert(peer.peer_id, peer.coordinates)
-
-    def relocate(self, peer_id, coordinates):
-        """Unsanctioned mutator, but it keeps the owned index in sync."""
-        self._peers[peer_id] = coordinates
-        self._index.move(peer_id, coordinates)
-
-
-class PeerProcess:
-    """The simulator's private ``_neighbours`` set is not overlay state."""
-
-    def adopt(self, selection):
-        self._neighbours.clear()
-        self._neighbours.update(selection)
-
-
 def ordered_total(weights):
     """Explicitly ordered accumulation is the sanctioned spelling."""
     total = 0.0

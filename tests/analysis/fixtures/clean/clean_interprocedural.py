@@ -1,89 +1,39 @@
-"""Clean: every obligation is satisfied one call level below the trigger.
+"""Clean corpus: shapes that span functions.
 
-This is the corpus proof that reprolint v2's rules are interprocedural:
-pre-v2, every function here needed a pragma; now the call graph proves
-them fine with none.
+A set-like alias is tracked in the function that binds it and nowhere
+else: a same-named parameter or local of another function is whatever
+its own scope makes it.  Generators seeded once are passed down and drawn
+from, never rebuilt.
 """
 
-from repro.contracts import hot_path
+import heapq
+import random
+
+TRACKED = set()
 
 
-class OverlayNetwork:
-    def __init__(self, selection):
-        self._selection = selection
-        self._peers = {}
-        self._neighbours: dict = {}
-        self._index = SpatialIndex()
-        self._recorders = []
-
-    def notify_selection_change(self, peer_id, old, new):
-        for recorder in self._recorders:
-            recorder.note_touch([peer_id])
-
-    def _record_rewire(self, peer_id, old, new):
-        # One level below the mutation: still discharges RPL001.
-        self.notify_selection_change(peer_id, old, new)
-
-    def rewire(self, peer_id, targets):
-        old = self._neighbours[peer_id]
-        self._neighbours[peer_id] = set(targets)
-        self._record_rewire(peer_id, old, set(targets))
-
-    def _reindex(self, peer_id, coordinates):
-        # One level below the mutation: still discharges RPL002.
-        self._index.move(peer_id, coordinates)
-
-    def relocate(self, peer_id, info):
-        self._peers[peer_id] = info
-        self._reindex(peer_id, info.coordinates)
+def pending_count(distances):
+    pending = set(distances)
+    return len(pending)
 
 
-class SpatialIndex:
-    def move(self, peer_id, coordinates):
-        pass
+def nearest_first(distances, pending):
+    heap = []
+    for peer_id in pending:
+        heapq.heappush(heap, (distances[peer_id], peer_id))
+    return heap
 
 
-class DeltaMirror:
-    """A hot path whose closure provably stays O(changes)."""
-
-    def __init__(self):
-        self._selected = {}
-
-    @hot_path
-    def apply(self, delta):
-        for peer_id in delta.touched:
-            self._refresh_one(peer_id)
-
-    def _refresh_one(self, peer_id):
-        self._selected[peer_id] = frozenset()
+def weighted_total(weights, TRACKED):
+    total = 0.0
+    for key in TRACKED:
+        total += weights[key]
+    return total
 
 
-class CachedSelection:
-    """path_independent with a lazy cache: memoisation is allowed."""
-
-    path_independent = True
-
-    def __init__(self, k):
-        self._k = k
-        self._by_dimension = {}
-
-    def select(self, peer, candidates):
-        ranked = self._rank(candidates)
-        self._by_dimension[peer.dimension] = ranked
-        return ranked[: self._k]
-
-    def _rank(self, candidates):
-        return sorted(candidates, key=lambda c: c.peer_id)
+def _draw(rng, count):
+    return [rng.random() for _ in range(count)]
 
 
-def converge_with_recovery(overlay, events):
-    """Catching ConvergenceError is fine when the engine is invalidated."""
-    try:
-        return overlay.apply_batch(events)
-    except ConvergenceError:
-        overlay.invalidate_engine()
-        return None
-
-
-class ConvergenceError(Exception):
-    pass
+def sample(count, seed=0):
+    return _draw(random.Random(seed), count)

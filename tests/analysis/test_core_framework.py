@@ -55,7 +55,7 @@ class TestPragmas:
     def test_empty_reason_is_rpl000(self):
         violations = _analyze(
             """
-            x = 1  # reprolint: disable=RPL001 reason=
+            x = 1  # reprolint: disable=RPL003 reason=
             """
         )
         assert [v.rule_id for v in violations] == [PRAGMA_RULE_ID]
@@ -70,10 +70,10 @@ class TestPragmas:
 
     def test_parse_pragmas_reads_codes_and_reason(self):
         pragmas = parse_pragmas(
-            "value = 1  # reprolint: disable=RPL001,RPL002 reason=because tested\n"
+            "value = 1  # reprolint: disable=RPL003,RPL004 reason=because tested\n"
         )
         assert len(pragmas) == 1
-        assert pragmas[0].codes == frozenset({"RPL001", "RPL002"})
+        assert pragmas[0].codes == frozenset({"RPL003", "RPL004"})
         assert pragmas[0].reason == "because tested"
         assert not pragmas[0].standalone
 
@@ -126,14 +126,6 @@ class TestReporting:
         assert rendered.startswith("<string>:5: RPL004 ")
 
     def test_rule_registry_is_complete_and_ordered(self):
-        assert [rule.rule_id for rule in ALL_RULES] == [
-            "RPL001",
-            "RPL002",
-            "RPL003",
-            "RPL004",
-            "RPL005",
-            "RPL006",
-            "RPL007",
-        ]
+        assert [rule.rule_id for rule in ALL_RULES] == ["RPL003", "RPL004"]
         for rule in ALL_RULES:
             assert rule.invariant and rule.name

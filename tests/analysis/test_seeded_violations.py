@@ -1,20 +1,36 @@
-"""Seeded-violation proofs: each rule catches a *real* regression.
+"""Seeded-violation proofs: each contract catches a *real* regression.
 
-For every rule id, these tests copy the actual guarded module into a
-scratch ``src/repro`` mirror (so module-scoped rules resolve exactly as
-they do in the repo), seed one realistic violation -- dropping the
-notification ``add_peer`` gained in PR 4, bypassing the index maintenance
-in a renamed ``remove_peer``, deleting the justified pragma over a real
-accumulation -- and prove the checker reports it with the right rule id at
-the right line.  The pristine copy is checked clean first, so a pass can
-only come from the seeded delta.
+RPL003 and RPL004 are reprolint rules: their tests copy the actual guarded
+module into a scratch ``src/repro`` mirror (so module-scoped rules resolve
+exactly as they do in the repo), seed one realistic violation -- deleting
+the justified pragma over a real accumulation, dropping the seed of a real
+generator, reading the wall clock in overlay code -- and prove the checker
+reports it with the right rule id at the right line.  The pristine copy is
+checked clean first, so a pass can only come from the seeded delta.
+
+RPL001/RPL002 (pinned writers of the overlay maps), RPL005 (churn work is
+O(changes)) and RPL006 (path-independent selections keep no history) are
+tier-1 checks now: ``tests/test_write_census.py``,
+``tests/test_population_check.py`` and ``tests/test_selection_purity.py``.
+Their seeds here feed the real source, one line changed, to those checks.
 """
 
+import __future__
+import inspect
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+from test_population_check import PopulationWalk, bootstrapped, churn
+from test_selection_purity import NEEDLE, hyperplanes_sources, purity_problems
+from test_write_census import NETWORK, census_problems, network_sources
 
 from repro.analysis import lint_paths
+from repro.multicast.incremental import StabilityTreeMaintainer
+from repro.overlay.columnar import ColumnarCandidateState
+from repro.overlay.incremental import IncrementalReselectionEngine
+from repro.overlay.selection import HyperplanesSelection
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
@@ -45,84 +61,44 @@ def network_source() -> str:
     return (SRC / "overlay" / "network.py").read_text(encoding="utf-8")
 
 
-@pytest.fixture()
-def incremental_source() -> str:
-    return (SRC / "overlay" / "incremental.py").read_text(encoding="utf-8")
-
-
-@pytest.fixture()
-def columnar_source() -> str:
-    return (SRC / "overlay" / "columnar.py").read_text(encoding="utf-8")
-
-
-@pytest.fixture()
-def hyperplanes_source() -> str:
-    return (SRC / "overlay" / "selection" / "hyperplanes.py").read_text(
-        encoding="utf-8"
-    )
-
-
 def test_pristine_copies_are_clean(tmp_path, network_source):
     for relative, source_path in [
         ("overlay/network.py", None),
         ("geometry/index.py", SRC / "geometry" / "index.py"),
         ("workloads/churn.py", SRC / "workloads" / "churn.py"),
-        ("overlay/incremental.py", SRC / "overlay" / "incremental.py"),
-        ("overlay/columnar.py", SRC / "overlay" / "columnar.py"),
-        (
-            "overlay/selection/hyperplanes.py",
-            SRC / "overlay" / "selection" / "hyperplanes.py",
-        ),
         ("simulation/netmodel.py", SRC / "simulation" / "netmodel.py"),
-        ("multicast/incremental.py", SRC / "multicast" / "incremental.py"),
     ]:
         source = network_source if source_path is None else source_path.read_text()
         copy = _mirror(tmp_path, relative, source)
         assert lint_paths([copy]) == []
 
 
-def test_rpl001_catches_a_dropped_add_peer_notification(tmp_path, network_source):
-    """Re-introduces the exact drift PR 4 fixed: a silent bootstrap install."""
-    seeded = _seed(
-        network_source,
-        "self._notify_selection_change(peer.peer_id, set(), bootstrap_ids)",
-        "pass  # seeded violation: bootstrap edges installed silently",
-    )
-    copy = _mirror(tmp_path, "overlay/network.py", seeded)
-    violations = lint_paths([copy])
-    expected_line = _line_of(
-        seeded, "self._neighbours[peer.peer_id] = set(bootstrap_ids)"
-    )
-    assert [(v.rule_id, v.line) for v in violations] == [("RPL001", expected_line)]
+def test_rpl001_catches_a_dropped_add_peer_notification():
+    """Re-introduces a drift ``add_peer`` once had: a silent bootstrap install."""
+    sources = network_sources("self.notify_selection_change(peer.peer_id, set(), bootstrap_ids)",
+                              "pass  # seeded: bootstrap edges installed silently")
+    assert census_problems(sources) == [
+        f"{NETWORK}::OverlayNetwork.add_peer writes _neighbours without notifying the recorders"]
 
 
-def test_rpl001_catches_a_rogue_rewire_helper(tmp_path, network_source):
-    seeded = network_source + (
-        "\n\ndef rebalance(overlay, peer_id, targets):\n"
-        '    """Seeded violation: installs a selection behind the recorders."""\n'
-        "    overlay._neighbours[peer_id] = set(targets)\n"
-    )
-    copy = _mirror(tmp_path, "overlay/network.py", seeded)
-    violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "overlay._neighbours[peer_id] = set(targets)")
-    assert [(v.rule_id, v.line) for v in violations] == [("RPL001", expected_line)]
+def test_rpl001_catches_a_rogue_rewire_helper():
+    sources = network_sources(appended="\n\ndef rebalance(overlay, peer_id, targets):\n"
+                                       "    overlay._neighbours[peer_id] = set(targets)\n")
+    assert census_problems(sources) == [
+        f"{NETWORK}::rebalance writes _neighbours outside the pinned writers"]
 
 
-def test_rpl002_catches_membership_mutation_bypassing_the_index(
-    tmp_path, network_source
-):
-    """Renaming remove_peer off the sanctioned list and dropping the index
-    maintenance must flag every peer-map mutation in it."""
-    seeded = _seed(network_source, "def remove_peer(", "def evict_peer(")
-    seeded = _seed(
-        seeded,
-        "self._index.remove(peer_id)",
-        "pass  # seeded violation: index maintenance dropped",
-    )
-    copy = _mirror(tmp_path, "overlay/network.py", seeded)
-    violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "info = self._peers.pop(peer_id)")
-    assert [(v.rule_id, v.line) for v in violations] == [("RPL002", expected_line)]
+def test_rpl002_catches_membership_mutation_bypassing_the_index():
+    """Dropping remove_peer's index maintenance flags it; renaming it off the
+    pinned writers flags every overlay-map write in it."""
+    sources = network_sources("self._index.remove(peer_id)", "pass  # seeded: index not maintained")
+    assert census_problems(sources) == [
+        f"{NETWORK}::OverlayNetwork.remove_peer writes _peers without maintaining the index"]
+    sources[NETWORK] = sources[NETWORK].replace("def remove_peer(", "def evict_peer(", 1)
+    problems = census_problems(sources)
+    for label in ("_peers", "_neighbours"):
+        assert f"{NETWORK}::OverlayNetwork.evict_peer writes {label} outside the " \
+               "pinned writers" in problems
 
 
 def test_rpl003_catches_unsuppressed_accumulation_in_the_index(tmp_path):
@@ -199,99 +175,57 @@ def test_rpl004_catches_a_seeded_wall_clock_read(tmp_path, network_source):
     assert [(v.rule_id, v.line) for v in violations] == [("RPL004", expected_line)]
 
 
-def test_rpl005_catches_population_work_in_the_tree_refresh_hot_path(tmp_path):
-    """Reading the whole undirected topology inside the @hot_path tree
-    refresh -- instead of the one touched peer's links -- reintroduces O(N)
-    work per churn event."""
-    source = (SRC / "multicast" / "incremental.py").read_text(encoding="utf-8")
-    seeded = _seed(
-        source,
-        "overlay.links(peer_id),",
-        "overlay.adjacency()[peer_id],",
-    )
-    copy = _mirror(tmp_path, "multicast/incremental.py", seeded)
-    violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "overlay.adjacency()[peer_id]")
-    assert [(v.rule_id, v.line) for v in violations] == [("RPL005", expected_line)]
+def _assert_seeded_walk(monkeypatch, owner, name, needle, replacement):
+    """Recompile ``owner.name`` from its own source with one line changed;
+    the churn steps must then trip the population check."""
+    setup = bootstrapped(None)
+    function = getattr(owner, name)
+    lines, first = inspect.getsourcelines(function)
+    source = textwrap.dedent("".join(lines))
+    assert needle in source, f"{owner.__name__}.{name} drifted"
+    namespace = {}
+    exec(compile("\n" * (first - 1) + source.replace(needle, replacement, 1),
+                 inspect.getsourcefile(function), "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True),
+         vars(sys.modules[function.__module__]), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+    with pytest.raises(PopulationWalk):
+        churn(setup)
 
 
-def test_rpl005_catches_an_implicit_set_silently_materialised(
-    tmp_path, incremental_source
-):
-    """The columnar tentpole's regression shape: the engine's @hot_path
-    ``note_join`` quietly rebuilding an explicit population-sized structure
+def test_rpl005_catches_population_work_in_the_tree_refresh_hot_path(monkeypatch):
+    """Reading the whole undirected topology inside the tree refresh --
+    instead of the one touched peer's links -- is O(N) work per churn event."""
+    _assert_seeded_walk(monkeypatch, StabilityTreeMaintainer, "refresh",
+                        "overlay.links(peer_id),", "overlay.adjacency()[peer_id],")
+
+
+def test_rpl005_catches_an_implicit_set_silently_materialised(monkeypatch):
+    """The engine's ``note_join`` rebuilding a population-sized structure
     instead of delegating the O(1) implicit-representation write."""
-    seeded = _seed(
-        incremental_source,
-        "self._view.note_join(peer_id)",
-        "self._dirty_all = sorted(self._overlay._peers)",
-    )
-    copy = _mirror(tmp_path, "overlay/incremental.py", seeded)
-    violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "sorted(self._overlay._peers)")
-    assert [(v.rule_id, v.line) for v in violations] == [("RPL005", expected_line)]
+    _assert_seeded_walk(monkeypatch, IncrementalReselectionEngine, "note_join",
+                        "self._view.note_join(peer_id)",
+                        "self._dirty_all = sorted(self._overlay._peers)")
 
 
-def test_rpl005_catches_population_scheduling_in_plan_round(
-    tmp_path, columnar_source
-):
-    """The vectorised round core's regression shape: ``plan_round`` swapping
-    its mask-algebra dirty scan for a materialised population sort would put
-    an O(N) Python pass back on every convergence round."""
-    seeded = _seed(
-        columnar_source,
-        "scheduled_rows = self._dirty_row_array()",
-        "scheduled_rows = np.asarray(sorted(self._rows.peer_ids))",
-    )
-    copy = _mirror(tmp_path, "overlay/columnar.py", seeded)
-    violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "sorted(self._rows.peer_ids)")
-    assert [(v.rule_id, v.line) for v in violations] == [("RPL005", expected_line)]
+def test_rpl005_catches_population_scheduling_in_plan_round(monkeypatch):
+    """``plan_round`` swapping its mask-algebra dirty scan for a sort of the
+    row map puts an O(N) Python pass back on every convergence round."""
+    _assert_seeded_walk(monkeypatch, ColumnarCandidateState, "plan_round",
+                        "scheduled_rows = self._dirty_row_array()",
+                        "scheduled_rows = np.asarray(sorted(self._rows._row_of_id))")
 
 
-def test_rpl006_catches_a_seeded_stateful_select(tmp_path, hyperplanes_source):
+def test_rpl006_catches_a_seeded_stateful_select():
     """Remembering the last reference peer makes select depend on call
     history, which path_independent=True forbids."""
-    seeded = _seed(
-        hyperplanes_source,
-        "        others = self._exclude_reference(reference, candidates)\n",
-        "        others = self._exclude_reference(reference, candidates)\n"
-        "        self._last_reference = reference.peer_id\n",
-    )
-    copy = _mirror(tmp_path, "overlay/selection/hyperplanes.py", seeded)
-    violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "self._last_reference = reference.peer_id")
-    assert [(v.rule_id, v.line) for v in violations] == [("RPL006", expected_line)]
+    sources = hyperplanes_sources(NEEDLE + "        self._last_reference = reference.peer_id\n")
+    assert purity_problems(HyperplanesSelection, sources) == [
+        "HyperplanesSelection.select writes self._last_reference"]
 
 
-def test_rpl006_catches_a_seeded_mutable_global_read(tmp_path, hyperplanes_source):
-    seeded = _seed(
-        hyperplanes_source,
-        "        others = self._exclude_reference(reference, candidates)\n",
-        "        others = self._exclude_reference(reference, candidates)[\n"
-        '            : _RUNTIME_LIMITS["max_candidates"]\n'
-        "        ]\n",
-    ) + '\n\n_RUNTIME_LIMITS = {"max_candidates": 1024}\n'
-    copy = _mirror(tmp_path, "overlay/selection/hyperplanes.py", seeded)
-    violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "_RUNTIME_LIMITS[")
-    assert [(v.rule_id, v.line) for v in violations] == [("RPL006", expected_line)]
-
-
-def test_rpl007_catches_a_swallowed_convergence_error(tmp_path, incremental_source):
-    """An epoch driver that eats ConvergenceError resumes against the
-    engine's mid-transaction worklists -- the bug class PR 4 fixed."""
-    seeded = incremental_source + (
-        "\n\ndef replay_epochs(overlay, epochs):\n"
-        '    """Seeded violation: resumes with a stale incremental engine."""\n'
-        "    for epoch in epochs:\n"
-        "        try:\n"
-        "            overlay.apply_batch(epoch)\n"
-        "        except ConvergenceError:\n"
-        "            continue\n"
-        "    return overlay\n"
-    )
-    copy = _mirror(tmp_path, "overlay/incremental.py", seeded)
-    violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "except ConvergenceError:")
-    assert [(v.rule_id, v.line) for v in violations] == [("RPL007", expected_line)]
+def test_rpl006_catches_a_seeded_mutable_global_read():
+    sources = hyperplanes_sources(NEEDLE.replace("\n", '[: _RUNTIME_LIMITS["max_candidates"]]\n'),
+                                  '\n_RUNTIME_LIMITS = {"max_candidates": 1024}\n')
+    assert purity_problems(HyperplanesSelection, sources) == [
+        "HyperplanesSelection.select reads the mutable global _RUNTIME_LIMITS"]

@@ -1,9 +1,7 @@
 """The pytest-collected self-check: ``src/repro`` must hold its contracts.
 
-This is the enforcement point the ISSUE asks for: the tier-1 suite fails
-the moment any module under ``src/repro`` mutates ``_neighbours`` without
-notifying the delta stream, desynchronises the owned spatial index,
-introduces unordered float accumulation into byte-identity code, or drifts
+The tier-1 suite fails the moment any module under ``src/repro``
+introduces unordered float accumulation into byte-identity code or drifts
 off the seeding contract -- *before* the hypothesis equivalence suites
 would catch the divergence behaviourally.
 """

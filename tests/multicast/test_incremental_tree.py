@@ -657,13 +657,13 @@ def test_maintained_tree_matches_snapshot_rebuild_at_every_step(
 
 
 def test_consumers_follow_the_overlay_through_a_rebinding_full_sweep():
-    """Regression: the consumers read the overlay in place, and a full sweep
-    *rebinds* ``OverlayNetwork._neighbours``.  A consumer that captured the
-    dict (the tracker's first draft did, in a closure) keeps reading the old
-    one: the next departure is stripped from the new dict only, the stale
-    one still names the departed peer, and the query dies inside the
-    union-find.  Join, sweep, leave, leave-then-rejoin in one window --
-    exact after every step."""
+    """Regression: the consumers read the overlay in place, through a full
+    sweep too.  A sweep used to *rebind* ``OverlayNetwork._neighbours``, and
+    the tracker's first draft, which captured the dict in a closure, kept
+    reading the stale one.  The sweep installs through
+    ``install_selections`` in place now; this pins that it no longer
+    rebinds and that the consumers stay exact.  Join, sweep, leave,
+    leave-then-rejoin in one window -- exact after every step."""
     peers = generate_peers_with_lifetimes(12, 2, seed=5)
     overlay = OverlayNetwork(EmptyRectangleSelection())
     assert overlay.index is not None
@@ -684,10 +684,10 @@ def test_consumers_follow_the_overlay_through_a_rebinding_full_sweep():
         bootstrap = {overlay.peer_ids[0]} if overlay.peer_count else set()
         overlay.insert_and_converge(peer, bootstrap=bootstrap)
         assert_exact()
-    before = overlay._neighbours  # noqa: SLF001 - the hazard under test
+    before = overlay._neighbours  # noqa: SLF001 - the former hazard
     overlay.add_peer(peers[10], bootstrap={peers[0].peer_id})
     overlay.reselect_round()
-    assert overlay._neighbours is not before  # noqa: SLF001
+    assert overlay._neighbours is before  # noqa: SLF001
     assert_exact()
     overlay.remove_and_converge(peers[3].peer_id)
     assert_exact()

@@ -39,6 +39,14 @@ class TestMembership:
         with pytest.raises(KeyError):
             overlay.add_peer(make_peer(1, (1.0, 1.0)), bootstrap={42})
 
+    def test_unknown_bootstrap_names_every_unknown_id_and_adds_nothing(self):
+        overlay = OverlayNetwork(EmptyRectangleSelection())
+        overlay.add_peer(make_peer(0, (0.0, 0.0)))
+        with pytest.raises(KeyError, match=r"bootstrap peers \[17, 42\]"):
+            overlay.add_peer(make_peer(1, (1.0, 1.0)), bootstrap={42, 0, 17})
+        assert overlay.peer_ids == [0]
+        assert overlay.selected_neighbours(0) == frozenset()
+
     def test_remove_unknown_peer(self):
         overlay = OverlayNetwork(EmptyRectangleSelection())
         with pytest.raises(KeyError):
@@ -110,6 +118,32 @@ class TestConvergence:
         assert overlay.reselect_round() is True
         overlay.converge()
         assert overlay.reselect_round() is False
+
+    @pytest.mark.parametrize(
+        "knowledge",
+        [{"use_index": True}, {"use_index": False}, {"gossip_radius": 2}],
+        ids=["indexed", "scan", "radius_2"],
+    )
+    def test_sweep_reports_and_streams_exactly_its_changes(self, knowledge):
+        """Each sweep branch installs through ``install_selections``: it
+        returns ``True`` iff a selection changed, every changed peer reaches
+        the delta stream, and the selection map is updated in place."""
+        overlay = OverlayNetwork(EmptyRectangleSelection(), **knowledge)
+        for peer in generate_peers(12, 2, seed=2):
+            overlay.add_peer(peer)
+        recorder = overlay.delta_stream()
+        neighbours = overlay._neighbours  # noqa: SLF001 - identity under test
+        verdicts = []
+        while not verdicts or verdicts[-1]:
+            assert len(verdicts) < 30, "the sweep did not reach a fixed point"
+            before = overlay.directed_neighbour_map()
+            verdicts.append(overlay.reselect_round())
+            after = overlay.directed_neighbour_map()
+            changed = {peer_id for peer_id in after if after[peer_id] != before[peer_id]}
+            assert verdicts[-1] == bool(changed)
+            assert changed <= recorder.drain().touched
+        assert verdicts[0] is True
+        assert overlay._neighbours is neighbours  # noqa: SLF001
 
     def test_max_rounds_validation(self):
         overlay = OverlayNetwork(EmptyRectangleSelection())

@@ -1,0 +1,95 @@
+"""A pinned census over ``src/repro``: ``_neighbours`` has only
+``NEIGHBOUR_WRITERS``, each telling the delta recorders unless nothing can
+observe it yet; ``_peers`` and ``.coordinates`` have only ``PEER_WRITERS``,
+each maintaining ``self._index``.  A write is a store, delete, augmented
+assignment or mutating call on the map, an entry or a local alias."""
+
+import ast
+from functools import lru_cache
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+NETWORK = "overlay/network.py"
+NEIGHBOUR_WRITERS = {"__init__", "add_peer", "remove_peer", "install_selections",
+                     "build_equilibrium"}
+PEER_WRITERS = {"__init__", "add_peer", "remove_peer", "move_peer", "build_equilibrium"}
+MUTATORS = {"add", "discard", "remove", "update", "clear", "pop", "popitem", "setdefault",
+            "difference_update", "intersection_update", "symmetric_difference_update"}
+
+
+@lru_cache(maxsize=None)
+def _functions(source):  # (qualified name, owning class, def)
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.name, None, node))
+        elif isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", node.name, item)
+                      for item in node.body if isinstance(item, ast.FunctionDef)]
+    return found
+
+
+def _writes(function, owner, attrs):
+    def is_map(node):  # a class's own self._neighbours (PeerProcess) is its own
+        node = node.value if isinstance(node, ast.Subscript) else node
+        if isinstance(node, ast.Name):
+            return node.id in aliases
+        return isinstance(node, ast.Attribute) and node.attr in attrs and (
+            owner == "OverlayNetwork" or getattr(node.value, "id", None) != "self")
+
+    nodes, aliases = list(ast.walk(function)), set()
+    aliases.update(node.targets[0].id for node in nodes if isinstance(node, ast.Assign)
+                   and isinstance(node.targets[0], ast.Name) and is_map(node.value))
+    return any(
+        isinstance(node, (ast.Attribute, ast.Subscript))
+        and isinstance(node.ctx, (ast.Store, ast.Del)) and is_map(node)
+        or isinstance(node, ast.AugAssign) and is_map(node.target)
+        or isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS
+        and is_map(node.func.value) for node in nodes)
+
+
+def _calls(function, attrs, on=None):
+    return any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) in attrs
+               and (on is None or getattr(node.func.value, "attr", None) == on)
+               for node in ast.walk(function))
+
+
+def census_problems(sources):
+    """Every way ``{path under src/repro: source}`` breaks the census."""
+    duties = {
+        "_neighbours": (NEIGHBOUR_WRITERS, "notifying the recorders", lambda function: (
+            function.name in {"__init__", "build_equilibrium"}  # a fresh overlay
+            or _calls(function, {"notify_selection_change", "note_touch"}))),
+        "_peers": (PEER_WRITERS, "maintaining the index", lambda function: (
+            _calls(function, {"insert", "remove", "move"}, on="_index") or _writes(
+                function, "OverlayNetwork", {"_index"}))),
+    }
+    problems = []
+    for label, (pinned, what, duty) in duties.items():
+        attrs = {label, "coordinates"} if label == "_peers" else {label}
+        writers = {f"{path}::{name}": function for path, source in sorted(sources.items())
+                   for name, owner, function in _functions(source)
+                   if _writes(function, owner, attrs)}
+        expected = {f"{NETWORK}::OverlayNetwork.{name}" for name in pinned}
+        problems += [f"{where} writes {label} outside the pinned writers"
+                     for where in sorted(set(writers) - expected)]
+        problems += [f"{where} no longer writes {label}; unpin it"
+                     for where in sorted(expected - set(writers))]
+        problems += [f"{where} writes {label} without {what}"
+                     for where in sorted(expected & set(writers)) if not duty(writers[where])]
+    return problems
+
+
+def network_sources(needle=None, replacement="", appended=""):
+    """``src/repro`` by path, ``network.py`` optionally seeded with one edit."""
+    sources = {path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
+               for path in SRC.rglob("*.py")}
+    network = sources[NETWORK]
+    assert needle is None or needle in network, f"network.py drifted: {needle!r}"
+    sources[NETWORK] = (network.replace(needle, replacement, 1) if needle else network) + appended
+    return sources
+
+
+def test_the_overlay_maps_have_exactly_the_pinned_writers():
+    assert census_problems(network_sources()) == []
+
