@@ -8,9 +8,10 @@ log of every tier-1 run -- no profiler, no ledger pass -- at the
 * 12 x 340 and 17 x 234: one full pass (``_KERNEL_ELEMENTS // members``
   references) over the alive population of ``churn_trace_er2d`` at its
   upper-quartile and its mean size (1,420 such passes per replay);
-* 40 x 100 with a membership mask: a bounded-gossip round's batch over the
-  union of its references' two-hop candidate sets (``bounded_gossip_er2d``:
-  median 19 references over 119 members, up to 131 over 150);
+* 40 x 100 in member rows: a bounded-gossip round's batch, each reference
+  over its own two-hop candidate set within the union of all of them
+  (``bounded_gossip_er2d``: median 19 references over 119 members, up to
+  131 over 150);
 * 8 x 3000: eight of the 3,000 one-reference passes of the all-dirty first
   convergence of ``cold_converge_er2d``.
 
@@ -29,24 +30,25 @@ from repro.geometry.index import brute_force_orthant_skyline, quadrant_skylines
 
 
 @pytest.mark.parametrize(
-    "references, members, masked",
+    "references, members, ragged",
     [
         pytest.param(12, 340, False, id="churn-12x340"),
         pytest.param(17, 234, False, id="churn-17x234"),
-        pytest.param(40, 100, True, id="bounded-gossip-40x100-masked"),
+        pytest.param(40, 100, True, id="bounded-gossip-40x100-rows"),
         pytest.param(8, 3000, False, id="cold-converge-8x3000"),
     ],
 )
-def test_quadrant_kernel_call(benchmark, references, members, masked):
+def test_quadrant_kernel_call(benchmark, references, members, ragged):
     rng = np.random.default_rng(members)
     coordinates = rng.random((members, 2)) * 1000.0
     ids = rng.permutation(3 * members)[:members].astype(np.int64)
     rows = rng.choice(members, size=references, replace=False)
-    mask = rng.random((references, members)) < 0.4 if masked else None
+    mask = rng.random((references, members)) < 0.4 if ragged else None
+    member_rows = None if mask is None else np.nonzero(mask)
 
     selected = benchmark.pedantic(
         quadrant_skylines,
-        args=(coordinates[rows], ids[rows], ids, coordinates, mask),
+        args=(coordinates[rows], ids[rows], ids, coordinates, member_rows),
         rounds=20,
         iterations=10,
         warmup_rounds=1,

@@ -99,16 +99,17 @@ _REBUILD_DIVISOR = 4
 # Rows the coordinate column starts with; it doubles when full.
 _COLUMN_ROWS = 64
 
-# References x members one pass of the batched skyline kernel holds at once.
-# Every temporary of a pass (the packed keys, two halves, the running
-# minimum) is an int64 array of this many elements, and the process's peak
-# RSS is a benchmark metric with a 5 % bound: on the ledger's churn trace
-# 4096 elements peak at 63.5 MB and 16384 at 63.7 MB, for the 2-3 % of
-# wall-clock that half as many passes save -- inside the run-to-run spread.
+# (reference, member) elements one pass of the batched skyline kernel holds
+# at once (at least one whole reference).  Every temporary of a pass (the
+# packed keys, two halves, the running minimum) is an int64 array of this
+# many elements, and the process's peak RSS is a benchmark metric with a
+# 5 % bound: on the ledger's churn trace 4096 elements peak at 63.5 MB and
+# 16384 at 63.7 MB, for the 2-3 % of wall-clock that half as many passes
+# save -- inside the run-to-run spread.
 _KERNEL_ELEMENTS = 4096
 
-# Quadrant code of the reference's own row (excluded by id, never selected)
-# and of the members a reference's mask leaves out.
+# Quadrant code of the reference itself among its members (excluded by id,
+# never selected): above the four real quadrants, so no skyline reads it.
 _OWN_ROW = 4
 
 
@@ -1018,7 +1019,7 @@ def quadrant_skylines(
     reference_ids: np.ndarray,
     member_ids: np.ndarray,
     member_coords: np.ndarray,
-    member_mask: Optional[np.ndarray] = None,
+    member_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> List[List[int]]:
     """Empty-rectangle selections of many 2-D references over one member set.
 
@@ -1031,26 +1032,32 @@ def quadrant_skylines(
     at infinity, an origin may not, NaN is legal nowhere) instead of one walk
     per quadrant.
 
+    ``member_rows`` gives every reference its own members instead of all
+    ``n``: CSR-ordered flat pairs ``(rows, columns)``, element ``k`` putting
+    ``member_ids[columns[k]]`` into the row of reference ``rows[k]``, with
+    ``rows`` non-decreasing -- what ``np.repeat(np.arange(R), sizes)`` and
+    the inverse of ``np.unique(flat_ids, return_inverse=True)`` produce.  A
+    row may be empty or name its own reference (excluded by id as ever); a
+    reference pays for its own row, not for the union of all of them.
+
     Once per call the members' coordinates become dense per-axis ranks:
     equal coordinates share a rank, so comparing ranks *is* comparing the
     floats, and the scan's per-quadrant sign flip of a coordinate becomes
-    ``rank`` or ``top - rank``.  Per reference every member is then one
-    integer ``quadrant | key0 rank | key1 rank | id position``, sorted by
-    value; a member survives when its ``key1`` rank is strictly below the
-    smallest before it in its quadrant.  That equals :func:`pareto_minima`
-    -- exact duplicates included, where the smallest id survives -- unless a
-    dominated member's float ``key0 + key1`` rounds equal to its dominator's,
-    where the canonical rule visits by id and may keep both.  Quadrants
-    holding such members are recognised from the coordinates and answered
-    by :func:`pareto_minima` itself, on the float keys.
+    ``rank`` or ``top - rank``.  Every (reference, member) element is then
+    one integer ``row | quadrant | key0 rank | key1 rank | id position``,
+    sorted by value; a member survives when its ``key1`` rank is strictly
+    below the smallest before it in its row and quadrant.  That equals
+    :func:`pareto_minima` -- exact duplicates included, where the smallest
+    id survives -- unless a dominated member's float ``key0 + key1`` rounds
+    equal to its dominator's, where the canonical rule visits by id and may
+    keep both.  Quadrants holding such members are recognised from the
+    coordinates and answered by :func:`pareto_minima` itself, on the float
+    keys.
 
-    ``member_mask`` (``bool[R, n]``, columns in ``member_ids`` order)
-    restricts reference ``r`` to the members its row marks -- per-reference
-    candidate subsets of one shared member set, answered in the same passes.
-    Unmarked members take the quadrant code of the reference's own row,
-    which no quadrant's skyline reads, so nothing else changes.
-
-    References are processed ``_KERNEL_ELEMENTS // n`` at a time.
+    A pass holds whole rows, about ``_KERNEL_ELEMENTS`` elements (at least
+    one row), and no more rows than the field above the quadrant code can
+    number: ``row bits + 3 * bits + 3 <= 63``, one row per pass at
+    ``2**20 - 1`` members.
     """
     origins = np.asarray(origins, dtype=np.float64)
     member_coords = np.asarray(member_coords, dtype=np.float64)
@@ -1062,17 +1069,26 @@ def quadrant_skylines(
     reference_ids = np.asarray(reference_ids, dtype=np.int64)
     member_ids = np.asarray(member_ids, dtype=np.int64)
     count = member_ids.size
-    if member_mask is not None and np.shape(member_mask) != (len(origins), count):
-        raise ValueError(
-            f"member_mask must be references x members {(len(origins), count)}, "
-            f"got {np.shape(member_mask)}"
-        )
     bits = count.bit_length()
     if 3 * bits + 3 > 63:  # three fields under a 3-bit quadrant code, below the sign bit
         raise ValueError(
             f"the quadrant kernel packs at most {(1 << 20) - 1} members into "
             f"a 64-bit key, got {count}"
         )
+    rows = columns = None
+    if member_rows is not None:
+        rows, columns = (np.asarray(part, dtype=np.int64) for part in member_rows)
+        if rows.ndim != 1 or rows.shape != columns.shape or rows.size and (
+            rows[0] < 0
+            or rows[-1] >= len(origins)
+            or (rows[1:] < rows[:-1]).any()
+            or columns.min() < 0
+            or columns.max() >= count
+        ):
+            raise ValueError(
+                f"member_rows must be flat (row, column) pairs with rows "
+                f"non-decreasing below {len(origins)} and columns below {count}"
+            )
     # Ranks would sort a NaN above everything; the float rule puts it nowhere.
     # A member level with an origin at +inf has the key -inf, and -inf + inf
     # is a NaN key sum: pareto_minima's visiting order is undefined there.
@@ -1091,9 +1107,11 @@ def quadrant_skylines(
     ids = member_ids[by_id]
     first = member_coords[by_id, 0]
     second = member_coords[by_id, 1]
-    outside = None
-    if member_mask is not None:
-        outside = ~np.asarray(member_mask, dtype=bool)[:, by_id]
+    if columns is None:
+        offsets = np.arange(len(origins) + 1) * count
+    else:
+        offsets = np.searchsorted(rows, np.arange(len(origins) + 1))
+        columns = np.argsort(by_id)[columns]  # member_ids order -> id order
     # A member's key on either side of the origin, one half per axis: the
     # first axis brings quadrant bit 0 and the key0 rank, the second quadrant
     # bit 1, the key1 rank and the id position.
@@ -1111,81 +1129,104 @@ def quadrant_skylines(
     # or neither (codes 0 and 3), +-(first - second) where it flips one.
     same_flip = _rounded_sum_suspects(first, second)
     mixed_flip = _rounded_sum_suspects(first, -second)
-    suspects = (same_flip, mixed_flip, mixed_flip, same_flip)
-    step = max(1, _KERNEL_ELEMENTS // count)
+    suspects = None
+    if same_flip is not None or mixed_flip is not None:
+        suspects = np.zeros((_OWN_ROW + 1, count), dtype=bool)
+        for code, flagged in enumerate((same_flip, mixed_flip, mixed_flip, same_flip)):
+            if flagged is not None:
+                suspects[code] = flagged
+    most_rows = 1 << 60 - 3 * bits  # row bits + 3 * bits + 3 <= 63
     selected: List[List[int]] = []
-    for start in range(0, len(origins), step):
+    start = 0
+    while start < len(origins):
+        stop = int(np.searchsorted(offsets, offsets[start] + _KERNEL_ELEMENTS, side="right")) - 1
+        stop = min(max(stop, start + 1), start + most_rows)
+        elements = slice(offsets[start], offsets[stop])
         selected.extend(
             _quadrant_skyline_pass(
-                origins[start : start + step],
-                reference_ids[start : start + step],
+                origins[start:stop],
+                reference_ids[start:stop],
+                None if rows is None else rows[elements] - start,
+                None if columns is None else columns[elements],
                 ids,
                 first,
                 second,
                 bits,
                 halves,
                 suspects,
-                None if outside is None else outside[start : start + step],
             )
         )
+        start = stop
     return selected
 
 
 def _quadrant_skyline_pass(
     origins: np.ndarray,
     reference_ids: np.ndarray,
+    rows: Optional[np.ndarray],
+    columns: Optional[np.ndarray],
     ids: np.ndarray,
     first: np.ndarray,
     second: np.ndarray,
     bits: int,
     halves: Sequence[np.ndarray],
-    suspects: Sequence[Optional[np.ndarray]],
-    outside: Optional[np.ndarray],
+    suspects: Optional[np.ndarray],
 ) -> List[List[int]]:
-    """One ``references x members`` pass of :func:`quadrant_skylines`."""
-    count = ids.size
+    """One pass of :func:`quadrant_skylines` over whole rows: ``rows`` and
+    ``columns`` are the pass's (local row, id position) pairs, or both
+    ``None`` when every row holds every member."""
     low = (1 << bits) - 1
-    own_row = _OWN_ROW << 3 * bits
+    shift = 3 * bits  # the quadrant code's lowest bit; the row sits above it
     above0, below0, above1, below1 = halves
-    packed = np.where(first > origins[:, 0:1], above0, below0)
-    packed += np.where(second > origins[:, 1:2], above1, below1)
-    packed[ids == reference_ids[:, None]] = own_row
-    if outside is not None:
-        packed[outside] = own_row
-    packed.sort(axis=1)
-    # ``7 - quadrant | key1 rank``, the other two fields masked out: a later
-    # quadrant lives in a strictly lower range, so the running minimum
-    # restarts by itself at a quadrant boundary and a quadrant's first member
-    # always survives.
-    level = (packed ^ 7 << 3 * bits) & (7 << 3 * bits | low << bits)
-    keep = packed < own_row
-    keep[:, 1:] &= level[:, 1:] < np.minimum.accumulate(level, axis=1)[:, :-1]
+    if columns is None:
+        packed = np.where(first > origins[:, 0:1], above0, below0)
+        packed += np.where(second > origins[:, 1:2], above1, below1)
+        packed[ids == reference_ids[:, None]] = _OWN_ROW << shift
+        packed += (np.arange(len(origins), dtype=np.int64) << shift + 3)[:, None]
+        # Rows already ascend by their row field: sorting each one is the
+        # flat sort, at a fraction of its cost.
+        packed.sort(axis=1)
+        packed = packed.ravel()
+    else:
+        packed = np.where(first[columns] > origins[rows, 0], above0[columns], below0[columns])
+        packed += np.where(second[columns] > origins[rows, 1], above1[columns], below1[columns])
+        packed[ids[columns] == reference_ids[rows]] = _OWN_ROW << shift
+        packed += rows << shift + 3
+        packed.sort()
+    # ``complement(row | quadrant) | key1 rank``, the other two fields masked
+    # out: a later row or quadrant lives in a strictly lower range, so the
+    # running minimum restarts by itself at every boundary and the first
+    # member of a row's quadrant always survives.
+    high = -1 << shift
+    level = (packed ^ high) & (high | low << bits)
+    keep = (packed & 7 << shift) < _OWN_ROW << shift
+    keep[1:] &= level[1:] < np.minimum.accumulate(level)[:-1]
 
     exact: Dict[int, List[int]] = {}
-    for code, suspect in enumerate(suspects):
-        if suspect is None:
-            continue
-        inside = packed >> 3 * bits == code
-        crowded = np.count_nonzero(inside & suspect[packed & low], axis=1) >= 2
-        flip0, flip1 = (1.0 if code & 1 else -1.0), (1.0 if code & 2 else -1.0)
-        for row in np.flatnonzero(crowded).tolist():
-            members = packed[row, inside[row]] & low
+    if suspects is not None:
+        # ``row | quadrant`` cells holding two suspects take the float rule.
+        cell = packed >> shift
+        crowded = np.bincount(cell[suspects[cell & 7, packed & low]]) >= 2
+        for key in np.flatnonzero(crowded).tolist():
+            row, code = key >> 3, key & 7
+            inside = slice(*np.searchsorted(cell, (key, key + 1)).tolist())
+            flip0, flip1 = (1.0 if code & 1 else -1.0), (1.0 if code & 2 else -1.0)
             entries = [
                 ((flip0 * float(first[member]), flip1 * float(second[member])), int(ids[member]))
-                for member in members.tolist()
+                for member in (packed[inside] & low).tolist()
             ]
-            keep[row, inside[row]] = False
+            keep[inside] = False
             exact.setdefault(row, []).extend(
                 point_id for _, point_id in pareto_minima(entries)
             )
 
-    # Survivors as ``row * count + id position``: one flat sort leaves every
-    # reference's ids ascending.
-    kept = np.flatnonzero(keep)
-    chosen = kept - kept % count + (packed.ravel()[kept] & low)
+    # Survivors as ``row | id position``: one sort leaves every reference's
+    # ids ascending.
+    kept = packed[keep]
+    chosen = (kept >> shift + 3 << bits) | (kept & low)
     chosen.sort()
-    bounds = np.searchsorted(chosen, np.arange(len(origins) + 1) * count).tolist()
-    picked = ids[chosen % count].tolist()
+    bounds = np.searchsorted(chosen, np.arange(len(origins) + 1) << bits).tolist()
+    picked = ids[chosen & low].tolist()
     selected = [picked[a:b] for a, b in zip(bounds, bounds[1:])]
     for row, extra in exact.items():
         selected[row] = sorted(selected[row] + extra)

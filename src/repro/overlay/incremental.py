@@ -17,7 +17,8 @@ The engine tracks, for every peer ``P``:
 * whether ``P`` has *history* -- an installed selection consistent with a
   candidate set ``I(P)`` the engine can still name -- or not (freshly
   joined peers, peers whose neighbour set was mutated behind the engine's
-  back by a departure, movers), which forces a full recomputation;
+  back by a departure, the mover itself), which forces a full
+  recomputation;
 * membership of the *dirty set* -- ``P`` is dirty exactly when its current
   ``I(P)`` may differ from the one its selection was installed under.
 
@@ -50,8 +51,9 @@ other's reference: the oracles are the synchronous sweep,
 which the suites in ``tests/`` hold both views to.
 
 Dirtiness is seeded by membership events (the joined peer, departed peers'
-selectors, a moved peer and the peers that held it as a candidate) and
-propagated each round through candidate-set deltas.
+selectors, a moved peer and the peers that held it as a candidate, which
+meet it as lost + gained in both views) and propagated each round through
+candidate-set deltas.
 
 Bounded radius: the maintained sets' window is the delta
 --------------------------------------------------------
@@ -70,8 +72,8 @@ peer but a has-history flag: ``begin_round()`` drains the window and
 schedules the peers it names, ``delta(P)`` *is* ``P``'s entry (exact --
 see :meth:`RadiusCandidateState.delta`), ``known(P)`` is read in place, for
 FULL verdicts only, before the round's installs move it, and ``note_move``
-forces the peers that knew the mover a window ago, which by symmetry are
-its own set of a window ago.  The oracle is
+hands the mover to the peers that knew it a window ago as lost + gained;
+by symmetry they are its own set of a window ago.  The oracle is
 :func:`repro.overlay.gossip.knowledge_sets` -- plain BFS per peer over
 ``OverlayNetwork.adjacency()`` -- used by the full sweep and the tests.
 
@@ -138,7 +140,6 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
@@ -397,6 +398,9 @@ class RadiusCandidateState(CandidateView):
         self._history: Set[int] = set()
         self._dirty: Set[int] = set(overlay.peer_ids)
         self._window: Dict[int, Dict[int, int]] = {}
+        # Per knower with history, the movers its selection was installed
+        # with: this round, each is lost and -- if still known -- gained.
+        self._moved: Dict[int, Set[int]] = {}
 
     def note_join(self, peer_id: int) -> None:
         # Isolated until its bootstrap edges are reported as flips.  An id
@@ -414,12 +418,17 @@ class RadiusCandidateState(CandidateView):
 
     def note_move(self, peer_id: int) -> None:
         """Candidate *ids* do not move with the coordinates, so no window
-        will show the change: the mover, and every peer whose selection was
-        installed with the mover as a candidate, recompute in full.  By
-        symmetry those are ``I(mover)`` as of the previous drain, read from
-        the mover's own undrained window entry in O(|I(mover)|)."""
-        knowers = self._knowledge.known_at_last_drain(peer_id)
-        self._force_full([peer_id, *(other for other in knowers if other in self._history)])
+        will show the change.  The mover recomputes in full; every peer with
+        history whose selection was installed with the mover as a candidate
+        keeps its history and meets the mover as lost + gained (see
+        :meth:`delta`), as under full knowledge.  By symmetry those peers
+        are ``I(mover)`` as of the previous drain, read from the mover's own
+        undrained window entry in O(|I(mover)|)."""
+        self._force_full([peer_id])
+        for knower in self._knowledge.known_at_last_drain(peer_id):
+            if knower in self._history:
+                self._moved.setdefault(knower, set()).add(peer_id)
+                self._dirty.add(knower)
 
     def _force_full(self, peer_ids: Iterable[int]) -> None:
         for peer_id in peer_ids:
@@ -429,6 +438,7 @@ class RadiusCandidateState(CandidateView):
     def forget(self, peer_id: int) -> None:
         self._history.discard(peer_id)
         self._dirty.discard(peer_id)
+        self._moved.pop(peer_id, None)
 
     def note_edge_flip(self, peer_id: int, other_id: int, present: bool) -> None:
         self._knowledge.flip(peer_id, other_id, present)
@@ -448,12 +458,20 @@ class RadiusCandidateState(CandidateView):
         arrive only from a round's installs (after all of its reads) or from
         membership notes (between rounds).  So at every ``begin_round`` the
         set its selection was installed under *is* ``known(P)`` as of the
-        previous drain."""
+        previous drain.  A mover it knew then is lost at its old coordinates
+        and, unless the window shows it lost outright, gained at its new
+        ones: a selector of the mover recomputes in full, anyone else
+        re-offers it additively."""
         if peer_id not in self._history:
             return False, set(), set()
         net = self._window.get(peer_id, {})
         gained = {other for other, sign in net.items() if sign > 0}
-        return True, gained, net.keys() - gained
+        lost = net.keys() - gained
+        moved = self._moved.get(peer_id)
+        if moved:
+            gained.update(moved - net.keys())
+            lost.update(moved)
+        return True, gained, lost
 
     def full_candidate_ids(self, peer_id: int) -> AbstractSet[int]:
         """``known(P)``, live; it already holds ``_neighbours[P]`` (bootstrap
@@ -467,6 +485,7 @@ class RadiusCandidateState(CandidateView):
     def end_round(self) -> None:
         self._dirty.clear()
         self._window = {}
+        self._moved = {}
 
     def dirty_ids(self) -> FrozenSet[int]:
         """Dirty peers plus the ones the undrained window will schedule."""

@@ -160,15 +160,17 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         """Every reference answered from its own candidate ids (any order).
 
         All two-dimensional references share one
-        :func:`~repro.geometry.index.quadrant_skylines` call over the sorted
-        union of their candidate sets, each restricted to its own set by a
-        membership mask row (within one batch a peer id names one peer).
-        The mask is one flat pass over the ids, one sort and one fancy
-        assignment; each distinct member is resolved -- and its dimension
-        validated -- once.  References of other dimensions keep the per-reference
-        dispatch: :meth:`select` below ``_VECTORISE_THRESHOLD`` candidates,
-        the per-orthant numpy loop above.  Shared by :meth:`select_many` and
-        the multi-gain updates of :meth:`select_many_additive`.
+        :func:`~repro.geometry.index.quadrant_skylines` call, each row
+        holding exactly its own candidates: the flat ids of every row go
+        through one ``unique(return_inverse=True)``, whose inverse is the
+        rows' member columns and whose sorted ids are the call's member set
+        (within one batch a peer id names one peer), so a reference's cost
+        is its own candidate count, not the union's.  Each distinct member
+        is resolved -- and its dimension validated -- once.  References of
+        other dimensions keep the per-reference dispatch: :meth:`select`
+        below ``_VECTORISE_THRESHOLD`` candidates, the per-orthant numpy loop
+        above.  Shared by :meth:`select_many` and every update of
+        :meth:`select_many_additive`.
         """
         planar = [reference for reference in references if reference.dimension == 2]
         results = self._select_many_dispatch(
@@ -184,14 +186,12 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         member_ids, columns = np.unique(
             np.fromiter(chain.from_iterable(rows), dtype=np.int64), return_inverse=True
         )
-        mask = np.zeros((len(planar), member_ids.size), dtype=bool)
-        mask[np.repeat(np.arange(len(planar)), [len(row) for row in rows]), columns] = True
         selected = quadrant_skylines(
             np.asarray([tuple(peer.coordinates) for peer in planar], dtype=float),
             np.asarray([peer.peer_id for peer in planar], dtype=np.int64),
             member_ids,
             _coordinates(member_ids, member_of, 2),
-            mask,
+            (np.repeat(np.arange(len(planar)), [len(row) for row in rows]), columns),
         )
         results.update(zip((reference.peer_id for reference in planar), selected))
         return results
@@ -247,33 +247,21 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
     ) -> Optional[Dict[int, List[int]]]:
-        """Vectorised skyline update for candidate sets that only gained peers.
+        """Skyline update for candidate sets that only gained peers.
 
-        The churn-scale hot path: when one peer joins under full knowledge,
-        every existing peer's candidate set gains exactly that peer.  For a
-        clean reference ``P`` with selection ``S`` the skyline update rule is
-        local:
-
-        * if some ``s in S`` dominates the gained peer ``Q`` in ``Q``'s
-          orthant, nothing changes (``Q`` is boxed out, and by transitivity
-          ``Q`` cannot box out any skyline member either);
-        * otherwise ``Q`` joins the selection and evicts exactly the members
-          it dominates.
-
-        Both tests are flat comparisons over the ``(reference, selected)``
-        pairs, so the whole batch is a handful of numpy operations
-        regardless of how many peers are dirty.  References whose selection
-        is unchanged may be omitted from the result.  Updates with several
-        gained peers (only gossip-limited rounds produce them, on small
-        neighbourhoods) re-select from ``selected + gained`` -- all of them
-        in one batch -- which path independence makes exact.  Like the fast
-        ``select`` path, the vectorised rule relies on the paper's
-        distinct-coordinate assumption.
+        Path independence makes ``selected + gained`` stand in for the full
+        candidate set of a clean reference: every candidate outside the
+        installed selection is boxed out by a member of it, and stays boxed
+        out.  So every update, one gained peer or several, is the row
+        ``selected | gained`` of one batched :meth:`_select_batch` call --
+        one kernel call for all two-dimensional references.  Like the fast
+        ``select`` path, this relies on the paper's distinct-coordinate
+        assumption.  Every reference of ``updates`` is in the result.
 
         ``PeerInfo`` updates (no ``member_of``) are adapted to ids, a gained
         info winning a duplicate id.  ``index`` is accepted for batched-API
-        uniformity; the delta rule already touches only the selection and
-        the gained peers, so it never consults the index.
+        uniformity; the update already touches only the selection and the
+        gained peers, so it never consults the index.
         """
         if index is not None:
             self._check_index_support()
@@ -284,20 +272,13 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
                 for reference, selected, gained in updates
             ]
             member_of = members.__getitem__
-        singles = []
-        multiples: List[PeerInfo] = []
-        merged: Dict[int, Set[int]] = {}
-        for reference, selected, gained in updates:
-            if len(gained) == 1:
-                singles.append((reference, selected, *gained))
-            else:
-                multiples.append(reference)
-                merged[reference.peer_id] = {*selected, *gained}
         # Not through the public select_many: that entry is the surface of
         # full recomputes, and is counted as such.
-        results = self._select_batch(multiples, merged, member_of)
-        results.update(self._additive_step(singles, member_of) if singles else {})
-        return results
+        return self._select_batch(
+            [reference for reference, _, _ in updates],
+            {reference.peer_id: {*selected, *gained} for reference, selected, gained in updates},
+            member_of,
+        )
 
     def install_many(
         self,
@@ -321,7 +302,7 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
 
         * a member ``P`` named by some gain's recompute gains that peer
           (symmetry: the box is empty both ways), so its additive update is
-          a real change and runs through the vectorised single-gain rule;
+          a real change and runs through :meth:`select_many_additive`;
         * a member named by no gain provably keeps its selection -- a gain
           boxed out of ``select(P, everyone)`` can, by dominance
           transitivity, neither enter it nor evict anything from it.
@@ -360,50 +341,6 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
             delta = self.select_many_additive(updates, member_of=member_of)
             if delta:
                 results.update(delta)
-        return results
-
-    def _additive_step(
-        self, batch: Sequence[Tuple[PeerInfo, Collection[int], int]], member_of: MemberOf
-    ) -> Dict[int, List[int]]:
-        """One gained id per reference; returns only changed selections.
-
-        ``batch`` holds ``(reference, selected ids, gained id)``.  Every
-        distinct id of the call is resolved once into one coordinate table;
-        the ``(reference, selected)`` pairs and the gains are gathered from
-        it by position, and blocked references and evicted pairs are
-        resolved as arrays.
-        """
-        owners = np.repeat(np.arange(len(batch)), [len(selected) for _, selected, _ in batch])
-        pair_ids = np.fromiter(
-            chain.from_iterable(selected for _, selected, _ in batch), dtype=np.int64
-        )
-        gain_ids = np.asarray([gained for _, _, gained in batch], dtype=np.int64)
-        table_ids, positions = np.unique(np.concatenate((pair_ids, gain_ids)), return_inverse=True)
-        ref_coords = np.asarray(
-            [tuple(reference.coordinates) for reference, _, _ in batch], dtype=float
-        )
-        table = _coordinates(table_ids, member_of, ref_coords.shape[1])[positions]
-        member_coords, gain_coords = table[: pair_ids.size], table[pair_ids.size :]
-        powers = 1 << np.arange(ref_coords.shape[1])
-        greater_gain = gain_coords > ref_coords
-        gain_keys = np.where(greater_gain, gain_coords, -gain_coords)[owners]
-        greater = member_coords > ref_coords[owners]
-        member_keys = np.where(greater, member_coords, -member_coords)
-        same_orthant = (greater @ powers) == (greater_gain @ powers)[owners]
-        member_dominates = same_orthant & np.all(member_keys <= gain_keys, axis=1)
-        gain_dominates = same_orthant & np.all(gain_keys <= member_keys, axis=1)
-        # A reference some selected member blocks keeps its selection; every
-        # other one takes the gain and drops the members the gain dominates.
-        changed = np.ones(len(batch), dtype=bool)
-        changed[owners[member_dominates]] = False
-        evicted = gain_dominates & changed[owners]
-        dropped: Dict[int, Set[int]] = {}
-        for owner, member_id in zip(owners[evicted].tolist(), pair_ids[evicted].tolist()):
-            dropped.setdefault(owner, set()).add(member_id)
-        results: Dict[int, List[int]] = {}
-        for owner in np.flatnonzero(changed).tolist():
-            reference, selected, gained = batch[owner]
-            results[reference.peer_id] = sorted({*selected, gained} - dropped.get(owner, set()))
         return results
 
     def _select_vectorised(

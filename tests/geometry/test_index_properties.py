@@ -12,10 +12,11 @@ cross-checked against the literal ``brute_force_*`` reference over a plain
 dict mirror.  The coordinate column is held to the point store after every
 mutation, and the batched quadrant kernel over it to the same brute-force
 skyline -- on the lattice and on magnitudes where float key sums tie, over
-the whole member set and over per-reference candidate subsets (the
-membership mask the scan arm's batched ``select_many`` answers through),
-and at the edges of its packed integer key: one rank level on an axis,
-infinities, member counts where the field width steps, inputs it refuses.
+the whole member set and over per-reference candidate rows (the flat
+``(row, column)`` pairs the scan arm's batched ``select_many`` answers
+through), and at the edges of its packed integer key: one rank level on an
+axis, infinities, member counts where the field width steps, rows cut
+across passes, one row per pass at the widest fields, inputs it refuses.
 """
 
 import math
@@ -295,39 +296,45 @@ def _subset_skyline(mirror, reference, subset):
     return sorted(expected)
 
 
-def _assert_masked_kernel_matches_brute_force(index, mirror, data):
-    """Per-reference candidate subsets: kernel mask and scan-arm batch.
+def _member_rows(ids, subsets):
+    """Flat ``(rows, columns)`` pairs: each subset's ids as positions in
+    ``ids``, in the subset's own order."""
+    column_of = {point_id: column for column, point_id in enumerate(ids.tolist())}
+    rows = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
+    columns = np.asarray(
+        [column_of[point_id] for subset in subsets for point_id in subset], dtype=np.int64
+    )
+    return rows, columns
+
+
+def _assert_row_kernel_matches_brute_force(index, mirror, data):
+    """Per-reference candidate rows: kernel rows and scan-arm batch.
 
     Every live point is a reference with its own drawn subset of the
-    members; the first reference's subset is empty (an all-False mask row)
-    and the last one's is everybody, itself included.  The same subsets go
-    through ``EmptyRectangleSelection.select_many`` without an index, which
-    builds the sorted union and the mask itself.
+    members, in drawn order; the first reference's row is empty and the
+    last one's is everybody, itself included.  The same subsets go through
+    ``EmptyRectangleSelection.select_many`` without an index, which builds
+    the sorted union and the rows itself.
     """
     ids, coordinates = index.columns()
     references = sorted(mirror)
     subsets = [
-        set(data.draw(st.lists(st.sampled_from(references), unique=True)))
-        for _ in references
+        data.draw(st.lists(st.sampled_from(references), unique=True)) for _ in references
     ]
-    subsets[0] = set()
-    subsets[-1] = set(references)
-    mask = np.asarray(
-        [[point_id in subset for point_id in ids.tolist()] for subset in subsets],
-        dtype=bool,
-    ).reshape(len(references), len(ids))
+    subsets[0] = []
+    subsets[-1] = list(references)
     selected = quadrant_skylines(
         np.asarray([mirror[reference] for reference in references], dtype=float),
         np.asarray(references, dtype=np.int64),
         ids,
         coordinates,
-        mask,
+        _member_rows(ids, subsets),
     )
     peers = {point_id: make_peer(point_id, mirror[point_id]) for point_id in references}
     batched = EmptyRectangleSelection().select_many(
         [peers[reference] for reference in references],
         {
-            reference: [peers[point_id] for point_id in sorted(subset)]
+            reference: [peers[point_id] for point_id in subset]
             for reference, subset in zip(references, subsets)
         },
     )
@@ -339,11 +346,11 @@ def _assert_masked_kernel_matches_brute_force(index, mirror, data):
 
 @settings(max_examples=60, deadline=None)
 @given(history=_histories(min_dimension=2, max_dimension=2), data=st.data())
-def test_masked_quadrant_kernel_matches_brute_force_on_the_lattice(history, data):
+def test_row_quadrant_kernel_matches_brute_force_on_the_lattice(history, data):
     _, operations = history
     index, mirror = _replay(operations)
     if mirror:
-        _assert_masked_kernel_matches_brute_force(index, mirror, data)
+        _assert_row_kernel_matches_brute_force(index, mirror, data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,41 +358,112 @@ def test_masked_quadrant_kernel_matches_brute_force_on_the_lattice(history, data
     history=_histories(min_dimension=2, max_dimension=2, coordinate=_EXTREME),
     data=st.data(),
 )
-def test_masked_quadrant_kernel_matches_brute_force_where_key_sums_tie(history, data):
+def test_row_quadrant_kernel_matches_brute_force_where_key_sums_tie(history, data):
     _, operations = history
     index, mirror = _replay(operations)
     if mirror:
-        _assert_masked_kernel_matches_brute_force(index, mirror, data)
+        _assert_row_kernel_matches_brute_force(index, mirror, data)
 
 
-def test_masked_quadrant_kernel_chunks_a_member_set_larger_than_one_pass():
-    """More members than ``_KERNEL_ELEMENTS``: one reference per pass."""
-    count = index_module._KERNEL_ELEMENTS + 5
-    rng = np.random.default_rng(16)
+def _shuffled_mirror(count, seed):
+    """``count`` members at distinct quarter-unit lattice points, shuffled ids."""
+    rng = np.random.default_rng(seed)
     coordinates = np.stack([rng.permutation(count), rng.permutation(count)], axis=1) / 4.0
     ids = rng.permutation(count).astype(np.int64)
-    mirror = {int(i): tuple(row) for i, row in zip(ids.tolist(), coordinates.tolist())}
-    references = ids[:3].tolist()
-    mask = rng.random((3, count)) < 0.5
-    mask[1] = False
-    selected = quadrant_skylines(
-        coordinates[:3], np.asarray(references, dtype=np.int64), ids, coordinates, mask
-    )
-    for reference, row, chosen in zip(references, mask, selected):
-        assert chosen == _subset_skyline(mirror, reference, ids[row].tolist())
+    return rng, {int(i): tuple(row) for i, row in zip(ids.tolist(), coordinates.tolist())}
+
+
+def _counted_passes(monkeypatch):
+    """The rows of every pass the kernel runs, in call order."""
+    passes = []
+    one_pass = index_module._quadrant_skyline_pass
+
+    def counted(origins, reference_ids, rows, columns, *rest):
+        passes.append(len(origins) if columns is None else (len(origins), columns.size))
+        return one_pass(origins, reference_ids, rows, columns, *rest)
+
+    monkeypatch.setattr(index_module, "_quadrant_skyline_pass", counted)
+    return passes
+
+
+def test_row_quadrant_kernel_chunks_a_row_larger_than_one_pass(monkeypatch):
+    """A row of more than ``_KERNEL_ELEMENTS`` members: one reference per pass."""
+    count = index_module._KERNEL_ELEMENTS + 5
+    rng, mirror = _shuffled_mirror(count, 16)
+    ids = list(mirror)
+    references = ids[:3]
+    subsets = [ids, [], [point_id for point_id in ids if rng.random() < 0.5]]
+    passes = _counted_passes(monkeypatch)
+    selected = _assert_raw_kernel_matches_brute_force(mirror, references, subsets)
     assert selected[1] == []
-    with pytest.raises(ValueError, match="member_mask"):
-        quadrant_skylines(
-            coordinates[:3], np.asarray(references), ids, coordinates, mask[:2]
-        )
+    assert [rows for rows, _ in passes] == [1, 2]
 
 
-def _assert_raw_kernel_matches_brute_force(mirror, references=None, mask=None):
+def test_row_quadrant_kernel_splits_uneven_rows_on_row_boundaries(monkeypatch):
+    """Rows of very different sizes: every pass holds whole rows, at most
+    ``_KERNEL_ELEMENTS`` elements unless it is a single row, and the answer
+    does not depend on where the cuts fall."""
+    elements = index_module._KERNEL_ELEMENTS
+    rng, mirror = _shuffled_mirror(elements + 300, 27)
+    ids = list(mirror)
+    sizes = [elements - 100, 150, 0, 90, elements + 200, 1, 3000, 1200, 0]
+    subsets = [rng.permutation(ids)[:size].tolist() for size in sizes]
+    references = ids[-len(sizes):]
+    passes = _counted_passes(monkeypatch)
+    _assert_raw_kernel_matches_brute_force(mirror, references, subsets)
+    assert sum(rows for rows, _ in passes) == len(sizes)
+    assert sum(size for _, size in passes) == sum(sizes)
+    assert all(size <= elements or rows == 1 for rows, size in passes)
+    assert len(passes) > 3
+
+
+def test_row_quadrant_kernel_excludes_a_reference_listed_in_its_own_row():
+    _, mirror = _shuffled_mirror(60, 31)
+    ids = list(mirror)
+    references = ids[:4]
+    # Itself among others, itself alone, itself twice, itself among everyone.
+    subsets = [ids[:30], [references[1]], ids[2:40] + [references[2]], ids]
+    selected = _assert_raw_kernel_matches_brute_force(mirror, references, subsets)
+    assert selected[1] == []
+    assert all(reference not in chosen for reference, chosen in zip(references, selected))
+
+
+def test_row_quadrant_kernel_with_every_row_empty():
+    _, mirror = _shuffled_mirror(50, 44)
+    ids = np.asarray(list(mirror), dtype=np.int64)
+    coordinates = np.asarray(list(mirror.values()))
+    nothing = np.empty(0, dtype=np.int64)
+    assert quadrant_skylines(coordinates[:3], ids[:3], ids, coordinates, (nothing, nothing)) == [
+        [], [], []
+    ]
+
+
+def test_row_quadrant_kernel_at_twenty_bit_fields_runs_one_row_per_pass(monkeypatch):
+    """``2**19`` members: ``3 * 20 + 3`` bits leave none for the row field."""
+    count = 1 << 19
+    rng = np.random.default_rng(20)
+    coordinates = np.stack([rng.permutation(count), rng.permutation(count)], axis=1) / 8.0
+    ids = np.arange(count, dtype=np.int64)
+    subsets = [rng.choice(count, size=size, replace=False).tolist() for size in (40, 0, 25, 60)]
+    references = [subset[0] if subset else count - 1 for subset in subsets]
+    passes = _counted_passes(monkeypatch)
+    selected = quadrant_skylines(
+        coordinates[references], np.asarray(references), ids, coordinates, _member_rows(ids, subsets)
+    )
+    assert [rows for rows, _ in passes] == [1, 1, 1, 1]
+    mirror = {point_id: tuple(coordinates[point_id]) for subset in subsets for point_id in subset}
+    mirror[count - 1] = tuple(coordinates[count - 1])
+    for reference, subset, chosen in zip(references, subsets, selected):
+        assert chosen == _subset_skyline(mirror, reference, subset)
+
+
+def _assert_raw_kernel_matches_brute_force(mirror, references=None, subsets=None):
     """Plain arrays into the kernel, no index in between.
 
-    ``references`` (default: every member) sit at their own points; row
-    ``r`` of ``mask`` restricts reference ``r`` as in the masked suites.
-    Every returned list is ascending and duplicate-free.
+    ``references`` (default: every member) sit at their own points; with
+    ``subsets``, reference ``r``'s row holds exactly the ids of
+    ``subsets[r]``, as in the row suites.  Every returned list is ascending
+    and duplicate-free.
     """
     ids = np.asarray(list(mirror), dtype=np.int64)
     coordinates = np.asarray(list(mirror.values()), dtype=float).reshape(-1, 2)
@@ -395,11 +473,11 @@ def _assert_raw_kernel_matches_brute_force(mirror, references=None, mask=None):
         np.asarray(references, dtype=np.int64),
         ids,
         coordinates,
-        mask,
+        None if subsets is None else _member_rows(ids, subsets),
     )
     assert len(selected) == len(references)
     for row, (reference, chosen) in enumerate(zip(references, selected)):
-        subset = ids.tolist() if mask is None else ids[mask[row]].tolist()
+        subset = ids.tolist() if subsets is None else subsets[row]
         assert chosen == _subset_skyline(mirror, reference, subset)
         assert chosen == sorted(set(chosen))
     return selected
@@ -476,17 +554,16 @@ def test_quadrant_kernel_at_the_field_width_boundaries(exponent, offset):
     _assert_raw_kernel_matches_brute_force(mirror, references=references)
 
 
-def test_masked_quadrant_kernel_with_an_empty_row_beside_a_full_one():
+def test_row_quadrant_kernel_with_an_empty_row_beside_a_full_one():
     rng = np.random.default_rng(18)
     mirror = {
         int(point_id): tuple(row)
         for point_id, row in zip(rng.permutation(40), rng.integers(0, 12, (40, 2)) / 2.0)
     }
-    references = list(mirror)[:3]
-    mask = np.zeros((3, 40), dtype=bool)
-    mask[1] = True
-    mask[2] = rng.random(40) < 0.5
-    selected = _assert_raw_kernel_matches_brute_force(mirror, references, mask)
+    ids = list(mirror)
+    references = ids[:3]
+    subsets = [[], ids, [point_id for point_id in ids if rng.random() < 0.5]]
+    selected = _assert_raw_kernel_matches_brute_force(mirror, references, subsets)
     assert selected[0] == [] and selected[1]
 
 
@@ -499,11 +576,21 @@ def test_quadrant_kernel_rejects_what_its_keys_cannot_hold():
         quadrant_skylines(coordinates, ids, ids, poisoned)
     with pytest.raises(ValueError, match="reference 2 has a NaN"):
         quadrant_skylines(poisoned, ids, ids, coordinates)
-    # The mask is checked against an empty member set too.
+    # Rows are checked against the references and the member set, an empty
+    # member set included.
     nobody = np.empty(0, dtype=np.int64), np.empty((0, 2))
-    assert quadrant_skylines(coordinates, ids, *nobody, np.ones((3, 0), dtype=bool)) == [[], [], []]
-    with pytest.raises(ValueError, match="member_mask"):
-        quadrant_skylines(coordinates, ids, *nobody, np.ones((3, 3), dtype=bool))
+    assert quadrant_skylines(coordinates, ids, *nobody, (nobody[0], nobody[0])) == [[], [], []]
+    for rows, columns, members in (
+        ([0, 1, 2], [0, 0, 0], nobody),  # a column with no member
+        ([0, 1], [0, 1, 2], (ids, coordinates)),  # unpaired
+        ([0, 3], [0, 1], (ids, coordinates)),  # a row with no reference
+        ([1, 0], [0, 1], (ids, coordinates)),  # not in row order
+        ([0, 1], [0, 3], (ids, coordinates)),  # a column past the members
+        ([0, -1], [0, 1], (ids, coordinates)),
+        ([[0, 1]], [[0, 1]], (ids, coordinates)),  # not flat
+    ):
+        with pytest.raises(ValueError, match="member_rows"):
+            quadrant_skylines(coordinates, ids, *members, (np.asarray(rows), np.asarray(columns)))
     # Refused before any array the size of the member set is built.
     crowd = 1 << 20
     with pytest.raises(ValueError, match=f"at most {crowd - 1} members.*got {crowd}"):

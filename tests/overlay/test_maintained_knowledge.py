@@ -12,8 +12,8 @@ after every convergence, that
   ``overlay.adjacency()``;
 * no support, adjacency, pending or history entry is keyed by a departed id,
   and the view's history is one flag per alive peer, never an id collection;
-* every move forced exactly the peers whose oracle set held the mover at the
-  previous converge;
+* every move reached exactly the peers whose oracle set held the mover at the
+  previous converge, as a loss plus a gain of the mover;
 * the topology is in lockstep with the synchronous-sweep oracle
   (``sweep_apply_batch`` in ``tests/sweep_oracle.py``).
 
@@ -92,6 +92,7 @@ def _assert_maintained_state_is_exact(overlay):
     # A finished convergence drained the window and installed nothing after.
     assert not knowledge._pending  # noqa: SLF001
     assert not view._window  # noqa: SLF001
+    assert not view._moved  # noqa: SLF001
     # History is a flag per alive peer: the view stores no candidate ids.
     assert view._history == alive  # noqa: SLF001
     assert not hasattr(view, "_last_candidates")
@@ -99,19 +100,25 @@ def _assert_maintained_state_is_exact(overlay):
     return oracle
 
 
-def _expect_moves_to_force_the_previous_knowers(overlay, oracle):
+def _expect_moves_to_reach_the_previous_knowers(overlay, oracle):
     """From here to the next converge, every ``note_move`` must drop the
-    history flag of the mover and of exactly the peers whose BFS set *at the
-    previous converge* (``oracle``) held it -- whatever the batch did to the
-    live sets in between."""
+    history flag of the mover alone, and record the mover -- to be met as
+    lost + gained -- for exactly the peers with history whose BFS set *at the
+    previous converge* (``oracle``) held it, whatever the batch did to the
+    live sets in between; each of them is scheduled."""
     view = overlay._engine._view  # noqa: SLF001
     note_move = type(view).note_move.__get__(view)
 
+    def reached(mover):
+        return {peer_id for peer_id, movers in view._moved.items() if mover in movers}  # noqa: SLF001
+
     def checked(mover):
-        before = set(view._history)  # noqa: SLF001
+        before, earlier = set(view._history), reached(mover)  # noqa: SLF001
         note_move(mover)
         holders = {peer_id for peer_id, known in oracle.items() if mover in known}
-        assert before - view._history == before & (holders | {mover})  # noqa: SLF001
+        assert before - view._history == before & {mover}  # noqa: SLF001
+        assert reached(mover) == earlier | (holders & view._history)  # noqa: SLF001
+        assert reached(mover) <= view._dirty  # noqa: SLF001
 
     view.note_move = checked
 
@@ -204,7 +211,7 @@ def test_maintained_knowledge_sets_equal_the_bfs_oracle_after_every_converge(
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
         if incremental:
             oracle = _assert_maintained_state_is_exact(fast)
-            _expect_moves_to_force_the_previous_knowers(fast, oracle)
+            _expect_moves_to_reach_the_previous_knowers(fast, oracle)
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,17 +274,20 @@ def test_the_window_is_the_difference_of_two_bfs_oracles(radius, script):
             previous = oracle
 
 
-def test_a_move_forces_the_knowers_of_a_window_ago_not_the_live_ones():
+def test_a_move_reaches_the_knowers_of_a_window_ago_not_the_live_ones():
     """``note_move`` by symmetry, where the live set is the wrong answer.
 
     A K-closest line 0 - 1 - ... - 6 at radius 2, then one batch: peer 2
     leaves, which cuts the only two-hop path between the mover 3 and its
-    knower 1 (1 did not select 2, so nothing else forces it); peer 7 joins
-    off 3 and 6, which lets 6 gain the mover; then 3 moves.  Peer 1's
-    selection was installed with the mover as a candidate, so it recomputes
-    in full although it no longer knows the mover; peer 6's was not, so it
-    is not forced -- it meets the mover as a plain gain, at its fresh
-    coordinates.  Reading ``known(mover)`` as it is now gets both wrong.
+    knower 1 (1 did not select 2); peer 7 joins off 3 and 6, which lets 6
+    gain the mover; then 3 moves.  Peer 1's selection was installed with the
+    mover as a candidate, so it meets the mover as lost -- and only lost, it
+    no longer knows it -- and, having selected neither 2 nor 3, skips.  The
+    mover's selector 4 lost a selected candidate and recomputes in full;
+    its other knower of a window ago, 5, still knows it and meets it as lost
+    + gained.  Peer 6's selection was not installed with the mover: it meets
+    it as a plain gain, at its fresh coordinates.  Reading ``known(mover)``
+    as it is now gets 1 and 6 wrong.
     """
 
     def line(converge):
@@ -300,10 +310,13 @@ def test_a_move_forces_the_knowers_of_a_window_ago_not_the_live_ones():
     engine._plan_round = lambda schedule: plans.append(plan_round(schedule)) or plans[-1]  # noqa: SLF001
 
     assert fast.apply_batch(batch) == sweep_apply_batch(slow, batch)
-    verdicts = {peer_id: (verdict, gained) for peer_id, verdict, gained, _ in plans[0]}
-    assert verdicts[1] == ("full", set())
-    assert verdicts[6] == ("additive", {3, 7})
-    assert verdicts[0] == ("skip", set())  # lost 2, never selected it
+    verdicts = {peer_id: tuple(entry) for peer_id, *entry in plans[0]}
+    assert verdicts[1] == ("skip", set(), {2, 3})
+    assert verdicts[4] == ("full", {3, 7}, {2, 3})
+    assert verdicts[5] == ("additive", {3, 7}, {3})
+    assert verdicts[6] == ("additive", {3, 7}, set())
+    assert verdicts[0] == ("skip", set(), {2})  # lost 2, never selected it
+    assert verdicts[3] == ("full", set(), set())  # the mover has no history
     assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
     _assert_maintained_state_is_exact(fast)
 
