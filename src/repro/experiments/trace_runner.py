@@ -130,11 +130,6 @@ class TraceRunner:
     bootstrap_seed:
         Seed of the per-run bootstrap-contact rng, re-seeded per run so
         replays of one trace make identical bootstrap choices.
-    use_index:
-        Forwarded to :class:`~repro.overlay.network.OverlayNetwork`:
-        ``None`` (the default) gives every full-knowledge run an owned
-        spatial index, so the replays are index-backed; ``False`` pins the
-        scan path (the index-scaling benchmark's baseline arm).
     """
 
     def __init__(
@@ -145,7 +140,6 @@ class TraceRunner:
         gossip_radius: Optional[int] = None,
         bootstrap_seed: int = 0,
         max_rounds: int = 50,
-        use_index: Optional[bool] = None,
     ) -> None:
         if isinstance(population, Mapping):
             self._population: Dict[int, PeerInfo] = dict(population)
@@ -155,7 +149,6 @@ class TraceRunner:
         self._gossip_radius = gossip_radius
         self._bootstrap_seed = bootstrap_seed
         self._max_rounds = max_rounds
-        self._use_index = use_index
 
     def run(self, trace: ChurnTrace) -> TraceRunResult:
         """Replay one trace from an empty overlay; returns the run summary."""
@@ -167,11 +160,7 @@ class TraceRunner:
                 f"{sorted(missing)[:10]}"
             )
         selection: NeighbourSelectionMethod = self._selection_factory()
-        overlay = OverlayNetwork(
-            selection,
-            gossip_radius=self._gossip_radius,
-            use_index=self._use_index,
-        )
+        overlay = OverlayNetwork(selection, gossip_radius=self._gossip_radius)
         maintainer = StabilityTreeMaintainer(overlay)
         feed = OverlayConnectivityFeed(overlay)
         rng = random.Random(self._bootstrap_seed)

@@ -14,9 +14,9 @@ rest of the library is written in:
   hyperplane sets, used by the Hyperplanes neighbour-selection family.
 * :mod:`repro.geometry.regions` -- orthant sign vectors (the regions of the
   Orthogonal Hyperplanes method) and their conversion to hyper-rectangles.
-* :mod:`repro.geometry.index` -- the uniform-grid + k-d tree spatial index
-  the selection fast paths and the overlay layer query instead of scanning
-  the full candidate set.
+* :mod:`repro.geometry.index` -- the coordinate column + k-d tree spatial
+  index a full-knowledge overlay owns and its selection method queries
+  instead of scanning the population.
 """
 
 from repro.geometry.point import Point, as_point, validate_coordinates

@@ -1,35 +1,29 @@
-"""Spatial index over peer coordinates: O(log N) candidate queries.
+"""Spatial index over peer coordinates: the two selection-rule queries.
 
-Every neighbour-selection method and the stability-tree parent rule answer
-questions of the form "which peers fall in this region" or "who is closest
-to this peer".  The scan paths resolve them by walking the full candidate
-set -- ``O(N)`` per query, the last super-linear hot path between the
-convergence engine and ``N >= 10k`` populations.  :class:`SpatialIndex` is
-the shared replacement: a uniform grid plus a k-d tree over the same point
-store, with a narrow query API the selection family and the overlay layer
-build their fast paths on.
+The paper's selection rules ask a full-knowledge candidate set -- every
+alive peer -- exactly two geometric questions: the per-orthant
+empty-rectangle skyline (Section 2) and the per-region top-``K`` of the
+Hyperplanes family.  A scan answers each by walking the whole population,
+``O(N)`` per reference.  :class:`SpatialIndex` is the one structure that
+answers them instead.  Its owner is the full-knowledge
+:class:`~repro.overlay.network.OverlayNetwork` of a method with
+``supports_index``, and its only reader is that method.
 
 Division of labour
 ------------------
 
-* the **uniform grid** (a dict of occupied cells keyed by floored cell
-  coordinates) answers :meth:`SpatialIndex.range` -- axis-aligned rectangle
-  queries touch only the overlapping cells.  It is built lazily by the
-  first ``range`` call and maintained exactly on every
-  ``insert``/``remove``/``move`` from then on, so overlays that never issue
-  rectangle queries pay nothing for it;
-* the **k-d tree** answers the metric and region queries
-  (:meth:`~SpatialIndex.nearest_k`, :meth:`~SpatialIndex.halfspace_candidates`,
-  :meth:`~SpatialIndex.orthant_skyline`, :meth:`~SpatialIndex.region_top_k`)
-  by best-first branch-and-bound.  It is rebuilt lazily: mutations go into a
-  tombstone set / pending-insert buffer that every query folds in exactly,
-  and the tree is rebuilt from scratch only once the stale fraction passes a
-  threshold -- so churn costs ``O(1)`` per event amortised, and queries stay
-  exact at every moment in between;
+* the **k-d tree** answers :meth:`~SpatialIndex.orthant_skyline` (the
+  skyline in ``D >= 3``) and :meth:`~SpatialIndex.region_top_k` (the
+  Hyperplanes family) by best-first branch-and-bound.  It is rebuilt
+  lazily: mutations go into a tombstone set / pending-insert buffer that
+  every query folds in exactly, and the tree is rebuilt from scratch only
+  once the stale fraction passes a threshold -- so churn costs ``O(1)`` per
+  event amortised, and queries stay exact at every moment in between;
 * the **coordinate column** (:meth:`SpatialIndex.columns`: the live points
-  as dense numpy rows, maintained by the same three mutators) is what
-  :func:`quadrant_skylines` reads: the two-dimensional empty-rectangle rule
-  for many references at once, as array passes instead of tree walks.
+  as dense numpy rows, maintained by ``insert``/``remove``/``move``) is
+  what :func:`quadrant_skylines` reads: the two-dimensional
+  empty-rectangle rule for many references at once, as array passes
+  instead of tree walks.
 
 Byte-identical contract
 -----------------------
@@ -44,8 +38,8 @@ floating-point operations only (each bound is the same formula evaluated at
 a per-axis clamped coordinate), so pruning can never cut a point a scan
 would have kept.  The hypothesis suites in ``tests/geometry`` and
 ``tests/overlay`` hold the index to exactly this: every query equals its
-brute-force twin, and index-backed overlays follow byte-identical
-trajectories to byte-identical fixed points.
+brute-force twin, and index-backed overlays reach the fixed points of
+``build_equilibrium`` and the synchronous-sweep oracle.
 
 The module-level ``brute_force_*`` functions are those twins: literal
 restatements of each query over a plain id -> coordinates mapping, used by
@@ -56,31 +50,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.geometry.hyperplane import Hyperplane, HyperplaneSet
 from repro.geometry.point import CoordinateLike, Point, as_point
-from repro.geometry.rectangle import HyperRectangle
 
 __all__ = [
     "SpatialIndex",
     "pareto_minima",
     "quadrant_skylines",
-    "brute_force_range",
     "brute_force_nearest_k",
-    "brute_force_halfspace",
     "brute_force_orthant_skyline",
     "brute_force_region_top_k",
 ]
@@ -188,15 +169,14 @@ def _build_kd(
 
 
 class SpatialIndex:
-    """A uniform grid + k-d tree over an id -> coordinate point set.
+    """A coordinate column + k-d tree over an id -> coordinate point set.
 
     Points are identified by integer ids (peer ids).  The dimension is fixed
     by the first inserted point and retained even when the index drains back
     to empty (a drained overlay keeps answering queries consistently).
 
     Maintenance is exact and cheap: ``insert``/``remove``/``move`` update
-    the point store and the coordinate column (and, once the first ``range``
-    query has activated the grid, its cells) in ``O(1)`` and defer k-d tree
+    the point store and the coordinate column in ``O(1)`` and defer k-d tree
     work to a tombstone set and an insert buffer that queries fold in; the
     tree itself is rebuilt only when the stale fraction passes a threshold.
     Queries are therefore always answered against the *current* point set.
@@ -213,18 +193,6 @@ class SpatialIndex:
         self._row_of: Dict[int, int] = {}
         self._row_ids = np.empty(0, dtype=np.int64)
         self._row_coords = np.empty((0, 0), dtype=np.float64)
-        # Uniform grid: occupied cells only, keyed by floored cell coords.
-        # Built lazily by the first range() query; inactive until then so
-        # the membership hot path never pays for a structure nothing reads.
-        self._grid_active = False
-        self._cells: Dict[Tuple[int, ...], Set[int]] = {}
-        self._cell_of: Dict[int, Tuple[int, ...]] = {}
-        self._cell_size: float = 1.0
-        self._grid_sized_for: int = 0
-        # Loose (never shrinking) per-axis bounds, for clamping unbounded
-        # query rectangles onto finitely many grid cells.
-        self._loose_lower: List[float] = []
-        self._loose_upper: List[float] = []
         # K-d tree + dynamisation state.
         self._tree: Optional[_KDNode] = None
         self._tombstones: Set[int] = set()
@@ -247,7 +215,9 @@ class SpatialIndex:
 
     @property
     def rebuilds(self) -> int:
-        """K-d tree rebuilds performed so far (amortisation observability)."""
+        """K-d tree rebuilds performed so far (amortisation observability).
+
+        The benchmark ledger reads it as ``index.rebuilds``."""
         return self._rebuilds
 
     def ids(self) -> List[int]:
@@ -255,17 +225,8 @@ class SpatialIndex:
         return sorted(self._points)
 
     def point(self, point_id: int) -> Point:
-        """Coordinates of one indexed point.
-
-        :class:`~repro.geometry.point.Point` is a tuple, so the bound method
-        doubles as the ``coordinates_of`` callback of
-        :func:`repro.multicast.stability.choose_preferred_parent`.
-        """
+        """Coordinates of one indexed point, as the tuple that was stored."""
         return self._points[point_id]
-
-    def items(self) -> Iterator[Tuple[int, Point]]:
-        """Iterate over ``(id, coordinates)`` pairs (insertion order)."""
-        return iter(self._points.items())
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """The live points as ``(ids int64[n], coordinates float64[n, D])``.
@@ -292,8 +253,6 @@ class SpatialIndex:
         if self._dimension is None:
             self._dimension = point.dimension
             self._row_coords = np.empty((0, point.dimension), dtype=np.float64)
-            self._loose_lower = list(point)
-            self._loose_upper = list(point)
         elif point.dimension != self._dimension:
             raise ValueError(
                 f"point dimension {point.dimension} does not match index "
@@ -311,12 +270,6 @@ class SpatialIndex:
         self._row_of[point_id] = row
         self._row_ids[row] = point_id
         self._row_coords[row] = point
-        for axis, value in enumerate(point):
-            if value < self._loose_lower[axis]:
-                self._loose_lower[axis] = value
-            if value > self._loose_upper[axis]:
-                self._loose_upper[axis] = value
-        self._grid_add(point_id, point)
         if self._tree is not None:
             # Queries read the id from the buffer; a tombstoned tree copy of
             # the same id (a remove-then-reinsert) stays dead.
@@ -335,7 +288,6 @@ class SpatialIndex:
             self._row_of[moved_id] = row
             self._row_ids[row] = moved_id
             self._row_coords[row] = self._row_coords[last]
-        self._grid_remove(point_id)
         if self._buffer.pop(point_id, None) is None and self._tree is not None:
             self._tombstones.add(point_id)
         return point
@@ -356,61 +308,6 @@ class SpatialIndex:
             )
         self.remove(point_id)
         self.insert(point_id, point)
-
-    # ------------------------------------------------------------------
-    # Grid internals
-    # ------------------------------------------------------------------
-    def _cell_index(self, point: Sequence[float]) -> Tuple[int, ...]:
-        size = self._cell_size
-        return tuple(int(math.floor(value / size)) for value in point)
-
-    def _grid_add(self, point_id: int, point: Point) -> None:
-        if not self._grid_active:
-            return
-        if not self._grid_sized_for or (
-            len(self._points) > 4 * self._grid_sized_for
-            or len(self._points) * 4 < self._grid_sized_for
-        ):
-            self._rebuild_grid()
-            return
-        cell = self._cell_index(point)
-        self._cells.setdefault(cell, set()).add(point_id)
-        self._cell_of[point_id] = cell
-
-    def _grid_remove(self, point_id: int) -> None:
-        if not self._grid_active:
-            return
-        cell = self._cell_of.pop(point_id, None)
-        if cell is None:
-            return
-        members = self._cells.get(cell)
-        if members is not None:
-            members.discard(point_id)
-            if not members:
-                del self._cells[cell]
-
-    def _rebuild_grid(self) -> None:
-        """Retune the cell size to the current population and re-bucket."""
-        self._cells = {}
-        self._cell_of = {}
-        count = len(self._points)
-        self._grid_sized_for = max(count, 1)
-        if not count or self._dimension is None:
-            self._cell_size = 1.0
-            return
-        extent = max(
-            self._loose_upper[axis] - self._loose_lower[axis]
-            for axis in range(self._dimension)
-        )
-        # Aim for a per-axis resolution around the D-th root of the count, a
-        # few points per occupied cell for uniform data.
-        per_axis = max(1, round(count ** (1.0 / self._dimension)))
-        size = extent / per_axis if extent > 0 else 1.0
-        self._cell_size = size if math.isfinite(size) and size > 0 else 1.0
-        for point_id, point in self._points.items():
-            cell = self._cell_index(point)
-            self._cells.setdefault(cell, set()).add(point_id)
-            self._cell_of[point_id] = cell
 
     # ------------------------------------------------------------------
     # K-d tree internals
@@ -441,64 +338,6 @@ class SpatialIndex:
             )
 
     # ------------------------------------------------------------------
-    # Queries: rectangle range (grid-backed)
-    # ------------------------------------------------------------------
-    def range(self, rectangle: HyperRectangle) -> List[int]:
-        """Ids of the indexed points inside ``rectangle``, sorted.
-
-        Membership is :meth:`HyperRectangle.contains` verbatim (open, closed
-        and unbounded sides all honoured); the grid only narrows which cells
-        are inspected.  Unbounded sides are clamped to the loose bounds of
-        everything ever inserted, which cannot exclude a live point.  The
-        first call activates the grid (one O(N) bucketing); maintenance is
-        exact and O(1) per mutation from then on.
-        """
-        self._check_dimension(rectangle.dimension, "rectangle")
-        if not self._points:
-            return []
-        if not self._grid_active:
-            self._grid_active = True
-            self._rebuild_grid()
-        size = self._cell_size
-        spans: List[Tuple[int, int]] = []
-        expected = 1
-        for axis, interval in enumerate(rectangle.intervals):
-            if interval.is_empty():
-                return []
-            lower = max(interval.lower, self._loose_lower[axis])
-            upper = min(interval.upper, self._loose_upper[axis])
-            if lower > upper:
-                return []
-            low_cell = int(math.floor(lower / size))
-            high_cell = int(math.floor(upper / size))
-            spans.append((low_cell, high_cell))
-            expected *= high_cell - low_cell + 1
-        result: List[int] = []
-        if expected > 2 * len(self._cells) + 16:
-            # Sparser to walk the occupied cells than the cell lattice.
-            for cell, members in self._cells.items():
-                if all(
-                    low <= cell[axis] <= high
-                    for axis, (low, high) in enumerate(spans)
-                ):
-                    result.extend(
-                        point_id
-                        for point_id in members
-                        if rectangle.contains(self._points[point_id])
-                    )
-        else:
-            for cell in _lattice(spans):
-                members = self._cells.get(cell)
-                if not members:
-                    continue
-                result.extend(
-                    point_id
-                    for point_id in members
-                    if rectangle.contains(self._points[point_id])
-                )
-        return sorted(result)
-
-    # ------------------------------------------------------------------
     # Queries: nearest-k (k-d tree)
     # ------------------------------------------------------------------
     def nearest_k(
@@ -515,6 +354,7 @@ class SpatialIndex:
         of :mod:`repro.geometry.distance`); ``exclude`` ids never appear in
         the result (the reference peer excludes itself by id, never by
         position, so coordinate duplicates of the origin are still ranked).
+        No selection path calls it; the benchmark ledger patches it.
         """
         if k < 1:
             return []
@@ -522,90 +362,6 @@ class SpatialIndex:
             origin, None, k, order=order, exclude=exclude
         )
         return regions.get((), [])
-
-    # ------------------------------------------------------------------
-    # Queries: halfspace membership (k-d tree)
-    # ------------------------------------------------------------------
-    def halfspace_candidates(
-        self,
-        hyperplane: Hyperplane,
-        sign: int,
-        *,
-        reference: Optional[CoordinateLike] = None,
-    ) -> List[int]:
-        """Ids on one side of a hyperplane through ``reference``, sorted.
-
-        ``sign`` is the :meth:`~repro.geometry.hyperplane.Hyperplane.side`
-        value to match: ``+1`` / ``-1`` for the open halfspaces, ``0`` for
-        points exactly on the plane.  Subtrees whose bounding box lies
-        strictly on one side are accepted or rejected wholesale; only
-        straddling boxes classify points individually -- with the exact
-        :meth:`Hyperplane.side` arithmetic, so results match a scan.
-        """
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
-        self._check_dimension(hyperplane.dimension, "hyperplane")
-        if not self._points:
-            return []
-        origin = (
-            tuple(as_point(reference)) if reference is not None else (0.0,) * self._dimension
-        )
-        if len(origin) != self._dimension:
-            raise ValueError(
-                f"reference dimension {len(origin)} does not match index "
-                f"dimension {self._dimension}"
-            )
-        coefficients = hyperplane.coefficients
-        result: List[int] = []
-
-        def classify(point_id: int) -> None:
-            if _plane_side(self._points[point_id], origin, coefficients) == sign:
-                result.append(point_id)
-
-        tree = self._ensure_tree()
-        stack = [tree] if tree is not None else []
-        while stack:
-            node = stack.pop()
-            low, high = _plane_bounds(node.lower, node.upper, origin, coefficients)
-            if low > 0.0:
-                side = 1
-            elif high < 0.0:
-                side = -1
-            else:
-                side = None
-            if side is not None:
-                if side != sign:
-                    continue
-                self._collect_alive(node, result)
-                continue
-            if node.ids is not None:
-                for point_id in node.ids:
-                    if self._alive_in_tree(point_id):
-                        classify(point_id)
-                continue
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
-        for point_id in self._buffer:
-            classify(point_id)
-        return sorted(result)
-
-    def _collect_alive(self, node: _KDNode, result: List[int]) -> None:
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.ids is not None:
-                result.extend(
-                    point_id
-                    for point_id in current.ids
-                    if self._alive_in_tree(point_id)
-                )
-                continue
-            if current.left is not None:
-                stack.append(current.left)
-            if current.right is not None:
-                stack.append(current.right)
 
     # ------------------------------------------------------------------
     # Queries: per-orthant skyline (k-d tree branch-and-bound)
@@ -962,31 +718,6 @@ def _plane_bounds(
     return low_total, high_total
 
 
-def _plane_side(
-    point: Point, origin: Tuple[float, ...], coefficients: Tuple[float, ...]
-) -> int:
-    """``Hyperplane.side(point - origin)`` with the exact same arithmetic."""
-    total = 0.0
-    for axis, coefficient in enumerate(coefficients):
-        total += coefficient * (point[axis] - origin[axis])
-    if total > 0:
-        return 1
-    if total < 0:
-        return -1
-    return 0
-
-
-def _lattice(spans: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, ...]]:
-    """All integer cell coordinates of a per-axis range product."""
-    if not spans:
-        yield ()
-        return
-    (low, high), rest = spans[0], spans[1:]
-    for value in range(low, high + 1):
-        for tail in _lattice(rest):
-            yield (value,) + tail
-
-
 def pareto_minima(
     entries: List[Tuple[Tuple[float, ...], int]]
 ) -> List[Tuple[Tuple[float, ...], int]]:
@@ -1277,17 +1008,6 @@ def _rounded_sum_suspects(
 # ----------------------------------------------------------------------
 # Brute-force reference twins (ground truth for the property tests)
 # ----------------------------------------------------------------------
-def brute_force_range(
-    points: Mapping[int, CoordinateLike], rectangle: HyperRectangle
-) -> List[int]:
-    """Literal rectangle query: every id whose point the rectangle contains."""
-    return sorted(
-        point_id
-        for point_id, coords in points.items()
-        if rectangle.contains(coords)
-    )
-
-
 def brute_force_nearest_k(
     points: Mapping[int, CoordinateLike],
     origin: CoordinateLike,
@@ -1311,24 +1031,6 @@ def brute_force_nearest_k(
         if point_id not in excluded
     )
     return [point_id for _, point_id in ranked[: max(k, 0)]]
-
-
-def brute_force_halfspace(
-    points: Mapping[int, CoordinateLike],
-    hyperplane: Hyperplane,
-    sign: int,
-    *,
-    reference: Optional[CoordinateLike] = None,
-) -> List[int]:
-    """Literal halfspace query via :meth:`Hyperplane.side` on every point."""
-    result = []
-    for point_id, coords in points.items():
-        value = as_point(coords)
-        if reference is not None:
-            value = value.relative_to(reference)
-        if hyperplane.side(value) == sign:
-            result.append(point_id)
-    return sorted(result)
 
 
 def brute_force_orthant_skyline(

@@ -67,7 +67,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.geometry.distance import DistanceFunction, get_distance
 from repro.metrics.trees import StreamingTreeMetrics, TreeMetrics
 from repro.multicast.dissemination import TreeHealthSample
 from repro.multicast.stability import (
@@ -419,21 +418,8 @@ class StabilityTreeMaintainer:
     to the overlay churn, not to the population.
     """
 
-    def __init__(
-        self,
-        overlay: OverlayNetwork,
-        *,
-        tie_break: str = StabilityTreeBuilder.LARGEST_LIFETIME,
-        distance: "DistanceFunction | str" = "l2",
-    ) -> None:
-        if tie_break not in StabilityTreeBuilder.TIE_BREAKS:
-            raise ValueError(
-                f"unknown tie_break {tie_break!r}; expected one of "
-                f"{StabilityTreeBuilder.TIE_BREAKS}"
-            )
+    def __init__(self, overlay: OverlayNetwork) -> None:
         self._overlay = overlay
-        self._tie_break = tie_break
-        self._distance = get_distance(distance) if isinstance(distance, str) else distance
         self._engine = TreeMaintenanceEngine()
         # Attach before reading the snapshot: events that land in between are
         # both in the snapshot and in the first drain, and re-deriving a
@@ -477,9 +463,7 @@ class StabilityTreeMaintainer:
         dirtied by its own history.
         """
         self._recorder.drain()
-        forest = StabilityTreeBuilder(
-            tie_break=self._tie_break, distance=self._distance
-        ).build(self._overlay.snapshot())
+        forest = StabilityTreeBuilder().build(self._overlay.snapshot())
         self._engine.bootstrap(forest)
         self._full_rebuilds += 1
 
@@ -521,26 +505,11 @@ class StabilityTreeMaintainer:
 
         # Re-derive the preferred parent of every possibly-affected peer
         # with the snapshot builder's rule; only actual changes are applied.
-        # The overlay's spatial index, when owned, doubles as the coordinate
-        # source -- the same structure the selection fast paths query --
-        # so the geometric tie-breaks never walk the overlay's peer map.
-        index = overlay.index
-        coordinates_of = (
-            None if index is not None else (lambda n: overlay.peer(n).coordinates)
-        )
         reparented: Dict[int, Optional[int]] = {}
         for peer_id in raw.touched | raw.joined:
             if peer_id not in overlay:
                 continue
-            parent = choose_preferred_parent(
-                peer_id,
-                overlay.links(peer_id),
-                lifetimes,
-                tie_break=self._tie_break,
-                coordinates_of=coordinates_of,
-                distance=self._distance,
-                index=index,
-            )
+            parent = choose_preferred_parent(peer_id, overlay.links(peer_id), lifetimes)
             if parent != engine.parent(peer_id):
                 reparented[peer_id] = parent
 

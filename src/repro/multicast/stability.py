@@ -17,22 +17,8 @@ of the remaining tree and departures never disconnect the multicast tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.geometry.distance import DistanceFunction, get_distance
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.index import SpatialIndex
 from repro.multicast.tree import MulticastTree, TreeValidationError
 from repro.overlay.peer import PeerInfo
 from repro.overlay.topology import TopologySnapshot
@@ -67,20 +53,13 @@ def choose_preferred_parent(
     peer_id: int,
     links: Iterable[int],
     lifetimes: Mapping[int, float],
-    *,
-    tie_break: str = "largest-lifetime",
-    coordinates_of: Optional[Callable[[int], Sequence[float]]] = None,
-    distance: Optional[DistanceFunction] = None,
-    index: "Optional[SpatialIndex]" = None,
 ) -> Optional[int]:
     """The Section 3 preferred-neighbour rule for one peer.
 
-    Returns the peer of ``links`` whose lifetime exceeds
-    ``lifetimes[peer_id]`` and that ``tie_break`` ranks first, or ``None``
-    when no link outlives the peer.  ``lifetimes`` must cover the peer and
-    every id of ``links``.  The default ``"largest-lifetime"`` (the paper's
-    experiments) picks the largest lifetime, equal lifetimes falling to the
-    smaller id.
+    Returns the peer of ``links`` with the largest lifetime, provided it
+    exceeds ``lifetimes[peer_id]`` (equal lifetimes fall to the smaller
+    id), or ``None`` when no link outlives the peer.  ``lifetimes`` must
+    cover the peer and every id of ``links``.
 
     ``links`` are the peer's *undirected* overlay links, selected plus
     selectors: a link opened by either end carries traffic both ways, as in
@@ -91,37 +70,13 @@ def choose_preferred_parent(
     :class:`repro.multicast.incremental.StabilityTreeMaintainer` and the
     message-level :class:`repro.simulation.protocol.PeerProcess` all call
     this function, so identical links and lifetimes give identical parents.
-
-    The geometric data (only consulted by the ``"closest"`` tie-break) comes
-    from ``coordinates_of`` or, when the caller owns one, directly from a
-    :class:`~repro.geometry.index.SpatialIndex` over the population --
-    :meth:`~repro.geometry.index.SpatialIndex.point` serves the lookup, so a
-    live consumer like the tree maintainer reads coordinates from the same
-    structure the selection fast paths query instead of re-deriving a
-    per-peer view of the overlay.  An explicit ``coordinates_of`` wins when
-    both are given; ``distance`` is required either way for ``"closest"``.
     """
     own_lifetime = lifetimes[peer_id]
-    candidates = [n for n in links if lifetimes[n] > own_lifetime]
-    if not candidates:
-        return None
-    if tie_break == StabilityTreeBuilder.LARGEST_LIFETIME:
-        return max(candidates, key=lambda n: (lifetimes[n], -n))
-    if tie_break == StabilityTreeBuilder.SMALLEST_ABOVE:
-        return min(candidates, key=lambda n: (lifetimes[n], n))
-    if tie_break != StabilityTreeBuilder.CLOSEST:
-        raise ValueError(
-            f"unknown tie_break {tie_break!r}; expected one of "
-            f"{StabilityTreeBuilder.TIE_BREAKS}"
-        )
-    if coordinates_of is None and index is not None:
-        coordinates_of = index.point
-    if coordinates_of is None or distance is None:
-        raise ValueError(
-            "the 'closest' tie_break needs coordinates_of (or an index) and distance"
-        )
-    own_coordinates = coordinates_of(peer_id)
-    return min(candidates, key=lambda n: (distance(own_coordinates, coordinates_of(n)), n))
+    return max(
+        (n for n in links if lifetimes[n] > own_lifetime),
+        key=lambda n: (lifetimes[n], -n),
+        default=None,
+    )
 
 
 @dataclass(frozen=True)
@@ -212,38 +167,10 @@ class PreferredNeighbourForest:
 class StabilityTreeBuilder:
     """Builds the Section 3 preferred-neighbour forest over a topology snapshot.
 
-    Parameters
-    ----------
-    tie_break:
-        How a peer chooses among its longer-lived overlay neighbours:
-
-        * ``"largest-lifetime"`` (paper's experiments): the neighbour with the
-          largest ``T(Q)``.
-        * ``"smallest-above"``: the neighbour whose lifetime is the smallest
-          one still exceeding ``T(P)`` (keeps parents "just above" their
-          children, which shortens lifetime gaps but deepens the tree).
-        * ``"closest"``: the geometrically closest longer-lived neighbour.
-    distance:
-        Distance used by the ``"closest"`` tie-break.
+    Every peer picks, with :func:`choose_preferred_parent`, its overlay
+    neighbour with the largest ``T(Q) > T(P)`` -- the rule of the paper's
+    experiments.
     """
-
-    LARGEST_LIFETIME = "largest-lifetime"
-    SMALLEST_ABOVE = "smallest-above"
-    CLOSEST = "closest"
-    TIE_BREAKS = (LARGEST_LIFETIME, SMALLEST_ABOVE, CLOSEST)
-
-    def __init__(
-        self,
-        *,
-        tie_break: str = LARGEST_LIFETIME,
-        distance: "DistanceFunction | str" = "l2",
-    ) -> None:
-        if tie_break not in self.TIE_BREAKS:
-            raise ValueError(
-                f"unknown tie_break {tie_break!r}; expected one of {self.TIE_BREAKS}"
-            )
-        self._tie_break = tie_break
-        self._distance = get_distance(distance) if isinstance(distance, str) else distance
 
     def build(self, topology: TopologySnapshot) -> PreferredNeighbourForest:
         """Select the preferred tree neighbour of every peer."""
@@ -253,40 +180,19 @@ class StabilityTreeBuilder:
                 "peer lifetimes must be pairwise distinct (the paper breaks ties using "
                 "other peer-specific properties before running the algorithm)"
             )
-        preferred: Dict[int, Optional[int]] = {}
-        for peer_id in topology.peers:
-            preferred[peer_id] = self._choose_parent(topology, lifetimes, peer_id)
+        preferred: Dict[int, Optional[int]] = {
+            peer_id: choose_preferred_parent(peer_id, topology.adjacency[peer_id], lifetimes)
+            for peer_id in topology.peers
+        }
         return PreferredNeighbourForest(preferred=preferred, lifetimes=lifetimes)
 
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _choose_parent(
-        self,
-        topology: TopologySnapshot,
-        lifetimes: Mapping[int, float],
-        peer_id: int,
-    ) -> Optional[int]:
-        return choose_preferred_parent(
-            peer_id,
-            topology.adjacency[peer_id],
-            lifetimes,
-            tie_break=self._tie_break,
-            coordinates_of=lambda n: topology.peers[n].coordinates,
-            distance=self._distance,
-        )
 
-
-def build_stability_tree(
-    topology: TopologySnapshot,
-    *,
-    tie_break: str = StabilityTreeBuilder.LARGEST_LIFETIME,
-) -> MulticastTree:
+def build_stability_tree(topology: TopologySnapshot) -> MulticastTree:
     """Convenience wrapper: build the Section 3 tree and return it directly.
 
     Raises :class:`~repro.multicast.tree.TreeValidationError` when the
     preferred links do not form a single tree (e.g. the overlay is
     disconnected in lifetime order).
     """
-    forest = StabilityTreeBuilder(tie_break=tie_break).build(topology)
+    forest = StabilityTreeBuilder().build(topology)
     return forest.to_multicast_tree()

@@ -361,7 +361,8 @@ class ColumnarCandidateState(CandidateView):
         return gained, lost
 
     def full_candidate_ids(self, peer_id: int) -> Set[int]:
-        """Materialise one peer's candidates (scan-path full recomputes only)."""
+        """Materialise one peer's candidates (full recomputes of a method
+        without an index path only)."""
         ids = set(self._rows.alive_ids())
         ids.discard(peer_id)
         return ids

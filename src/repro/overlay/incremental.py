@@ -649,25 +649,15 @@ class IncrementalReselectionEngine:
                 additive_updates.append((members[peer_id], neighbour_sets[peer_id], gained))
             # RESELECT_SKIP: the installed selection provably still holds.
 
-        additive_results: Optional[Dict[int, List[int]]] = None
-        if additive_updates:
-            additive_results = selection.select_many_additive(
-                additive_updates, member_of=member_of
-            )
-            if additive_results is None:
-                # No specialised delta rule: re-select from the reduced
-                # candidate sets (selection + gained) in the batched scan.
-                for reference, selected, gained in additive_updates:
-                    candidates_by_peer[reference.peer_id] = selected | gained
-                    references.append(reference)
-
         results: Dict[int, List[int]] = {}
+        if additive_updates:
+            results.update(
+                selection.select_many_additive(additive_updates, member_of=member_of)
+            )
         if references:
             results.update(
                 selection.select_many(references, candidates_by_peer, member_of=member_of)
             )
-        if additive_results:
-            results.update(additive_results)
         changed = overlay.install_selections(results)
         for peer_id, _verdict, _gained, _lost in plan:
             view.commit(peer_id)
@@ -692,7 +682,7 @@ class IncrementalReselectionEngine:
         neighbour_sets = overlay._neighbours  # noqa: SLF001
         selection = overlay.selection
         view = self._view
-        index = overlay._selection_index()  # noqa: SLF001
+        index = overlay.index
         ids = plan.scheduled_ids
 
         full_ids = np.sort(ids[plan.full_mask])

@@ -154,16 +154,14 @@ class OverlayNetwork:
         ``BR``, the number of overlay hops existence announcements travel.
         ``None`` (the default) models the full-knowledge steady state in
         which every peer eventually hears about every other peer.
-    use_index:
-        Whether the overlay owns a :class:`~repro.geometry.index.SpatialIndex`
-        over the alive peers' coordinates.  ``None`` (the default) enables
-        it exactly under full knowledge, where the population *is* every
-        peer's candidate set, so selection methods with an index fast path
-        answer from the index instead of scanning -- byte-identically.
-        Under a bounded gossip radius candidate sets are per-peer subsets
-        the shared index cannot answer, so convergence always falls back to
-        scans (the index, if forced on, is still maintained).  Pass
-        ``False`` to pin the scan path (the benchmark baselines do).
+
+    The overlay owns a :class:`~repro.geometry.index.SpatialIndex` over the
+    alive peers' coordinates (:attr:`index`) exactly when ``gossip_radius``
+    is ``None`` and the method has ``supports_index``: only there is the
+    population every peer's candidate set, and only such a method reads
+    the index.  Every full selection is then answered from it.  A method
+    without an indexed path scans the population instead; under a gossip
+    radius every selection scans its own candidate set.
     """
 
     def __init__(
@@ -171,18 +169,17 @@ class OverlayNetwork:
         selection: NeighbourSelectionMethod,
         *,
         gossip_radius: Optional[int] = None,
-        use_index: Optional[bool] = None,
     ) -> None:
         if gossip_radius is not None and gossip_radius < 1:
             raise ValueError("gossip_radius must be at least 1 when given")
         self._selection = selection
         self._gossip_radius = gossip_radius
-        if use_index is None:
-            use_index = gossip_radius is None
         # Maintained across every membership path (add_peer / remove_peer /
-        # apply_batch / the bulk builders); convergence failures never touch
+        # move_peer / the bulk builders); convergence failures never touch
         # coordinates, so the index stays exact through them.
-        self._index: Optional[SpatialIndex] = SpatialIndex() if use_index else None
+        self._index: Optional[SpatialIndex] = (
+            SpatialIndex() if gossip_radius is None and selection.supports_index else None
+        )
         self._peers: Dict[int, PeerInfo] = {}
         self._neighbours: Dict[int, Set[int]] = {}
         # Reverse selector index: _selectors_of[target] is the set of peers
@@ -216,24 +213,8 @@ class OverlayNetwork:
 
     @property
     def index(self) -> Optional[SpatialIndex]:
-        """The owned spatial index over alive peers (``None`` when disabled)."""
+        """The spatial index the selection reads (``None`` when it reads none)."""
         return self._index
-
-    def _selection_index(self) -> Optional[SpatialIndex]:
-        """The index, when this overlay's selections may be answered from it.
-
-        Three conditions gate the fast path: an index is owned, knowledge is
-        full (the index contents equal every peer's candidate set plus the
-        peer itself), and the selection method implements an index-backed
-        selection.  Everything else scans -- which is always correct.
-        """
-        if (
-            self._index is not None
-            and self._gossip_radius is None
-            and self._selection.supports_index
-        ):
-            return self._index
-        return None
 
     @property
     def peer_ids(self) -> List[int]:
@@ -543,24 +524,19 @@ class OverlayNetwork:
         This is the oracle the incremental engine is cross-checked against
         (the tests loop it to a fixed point); running it re-selects every
         peer behind the engine's back, so any live engine state is
-        discarded.  With an owned
-        index under full knowledge, every
-        selection is answered from the index instead of a materialised
-        candidate list -- the indexed and scan sweeps install byte-identical
-        neighbour sets (property-tested), so the cross-check contract holds
-        either way.
+        discarded.  With an owned index, every selection is answered from
+        it instead of a materialised candidate list.
         """
         # Dropped first: the engine's bookkeeping (under a gossip radius, the
         # knowledge sets it maintains from the edge flips notified below)
         # must not see a sweep it cannot follow.
         self.invalidate_engine()
-        index = self._selection_index()
-        if index is not None:
+        if self._index is not None:
             # The batched entry point is the one every supports_index method
             # guarantees (select's index= keyword is a convenience the
             # in-repo methods add on top).
             results = self._selection.select_many(
-                list(self._peers.values()), {}, index=index
+                list(self._peers.values()), {}, index=self._index
             )
             return self.install_selections(results)
         if self._gossip_radius is None:
@@ -714,8 +690,6 @@ class OverlayNetwork:
         cls,
         peers: Sequence[PeerInfo],
         selection: NeighbourSelectionMethod,
-        *,
-        use_index: Optional[bool] = None,
     ) -> "OverlayNetwork":
         """Full-knowledge equilibrium overlay for a fixed population.
 
@@ -728,7 +702,7 @@ class OverlayNetwork:
         :class:`ValueError` up front instead of crashing deep inside the
         vectorised equilibrium code.
         """
-        overlay = cls(selection, gossip_radius=None, use_index=use_index)
+        overlay = cls(selection)
         dimension: Optional[int] = None
         for peer in peers:
             if peer.peer_id in overlay._peers:
@@ -756,7 +730,6 @@ class OverlayNetwork:
         gossip_radius: Optional[int] = None,
         max_rounds: int = 50,
         rng: Optional[random.Random] = None,
-        use_index: Optional[bool] = None,
     ) -> "OverlayNetwork":
         """Insert peers one at a time, converging after every insertion.
 
@@ -767,7 +740,7 @@ class OverlayNetwork:
         when ``rng`` is seeded).
         """
         generator = rng if rng is not None else random.Random(0)
-        overlay = cls(selection, gossip_radius=gossip_radius, use_index=use_index)
+        overlay = cls(selection, gossip_radius=gossip_radius)
         for peer in peers:
             if overlay.peer_count == 0:
                 overlay.add_peer(peer, bootstrap=())

@@ -229,7 +229,7 @@ class NeighbourSelectionMethod(abc.ABC):
         *,
         index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
-    ) -> Optional[Dict[int, List[int]]]:
+    ) -> Dict[int, List[int]]:
         """Batched re-selection for purely additive candidate-set deltas.
 
         Each update is ``(reference, currently_selected, gained)`` where
@@ -244,9 +244,10 @@ class NeighbourSelectionMethod(abc.ABC):
         references whose selection provably did not change -- callers treat
         missing keys as "unchanged".
 
-        The default returns ``None``, meaning "no specialised path": callers
-        fall back to :meth:`select_many` over rebuilt candidate sets.  Only
-        meaningful for methods with ``path_independent = True``.
+        The default has no delta rule: it re-selects every reference from
+        ``currently_selected + gained`` through :meth:`select` -- not through
+        :meth:`select_many`, the entry of full recomputes.  Only meaningful
+        for methods with ``path_independent = True``.
 
         ``index`` mirrors the :meth:`select_many` parameter for signature
         uniformity across the batched APIs.  An additive update already
@@ -258,7 +259,15 @@ class NeighbourSelectionMethod(abc.ABC):
         """
         if index is not None:
             self._check_index_support()
-        return None
+        return {
+            reference.peer_id: self.select(
+                reference,
+                self.merge_candidate_delta(selected, gained)
+                if member_of is None
+                else self._id_sorted({*selected, *gained}, member_of),
+            )
+            for reference, selected, gained in updates
+        }
 
     def install_many(
         self,
@@ -283,9 +292,9 @@ class NeighbourSelectionMethod(abc.ABC):
 
         The default implementation reproduces the per-peer engine loop:
         cohorts expand into one additive update per member (sharing the
-        cohort's gains), methods without a delta rule fall back to a scan
-        over ``selected + gained``, and -- matching the engine's install
-        phase -- only full-candidate recomputations may consult the index.
+        cohort's gains) for :meth:`select_many_additive`, and -- matching the
+        engine's install phase -- only full-candidate recomputations may
+        consult the index.
         Methods with structure linking full and additive results (see
         :class:`~repro.overlay.selection.empty_rectangle.EmptyRectangleSelection`)
         override this to keep the whole round sub-linear in the population.
@@ -293,36 +302,19 @@ class NeighbourSelectionMethod(abc.ABC):
         if index is not None:
             self._check_index_support()
         results: Dict[int, List[int]] = {}
-        scan_references: List[PeerInfo] = []
-        scan_candidates: Dict[int, Collection[int]] = {}
-        if index is not None:
-            if full_references:
-                results.update(self.select_many(full_references, {}, index=index))
-        else:
-            scan_references.extend(full_references)
-            for reference in full_references:
-                scan_candidates[reference.peer_id] = candidates_by_peer[
-                    reference.peer_id
-                ]
+        if full_references:
+            results.update(
+                self.select_many(full_references, {}, index=index)
+                if index is not None
+                else self.select_many(full_references, candidates_by_peer, member_of=member_of)
+            )
         updates = [
             (member_of(member_id), cohort.selected_of(member_id), cohort.gained)
             for cohort in additive_cohorts
             for member_id in map(int, cohort.member_ids)
         ]
         if updates:
-            additive_results = self.select_many_additive(updates, member_of=member_of)
-            if additive_results is None:
-                # No specialised delta rule: re-select from the reduced
-                # candidate sets (selection + gained) in the scan batch.
-                for reference, selected, gained in updates:
-                    scan_candidates[reference.peer_id] = {*selected, *gained}
-                    scan_references.append(reference)
-            else:
-                results.update(additive_results)
-        if scan_references:
-            results.update(
-                self.select_many(scan_references, scan_candidates, member_of=member_of)
-            )
+            results.update(self.select_many_additive(updates, member_of=member_of))
         return results
 
     def select_additive(
@@ -331,23 +323,19 @@ class NeighbourSelectionMethod(abc.ABC):
         selected: Sequence[PeerInfo],
         gained: Sequence[PeerInfo],
     ) -> List[int]:
-        """Single-reference additive re-selection with automatic fallback.
+        """Single-reference additive re-selection.
 
         The per-peer counterpart of :meth:`select_many_additive`, used by the
-        message-level simulator where reselect ticks fire one peer at a time:
-        tries the method's vectorised delta rule first (a missing key means
-        "selection unchanged"), and otherwise re-selects from ``selected +
-        gained``, which path independence makes exact.  Callers must only use
+        message-level simulator where reselect ticks fire one peer at a time
+        (a missing key means "selection unchanged").  Callers must only use
         this on methods with ``path_independent = True`` and with ``selected``
         known to equal ``select(reference, I(P))`` for the previous candidate
         set.
         """
         batched = self.select_many_additive([(reference, selected, gained)])
-        if batched is not None:
-            if reference.peer_id in batched:
-                return list(batched[reference.peer_id])
-            return [peer.peer_id for peer in selected]
-        return self.select(reference, self.merge_candidate_delta(selected, gained))
+        if reference.peer_id in batched:
+            return list(batched[reference.peer_id])
+        return [peer.peer_id for peer in selected]
 
     @staticmethod
     def merge_candidate_delta(

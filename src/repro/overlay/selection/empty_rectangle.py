@@ -246,7 +246,7 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         *,
         index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
-    ) -> Optional[Dict[int, List[int]]]:
+    ) -> Dict[int, List[int]]:
         """Skyline update for candidate sets that only gained peers.
 
         Path independence makes ``selected + gained`` stand in for the full
@@ -309,8 +309,8 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
 
         Total additive cost is therefore O(changed selections), independent
         of cohort size -- the property the N=100k round protocol rests on.
-        Falls back to the generic expansion when there is no index (the scan
-        arms) or when a caller hands a cohort whose gains were not fully
+        Falls back to the generic expansion when the caller passes no index
+        or hands a cohort whose gains were not fully
         recomputed (never the engine; the precondition is asserted cheaply).
         """
         full_ids = {reference.peer_id for reference in full_references}

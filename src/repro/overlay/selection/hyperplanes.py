@@ -251,7 +251,7 @@ class HyperplanesSelection(NeighbourSelectionMethod):
         *,
         index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
-    ) -> Optional[Dict[int, List[int]]]:
+    ) -> Dict[int, List[int]]:
         """Per-region top-``K`` delta rule for candidate sets that only gained.
 
         The regions are independent and the per-region ranking is the strict

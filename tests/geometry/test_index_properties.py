@@ -34,14 +34,11 @@ from repro.geometry import index as index_module
 from repro.geometry.hyperplane import Hyperplane, HyperplaneSet
 from repro.geometry.index import (
     SpatialIndex,
-    brute_force_halfspace,
     brute_force_nearest_k,
     brute_force_orthant_skyline,
-    brute_force_range,
     brute_force_region_top_k,
     quadrant_skylines,
 )
-from repro.geometry.rectangle import HyperRectangle, Interval
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 
@@ -160,34 +157,6 @@ def _assert_kernel_matches_brute_force(index, mirror):
         assert chosen == sorted(expected)
 
 
-@st.composite
-def _rectangles(draw, dimension):
-    intervals = []
-    for _ in range(dimension):
-        bounds = sorted((draw(_COORDINATE), draw(_COORDINATE)))
-        style = draw(st.sampled_from(["closed", "open", "above", "below", "all"]))
-        if style == "closed":
-            intervals.append(Interval.closed(*bounds))
-        elif style == "open":
-            intervals.append(Interval.open(*bounds))
-        elif style == "above":
-            intervals.append(Interval.greater_than(bounds[0]))
-        elif style == "below":
-            intervals.append(Interval.less_than(bounds[1]))
-        else:
-            intervals.append(Interval.unbounded())
-    return HyperRectangle(intervals)
-
-
-@settings(max_examples=60, deadline=None)
-@given(history=_histories(), data=st.data())
-def test_range_matches_brute_force(history, data):
-    dimension, operations = history
-    index, mirror = _replay(operations)
-    rectangle = data.draw(_rectangles(dimension))
-    assert index.range(rectangle) == brute_force_range(mirror, rectangle)
-
-
 @settings(max_examples=60, deadline=None)
 @given(history=_histories(), data=st.data())
 def test_nearest_k_matches_brute_force(history, data):
@@ -203,28 +172,6 @@ def test_nearest_k_matches_brute_force(history, data):
     )
     assert index.nearest_k(origin, k, order=order, exclude=exclude) == (
         brute_force_nearest_k(mirror, origin, k, order=order, exclude=exclude)
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(history=_histories(), data=st.data())
-def test_halfspace_matches_brute_force(history, data):
-    dimension, operations = history
-    index, mirror = _replay(operations)
-    coefficients = data.draw(
-        st.tuples(*([st.sampled_from([-1.0, 0.0, 1.0, 0.5])] * dimension)).filter(
-            lambda c: any(v != 0.0 for v in c)
-        )
-    )
-    plane = Hyperplane(coefficients)
-    sign = data.draw(st.sampled_from([-1, 0, 1]))
-    reference = (
-        tuple(data.draw(_COORDINATE) for _ in range(dimension))
-        if data.draw(st.booleans())
-        else None
-    )
-    assert index.halfspace_candidates(plane, sign, reference=reference) == (
-        brute_force_halfspace(mirror, plane, sign, reference=reference)
     )
 
 
@@ -649,12 +596,11 @@ def test_queries_stay_exact_after_drain_and_regrowth(history, data):
     """
     dimension, operations = history
     index, mirror = _replay(operations)
-    whole = HyperRectangle.whole_space(dimension)
     for point_id in sorted(mirror):
         index.remove(point_id)
     assert len(index) == 0
     assert index.dimension == dimension  # retained across the drain
-    assert index.range(whole) == []
+    assert index.ids() == []
     assert index.nearest_k((0.0,) * dimension, 3) == []
     assert index.orthant_skyline((0.0,) * dimension, (1,) * dimension) == []
     assert index.region_top_k((0.0,) * dimension, None, 2) == {}
@@ -667,9 +613,15 @@ def test_queries_stay_exact_after_drain_and_regrowth(history, data):
         index.insert(point_id, coords)
         regrown[point_id] = coords
     _assert_column_is_the_point_store(index, regrown)
-    assert index.range(whole) == brute_force_range(regrown, whole)
     origin = tuple(data.draw(_COORDINATE) for _ in range(dimension))
     assert index.nearest_k(origin, 4) == brute_force_nearest_k(regrown, origin, 4)
+    signs = tuple(data.draw(st.sampled_from([-1, 1])) for _ in range(dimension))
+    assert index.orthant_skyline(origin, signs) == (
+        brute_force_orthant_skyline(regrown, origin, signs)
+    )
+    assert index.region_top_k(origin, None, 3) == (
+        brute_force_region_top_k(regrown, origin, None, 3)
+    )
 
 
 def test_duplicate_coordinates_are_first_class():
@@ -679,7 +631,12 @@ def test_duplicate_coordinates_are_first_class():
         index.insert(point_id, (2.0, 2.0))
     index.insert(7, (4.0, 2.0))
     mirror = {5: (2.0, 2.0), 1: (2.0, 2.0), 9: (2.0, 2.0), 3: (2.0, 2.0), 7: (4.0, 2.0)}
-    assert index.range(HyperRectangle.bounding_box((2.0, 2.0), (2.0, 2.0))) == [1, 3, 5, 9]
+    _assert_column_is_the_point_store(index, mirror)
+    # Every duplicate is its own row, and the whole group, on both planes
+    # through the origin, forms one zero-signature region.
+    assert index.region_top_k((2.0, 2.0), HyperplaneSet.orthogonal(2), 5) == {
+        (0, 0): [1, 3, 5, 9], (1, 0): [7]
+    }
     # (distance, id) ranking: duplicates of the origin come first, id order.
     assert index.nearest_k((2.0, 2.0), 3) == [1, 3, 5]
     assert index.nearest_k((2.0, 2.0), 3, exclude={1, 3}) == [5, 9, 7]
@@ -707,10 +664,13 @@ def test_collinear_points_skyline_and_regions():
     assert index.region_top_k(origin, hyperplane_set, 2) == (
         brute_force_region_top_k(mirror, origin, hyperplane_set, 2)
     )
-    plane = Hyperplane((0.0, 1.0))
-    # Every point is exactly on this plane through (anything, 3.0).
-    assert index.halfspace_candidates(plane, 0, reference=(0.0, 3.0)) == list(range(24))
-    assert index.halfspace_candidates(plane, 1, reference=(0.0, 3.0)) == []
+    # Every point is exactly on this plane through (anything, 3.0): one
+    # zero-signature region, whole.
+    on_the_line = HyperplaneSet([Hyperplane((0.0, 1.0))], dimension=2)
+    assert index.region_top_k((0.0, 3.0), on_the_line, 24) == {(0,): list(range(24))}
+    assert index.region_top_k((0.0, 3.0), on_the_line, 24) == (
+        brute_force_region_top_k(mirror, (0.0, 3.0), on_the_line, 24)
+    )
 
 
 def test_maintenance_error_paths():
@@ -728,8 +688,12 @@ def test_maintenance_error_paths():
         index.move(1, (1.0, 1.0, 1.0))
     assert 1 in index and index.point(1) == (0.0, 0.0)  # rejected move is a no-op
     _assert_column_is_the_point_store(index, {1: (0.0, 0.0)})
-    with pytest.raises(ValueError, match="dimension"):
-        index.range(HyperRectangle.whole_space(3))
+    with pytest.raises(ValueError, match="origin dimension 3"):
+        index.orthant_skyline((0.0, 0.0, 0.0), (1, 1, 1))
+    with pytest.raises(ValueError, match="origin dimension 3"):
+        index.region_top_k((0.0, 0.0, 0.0), None, 1)
+    with pytest.raises(ValueError, match="hyperplane set dimension 3"):
+        index.region_top_k((0.0, 0.0), HyperplaneSet.orthogonal(3), 1)
     with pytest.raises(ValueError, match="orthant signs"):
         index.orthant_skyline((0.0, 0.0), (1, 0))
     with pytest.raises(ValueError, match="k must be"):
@@ -778,11 +742,14 @@ def test_stale_tree_answers_through_tombstones_and_buffer():
     assert index.region_top_k(origin, hyperplane_set, 2) == (
         brute_force_region_top_k(mirror, origin, hyperplane_set, 2)
     )
-    plane = Hyperplane((1.0, -1.0, 0.5))
-    assert index.halfspace_candidates(plane, 1, reference=origin) == (
-        brute_force_halfspace(mirror, plane, 1, reference=origin)
+    sloped = HyperplaneSet([Hyperplane((1.0, -1.0, 0.5))], dimension=3)
+    assert index.region_top_k(origin, sloped, 4, order=1.0) == (
+        brute_force_region_top_k(mirror, origin, sloped, 4, order=1.0)
     )
-    assert index.range(HyperRectangle.whole_space(3)) == sorted(mirror)
+    assert index.nearest_k(origin, len(mirror) + 5) == (
+        brute_force_nearest_k(mirror, origin, len(mirror) + 5)
+    )
+    _assert_column_is_the_point_store(index, mirror)
     assert index.rebuilds == 1  # everything above ran against the stale tree
 
 

@@ -52,37 +52,6 @@ class TestHandBuiltTopology:
         assert tree.root == 3
         assert tree.height() == 3
 
-    def test_smallest_above_tie_break(self):
-        peers = {
-            0: make_peer(0, (10.0, 0.0), lifetime=10.0),
-            1: make_peer(1, (20.0, 1.0), lifetime=20.0),
-            2: make_peer(2, (30.0, 2.0), lifetime=30.0),
-        }
-        # Peer 0 sees both 1 and 2.
-        topology = TopologySnapshot.from_directed(peers, {0: {1, 2}, 1: {2}, 2: set()})
-        largest = StabilityTreeBuilder(
-            tie_break=StabilityTreeBuilder.LARGEST_LIFETIME
-        ).build(topology)
-        smallest = StabilityTreeBuilder(
-            tie_break=StabilityTreeBuilder.SMALLEST_ABOVE
-        ).build(topology)
-        assert largest.preferred[0] == 2
-        assert smallest.preferred[0] == 1
-
-    def test_closest_tie_break(self):
-        peers = {
-            0: make_peer(0, (10.0, 0.0), lifetime=10.0),
-            1: make_peer(1, (20.0, 0.5), lifetime=20.0),
-            2: make_peer(2, (30.0, 50.0), lifetime=30.0),
-        }
-        topology = TopologySnapshot.from_directed(peers, {0: {1, 2}, 1: {2}, 2: set()})
-        closest = StabilityTreeBuilder(tie_break=StabilityTreeBuilder.CLOSEST).build(topology)
-        assert closest.preferred[0] == 1
-
-    def test_unknown_tie_break_rejected(self):
-        with pytest.raises(ValueError):
-            StabilityTreeBuilder(tie_break="oldest")
-
     def test_a_link_counts_whichever_end_selected_it(self):
         """Peer 0 selects nobody; the longer-lived peers that selected it
         are its links all the same."""

@@ -375,15 +375,33 @@ class TestSelectManyAgreement:
             assert result == full
 
     def test_base_select_many_additive_is_unimplemented(self):
-        # The abstract base has no specialised delta rule; the hyperplane
-        # family now does (the per-region top-K update), so an empty batch
-        # yields an empty dict ("no changes"), not the None fallback marker.
-        class _Plain(NeighbourSelectionMethod):
-            def select(self, reference, candidates):  # pragma: no cover - stub
-                return []
+        """The abstract base has no delta rule of its own: it re-selects every
+        reference over ``selected + gained`` through ``select``, which path
+        independence makes exact, never through the counted ``select_many``."""
 
-        assert _Plain().select_many_additive([]) is None
+        class _Plain(NeighbourSelectionMethod):
+            path_independent = True
+            calls = []
+
+            def select(self, reference, candidates):
+                self.calls.append((reference.peer_id, [peer.peer_id for peer in candidates]))
+                return [peer.peer_id for peer in candidates if peer.peer_id != reference.peer_id]
+
+            def select_many(self, *args, **kwargs):  # pragma: no cover - must not run
+                raise AssertionError("the additive default went through select_many")
+
+        plain = _Plain()
+        assert plain.select_many_additive([]) == {}
         assert OrthogonalHyperplanesSelection(k=1).select_many_additive([]) == {}
+        peers = {i: make_peer(i, (float(i), float(-i))) for i in range(5)}
+        assert plain.select_many_additive(
+            [(peers[0], [peers[3], peers[1]], [peers[2], peers[1]]), (peers[4], [], [peers[0]])]
+        ) == {0: [1, 2, 3], 4: [0]}
+        assert plain.select_many_additive(
+            [(peers[0], {3, 1}, {2, 1})], member_of=peers.__getitem__
+        ) == {0: [1, 2, 3]}
+        assert plain.calls == [(0, [1, 2, 3]), (4, [0]), (0, [1, 2, 3])]
+        assert plain.select_additive(peers[4], [peers[1]], [peers[2]]) == [1, 2]
 
     def test_hyperplane_select_many_additive_matches_full_reselection(self):
         peers = generate_peers(60, 3, seed=78)

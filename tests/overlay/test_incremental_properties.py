@@ -20,6 +20,7 @@ from sweep_oracle import sweep_apply_batch, sweep_build
 
 from repro.overlay.network import BatchJoin, OverlayNetwork
 from repro.overlay.peer import make_peer
+from repro.overlay.selection.base import NeighbourSelectionMethod
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.k_closest import KClosestSelection
 from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
@@ -59,6 +60,17 @@ class PathDependentWrapper(EmptyRectangleSelection):
     path_independent = False
 
 
+class BaseDeltaRuleWrapper(NeighbourSelectionMethod):
+    """The empty-rectangle rule with none of its batched paths: path
+    independent, no index, no delta rule or install path of its own -- so
+    additive verdicts reach the base class's ``select_many_additive``."""
+
+    path_independent = True
+
+    def select(self, reference, candidates):
+        return EmptyRectangleSelection().select(reference, candidates)
+
+
 _SELECTIONS = st.sampled_from(
     [
         EmptyRectangleSelection,
@@ -66,6 +78,7 @@ _SELECTIONS = st.sampled_from(
         lambda: OrthogonalHyperplanesSelection(k=2),
         lambda: KClosestSelection(k=2),
         PathDependentWrapper,
+        BaseDeltaRuleWrapper,
     ]
 )
 

@@ -1,13 +1,15 @@
-"""Property-based cross-checks: index-backed selection vs the scan paths.
+"""Property-based cross-checks: index-backed selection vs the scan oracles.
 
 The spatial index exists to *replace* the candidate-set scans, so the whole
 contract is byte-identity: a selection method given ``index=`` must produce
 the same selection as the same method given the materialised candidate
 list, and an :class:`~repro.overlay.network.OverlayNetwork` that owns an
-index must follow the identical convergence trajectory -- same per-step
-neighbour maps, same round counts -- to the identical fixed point and
-byte-identical maintained stability tree as the scan-path overlay, under
-arbitrary interleavings of joins, leaves and batched epochs.
+index must reach, after every step of arbitrary interleavings of joins,
+leaves and batched epochs, the fixed point of ``build_equilibrium`` (the
+method's own full-population scan) in the round count of the
+synchronous-sweep oracle, with the maintained stability tree equal to
+``StabilityTreeBuilder`` over its snapshot.  The overlay owns an index
+exactly when knowledge is full and the method reads one.
 
 Populations honour the paper's distinct-coordinate assumption (the same
 strategy the engine cross-checks use); distinct first coordinates double as
@@ -19,9 +21,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweep_oracle import sweep_apply_batch, sweep_build, sweep_converge
 
 from repro.geometry.index import SpatialIndex
 from repro.multicast.incremental import StabilityTreeMaintainer
+from repro.multicast.stability import StabilityTreeBuilder
 from repro.overlay.network import BatchJoin, ConvergenceError, OverlayNetwork
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
@@ -102,19 +106,21 @@ def test_indexed_select_equals_scan_select(peers, selection_factory):
 def test_indexed_overlay_tracks_scan_overlay_under_churn(
     peers, selection_factory, script_seed
 ):
-    """Join/leave/batch schedules stay in lockstep: maps, rounds and trees.
+    """Join/leave/batch schedules stay on the oracles: maps, rounds and trees.
 
-    Both overlays replay the identical schedule -- single insertions and
-    departures through the per-event path, plus whole epochs through
-    ``apply_batch`` -- with live stability-tree maintainers attached.  After
-    every step the directed neighbour maps, the convergence round counts
-    and the maintained parent maps must agree exactly, and the owned index
-    must hold exactly the alive population.
+    The production overlay and a sweep-oracle overlay replay the identical
+    schedule -- single insertions and departures, plus whole epochs through
+    ``apply_batch`` -- with a live stability-tree maintainer on the
+    production one.  After every step its directed neighbour map must equal
+    ``build_equilibrium`` of the alive peers (the method's own scan of the
+    whole population), its round count the oracle's, its maintained parents
+    ``StabilityTreeBuilder`` over its snapshot, and its owned index must
+    hold exactly the alive population.
     """
     rng = random.Random(script_seed)
-    fast = OverlayNetwork(selection_factory(), use_index=True)
-    slow = OverlayNetwork(selection_factory(), use_index=False)
-    maintainers = None
+    overlay = OverlayNetwork(selection_factory())
+    oracle = OverlayNetwork(selection_factory())
+    maintainer = None
     alive = []
     pending = list(peers)
     while pending or (alive and rng.random() < 0.4):
@@ -130,30 +136,26 @@ def test_indexed_overlay_tracks_scan_overlay_under_churn(
                 bootstrap = frozenset({rng.choice(alive)}) if alive else frozenset()
                 events.append(BatchJoin(joiner, bootstrap=bootstrap))
                 alive.append(joiner.peer_id)
-            fast_rounds = fast.apply_batch(events)
-            slow_rounds = slow.apply_batch(events)
         elif alive and (not pending or action < 0.35):
             victim = rng.choice(alive)
             alive.remove(victim)
-            fast_rounds = fast.remove_and_converge(victim)
-            slow_rounds = slow.remove_and_converge(victim)
+            events = [victim]
         else:
             joiner = pending.pop()
-            bootstrap = {rng.choice(alive)} if alive else set()
-            fast_rounds = fast.insert_and_converge(joiner, bootstrap=bootstrap)
-            slow_rounds = slow.insert_and_converge(joiner, bootstrap=bootstrap)
+            bootstrap = frozenset({rng.choice(alive)}) if alive else frozenset()
+            events = [BatchJoin(joiner, bootstrap=bootstrap)]
             alive.append(joiner.peer_id)
-        if maintainers is None and fast.peer_count:
-            maintainers = (StabilityTreeMaintainer(fast), StabilityTreeMaintainer(slow))
-        assert fast_rounds == slow_rounds
-        assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
-        assert fast.index is not None and slow.index is None
-        assert fast.index.ids() == fast.peer_ids
-        if maintainers is not None:
-            fast_tree, slow_tree = maintainers
-            fast_tree.refresh()
-            slow_tree.refresh()
-            assert fast_tree.engine.parent_map() == slow_tree.engine.parent_map()
+        assert overlay.apply_batch(events) == sweep_apply_batch(oracle, events)
+        if maintainer is None and overlay.peer_count:
+            maintainer = StabilityTreeMaintainer(overlay)
+        witness = OverlayNetwork.build_equilibrium(overlay.peers(), selection_factory())
+        assert overlay.directed_neighbour_map() == witness.directed_neighbour_map()
+        assert overlay.index is not None
+        assert overlay.index.ids() == overlay.peer_ids
+        if maintainer is not None:
+            maintainer.refresh()
+            expected = StabilityTreeBuilder().build(overlay.snapshot())
+            assert maintainer.engine.parent_map() == dict(expected.preferred)
 
 
 @settings(max_examples=15, deadline=None)
@@ -166,29 +168,23 @@ def test_indexed_overlay_tracks_scan_overlay_under_churn(
 def test_bounded_gossip_radius_falls_back_to_scans(
     peers, selection_factory, gossip_radius, seed
 ):
-    """Under a gossip radius the index never answers selections.
+    """Under a gossip radius the overlay owns no index and scans.
 
-    Candidate sets are per-peer bounded-hop subsets there, so the overlay
-    must scan; forcing the index on anyway must change nothing -- it is
-    maintained but unused.
+    Candidate sets are per-peer bounded-hop subsets there, which a shared
+    index cannot answer; the engine lands where the synchronous-sweep
+    oracle does.
     """
-    fast = OverlayNetwork.build_incremental(
+    overlay = OverlayNetwork.build_incremental(
         peers,
         selection_factory(),
         gossip_radius=gossip_radius,
         rng=random.Random(seed),
-        use_index=True,
     )
-    slow = OverlayNetwork.build_incremental(
-        peers,
-        selection_factory(),
-        gossip_radius=gossip_radius,
-        rng=random.Random(seed),
-        use_index=False,
+    oracle = sweep_build(
+        peers, selection_factory(), rng=random.Random(seed), gossip_radius=gossip_radius
     )
-    assert fast._selection_index() is None  # the fast path is gated off
-    assert fast.index is not None and fast.index.ids() == fast.peer_ids
-    assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+    assert overlay.index is None and oracle.index is None
+    assert overlay.directed_neighbour_map() == oracle.directed_neighbour_map()
 
 
 @settings(max_examples=20, deadline=None)
@@ -203,23 +199,24 @@ def test_build_equilibrium_populates_the_owned_index(peers, selection_factory):
     overlay = OverlayNetwork.build_equilibrium(peers, selection_factory())
     assert overlay.index is not None
     assert overlay.index.ids() == overlay.peer_ids
-    # A follow-up indexed convergence sits at the same fixed point a scan
-    # overlay reaches from the same state.
-    rounds = overlay.converge()
-    scan = OverlayNetwork.build_equilibrium(peers, selection_factory(), use_index=False)
-    scan_rounds = scan.converge()
-    assert rounds == scan_rounds
-    assert overlay.directed_neighbour_map() == scan.directed_neighbour_map()
+    # A follow-up indexed convergence stays on the fixed point, in the
+    # round count of the sweep oracle from the same state.
+    equilibrium = overlay.directed_neighbour_map()
+    oracle = OverlayNetwork.build_equilibrium(peers, selection_factory())
+    assert overlay.converge() == sweep_converge(oracle) == 1
+    assert overlay.directed_neighbour_map() == equilibrium
+    assert oracle.directed_neighbour_map() == equilibrium
 
 
 def test_convergence_error_invalidation_matches_scan_path():
-    """The PR 4 ``ConvergenceError`` contract holds on the indexed path.
+    """The ``ConvergenceError`` contract holds on the indexed path.
 
-    A too-small ``max_rounds`` raises on both arms; the aborted engines are
-    invalidated (next incremental convergence rebootstraps all-dirty), the
-    owned index -- maintained by membership, untouched by convergence
-    failures -- still mirrors the population exactly, and the recovery
-    convergence lands both arms on the identical fixed point.
+    A too-small ``max_rounds`` raises on the engine and on the sweep oracle;
+    the aborted engine is invalidated (next convergence rebootstraps
+    all-dirty), the owned index -- maintained by membership, untouched by
+    convergence failures -- still mirrors the population exactly, and the
+    recovery convergence lands on the oracle's fixed point in its round
+    count.
     """
     rng = random.Random(42)
     peers = [
@@ -228,29 +225,33 @@ def test_convergence_error_invalidation_matches_scan_path():
             zip(rng.sample(range(9999), 30), rng.sample(range(9999), 30))
         )
     ]
-    fast = OverlayNetwork(EmptyRectangleSelection(), use_index=True)
-    slow = OverlayNetwork(EmptyRectangleSelection(), use_index=False)
-    for overlay in (fast, slow):
-        for peer in peers[:20]:
-            overlay.add_peer(peer)
-        overlay.converge()
-    for overlay in (fast, slow):
-        for peer in peers[20:]:
-            overlay.add_peer(peer)
-        with pytest.raises(ConvergenceError):
-            overlay.converge(max_rounds=1)
-    assert fast.index is not None
-    assert fast.index.ids() == fast.peer_ids  # membership survived the abort
-    fast_rounds = fast.converge()
-    slow_rounds = slow.converge()
-    assert fast_rounds == slow_rounds
-    assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+    overlay = OverlayNetwork(EmptyRectangleSelection())
+    oracle = OverlayNetwork(EmptyRectangleSelection())
+    for peer in peers[:20]:
+        overlay.add_peer(peer)
+        oracle.add_peer(peer)
+    overlay.converge()
+    sweep_converge(oracle)
+    for peer in peers[20:]:
+        overlay.add_peer(peer)
+        oracle.add_peer(peer)
+    with pytest.raises(ConvergenceError):
+        overlay.converge(max_rounds=1)
+    with pytest.raises(ConvergenceError):
+        sweep_converge(oracle, max_rounds=1)
+    assert overlay._engine is None  # noqa: SLF001 - invalidated by the abort
+    assert overlay.index is not None
+    assert overlay.index.ids() == overlay.peer_ids  # membership survived the abort
+    assert overlay.converge() == sweep_converge(oracle)
+    assert overlay.directed_neighbour_map() == oracle.directed_neighbour_map()
+    witness = OverlayNetwork.build_equilibrium(peers, EmptyRectangleSelection())
+    assert overlay.directed_neighbour_map() == witness.directed_neighbour_map()
 
 
 def test_index_drains_to_empty_with_the_overlay():
     """Removing every peer leaves an empty but alive index."""
     peers = [make_peer(i, (float(i), float(i * 7 % 13))) for i in range(8)]
-    overlay = OverlayNetwork(EmptyRectangleSelection(), use_index=True)
+    overlay = OverlayNetwork(EmptyRectangleSelection())
     for peer in peers:
         overlay.insert_and_converge(peer)
     for peer in peers:
@@ -268,19 +269,55 @@ def test_index_drains_to_empty_with_the_overlay():
     assert overlay.index.ids() == [7]
 
 
+class _ArbitraryDistance(OrthogonalHyperplanesSelection):
+    """A Hyperplanes method under a callable distance: no indexed path."""
+
+    def __init__(self):
+        super().__init__(k=1, distance=lambda a, b: sum(abs(x - y) for x, y in zip(a, b)))
+
+
+@pytest.mark.parametrize(
+    ("selection_factory", "gossip_radius", "owns_index"),
+    [
+        (EmptyRectangleSelection, None, True),
+        (lambda: OrthogonalHyperplanesSelection(k=2), None, True),
+        (EmptyRectangleSelection, 2, False),
+        (lambda: OrthogonalHyperplanesSelection(k=2), 2, False),
+        (_ArbitraryDistance, None, False),
+        (_ArbitraryDistance, 2, False),
+    ],
+    ids=["er_full", "hp_full", "er_radius_2", "hp_radius_2", "no_index_full", "no_index_radius_2"],
+)
+def test_an_overlay_owns_an_index_exactly_when_its_selection_reads_one(
+    selection_factory, gossip_radius, owns_index
+):
+    """``index is not None`` iff full knowledge and ``supports_index``, for
+    the constructor and both bulk builders."""
+    selection = selection_factory()
+    assert owns_index == (gossip_radius is None and selection.supports_index)
+    peers = [make_peer(i, (float(i), float(9 - i) / 3)) for i in range(6)]
+    for overlay in (
+        OverlayNetwork(selection, gossip_radius=gossip_radius),
+        OverlayNetwork.build_incremental(peers, selection, gossip_radius=gossip_radius),
+    ):
+        assert (overlay.index is not None) == owns_index
+    if gossip_radius is None:
+        overlay = OverlayNetwork.build_equilibrium(peers, selection)
+        assert (overlay.index is not None) == owns_index
+
+
 def test_unsupported_methods_never_receive_an_index():
     """A selection without an indexed path keeps the overlay on scans."""
-
-    class ArbitraryDistance(OrthogonalHyperplanesSelection):
-        def __init__(self):
-            super().__init__(k=1, distance=lambda a, b: sum(abs(x - y) for x, y in zip(a, b)))
-
-    overlay = OverlayNetwork(ArbitraryDistance(), use_index=True)
+    overlay = OverlayNetwork(_ArbitraryDistance())
     assert not overlay.selection.supports_index
-    assert overlay._selection_index() is None
-    for peer in [make_peer(i, (float(i), float(9 - i))) for i in range(6)]:
+    assert overlay.index is None
+    peers = [make_peer(i, (float(i), float(9 - i))) for i in range(6)]
+    for peer in peers:
         overlay.insert_and_converge(peer)
+    witness = OverlayNetwork.build_equilibrium(peers, _ArbitraryDistance())
+    assert overlay.directed_neighbour_map() == witness.directed_neighbour_map()
+    index = SpatialIndex()
     with pytest.raises(TypeError, match="no index-backed selection path"):
-        overlay.selection.select_many([], {}, index=overlay.index)
+        overlay.selection.select_many([], {}, index=index)
     with pytest.raises(TypeError, match="no index-backed selection path"):
-        overlay.selection.select_many_additive([], index=overlay.index)
+        overlay.selection.select_many_additive([], index=index)

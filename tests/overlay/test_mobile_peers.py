@@ -5,8 +5,9 @@ unit tests; these schedules drive it through the overlay itself.  A peer's
 coordinates drift while the overlay keeps converging incrementally, and the
 trajectories must agree everywhere coordinate state is replicated:
 
-* indexed vs scan (``use_index``): the index is re-keyed by ``move_peer``,
-  so index-answered selections must equal scan selections at every step;
+* indexed vs the equilibrium scan (``build_equilibrium``): the index is
+  re-keyed by ``move_peer``, so index-answered selections must reach the
+  method's own full-population scan at every step;
 * engine vs the synchronous-sweep oracle (``sweep_converge`` in
   ``tests/sweep_oracle.py``): a move reaches the engine as ``note_move``, and the
   post-move fixed point is a function of the current coordinates alone.
@@ -62,25 +63,17 @@ def _drift_schedule(overlay, rng, *, steps, converge=OverlayNetwork.converge):
 
 @pytest.mark.parametrize("selection_factory", _SELECTIONS)
 def test_indexed_and_scan_trajectories_agree_under_drift(selection_factory):
-    """Coordinate drift keeps the index exact: indexed == scan at every step."""
-    seeds = random.Random(11)
-    peers = _population(40, seeds)
-    arms = {
-        use_index: OverlayNetwork.build_incremental(
-            peers,
-            selection_factory(),
-            rng=random.Random(5),
-            use_index=use_index,
-        )
-        for use_index in (True, False)
-    }
-    schedules = {
-        use_index: random.Random(23) for use_index in arms
-    }  # identical event streams per arm
+    """Coordinate drift keeps the index exact: the indexed overlay equals
+    ``build_equilibrium`` of its current peers at every step."""
+    peers = _population(40, random.Random(11))
+    indexed = OverlayNetwork.build_incremental(
+        peers, selection_factory(), rng=random.Random(5)
+    )
+    assert indexed.index is not None
+    schedule = random.Random(23)
     for step in range(30):
-        for use_index, overlay in arms.items():
-            _drift_schedule(overlay, schedules[use_index], steps=1)
-        indexed, scan = arms[True], arms[False]
+        _drift_schedule(indexed, schedule, steps=1)
+        scan = OverlayNetwork.build_equilibrium(indexed.peers(), selection_factory())
         assert indexed.directed_neighbour_map() == scan.directed_neighbour_map()
         # The index itself must track the moved coordinates exactly.
         for peer in indexed.peers():

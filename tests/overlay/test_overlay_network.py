@@ -9,6 +9,12 @@ from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
 from repro.workloads.peers import generate_peers
 
 
+class _ScanOnlyEmptyRectangle(EmptyRectangleSelection):
+    """The empty-rectangle rule without an index path: a scanning method."""
+
+    supports_index = False
+
+
 class TestMembership:
     def test_add_and_remove_peers(self):
         overlay = OverlayNetwork(EmptyRectangleSelection())
@@ -120,15 +126,24 @@ class TestConvergence:
         assert overlay.reselect_round() is False
 
     @pytest.mark.parametrize(
-        "knowledge",
-        [{"use_index": True}, {"use_index": False}, {"gossip_radius": 2}],
+        ("selection_factory", "knowledge", "owns_index"),
+        [
+            (EmptyRectangleSelection, {}, True),
+            (_ScanOnlyEmptyRectangle, {}, False),
+            (EmptyRectangleSelection, {"gossip_radius": 2}, False),
+        ],
         ids=["indexed", "scan", "radius_2"],
     )
-    def test_sweep_reports_and_streams_exactly_its_changes(self, knowledge):
+    def test_sweep_reports_and_streams_exactly_its_changes(
+        self, selection_factory, knowledge, owns_index
+    ):
         """Each sweep branch installs through ``install_selections``: it
         returns ``True`` iff a selection changed, every changed peer reaches
-        the delta stream, and the selection map is updated in place."""
-        overlay = OverlayNetwork(EmptyRectangleSelection(), **knowledge)
+        the delta stream, and the selection map is updated in place.  The
+        full-knowledge scan branch is the one a method without an index
+        path takes."""
+        overlay = OverlayNetwork(selection_factory(), **knowledge)
+        assert (overlay.index is not None) == owns_index
         for peer in generate_peers(12, 2, seed=2):
             overlay.add_peer(peer)
         recorder = overlay.delta_stream()

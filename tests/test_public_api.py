@@ -8,6 +8,9 @@ import pytest
 
 import repro
 from repro.experiments.trace_runner import TraceRunner
+from repro.geometry import index as index_module
+from repro.multicast.incremental import StabilityTreeMaintainer
+from repro.multicast.stability import choose_preferred_parent
 from repro.simulation.network import SimulatedNetwork
 from repro.simulation.protocol import PeerProcess
 from repro.simulation.runner import run_gossip_overlay
@@ -42,13 +45,62 @@ class TestPublicSurface:
             assert hasattr(repro, name), f"repro.{name} is exported but missing"
 
     def test_overlay_constructor_has_no_implementation_knobs(self):
-        """``gossip_radius`` alone picks the engine's candidate view: the two
-        knobs that only selected a slower twin are gone, not deprecated."""
+        """``gossip_radius`` alone picks the engine's candidate view, and with
+        the method whether the overlay owns an index: the knobs that only
+        selected a slower twin are gone, not deprecated."""
         parameters = list(inspect.signature(repro.OverlayNetwork.__init__).parameters)
-        assert parameters == ["self", "selection", "gossip_radius", "use_index"]
-        for removed in ("columnar", "vectorised_rounds"):
+        assert parameters == ["self", "selection", "gossip_radius"]
+        for removed in ("columnar", "vectorised_rounds", "use_index"):
             with pytest.raises(TypeError):
                 repro.OverlayNetwork(repro.EmptyRectangleSelection(), **{removed: False})
+
+    def test_section3_rule_has_one_signature_everywhere(self):
+        """One preferred-neighbour rule: no tie-break knob, no coordinate,
+        index or distance plumbing on the rule or on its three callers."""
+        signatures = {
+            choose_preferred_parent: ["peer_id", "links", "lifetimes"],
+            repro.build_stability_tree: ["topology"],
+            repro.StabilityTreeBuilder.build: ["self", "topology"],
+            StabilityTreeMaintainer.__init__: ["self", "overlay"],
+        }
+        for function, expected in signatures.items():
+            assert list(inspect.signature(function).parameters) == expected
+        assert list(inspect.signature(repro.StabilityTreeBuilder).parameters) == []
+        overlay = repro.OverlayNetwork(repro.EmptyRectangleSelection())
+        topology = overlay.snapshot()
+        for removed, value in (
+            ("tie_break", "largest-lifetime"),
+            ("coordinates_of", None),
+            ("index", None),
+            ("distance", "l2"),
+        ):
+            with pytest.raises(TypeError):
+                choose_preferred_parent(0, [], {0: 1.0}, **{removed: value})
+        for removed, value in (("tie_break", "largest-lifetime"), ("distance", "l2")):
+            with pytest.raises(TypeError):
+                repro.StabilityTreeBuilder(**{removed: value})
+            with pytest.raises(TypeError):
+                StabilityTreeMaintainer(overlay, **{removed: value})
+        with pytest.raises(TypeError):
+            repro.build_stability_tree(topology, tie_break="largest-lifetime")
+
+    def test_use_index_is_gone_from_every_builder(self):
+        peers = repro.generate_peers(count=4, dimension=2, seed=3)
+        for build in (
+            repro.OverlayNetwork.build_equilibrium,
+            repro.OverlayNetwork.build_incremental,
+        ):
+            assert "use_index" not in inspect.signature(build).parameters
+            with pytest.raises(TypeError, match="unexpected keyword argument 'use_index'"):
+                build(peers, repro.EmptyRectangleSelection(), use_index=True)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'use_index'"):
+            TraceRunner(peers, repro.EmptyRectangleSelection, use_index=False)
+
+    def test_spatial_index_has_only_the_queries_the_selections_ask(self):
+        for removed in ("range", "halfspace_candidates", "items"):
+            assert not hasattr(repro.SpatialIndex, removed)
+        for removed in ("brute_force_range", "brute_force_halfspace"):
+            assert not hasattr(index_module, removed)
 
     @pytest.mark.parametrize("entry_point", _ENTRY_POINTS, ids=lambda f: f.__qualname__)
     def test_no_entry_point_takes_a_twin_knob(self, entry_point):
