@@ -7,10 +7,9 @@ from a fresh topology snapshot after every membership event.  This module is
 the event-driven replacement: overlay deltas in, single edge repairs out.
 
 Nothing here keeps a copy of the overlay's graph.  The overlay already
-maintains the exact directed selection and its reverse selector index, so
-both consumers below drain the delta stream (see
-:mod:`repro.overlay.incremental`) to learn *which* peers to look at and then
-read those peers' links in place, through
+maintains the exact undirected links, so both consumers below drain the
+delta stream (see :mod:`repro.overlay.incremental`) to learn *which* peers
+to look at and then read those peers' links in place, through
 :meth:`repro.overlay.network.OverlayNetwork.links` -- always through the
 overlay object, never through its private dicts.
 

@@ -35,7 +35,7 @@ coordinates* correct without per-peer pending sets.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -238,14 +238,14 @@ class ColumnarCandidateState(CandidateView):
 
     def plan_round(
         self,
-        selectors_of: Mapping[int, Set[int]],
+        selectors: Callable[[int], Iterable[int]],
         path_independent: bool,
     ) -> RoundPlan:
         """Schedule and classify one round as verdict columns.
 
-        ``selectors_of`` is the overlay's reverse selector index (``target
-        id -> ids whose installed selection contains it``), which is how the
-        ``lost & installed_selection`` term of
+        ``selectors`` maps an id to the ids whose installed selection
+        contains it (``OverlayNetwork.selectors``: none for a departed id),
+        which is how the ``lost & installed_selection`` term of
         :func:`~repro.overlay.incremental.classify_reselect` is resolved in
         O(changes) instead of per-peer set intersections.  The dirty scan,
         the per-peer history test and the whole decision table collapse into
@@ -301,7 +301,7 @@ class ColumnarCandidateState(CandidateView):
                 if lost:
                     hit = np.zeros(total, dtype=bool)
                     for lost_id in lost:
-                        for selector in selectors_of.get(lost_id, ()):
+                        for selector in selectors(lost_id):
                             position = int(
                                 position_of_row[rows_map.row_of(selector)]
                             )

@@ -21,20 +21,20 @@ Two layers use this module:
 Maintained knowledge sets
 -------------------------
 
-*Flip sources.*  The overlay knows every undirected edge flip when it makes
-it: ``notify_selection_change`` (the edge ``{P, T}`` flips exactly when
-``T`` enters or leaves ``P``'s selection while ``T`` does not select ``P``)
-and ``remove_peer`` (every edge of the departed peer).  Nothing is ever
-re-derived by diffing two adjacencies.
+*Flip sources.*  The overlay owns the undirected links and reports every
+flip right after writing it: ``notify_selection_change`` (the edge ``{P,
+T}`` flips exactly when ``T`` enters or leaves ``P``'s selection while ``T``
+does not select ``P``) and ``remove_peer`` (every edge of the departed peer,
+before the departure).  Nothing is re-derived by diffing adjacencies.
 
 *Support counts.*  Write ``M_0(q) = {q}`` and ``M_k(q)`` for ``q`` plus the
 peers within ``k`` hops of it.  Level ``k`` (``0 <= k < BR``) holds, for
 every peer ``p`` and every other peer ``x``, the number of neighbours ``q``
 of ``p`` with ``x in M_k(q)`` -- the number of ways ``x`` is supported
 through a neighbour -- and ``x`` is within ``k + 1`` hops of ``p`` exactly
-when that count is positive.  Level 0 is the adjacency itself, the last
-level's keys are ``I(p)``.  A flip of ``{a, b}`` adds (or withdraws) one
-term per level at each endpoint -- the other endpoint's ``M_k`` as it was
+when that count is positive.  Level 0 is the overlay's links, read through
+``links``; the last level's keys are ``I(p)``.  A flip of ``{a, b}`` adds
+(or withdraws) one term per level at each endpoint -- the other endpoint's ``M_k`` as it was
 before the flip -- and every count that crosses between 0 and 1 bumps the
 same id one level up at each neighbour across the post-flip adjacency.  All
 bumps of one flip share its sign, so a count crosses at most once and the
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, KeysView, List, Mapping, Set, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, List, Mapping, Set
 
 from repro.geometry.point import Point
 from repro.overlay.peer import NetworkAddress
@@ -212,52 +212,58 @@ class MaintainedKnowledgeSets:
 
     See the module docstring for the support-count rule.  The owner reports
     membership (:meth:`add_peer` / :meth:`remove_peer`) and every undirected
-    edge flip (:meth:`flip`); :meth:`known` is then a dictionary read and
-    :meth:`drain_changed` hands out how every set moved since it was last
-    called.  Cost is O(bumps), never O(population).
+    edge flip (:meth:`flip`) once its ``links`` show it; :meth:`known` is
+    then a dictionary read and :meth:`drain_changed` hands out how every set
+    moved since it was last called.  Cost is O(bumps), never O(population).
     """
 
-    def __init__(self, radius: int) -> None:
+    def __init__(self, radius: int, links: Callable[[int], AbstractSet[int]]) -> None:
         if radius < 1:
             raise ValueError("radius must be at least 1")
-        # _levels[k][p][x]: neighbours q of p with x == q or x within k hops
-        # of q (x != p; zero counts are deleted, so the keys are the set).
-        self._levels: List[Dict[int, Dict[int, int]]] = [{} for _ in range(radius)]
+        self._links = links
+        # _levels[k - 1][p][x], 0 < k < radius: neighbours q of p with x == q
+        # or x within k hops of q (x != p; zero counts are deleted).
+        self._levels: List[Dict[int, Dict[int, int]]] = [{} for _ in range(radius - 1)]
+        # The peers between add_peer and remove_peer (at BR = 1 no level has keys).
+        self._tracked: Set[int] = set()
         # Net +1 / -1 per (peer, id) of the last level since the last drain.
         self._pending: Dict[int, Dict[int, int]] = {}
 
     @classmethod
-    def from_adjacency(
-        cls, adjacency: Mapping[int, Iterable[int]], radius: int
+    def from_links(
+        cls, peer_ids: Iterable[int], links: Callable[[int], AbstractSet[int]], radius: int
     ) -> "MaintainedKnowledgeSets":
-        """The state of a live undirected topology, by flipping its edges on."""
-        knowledge = cls(radius)
-        for peer_id in adjacency:
-            knowledge.add_peer(peer_id)
-        for peer_id, neighbours in adjacency.items():
-            for other in neighbours:
-                if peer_id < other:
-                    knowledge.flip(peer_id, other, True)
-        knowledge._pending.clear()
+        """The state of a live undirected topology, counted level by level."""
+        knowledge = cls(radius, links)
+        knowledge._tracked = set(peer_ids)
+        reach: Callable[[int], Iterable[int]] = links
+        for level in knowledge._levels:
+            for peer_id in knowledge._tracked:
+                support = level[peer_id] = {}
+                for neighbour in links(peer_id):
+                    for member in (neighbour, *reach(neighbour)):
+                        if member != peer_id:
+                            support[member] = support.get(member, 0) + 1
+            reach = level.__getitem__
         return knowledge
 
     def add_peer(self, peer_id: int) -> None:
         """Start tracking an (isolated) peer."""
+        self._tracked.add(peer_id)
         for level in self._levels:
             level[peer_id] = {}
 
     def remove_peer(self, peer_id: int) -> None:
-        """Withdraw every edge of a peer, then stop tracking it (its window
+        """Stop tracking a peer whose edges are all withdrawn (its window
         entry -- everything it knew, lost -- stays until the next drain)."""
-        for other in list(self._levels[0][peer_id]):
-            self.flip(peer_id, other, False)
+        self._tracked.discard(peer_id)
         for level in self._levels:
             del level[peer_id]
 
-    def known(self, peer_id: int) -> KeysView[int]:
+    def known(self, peer_id: int) -> AbstractSet[int]:
         """``I(P)``: the peers within ``radius`` hops (no self).  A *live*
         view, not a copy: a round reads it before its own installs move it."""
-        return self._levels[-1][peer_id].keys()
+        return self._levels[-1][peer_id].keys() if self._levels else self._links(peer_id)
 
     def known_at_last_drain(self, peer_id: int) -> Set[int]:
         """``I(P)`` as the previous drain left it (live set - gains + losses):
@@ -269,7 +275,7 @@ class MaintainedKnowledgeSets:
 
     def changed_peers(self) -> List[int]:
         """Tracked peers whose set differs from what the previous drain saw."""
-        tracked = self._levels[0]
+        tracked = self._tracked
         return [peer_id for peer_id, net in self._pending.items() if net and peer_id in tracked]
 
     def drain_changed(self) -> Dict[int, Dict[int, int]]:
@@ -280,30 +286,32 @@ class MaintainedKnowledgeSets:
         return window
 
     def flip(self, first: int, second: int, present: bool) -> None:
-        """The undirected edge ``{first, second}`` appeared or vanished."""
+        """The undirected edge ``{first, second}`` appeared or vanished; the
+        owner's ``links`` already shows it."""
+        links = self._links
         levels = self._levels
-        adjacency = levels[0]
         sign, crossing = (1, 1) if present else (-1, 0)
         ends = [(first, second), (second, first)]
-        # The term each endpoint gains or loses at every level: the edge
-        # itself at level 0, above it the other endpoint's M_k as it is now,
-        # before anything moves.
-        terms = [ends] + [
+        # The term each endpoint gains or loses at level k: the other
+        # endpoint's M_k before anything moves (at k = 1 the links, which the
+        # flip changed only by the endpoint itself, which no term counts).
+        below = [links, *(level.__getitem__ for level in levels)][: len(levels)]
+        terms = [
             [
                 (peer, member)
                 for peer, other in ends
-                for member in (other, *level[other])
+                for member in (other, *reach(other))
                 if member != peer
             ]
-            for level in levels[:-1]
+            for reach in below
         ]
-        # (peer, id) pairs whose count crossed between 0 and 1 one level down.
-        crossed: List[Tuple[int, int]] = []
+        # (peer, id) pairs whose count crossed 0 <-> 1 one level down.
+        crossed = ends
         for level, bumps in zip(levels, terms):
             bumps += [
                 (neighbour, member)
                 for peer, member in crossed
-                for neighbour in adjacency[peer]
+                for neighbour in links(peer)
                 if neighbour != member
             ]
             crossed = []

@@ -63,10 +63,10 @@ Under a gossip radius ``I(P)`` is the set of peers within ``BR`` hops of
 edge flip at the moment it makes it (:meth:`CandidateView.note_edge_flip`,
 from ``OverlayNetwork.notify_selection_change``: ``{P, T}`` flips exactly
 when ``T`` enters or leaves ``P``'s selection while ``T`` does not select
-``P``; a departure withdraws every edge of the departed peer from the
-maintained adjacency itself).  ``MaintainedKnowledgeSets`` turns each flip
-into support-count bumps and nets what they did to every ``I(P)`` in its
-*net-delta window* (its module states both rules).
+``P``; a departure is preceded by one flip per edge of the departed
+peer).  ``MaintainedKnowledgeSets`` turns each flip into support-count bumps
+and nets what they did to every ``I(P)`` in its *net-delta window* (its
+module states both rules).
 :class:`RadiusCandidateState` consumes exactly that and keeps nothing per
 peer but a has-history flag: ``begin_round()`` drains the window and
 schedules the peers it names, ``delta(P)`` *is* ``P``'s entry (exact --
@@ -103,8 +103,8 @@ Delta-stream contract
 Downstream consumers (the stability-tree maintainer and the connectivity
 feed of :mod:`repro.multicast.incremental`) react to overlay changes without
 re-reading the whole topology, and without keeping a copy of it: the overlay
-already maintains the exact directed selection and its reverse selector
-index, so the stream only has to say *where to look*.  Consumers subscribe
+already maintains the exact directed selection and the undirected links, so
+the stream only has to say *where to look*.  Consumers subscribe
 through :meth:`repro.overlay.network.OverlayNetwork.delta_stream`, which
 hands every overlay the same set-backed :class:`OverlayDeltaRecorder` (three
 id sets; a touch is one ``set.update``); every membership event and every
@@ -126,8 +126,8 @@ recorded, and :meth:`OverlayDeltaRecorder.drain` returns the accumulated
 
 The current state of one touched peer is read in place, through
 :meth:`repro.overlay.network.OverlayNetwork.links` (selected plus selectors,
-O(degree)) -- always through the overlay object, never through a captured
-reference to its private dicts.
+the overlay's own live set) -- always through the overlay object, never
+through a captured reference to its private dicts.
 """
 
 from __future__ import annotations
@@ -390,8 +390,8 @@ class RadiusCandidateState(CandidateView):
     """
 
     def __init__(self, overlay: "OverlayNetwork") -> None:
-        self._knowledge = MaintainedKnowledgeSets.from_adjacency(
-            overlay.adjacency(), overlay.gossip_radius
+        self._knowledge = MaintainedKnowledgeSets.from_links(
+            overlay.peer_ids, overlay.links, overlay.gossip_radius
         )
         # Peers whose installed selection is consistent with known(P) as of
         # the previous drain; everyone else is dirty and recomputes in full.
@@ -410,8 +410,8 @@ class RadiusCandidateState(CandidateView):
         self.note_move(peer_id)
 
     def note_leave(self, peer_id: int, selector_ids: Iterable[int]) -> None:
-        # Selectors lost a selected neighbour behind the engine's back; the
-        # departed peer's maintained adjacency is selectors + selected.
+        # Selectors lost a selected neighbour behind the engine's back; every
+        # edge of the departed peer was already reported as a flip.
         self.forget(peer_id)
         self._force_full(selector_ids)
         self._knowledge.remove_peer(peer_id)
@@ -579,8 +579,7 @@ class IncrementalReselectionEngine:
         view = self._view
         if self._overlay.gossip_radius is None:
             plan = view.plan_round(
-                self._overlay._selectors_of,  # noqa: SLF001 - friend class
-                self._overlay.selection.path_independent,
+                self._overlay.selectors, self._overlay.selection.path_independent
             )
             if plan.scheduled_rows.size == 0:
                 return False

@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -182,13 +183,9 @@ class OverlayNetwork:
         )
         self._peers: Dict[int, PeerInfo] = {}
         self._neighbours: Dict[int, Set[int]] = {}
-        # Reverse selector index: _selectors_of[target] is the set of peers
-        # whose installed selection contains `target`.  Maintained by
-        # notify_selection_change (every selection install routes through
-        # it) plus the membership methods, so remove_peer finds the
-        # departed peer's selectors in O(selectors) instead of scanning
-        # every neighbour set.
-        self._selectors_of: Dict[int, Set[int]] = {}
+        # Undirected links, what both of the paper's rules read: _links[p]
+        # is the peers p selected plus the peers that selected it.
+        self._links: Dict[int, Set[int]] = {}
         # Created lazily by the first converge(); kept in sync by the
         # membership methods and dropped whenever a sweep rewrites the
         # topology behind its back.
@@ -262,6 +259,7 @@ class OverlayNetwork:
                 raise KeyError(f"bootstrap peers {sorted(unknown)} are not in the overlay")
         self._peers[peer.peer_id] = peer
         self._neighbours[peer.peer_id] = set(bootstrap_ids)
+        self._links[peer.peer_id] = set()
         if self._index is not None:
             if len(self._peers) == 1 and self._index.dimension not in (
                 None,
@@ -283,7 +281,7 @@ class OverlayNetwork:
         # every bootstrap edge land in ``touched``, which is what keeps
         # multi-peer-bootstrap joins on the delta-stream contract.  Called
         # unconditionally (not just when recorders are attached) because the
-        # notifier also maintains the reverse selector index.
+        # notifier also writes the links.
         self.notify_selection_change(peer.peer_id, set(), bootstrap_ids)
 
     def remove_peer(self, peer_id: int) -> PeerInfo:
@@ -292,32 +290,29 @@ class OverlayNetwork:
             info = self._peers.pop(peer_id)
         except KeyError:
             raise KeyError(f"unknown peer {peer_id}") from None
-        selected = self._neighbours.pop(peer_id, set())
+        del self._neighbours[peer_id]
         if self._index is not None:
             self._index.remove(peer_id)
-        # The reverse selector index answers "who selected the departed
-        # peer" in O(selectors); the previous implementation scanned every
-        # neighbour set, which made each departure O(N) regardless of how
-        # isolated the peer was.  Sorted so the downstream engine/recorder
-        # notifications see a deterministic order.
-        selectors = sorted(self._selectors_of.pop(peer_id, ()))
+        # Sorted for a deterministic notification order.
+        selectors = sorted(self.selectors(peer_id))
         for selector in selectors:
             self._neighbours[selector].discard(peer_id)
-        for target in selected:
-            owners = self._selectors_of.get(target)
-            if owners is not None:
-                owners.discard(peer_id)
-                if not owners:
-                    del self._selectors_of[target]
+        # Every edge of the departed peer is withdrawn, each one a flip.
+        links = self._links[peer_id]
+        former = sorted(links)
+        flips = self._engine if self._gossip_radius is not None else None
+        for other in former:
+            links.discard(other)
+            self._links[other].discard(peer_id)
+            if flips is not None:
+                flips.note_edge_flip(peer_id, other, False)
+        del self._links[peer_id]
         if self._engine is not None:
             self._engine.note_leave(peer_id, selectors)
         if self._delta_recorders:
             for recorder in self._delta_recorders:
                 recorder.note_leave(peer_id)
-                # Every peer that shared an undirected link with the departed
-                # one just lost that edge.
-                recorder.note_touch(selectors)
-                recorder.note_touch(selected)
+                recorder.note_touch(former)
         return info
 
     def move_peer(self, peer_id: int, coordinates: Iterable[float]) -> PeerInfo:
@@ -346,9 +341,7 @@ class OverlayNetwork:
         if self._engine is not None:
             self._engine.note_move(peer_id)
         if self._delta_recorders:
-            touched = {peer_id}
-            touched.update(self._selectors_of.get(peer_id, ()))
-            touched.update(self._neighbours.get(peer_id, ()))
+            touched = {peer_id, *self._links[peer_id]}
             for recorder in self._delta_recorders:
                 recorder.note_touch(touched)
         return moved
@@ -367,22 +360,24 @@ class OverlayNetwork:
         """The whole directed selection map."""
         return {peer_id: frozenset(neighbours) for peer_id, neighbours in self._neighbours.items()}
 
-    def links(self, peer_id: int) -> Set[int]:
-        """Undirected links of one peer, as a fresh set, in O(degree).
-
-        A peer's links are the peers it selected plus the peers that
-        selected it; both are maintained exactly (``_neighbours`` and the
-        reverse selector index), so nothing is re-derived per call.  This is
-        the read the delta-stream consumers make per touched peer.
-        """
+    def links(self, peer_id: int) -> AbstractSet[int]:
+        """Undirected links of one peer: the peers it selected plus the peers
+        that selected it.  The overlay's own set, read-only and *live* (copy
+        it to keep a snapshot); the read both of the paper's rules make."""
         try:
-            return self._neighbours[peer_id].union(self._selectors_of.get(peer_id, ()))
+            return self._links[peer_id]
         except KeyError:
             raise KeyError(f"unknown peer {peer_id}") from None
 
+    def selectors(self, peer_id: int) -> Set[int]:
+        """Peers whose installed selection contains ``peer_id``, derived from
+        its links in O(degree); empty for an id not in the overlay."""
+        neighbours = self._neighbours
+        return {other for other in self._links.get(peer_id, ()) if peer_id in neighbours[other]}
+
     def adjacency(self) -> Dict[int, Set[int]]:
-        """Undirected communication topology: :meth:`links` of every peer."""
-        return {peer_id: self.links(peer_id) for peer_id in self._neighbours}
+        """Undirected communication topology: a copy of every :meth:`links`."""
+        return {peer_id: set(links) for peer_id, links in self._links.items()}
 
     def snapshot(self) -> TopologySnapshot:
         """Immutable snapshot of the current topology."""
@@ -410,7 +405,7 @@ class OverlayNetwork:
     def notify_selection_change(
         self, peer_id: int, previous: Set[int], selected: Set[int]
     ) -> None:
-        """Record one installed selection change into every delta recorder.
+        """Record one installed selection change into the links and recorders.
 
         The undirected adjacency of the selecting peer and of both the
         gained and lost targets may have changed; everything else provably
@@ -424,30 +419,24 @@ class OverlayNetwork:
         links directly.  ``tests/test_write_census.py`` pins that set of
         writers.
 
-        The same routing invariant is what keeps the reverse selector index
-        exact: every installed selection change updates ``_selectors_of``
-        here, in O(changed edges), before the recorders are notified.
-
-        Under a gossip radius it is also where the incremental engine learns
-        the *undirected* edge flips its maintained knowledge sets are built
-        from: ``{peer_id, target}`` appears or vanishes exactly when
-        ``target`` enters or leaves the selection while ``target`` does not
-        itself select ``peer_id``.
+        The same routing keeps the links exact: ``{peer_id, target}`` flips
+        exactly when ``target`` enters or leaves the selection while it does
+        not select ``peer_id``.  Under a gossip radius each flip is reported
+        to the engine, whose maintained knowledge sets are built from them.
         """
-        if self._gossip_radius is not None and self._engine is not None:
-            for target in previous ^ selected:
-                if peer_id not in self._neighbours[target]:
-                    self._engine.note_edge_flip(peer_id, target, target in selected)
-        for target in selected:
-            if target not in previous:
-                self._selectors_of.setdefault(target, set()).add(peer_id)
-        for target in previous:
-            if target not in selected:
-                owners = self._selectors_of.get(target)
-                if owners is not None:
-                    owners.discard(peer_id)
-                    if not owners:
-                        del self._selectors_of[target]
+        links = self._links
+        flips = self._engine if self._gossip_radius is not None else None
+        for target in previous ^ selected:
+            if peer_id not in self._neighbours[target]:
+                present = target in selected
+                if present:
+                    links[peer_id].add(target)
+                    links[target].add(peer_id)
+                else:
+                    links[peer_id].discard(target)
+                    links[target].discard(peer_id)
+                if flips is not None:
+                    flips.note_edge_flip(peer_id, target, present)
         if not self._delta_recorders:
             return
         touched = {peer_id}
@@ -462,11 +451,10 @@ class OverlayNetwork:
         incremental round protocols and the :meth:`reselect_round` sweep):
         each entry replaces one peer's directed selection, and every actual
         change routes through :meth:`notify_selection_change` -- so the
-        delta-stream contract and the reverse selector index hold per peer
-        no matter how the batch was computed.  Entries equal
-        to the installed selection are skipped without notifying; peers
-        absent from ``results`` are untouched.  Iteration is in ascending
-        peer id for determinism.
+        delta-stream contract and the links hold per peer no matter how the
+        batch was computed.  Entries equal to the installed selection are
+        skipped without notifying; peers absent from ``results`` are
+        untouched.  Iteration is in ascending peer id for determinism.
         """
         changed = False
         for peer_id in sorted(results):
@@ -505,7 +493,7 @@ class OverlayNetwork:
             raise KeyError(f"unknown peer {peer_id}")
         if self._gossip_radius is None:
             return [info for other, info in self._peers.items() if other != peer_id]
-        reachable = peers_within_hops(self.adjacency(), peer_id, self._gossip_radius)
+        reachable = peers_within_hops(self._links, peer_id, self._gossip_radius)
         return [
             self._peers[other]
             for other in sorted(self._candidate_ids(peer_id, reachable))
@@ -545,7 +533,7 @@ class OverlayNetwork:
                 for peer_id in self._peers
             }
         else:
-            reachable = knowledge_sets(self.adjacency(), self._gossip_radius)
+            reachable = knowledge_sets(self._links, self._gossip_radius)
             candidates_by_peer = {
                 peer_id: [
                     self._peers[other]
@@ -672,19 +660,6 @@ class OverlayNetwork:
     # ------------------------------------------------------------------
     # Bulk builders
     # ------------------------------------------------------------------
-    def _rebuild_selectors(self) -> None:
-        """Recompute the reverse selector index from the neighbour map.
-
-        Bulk paths that install a whole topology at once (the equilibrium
-        builder) rewrite ``_neighbours`` without routing the per-peer
-        changes through :meth:`notify_selection_change`; one O(edges) pass
-        restores the index.
-        """
-        self._selectors_of = {}
-        for peer_id, neighbour_ids in self._neighbours.items():
-            for target in neighbour_ids:
-                self._selectors_of.setdefault(target, set()).add(peer_id)
-
     @classmethod
     def build_equilibrium(
         cls,
@@ -718,7 +693,12 @@ class OverlayNetwork:
         overlay._neighbours = {
             peer_id: set(equilibrium.get(peer_id, set())) for peer_id in overlay._peers
         }
-        overlay._rebuild_selectors()
+        # The topology lands without per-peer notifications: derive the links.
+        links = {peer_id: set(selected) for peer_id, selected in overlay._neighbours.items()}
+        for peer_id, selected in overlay._neighbours.items():
+            for target in selected:
+                links[target].add(peer_id)
+        overlay._links = links
         return overlay
 
     @classmethod

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sweep_oracle import sweep_apply_batch, sweep_converge
+from sweep_oracle import literal_links, sweep_apply_batch, sweep_converge
 
 from repro.metrics.trees import tree_metrics
 from repro.multicast.incremental import StabilityTreeMaintainer
@@ -34,6 +34,12 @@ from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.k_closest import KClosestSelection
 from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
 from repro.workloads.peers import generate_peers_with_lifetimes
+
+
+def _assert_links_are_literal(overlay):
+    """``links(p)`` is exactly what its definition derives from the directed map."""
+    links = {peer_id: set(overlay.links(peer_id)) for peer_id in overlay.peer_ids}
+    assert links == literal_links(overlay)
 
 
 def _peers(count, dimension=2):
@@ -500,9 +506,11 @@ def test_batched_epochs_match_per_event_convergence(peers, selection_factory, sc
     for batch in batches:
         fast.apply_batch(batch)
         fast_maintainer.refresh()
+        _assert_links_are_literal(fast)
         for event in batch:
             slow.apply_batch((event,))
             slow_maintainer.refresh()
+            _assert_links_are_literal(slow)
 
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
         fast_forest = fast_maintainer.forest()
@@ -551,3 +559,5 @@ def test_batched_incremental_matches_batched_full_sweep(
         fast.apply_batch(batch)
         sweep_apply_batch(slow, batch)
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+        _assert_links_are_literal(fast)
+        _assert_links_are_literal(slow)

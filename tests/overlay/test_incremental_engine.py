@@ -162,9 +162,7 @@ def _next_plan(overlay):
     """The round the live full-knowledge engine would run next.  Planning is
     a pure function of the view's state until ``end_round`` closes a round."""
     view = overlay._engine._view  # noqa: SLF001 - the verdicts are the view's decisions
-    plan = view.plan_round(
-        overlay._selectors_of, overlay.selection.path_independent  # noqa: SLF001
-    )
+    plan = view.plan_round(overlay.selectors, overlay.selection.path_independent)
     assert set(plan.scheduled_ids.tolist()) == set(overlay.peer_ids)
     masks = (plan.full_mask, plan.skip_mask, plan.additive_mask)
     # Pairwise disjoint and covering the schedule.

@@ -8,8 +8,9 @@ incremental overlay and its full-sweep twin at radius 1, 2 and 3 and check,
 after every convergence, that
 
 * the maintained sets equal ``knowledge_sets(overlay.adjacency(), BR)`` --
-  plain BFS per peer, the oracle -- and the maintained adjacency equals
-  ``overlay.adjacency()``;
+  plain BFS per peer, the oracle -- every count level equals the counts
+  derived from the BFS sets one level down, and the overlay's links are
+  the literal union of selected and selectors;
 * no support, adjacency, pending or history entry is keyed by a departed id,
   and the view's history is one flag per alive peer, never an id collection;
 * every move reached exactly the peers whose oracle set held the mover at the
@@ -32,7 +33,7 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sweep_oracle import sweep_apply_batch, sweep_converge
+from sweep_oracle import literal_links, sweep_apply_batch, sweep_converge
 
 from repro.overlay.gossip import MaintainedKnowledgeSets, knowledge_sets
 from repro.overlay.network import BatchJoin, BatchLeave, BatchMove, OverlayNetwork
@@ -77,10 +78,21 @@ def _assert_maintained_state_is_exact(overlay):
     knowledge = view._knowledge  # noqa: SLF001
     alive = set(overlay.peer_ids)
     adjacency = overlay.adjacency()
+    assert {peer_id: set(overlay.links(peer_id)) for peer_id in alive} == literal_links(overlay)
     oracle = knowledge_sets(adjacency, overlay.gossip_radius)
     assert {peer_id: set(knowledge.known(peer_id)) for peer_id in alive} == oracle
-    levels = knowledge._levels  # noqa: SLF001 - level 0 is the adjacency
-    assert {peer_id: set(levels[0][peer_id]) for peer_id in alive} == adjacency
+    assert knowledge._tracked == alive  # noqa: SLF001
+    # Level 0 is the overlay's links; level k counts, per peer, the links q
+    # whose M_k(q) (q plus its BFS k-hop set) holds each other id.
+    levels = knowledge._levels  # noqa: SLF001
+    for hops, level in enumerate(levels, start=1):
+        within = knowledge_sets(adjacency, hops)
+        expected = {peer_id: {} for peer_id in alive}
+        for peer_id, support in expected.items():
+            for neighbour in adjacency[peer_id]:
+                for member in ({neighbour} | within[neighbour]) - {peer_id}:
+                    support[member] = support.get(member, 0) + 1
+        assert level == expected
     for level in levels:
         assert set(level) == alive
         for peer_id, support in level.items():
@@ -235,25 +247,20 @@ def test_the_window_is_the_difference_of_two_bfs_oracles(radius, script):
     -- the property ``note_move`` rests on, also checked before the drain
     through ``known_at_last_drain``.
     """
-    knowledge = MaintainedKnowledgeSets(radius)
     adjacency = {}
+    knowledge = MaintainedKnowledgeSets(radius, adjacency.__getitem__)
     previous = {}
     for action, first, second in script + [("drain", 0, 0)]:
         if action == "toggle":
             if first in adjacency:
-                knowledge.remove_peer(first)
-                for other in adjacency.pop(first):
-                    adjacency[other].discard(first)
+                _leave(adjacency, knowledge, first)
             else:
                 knowledge.add_peer(first)
                 adjacency[first] = set()
         elif action == "flip":
             if first == second or first not in adjacency or second not in adjacency:
                 continue
-            present = second not in adjacency[first]
-            knowledge.flip(first, second, present)
-            for peer, other in ((first, second), (second, first)):
-                (adjacency[peer].add if present else adjacency[peer].discard)(other)
+            _flip(adjacency, knowledge, first, second, second not in adjacency[first])
         else:
             oracle = knowledge_sets(adjacency, radius)
             for peer_id in adjacency:
@@ -272,6 +279,21 @@ def test_the_window_is_the_difference_of_two_bfs_oracles(radius, script):
                 assert all(window[other][peer_id] == sign for other, sign in net.items())
             assert {p: set(knowledge.known(p)) for p in adjacency} == oracle
             previous = oracle
+
+
+def _flip(adjacency, knowledge, first, second, present):
+    """The owner's protocol: update the links, then report the flip."""
+    for peer, other in ((first, second), (second, first)):
+        (adjacency[peer].add if present else adjacency[peer].discard)(other)
+    knowledge.flip(first, second, present)
+
+
+def _leave(adjacency, knowledge, peer_id):
+    """A departure withdraws every edge before ``remove_peer``."""
+    for other in sorted(adjacency[peer_id]):
+        _flip(adjacency, knowledge, peer_id, other, False)
+    knowledge.remove_peer(peer_id)
+    del adjacency[peer_id]
 
 
 def test_a_move_reaches_the_knowers_of_a_window_ago_not_the_live_ones():
@@ -327,7 +349,9 @@ class TestMaintainedKnowledgeSets:
     @staticmethod
     def _line(radius):
         adjacency = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}
-        return adjacency, MaintainedKnowledgeSets.from_adjacency(adjacency, radius)
+        return adjacency, MaintainedKnowledgeSets.from_links(
+            adjacency, adjacency.__getitem__, radius
+        )
 
     def test_adopting_a_topology_matches_bfs_and_reports_nothing_changed(self):
         for radius in (1, 2, 3, 4):
@@ -338,9 +362,7 @@ class TestMaintainedKnowledgeSets:
 
     def test_a_flip_dirties_exactly_the_peers_whose_set_moved(self):
         adjacency, knowledge = self._line(2)
-        knowledge.flip(0, 4, True)  # close the ring
-        adjacency[0].add(4)
-        adjacency[4].add(0)
+        _flip(adjacency, knowledge, 0, 4, True)  # close the ring
         before = knowledge_sets({0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}, 2)
         after = knowledge_sets(adjacency, 2)
         assert {p: set(knowledge.known(p)) for p in adjacency} == after
@@ -352,14 +374,14 @@ class TestMaintainedKnowledgeSets:
         assert knowledge.drain_changed() == {}
 
     def test_a_gain_and_a_loss_of_one_id_inside_a_window_cancel(self):
-        _, knowledge = self._line(2)
-        knowledge.flip(0, 4, True)
-        knowledge.flip(0, 4, False)
+        adjacency, knowledge = self._line(2)
+        _flip(adjacency, knowledge, 0, 4, True)
+        _flip(adjacency, knowledge, 0, 4, False)
         assert knowledge.drain_changed() == {}
 
     def test_a_departure_leaves_no_entry_keyed_by_the_departed_id(self):
-        _, knowledge = self._line(3)
-        knowledge.remove_peer(2)
+        adjacency, knowledge = self._line(3)
+        _leave(adjacency, knowledge, 2)
         remaining = {0: {1}, 1: {0}, 3: {4}, 4: {3}}
         assert {p: set(knowledge.known(p)) for p in remaining} == knowledge_sets(remaining, 3)
         for level in knowledge._levels:  # noqa: SLF001
@@ -375,9 +397,10 @@ class TestMaintainedKnowledgeSets:
     def test_a_rejoin_nets_against_what_the_departed_id_knew(self):
         adjacency, knowledge = self._line(2)
         assert knowledge.known_at_last_drain(2) == {0, 1, 3, 4}
-        knowledge.remove_peer(2)
+        _leave(adjacency, knowledge, 2)
+        adjacency[2] = set()
         knowledge.add_peer(2)
-        knowledge.flip(2, 1, True)
+        _flip(adjacency, knowledge, 2, 1, True)
         # Peer 2 now knows {0, 1}; a window ago the id knew {0, 1, 3, 4}.
         assert knowledge.known_at_last_drain(2) == {0, 1, 3, 4}
         assert sorted(knowledge.changed_peers()) == [1, 2, 3, 4]

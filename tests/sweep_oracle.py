@@ -51,6 +51,16 @@ def sweep_apply_batch(overlay: OverlayNetwork, events, *, max_rounds: int = 50) 
     return sweep_converge(overlay, max_rounds=max_rounds)
 
 
+def literal_links(overlay: OverlayNetwork):
+    """Every peer's undirected links by their definition, from the directed
+    map alone: the peers it selected plus the peers that selected it."""
+    selected = overlay.directed_neighbour_map()
+    return {
+        peer_id: set(mine) | {other for other, theirs in selected.items() if peer_id in theirs}
+        for peer_id, mine in selected.items()
+    }
+
+
 def sweep_build(peers, selection, *, rng, gossip_radius=None) -> OverlayNetwork:
     """``build_incremental``'s insertion order and bootstrap draws, every
     convergence on the oracle."""

@@ -40,7 +40,7 @@ def bootstrapped(radius):
         for position, peer in enumerate(peers[1:POPULATION], start=1)])
     maintainer, feed = StabilityTreeMaintainer(overlay), OverlayConnectivityFeed(overlay)
     ids = overlay.peer_ids
-    for name in ("_peers", "_neighbours", "_selectors_of"):
+    for name in ("_peers", "_neighbours", "_links"):
         setattr(overlay, name, _Guarded(getattr(overlay, name)))
     view = overlay._engine._view  # noqa: SLF001 - the maps under test are private
     if isinstance(view, ColumnarCandidateState):

@@ -1,17 +1,28 @@
 """A pinned census over ``src/repro``: ``_neighbours`` has only
 ``NEIGHBOUR_WRITERS``, each telling the delta recorders unless nothing can
-observe it yet; ``_peers`` and ``.coordinates`` have only ``PEER_WRITERS``,
-each maintaining ``self._index``.  A write is a store, delete, augmented
-assignment or mutating call on the map, an entry or a local alias."""
+observe it yet; ``_links`` has only ``LINK_WRITERS``, each reporting its
+edge flips unless it only creates an isolated entry or a fresh overlay;
+``_peers`` and ``.coordinates`` have only ``PEER_WRITERS``, each maintaining
+``self._index``.  A write is a store, delete, augmented assignment or
+mutating call on the map, an entry or a local alias.  At run time nothing
+but the overlay holds ``_links``: its readers go through ``overlay.links``."""
 
 import ast
+import gc
 from functools import lru_cache
 from pathlib import Path
+
+from repro.multicast.incremental import OverlayConnectivityFeed, StabilityTreeMaintainer
+from repro.overlay.network import OverlayNetwork
+from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
+from repro.workloads.peers import generate_peers_with_lifetimes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 NETWORK = "overlay/network.py"
 NEIGHBOUR_WRITERS = {"__init__", "add_peer", "remove_peer", "install_selections",
                      "build_equilibrium"}
+LINK_WRITERS = {"__init__", "add_peer", "remove_peer", "notify_selection_change",
+                "build_equilibrium"}
 PEER_WRITERS = {"__init__", "add_peer", "remove_peer", "move_peer", "build_equilibrium"}
 MUTATORS = {"add", "discard", "remove", "update", "clear", "pop", "popitem", "setdefault",
             "difference_update", "intersection_update", "symmetric_difference_update"}
@@ -60,6 +71,9 @@ def census_problems(sources):
         "_neighbours": (NEIGHBOUR_WRITERS, "notifying the recorders", lambda function: (
             function.name in {"__init__", "build_equilibrium"}  # a fresh overlay
             or _calls(function, {"notify_selection_change", "note_touch"}))),
+        "_links": (LINK_WRITERS, "reporting the flips", lambda function: (
+            function.name in {"__init__", "add_peer", "build_equilibrium"}
+            or _calls(function, {"note_edge_flip"}))),
         "_peers": (PEER_WRITERS, "maintaining the index", lambda function: (
             _calls(function, {"insert", "remove", "move"}, on="_index") or _writes(
                 function, "OverlayNetwork", {"_index"}))),
@@ -93,3 +107,23 @@ def network_sources(needle=None, replacement="", appended=""):
 def test_the_overlay_maps_have_exactly_the_pinned_writers():
     assert census_problems(network_sources()) == []
 
+
+
+def test_the_reverse_selector_index_is_gone():
+    assert not [path for path, source in network_sources().items() if "_selectors_of" in source]
+
+
+def test_only_the_overlay_holds_its_links():
+    """The radius view's knowledge sets and the connectivity tracker read
+    the links through the bound ``overlay.links``, never the dict itself."""
+    peers = generate_peers_with_lifetimes(30, 2, seed=3)
+    overlay = OverlayNetwork.build_incremental(peers, EmptyRectangleSelection(), gossip_radius=2)
+    maintainer, feed = StabilityTreeMaintainer(overlay), OverlayConnectivityFeed(overlay)
+    maintainer.refresh()
+    assert feed.is_connected()
+    knowledge = overlay._engine._view._knowledge  # noqa: SLF001 - the readers under test
+    assert knowledge._links == overlay.links  # noqa: SLF001
+    assert feed.tracker._links_of == overlay.links  # noqa: SLF001
+    holders = [holder for holder in gc.get_referrers(overlay._links)  # noqa: SLF001
+               if holder is not overlay and holder is not vars(overlay)]
+    assert holders == []
