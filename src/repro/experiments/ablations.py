@@ -21,12 +21,11 @@ Five ablations complement the figure reproductions (ids A1-A4 and A8):
   path that makes per-event convergence affordable), and reports the
   reconvergence effort and whether the overlay ever disconnects.  The
   connectivity verdict comes from an
-  :class:`repro.multicast.incremental.IncrementalConnectivity` tracker that
-  reads the overlay's links in place, told where to look by the overlay
-  delta stream -- no per-event graph reconstruction, no second copy of the
-  graph; new edges are unioned at the next query that still has a split to
-  heal and deletion batches trigger at most one spanning-forest repair per
-  query.
+  :class:`repro.multicast.incremental.OverlayConnectivityFeed`, which counts
+  the roots of the Section 3 forest over the overlay's links, told where to
+  look by the overlay delta stream -- no per-event graph reconstruction, no
+  second copy of the graph; only a query that finds more than one root
+  runs a BFS over the links.
 * **Network model (A8)** -- the message-level replay under the real-network
   :class:`~repro.simulation.netmodel.LinkModel`: the same seeded population
   is settled under the ideal constant-latency network and under arms with
@@ -141,8 +140,6 @@ class OverlayChurnRow:
     maximum_rounds_per_event: int
     disconnected_events: int
     connectivity_rebuilds: int
-    connectivity_edges_scanned: int
-    connectivity_full_scans: int
 
 
 @dataclass(frozen=True)
@@ -319,11 +316,11 @@ def run_overlay_churn_ablation(
     this ablation exists to exercise -- and the row records how many
     reselection rounds the engine needed and whether the overlay was ever
     observed disconnected after settling.  The connectivity check runs on
-    the delta-fed :class:`IncrementalConnectivity` tracker, so no graph is
-    reconstructed inside the per-event loop; the row also reports how many
-    certificate repairs the deletion batches actually triggered, how many
-    edges those repairs fed to the union-find and how often one fell back to
-    scanning every node's links.
+    the delta-fed :class:`OverlayConnectivityFeed`, so no graph is
+    reconstructed inside the per-event loop; ``connectivity_rebuilds``
+    counts the queries that found more than one stability-forest root and
+    fell back to a BFS over the links (none here: under full knowledge with
+    an orthant rule and lifetimes on the first axis, one root is a theorem).
     """
     resolved = scale if scale is not None else resolve_scale()
     seed = derive_seed(resolved.seed, 14, dimension, k)
@@ -346,10 +343,7 @@ def run_overlay_churn_ablation(
         )
         if not feed.is_connected():
             join_disconnected += 1
-    tracker = feed.tracker
-    join_rebuilds = tracker.rebuilds
-    join_scanned = tracker.edges_scanned
-    join_full_scans = tracker.full_scans
+    join_rebuilds = feed.rebuilds
     rows.append(
         OverlayChurnRow(
             phase="join",
@@ -360,8 +354,6 @@ def run_overlay_churn_ablation(
             maximum_rounds_per_event=max(join_rounds, default=0),
             disconnected_events=join_disconnected,
             connectivity_rebuilds=join_rebuilds,
-            connectivity_edges_scanned=join_scanned,
-            connectivity_full_scans=join_full_scans,
         )
     )
 
@@ -375,8 +367,8 @@ def run_overlay_churn_ablation(
         if overlay.peer_count > 1 and not feed.is_connected():
             leave_disconnected += 1
     # The last one or two departures skip the connectivity query (a 0/1-peer
-    # overlay is trivially connected); fold them in so the tracker mirrors
-    # the final overlay state and the rebuild count covers every event.
+    # overlay is trivially connected); fold them in so the feed mirrors the
+    # final overlay state.
     feed.sync()
     rows.append(
         OverlayChurnRow(
@@ -387,9 +379,7 @@ def run_overlay_churn_ablation(
             total_rounds=sum(leave_rounds),
             maximum_rounds_per_event=max(leave_rounds, default=0),
             disconnected_events=leave_disconnected,
-            connectivity_rebuilds=tracker.rebuilds - join_rebuilds,
-            connectivity_edges_scanned=tracker.edges_scanned - join_scanned,
-            connectivity_full_scans=tracker.full_scans - join_full_scans,
+            connectivity_rebuilds=feed.rebuilds - join_rebuilds,
         )
     )
 
@@ -403,9 +393,7 @@ def run_overlay_churn_ablation(
             "rounds",
             "max rounds",
             "disconnected",
-            "uf rebuilds",
-            "uf edges scanned",
-            "uf full scans",
+            "fallback scans",
         ),
         rows=tuple(
             (
@@ -417,8 +405,6 @@ def run_overlay_churn_ablation(
                 row.maximum_rounds_per_event,
                 row.disconnected_events,
                 row.connectivity_rebuilds,
-                row.connectivity_edges_scanned,
-                row.connectivity_full_scans,
             )
             for row in rows
         ),

@@ -5,12 +5,12 @@ against a live :class:`~repro.overlay.network.OverlayNetwork` with the full
 event-driven observability stack attached -- a
 :class:`~repro.multicast.incremental.StabilityTreeMaintainer` (streaming tree
 metrics, no snapshot rebuilds) and an
-:class:`~repro.multicast.incremental.OverlayConnectivityFeed` (union-find
-connectivity, no per-event graph reconstruction) -- and samples tree health
-and connectivity once per epoch.  Each batch goes through
-:meth:`~repro.overlay.network.OverlayNetwork.apply_batch`, so an epoch pays
-**one** convergence and one tree ``refresh()``; the bootstrap rng is
-re-seeded per run, so replays of one trace are identical.
+:class:`~repro.multicast.incremental.OverlayConnectivityFeed` (connectivity
+from the stability forest's root count, no per-event graph reconstruction)
+-- and samples tree health and connectivity once per epoch.  Each batch
+goes through :meth:`~repro.overlay.network.OverlayNetwork.apply_batch`, so
+an epoch pays **one** convergence and one tree ``refresh()``; the bootstrap
+rng is re-seeded per run, so replays of one trace are identical.
 """
 
 from __future__ import annotations
@@ -84,8 +84,6 @@ class TraceRunResult:
     reparent_operations: int
     full_rebuilds: int
     connectivity_rebuilds: int
-    connectivity_edges_scanned: int
-    connectivity_full_scans: int
     wall_seconds: float
     final_neighbours: Dict[int, FrozenSet[int]]
     final_parents: Dict[int, Optional[int]]
@@ -115,6 +113,12 @@ class TraceRunResult:
 
 class TraceRunner:
     """Replays churn traces against fresh overlays with live metrics attached.
+
+    ``TraceRunResult.connectivity_rebuilds`` counts the epochs whose
+    connectivity query found more than one stability-forest root and fell
+    back to a BFS over the links.  Under full knowledge with an orthant rule
+    (empty rectangle, orthogonal hyperplanes) and lifetimes on the first
+    axis, one root is a theorem and the count is 0.
 
     Parameters
     ----------
@@ -201,9 +205,7 @@ class TraceRunner:
             total_rounds=total_rounds,
             reparent_operations=maintainer.engine.reparent_operations,
             full_rebuilds=maintainer.full_rebuilds,
-            connectivity_rebuilds=feed.tracker.rebuilds,
-            connectivity_edges_scanned=feed.tracker.edges_scanned,
-            connectivity_full_scans=feed.tracker.full_scans,
+            connectivity_rebuilds=feed.rebuilds,
             wall_seconds=wall_seconds,
             final_neighbours=overlay.directed_neighbour_map(),
             final_parents=maintainer.engine.parent_map(),
@@ -250,8 +252,6 @@ class TraceScenarioRow:
     reparent_operations: int
     always_connected: bool
     connectivity_rebuilds: int
-    connectivity_edges_scanned: int
-    connectivity_full_scans: int
     maximum_height: int
     maximum_degree: int
     wall_seconds: float
@@ -350,8 +350,6 @@ def run_trace_scenarios(
                 reparent_operations=result.reparent_operations,
                 always_connected=result.always_connected,
                 connectivity_rebuilds=result.connectivity_rebuilds,
-                connectivity_edges_scanned=result.connectivity_edges_scanned,
-                connectivity_full_scans=result.connectivity_full_scans,
                 maximum_height=result.maximum_height,
                 maximum_degree=result.maximum_degree,
                 wall_seconds=result.wall_seconds,
@@ -370,9 +368,7 @@ def run_trace_scenarios(
             "rounds",
             "reparents",
             "connected",
-            "uf rebuilds",
-            "uf edges scanned",
-            "uf full scans",
+            "fallback scans",
             "max height",
             "max degree",
             "wall [s]",
@@ -389,8 +385,6 @@ def run_trace_scenarios(
                 row.reparent_operations,
                 row.always_connected,
                 row.connectivity_rebuilds,
-                row.connectivity_edges_scanned,
-                row.connectivity_full_scans,
                 row.maximum_height,
                 row.maximum_degree,
                 f"{row.wall_seconds:.2f}",

@@ -47,7 +47,6 @@ from repro.multicast.dissemination import (
     simulate_departures,
 )
 from repro.multicast.incremental import (
-    IncrementalConnectivity,
     OverlayConnectivityFeed,
     StabilityTreeMaintainer,
     TreeDelta,
@@ -87,7 +86,6 @@ __all__ = [
     "TreeDelta",
     "TreeMaintenanceEngine",
     "StabilityTreeMaintainer",
-    "IncrementalConnectivity",
     "OverlayConnectivityFeed",
     "FloodingResult",
     "flood_multicast",

@@ -28,19 +28,15 @@ overlay object, never through its private dicts.
   (:func:`repro.multicast.stability.choose_preferred_parent`), over the
   overlay's links and the engine's own lifetimes -- for exactly the peers
   whose adjacency may have changed, and re-issues the links that differ.
-* :class:`IncrementalConnectivity` -- a union-find connectivity tracker over
-  a graph it *reads* through a neighbour function and never stores.  Its only
-  state besides the union-find is the spanning forest whose unions built it,
-  kept as a certificate of the component count: :meth:`~IncrementalConnectivity.recheck`
-  takes the delta stream's ``touched`` set, drops the certificate edges that
-  no longer exist (which is the only thing that dirties the epoch) and marks
-  the rechecked nodes *loose* -- the places where new edges can be.  A clean
-  query unions the links around loose nodes, and only while more than one
-  component is left; a dirty one first resets the union-find to the trees
-  of the surviving forest, and scans every node's links only when all that
-  leaves the graph split.
-  :class:`OverlayConnectivityFeed` is the tracker bound to an overlay; it
-  replaces the per-event full-graph connectivity recomputation in the
+* :class:`OverlayConnectivityFeed` -- overlay connectivity certified by the
+  Section 3 rule itself.  Every peer's preferred link goes to a strictly
+  longer-lived overlay neighbour, so the links form a forest over every
+  alive peer, and at most one *root* (a peer none of whose links outlives
+  it) means the overlay is connected.  The feed keeps the lifetimes and
+  the root set, re-testing only the peers each drained window names; only
+  when more than one root is left does a query run one BFS over the links
+  (:attr:`~OverlayConnectivityFeed.rebuilds` counts these fallback scans).
+  It replaces the per-event full-graph connectivity recomputation in the
   overlay-churn ablation (A4).
 
 Invariants the repair engine preserves (and validates on every operation):
@@ -64,7 +60,7 @@ rejects them (the paper assumes pairwise-distinct lifetimes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.metrics.trees import StreamingTreeMetrics, TreeMetrics
 from repro.multicast.dissemination import TreeHealthSample
@@ -81,7 +77,6 @@ __all__ = [
     "TreeDelta",
     "TreeMaintenanceEngine",
     "StabilityTreeMaintainer",
-    "IncrementalConnectivity",
     "OverlayConnectivityFeed",
 ]
 
@@ -519,288 +514,94 @@ class StabilityTreeMaintainer:
 
 
 class OverlayConnectivityFeed:
-    """Keeps an :class:`IncrementalConnectivity` in sync with a live overlay.
+    """Connectivity of a live overlay, certified by the stability forest's roots.
 
-    The tracker reads the overlay's undirected links in place; the feed
-    subscribes to the overlay's delta stream and tells the tracker where to
-    look -- departed peers removed, unknown alive ones added, every alive
-    touched peer rechecked -- so a connectivity query after a membership
-    event costs the tracker's union/repair work instead of a full topology
-    snapshot plus graph traversal per event.  This is the glue ablation A4
-    and the churn experiments query between events.
+    Section 3 links every peer to a strictly longer-lived overlay neighbour
+    whenever it has one, so following those links from any peer ends at a
+    *root* -- a peer none of whose links outlives it -- and every peer is
+    connected to some root: at most one root means the overlay is
+    connected.  The feed keeps each alive peer's lifetime and the set of
+    roots.  Each :meth:`sync` drains the overlay's delta stream, forgets the
+    departed peers, refreshes the lifetimes of the alive touched or joined
+    ones and re-tests exactly those, reading :meth:`OverlayNetwork.links`
+    in place; a non-root usually stops at its first or second link.  With
+    more than one root, :meth:`is_connected` answers with one BFS over the
+    links, the literal definition, and counts it in :attr:`rebuilds`.
+    This is the glue ablation A4 and the churn experiments query between
+    events.
     """
 
     def __init__(self, overlay: OverlayNetwork) -> None:
         self._overlay = overlay
         self._recorder = overlay.delta_stream()
-        self.tracker = IncrementalConnectivity(overlay.links)
-        peer_ids = overlay.peer_ids
-        for peer_id in peer_ids:
-            self.tracker.add_node(peer_id)
-        # Every node loose: the first query unions the edges found there.
-        self.tracker.recheck(peer_ids)
-
-    def sync(self) -> None:
-        """Fold the overlay changes since the last sync into the tracker."""
-        delta = self._recorder.drain()
-        if delta.is_empty:
-            return
-        overlay = self._overlay
-        tracker = self.tracker
-        # Departures first: a peer that left and rejoined inside the window
-        # comes back as a fresh node, certified by its new edges only.
-        for peer_id in delta.departed:
-            if peer_id in tracker:
-                tracker.remove_node(peer_id)
-        alive = [p for p in delta.touched | delta.joined if p in overlay]
-        for peer_id in alive:
-            if peer_id not in tracker:
-                tracker.add_node(peer_id)
-        tracker.recheck(alive)
-
-    def is_connected(self) -> bool:
-        """Sync, then ask the tracker."""
-        self.sync()
-        return self.tracker.is_connected()
-
-
-class IncrementalConnectivity:
-    """Connectivity of a dynamic graph it reads but does not store.
-
-    The graph lives with its owner; the tracker is built over a *neighbour
-    function* (``node -> iterable of the nodes it is linked to``, undirected)
-    and keeps only the node set, a union-find over it, and the *forest*: the
-    edges whose union merged two classes, as per-node forest-neighbour sets.
-    The forest is a spanning forest of the graph as of the last query --
-    ``forest edges == node_count - component_count()`` whenever the
-    structure is clean -- and so the certificate of the component count.
-
-    The owner reports changes the way the overlay's delta stream does -- by
-    naming the nodes whose links may have changed, both endpoints of every
-    added or removed edge -- through :meth:`recheck`, which
-
-    * drops the forest edges of a rechecked node that no longer exist, marks
-      their far endpoints *loose* and the epoch dirty (an edge **outside**
-      the forest can vanish without changing any component, so it dirties
-      nothing -- and nothing even looks at it);
-    * marks the rechecked node itself loose: the only places a *new* edge
-      can be.
-
-    A forest edge that vanishes without either endpoint being rechecked (or
-    removed) is out of contract: the tracker would keep certifying with it.
-
-    Queries read the graph as it is *then*.  A clean query with a single
-    component ignores the loose nodes (no new edge can merge anything); with
-    more, it unions the links around them.  A dirty query *repairs* the
-    certificate (:attr:`rebuilds` counts these, one per queried batch of
-    certificate deletions): the union-find is reset to the trees of the
-    surviving forest (one walk over at most ``N - 1`` edges), then fed the
-    links around loose nodes, stopping once one component is left.  Only
-    when those local stages leave a split does the repair scan the links of
-    every node (:attr:`full_scans`), with the same early exit; the fallback
-    is what keeps the answer exact -- a replacement edge need not touch a
-    loose node (a chord around the cut does not) -- because whatever the
-    full scan leaves split is split.
-    """
-
-    def __init__(self, links_of: Callable[[int], Iterable[int]]) -> None:
-        self._links_of = links_of
-        # Forest-neighbour sets; the keys are the tracked nodes.
-        self._forest: Dict[int, Set[int]] = {}
-        self._uf_parent: Dict[int, int] = {}
-        self._uf_rank: Dict[int, int] = {}
-        self._components = 0
-        self._dirty = False
-        self._loose: Set[int] = set()
+        self._lifetimes: Dict[int, float] = {}
+        self._roots: Set[int] = set()
         self._rebuilds = 0
-        self._edges_scanned = 0
-        self._full_scans = 0
-
-    # ------------------------------------------------------------------
-    # Mutations
-    # ------------------------------------------------------------------
-    def add_node(self, node: int) -> None:
-        """Track a new node, isolated until a :meth:`recheck` names it."""
-        if node in self._forest:
-            raise ValueError(f"node {node} is already tracked")
-        self._forest[node] = set()
-        self._uf_parent[node] = node
-        self._uf_rank[node] = 0
-        self._components += 1
-
-    def remove_node(self, node: int) -> None:
-        """Forget a node (its links are the owner's to drop).
-
-        Dirties the epoch when the node carried a forest edge -- in a clean
-        structure, whenever it had any edge at the last query -- and marks
-        the far endpoints of those forest edges loose.
-        """
-        forest = self._forest
-        try:
-            certified = forest.pop(node)
-        except KeyError:
-            raise KeyError(f"node {node} is not tracked") from None
-        if certified:
-            for other in certified:
-                forest[other].discard(node)
-            self._loose |= certified
-            self._dirty = True
-        if not self._dirty:
-            # Only a node without forest edges -- its own class in the
-            # union-find -- can leave a clean epoch clean.
-            self._components -= 1
-        self._loose.discard(node)
-        self._uf_parent.pop(node, None)
-        self._uf_rank.pop(node, None)
-
-    def recheck(self, nodes: Iterable[int]) -> None:
-        """The links of these tracked nodes may have changed; see the class docstring."""
-        forest = self._forest
-        loose = self._loose
-        links_of = self._links_of
-        for node in nodes:
-            try:
-                certified = forest[node]
-            except KeyError:
-                raise KeyError(f"node {node} is not tracked") from None
-            if certified:
-                gone = certified.difference(links_of(node))
-                if gone:
-                    certified -= gone
-                    for other in gone:
-                        forest[other].discard(node)
-                    loose |= gone
-                    self._dirty = True
-            loose.add(node)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def __contains__(self, node: int) -> bool:
-        return node in self._forest
+        self._retest(overlay.peer_ids)
 
     @property
-    def node_count(self) -> int:
-        """Number of tracked nodes."""
-        return len(self._forest)
+    def tracker(self) -> "OverlayConnectivityFeed":
+        """The feed itself, kept because ``benchmarks/ledger`` reads
+        ``feed.tracker.rebuilds`` (the counter used to live on a separate
+        tracker object)."""
+        return self
 
     @property
     def rebuilds(self) -> int:
-        """Certificate repairs so far (one per queried batch of forest deletions)."""
+        """Fallback BFS scans so far (queries that found more than one root)."""
         return self._rebuilds
 
     @property
-    def edges_scanned(self) -> int:
-        """Edges fed to the union-find inside dirty queries, over all repairs:
-        the surviving forest's plus every link a repair tried to union."""
-        return self._edges_scanned
+    def root_count(self) -> int:
+        """Alive peers none of whose links outlives them, as of the last sync."""
+        return len(self._roots)
 
-    @property
-    def full_scans(self) -> int:
-        """Repairs whose local stages left a split and scanned every node's links."""
-        return self._full_scans
-
-    def component_count(self) -> int:
-        """Number of connected components (repairing first if dirty)."""
-        self._ensure_clean()
-        return self._components
+    def sync(self) -> None:
+        """Fold the overlay changes since the last sync into the root set."""
+        delta = self._recorder.drain()
+        if delta.is_empty:
+            return
+        # Departures first: a peer that left and rejoined inside the window
+        # is re-read below as a fresh peer.
+        for peer_id in delta.departed:
+            del self._lifetimes[peer_id]
+            self._roots.discard(peer_id)
+        overlay = self._overlay
+        self._retest([p for p in delta.touched | delta.joined if p in overlay])
 
     def is_connected(self) -> bool:
-        """``True`` when the graph is empty or one connected component."""
-        self._ensure_clean()
-        return self._components <= 1
-
-    def same_component(self, first: int, second: int) -> bool:
-        """``True`` when both tracked nodes lie in one component."""
-        for node in (first, second):
-            if node not in self._forest:
-                raise KeyError(f"node {node} is not tracked")
-        self._ensure_clean()
-        return self._find(first) == self._find(second)
-
-    # ------------------------------------------------------------------
-    # Internal union-find helpers
-    # ------------------------------------------------------------------
-    def _ensure_clean(self) -> None:
-        if not self._dirty:
-            self._absorb_around(self._loose)
-            self._loose.clear()
-            return
-        # Reset the union-find to the surviving forest's trees: one walk per
-        # tree, every member pointing straight at its root -- what unioning
-        # the tree's edges one by one would compress to.
-        forest = self._forest
-        parent: Dict[int, int] = {}
-        components = 0
-        for root in forest:
-            if root in parent:
-                continue
-            components += 1
-            parent[root] = root
-            stack = [root]
-            while stack:
-                for other in forest[stack.pop()]:
-                    if other not in parent:
-                        parent[other] = root
-                        stack.append(other)
-        self._uf_parent = parent
-        self._uf_rank = dict.fromkeys(forest, 1)
-        self._components = components
-        scanned = len(forest) - components  # the forest's edges
-        scanned += self._absorb_around(self._loose)
-        if self._components > 1:
-            self._full_scans += 1
-            scanned += self._absorb_around(forest)
-        self._loose.clear()
-        self._edges_scanned += scanned
-        self._dirty = False
+        """Sync, then read the root count; more than one root runs the BFS."""
+        self.sync()
+        if len(self._roots) <= 1:
+            return True
         self._rebuilds += 1
+        links = self._overlay.links
+        start = next(iter(self._roots))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for other in links(stack.pop()):
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        return len(seen) == self._overlay.peer_count
 
-    def _absorb_around(self, nodes: Iterable[int]) -> int:
-        """Union the links of ``nodes`` until one component is left.
+    def _retest(self, peer_ids: List[int]) -> None:
+        """Refresh these alive peers' lifetimes, then re-test each for rootness.
 
-        Merging links join the forest.  Returns the number of unions
-        attempted.
+        A move that changes a peer's lifetime touches its link partners
+        too, so their verdicts are re-tested in the same pass.
         """
-        attempted = 0
-        forest = self._forest
-        links_of = self._links_of
-        for node in nodes:
-            if self._components <= 1:
-                break
-            links = links_of(node)
-            other = None
-            try:
-                for other in links:
-                    attempted += 1
-                    if self._union(node, other):
-                        forest[node].add(other)
-                        forest[other].add(node)
-                        self._components -= 1
-            except KeyError:
-                raise KeyError(
-                    f"the neighbour function links node {node} to node {other}, "
-                    "which is not tracked"
-                ) from None
-        return attempted
-
-    def _find(self, node: int) -> int:
-        parent = self._uf_parent
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    def _union(self, first: int, second: int) -> bool:
-        root_a, root_b = self._find(first), self._find(second)
-        if root_a == root_b:
-            return False
-        rank = self._uf_rank
-        if rank[root_a] < rank[root_b]:
-            root_a, root_b = root_b, root_a
-        self._uf_parent[root_b] = root_a
-        if rank[root_a] == rank[root_b]:
-            rank[root_a] += 1
-        return True
+        peer_of, links_of = self._overlay.peer, self._overlay.links
+        lifetimes = self._lifetimes
+        for peer_id in peer_ids:
+            lifetimes[peer_id] = lifetime_of(peer_of(peer_id))
+        roots = self._roots
+        for peer_id in peer_ids:
+            own_lifetime = lifetimes[peer_id]
+            for other in links_of(peer_id):
+                if lifetimes[other] > own_lifetime:
+                    roots.discard(peer_id)
+                    break
+            else:
+                roots.add(peer_id)

@@ -71,12 +71,15 @@ def choose_preferred_parent(
     message-level :class:`repro.simulation.protocol.PeerProcess` all call
     this function, so identical links and lifetimes give identical parents.
     """
-    own_lifetime = lifetimes[peer_id]
-    return max(
-        (n for n in links if lifetimes[n] > own_lifetime),
-        key=lambda n: (lifetimes[n], -n),
-        default=None,
-    )
+    best: Optional[int] = None
+    best_lifetime = lifetimes[peer_id]
+    for other in links:
+        lifetime = lifetimes[other]
+        if lifetime > best_lifetime or (
+            lifetime == best_lifetime and best is not None and other < best
+        ):
+            best, best_lifetime = other, lifetime
+    return best
 
 
 @dataclass(frozen=True)

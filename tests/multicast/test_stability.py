@@ -1,6 +1,8 @@
 """Unit and integration tests for the Section 3 stability construction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.multicast.stability import (
     PreferredNeighbourForest,
@@ -40,6 +42,25 @@ class TestPeerLifetime:
         assert peer_lifetime(topology, 0) == 55.0
 
 
+@st.composite
+def _rule_cases(draw):
+    """A peer, its links and lifetimes drawn from a tiny pool, so links that
+    tie each other, links that tie the peer and empty links are all common."""
+    links = draw(st.lists(st.integers(min_value=1, max_value=12), max_size=8, unique=True))
+    pool = st.sampled_from([1.0, 2.0, 3.0, 4.0])
+    lifetimes = {peer: draw(pool) for peer in [0, *links]}
+    return links, lifetimes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rule_cases())
+def test_choose_preferred_parent_is_its_definition(case):
+    links, lifetimes = case
+    T = lifetimes
+    definition = max((n for n in links if T[n] > T[0]), key=lambda n: (T[n], -n), default=None)
+    assert choose_preferred_parent(0, links, lifetimes) == definition
+
+
 class TestHandBuiltTopology:
     def test_chain_forms_a_tree_ordered_by_lifetime(self):
         forest = StabilityTreeBuilder().build(hand_topology())
@@ -66,6 +87,12 @@ class TestHandBuiltTopology:
     def test_equal_lifetimes_fall_to_the_smaller_id(self):
         lifetimes = {0: 1.0, 5: 3.0, 7: 3.0}
         assert choose_preferred_parent(0, [7, 5], lifetimes) == 5
+
+    def test_a_link_as_old_as_the_peer_is_not_a_parent(self):
+        assert choose_preferred_parent(0, [3, 4], {0: 2.0, 3: 2.0, 4: 1.0}) is None
+
+    def test_no_links_no_parent(self):
+        assert choose_preferred_parent(0, [], {0: 1.0}) is None
 
     def test_duplicate_lifetimes_rejected(self):
         peers = {

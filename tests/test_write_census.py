@@ -114,8 +114,9 @@ def test_the_reverse_selector_index_is_gone():
 
 
 def test_only_the_overlay_holds_its_links():
-    """The radius view's knowledge sets and the connectivity tracker read
-    the links through the bound ``overlay.links``, never the dict itself."""
+    """The radius view's knowledge sets read the links through the bound
+    ``overlay.links``, and the connectivity feed through the overlay it
+    holds: neither keeps the dict itself."""
     peers = generate_peers_with_lifetimes(30, 2, seed=3)
     overlay = OverlayNetwork.build_incremental(peers, EmptyRectangleSelection(), gossip_radius=2)
     maintainer, feed = StabilityTreeMaintainer(overlay), OverlayConnectivityFeed(overlay)
@@ -123,7 +124,11 @@ def test_only_the_overlay_holds_its_links():
     assert feed.is_connected()
     knowledge = overlay._engine._view._knowledge  # noqa: SLF001 - the readers under test
     assert knowledge._links == overlay.links  # noqa: SLF001
-    assert feed.tracker._links_of == overlay.links  # noqa: SLF001
+    assert feed._overlay is overlay  # noqa: SLF001
+    held = list(vars(feed).values())
+    assert not [value for value in held if callable(value)]  # no bound links
+    assert not [value for value in held if isinstance(value, dict)  # no links map
+                and any(isinstance(links, (set, frozenset)) for links in value.values())]
     holders = [holder for holder in gc.get_referrers(overlay._links)  # noqa: SLF001
                if holder is not overlay and holder is not vars(overlay)]
     assert holders == []
