@@ -5,7 +5,7 @@ the paper at the scale selected by the ``REPRO_SCALE`` environment variable
 (``bench`` by default, ``paper`` for the paper's full parameters -- see
 ``repro.experiments.config``).  Each benchmark prints the measured table and,
 where the paper reports a series, the shape comparison against the values
-digitized from Figure 1; EXPERIMENTS.md summarizes one such run.
+digitized from Figure 1.
 
 The minutes-scale (``slow``-marked) benchmarks additionally *persist* their
 headline numbers through :func:`persist_bench_record`: one

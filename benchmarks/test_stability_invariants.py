@@ -12,7 +12,7 @@ from conftest import print_report
 from repro.experiments.common import build_section3_topology, derive_seed
 from repro.metrics.reporting import format_table
 from repro.multicast.dissemination import simulate_departures
-from repro.multicast.stability import StabilityTreeBuilder, peer_lifetime
+from repro.multicast.stability import StabilityTreeBuilder
 
 
 def _check_invariants(scale):
@@ -31,7 +31,7 @@ def _check_invariants(scale):
             stable = False
             if is_tree:
                 tree = forest.to_multicast_tree()
-                lifetimes = {p: peer_lifetime(topology, p) for p in topology.peers}
+                lifetimes = {p: info.lifetime for p, info in topology.peers.items()}
                 order = sorted(lifetimes, key=lifetimes.get)
                 stable = simulate_departures(tree, order).is_stable
             all_hold = all_hold and is_tree and ordered and rooted and stable

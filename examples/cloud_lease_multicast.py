@@ -33,7 +33,7 @@ def build_lease_population(count: int, dimension: int, seed: int):
     lifetimes = lease_lifetimes(count, lease_durations=[60.0, 360.0, 1440.0], seed=seed)
     other_axes = distinct_uniform_coordinates(count, dimension - 1, vmax=1440.0, seed=seed + 1)
     return [
-        make_peer(index, Point((lifetime,) + tuple(axes)), lifetime=lifetime)
+        make_peer(index, Point((lifetime,) + tuple(axes)))
         for index, (lifetime, axes) in enumerate(zip(lifetimes, other_axes))
     ]
 

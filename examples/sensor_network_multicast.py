@@ -38,7 +38,7 @@ def build_sensor_population(count: int, seed: int):
     positions = clustered_coordinates(count, 2, clusters=5, spread=0.06, seed=seed)
     batteries = battery_lifetimes(count, mean=500.0, spread=0.6, seed=seed + 1)
     return [
-        make_peer(index, Point((battery,) + tuple(position)), lifetime=battery)
+        make_peer(index, Point((battery,) + tuple(position)))
         for index, (battery, position) in enumerate(zip(batteries, positions))
     ]
 

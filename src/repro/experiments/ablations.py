@@ -62,7 +62,7 @@ from repro.multicast.baselines import (
 from repro.multicast.dissemination import simulate_departures
 from repro.multicast.incremental import OverlayConnectivityFeed
 from repro.multicast.space_partition import PickStrategy, SpacePartitionTreeBuilder
-from repro.multicast.stability import StabilityTreeBuilder, lifetime_of
+from repro.multicast.stability import StabilityTreeBuilder
 from repro.multicast.tree import MulticastTree
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
@@ -432,7 +432,7 @@ def run_churn_ablation(
     )
     peer_count = topology.peer_count
 
-    lifetimes = {peer_id: lifetime_of(info) for peer_id, info in topology.peers.items()}
+    lifetimes = {peer_id: info.lifetime for peer_id, info in topology.peers.items()}
     departure_order = sorted(lifetimes, key=lifetimes.get)
 
     rows: List[ChurnRow] = []

@@ -15,7 +15,7 @@ default for a test suite or a benchmark run.  Three scales are provided:
 
 The scale used by benchmarks is resolved by :func:`resolve_scale` from the
 ``REPRO_SCALE`` environment variable, so reproducing the paper-scale numbers
-is a one-variable change, not a code change (see EXPERIMENTS.md).
+is a one-variable change, not a code change.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The brief announcement reports all results as small bar/line charts without
 numeric tables, so the values below are approximate readings of Figure 1
 (a)-(e).  They are used only for *shape* comparison (orderings, trends,
-rough magnitudes) in EXPERIMENTS.md and in the benchmark output; nothing in
-the library treats them as exact.
+rough magnitudes) in the benchmark output; nothing in the library treats
+them as exact.
 
 All series are for ``N = 1000`` peers except panel (c), which sweeps ``N``
 at ``D = 2``.

@@ -117,16 +117,17 @@ class TraceRunner:
     ``TraceRunResult.connectivity_rebuilds`` counts the epochs whose
     connectivity query found more than one stability-forest root and fell
     back to a BFS over the links.  Under full knowledge with an orthant rule
-    (empty rectangle, orthogonal hyperplanes) and lifetimes on the first
-    axis, one root is a theorem and the count is 0.
+    (empty rectangle, orthogonal hyperplanes), one root is a theorem (a
+    peer's lifetime is its first coordinate) and the count is 0.
 
     Parameters
     ----------
     population:
         The peers the trace's event ids refer to (a mapping or a sequence
-        indexed by ``peer_id``).  Peers should carry distinct lifetimes
-        (:func:`repro.workloads.peers.generate_peers_with_lifetimes`) so the
-        stability tree is well-defined.
+        indexed by ``peer_id``).  Peers, and the targets of move events,
+        should carry distinct first coordinates -- the lifetimes ``T(P)``
+        (:func:`repro.workloads.peers.generate_peers_with_lifetimes`) -- so
+        the stability tree is well-defined.
     selection_factory:
         Zero-argument callable building the neighbour selection method; a
         fresh instance is created per run so runs never share

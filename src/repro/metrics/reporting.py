@@ -5,8 +5,7 @@ parameter value (dimension, peer count or ``K``) and the measured series next
 to the paper's series.  Absolute values are not expected to match -- the
 substrate differs -- but the *shape* should: monotonic trends, orderings
 between configurations, rough growth rates.  :func:`compare_series` quantifies
-that with rank correlation and per-point ratios, and the EXPERIMENTS.md
-entries are generated from its output.
+that with rank correlation and per-point ratios.
 """
 
 from __future__ import annotations

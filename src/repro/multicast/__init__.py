@@ -36,7 +36,6 @@ from repro.multicast.stability import (
     PreferredNeighbourForest,
     StabilityTreeBuilder,
     build_stability_tree,
-    peer_lifetime,
 )
 from repro.multicast.dissemination import (
     DepartureReport,
@@ -76,7 +75,6 @@ __all__ = [
     "PreferredNeighbourForest",
     "StabilityTreeBuilder",
     "build_stability_tree",
-    "peer_lifetime",
     "DisseminationReport",
     "DepartureReport",
     "TreeHealthSample",

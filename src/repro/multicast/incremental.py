@@ -68,7 +68,6 @@ from repro.multicast.stability import (
     PreferredNeighbourForest,
     StabilityTreeBuilder,
     choose_preferred_parent,
-    lifetime_of,
 )
 from repro.multicast.tree import MulticastTree, TreeValidationError, _farthest
 from repro.overlay.network import OverlayNetwork
@@ -479,19 +478,19 @@ class StabilityTreeMaintainer:
         # departed parent's children are already orphaned, so a link onto a
         # departed-and-rejoined id compares unequal below and is re-issued
         # onto the fresh instance without a special case.  A peer whose
-        # lifetime changed (a move of a peer without a declared lifetime
-        # changes its first coordinate) is a departure plus a join too; a
-        # move touches the mover, so checking the touched peers finds it.
+        # lifetime changed (a move that changes its first coordinate) is a
+        # departure plus a join too; a move touches the mover, so checking
+        # the touched peers finds it.
         lifetimes = engine._lifetimes  # noqa: SLF001 - maintainer is a friend class
         departed = {p for p in raw.departed if p in engine}
         joined = {
-            p: lifetime_of(overlay.peer(p))
+            p: overlay.peer(p).lifetime
             for p in raw.joined
             if p in overlay and (p in departed or p not in engine)
         }
         for peer_id in raw.touched:
             if peer_id in lifetimes and peer_id not in departed and peer_id in overlay:
-                lifetime = lifetime_of(overlay.peer(peer_id))
+                lifetime = overlay.peer(peer_id).lifetime
                 if lifetime != lifetimes[peer_id]:
                     departed.add(peer_id)
                     joined[peer_id] = lifetime
@@ -595,7 +594,7 @@ class OverlayConnectivityFeed:
         peer_of, links_of = self._overlay.peer, self._overlay.links
         lifetimes = self._lifetimes
         for peer_id in peer_ids:
-            lifetimes[peer_id] = lifetime_of(peer_of(peer_id))
+            lifetimes[peer_id] = peer_of(peer_id).lifetime
         roots = self._roots
         for peer_id in peer_ids:
             own_lifetime = lifetimes[peer_id]

@@ -51,8 +51,8 @@ class PickStrategy:
     """Which neighbour of a region is selected as the tree child.
 
     The paper selects the neighbour with the *median* L1 distance.  The other
-    strategies are used by the pick-strategy ablation (A2 in DESIGN.md) to
-    show how the choice trades tree depth against subtree balance.
+    strategies are used by the pick-strategy ablation (A2) to show how the
+    choice trades tree depth against subtree balance.
     """
 
     MEDIAN = "median"

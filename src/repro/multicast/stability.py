@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.multicast.tree import MulticastTree, TreeValidationError
-from repro.overlay.peer import PeerInfo
 from repro.overlay.topology import TopologySnapshot
 
 __all__ = [
@@ -28,25 +27,7 @@ __all__ = [
     "StabilityTreeBuilder",
     "build_stability_tree",
     "choose_preferred_parent",
-    "lifetime_of",
-    "peer_lifetime",
 ]
-
-
-def lifetime_of(info: PeerInfo) -> float:
-    """Departure time ``T(P)`` read from one peer's metadata.
-
-    Uses the explicit ``lifetime`` attribute when present and falls back to
-    the first coordinate, which is where Section 3 embeds the lifetime.
-    """
-    if info.lifetime is not None:
-        return float(info.lifetime)
-    return float(info.coordinates[0])
-
-
-def peer_lifetime(topology: TopologySnapshot, peer_id: int) -> float:
-    """Departure time ``T(P)`` of a peer of a topology snapshot."""
-    return lifetime_of(topology.peers[peer_id])
 
 
 def choose_preferred_parent(
@@ -177,7 +158,7 @@ class StabilityTreeBuilder:
 
     def build(self, topology: TopologySnapshot) -> PreferredNeighbourForest:
         """Select the preferred tree neighbour of every peer."""
-        lifetimes = {peer_id: peer_lifetime(topology, peer_id) for peer_id in topology.peers}
+        lifetimes = {peer_id: info.lifetime for peer_id, info in topology.peers.items()}
         if len(set(lifetimes.values())) != len(lifetimes):
             raise ValueError(
                 "peer lifetimes must be pairwise distinct (the paper breaks ties using "

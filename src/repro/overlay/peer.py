@@ -5,16 +5,18 @@ A peer in the paper is described by three things:
 * a *self-generated identifier*: a point of the ``D``-dimensional virtual
   coordinate space,
 * a *network address* (public IP and port) that other peers use to reach it,
-* optionally (Section 3) a known departure time ``T(P)``.
+* (Section 3 only) a known departure time ``T(P)``, embedded as the first
+  coordinate: "we set x(P,1) = T(P)".
 
-:class:`PeerInfo` bundles the three.  Peer ids are plain integers -- they are
+:class:`PeerInfo` bundles the identifier and the address and reads ``T(P)``
+off the first coordinate.  Peer ids are plain integers -- they are
 bookkeeping handles for the simulation, not protocol-visible data; everything
 the protocol itself uses is the identifier (coordinates) and the address.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.geometry.point import CoordinateLike, Point, as_point
@@ -27,8 +29,7 @@ class NetworkAddress:
     """A simulated public endpoint (host and port).
 
     The construction algorithms only ever treat addresses as opaque delivery
-    handles, so a simulated address preserves the paper's behaviour exactly;
-    see DESIGN.md, "Substitutions".
+    handles, so a simulated address preserves the paper's behaviour exactly.
     """
 
     host: str
@@ -56,50 +57,35 @@ class PeerInfo:
         The peer's virtual identifier, a point in ``[0, VMAX]^D``.
     address:
         The peer's (simulated) network address.
-    lifetime:
-        Departure time ``T(P)``; ``None`` when unknown (Section 2 setting).
     """
 
     peer_id: int
     coordinates: Point
     address: NetworkAddress
-    lifetime: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.peer_id < 0:
             raise ValueError("peer_id must be non-negative")
         object.__setattr__(self, "coordinates", as_point(self.coordinates))
-        if self.lifetime is not None and self.lifetime < 0:
-            raise ValueError("lifetime must be non-negative when given")
 
     @property
     def dimension(self) -> int:
         """Dimension of the peer's virtual identifier."""
         return self.coordinates.dimension
 
-    def with_lifetime_coordinate(self) -> "PeerInfo":
-        """Return a copy whose first coordinate is the lifetime ``T(P)``.
-
-        This is the Section 3 embedding: "we set x(P,1) = T(P)".  Requires a
-        known lifetime.
-        """
-        if self.lifetime is None:
-            raise ValueError(
-                f"peer {self.peer_id} has no known lifetime; cannot embed it as a coordinate"
-            )
-        coords = (float(self.lifetime),) + tuple(self.coordinates)[1:]
-        return replace(self, coordinates=Point(coords))
+    @property
+    def lifetime(self) -> float:
+        """Departure time ``T(P)``: the first coordinate (Section 3, "x(P,1) = T(P)")."""
+        return float(self.coordinates[0])
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        life = "" if self.lifetime is None else f", T={self.lifetime:.3f}"
-        return f"Peer {self.peer_id} @ {tuple(self.coordinates)}{life}"
+        return f"Peer {self.peer_id} @ {tuple(self.coordinates)}"
 
 
 def make_peer(
     peer_id: int,
     coordinates: CoordinateLike,
     *,
-    lifetime: Optional[float] = None,
     host: Optional[str] = None,
     port: Optional[int] = None,
 ) -> PeerInfo:
@@ -117,5 +103,4 @@ def make_peer(
         peer_id=peer_id,
         coordinates=as_point(coordinates),
         address=NetworkAddress(host=host, port=port),
-        lifetime=lifetime,
     )

@@ -13,8 +13,7 @@ assemble whole experiments (:mod:`repro.simulation.runner`).
 
 Determinism is the deliberate difference from the paper's threads: with a
 seeded event queue every run is exactly reproducible, while the protocol code
-paths exercised (messages sent, handlers run) are the same.  DESIGN.md
-records this substitution.
+paths exercised (messages sent, handlers run) are the same.
 """
 
 from repro.simulation.engine import Event, SimulationEngine

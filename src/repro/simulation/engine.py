@@ -4,7 +4,7 @@ Events are ``(time, sequence)``-ordered callbacks.  The sequence number makes
 the ordering of simultaneous events deterministic (FIFO in scheduling order),
 which is what makes whole simulations reproducible run over run -- the
 property the paper's multi-threaded framework lacks and the reason this
-substrate replaces it (see DESIGN.md).
+substrate replaces it.
 
 Cancellation is tombstoned: :meth:`SimulationEngine.cancel` marks an event
 dead without disturbing the heap, and :meth:`SimulationEngine.step` discards

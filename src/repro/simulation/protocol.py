@@ -40,8 +40,8 @@ simulated network.  It implements, with actual messages:
 * **Preferred neighbour selection** (Section 3): whenever its links or
   their known lifetimes change, the peer applies the offline builders' rule,
   :func:`repro.multicast.stability.choose_preferred_parent`, to its
-  undirected links.  Announcements carry coordinates only, so a peer whose
-  declared lifetime is not its first coordinate is refused.
+  undirected links.  A peer's lifetime is its first coordinate, so the
+  announcements, which carry coordinates, carry it too.
 
 The offline builders in :mod:`repro.multicast` compute the same outcomes
 directly from topology snapshots; integration tests check that the two agree,
@@ -78,7 +78,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.geometry.rectangle import HyperRectangle
 from repro.multicast.space_partition import PickStrategy, select_zone_children
-from repro.multicast.stability import choose_preferred_parent, lifetime_of
+from repro.multicast.stability import choose_preferred_parent
 from repro.multicast.tree import MulticastTree
 from repro.multicast.zones import initial_zone
 from repro.overlay.gossip import AnnouncementStore, ExistenceAnnouncement
@@ -359,11 +359,6 @@ class PeerProcess:
         pick_strategy: str = PickStrategy.MEDIAN,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if lifetime_of(info) != float(info.coordinates[0]):
-            raise ValueError(
-                f"peer {info.peer_id} declares lifetime {info.lifetime}; announcements "
-                f"carry T(P) as the first coordinate ({info.coordinates[0]})"
-            )
         self._info = info
         self._engine = engine
         self._network = network
@@ -971,8 +966,8 @@ class PeerProcess:
         """
         known = self._known_addresses
         links = [n for n in self._neighbours | self._inbound_links if n in known]
-        lifetimes = {n: lifetime_of(known[n]) for n in links}
-        lifetimes[self.peer_id] = lifetime_of(self._info)
+        lifetimes = {n: known[n].lifetime for n in links}
+        lifetimes[self.peer_id] = self._info.lifetime
         best = choose_preferred_parent(self.peer_id, links, lifetimes)
         changed = best != self._preferred_neighbour
         self._preferred_neighbour = best

@@ -41,7 +41,7 @@ from repro.metrics.latency import LatencyStatistics, latency_statistics
 from repro.multicast.dissemination import TreeHealthSample
 from repro.multicast.incremental import TreeDelta, TreeMaintenanceEngine
 from repro.multicast.space_partition import ConstructionResult, PickStrategy
-from repro.multicast.stability import PreferredNeighbourForest, lifetime_of
+from repro.multicast.stability import PreferredNeighbourForest
 from repro.overlay.peer import PeerInfo
 from repro.overlay.selection.base import NeighbourSelectionMethod
 from repro.overlay.topology import TopologySnapshot
@@ -75,10 +75,10 @@ class LiveStabilityTreeMonitor:
     run (see ``run_gossip_overlay(maintain_tree=True)``); each membership
     event or preferred-neighbour change becomes a minimal
     :class:`~repro.multicast.incremental.TreeDelta` against the maintained
-    engine.  Lifetimes are read with
-    :func:`~repro.multicast.stability.lifetime_of` -- exactly the value the
-    protocol's preferred-neighbour rule compares -- so the engine's lifetime
-    invariant mirrors the protocol's choice rule.
+    engine.  Lifetimes are read as :attr:`PeerInfo.lifetime
+    <repro.overlay.peer.PeerInfo.lifetime>`, the first coordinate -- exactly
+    the value the protocol's preferred-neighbour rule compares -- so the
+    engine's lifetime invariant mirrors the protocol's choice rule.
 
     The protocol is asynchronous: a peer can briefly prefer a neighbour
     whose departure notice is still in flight, or keep children pointing at
@@ -100,7 +100,7 @@ class LiveStabilityTreeMonitor:
         self._events += 1
         if info.peer_id in self._engine:
             self._engine.apply(TreeDelta(departed=frozenset((info.peer_id,))))
-        self._engine.apply(TreeDelta(joined={info.peer_id: lifetime_of(info)}))
+        self._engine.apply(TreeDelta(joined={info.peer_id: info.lifetime}))
         self._sample()
 
     def on_leave(self, peer_id: int) -> None:
@@ -477,7 +477,7 @@ def run_dissemination_probe(
             children.setdefault(parent, []).append(peer_id)
     if root is None:
         roots = [peer_id for peer_id, parent in parents.items() if parent is None]
-        root = max(roots, key=lambda peer_id: lifetime_of(alive[peer_id].info))
+        root = max(roots, key=lambda peer_id: alive[peer_id].info.lifetime)
     elif root not in alive:
         raise KeyError(f"root {root} is not an alive peer of the simulated overlay")
 

@@ -1,4 +1,4 @@
-"""Peer population generators: coordinates + addresses (+ lifetimes).
+"""Peer population generators: coordinates + addresses.
 
 These helpers assemble :class:`~repro.overlay.peer.PeerInfo` populations from
 the coordinate and lifetime generators, reproducing the two experimental
@@ -55,7 +55,6 @@ def generate_peers_with_lifetimes(
     rng = random.Random(0 if seed is None else seed)
     lifetimes = uniform_lifetimes(count, horizon=horizon, rng=rng)
     if dimension == 1:
-        other_axes: List[Point] = [Point((0.0,)) for _ in range(count)]
         coordinates = [Point((lifetime,)) for lifetime in lifetimes]
     else:
         other_axes = distinct_uniform_coordinates(count, dimension - 1, vmax=vmax, rng=rng)
@@ -63,7 +62,4 @@ def generate_peers_with_lifetimes(
             Point((lifetime,) + tuple(other))
             for lifetime, other in zip(lifetimes, other_axes)
         ]
-    return [
-        make_peer(peer_id, coords, lifetime=lifetime)
-        for peer_id, (coords, lifetime) in enumerate(zip(coordinates, lifetimes))
-    ]
+    return [make_peer(peer_id, coords) for peer_id, coords in enumerate(coordinates)]

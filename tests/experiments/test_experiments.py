@@ -235,7 +235,7 @@ class TestAblations:
         from repro.workloads.traces import ChurnTrace, EventBatch
 
         peers = [
-            make_peer(index, (float(index * 2), float(index * 2 + 1)), lifetime=10.0 + index)
+            make_peer(index, (float(index * 2), float(index * 2 + 1)))
             for index in range(6)
         ]
         moved = (200.0, 200.0)
@@ -273,3 +273,59 @@ class TestAblations:
         assert result.final_neighbours == equilibrium.directed_neighbour_map()
         expected = StabilityTreeBuilder().build(equilibrium.snapshot())
         assert result.final_parents == dict(expected.preferred)
+
+
+def _move_trace(peers, moves, seed):
+    """One bulk-join epoch, then ``moves`` single-move epochs.
+
+    The targets come from their own seeded stream (reusing the population's
+    seed would redraw a population lifetime exactly) and never reuse a first
+    coordinate in use, so lifetimes stay pairwise distinct.
+    """
+    import random
+
+    from repro.workloads.churn import ChurnEvent
+    from repro.workloads.coordinates import DEFAULT_VMAX
+    from repro.workloads.traces import ChurnTrace, EventBatch
+
+    rng = random.Random(f"move-targets-{seed}")
+    first = {peer.peer_id: peer.lifetime for peer in peers}
+    batches = [
+        EventBatch(
+            time=0.0,
+            events=tuple(ChurnEvent(time=0.0, peer_id=p.peer_id, kind="join") for p in peers),
+        )
+    ]
+    for epoch in range(1, moves + 1):
+        mover = rng.choice(sorted(first))
+        target = (rng.uniform(0.0, DEFAULT_VMAX), rng.uniform(0.0, DEFAULT_VMAX))
+        while target[0] in first.values():
+            target = (rng.uniform(0.0, DEFAULT_VMAX), target[1])
+        first[mover] = target[0]
+        event = ChurnEvent(time=float(epoch), peer_id=mover, kind="move", coordinates=target)
+        batches.append(EventBatch(time=float(epoch), events=(event,)))
+    return ChurnTrace(batches=tuple(batches))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("selection", ["empty-rectangle", "orthogonal"])
+def test_moves_keep_the_preferred_links_one_tree(selection, seed):
+    """``PAPER_CLAIMS["stability_tree"]`` on the production path under moves:
+    a move changes the mover's first coordinate, which is its ``T(P)``, so
+    the maintained forest keeps one root and the connectivity query never
+    falls back to its scan."""
+    from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
+    from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
+    from repro.workloads.peers import generate_peers_with_lifetimes
+
+    factory = {
+        "empty-rectangle": EmptyRectangleSelection,
+        "orthogonal": lambda: OrthogonalHyperplanesSelection(k=2),
+    }[selection]
+    peers = generate_peers_with_lifetimes(40, 2, seed=seed)
+    result = TraceRunner(peers, factory, bootstrap_seed=seed).run(
+        _move_trace(peers, 20, seed)
+    )
+    assert [sample.moves for sample in result.samples] == [0] + [1] * 20
+    assert [sample.tree_roots for sample in result.samples] == [1] * 21
+    assert result.connectivity_rebuilds == 0

@@ -13,7 +13,7 @@ from repro.multicast.baselines import (
 )
 from repro.multicast.dissemination import disseminate, simulate_departures
 from repro.multicast.space_partition import SpacePartitionTreeBuilder
-from repro.multicast.stability import StabilityTreeBuilder, peer_lifetime
+from repro.multicast.stability import StabilityTreeBuilder
 from repro.multicast.tree import MulticastTree
 
 
@@ -101,7 +101,7 @@ class TestDissemination:
 class TestDepartureSimulation:
     def test_stability_tree_never_disconnects_under_lifetime_order(self, lifetime_topology):
         tree = StabilityTreeBuilder().build(lifetime_topology).to_multicast_tree()
-        lifetimes = {pid: peer_lifetime(lifetime_topology, pid) for pid in lifetime_topology.peers}
+        lifetimes = {pid: info.lifetime for pid, info in lifetime_topology.peers.items()}
         order = sorted(lifetimes, key=lifetimes.get)
         report = simulate_departures(tree, order)
         assert report.is_stable
@@ -110,7 +110,7 @@ class TestDepartureSimulation:
         assert report.departures == len(order)
 
     def test_lifetime_oblivious_tree_disconnects(self, lifetime_topology):
-        lifetimes = {pid: peer_lifetime(lifetime_topology, pid) for pid in lifetime_topology.peers}
+        lifetimes = {pid: info.lifetime for pid, info in lifetime_topology.peers.items()}
         order = sorted(lifetimes, key=lifetimes.get)
         # Root the BFS tree at the shortest-lived peer: it departs first and
         # still has children, so at least one disconnection must occur.

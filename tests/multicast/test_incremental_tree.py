@@ -297,8 +297,9 @@ class TestOverlayConnectivityFeed:
         assert feed.root_count == 1
 
     def test_a_move_that_changes_a_lifetime_retests_the_mover_and_its_links(self):
-        """No declared lifetime: the mover becomes the longest-lived peer,
-        and the former root, now outlived by a link, stops being one."""
+        """The move raises the mover's first coordinate, its ``T(P)``: it
+        becomes the longest-lived peer, and the former root, now outlived by
+        a link, stops being one."""
         points = [(0.5, 0.5), (0.75, 0.125), (0.25, 0.875), (0.875, 0.625)]
         overlay = OverlayNetwork(EmptyRectangleSelection())
         feed = OverlayConnectivityFeed(overlay)
@@ -309,14 +310,12 @@ class TestOverlayConnectivityFeed:
         assert (feed.root_count, feed.rebuilds) == (1, 0)
 
     def test_extra_roots_of_a_connected_overlay_are_answered_by_the_scan(self):
-        """A declared lifetime survives a move: the longest-lived peer moved
-        below everyone on the first axis leaves the largest remaining first
-        coordinate outlived by no link, yet the overlay stays connected."""
-        peers, overlay = _converged(16, seed=12)
+        """K-closest is no orthant rule: a peer whose K nearest peers all
+        leave earlier is a root, yet the overlay stays connected."""
+        peers = generate_peers_with_lifetimes(16, 2, seed=3)
+        overlay = OverlayNetwork(KClosestSelection(k=3))
         feed = OverlayConnectivityFeed(overlay)
-        oldest = max(peers, key=lambda peer: peer.lifetime)
-        corner = tuple(min(peer.coordinates[axis] for peer in peers) / 2 for axis in range(2))
-        overlay.apply_batch([BatchMove(oldest.peer_id, corner)])
+        overlay.apply_batch(peers)
         assert _feed_agrees(feed, overlay)
         assert feed.root_count > 1
         assert feed.rebuilds == 1
@@ -527,9 +526,9 @@ def test_consumers_follow_the_overlay_through_a_rebinding_full_sweep():
 
 
 def test_a_move_that_changes_a_lifetime_reparents_the_mover():
-    """Without a declared lifetime ``T(P)`` is the first coordinate, which a
-    move changes; ``refresh()`` re-admits the mover at its new lifetime
-    (the maintainer used to keep ``{2: 3, 3: None}`` here)."""
+    """``T(P)`` is the first coordinate, which a move changes; ``refresh()``
+    re-admits the mover at its new lifetime (the maintainer used to keep
+    ``{2: 3, 3: None}`` here)."""
     points = [(0.5, 0.5), (0.75, 0.125), (0.25, 0.875), (0.875, 0.625)]
     overlay = OverlayNetwork(EmptyRectangleSelection())
     maintainer = StabilityTreeMaintainer(overlay)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.multicast.dissemination import simulate_departures
 from repro.multicast.space_partition import SpacePartitionTreeBuilder
-from repro.multicast.stability import StabilityTreeBuilder, peer_lifetime
+from repro.multicast.stability import StabilityTreeBuilder
 from repro.multicast.zones import zones_are_disjoint
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
@@ -92,7 +92,7 @@ def test_stability_tree_invariants(params):
     assert forest.parents_outlive_children()
 
     tree = forest.to_multicast_tree()
-    lifetimes = {pid: peer_lifetime(topology, pid) for pid in topology.peers}
+    lifetimes = {pid: info.lifetime for pid, info in topology.peers.items()}
     departure_order = sorted(lifetimes, key=lifetimes.get)
     report = simulate_departures(tree, departure_order)
     assert report.is_stable

@@ -9,7 +9,6 @@ from repro.multicast.stability import (
     StabilityTreeBuilder,
     build_stability_tree,
     choose_preferred_parent,
-    peer_lifetime,
 )
 from repro.multicast.tree import TreeValidationError
 from repro.overlay.network import OverlayNetwork
@@ -22,24 +21,19 @@ from repro.workloads.peers import generate_peers_with_lifetimes
 def hand_topology():
     """Four peers on a path, lifetimes 10 < 20 < 30 < 40."""
     peers = {
-        0: make_peer(0, (10.0, 0.0), lifetime=10.0),
-        1: make_peer(1, (20.0, 1.0), lifetime=20.0),
-        2: make_peer(2, (30.0, 2.0), lifetime=30.0),
-        3: make_peer(3, (40.0, 3.0), lifetime=40.0),
+        0: make_peer(0, (10.0, 0.0)),
+        1: make_peer(1, (20.0, 1.0)),
+        2: make_peer(2, (30.0, 2.0)),
+        3: make_peer(3, (40.0, 3.0)),
     }
     directed = {0: {1}, 1: {2}, 2: {3}, 3: set()}
     return TopologySnapshot.from_directed(peers, directed)
 
 
 class TestPeerLifetime:
-    def test_explicit_lifetime_wins(self):
-        topology = hand_topology()
-        assert peer_lifetime(topology, 0) == 10.0
-
-    def test_falls_back_to_first_coordinate(self):
-        peers = {0: make_peer(0, (55.0, 1.0))}
-        topology = TopologySnapshot.from_directed(peers, {0: set()})
-        assert peer_lifetime(topology, 0) == 55.0
+    def test_the_builder_reads_the_first_coordinate(self):
+        forest = StabilityTreeBuilder().build(hand_topology())
+        assert forest.lifetimes == {0: 10.0, 1: 20.0, 2: 30.0, 3: 40.0}
 
 
 @st.composite
@@ -77,9 +71,9 @@ class TestHandBuiltTopology:
         """Peer 0 selects nobody; the longer-lived peers that selected it
         are its links all the same."""
         peers = {
-            0: make_peer(0, (10.0, 0.0), lifetime=10.0),
-            1: make_peer(1, (20.0, 1.0), lifetime=20.0),
-            2: make_peer(2, (30.0, 2.0), lifetime=30.0),
+            0: make_peer(0, (10.0, 0.0)),
+            1: make_peer(1, (20.0, 1.0)),
+            2: make_peer(2, (30.0, 2.0)),
         }
         topology = TopologySnapshot.from_directed(peers, {0: set(), 1: {0, 2}, 2: {0}})
         assert StabilityTreeBuilder().build(topology).preferred == {0: 2, 1: 2, 2: None}
@@ -96,8 +90,8 @@ class TestHandBuiltTopology:
 
     def test_duplicate_lifetimes_rejected(self):
         peers = {
-            0: make_peer(0, (10.0, 0.0), lifetime=10.0),
-            1: make_peer(1, (10.0, 1.0), lifetime=10.0),
+            0: make_peer(0, (10.0, 0.0)),
+            1: make_peer(1, (10.0, 1.0)),
         }
         topology = TopologySnapshot.from_directed(peers, {0: {1}, 1: set()})
         with pytest.raises(ValueError, match="distinct"):
@@ -106,10 +100,10 @@ class TestHandBuiltTopology:
     def test_disconnected_lifetime_order_gives_a_forest(self):
         """Two isolated components produce two roots, not a single tree."""
         peers = {
-            0: make_peer(0, (10.0, 0.0), lifetime=10.0),
-            1: make_peer(1, (20.0, 1.0), lifetime=20.0),
-            2: make_peer(2, (30.0, 2.0), lifetime=30.0),
-            3: make_peer(3, (40.0, 3.0), lifetime=40.0),
+            0: make_peer(0, (10.0, 0.0)),
+            1: make_peer(1, (20.0, 1.0)),
+            2: make_peer(2, (30.0, 2.0)),
+            3: make_peer(3, (40.0, 3.0)),
         }
         directed = {0: {1}, 1: set(), 2: {3}, 3: set()}
         topology = TopologySnapshot.from_directed(peers, directed)
@@ -135,7 +129,7 @@ class TestOnOrthogonalOverlays:
         assert forest.root_has_largest_lifetime()
         assert forest.parents_outlive_children()
         tree = forest.to_multicast_tree()
-        lifetimes = {pid: peer_lifetime(topology, pid) for pid in topology.peers}
+        lifetimes = {pid: info.lifetime for pid, info in topology.peers.items()}
         root = max(lifetimes, key=lifetimes.get)
         assert tree.root == root
         for node in tree.nodes():

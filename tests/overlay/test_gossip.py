@@ -1,5 +1,7 @@
 """Unit tests for repro.overlay.gossip."""
 
+import random
+
 import pytest
 
 from repro.geometry.point import Point
@@ -9,7 +11,10 @@ from repro.overlay.gossip import (
     knowledge_sets,
     peers_within_hops,
 )
+from repro.overlay.network import OverlayNetwork
 from repro.overlay.peer import NetworkAddress
+from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
+from repro.workloads.peers import generate_peers
 
 
 def make_announcement(origin=1, issued_at=0.0, hops=2):
@@ -108,3 +113,17 @@ class TestBoundedHopReachability:
     def test_radius_zero_gives_empty_sets(self, line_graph):
         sets = knowledge_sets(line_graph, 0)
         assert all(not value for value in sets.values())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(("count", "dimension"), [(100, 2), (50, 3)])
+def test_a_gossip_radius_of_two_reaches_the_full_knowledge_overlay(count, dimension, seed):
+    """The paper's "BR >= 2 suffices": peers inserted one by one, each
+    knowing only the peers within two overlay hops, select the same
+    neighbours as under full knowledge."""
+    peers = generate_peers(count, dimension, seed=seed)
+    gossiped = OverlayNetwork.build_incremental(
+        peers, EmptyRectangleSelection(), gossip_radius=2, rng=random.Random(seed)
+    )
+    full = OverlayNetwork.build_equilibrium(peers, EmptyRectangleSelection())
+    assert gossiped.directed_neighbour_map() == full.directed_neighbour_map()

@@ -1,5 +1,8 @@
 """Unit tests for repro.overlay.peer."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.geometry.point import Point
@@ -37,21 +40,15 @@ class TestPeerInfo:
         with pytest.raises(ValueError):
             PeerInfo(-1, (1.0,), NetworkAddress("h", 1000))
 
-    def test_negative_lifetime_rejected(self):
-        with pytest.raises(ValueError):
-            PeerInfo(0, (1.0,), NetworkAddress("h", 1000), lifetime=-5.0)
-
-    def test_with_lifetime_coordinate_replaces_first_axis(self):
-        peer = PeerInfo(3, (9.0, 2.0, 5.0), NetworkAddress("h", 1000), lifetime=77.0)
-        embedded = peer.with_lifetime_coordinate()
-        assert tuple(embedded.coordinates) == (77.0, 2.0, 5.0)
-        assert embedded.lifetime == 77.0
-        assert embedded.peer_id == 3
-
-    def test_with_lifetime_coordinate_requires_lifetime(self):
-        peer = PeerInfo(3, (9.0, 2.0), NetworkAddress("h", 1000))
-        with pytest.raises(ValueError):
-            peer.with_lifetime_coordinate()
+    def test_lifetime_is_the_first_coordinate_and_follows_a_move(self):
+        """Section 3: "we set x(P,1) = T(P)" -- there is no second ``T(P)``."""
+        peer = PeerInfo(3, (9.0, 2.0, 5.0), NetworkAddress("h", 1000))
+        assert peer.lifetime == 9.0
+        moved = dataclasses.replace(peer, coordinates=(77.0, 2.0, 5.0))
+        assert moved.lifetime == 77.0
+        assert peer.lifetime == 9.0
+        assert "lifetime" not in {field.name for field in dataclasses.fields(PeerInfo)}
+        assert "lifetime" not in inspect.signature(make_peer).parameters
 
     def test_peer_info_is_frozen(self):
         peer = PeerInfo(0, (1.0,), NetworkAddress("h", 1000))
@@ -68,7 +65,3 @@ class TestMakePeer:
     def test_respects_explicit_host_and_port(self):
         peer = make_peer(1, (0.0,), host="192.168.0.1", port=9999)
         assert peer.address == NetworkAddress("192.168.0.1", 9999)
-
-    def test_lifetime_is_carried_through(self):
-        peer = make_peer(1, (0.0,), lifetime=123.0)
-        assert peer.lifetime == 123.0

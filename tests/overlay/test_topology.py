@@ -58,7 +58,7 @@ class TestTopologySnapshot:
 
     def test_to_networkx_carries_attributes(self):
         peers = {
-            0: make_peer(0, (1.0, 2.0), lifetime=5.0),
+            0: make_peer(0, (1.0, 2.0)),
             1: make_peer(1, (3.0, 4.0)),
         }
         snapshot = TopologySnapshot.from_directed(peers, {0: {1}, 1: set()})
@@ -66,5 +66,5 @@ class TestTopologySnapshot:
         assert graph.number_of_nodes() == 2
         assert graph.number_of_edges() == 1
         assert graph.nodes[0]["coordinates"] == (1.0, 2.0)
-        assert graph.nodes[0]["lifetime"] == 5.0
-        assert graph.nodes[1]["lifetime"] is None
+        assert graph.nodes[0]["lifetime"] == 1.0
+        assert graph.nodes[1]["lifetime"] == 3.0

@@ -3,16 +3,15 @@
 The figure benchmarks use the offline (full-knowledge equilibrium) builders;
 these tests are the evidence that the message-level protocol -- joins,
 gossip, reselection, construction requests -- produces the same topologies
-and trees on small instances, which is what justifies the substitution
-documented in DESIGN.md.
+and trees on small instances, which is what justifies using the offline
+builders in their place.
 """
 
-import dataclasses
 
 import pytest
 
 from repro.multicast.space_partition import SpacePartitionTreeBuilder
-from repro.multicast.stability import PreferredNeighbourForest, StabilityTreeBuilder, lifetime_of
+from repro.multicast.stability import PreferredNeighbourForest, StabilityTreeBuilder
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
@@ -88,7 +87,7 @@ class TestGossipOverlayConvergence:
         )
         forest = PreferredNeighbourForest(
             preferred=simulated.preferred_neighbours(),
-            lifetimes={p.peer_id: lifetime_of(p) for p in peers},
+            lifetimes={p.peer_id: p.lifetime for p in peers},
         )
         assert forest.is_single_tree()
         assert forest.root_has_largest_lifetime()
@@ -105,17 +104,8 @@ class TestGossipOverlayConvergence:
         expected = StabilityTreeBuilder().build(simulated.snapshot()).preferred
         assert simulated.preferred_neighbours() == expected
         assert dict(simulated.tree_monitor.forest().preferred) == expected
-        longest_lived = max(peers, key=lifetime_of).peer_id
+        longest_lived = max(peers, key=lambda p: p.lifetime).peer_id
         assert run_dissemination_probe(simulated).root == longest_lived
-
-    def test_a_lifetime_other_than_the_first_coordinate_is_rejected(self):
-        """Announcements carry coordinates only, so every peer reads a link's
-        T(P) from its first coordinate; a peer declaring another lifetime
-        would be ranked differently by the snapshot builder, and is refused."""
-        peers = generate_peers_with_lifetimes(6, 2, seed=3)
-        peers[2] = dataclasses.replace(peers[2], lifetime=peers[2].coordinates[0] + 1.0)
-        with pytest.raises(ValueError, match="first coordinate"):
-            run_gossip_overlay(peers, EmptyRectangleSelection(), settle_time=5.0)
 
     def test_invalid_runner_parameters(self):
         peers = generate_peers(4, 2, seed=0)

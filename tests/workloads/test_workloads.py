@@ -11,6 +11,7 @@ from repro.workloads.churn import (
     poisson_churn_schedule,
 )
 from repro.workloads.coordinates import (
+    DEFAULT_VMAX,
     clustered_coordinates,
     distinct_uniform_coordinates,
     grid_coordinates,
@@ -207,15 +208,14 @@ class TestPeerPopulations:
         peers = generate_peers(25, 3, seed=1)
         assert len(peers) == 25
         assert all(p.dimension == 3 for p in peers)
-        assert all(p.lifetime is None for p in peers)
+        assert all(p.lifetime == p.coordinates[0] for p in peers)
         assert len({p.peer_id for p in peers}) == 25
 
     def test_generate_peers_with_lifetimes_embeds_the_first_coordinate(self):
         peers = generate_peers_with_lifetimes(25, 3, seed=1)
-        for peer in peers:
-            assert peer.lifetime is not None
-            assert peer.coordinates[0] == pytest.approx(peer.lifetime)
         lifetimes = [p.lifetime for p in peers]
+        assert lifetimes == [p.coordinates[0] for p in peers]
+        assert all(0.0 <= lifetime <= DEFAULT_VMAX for lifetime in lifetimes)
         assert len(set(lifetimes)) == len(lifetimes)
 
     def test_one_dimensional_lifetime_population(self):
