@@ -31,12 +31,12 @@ Byte-identical contract
 The index exists to *replace* scans, so every query is defined purely in
 terms of the comparisons the scan it replaces performs -- same candidate
 keys (sign-flipped raw coordinates for skylines, per-axis deltas for
-distances), same sequential left-to-right float summation, same
-``(distance, peer id)`` and ``(L1 magnitude, peer id)`` tie-breaks, same
-non-strict dominance.  Branch-and-bound bounds are computed with monotone
-floating-point operations only (each bound is the same formula evaluated at
-a per-axis clamped coordinate), so pruning can never cut a point a scan
-would have kept.  The hypothesis suites in ``tests/geometry`` and
+distances), same sequential left-to-right float summation of distances,
+same ``(distance, peer id)`` tie-break, same lexicographic ``(key, peer
+id)`` skyline order, same non-strict dominance.  Branch-and-bound bounds
+are computed with monotone floating-point operations only (each bound is
+the same formula evaluated at a per-axis clamped coordinate), so pruning
+can never cut a point a scan would have kept.  The hypothesis suites in ``tests/geometry`` and
 ``tests/overlay`` hold the index to exactly this: every query equals its
 brute-force twin, and index-backed overlays reach the fixed points of
 ``build_equilibrium`` and the synchronous-sweep oracle.
@@ -381,15 +381,16 @@ class SpatialIndex:
         ``-1``); candidates are ranked by their sign-flipped *raw*
         coordinates and a candidate survives when no other candidate of the
         orthant dominates it component-wise (non-strict).  Candidates are
-        visited in ascending ``(L1 key magnitude, id)`` order -- the same
-        order as the scan -- so coordinate-duplicate ties resolve to the
-        same survivor.
+        visited in lexicographic ``(key, id)`` order -- the same order as
+        the scan -- so coordinate-duplicate ties resolve to the same
+        survivor.
 
         This is the branch-and-bound skyline (BBS) walk: tree nodes enter a
-        priority queue keyed by the smallest key-sum their box can hold, and
-        a node is pruned when an already-accepted skyline member dominates
-        its per-axis minimum corner -- which dominates everything in the
-        box, so no survivor is ever cut.
+        priority queue keyed by their per-axis minimum corner, which is
+        component-wise, hence lexicographically, at most every key their
+        box holds; a node is pruned when an already-accepted skyline member
+        dominates that corner -- which dominates everything in the box, so
+        no survivor is ever cut.
         """
         point = as_point(origin)
         self._check_dimension(point.dimension, "origin")
@@ -417,11 +418,12 @@ class SpatialIndex:
                 key.append(value if greater else -value)
             return tuple(key)
 
-        # Flat heap entries (key-sum, kind, tiebreak, payload): nodes (kind
-        # 0, tiebreak = an insertion counter) surface before points (kind 1,
-        # tiebreak = the id) at equal priority, so a potential dominator is
-        # always accepted before anything it might dominate is judged, and
-        # equal-key duplicates resolve in id order exactly like the scan.
+        # Flat heap entries (corner or key, kind, tiebreak, node): nodes
+        # (kind 0, tiebreak = an insertion counter) surface before points
+        # (kind 1, tiebreak = the id, no node) at equal priority, so a
+        # potential dominator is always accepted before anything it might
+        # dominate is judged, and equal-key duplicates resolve in id order
+        # exactly like the scan.
         heap: List[tuple] = []
         counter = 0
         tree = self._ensure_tree()
@@ -443,24 +445,17 @@ class SpatialIndex:
         if tree is not None:
             corner = self._orthant_min_corner(tree, origin_t, signs_t)
             if corner is not None:
-                total = 0.0
-                for value in corner:
-                    total += value
-                heap.append((total, 0, counter, tree))
+                heap.append((corner, 0, counter, tree))
                 counter += 1
         while heap:
-            _priority, kind, _tick, payload = heappop(heap)
-            if kind == 1:
-                point_id, key = payload
-                # Re-check: the skyline may have grown since the push.
-                if not dominated(key):
-                    skyline_keys.append(key)
-                    skyline_ids.append(point_id)
+            priority, kind, tiebreak, node = heappop(heap)
+            # Re-check: the skyline may have grown since the push, and a
+            # member dominating a box's corner dominates its whole extent.
+            if dominated(priority):
                 continue
-            node = payload
-            # Re-check the box too: members accepted since the push may now
-            # dominate its whole extent.
-            if dominated(self._orthant_min_corner(node, origin_t, signs_t)):
+            if kind == 1:
+                skyline_keys.append(priority)
+                skyline_ids.append(tiebreak)
                 continue
             if node.ids is not None:
                 for point_id in node.ids:
@@ -469,10 +464,7 @@ class SpatialIndex:
                     key = member_key(points[point_id])
                     if key is None or dominated(key):
                         continue
-                    key_sum = 0.0
-                    for value in key:
-                        key_sum += value
-                    heappush(heap, (key_sum, 1, point_id, (point_id, key)))
+                    heappush(heap, (key, 1, point_id, None))
                 continue
             for child in (node.left, node.right):
                 if child is None:
@@ -480,10 +472,7 @@ class SpatialIndex:
                 corner = self._orthant_min_corner(child, origin_t, signs_t)
                 if corner is None or dominated(corner):
                     continue
-                total = 0.0
-                for value in corner:
-                    total += value
-                heappush(heap, (total, 0, counter, child))
+                heappush(heap, (corner, 0, counter, child))
                 counter += 1
 
         # Fold the pending-insert buffer in: the Pareto minima of the union
@@ -726,17 +715,16 @@ def pareto_minima(
     THE canonical statement of the empty-rectangle tie-break rule, shared by
     the scan selection (:mod:`repro.overlay.selection.empty_rectangle`), the
     index's buffer merge and the brute-force reference: entries are visited
-    in increasing ``(L1 key magnitude, id)`` order -- an entry already kept
-    can never be dominated by a later one, so one pass with dominance checks
-    against the kept set suffices -- and an entry survives when no kept
-    entry is component-wise ``<=`` its key.  Keeping one implementation is
-    what makes "byte-identical to the scan" a structural property rather
-    than a maintenance burden.
+    in lexicographic ``(key, id)`` order -- a dominator is lexicographically
+    smaller than what it dominates, so an entry already kept can never be
+    dominated by a later one, and one pass with dominance checks against the
+    kept set suffices -- and an entry survives when no kept entry is
+    component-wise ``<=`` its key.  Keeping one implementation is what makes
+    "byte-identical to the scan" a structural property rather than a
+    maintenance burden.
     """
-    # reprolint: disable=RPL003 reason=entry[0] is a coordinate tuple of fixed arity; left-to-right summation order is the canonical L1 key shared with the scans
-    ordered = sorted(entries, key=lambda entry: (sum(entry[0]), entry[1]))
     kept: List[Tuple[Tuple[float, ...], int]] = []
-    for key, point_id in ordered:
+    for key, point_id in sorted(entries):
         if any(
             all(a <= b for a, b in zip(kept_key, key)) for kept_key, _ in kept
         ):
@@ -776,14 +764,11 @@ def quadrant_skylines(
     floats, and the scan's per-quadrant sign flip of a coordinate becomes
     ``rank`` or ``top - rank``.  Every (reference, member) element is then
     one integer ``row | quadrant | key0 rank | key1 rank | id position``,
-    sorted by value; a member survives when its ``key1`` rank is strictly
-    below the smallest before it in its row and quadrant.  That equals
-    :func:`pareto_minima` -- exact duplicates included, where the smallest
-    id survives -- unless a dominated member's float ``key0 + key1`` rounds
-    equal to its dominator's, where the canonical rule visits by id and may
-    keep both.  Quadrants holding such members are recognised from the
-    coordinates and answered by :func:`pareto_minima` itself, on the float
-    keys.
+    sorted by value -- :func:`pareto_minima`'s lexicographic ``(key, id)``
+    order within each row and quadrant -- and a member survives when its
+    ``key1`` rank is strictly below the smallest before it in its row and
+    quadrant.  That is :func:`pareto_minima`, exact duplicates included,
+    where the smallest id survives.
 
     A pass holds whole rows, about ``_KERNEL_ELEMENTS`` elements (at least
     one row), and no more rows than the field above the quadrant code can
@@ -821,8 +806,7 @@ def quadrant_skylines(
                 f"non-decreasing below {len(origins)} and columns below {count}"
             )
     # Ranks would sort a NaN above everything; the float rule puts it nowhere.
-    # A member level with an origin at +inf has the key -inf, and -inf + inf
-    # is a NaN key sum: pareto_minima's visiting order is undefined there.
+    # An origin is a reference peer's position, which is finite.
     for what, fault, names, invalid in (
         ("reference", "NaN or infinite", reference_ids, ~np.isfinite(origins)),
         ("member", "NaN", member_ids, np.isnan(member_coords)),
@@ -856,16 +840,6 @@ def quadrant_skylines(
         (2 << 2 * bits | rank1) << bits | position,
         (top - rank1) << bits | position,
     )
-    # key0 + key1 is +-(first + second) where the quadrant flips both axes
-    # or neither (codes 0 and 3), +-(first - second) where it flips one.
-    same_flip = _rounded_sum_suspects(first, second)
-    mixed_flip = _rounded_sum_suspects(first, -second)
-    suspects = None
-    if same_flip is not None or mixed_flip is not None:
-        suspects = np.zeros((_OWN_ROW + 1, count), dtype=bool)
-        for code, flagged in enumerate((same_flip, mixed_flip, mixed_flip, same_flip)):
-            if flagged is not None:
-                suspects[code] = flagged
     most_rows = 1 << 60 - 3 * bits  # row bits + 3 * bits + 3 <= 63
     selected: List[List[int]] = []
     start = 0
@@ -884,7 +858,6 @@ def quadrant_skylines(
                 second,
                 bits,
                 halves,
-                suspects,
             )
         )
         start = stop
@@ -901,7 +874,6 @@ def _quadrant_skyline_pass(
     second: np.ndarray,
     bits: int,
     halves: Sequence[np.ndarray],
-    suspects: Optional[np.ndarray],
 ) -> List[List[int]]:
     """One pass of :func:`quadrant_skylines` over whole rows: ``rows`` and
     ``columns`` are the pass's (local row, id position) pairs, or both
@@ -933,24 +905,6 @@ def _quadrant_skyline_pass(
     keep = (packed & 7 << shift) < _OWN_ROW << shift
     keep[1:] &= level[1:] < np.minimum.accumulate(level)[:-1]
 
-    exact: Dict[int, List[int]] = {}
-    if suspects is not None:
-        # ``row | quadrant`` cells holding two suspects take the float rule.
-        cell = packed >> shift
-        crowded = np.bincount(cell[suspects[cell & 7, packed & low]]) >= 2
-        for key in np.flatnonzero(crowded).tolist():
-            row, code = key >> 3, key & 7
-            inside = slice(*np.searchsorted(cell, (key, key + 1)).tolist())
-            flip0, flip1 = (1.0 if code & 1 else -1.0), (1.0 if code & 2 else -1.0)
-            entries = [
-                ((flip0 * float(first[member]), flip1 * float(second[member])), int(ids[member]))
-                for member in (packed[inside] & low).tolist()
-            ]
-            keep[inside] = False
-            exact.setdefault(row, []).extend(
-                point_id for _, point_id in pareto_minima(entries)
-            )
-
     # Survivors as ``row | id position``: one sort leaves every reference's
     # ids ascending.
     kept = packed[keep]
@@ -958,51 +912,7 @@ def _quadrant_skyline_pass(
     chosen.sort()
     bounds = np.searchsorted(chosen, np.arange(len(origins) + 1) << bits).tolist()
     picked = ids[chosen & low].tolist()
-    selected = [picked[a:b] for a, b in zip(bounds, bounds[1:])]
-    for row, extra in exact.items():
-        selected[row] = sorted(selected[row] + extra)
-    return selected
-
-
-def _rounded_sum_suspects(
-    first: np.ndarray, second: np.ndarray
-) -> Optional[np.ndarray]:
-    """Members whose float ``first + second`` may tie with a dominator's.
-
-    :func:`pareto_minima` visits by ``(float key sum, id)``.  A member that
-    dominates another (component-wise ``<=``, not equal) has the strictly
-    smaller exact sum, but at large magnitudes both sums can round to the
-    same float, and then the id decides the visiting order.  Returns a mask
-    of the members sharing a float sum with a distinct member they are
-    comparable with, or ``None`` -- the ordinary case -- when there are none.
-    Whole equal-sum runs are marked: a dominated pair in a run implies an
-    adjacent comparable pair in the run's ``(first, second)`` order, but not
-    that the adjacent pair is the dominated one.
-    """
-    with np.errstate(invalid="ignore"):  # inf - inf: origins are finite, none reads that sum
-        total = first + second
-    # Ordinary inputs stop here, at one plain sort: no two sums are equal.
-    ranked = np.sort(total)
-    if not (ranked[1:] == ranked[:-1]).any():
-        return None
-    order = np.lexsort((second, first, total))
-    total, first, second = total[order], first[order], second[order]
-    tied = total[1:] == total[:-1]
-    comparable = (
-        tied
-        & (second[1:] >= second[:-1])
-        & ((first[1:] != first[:-1]) | (second[1:] != second[:-1]))
-    )
-    if not comparable.any():
-        return None
-    starts = np.flatnonzero(np.concatenate(([True], ~tied)))
-    ends = np.append(starts[1:], total.size)
-    suspects = np.zeros(total.size, dtype=bool)
-    for run in np.unique(
-        np.searchsorted(starts, np.flatnonzero(comparable), side="right") - 1
-    ).tolist():
-        suspects[order[starts[run] : ends[run]]] = True
-    return suspects
+    return [picked[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # ----------------------------------------------------------------------

@@ -38,9 +38,14 @@ when that count is positive.  Level 0 is the overlay's links, read through
 before the flip -- and every count that crosses between 0 and 1 bumps the
 same id one level up at each neighbour across the post-flip adjacency.  All
 bumps of one flip share its sign, so a count crosses at most once and the
-order of the bumps is immaterial.  At ``BR = 2`` the count is
-``[x in N(p)] + |N(p) & N(x)|`` and a flip costs ``2 (deg a + deg b + 1)``
-bumps; every radius runs the same code.
+order of the bumps is immaterial.  Level 1 counts
+``[x in N(p)] + |N(p) & N(x)|``, symmetric in ``p`` and ``x``, so there the
+bumps are one row write per endpoint plus its mirror: ``a``'s count of each
+``m`` in ``M_1(b) - {a}`` moves, and the same count is written into ``m``'s
+row under ``a`` (but for ``m = b``, whose row is the other endpoint's) --
+about ``deg a + deg b`` counts read, each written twice, where the generic
+bumps read and wrote twice as many.  Levels 2 and up take the generic
+bumps, fed by level 1's crossings; every radius runs the same code.
 
 *Net-delta window.*  Crossings of the last level are what a consumer sees:
 they are netted per peer -- ``peer -> {id: +1 gained | -1 lost}``, a gain and
@@ -292,22 +297,47 @@ class MaintainedKnowledgeSets:
         levels = self._levels
         sign, crossing = (1, 1) if present else (-1, 0)
         ends = [(first, second), (second, first)]
-        # The term each endpoint gains or loses at level k: the other
-        # endpoint's M_k before anything moves (at k = 1 the links, which the
-        # flip changed only by the endpoint itself, which no term counts).
-        below = [links, *(level.__getitem__ for level in levels)][: len(levels)]
+        # The term each endpoint gains or loses at level k >= 2: the other
+        # endpoint's M_(k-1) before anything moves.
         terms = [
             [
                 (peer, member)
                 for peer, other in ends
-                for member in (other, *reach(other))
+                for member in (other, *level[other])
                 if member != peer
             ]
-            for reach in below
+            for level in levels[:-1]
         ]
         # (peer, id) pairs whose count crossed 0 <-> 1 one level down.
         crossed = ends
-        for level, bumps in zip(levels, terms):
+        if levels:
+            # Level 1 is symmetric, so each endpoint's term (the other's
+            # links, which the flip changed only by the endpoint itself) is
+            # one row write, mirrored into every member's row but the other
+            # endpoint's: the mirrors are the level-0 crossings' bumps.
+            level = levels[0]
+            crossed = []
+            for peer, other in ends:
+                row = level[peer]
+                for member in (other, *links(other)):
+                    if member == peer:
+                        continue
+                    count = row.get(member, 0) + sign
+                    if count:
+                        row[member] = count
+                    else:
+                        del row[member]
+                    if count == crossing:
+                        crossed.append((peer, member))
+                    if member != other:
+                        mirror = level[member]
+                        if count:
+                            mirror[peer] = count
+                        else:
+                            del mirror[peer]
+                        if count == crossing:
+                            crossed.append((member, peer))
+        for level, bumps in zip(levels[1:], terms):
             bumps += [
                 (neighbour, member)
                 for peer, member in crossed

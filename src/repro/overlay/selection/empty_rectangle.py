@@ -38,9 +38,9 @@ from typing import TYPE_CHECKING, Collection, Dict, List, Mapping, Optional, Seq
 import numpy as np
 
 from repro.geometry.rectangle import HyperRectangle
-# The canonical (L1 magnitude, id)-ordered non-strict dominance rule, shared
-# with the spatial index and the brute-force reference so the three paths
-# cannot drift apart.
+# The canonical lexicographic (key, id)-ordered non-strict dominance rule,
+# shared with the spatial index and the brute-force reference so the three
+# paths cannot drift apart.
 from repro.geometry.index import pareto_minima as _pareto_minima
 from repro.geometry.index import quadrant_skylines
 from repro.overlay.peer import PeerInfo
@@ -398,13 +398,11 @@ def _skyline_ids(member_keys: np.ndarray, member_ids: np.ndarray) -> List[int]:
     """Ids of the Pareto-minimal rows of ``member_keys`` (component-wise ``<=``).
 
     The numpy counterpart of :func:`_pareto_minima`, shared by the vectorised
-    equilibrium and batched-selection paths: rows are visited in increasing
-    ``(L1 magnitude, peer id)`` order, so a kept row can never be dominated by
-    a later one and one pass with dominance checks against the kept set
-    suffices.
+    equilibrium and batched-selection paths: rows are visited in lexicographic
+    ``(key, peer id)`` order, so a kept row can never be dominated by a later
+    one and one pass with dominance checks against the kept set suffices.
     """
-    # reprolint: disable=RPL003 reason=row-wise reduction over a fixed-arity dimension axis; byte-identity with the scan's L1 key is property-tested (test_indexed_selection)
-    order = np.lexsort((member_ids, member_keys.sum(axis=1)))
+    order = np.lexsort((member_ids, *member_keys.T[::-1]))
     kept_rows: List[np.ndarray] = []
     kept_ids: List[int] = []
     for position in order:

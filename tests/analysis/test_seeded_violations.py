@@ -2,8 +2,8 @@
 
 RPL003 and RPL004 are reprolint rules: their tests copy the actual guarded
 module into a scratch ``src/repro`` mirror (so module-scoped rules resolve
-exactly as they do in the repo), seed one realistic violation -- deleting
-the justified pragma over a real accumulation, dropping the seed of a real
+exactly as they do in the repo), seed one realistic violation -- a
+float key sum or a pairwise numpy reduction in the index, dropping the seed of a real
 generator, reading the wall clock in overlay code -- and prove the checker
 reports it with the right rule id at the right line.  The pristine copy is
 checked clean first, so a pass can only come from the seeded delta.
@@ -102,17 +102,18 @@ def test_rpl002_catches_membership_mutation_bypassing_the_index():
 
 
 def test_rpl003_catches_unsuppressed_accumulation_in_the_index(tmp_path):
-    """Deleting the justification over pareto_minima's L1 key re-flags it."""
+    """Visiting pareto_minima's entries by a float key sum, unjustified, flags."""
     source = (SRC / "geometry" / "index.py").read_text(encoding="utf-8")
-    pragma_line = next(
-        line
-        for line in source.splitlines()
-        if "reprolint: disable=RPL003" in line
+    seeded = _seed(
+        source,
+        "for key, point_id in sorted(entries):",
+        "for key, point_id in sorted(\n"
+        "        entries, key=lambda entry: (sum(entry[0]), entry[1])\n"
+        "    ):",
     )
-    seeded = _seed(source, pragma_line + "\n", "")
     copy = _mirror(tmp_path, "geometry/index.py", seeded)
     violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "ordered = sorted(entries")
+    expected_line = _line_of(seeded, "entries, key=lambda entry: (sum(entry[0])")
     assert [(v.rule_id, v.line) for v in violations] == [("RPL003", expected_line)]
 
 

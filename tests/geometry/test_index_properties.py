@@ -40,7 +40,10 @@ from repro.geometry.index import (
     quadrant_skylines,
 )
 from repro.overlay.peer import make_peer
-from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
+from repro.overlay.selection.empty_rectangle import (
+    EmptyRectangleSelection,
+    brute_force_empty_rectangle_neighbours,
+)
 
 # A small lattice provokes the degenerate geometry the paper assumes away:
 # duplicate points, shared per-axis values, points exactly on boundaries.
@@ -50,8 +53,9 @@ _ORDERS = st.sampled_from([1.0, 2.0, float("inf")])
 
 
 # Magnitudes where adding a small second coordinate is absorbed: the float
-# key sums of a dominated point and its dominator round equal, and the
-# canonical (key sum, id) visiting order falls back on the id.
+# key sums of a dominated point and its dominator round equal, which an
+# order by key sum could not tell apart and the lexicographic (key, id)
+# order never has to.
 _EXTREME = st.sampled_from(
     [-1e17, 1e17, 1e17 + 16.0, 1e17 + 32.0, 2.0**53, 2.0**53 + 2.0, 0.0, 1.0, 2.0, 3.0]
 )
@@ -209,12 +213,12 @@ def test_quadrant_kernel_matches_brute_force_where_key_sums_tie(history):
     _assert_kernel_matches_brute_force(*_replay(operations))
 
 
-def test_quadrant_kernel_follows_the_id_order_of_a_rounded_key_sum_tie():
+def test_quadrant_kernel_drops_a_dominated_point_whose_key_sum_rounds_equal():
     """A dominated point whose float key sum equals its dominator's.
 
-    ``pareto_minima`` visits by ``(key sum, id)``: with the smaller id the
-    dominated point is visited first and kept, with the larger it is dropped.
-    A plain skyline would drop it either way; the kernel must not.
+    The lexicographic ``(key, id)`` order visits the dominator first
+    whatever the ids, so the dominated point is dropped either way -- what
+    the paper's empty-rectangle definition says.
     """
     assert 1e17 + 1.0 == 1e17 + 2.0
     for dominated, dominator in ((1, 2), (2, 1)):
@@ -227,7 +231,9 @@ def test_quadrant_kernel_follows_the_id_order_of_a_rounded_key_sum_tie():
         (chosen,) = quadrant_skylines(
             np.zeros((1, 2)), np.asarray([9]), ids, coordinates
         )
-        assert chosen == ([1, 2, 3] if dominated == 1 else [1, 3])
+        assert chosen == sorted([dominator, 3])
+        peers = [make_peer(point_id, coords) for point_id, coords in mirror.items()]
+        assert chosen == brute_force_empty_rectangle_neighbours(peers[-1], peers)
 
 
 def _subset_skyline(mirror, reference, subset):
@@ -641,7 +647,7 @@ def test_duplicate_coordinates_are_first_class():
     assert index.nearest_k((2.0, 2.0), 3) == [1, 3, 5]
     assert index.nearest_k((2.0, 2.0), 3, exclude={1, 3}) == [5, 9, 7]
     # Mutual non-strict dominance between identical points: the scan keeps
-    # the first in (L1 magnitude, id) order, and so must the index.
+    # the first in lexicographic (key, id) order, and so must the index.
     got = index.orthant_skyline((1.0, 1.0), (1, 1))
     assert got == brute_force_orthant_skyline(mirror, (1.0, 1.0), (1, 1))
     assert got == [1]

@@ -9,8 +9,8 @@ after every convergence, that
 
 * the maintained sets equal ``knowledge_sets(overlay.adjacency(), BR)`` --
   plain BFS per peer, the oracle -- every count level equals the counts
-  derived from the BFS sets one level down, and the overlay's links are
-  the literal union of selected and selectors;
+  derived from the BFS sets one level down, level 1 is symmetric, and the
+  overlay's links are the literal union of selected and selectors;
 * no support, adjacency, pending or history entry is keyed by a departed id,
   and the view's history is one flag per alive peer, never an id collection;
 * every move reached exactly the peers whose oracle set held the mover at the
@@ -19,9 +19,10 @@ after every convergence, that
   (``sweep_apply_batch`` in ``tests/sweep_oracle.py``).
 
 The net-delta window the engine reads its deltas from is held to the same
-oracle on its own (``test_the_window_is_the_difference_of_two_bfs_oracles``):
-no engine in the loop, so a window that is wrong in a way the engine happens
-to tolerate still fails.
+oracle on its own (``test_the_window_is_the_difference_of_two_bfs_oracles``,
+radius 1 to 4, every count level equal to a ``from_links`` recount at each
+drain): no engine in the loop, so a window that is wrong in a way the engine
+happens to tolerate still fails.
 
 The schedules include the shapes the bookkeeping is most likely to get
 wrong: the first peer's empty bootstrap, multi-peer bootstraps, a leave and
@@ -93,6 +94,14 @@ def _assert_maintained_state_is_exact(overlay):
                 for member in ({neighbour} | within[neighbour]) - {peer_id}:
                     support[member] = support.get(member, 0) + 1
         assert level == expected
+    if levels:
+        # Level 1 counts [x in N(p)] + |N(p) & N(x)|, symmetric in p and x:
+        # what lets a flip write one row per endpoint and mirror it.
+        assert all(
+            levels[0][other].get(peer_id) == count
+            for peer_id, support in levels[0].items()
+            for other, count in support.items()
+        )
     for level in levels:
         assert set(level) == alive
         for peer_id, support in level.items():
@@ -228,7 +237,7 @@ def test_maintained_knowledge_sets_equal_the_bfs_oracle_after_every_converge(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    radius=st.sampled_from([1, 2, 3]),
+    radius=st.sampled_from([1, 2, 3, 4]),
     script=st.lists(
         st.tuples(
             st.sampled_from(["flip", "flip", "flip", "toggle", "drain"]),
@@ -278,6 +287,9 @@ def test_the_window_is_the_difference_of_two_bfs_oracles(radius, script):
             for peer_id, net in window.items():
                 assert all(window[other][peer_id] == sign for other, sign in net.items())
             assert {p: set(knowledge.known(p)) for p in adjacency} == oracle
+            # A recount from scratch: the counts, not just their keys.
+            recount = MaintainedKnowledgeSets.from_links(adjacency, adjacency.__getitem__, radius)
+            assert knowledge._levels == recount._levels  # noqa: SLF001
             previous = oracle
 
 
