@@ -1,8 +1,11 @@
 """The benchmark-record schema gate: malformed perf records fail fast."""
 
 import json
+from pathlib import Path
 
-from repro.analysis import main, validate_bench_directory, validate_bench_record
+from bench_schema import validate_bench_directory, validate_bench_record
+
+RESULTS = Path(__file__).resolve().parent / "results"
 
 GOOD_RECORD = {
     "scenario": "index_scaling_full_convergence",
@@ -125,18 +128,6 @@ def test_errors_carry_file_path_and_record_index(tmp_path):
     assert "peer_count" in errors[0]
 
 
-def test_cli_combines_lint_and_schema_exit_codes(tmp_path, capsys):
-    clean_module = tmp_path / "clean.py"
-    clean_module.write_text("VALUE = 1\n")
-    bad = tmp_path / "BENCH_bad.json"
-    bad.write_text(json.dumps({"scenario": 42}))
-
-    assert main([str(clean_module), "--bench-schema", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert "reprolint: clean" in captured.out
-    assert "bench-schema:" in captured.err
-
-    good = tmp_path / "BENCH_good.json"
-    bad.unlink()
-    good.write_text(json.dumps(GOOD_RECORD))
-    assert main([str(clean_module), "--bench-schema", str(tmp_path)]) == 0
+def test_checked_in_bench_records_are_schema_valid():
+    errors = validate_bench_directory([RESULTS])
+    assert errors == [], "\n".join(errors)

@@ -15,13 +15,7 @@ one-to-one onto the experiment drivers:
 * ``trace`` -- the churn-trace scenarios (Poisson, flash crowd, mass
   departure, diurnal wave) replayed through the batched-epoch path with
   live tree and connectivity metrics,
-* ``lint`` -- the reprolint contract checkers (``repro.analysis``) over the
-  given paths (default ``src/repro``); extra reprolint flags
-  (``--select``/``--ignore``/``--format``/``--bench-schema`` ...) pass
-  through verbatim; exit status 0 clean, 1 findings, 2 parse-or-config
-  error,
-* ``all`` -- every experiment above in sequence (``lint`` is not an
-  experiment and runs only when named explicitly).
+* ``all`` -- every experiment above in sequence.
 
 Every command accepts ``--scale smoke|bench|paper`` (default: the
 ``REPRO_SCALE`` environment variable, then ``bench``) and prints plain-text
@@ -41,7 +35,6 @@ from repro.experiments.ablations import (
     run_network_model_ablation,
     run_pick_strategy_ablation,
 )
-from repro.analysis import main as lint_main
 from repro.experiments.trace_runner import run_trace_scenarios
 from repro.experiments.config import SCALES, resolve_scale
 from repro.experiments.figure1a import run_figure1a
@@ -76,15 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
             "ablations",
             "network",
             "trace",
-            "lint",
             "all",
         ],
         help="which experiment to run",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="paths for the 'lint' command (default: src/repro); ignored otherwise",
     )
     return parser
 
@@ -157,39 +144,9 @@ def _run_trace(scale) -> None:
     )
 
 
-def _lint_passthrough(raw: List[str]) -> Optional[List[str]]:
-    """If the invocation is the ``lint`` command, the arguments to forward.
-
-    ``lint`` accepts reprolint's own flag surface, which this parser does
-    not know; re-parsing them here would scatter flag values into
-    ``paths``.  So the command is recognised positionally (optionally
-    preceded by ``--scale``, which lint ignores: contract checking is
-    scale-independent) and everything after it is forwarded verbatim.
-    """
-    index = 0
-    while index < len(raw):
-        token = raw[index]
-        if token == "--scale" and index + 1 < len(raw):
-            index += 2
-            continue
-        if token.startswith("--scale="):
-            index += 1
-            continue
-        break
-    if index < len(raw) and raw[index] == "lint":
-        return raw[index + 1 :]
-    return None
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    raw = list(argv) if argv is not None else sys.argv[1:]
-    forwarded = _lint_passthrough(raw)
-    if forwarded is not None:
-        # Same argument surface (and exit codes) as python -m repro.analysis.
-        return lint_main(forwarded)
-    parser = build_parser()
-    arguments = parser.parse_args(raw)
+    arguments = build_parser().parse_args(argv)
 
     command = arguments.command
     scale = resolve_scale(arguments.scale)

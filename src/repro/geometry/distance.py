@@ -40,7 +40,7 @@ def manhattan_distance(a: Sequence[float], b: Sequence[float]) -> float:
 def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """L2 distance: square root of the sum of squared per-axis differences."""
     _check_dimensions(a, b)
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
 
 
 def chebyshev_distance(a: Sequence[float], b: Sequence[float]) -> float:

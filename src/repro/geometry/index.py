@@ -98,10 +98,11 @@ def _point_distance(deltas: Sequence[float], order: float) -> float:
     """Minkowski norm of a delta vector, matching the scan paths bit for bit.
 
     The accumulation is sequential left-to-right, which is what both the
-    plain-python distance functions (:mod:`repro.geometry.distance`) and --
-    for the dimensions the paper uses -- the numpy reductions of
-    :func:`repro.overlay.selection.hyperplanes.minkowski` perform, so a
-    ranking computed here never disagrees with either scan path.
+    plain-python distance functions (:mod:`repro.geometry.distance`) and
+    the numpy column loop of
+    :func:`repro.overlay.selection.hyperplanes.minkowski` perform at every
+    dimension, so a ranking computed here never disagrees with either scan
+    path.
     """
     if order == 1.0:
         total = 0.0

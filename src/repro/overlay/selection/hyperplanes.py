@@ -54,19 +54,24 @@ VECTORISE_THRESHOLD = 48
 def minkowski(deltas: np.ndarray, order: float) -> np.ndarray:
     """Row-wise Minkowski norm of a matrix of coordinate differences.
 
+    Columns are added left to right, squaring by multiplication for L2: the
+    order and the arithmetic of the python distance functions and of the
+    spatial index, so all three rank candidates byte-identically at every
+    dimension (numpy's ``.sum`` adds eight or more columns pairwise).
     Supports the orders the named distances map to (1, 2 and infinity);
     other orders are rejected rather than silently miscomputed.
     """
     magnitudes = np.abs(deltas)
-    if order == 1.0:
-        # reprolint: disable=RPL003 reason=row-wise reduction along the fixed dimension axis mirrors the scan's left-to-right L1 accumulation; equality is property-tested
-        return magnitudes.sum(axis=1)
-    if order == 2.0:
-        # reprolint: disable=RPL003 reason=row-wise reduction along the fixed dimension axis mirrors the scan's left-to-right L2 accumulation; equality is property-tested
-        return np.sqrt((magnitudes ** 2).sum(axis=1))
     if order == float("inf"):
         return magnitudes.max(axis=1)
-    raise ValueError(f"unsupported Minkowski order {order!r}; known: 1, 2, inf")
+    if order not in (1.0, 2.0):
+        raise ValueError(f"unsupported Minkowski order {order!r}; known: 1, 2, inf")
+    if order == 2.0:
+        magnitudes = magnitudes * magnitudes
+    total = magnitudes[:, 0].copy()
+    for column in magnitudes.T[1:]:
+        total += column
+    return np.sqrt(total) if order == 2.0 else total
 
 
 class HyperplanesSelection(NeighbourSelectionMethod):

@@ -45,7 +45,6 @@ def _resolve_rng(seed: Optional[int], rng: Optional[random.Random]) -> random.Ra
             raise ValueError("pass either seed or rng, not both")
         return rng
     if seed is None:
-        # reprolint: disable=RPL004 reason=seed=None is the documented opt-in to a nondeterministic system seed (seeding contract, PR 4)
         return random.Random()
     return random.Random(seed)
 

@@ -25,8 +25,9 @@ class TestParser:
 
     def test_unknown_command_rejected(self):
         parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["figure9z"])
+        for command in ("figure9z", "lint"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command])
 
 
 class TestExecution:

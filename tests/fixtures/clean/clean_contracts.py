@@ -24,10 +24,6 @@ def insensitive_total(values):
     return math.fsum(values)
 
 
-def justified_key(coordinates):
-    return sum(coordinates)  # reprolint: disable=RPL003 reason=fixed-arity coordinate tuple; left-to-right order is the canonical L1 key
-
-
 def seeded_generator(seed=0, rng=None):
     """The rng-parameter seeding contract (PR 4)."""
     return rng if rng is not None else random.Random(seed)

@@ -1,7 +1,7 @@
 """Clean corpus: byte-identity near misses.
 
-Set-like iteration that feeds nothing order-sensitive, an alias rebound to
-an ordered value, and a justified standalone pragma over the next line.
+Set-like iteration that feeds nothing order-sensitive, and an alias rebound
+to an ordered value.
 """
 
 import heapq
@@ -28,8 +28,3 @@ def list_total(values):
     for value in list(values):
         total += value
     return total
-
-
-def justified_l1(coordinates):
-    # reprolint: disable=RPL003 reason=fixed-arity coordinate tuple; left-to-right order is the canonical L1 key
-    return sum(coordinates)

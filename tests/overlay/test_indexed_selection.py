@@ -321,3 +321,41 @@ def test_unsupported_methods_never_receive_an_index():
         overlay.selection.select_many([], {}, index=index)
     with pytest.raises(TypeError, match="no index-backed selection path"):
         overlay.selection.select_many_additive([], index=index)
+
+
+def _rotated_pair(near):
+    """The origin, ``near`` and ``near`` rotated left by one axis, whose keys
+    differ only in the summation order, and 60 far peers: the numpy paths
+    need 48 or more candidates."""
+    dimension = len(near)
+    return [make_peer(0, [0.0] * dimension), make_peer(1, near),
+            make_peer(2, near[1:] + near[:1])] + [
+        make_peer(i, [0.3 + 0.001 * i + 0.0001 * j for j in range(dimension)])
+        for i in range(10, 70)]
+
+
+def test_insertion_and_equilibrium_agree_on_a_summation_order_tie():
+    """The python scan squared with ``(x - y) ** 2`` (libm ``pow``) and numpy
+    with ``x * x``; the two once gave peer 0 different neighbours here."""
+    peers = _rotated_pair((0.10255203114768215, 0.15639034825485046, 0.013807357091860789))
+    selection = OrthogonalHyperplanesSelection(k=1)
+    incremental = OverlayNetwork.build_incremental(peers, selection, rng=random.Random(0))
+    equilibrium = OverlayNetwork.build_equilibrium(peers, selection)
+    assert incremental.directed_neighbour_map() == equilibrium.directed_neighbour_map()
+
+
+def test_scan_numpy_and_index_agree_at_eight_dimensions():
+    """numpy's ``.sum(axis=1)`` adds eight or more columns pairwise, not left
+    to right, and once ranked peer 2 first where the scan and the index
+    ranked peer 1."""
+    peers = _rotated_pair((0.10694253070906821, 0.1997498779565849, 0.13815114249571533,
+                           0.044550264396397435, 0.1797785919507678, 0.16138438507011152,
+                           0.1495363214598558, 0.1822527934805366))
+    selection = KClosestSelection(k=1, distance="l1")
+    index = SpatialIndex()
+    for peer in peers:
+        index.insert(peer.peer_id, peer.coordinates)
+    reference = peers[0]
+    scan = selection.select(reference, peers)
+    assert selection.select_many([reference], {0: peers})[0] == scan
+    assert selection.select(reference, (), index=index) == scan == [1]

@@ -4,10 +4,16 @@ an iteration yields a second element (``add_peer`` reads the dimension off
 the first).  A converged join, leave, move and mixed batch, each refreshed
 and queried, must not trip them."""
 
+import __future__
+import inspect
+import sys
+import textwrap
+
 import pytest
 
 from repro.multicast.incremental import OverlayConnectivityFeed, StabilityTreeMaintainer
 from repro.overlay.columnar import ColumnarCandidateState
+from repro.overlay.incremental import IncrementalReselectionEngine
 from repro.overlay.network import BatchJoin, BatchLeave, BatchMove, OverlayNetwork
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.workloads.peers import generate_peers_with_lifetimes
@@ -73,3 +79,44 @@ def churn(setup, steps=tuple(STEPS)):
 @pytest.mark.parametrize("step", list(STEPS))
 def test_churn_step_never_walks_the_population(step, radius):
     churn(bootstrapped(radius), [step])
+
+
+def _assert_seeded_walk(monkeypatch, owner, name, needle, replacement):
+    """Recompile ``owner.name`` from its own source with one line changed;
+    the churn steps must then trip the population check."""
+    setup = bootstrapped(None)
+    function = getattr(owner, name)
+    lines, first = inspect.getsourcelines(function)
+    source = textwrap.dedent("".join(lines))
+    assert needle in source, f"{owner.__name__}.{name} drifted"
+    namespace = {}
+    exec(compile("\n" * (first - 1) + source.replace(needle, replacement, 1),
+                 inspect.getsourcefile(function), "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True),
+         vars(sys.modules[function.__module__]), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+    with pytest.raises(PopulationWalk):
+        churn(setup)
+
+
+def test_rpl005_catches_population_work_in_the_tree_refresh_hot_path(monkeypatch):
+    """Reading the whole undirected topology inside the tree refresh --
+    instead of the one touched peer's links -- is O(N) work per churn event."""
+    _assert_seeded_walk(monkeypatch, StabilityTreeMaintainer, "refresh",
+                        "overlay.links(peer_id),", "overlay.adjacency()[peer_id],")
+
+
+def test_rpl005_catches_an_implicit_set_silently_materialised(monkeypatch):
+    """The engine's ``note_join`` rebuilding a population-sized structure
+    instead of delegating the O(1) implicit-representation write."""
+    _assert_seeded_walk(monkeypatch, IncrementalReselectionEngine, "note_join",
+                        "self._view.note_join(peer_id)",
+                        "self._dirty_all = sorted(self._overlay._peers)")
+
+
+def test_rpl005_catches_population_scheduling_in_plan_round(monkeypatch):
+    """``plan_round`` swapping its mask-algebra dirty scan for a sort of the
+    row map puts an O(N) Python pass back on every convergence round."""
+    _assert_seeded_walk(monkeypatch, ColumnarCandidateState, "plan_round",
+                        "scheduled_rows = self._dirty_row_array()",
+                        "scheduled_rows = np.asarray(sorted(self._rows._row_of_id))")

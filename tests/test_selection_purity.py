@@ -70,3 +70,17 @@ def hyperplanes_sources(replacement, appended=""):
     assert source.count(NEEDLE) == 1, "hyperplanes.py drifted"
     return {HyperplanesSelection.__module__: source.replace(NEEDLE, replacement) + appended}
 
+
+def test_rpl006_catches_a_seeded_stateful_select():
+    """Remembering the last reference peer makes select depend on call
+    history, which path_independent=True forbids."""
+    sources = hyperplanes_sources(NEEDLE + "        self._last_reference = reference.peer_id\n")
+    assert purity_problems(HyperplanesSelection, sources) == [
+        "HyperplanesSelection.select writes self._last_reference"]
+
+
+def test_rpl006_catches_a_seeded_mutable_global_read():
+    sources = hyperplanes_sources(NEEDLE.replace("\n", '[: _RUNTIME_LIMITS["max_candidates"]]\n'),
+                                  '\n_RUNTIME_LIMITS = {"max_candidates": 1024}\n')
+    assert purity_problems(HyperplanesSelection, sources) == [
+        "HyperplanesSelection.select reads the mutable global _RUNTIME_LIMITS"]

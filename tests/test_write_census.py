@@ -132,3 +132,31 @@ def test_only_the_overlay_holds_its_links():
     holders = [holder for holder in gc.get_referrers(overlay._links)  # noqa: SLF001
                if holder is not overlay and holder is not vars(overlay)]
     assert holders == []
+
+
+def test_rpl001_catches_a_dropped_add_peer_notification():
+    """Re-introduces a drift ``add_peer`` once had: a silent bootstrap install."""
+    sources = network_sources("self.notify_selection_change(peer.peer_id, set(), bootstrap_ids)",
+                              "pass  # seeded: bootstrap edges installed silently")
+    assert census_problems(sources) == [
+        f"{NETWORK}::OverlayNetwork.add_peer writes _neighbours without notifying the recorders"]
+
+
+def test_rpl001_catches_a_rogue_rewire_helper():
+    sources = network_sources(appended="\n\ndef rebalance(overlay, peer_id, targets):\n"
+                                       "    overlay._neighbours[peer_id] = set(targets)\n")
+    assert census_problems(sources) == [
+        f"{NETWORK}::rebalance writes _neighbours outside the pinned writers"]
+
+
+def test_rpl002_catches_membership_mutation_bypassing_the_index():
+    """Dropping remove_peer's index maintenance flags it; renaming it off the
+    pinned writers flags every overlay-map write in it."""
+    sources = network_sources("self._index.remove(peer_id)", "pass  # seeded: index not maintained")
+    assert census_problems(sources) == [
+        f"{NETWORK}::OverlayNetwork.remove_peer writes _peers without maintaining the index"]
+    sources[NETWORK] = sources[NETWORK].replace("def remove_peer(", "def evict_peer(", 1)
+    problems = census_problems(sources)
+    for label in ("_peers", "_neighbours"):
+        assert f"{NETWORK}::OverlayNetwork.evict_peer writes {label} outside the " \
+               "pinned writers" in problems
