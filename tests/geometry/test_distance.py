@@ -1,7 +1,9 @@
 """Unit tests for repro.geometry.distance."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.geometry.distance import (
@@ -11,6 +13,8 @@ from repro.geometry.distance import (
     manhattan_distance,
     minkowski_distance,
 )
+from repro.geometry.index import _point_distance
+from repro.overlay.selection.hyperplanes import minkowski
 
 A = (1.0, 2.0, 3.0)
 B = (4.0, 0.0, 3.0)
@@ -71,3 +75,19 @@ class TestRegistry:
     def test_unknown_name_raises_with_known_names(self):
         with pytest.raises(ValueError, match="unknown distance"):
             get_distance("hamming")
+
+
+class TestSummationOrder:
+    """The python distance functions, the numpy rows of ``minkowski`` and the
+    spatial index's ``_point_distance`` add the same terms in the same order,
+    so the scan, the numpy path and the index rank candidates identically."""
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 5, 8, 10])
+    @pytest.mark.parametrize("name,order", [("l1", 1.0), ("l2", 2.0), ("linf", math.inf)])
+    def test_three_paths_agree_bit_for_bit(self, name, order, dimension):
+        rng = random.Random(dimension)
+        rows = [[rng.uniform(-1.0, 1.0) for _ in range(dimension)] for _ in range(500)]
+        origin = (0.0,) * dimension
+        expected = [get_distance(name)(row, origin) for row in rows]
+        assert minkowski(np.array(rows), order).tolist() == expected
+        assert [_point_distance(row, order) for row in rows] == expected

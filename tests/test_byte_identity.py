@@ -124,3 +124,26 @@ def test_rpl003_catches_a_seeded_numpy_reduction():
     line = line_of(sources, "return keys.sum(axis=1)")
     assert byte_identity_problems(sources) == [
         f"repro.geometry.index::_fast_l1:{line} keys.sum()"]
+
+
+def test_an_allowlist_entry_cannot_outlive_its_code():
+    allowed = {("repro.geometry.index", "pareto_minima"): "stale"}
+    assert byte_identity_problems(allowed=allowed) == [
+        "repro.geometry.index::pareto_minima is allowlisted but flags nothing"]
+
+
+def test_rpl003_catches_a_set_alias_feeding_a_tiebreak_in_a_selection():
+    """A set bound to a name still flags when a loop over it breaks ties;
+    sorting it first is the fix and silences the check."""
+    helper = ("\n\ndef _first(candidates):\n    ids = set(candidates)\n    best = None\n"
+              "    for peer_id in ids:\n"
+              "        best = peer_id if best is None else min(best, peer_id)\n"
+              "    return best\n")
+    sources = seeded("repro.overlay.selection.k_closest", appended=helper)
+    line = line_of(sources, "for peer_id in ids:")
+    assert byte_identity_problems(sources) == [
+        f"repro.overlay.selection.k_closest::_first:{line} "
+        "unordered loop feeding an accumulator or a tie-break"]
+    fixed = seeded("repro.overlay.selection.k_closest",
+                   appended=helper.replace("set(candidates)", "sorted(candidates)"))
+    assert byte_identity_problems(fixed) == []
