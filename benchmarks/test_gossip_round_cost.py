@@ -13,10 +13,10 @@ move} epochs at N ~ 120 (the shape of the ledger's ``bounded_gossip_er2d``):
 * ``note_move`` asks about no peer outside ``I(mover)`` as of the previous
   drain or the current one: it walks the mover's neighbourhood, not the
   population;
-* the selection is handed ids and one resolver per call, never a
-  ``PeerInfo`` list, and calls the resolver O(distinct ids of the call)
-  times (each of the two cores resolves an id once) -- not once per
-  (reference, candidate) pair.
+* the selection is handed ids and one handle per call, never a
+  ``PeerInfo`` list, and on the 2-D empty-rectangle path never calls the
+  handle's resolver: every coordinate is a row gather from the overlay's
+  column.
 
 The three counts and the per-epoch wall are printed; only the counts are
 asserted (runner timings are not comparable, and the claim-bearing timings
@@ -32,6 +32,7 @@ from conftest import print_report
 from repro.overlay.gossip import knowledge_sets
 from repro.overlay.incremental import RESELECT_FULL
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.selection.base import MemberOf
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.workloads.peers import generate_peers
 
@@ -93,15 +94,15 @@ def test_gossip_rounds_are_counted_o_changes():
     def watch(entry, collections_of):
         inner = getattr(selection, entry)
 
-        def watched(batch, *args, member_of, **kwargs):  # no resolver, no ids: TypeError
+        def watched(batch, *args, member_of, **kwargs):  # no handle, no ids: TypeError
             collections = collections_of(batch, *args)
             assert all(type(other) is int for ids in collections for other in ids)
             calls = []
-            result = inner(
-                batch, *args, member_of=lambda other: calls.append(other) or member_of(other), **kwargs
-            )
+            counted = MemberOf(lambda other: calls.append(other) or member_of(other),
+                               member_of.column)
+            result = inner(batch, *args, member_of=counted, **kwargs)
             distinct = len(set().union(*collections))
-            assert len(calls) <= 2 * distinct
+            assert calls == []
             counts["resolver_calls"] += len(calls)
             counts["distinct_ids"] += distinct
             counts["candidate_ids"] += sum(map(len, collections))
@@ -152,5 +153,6 @@ def test_gossip_rounds_are_counted_o_changes():
         ),
     )
     assert counts["known_reads"] <= counts["full_verdicts"] + 2 * _EPOCHS
-    assert counts["resolver_calls"] <= 2 * counts["distinct_ids"] < counts["candidate_ids"]
+    assert counts["resolver_calls"] == 0
+    assert counts["distinct_ids"] < counts["candidate_ids"]
     assert overlay.reselect_round() is False

@@ -8,10 +8,11 @@ log of every tier-1 run -- no profiler, no ledger pass -- at the
 * 12 x 340 and 17 x 234: one full pass (``_KERNEL_ELEMENTS // members``
   references) over the alive population of ``churn_trace_er2d`` at its
   upper-quartile and its mean size (1,420 such passes per replay);
-* 40 x 100 in member rows: a bounded-gossip round's batch, each reference
-  over its own two-hop candidate set within the union of all of them
-  (``bounded_gossip_er2d``: median 19 references over 119 members, up to
-  131 over 150);
+* 48 x 149 in member rows of about 24 ids: a bounded-gossip round's batch,
+  each reference over its own candidate row within the union of all of
+  them (the 634 calls of the seed-7 ``bounded_gossip_er2d`` body, its 514
+  additive and 120 full batches: median 48.5 references over 149 members,
+  p10-p90 18-94 references over 110-150 members, 23.9 ids per row);
 * 8 x 3000: eight of the 3,000 one-reference passes of the all-dirty first
   convergence of ``cold_converge_er2d``.
 
@@ -34,7 +35,7 @@ from repro.geometry.index import brute_force_orthant_skyline, quadrant_skylines
     [
         pytest.param(12, 340, False, id="churn-12x340"),
         pytest.param(17, 234, False, id="churn-17x234"),
-        pytest.param(40, 100, True, id="bounded-gossip-40x100-rows"),
+        pytest.param(48, 149, True, id="bounded-gossip-48x149-rows"),
         pytest.param(8, 3000, False, id="cold-converge-8x3000"),
     ],
 )
@@ -43,7 +44,7 @@ def test_quadrant_kernel_call(benchmark, references, members, ragged):
     coordinates = rng.random((members, 2)) * 1000.0
     ids = rng.permutation(3 * members)[:members].astype(np.int64)
     rows = rng.choice(members, size=references, replace=False)
-    mask = rng.random((references, members)) < 0.4 if ragged else None
+    mask = rng.random((references, members)) < 24 / members if ragged else None
     member_rows = None if mask is None else np.nonzero(mask)
 
     selected = benchmark.pedantic(

@@ -19,11 +19,12 @@ Division of labour
   every query folds in exactly, and the tree is rebuilt from scratch only
   once the stale fraction passes a threshold -- so churn costs ``O(1)`` per
   event amortised, and queries stay exact at every moment in between;
-* the **coordinate column** (:meth:`SpatialIndex.columns`: the live points
-  as dense numpy rows, maintained by ``insert``/``remove``/``move``) is
-  what :func:`quadrant_skylines` reads: the two-dimensional
-  empty-rectangle rule for many references at once, as array passes
-  instead of tree walks.
+* the **coordinate column** (:class:`CoordinateColumn`, the index's base
+  class: the live points as dense numpy rows) is what
+  :func:`quadrant_skylines` reads: the two-dimensional empty-rectangle rule
+  for many references at once, as array passes instead of tree walks.  An
+  overlay owns exactly one column in either knowledge regime -- the index
+  itself under full knowledge, a bare column under a gossip radius.
 
 Byte-identical contract
 -----------------------
@@ -58,6 +59,7 @@ from repro.geometry.hyperplane import Hyperplane, HyperplaneSet
 from repro.geometry.point import CoordinateLike, Point, as_point
 
 __all__ = [
+    "CoordinateColumn",
     "SpatialIndex",
     "pareto_minima",
     "quadrant_skylines",
@@ -84,9 +86,9 @@ _COLUMN_ROWS = 64
 # at once (at least one whole reference).  Every temporary of a pass (the
 # packed keys, two halves, the running minimum) is an int64 array of this
 # many elements, and the process's peak RSS is a benchmark metric with a
-# 5 % bound: on the ledger's churn trace 4096 elements peak at 63.5 MB and
-# 16384 at 63.7 MB, for the 2-3 % of wall-clock that half as many passes
-# save -- inside the run-to-run spread.
+# 5 % bound: on the ledger's churn trace 4096 elements peak at 39.0 MB and
+# 16384 at 39.2 MB, and the wall-clock the fewer passes save is inside the
+# run-to-run spread.
 _KERNEL_ELEMENTS = 4096
 
 # Quadrant code of the reference itself among its members (excluded by id,
@@ -169,50 +171,128 @@ def _build_kd(
     return node
 
 
-class SpatialIndex:
-    """A coordinate column + k-d tree over an id -> coordinate point set.
+class CoordinateColumn:
+    """Points as dense numpy rows: ``int64`` ids, ``float64`` coordinates.
 
-    Points are identified by integer ids (peer ids).  The dimension is fixed
-    by the first inserted point and retained even when the index drains back
-    to empty (a drained overlay keeps answering queries consistently).
-
-    Maintenance is exact and cheap: ``insert``/``remove``/``move`` update
-    the point store and the coordinate column in ``O(1)`` and defer k-d tree
-    work to a tombstone set and an insert buffer that queries fold in; the
-    tree itself is rebuilt only when the stale fraction passes a threshold.
-    Queries are therefore always answered against the *current* point set.
+    The array form the batched skyline kernel reads (:meth:`columns` for
+    every point, :meth:`gather` for some).  ``insert``/``remove``/``move``
+    are ``O(1)``: a removed row is overwritten by the last one, so rows
+    ``[0, len)`` are exactly the live points in no particular order.  The
+    dimension is fixed by the first inserted point and retained even when
+    the column drains back to empty.
     """
 
     def __init__(self) -> None:
-        self._points: Dict[int, Point] = {}
         self._dimension: Optional[int] = None
-        # Coordinate column: the live points as dense rows (float64
-        # coordinates, int64 ids, id -> row), the array form the batched
-        # skyline kernel reads.  A removed row is overwritten by the last
-        # one, so rows [0, len) are exactly the live points in no
-        # particular order.
         self._row_of: Dict[int, int] = {}
         self._row_ids = np.empty(0, dtype=np.int64)
         self._row_coords = np.empty((0, 0), dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self._row_of)
+
+    def __contains__(self, point_id: int) -> bool:
+        return point_id in self._row_of
+
+    @property
+    def dimension(self) -> Optional[int]:
+        """Dimension of the stored points (``None`` before the first insert)."""
+        return self._dimension
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The live points as ``(ids int64[n], coordinates float64[n, D])``.
+
+        Read-only views of the column, valid until the next mutation.  Row
+        order is arbitrary (removal swaps the last row into the gap).
+        """
+        count = len(self._row_of)
+        ids = self._row_ids[:count]
+        coordinates = self._row_coords[:count]
+        ids.flags.writeable = False
+        coordinates.flags.writeable = False
+        return ids, coordinates
+
+    def gather(self, point_ids: Sequence[int]) -> np.ndarray:
+        """The coordinates of ``point_ids`` (each stored), one row per id."""
+        rows = np.fromiter(
+            map(self._row_of.__getitem__, point_ids), dtype=np.int64, count=len(point_ids)
+        )
+        return self._row_coords[rows]
+
+    def insert(self, point_id: int, coordinates: CoordinateLike) -> Point:
+        """Add one point; rejects duplicate ids and mixed dimensions."""
+        if point_id in self._row_of:
+            raise ValueError(f"id {point_id} is already indexed")
+        point = as_point(coordinates)
+        if self._dimension is None:
+            self._dimension = point.dimension
+            self._row_coords = np.empty((0, point.dimension), dtype=np.float64)
+        elif point.dimension != self._dimension:
+            raise ValueError(
+                f"id {point_id} has dimension {point.dimension}, expected {self._dimension}"
+            )
+        row = len(self._row_of)
+        if row == len(self._row_ids):
+            capacity = max(_COLUMN_ROWS, 2 * row)
+            ids = np.empty(capacity, dtype=np.int64)
+            coordinates = np.empty((capacity, self._dimension), dtype=np.float64)
+            ids[:row] = self._row_ids
+            coordinates[:row] = self._row_coords
+            self._row_ids, self._row_coords = ids, coordinates
+        self._row_of[point_id] = row
+        self._row_ids[row] = point_id
+        self._row_coords[row] = point
+        return point
+
+    def remove(self, point_id: int) -> None:
+        """Remove one point."""
+        try:
+            row = self._row_of.pop(point_id)
+        except KeyError:
+            raise KeyError(f"id {point_id} is not indexed") from None
+        last = len(self._row_of)
+        if row != last:
+            moved_id = int(self._row_ids[last])
+            self._row_of[moved_id] = row
+            self._row_ids[row] = moved_id
+            self._row_coords[row] = self._row_coords[last]
+
+    def move(self, point_id: int, coordinates: CoordinateLike) -> None:
+        """Update one point's coordinates in place (same id).
+
+        Validates the new coordinates *before* touching any state, so a
+        rejected move leaves the column exactly as it was.
+        """
+        if point_id not in self._row_of:
+            raise KeyError(f"id {point_id} is not indexed")
+        point = as_point(coordinates)
+        if point.dimension != self._dimension:
+            raise ValueError(
+                f"id {point_id} has dimension {point.dimension}, expected {self._dimension}"
+            )
+        self.remove(point_id)
+        self.insert(point_id, point)
+
+
+class SpatialIndex(CoordinateColumn):
+    """A :class:`CoordinateColumn` plus a k-d tree over the same points.
+
+    Maintenance is exact and cheap: ``insert``/``remove``/``move`` update
+    the column and a point store in ``O(1)`` and defer k-d tree work to a
+    tombstone set and an insert buffer that queries fold in; the tree itself
+    is rebuilt only when the stale fraction passes a threshold.  Queries are
+    therefore always answered against the *current* point set, a drained
+    index included (it keeps its dimension).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._points: Dict[int, Point] = {}
         # K-d tree + dynamisation state.
         self._tree: Optional[_KDNode] = None
         self._tombstones: Set[int] = set()
         self._buffer: Dict[int, Point] = {}
         self._rebuilds = 0
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __contains__(self, point_id: int) -> bool:
-        return point_id in self._points
-
-    @property
-    def dimension(self) -> Optional[int]:
-        """Dimension of the indexed space (``None`` before the first insert)."""
-        return self._dimension
 
     @property
     def rebuilds(self) -> int:
@@ -229,86 +309,22 @@ class SpatialIndex:
         """Coordinates of one indexed point, as the tuple that was stored."""
         return self._points[point_id]
 
-    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The live points as ``(ids int64[n], coordinates float64[n, D])``.
-
-        Read-only views of the coordinate column, valid until the next
-        mutation.  Row order is arbitrary (removal swaps the last row into
-        the gap); ``coordinates[row]`` is ``point(ids[row])``.
-        """
-        count = len(self._row_of)
-        ids = self._row_ids[:count]
-        coordinates = self._row_coords[:count]
-        ids.flags.writeable = False
-        coordinates.flags.writeable = False
-        return ids, coordinates
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def insert(self, point_id: int, coordinates: CoordinateLike) -> None:
+    def insert(self, point_id: int, coordinates: CoordinateLike) -> Point:
         """Add one point; rejects duplicate ids and mixed dimensions."""
-        if point_id in self._points:
-            raise ValueError(f"id {point_id} is already indexed")
-        point = as_point(coordinates)
-        if self._dimension is None:
-            self._dimension = point.dimension
-            self._row_coords = np.empty((0, point.dimension), dtype=np.float64)
-        elif point.dimension != self._dimension:
-            raise ValueError(
-                f"point dimension {point.dimension} does not match index "
-                f"dimension {self._dimension}"
-            )
+        point = super().insert(point_id, coordinates)
         self._points[point_id] = point
-        row = len(self._row_of)
-        if row == len(self._row_ids):
-            capacity = max(_COLUMN_ROWS, 2 * row)
-            ids = np.empty(capacity, dtype=np.int64)
-            coordinates = np.empty((capacity, self._dimension), dtype=np.float64)
-            ids[:row] = self._row_ids
-            coordinates[:row] = self._row_coords
-            self._row_ids, self._row_coords = ids, coordinates
-        self._row_of[point_id] = row
-        self._row_ids[row] = point_id
-        self._row_coords[row] = point
         if self._tree is not None:
             # Queries read the id from the buffer; a tombstoned tree copy of
             # the same id (a remove-then-reinsert) stays dead.
             self._buffer[point_id] = point
-
-    def remove(self, point_id: int) -> Point:
-        """Remove one point; returns its coordinates."""
-        try:
-            point = self._points.pop(point_id)
-        except KeyError:
-            raise KeyError(f"id {point_id} is not indexed") from None
-        row = self._row_of.pop(point_id)
-        last = len(self._row_of)
-        if row != last:
-            moved_id = int(self._row_ids[last])
-            self._row_of[moved_id] = row
-            self._row_ids[row] = moved_id
-            self._row_coords[row] = self._row_coords[last]
-        if self._buffer.pop(point_id, None) is None and self._tree is not None:
-            self._tombstones.add(point_id)
         return point
 
-    def move(self, point_id: int, coordinates: CoordinateLike) -> None:
-        """Update one point's coordinates in place (same id).
-
-        Validates the new coordinates *before* touching any state, so a
-        rejected move leaves the index exactly as it was.
-        """
-        if point_id not in self._points:
-            raise KeyError(f"id {point_id} is not indexed")
-        point = as_point(coordinates)
-        if point.dimension != self._dimension:
-            raise ValueError(
-                f"point dimension {point.dimension} does not match index "
-                f"dimension {self._dimension}"
-            )
-        self.remove(point_id)
-        self.insert(point_id, point)
+    def remove(self, point_id: int) -> None:
+        """Remove one point."""
+        super().remove(point_id)
+        del self._points[point_id]
+        if self._buffer.pop(point_id, None) is None and self._tree is not None:
+            self._tombstones.add(point_id)
 
     # ------------------------------------------------------------------
     # K-d tree internals

@@ -149,7 +149,7 @@ import numpy as np
 
 from repro.overlay.gossip import MaintainedKnowledgeSets
 from repro.overlay.peer import PeerInfo
-from repro.overlay.selection.base import AdditiveCohort
+from repro.overlay.selection.base import AdditiveCohort, MemberOf
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.overlay.network import OverlayNetwork
@@ -632,10 +632,11 @@ class IncrementalReselectionEngine:
         neighbour_sets = overlay._neighbours  # noqa: SLF001
         selection = overlay.selection
         references: List[PeerInfo] = []
-        # Ids throughout: the selection resolves the ones it needs (member_of).
+        # Ids throughout: the selection resolves the ones it needs, or reads
+        # their coordinates off the overlay's column (member_of).
         candidates_by_peer: Dict[int, AbstractSet[int]] = {}
         additive_updates: List[Tuple[PeerInfo, Set[int], Set[int]]] = []
-        member_of = members.__getitem__
+        member_of = MemberOf(members.__getitem__, overlay._column)  # noqa: SLF001
 
         for peer_id, verdict, gained, _lost in plan:
             if verdict == RESELECT_FULL:
@@ -704,7 +705,7 @@ class IncrementalReselectionEngine:
             full_references,
             candidates_by_peer,
             cohorts,
-            member_of=members.__getitem__,
+            member_of=MemberOf(members.__getitem__, overlay._column),  # noqa: SLF001
             index=index,
         )
         return overlay.install_selections(results)

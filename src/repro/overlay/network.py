@@ -47,7 +47,7 @@ from typing import (
     Union,
 )
 
-from repro.geometry.index import SpatialIndex
+from repro.geometry.index import CoordinateColumn, SpatialIndex
 from repro.overlay.gossip import knowledge_sets, peers_within_hops
 from repro.overlay.incremental import IncrementalReselectionEngine, OverlayDeltaRecorder
 from repro.overlay.peer import PeerInfo
@@ -102,19 +102,6 @@ class BatchMove:
 BatchEvent = Union[BatchJoin, BatchLeave, BatchMove, PeerInfo, int]
 
 
-def _validate_dimension(peer: PeerInfo, dimension: int) -> None:
-    """Reject a peer whose identifier dimension differs from the overlay's.
-
-    Shared by :meth:`OverlayNetwork.add_peer` and the bulk builders so a bad
-    population always fails with the same clear message instead of crashing
-    deep inside the numpy selection code.
-    """
-    if peer.dimension != dimension:
-        raise ValueError(
-            f"peer {peer.peer_id} has dimension {peer.dimension}, overlay uses {dimension}"
-        )
-
-
 class ConvergenceError(RuntimeError):
     """Raised when reselection rounds fail to reach a fixed point.
 
@@ -156,13 +143,15 @@ class OverlayNetwork:
         ``None`` (the default) models the full-knowledge steady state in
         which every peer eventually hears about every other peer.
 
-    The overlay owns a :class:`~repro.geometry.index.SpatialIndex` over the
-    alive peers' coordinates (:attr:`index`) exactly when ``gossip_radius``
-    is ``None`` and the method has ``supports_index``: only there is the
-    population every peer's candidate set, and only such a method reads
-    the index.  Every full selection is then answered from it.  A method
-    without an indexed path scans the population instead; under a gossip
-    radius every selection scans its own candidate set.
+    The overlay owns one :class:`~repro.geometry.index.CoordinateColumn`
+    over the alive peers' coordinates, which the batched selection reads.
+    It is a :class:`~repro.geometry.index.SpatialIndex` (:attr:`index`)
+    exactly when ``gossip_radius`` is ``None`` and the method has
+    ``supports_index``: only there is the population every peer's candidate
+    set, and only such a method reads the index.  Every full selection is
+    then answered from it.  A method without an indexed path scans the
+    population instead; under a gossip radius every selection scans its own
+    candidate set.
     """
 
     def __init__(
@@ -177,9 +166,11 @@ class OverlayNetwork:
         self._gossip_radius = gossip_radius
         # Maintained across every membership path (add_peer / remove_peer /
         # move_peer / the bulk builders); convergence failures never touch
-        # coordinates, so the index stays exact through them.
-        self._index: Optional[SpatialIndex] = (
-            SpatialIndex() if gossip_radius is None and selection.supports_index else None
+        # coordinates, so the column stays exact through them.
+        self._column: CoordinateColumn = (
+            SpatialIndex()
+            if gossip_radius is None and selection.supports_index
+            else CoordinateColumn()
         )
         self._peers: Dict[int, PeerInfo] = {}
         self._neighbours: Dict[int, Set[int]] = {}
@@ -211,7 +202,8 @@ class OverlayNetwork:
     @property
     def index(self) -> Optional[SpatialIndex]:
         """The spatial index the selection reads (``None`` when it reads none)."""
-        return self._index
+        column = self._column
+        return column if isinstance(column, SpatialIndex) else None
 
     @property
     def peer_ids(self) -> List[int]:
@@ -248,8 +240,6 @@ class OverlayNetwork:
         """
         if peer.peer_id in self._peers:
             raise ValueError(f"peer {peer.peer_id} is already in the overlay")
-        if self._peers:
-            _validate_dimension(peer, next(iter(self._peers.values())).dimension)
         if bootstrap is None:
             bootstrap_ids: Set[int] = {min(self._peers)} if self._peers else set()
         else:
@@ -257,19 +247,16 @@ class OverlayNetwork:
             unknown = [other for other in bootstrap_ids if other not in self._peers]
             if unknown:
                 raise KeyError(f"bootstrap peers {sorted(unknown)} are not in the overlay")
+        if not self._peers and self._column.dimension not in (None, peer.dimension):
+            # A drained column retains its dimension, but an empty overlay
+            # legitimately accepts a population of any dimension -- start
+            # the column over rather than rejecting the first joiner.
+            self._column = type(self._column)()
+        # Validates the dimension before anything is written.
+        self._column.insert(peer.peer_id, peer.coordinates)
         self._peers[peer.peer_id] = peer
         self._neighbours[peer.peer_id] = set(bootstrap_ids)
         self._links[peer.peer_id] = set()
-        if self._index is not None:
-            if len(self._peers) == 1 and self._index.dimension not in (
-                None,
-                peer.dimension,
-            ):
-                # A drained index retains its dimension, but an empty overlay
-                # legitimately accepts a population of any dimension -- start
-                # the index over rather than rejecting the first joiner.
-                self._index = SpatialIndex()
-            self._index.insert(peer.peer_id, peer.coordinates)
         if self._engine is not None:
             self._engine.note_join(peer.peer_id)
         if self._delta_recorders:
@@ -291,8 +278,7 @@ class OverlayNetwork:
         except KeyError:
             raise KeyError(f"unknown peer {peer_id}") from None
         del self._neighbours[peer_id]
-        if self._index is not None:
-            self._index.remove(peer_id)
+        self._column.remove(peer_id)
         # Sorted for a deterministic notification order.
         selectors = sorted(self.selectors(peer_id))
         for selector in selectors:
@@ -322,7 +308,7 @@ class OverlayNetwork:
         characteristic point can drift without the peer leaving the overlay.
         A move keeps the id (and therefore every installed link referencing
         it) while invalidating every selection that evaluated the old
-        coordinates: the spatial index is re-keyed, the incremental engine
+        coordinates: the coordinate column is re-keyed, the incremental engine
         is told the mover and everyone tracking it need reclassification,
         and the delta recorders see the mover plus both its selectors and
         its selected targets as touched (their undirected adjacency may
@@ -334,10 +320,8 @@ class OverlayNetwork:
         except KeyError:
             raise KeyError(f"unknown peer {peer_id}") from None
         moved = replace(info, coordinates=tuple(coordinates))
-        _validate_dimension(moved, info.dimension)
+        self._column.move(peer_id, moved.coordinates)  # validates first
         self._peers[peer_id] = moved
-        if self._index is not None:
-            self._index.move(peer_id, moved.coordinates)
         if self._engine is not None:
             self._engine.note_move(peer_id)
         if self._delta_recorders:
@@ -519,12 +503,12 @@ class OverlayNetwork:
         # knowledge sets it maintains from the edge flips notified below)
         # must not see a sweep it cannot follow.
         self.invalidate_engine()
-        if self._index is not None:
+        if self.index is not None:
             # The batched entry point is the one every supports_index method
             # guarantees (select's index= keyword is a convenience the
             # in-repo methods add on top).
             results = self._selection.select_many(
-                list(self._peers.values()), {}, index=self._index
+                list(self._peers.values()), {}, index=self.index
             )
             return self.install_selections(results)
         if self._gossip_radius is None:
@@ -673,22 +657,14 @@ class OverlayNetwork:
         used by the figure benchmarks.
 
         The population is validated the same way :meth:`add_peer` validates a
-        joining peer: duplicate ids and mixed identifier dimensions raise
-        :class:`ValueError` up front instead of crashing deep inside the
-        vectorised equilibrium code.
+        joining peer, by the coordinate column: duplicate ids and mixed
+        identifier dimensions raise :class:`ValueError` up front instead of
+        crashing deep inside the vectorised equilibrium code.
         """
         overlay = cls(selection)
-        dimension: Optional[int] = None
         for peer in peers:
-            if peer.peer_id in overlay._peers:
-                raise ValueError(f"duplicate peer id {peer.peer_id}")
-            if dimension is None:
-                dimension = peer.dimension
-            else:
-                _validate_dimension(peer, dimension)
+            overlay._column.insert(peer.peer_id, peer.coordinates)
             overlay._peers[peer.peer_id] = peer
-            if overlay._index is not None:
-                overlay._index.insert(peer.peer_id, peer.coordinates)
         equilibrium = selection.compute_equilibrium(peers)
         overlay._neighbours = {
             peer_id: set(equilibrium.get(peer_id, set())) for peer_id in overlay._peers

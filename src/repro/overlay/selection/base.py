@@ -5,10 +5,10 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Collection,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -17,10 +17,8 @@ from typing import (
     Tuple,
 )
 
+from repro.geometry.index import CoordinateColumn, SpatialIndex
 from repro.overlay.peer import PeerInfo
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.index import SpatialIndex
 
 __all__ = ["AdditiveCohort", "MemberOf", "NeighbourSelectionMethod"]
 
@@ -45,7 +43,7 @@ class AdditiveCohort:
     members a method actually touches, which is what lets a sub-linear
     install path skip provably unchanged members without ever materialising
     their state; ids become :class:`~repro.overlay.peer.PeerInfo` through
-    the ``member_of`` resolver of the :meth:`install_many` call.
+    the ``member_of`` handle of the :meth:`install_many` call.
     """
 
     member_ids: Sequence[int]
@@ -53,9 +51,46 @@ class AdditiveCohort:
     selected_of: Callable[[int], Collection[int]]
 
 
-#: ``peer id -> PeerInfo``: the resolver a caller that holds ids (the
-#: incremental engine) passes to the batched entry points instead of lists.
-MemberOf = Callable[[int], PeerInfo]
+class MemberOf:
+    """The handle a caller that holds ids (the incremental engine) passes to
+    the batched entry points instead of lists: called, it resolves a peer id
+    to its :class:`~repro.overlay.peer.PeerInfo`; its ``column`` holds the
+    coordinates of every id it resolves, as rows an array path gathers
+    without resolving anything.  The two must agree; the overlay writes both
+    in the same membership methods."""
+
+    __slots__ = ("_info", "column")
+
+    def __init__(self, info: Callable[[int], PeerInfo], column: CoordinateColumn) -> None:
+        self._info = info
+        self.column = column
+
+    def __call__(self, peer_id: int) -> PeerInfo:
+        return self._info(peer_id)
+
+    @classmethod
+    def adapt(cls, peers: Iterable[PeerInfo]) -> "MemberOf":
+        """A temporary handle over ``peers``: how a ``PeerInfo`` entry point
+        reaches the id-fed core.  One id carrying two coordinate tuples, or a
+        dimension other than the first peer's, is a :class:`ValueError`."""
+        infos: Dict[int, PeerInfo] = {}
+        column = CoordinateColumn()
+        for peer in peers:
+            known = infos.get(peer.peer_id)
+            if known is None:
+                if column.dimension not in (None, peer.dimension):
+                    raise ValueError(
+                        f"candidate {peer.peer_id} has dimension {peer.dimension}, "
+                        f"expected {column.dimension}"
+                    )
+                infos[peer.peer_id] = peer
+                column.insert(peer.peer_id, peer.coordinates)
+            elif known.coordinates != peer.coordinates:
+                raise ValueError(
+                    f"peer {peer.peer_id} has two coordinate tuples in one batch: "
+                    f"{tuple(known.coordinates)} and {tuple(peer.coordinates)}"
+                )
+        return cls(infos.__getitem__, column)
 
 
 class NeighbourSelectionMethod(abc.ABC):
@@ -94,9 +129,10 @@ class NeighbourSelectionMethod(abc.ABC):
     #: index-backed fast path producing *byte-identical* selections to the
     #: candidate-list scan.  Callers may then pass a
     #: :class:`repro.geometry.index.SpatialIndex` whose contents are exactly
-    #: the candidate set (the reference peer itself may also be indexed; it
-    #: is excluded by id) to the batched entry points :meth:`select_many` /
-    #: :meth:`select_many_additive` -- the surface opting in guarantees.
+    #: the candidate set plus the reference peers (each excluded by id; the
+    #: 2-D empty-rectangle path reads their positions from it) to the
+    #: batched entry points :meth:`select_many` / :meth:`install_many` --
+    #: the surface opting in guarantees.
     #: (The in-repo methods additionally accept ``index=`` on per-call
     #: :meth:`select` as a convenience.)  Methods that do not opt in never
     #: receive an ``index`` -- the overlay layer checks this flag before
@@ -145,7 +181,7 @@ class NeighbourSelectionMethod(abc.ABC):
 
         ``candidates_by_peer`` maps each reference's ``peer_id`` to its
         candidate set ``I(P)``: a ``PeerInfo`` sequence, or -- when the
-        caller passes the ``member_of`` resolver -- a collection of peer
+        caller passes the ``member_of`` handle -- a collection of peer
         *ids* in any order, which methods without an array path read as the
         id-sorted ``PeerInfo`` list.  The default implementation simply
         loops over :meth:`select`; methods with a vectorised path override
@@ -227,7 +263,6 @@ class NeighbourSelectionMethod(abc.ABC):
         self,
         updates: Sequence[Tuple[PeerInfo, Collection, Collection]],
         *,
-        index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
         """Batched re-selection for purely additive candidate-set deltas.
@@ -235,9 +270,10 @@ class NeighbourSelectionMethod(abc.ABC):
         Each update is ``(reference, currently_selected, gained)`` where
         ``currently_selected`` is the reference's installed selection (known
         to equal ``select(reference, I(P))`` for its previous candidate set)
-        and ``gained`` are the candidates its set gained -- ``PeerInfo``
-        sequences, or collections of peer ids when the caller passes the
-        ``member_of`` resolver (as in :meth:`select_many`).  By path
+        and ``gained`` are the candidates its set gained (none of them in
+        ``currently_selected``) -- ``PeerInfo`` sequences, or collections of
+        peer ids when the caller passes the ``member_of`` handle (as in
+        :meth:`select_many`).  By path
         independence the new selection is ``select(reference,
         currently_selected + gained)``; methods with a vectorised delta rule
         override this to compute the whole batch at once and may *omit*
@@ -247,18 +283,10 @@ class NeighbourSelectionMethod(abc.ABC):
         The default has no delta rule: it re-selects every reference from
         ``currently_selected + gained`` through :meth:`select` -- not through
         :meth:`select_many`, the entry of full recomputes.  Only meaningful
-        for methods with ``path_independent = True``.
-
-        ``index`` mirrors the :meth:`select_many` parameter for signature
-        uniformity across the batched APIs.  An additive update already
-        touches only ``O(|selection| + |gained|)`` candidates -- the delta
-        rules never scan the population -- so no override consults the index
-        today; it is accepted (and validated against :attr:`supports_index`,
-        here and in every override) so callers can thread one source of
-        truth through every batched call.
+        for methods with ``path_independent = True``.  An additive update
+        touches only ``O(|selection| + |gained|)`` candidates, so it takes
+        no index.
         """
-        if index is not None:
-            self._check_index_support()
         return {
             reference.peer_id: self.select(
                 reference,

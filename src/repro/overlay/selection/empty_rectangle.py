@@ -58,24 +58,8 @@ __all__ = ["EmptyRectangleSelection", "brute_force_empty_rectangle_neighbours"]
 _VECTORISE_THRESHOLD = 32
 
 
-def _coordinates(ids: np.ndarray, member_of: MemberOf, dimension: int) -> np.ndarray:
-    """The coordinate table of ``ids``: each resolved, and validated, once."""
-    members = list(map(member_of, ids.tolist()))
-    coordinates = [member.coordinates for member in members]
-    for member, point in zip(members, coordinates):
-        if len(point) != dimension:
-            raise ValueError(
-                f"candidate {member.peer_id} has dimension {len(point)}, expected {dimension}"
-            )
-    return np.fromiter(chain.from_iterable(coordinates), dtype=float).reshape(-1, dimension)
-
-
-def _ids_of(peers: Sequence[PeerInfo], members: Dict[int, PeerInfo]) -> List[int]:
-    """Ids of ``peers``, recording each in ``members`` (the later info wins):
-    how the ``PeerInfo`` entry points adapt onto the id-fed cores."""
-    ids = [peer.peer_id for peer in peers]
-    members.update(zip(ids, peers))
-    return ids
+def _ids(peers: Sequence[PeerInfo]) -> List[int]:
+    return [peer.peer_id for peer in peers]
 
 
 class EmptyRectangleSelection(NeighbourSelectionMethod):
@@ -138,63 +122,59 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         of any scan (see :meth:`_select_many_indexed`); without one, from
         its own candidate ids (see :meth:`_select_batch`) -- the arm a
         bounded gossip radius runs, where candidate sets are per-peer.
-        ``PeerInfo`` candidate lists (no ``member_of``) are adapted to ids.
+        ``PeerInfo`` candidate lists (no ``member_of``) are adapted to ids
+        and a temporary column (:meth:`MemberOf.adapt`).
         """
         if index is not None:
             return self._select_many_indexed(references, index)
+        rows = [candidates_by_peer[reference.peer_id] for reference in references]
         if member_of is None:
-            members: Dict[int, PeerInfo] = {}
-            candidates_by_peer = {
-                reference.peer_id: _ids_of(candidates_by_peer[reference.peer_id], members)
-                for reference in references
-            }
-            member_of = members.__getitem__
-        return self._select_batch(references, candidates_by_peer, member_of)
+            member_of = MemberOf.adapt(chain(references, *rows))
+            rows = list(map(_ids, rows))
+        return self._select_batch(references, rows, member_of)
 
     def _select_batch(
         self,
         references: Sequence[PeerInfo],
-        candidate_ids: Mapping[int, Collection[int]],
+        rows: Sequence[Collection[int]],
         member_of: MemberOf,
     ) -> Dict[int, List[int]]:
-        """Every reference answered from its own candidate ids (any order).
+        """Every reference answered from its own row of candidate ids (any
+        order; an id repeated in a row is harmless).
 
-        All two-dimensional references share one
+        In two dimensions all references share one
         :func:`~repro.geometry.index.quadrant_skylines` call, each row
         holding exactly its own candidates: the flat ids of every row go
         through one ``unique(return_inverse=True)``, whose inverse is the
-        rows' member columns and whose sorted ids are the call's member set
-        (within one batch a peer id names one peer), so a reference's cost
-        is its own candidate count, not the union's.  Each distinct member
-        is resolved -- and its dimension validated -- once.  References of
-        other dimensions keep the per-reference dispatch: :meth:`select`
-        below ``_VECTORISE_THRESHOLD`` candidates, the per-orthant numpy loop
-        above.  Shared by :meth:`select_many` and every update of
+        rows' member columns and whose sorted ids are the call's member set,
+        so a reference's cost is its own candidate count, not the union's.
+        Origins and members are row gathers from ``member_of.column``; no
+        id is resolved.  Other dimensions keep the per-reference dispatch:
+        :meth:`select` below ``_VECTORISE_THRESHOLD`` candidates, the
+        per-orthant numpy loop above.  Shared by :meth:`select_many` and
         :meth:`select_many_additive`.
         """
-        planar = [reference for reference in references if reference.dimension == 2]
-        results = self._select_many_dispatch(
-            [reference for reference in references if reference.dimension != 2],
-            candidate_ids,
-            _VECTORISE_THRESHOLD,
-            self._select_vectorised,
-            member_of=member_of,
-        )
-        if not planar:
-            return results
-        rows = [candidate_ids[reference.peer_id] for reference in planar]
+        column = member_of.column
+        reference_ids = _ids(references)
+        if column.dimension != 2:
+            return self._select_many_dispatch(
+                references,
+                dict(zip(reference_ids, rows)),
+                _VECTORISE_THRESHOLD,
+                self._select_vectorised,
+                member_of=member_of,
+            )
         member_ids, columns = np.unique(
             np.fromiter(chain.from_iterable(rows), dtype=np.int64), return_inverse=True
         )
         selected = quadrant_skylines(
-            np.asarray([tuple(peer.coordinates) for peer in planar], dtype=float),
-            np.asarray([peer.peer_id for peer in planar], dtype=np.int64),
+            column.gather(reference_ids),
+            reference_ids,
             member_ids,
-            _coordinates(member_ids, member_of, 2),
-            (np.repeat(np.arange(len(planar)), [len(row) for row in rows]), columns),
+            column.gather(member_ids.tolist()),
+            (np.repeat(np.arange(len(rows)), [len(row) for row in rows]), columns),
         )
-        results.update(zip((reference.peer_id for reference in planar), selected))
-        return results
+        return dict(zip(reference_ids, selected))
 
     def _select_many_indexed(
         self, references: Sequence[PeerInfo], index: "SpatialIndex"
@@ -209,17 +189,11 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         """
         if index.dimension != 2 or not references:
             return super()._select_many_indexed(references, index)
-        member_ids, member_coords = index.columns()
+        reference_ids = _ids(references)
         selected = quadrant_skylines(
-            np.asarray([tuple(peer.coordinates) for peer in references], dtype=float),
-            np.asarray([peer.peer_id for peer in references], dtype=np.int64),
-            member_ids,
-            member_coords,
+            index.gather(reference_ids), reference_ids, *index.columns()
         )
-        return {
-            reference.peer_id: chosen
-            for reference, chosen in zip(references, selected)
-        }
+        return dict(zip(reference_ids, selected))
 
     def _select_indexed(
         self, reference: PeerInfo, index: "SpatialIndex"
@@ -244,7 +218,6 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         self,
         updates: Sequence[Tuple[PeerInfo, Collection, Collection]],
         *,
-        index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
         """Skyline update for candidate sets that only gained peers.
@@ -253,32 +226,36 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         candidate set of a clean reference: every candidate outside the
         installed selection is boxed out by a member of it, and stays boxed
         out.  So every update, one gained peer or several, is the row
-        ``selected | gained`` of one batched :meth:`_select_batch` call --
-        one kernel call for all two-dimensional references.  Like the fast
-        ``select`` path, this relies on the paper's distinct-coordinate
-        assumption.  Every reference of ``updates`` is in the result.
+        ``selected + gained`` of one batched :meth:`_select_batch` call --
+        one kernel call for all two-dimensional references.
 
-        ``PeerInfo`` updates (no ``member_of``) are adapted to ids, a gained
-        info winning a duplicate id.  ``index`` is accepted for batched-API
-        uniformity; the update already touches only the selection and the
-        gained peers, so it never consults the index.
+        Only changed selections are returned: those some gained id survives
+        in.  If none survives, each gained id is dominated by a kept member
+        of ``selected``, so by transitivity none dominates one.
+
+        ``PeerInfo`` updates (no ``member_of``) are adapted to ids and a
+        temporary column (:meth:`MemberOf.adapt`), a gained info winning a
+        duplicate id within its update.
         """
-        if index is not None:
-            self._check_index_support()
         if member_of is None:
-            members: Dict[int, PeerInfo] = {}
-            updates = [
-                (reference, _ids_of(selected, members), _ids_of(gained, members))
+            member_of = MemberOf.adapt(chain.from_iterable(
+                (reference, *self.merge_candidate_delta(selected, gained))
                 for reference, selected, gained in updates
-            ]
-            member_of = members.__getitem__
+            ))
+            updates = [(reference, _ids(selected), _ids(gained))
+                       for reference, selected, gained in updates]
         # Not through the public select_many: that entry is the surface of
         # full recomputes, and is counted as such.
-        return self._select_batch(
+        results = self._select_batch(
             [reference for reference, _, _ in updates],
-            {reference.peer_id: {*selected, *gained} for reference, selected, gained in updates},
+            [[*selected, *gained] for _, selected, gained in updates],
             member_of,
         )
+        return {
+            reference.peer_id: results[reference.peer_id]
+            for reference, _, gained in updates
+            if not set(gained).isdisjoint(results[reference.peer_id])
+        }
 
     def install_many(
         self,
@@ -338,9 +315,7 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
                     (member_of(member_id), cohort.selected_of(member_id), affected[member_id])
                 )
         if updates:
-            delta = self.select_many_additive(updates, member_of=member_of)
-            if delta:
-                results.update(delta)
+            results.update(self.select_many_additive(updates, member_of=member_of))
         return results
 
     def _select_vectorised(

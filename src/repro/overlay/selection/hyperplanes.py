@@ -254,7 +254,6 @@ class HyperplanesSelection(NeighbourSelectionMethod):
         self,
         updates: Sequence[Tuple[PeerInfo, Collection, Collection]],
         *,
-        index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
         """Per-region top-``K`` delta rule for candidate sets that only gained.
@@ -276,13 +275,7 @@ class HyperplanesSelection(NeighbourSelectionMethod):
         + gained``, which path independence makes exact.  The rule is shared
         by the whole Hyperplanes family -- orthogonal, sign-coefficient and
         the degenerate ``H = 0`` (K-closest, one region) instance.
-
-        ``index`` is accepted for batched-API uniformity; the delta rule
-        already touches only the selection and the gained peers, so it never
-        consults the index.
         """
-        if index is not None:
-            self._check_index_support()
         results: Dict[int, List[int]] = {}
         for reference, selected, gained in updates:
             if member_of is not None:  # the rule ranks PeerInfo objects

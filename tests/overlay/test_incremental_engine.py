@@ -24,7 +24,7 @@ from repro.overlay.incremental import (
 )
 from repro.overlay.network import BatchJoin, OverlayNetwork
 from repro.overlay.peer import make_peer
-from repro.overlay.selection.base import NeighbourSelectionMethod
+from repro.overlay.selection.base import MemberOf, NeighbourSelectionMethod
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.k_closest import KClosestSelection
 from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
@@ -293,12 +293,13 @@ class TestSelectManyAgreement:
         self, selection_factory, dimension, count
     ):
         """What the engine hands over under a radius -- per-peer candidate
-        *ids* in no particular order plus one resolver -- against the same
+        *ids* in no particular order plus one handle -- against the same
         subsets as id-sorted ``PeerInfo`` lists: equal results, order
         included, on the kernel path (2-D empty rectangle) and on every
         method that resolves the ids in the base class."""
         peers = generate_peers(count, dimension, seed=count + dimension)
         by_id = {peer.peer_id: peer for peer in peers}
+        member_of = MemberOf.adapt(peers)
         rng = random.Random(count)
         selection = selection_factory()
         subsets = {
@@ -309,7 +310,7 @@ class TestSelectManyAgreement:
             peer_id: [by_id[other] for other in sorted(ids)] for peer_id, ids in subsets.items()
         }
         assert selection.select_many(
-            peers, subsets, member_of=by_id.__getitem__
+            peers, subsets, member_of=member_of
         ) == selection.select_many(peers, as_infos)
 
         updates = []
@@ -319,7 +320,7 @@ class TestSelectManyAgreement:
             selected = set(selection.select(reference, [by_id[other] for other in known[gains:]]))
             updates.append((reference, selected, set(known[:gains]) - selected))
         assert selection.select_many_additive(
-            updates, member_of=by_id.__getitem__
+            updates, member_of=member_of
         ) == selection.select_many_additive(
             [
                 (

@@ -172,7 +172,8 @@ def test_bounded_gossip_radius_falls_back_to_scans(
 
     Candidate sets are per-peer bounded-hop subsets there, which a shared
     index cannot answer; the engine lands where the synchronous-sweep
-    oracle does.
+    oracle does.  The overlay still owns one coordinate column, which the
+    selection reads, holding exactly the alive peers.
     """
     overlay = OverlayNetwork.build_incremental(
         peers,
@@ -185,6 +186,10 @@ def test_bounded_gossip_radius_falls_back_to_scans(
     )
     assert overlay.index is None and oracle.index is None
     assert overlay.directed_neighbour_map() == oracle.directed_neighbour_map()
+    ids, coordinates = overlay._column.columns()  # noqa: SLF001 - the owned column
+    assert dict(zip(ids.tolist(), map(tuple, coordinates.tolist()))) == {
+        peer.peer_id: tuple(peer.coordinates) for peer in overlay.peers()
+    }
 
 
 @settings(max_examples=20, deadline=None)
@@ -292,7 +297,8 @@ def test_an_overlay_owns_an_index_exactly_when_its_selection_reads_one(
     selection_factory, gossip_radius, owns_index
 ):
     """``index is not None`` iff full knowledge and ``supports_index``, for
-    the constructor and both bulk builders."""
+    the constructor and both bulk builders; an owned index is the overlay's
+    one coordinate column."""
     selection = selection_factory()
     assert owns_index == (gossip_radius is None and selection.supports_index)
     peers = [make_peer(i, (float(i), float(9 - i) / 3)) for i in range(6)]
@@ -301,6 +307,7 @@ def test_an_overlay_owns_an_index_exactly_when_its_selection_reads_one(
         OverlayNetwork.build_incremental(peers, selection, gossip_radius=gossip_radius),
     ):
         assert (overlay.index is not None) == owns_index
+        assert overlay.index in (None, overlay._column)  # noqa: SLF001
     if gossip_radius is None:
         overlay = OverlayNetwork.build_equilibrium(peers, selection)
         assert (overlay.index is not None) == owns_index
@@ -319,7 +326,7 @@ def test_unsupported_methods_never_receive_an_index():
     index = SpatialIndex()
     with pytest.raises(TypeError, match="no index-backed selection path"):
         overlay.selection.select_many([], {}, index=index)
-    with pytest.raises(TypeError, match="no index-backed selection path"):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'index'"):
         overlay.selection.select_many_additive([], index=index)
 
 

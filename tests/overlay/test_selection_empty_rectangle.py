@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.peer import make_peer
+from repro.overlay.selection.base import MemberOf
 from repro.overlay.selection.empty_rectangle import (
     _VECTORISE_THRESHOLD,
     EmptyRectangleSelection,
@@ -148,6 +149,62 @@ class TestEmptyRectangleProperties:
         nearest_ids = {pid for pid, d in distances.items() if d == minimum}
         chosen = EmptyRectangleSelection().select(reference, candidates)
         assert nearest_ids & set(chosen)
+
+
+@st.composite
+def additive_batches(draw):
+    """Peers on a 5 x 5 grid (shared axis values and exact duplicate points
+    are common) and up to four additive updates over them: each reference
+    splits the others into its old candidates, its gains and strangers."""
+    points = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           min_size=3, max_size=14))
+    peers = [make_peer(i, (float(x), float(y))) for i, (x, y) in enumerate(points)]
+    references = draw(st.lists(st.sampled_from(peers), min_size=1, max_size=4,
+                               unique_by=lambda peer: peer.peer_id))
+    updates = []
+    for reference in references:
+        others = [peer for peer in peers if peer.peer_id != reference.peer_id]
+        roles = draw(st.lists(st.sampled_from("CGS"), min_size=len(others),
+                              max_size=len(others)))
+        updates.append((reference,
+                        [peer for peer, role in zip(others, roles) if role == "C"],
+                        [peer for peer, role in zip(others, roles) if role == "G"]))
+    return peers, updates
+
+
+class TestBatchedContracts:
+    def test_one_id_with_two_coordinate_tuples_in_a_batch_is_refused(self):
+        """The batch once kept the later info for every reference, so peer 0
+        saw peer 2 at (20, 20) and selected 1 where ``select`` selects 2."""
+        p0, p1, p3 = make_peer(0, (0.0, 0.0)), make_peer(1, (10.0, 10.0)), make_peer(3, (1.0, 1.0))
+        p2_old, p2_new = make_peer(2, (5.0, 5.0)), make_peer(2, (20.0, 20.0))
+        selection = EmptyRectangleSelection()
+        assert selection.select(p0, [p1, p2_old]) == [2]
+        with pytest.raises(ValueError, match="peer 2 has two coordinate tuples"):
+            selection.select_many([p0, p1], {0: [p1, p2_old], 1: [p0, p2_new, p3]})
+        with pytest.raises(ValueError, match="peer 2 has two coordinate tuples"):
+            selection.select_many_additive([(p0, [p2_old], [p3]), (p1, [p2_new], [p3])])
+        # Within one additive update a gained info wins: peer 2 is at (20, 20),
+        # behind the gained peer 1.
+        assert selection.select_many_additive([(p0, [p2_old], [p2_new, p1])]) == {0: [1]}
+
+    @given(batch=additive_batches())
+    @settings(max_examples=80, deadline=None)
+    def test_additive_results_are_exactly_the_changed_selections(self, batch):
+        peers, updates = batch
+        selection = EmptyRectangleSelection()
+        by_id = {peer.peer_id: peer for peer in peers}
+        installed = [(reference, [by_id[i] for i in selection.select(reference, known)], gained)
+                     for reference, known, gained in updates]
+        expected = {}
+        for reference, selected, gained in installed:
+            grown = selection.select(reference, selected + gained)
+            if grown != [peer.peer_id for peer in selected]:
+                expected[reference.peer_id] = grown
+        assert selection.select_many_additive(installed) == expected
+        as_ids = [(reference, {peer.peer_id for peer in selected},
+                   {peer.peer_id for peer in gained}) for reference, selected, gained in installed]
+        assert selection.select_many_additive(as_ids, member_of=MemberOf.adapt(peers)) == expected
 
 
 class TestConnectivity:

@@ -3,8 +3,9 @@
 observe it yet; ``_links`` has only ``LINK_WRITERS``, each reporting its
 edge flips unless it only creates an isolated entry or a fresh overlay;
 ``_peers`` and ``.coordinates`` have only ``PEER_WRITERS``, each maintaining
-``self._index``.  A write is a store, delete, augmented assignment or
-mutating call on the map, an entry or a local alias.  At run time nothing
+the overlay's coordinate column, in both regimes; nothing else writes the
+column.  A write is a store, delete, augmented assignment or mutating call on
+the map, an entry or a local alias.  At run time nothing
 but the overlay holds ``_links``: its readers go through ``overlay.links``."""
 
 import ast
@@ -25,7 +26,8 @@ LINK_WRITERS = {"__init__", "add_peer", "remove_peer", "notify_selection_change"
                 "build_equilibrium"}
 PEER_WRITERS = {"__init__", "add_peer", "remove_peer", "move_peer", "build_equilibrium"}
 MUTATORS = {"add", "discard", "remove", "update", "clear", "pop", "popitem", "setdefault",
-            "difference_update", "intersection_update", "symmetric_difference_update"}
+            "difference_update", "intersection_update", "symmetric_difference_update",
+            "insert", "move"}
 
 
 @lru_cache(maxsize=None)
@@ -74,9 +76,10 @@ def census_problems(sources):
         "_links": (LINK_WRITERS, "reporting the flips", lambda function: (
             function.name in {"__init__", "add_peer", "build_equilibrium"}
             or _calls(function, {"note_edge_flip"}))),
-        "_peers": (PEER_WRITERS, "maintaining the index", lambda function: (
-            _calls(function, {"insert", "remove", "move"}, on="_index") or _writes(
-                function, "OverlayNetwork", {"_index"}))),
+        "_peers": (PEER_WRITERS, "maintaining the column", lambda function: (
+            _writes(function, "OverlayNetwork", {"_column"}))),
+        "_column": (PEER_WRITERS, "maintaining the peer map", lambda function: (
+            _writes(function, "OverlayNetwork", {"_peers", "coordinates"}))),
     }
     problems = []
     for label, (pinned, what, duty) in duties.items():
@@ -150,13 +153,21 @@ def test_rpl001_catches_a_rogue_rewire_helper():
 
 
 def test_rpl002_catches_membership_mutation_bypassing_the_index():
-    """Dropping remove_peer's index maintenance flags it; renaming it off the
+    """Dropping remove_peer's column maintenance flags it; renaming it off the
     pinned writers flags every overlay-map write in it."""
-    sources = network_sources("self._index.remove(peer_id)", "pass  # seeded: index not maintained")
+    sources = network_sources("self._column.remove(peer_id)", "pass  # seeded: column not maintained")
     assert census_problems(sources) == [
-        f"{NETWORK}::OverlayNetwork.remove_peer writes _peers without maintaining the index"]
+        f"{NETWORK}::OverlayNetwork.remove_peer writes _peers without maintaining the column",
+        f"{NETWORK}::OverlayNetwork.remove_peer no longer writes _column; unpin it"]
     sources[NETWORK] = sources[NETWORK].replace("def remove_peer(", "def evict_peer(", 1)
     problems = census_problems(sources)
     for label in ("_peers", "_neighbours"):
         assert f"{NETWORK}::OverlayNetwork.evict_peer writes {label} outside the " \
                "pinned writers" in problems
+
+
+def test_rpl002_catches_a_column_write_outside_the_peer_writers():
+    sources = network_sources(appended="\n\ndef relocate(overlay, peer_id, coordinates):\n"
+                                       "    overlay._column.move(peer_id, coordinates)\n")
+    assert census_problems(sources) == [
+        f"{NETWORK}::relocate writes _column outside the pinned writers"]
