@@ -10,18 +10,24 @@ absolute ceiling per size (measured 1,041 at ``N = 100`` and 4,309 at
 an engine that stopped skipping clean peers would read like the sweep).  The
 counts repeat exactly for a seed; the wall time is printed, not asserted.
 At churn scale (``N = 1000``) the same build is timed.
+
+Outside two dimensions, the Figure 1 cells ``N = 400, D = 3`` and ``N = 300,
+D = 5`` are built by insertion under absolute wall budgets (``slow``, in the
+weekly job): an additive update there once went through a per-reference
+numpy loop and the builds ran 7-12x slower with every count unchanged.
 """
 
 import random
 import time
 
-from conftest import print_report
+import pytest
+from conftest import persist_bench_record, print_report
 
 from repro.experiments.common import derive_seed
 from repro.metrics.reporting import format_table
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
-from repro.workloads.peers import generate_peers
+from repro.workloads.peers import generate_peers, generate_peers_with_lifetimes
 
 # Counted sizes with their reselection ceilings (about twice the measured
 # 522 / 1,812 at smoke scale and 1,041 / 4,309 at bench scale), and the churn
@@ -29,6 +35,12 @@ from repro.workloads.peers import generate_peers
 _COUNTED_SIZES = {"smoke": (60, 150), "bench": (100, 300), "paper": (100, 300)}
 _RESELECTION_CEILINGS = {60: 1_000, 150: 3_600, 100: 2_000, 300: 9_000}
 _CHURN_SCALE_SIZE = {"smoke": 300, "bench": 1000, "paper": 1000}
+
+# (N, D, wall budget in seconds) of the Figure 1 cells built outside two
+# dimensions: about three times the 2.1 s and 5.2 s they took on a shared
+# 2-vCPU x86-64 box, so a slower runner does not flake and the old
+# per-reference path (15.0 s and 62.1 s there) cannot pass.
+_FIGURE1_CELLS = ((400, 3, 6.0), (300, 5, 16.0))
 
 
 class _CountingSelection(EmptyRectangleSelection):
@@ -101,8 +113,8 @@ def test_incremental_converges_at_churn_scale(benchmark, scale):
 
     assert overlay.peer_count == count
     # The insert-one-converge fixed point under full knowledge is the
-    # equilibrium topology; the vectorised equilibrium builder is the
-    # independent witness.
+    # equilibrium topology; build_equilibrium, every peer's select() against
+    # everyone, is the independent witness.
     equilibrium = OverlayNetwork.build_equilibrium(peers, EmptyRectangleSelection())
     assert overlay.directed_neighbour_map() == equilibrium.directed_neighbour_map()
     print_report(
@@ -111,4 +123,34 @@ def test_incremental_converges_at_churn_scale(benchmark, scale):
             ["N", "path", "matches equilibrium"],
             [[count, "incremental", True]],
         ),
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("count,dimension,budget", _FIGURE1_CELLS)
+def test_insertion_outside_two_dimensions_meets_its_wall_budget(count, dimension, budget):
+    peers = generate_peers_with_lifetimes(count, dimension, seed=1)
+    overlay, seconds = _build(peers, 1)
+    start = time.perf_counter()
+    witness = OverlayNetwork.build_equilibrium(peers, EmptyRectangleSelection())
+    witness_seconds = time.perf_counter() - start
+    assert overlay.directed_neighbour_map() == witness.directed_neighbour_map()
+    persist_bench_record(
+        f"figure1_insertion_n{count}_d{dimension}",
+        peer_count=count,
+        wall_seconds=seconds,
+        wall_budget_seconds=budget,
+        dimension=dimension,
+        witness_wall_seconds=round(witness_seconds, 3),
+    )
+    print_report(
+        f"Insert-one-converge outside two dimensions [N={count}, D={dimension}]",
+        format_table(
+            ["N", "D", "wall (s)", "budget (s)", "witness (s)"],
+            [[count, dimension, f"{seconds:.2f}", budget, f"{witness_seconds:.2f}"]],
+        ),
+    )
+    assert seconds <= budget, (
+        f"building N={count} D={dimension} by insertion took {seconds:.2f} s; "
+        f"the budget is {budget} s"
     )

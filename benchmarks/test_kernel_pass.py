@@ -1,4 +1,4 @@
-"""What one ``quadrant_skylines`` call costs at the shapes the ledger runs.
+"""What one two-dimensional ``orthant_skylines`` call costs at the ledger's shapes.
 
 Every full empty-rectangle recompute in two dimensions is this kernel.  The
 table pytest-benchmark prints for this file puts its per-call cost in the
@@ -27,7 +27,7 @@ import numpy as np
 
 import pytest
 
-from repro.geometry.index import brute_force_orthant_skyline, quadrant_skylines
+from repro.geometry.index import brute_force_orthant_skyline, orthant_skylines
 
 
 @pytest.mark.parametrize(
@@ -48,7 +48,7 @@ def test_quadrant_kernel_call(benchmark, references, members, ragged):
     member_rows = None if mask is None else np.nonzero(mask)
 
     selected = benchmark.pedantic(
-        quadrant_skylines,
+        orthant_skylines,
         args=(coordinates[rows], ids[rows], ids, coordinates, member_rows),
         rounds=20,
         iterations=10,

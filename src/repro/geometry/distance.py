@@ -4,7 +4,9 @@ The Hyperplanes neighbour selection family selects, within each region, the
 ``K`` peers closest to the reference peer "using a distance function".  The
 Section 2 experiments sort neighbours inside each orthant region by the L1
 distance.  This module provides the standard Minkowski family plus a small
-registry so that selection methods can be configured by name.
+registry so that selection methods can be configured by name.  Sums add
+left to right in a loop, as the numpy and index paths do: the builtin
+``sum`` is compensated from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -34,13 +36,19 @@ def _check_dimensions(a: Sequence[float], b: Sequence[float]) -> None:
 def manhattan_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """L1 distance: sum of absolute per-axis differences."""
     _check_dimensions(a, b)
-    return float(sum(abs(x - y) for x, y in zip(a, b)))
+    total = 0.0
+    for x, y in zip(a, b):
+        total += abs(x - y)
+    return total
 
 
 def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """L2 distance: square root of the sum of squared per-axis differences."""
     _check_dimensions(a, b)
-    return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
+    total = 0.0
+    for x, y in zip(a, b):
+        total += (x - y) * (x - y)
+    return math.sqrt(total)
 
 
 def chebyshev_distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -56,7 +64,10 @@ def minkowski_distance(a: Sequence[float], b: Sequence[float], p: float = 2.0) -
     _check_dimensions(a, b)
     if math.isinf(p):
         return chebyshev_distance(a, b)
-    return float(sum(abs(x - y) ** p for x, y in zip(a, b)) ** (1.0 / p))
+    total = 0.0
+    for x, y in zip(a, b):
+        total += abs(x - y) ** p
+    return total ** (1.0 / p)
 
 
 DISTANCE_FUNCTIONS: Dict[str, DistanceFunction] = {

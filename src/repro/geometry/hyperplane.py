@@ -63,7 +63,11 @@ class Hyperplane:
             raise ValueError(
                 f"point dimension {p.dimension} does not match hyperplane dimension {self.dimension}"
             )
-        return float(sum(a * x for a, x in zip(self._coefficients, p)))
+        # Left to right, as every distance in repro.geometry adds.
+        total = 0.0
+        for a, x in zip(self._coefficients, p):
+            total += a * x
+        return total
 
     def side(self, point: CoordinateLike) -> int:
         """``-1``, ``0`` or ``+1`` -- which side of the hyperplane the point lies on."""

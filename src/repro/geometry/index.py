@@ -21,10 +21,12 @@ Division of labour
   event amortised, and queries stay exact at every moment in between;
 * the **coordinate column** (:class:`CoordinateColumn`, the index's base
   class: the live points as dense numpy rows) is what
-  :func:`quadrant_skylines` reads: the two-dimensional empty-rectangle rule
-  for many references at once, as array passes instead of tree walks.  An
-  overlay owns exactly one column in either knowledge regime -- the index
-  itself under full knowledge, a bare column under a gossip radius.
+  :func:`orthant_skylines` reads: the empty-rectangle rule for many
+  references at once, as array passes instead of tree walks -- packed ranks
+  in two dimensions (a whole column too), pair tests per (row, orthant)
+  cell elsewhere (candidate rows only; the k-d walk keeps whole columns).
+  An overlay owns exactly one column in either knowledge regime -- the
+  index itself under full knowledge, a bare column under a gossip radius.
 
 Byte-identical contract
 -----------------------
@@ -62,7 +64,7 @@ __all__ = [
     "CoordinateColumn",
     "SpatialIndex",
     "pareto_minima",
-    "quadrant_skylines",
+    "orthant_skylines",
     "brute_force_nearest_k",
     "brute_force_orthant_skyline",
     "brute_force_region_top_k",
@@ -750,60 +752,56 @@ def pareto_minima(
     return kept
 
 
-def quadrant_skylines(
+def orthant_skylines(
     origins: np.ndarray,
     reference_ids: np.ndarray,
     member_ids: np.ndarray,
     member_coords: np.ndarray,
     member_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    gained: Optional[np.ndarray] = None,
 ) -> List[List[int]]:
-    """Empty-rectangle selections of many 2-D references over one member set.
+    """Empty-rectangle selections of many references over one member set.
 
     For every reference (``origins[r]``, excluded from the members by
-    ``reference_ids[r]``) the sorted union of its four quadrants'
-    :func:`pareto_minima` -- what four :meth:`SpatialIndex.orthant_skyline`
-    calls or four :func:`brute_force_orthant_skyline` calls return -- from
-    array passes over ``member_ids`` (``int64[n]``, distinct, fewer than
-    ``2**20``) and ``member_coords`` (``float64[n, 2]``; a member may lie
+    ``reference_ids[r]``) the sorted union of its orthants'
+    :func:`pareto_minima` -- what one :meth:`SpatialIndex.orthant_skyline`
+    or :func:`brute_force_orthant_skyline` call per orthant returns -- from
+    array passes over ``member_ids`` (``int64[n]``, distinct) and
+    ``member_coords`` (``float64[n, D]``, any ``D >= 1``; a member may lie
     at infinity, an origin may not, NaN is legal nowhere) instead of one walk
-    per quadrant.
+    per orthant.
 
     ``member_rows`` gives every reference its own members instead of all
     ``n``: CSR-ordered flat pairs ``(rows, columns)``, element ``k`` putting
     ``member_ids[columns[k]]`` into the row of reference ``rows[k]``, with
     ``rows`` non-decreasing -- what ``np.repeat(np.arange(R), sizes)`` and
     the inverse of ``np.unique(flat_ids, return_inverse=True)`` produce.  A
-    row may be empty or name its own reference (excluded by id as ever); a
-    reference pays for its own row, not for the union of all of them.
+    row may be empty, repeat an id (one copy is kept) or name its own
+    reference (excluded by id as ever); a reference pays for its own row,
+    not for the union of all of them.
 
-    Once per call the members' coordinates become dense per-axis ranks:
-    equal coordinates share a rank, so comparing ranks *is* comparing the
-    floats, and the scan's per-quadrant sign flip of a coordinate becomes
-    ``rank`` or ``top - rank``.  Every (reference, member) element is then
-    one integer ``row | quadrant | key0 rank | key1 rank | id position``,
-    sorted by value -- :func:`pareto_minima`'s lexicographic ``(key, id)``
-    order within each row and quadrant -- and a member survives when its
-    ``key1`` rank is strictly below the smallest before it in its row and
-    quadrant.  That is :func:`pareto_minima`, exact duplicates included,
-    where the smallest id survives.
+    ``gained`` (``bool``, one flag per element of ``member_rows``) states
+    an additive input's precondition: each row's unflagged members are an
+    installed selection, so they never dominate each other, and outside two
+    dimensions only pairs with a flagged end are compared.
 
     A pass holds whole rows, about ``_KERNEL_ELEMENTS`` elements (at least
-    one row), and no more rows than the field above the quadrant code can
-    number: ``row bits + 3 * bits + 3 <= 63``, one row per pass at
-    ``2**20 - 1`` members.
+    one row): :func:`_quadrant_skyline_pass` in two dimensions, which packs
+    at most ``2**20 - 1`` members, :func:`_dominance_pass` in any other.
     """
     origins = np.asarray(origins, dtype=np.float64)
     member_coords = np.asarray(member_coords, dtype=np.float64)
-    if origins.ndim != 2 or origins.shape[1] != 2 or member_coords.shape[1:] != (2,):
+    dimension = origins.shape[1] if origins.ndim == 2 else 0
+    if dimension < 1 or member_coords.shape[1:] != (dimension,):
         raise ValueError(
-            "the quadrant kernel is two-dimensional: got origins of shape "
-            f"{origins.shape} and member coordinates of shape {member_coords.shape}"
+            "origins and member coordinates must be (count, D) arrays with one "
+            f"D >= 1: got shapes {origins.shape} and {member_coords.shape}"
         )
     reference_ids = np.asarray(reference_ids, dtype=np.int64)
     member_ids = np.asarray(member_ids, dtype=np.int64)
     count = member_ids.size
     bits = count.bit_length()
-    if 3 * bits + 3 > 63:  # three fields under a 3-bit quadrant code, below the sign bit
+    if dimension == 2 and 3 * bits + 3 > 63:  # three fields under a 3-bit quadrant code
         raise ValueError(
             f"the quadrant kernel packs at most {(1 << 20) - 1} members into "
             f"a 64-bit key, got {count}"
@@ -822,6 +820,10 @@ def quadrant_skylines(
                 f"member_rows must be flat (row, column) pairs with rows "
                 f"non-decreasing below {len(origins)} and columns below {count}"
             )
+    if gained is not None:
+        gained = np.asarray(gained, dtype=bool)
+        if rows is None or gained.shape != rows.shape:
+            raise ValueError("gained needs member_rows and one flag per element")
     # Ranks would sort a NaN above everything; the float rule puts it nowhere.
     # An origin is a reference peer's position, which is finite.
     for what, fault, names, invalid in (
@@ -834,48 +836,46 @@ def quadrant_skylines(
             )
     if not count:
         return [[] for _ in origins]
-    # Members in id order: the position in the key breaks ties by id.
+    # Members in id order: a column then breaks ties by id.
     by_id = np.argsort(member_ids)
     ids = member_ids[by_id]
-    first = member_coords[by_id, 0]
-    second = member_coords[by_id, 1]
+    coords = member_coords[by_id]
     if columns is None:
         offsets = np.arange(len(origins) + 1) * count
     else:
         offsets = np.searchsorted(rows, np.arange(len(origins) + 1))
         columns = np.argsort(by_id)[columns]  # member_ids order -> id order
-    # A member's key on either side of the origin, one half per axis: the
-    # first axis brings quadrant bit 0 and the key0 rank, the second quadrant
-    # bit 1, the key1 rank and the id position.
-    rank0 = np.unique(first, return_inverse=True)[1].astype(np.int64, copy=False)
-    rank1 = np.unique(second, return_inverse=True)[1].astype(np.int64, copy=False)
-    position = np.arange(count, dtype=np.int64)
-    top = count - 1
-    halves = (
-        (1 << bits | rank0) << 2 * bits,
-        (top - rank0) << 2 * bits,
-        (2 << 2 * bits | rank1) << bits | position,
-        (top - rank1) << bits | position,
-    )
-    most_rows = 1 << 60 - 3 * bits  # row bits + 3 * bits + 3 <= 63
+    if dimension == 2:
+        # A member's key on either side of the origin, one half per axis:
+        # the first axis brings quadrant bit 0 and the key0 rank, the second
+        # quadrant bit 1, the key1 rank and the id position.
+        first, second = np.ascontiguousarray(coords.T)
+        rank0 = np.unique(first, return_inverse=True)[1].astype(np.int64, copy=False)
+        rank1 = np.unique(second, return_inverse=True)[1].astype(np.int64, copy=False)
+        position = np.arange(count, dtype=np.int64)
+        top = count - 1
+        halves = (
+            (1 << bits | rank0) << 2 * bits,
+            (top - rank0) << 2 * bits,
+            (2 << 2 * bits | rank1) << bits | position,
+            (top - rank1) << bits | position,
+        )
+        most_rows = 1 << 60 - 3 * bits  # row bits + 3 * bits + 3 <= 63
+    else:
+        most_rows = len(origins)
     selected: List[List[int]] = []
     start = 0
     while start < len(origins):
         stop = int(np.searchsorted(offsets, offsets[start] + _KERNEL_ELEMENTS, side="right")) - 1
         stop = min(max(stop, start + 1), start + most_rows)
         elements = slice(offsets[start], offsets[stop])
+        block = (origins[start:stop], reference_ids[start:stop],
+                 None if rows is None else rows[elements] - start,
+                 None if columns is None else columns[elements])
         selected.extend(
-            _quadrant_skyline_pass(
-                origins[start:stop],
-                reference_ids[start:stop],
-                None if rows is None else rows[elements] - start,
-                None if columns is None else columns[elements],
-                ids,
-                first,
-                second,
-                bits,
-                halves,
-            )
+            _quadrant_skyline_pass(*block, ids, first, second, bits, halves)
+            if dimension == 2
+            else _dominance_pass(*block, None if gained is None else gained[elements], ids, coords)
         )
         start = stop
     return selected
@@ -892,9 +892,15 @@ def _quadrant_skyline_pass(
     bits: int,
     halves: Sequence[np.ndarray],
 ) -> List[List[int]]:
-    """One pass of :func:`quadrant_skylines` over whole rows: ``rows`` and
-    ``columns`` are the pass's (local row, id position) pairs, or both
-    ``None`` when every row holds every member."""
+    """One two-dimensional pass of :func:`orthant_skylines` over whole rows:
+    ``rows`` and ``columns`` are the pass's (local row, id position) pairs,
+    or both ``None`` when every row holds every member.
+
+    Every element is one integer ``row | quadrant | key0 rank | key1 rank |
+    id position`` (equal coordinates share a rank, so comparing ranks is
+    comparing the floats), sorted by value -- :func:`pareto_minima`'s
+    ``(key, id)`` order -- and a member survives when its ``key1`` rank is
+    strictly below the smallest before it in its row and quadrant."""
     low = (1 << bits) - 1
     shift = 3 * bits  # the quadrant code's lowest bit; the row sits above it
     above0, below0, above1, below1 = halves
@@ -929,6 +935,64 @@ def _quadrant_skyline_pass(
     chosen.sort()
     bounds = np.searchsorted(chosen, np.arange(len(origins) + 1) << bits).tolist()
     picked = ids[chosen & low].tolist()
+    return [picked[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _dominance_pass(
+    origins: np.ndarray,
+    reference_ids: np.ndarray,
+    rows: Optional[np.ndarray],
+    columns: Optional[np.ndarray],
+    gained: Optional[np.ndarray],
+    ids: np.ndarray,
+    coords: np.ndarray,
+) -> List[List[int]]:
+    """One pass of :func:`orthant_skylines` in any dimension, as pair tests
+    (arguments as in :func:`_quadrant_skyline_pass`; ``coords`` the rows of
+    the ascending ``ids``).
+
+    A cell is a (row, orthant code) pair, a member's key its sign-flipped
+    raw coordinates, and a member is dropped iff another member of its cell
+    is ``<=`` on every axis and first in ``(key, id)`` order --
+    :func:`pareto_minima`, as what a dropped member dominates, the member
+    that dropped it dominates too.  With ``gained`` flags only pairs with a
+    flagged end are compared: about ``|row| * |gains|``, not ``|row|**2``."""
+    count = ids.size
+    if columns is None:
+        rows = np.repeat(np.arange(len(origins)), count)
+        columns = np.tile(np.arange(count), len(origins))
+    others = ids[columns] != reference_ids[rows]
+    rows, columns = rows[others], columns[others]
+    points = coords[columns]
+    greater = points > origins[rows]
+    cells = rows << coords.shape[1] | greater @ (1 << np.arange(coords.shape[1]))
+    order = np.argsort(cells)
+    rows, columns, cells = rows[order], columns[order], cells[order]
+    keys = np.where(greater, points, -points)[order]
+
+    # Every tested element against its cell, the run [first, first + size)
+    # of the sorted codes: pair k of a tested element is first + k.
+    tested = np.flatnonzero(gained[others][order]) if gained is not None else np.arange(cells.size)
+    first = np.searchsorted(cells, cells[tested])
+    sizes = np.searchsorted(cells, cells[tested], side="right") - first
+    left = np.repeat(tested, sizes)
+    starts = np.flatnonzero(np.diff(left, prepend=-1))
+    right = np.arange(left.size) - np.repeat(starts - first, sizes)
+    if gained is not None:  # an unflagged member may still fall to a gain
+        left, right = np.concatenate((left, right)), np.concatenate((right, left))
+    # left dominates right: <= on every axis and first in (key, id) order.
+    below = (keys[left] <= keys[right]).all(axis=1)
+    left, right = left[below], right[below]
+    tied = (keys[left] == keys[right]).all(axis=1)
+    dominated = np.zeros(cells.size, dtype=bool)
+    dominated[right[~tied | (columns[left] < columns[right])]] = True
+
+    # Survivors as ``row * count + id position``: one sort leaves every
+    # reference's ids ascending, and a repeated id is kept once.
+    chosen = np.sort(rows[~dominated] * count + columns[~dominated])
+    chosen = chosen[np.diff(chosen, prepend=-1) > 0]
+    bounds = np.searchsorted(chosen, np.arange(len(origins) + 1) * count).tolist()
+    picked = ids[chosen % count].tolist()
     return [picked[a:b] for a, b in zip(bounds, bounds[1:])]
 
 

@@ -122,7 +122,6 @@ class TreeMaintenanceEngine:
         self._version = 0
         self._diameter_cache: Tuple[int, int] = (-1, 0)
         self._reparent_operations = 0
-        self._applied_deltas = 0
 
     # ------------------------------------------------------------------
     # Structure accessors
@@ -142,11 +141,6 @@ class TreeMaintenanceEngine:
     def reparent_operations(self) -> int:
         """Single edge repairs performed since the last bootstrap."""
         return self._reparent_operations
-
-    @property
-    def applied_deltas(self) -> int:
-        """Delta batches applied since the last bootstrap."""
-        return self._applied_deltas
 
     def parent(self, peer_id: int) -> Optional[int]:
         """Current preferred neighbour of one peer (``None`` for roots)."""
@@ -208,9 +202,8 @@ class TreeMaintenanceEngine:
                 "the adopted forest contains a cycle: "
                 f"{len(self._parents) - attached} peers unreachable from any root"
             )
-        # Adoption is not incremental repair work; reset the counters.
+        # Adoption is not incremental repair work; reset the counter.
         self._reparent_operations = 0
-        self._applied_deltas = 0
 
     def add_peer(self, peer_id: int, lifetime: float) -> None:
         """Register a peer as a fresh isolated root."""
@@ -331,10 +324,9 @@ class TreeMaintenanceEngine:
             self.add_peer(peer_id, joined[peer_id])
 
     def apply_reparents(self, reparented: Mapping[int, Optional[int]]) -> None:
-        """Second half of a batch: the re-parents; counts the batch applied."""
+        """Second half of a batch: the re-parents."""
         for peer_id in sorted(reparented):
             self.set_parent(peer_id, reparented[peer_id])
-        self._applied_deltas += 1
 
     # ------------------------------------------------------------------
     # Streaming metrics

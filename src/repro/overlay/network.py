@@ -19,8 +19,10 @@ two ways of reaching the equilibrium topology:
   scale (``N = 1000`` and beyond).
 
 * :meth:`OverlayNetwork.build_equilibrium` jumps straight to the
-  full-knowledge fixed point using the selection method's (possibly
-  vectorised) :meth:`~repro.overlay.selection.base.NeighbourSelectionMethod.compute_equilibrium`.
+  full-knowledge fixed point using the selection method's
+  :meth:`~repro.overlay.selection.base.NeighbourSelectionMethod.compute_equilibrium`
+  (every peer's ``select`` against everyone, except where a Hyperplanes
+  method overrides it).
   The paper states the gossip process should converge to (or close to) this
   topology; tests verify the agreement on small instances.
 
@@ -659,7 +661,7 @@ class OverlayNetwork:
         The population is validated the same way :meth:`add_peer` validates a
         joining peer, by the coordinate column: duplicate ids and mixed
         identifier dimensions raise :class:`ValueError` up front instead of
-        crashing deep inside the vectorised equilibrium code.
+        crashing deep inside a selection method's equilibrium code.
         """
         overlay = cls(selection)
         for peer in peers:

@@ -32,8 +32,8 @@ distinct-coordinate assumption; the workload generators enforce it.
 
 from __future__ import annotations
 
-from itertools import chain, product
-from typing import TYPE_CHECKING, Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import chain, product, repeat
+from typing import TYPE_CHECKING, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.geometry.rectangle import HyperRectangle
 # shared with the spatial index and the brute-force reference so the three
 # paths cannot drift apart.
 from repro.geometry.index import pareto_minima as _pareto_minima
-from repro.geometry.index import quadrant_skylines
+from repro.geometry.index import orthant_skylines
 from repro.overlay.peer import PeerInfo
 from repro.overlay.selection.base import AdditiveCohort, MemberOf, NeighbourSelectionMethod
 
@@ -50,12 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.geometry.index import SpatialIndex
 
 __all__ = ["EmptyRectangleSelection", "brute_force_empty_rectangle_neighbours"]
-
-# Outside two dimensions (where a whole batch is one kernel call, see
-# _select_batch) the batched API switches implementation per reference:
-# below this many candidates the plain-python select() beats the per-orthant
-# numpy loop, whose array construction would dominate.
-_VECTORISE_THRESHOLD = 32
 
 
 def _ids(peers: Sequence[PeerInfo]) -> List[int]:
@@ -70,9 +64,9 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
     path_independent = True
 
     # The per-orthant skyline is exactly the spatial index's skyline query
-    # (the quadrant kernel over its coordinate column in two dimensions, the
-    # branch-and-bound walk above), so the indexed path is byte-identical to
-    # the scan.
+    # (orthant_skylines' quadrant pass over its coordinate column in two
+    # dimensions, the k-d branch-and-bound walk above), so the indexed path
+    # is byte-identical to the scan.
     supports_index = True
 
     def select(
@@ -116,7 +110,7 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
-        """Batched selection: one kernel call for all 2-D references.
+        """Batched selection: one kernel call for a whole batch.
 
         With an ``index`` every reference is answered from the index instead
         of any scan (see :meth:`_select_many_indexed`); without one, from
@@ -138,41 +132,36 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         references: Sequence[PeerInfo],
         rows: Sequence[Collection[int]],
         member_of: MemberOf,
+        gained: Optional[np.ndarray] = None,
     ) -> Dict[int, List[int]]:
         """Every reference answered from its own row of candidate ids (any
-        order; an id repeated in a row is harmless).
+        order; an id repeated in a row is harmless), in one
+        :func:`~repro.geometry.index.orthant_skylines` call whatever the
+        dimension.
 
-        In two dimensions all references share one
-        :func:`~repro.geometry.index.quadrant_skylines` call, each row
-        holding exactly its own candidates: the flat ids of every row go
-        through one ``unique(return_inverse=True)``, whose inverse is the
-        rows' member columns and whose sorted ids are the call's member set,
-        so a reference's cost is its own candidate count, not the union's.
+        The flat ids of every row go through one
+        ``unique(return_inverse=True)``, whose inverse is the rows' member
+        columns and whose sorted ids are the call's member set, so a
+        reference's cost is its own candidate count, not the union's.
         Origins and members are row gathers from ``member_of.column``; no
-        id is resolved.  Other dimensions keep the per-reference dispatch:
-        :meth:`select` below ``_VECTORISE_THRESHOLD`` candidates, the
-        per-orthant numpy loop above.  Shared by :meth:`select_many` and
-        :meth:`select_many_additive`.
+        id is resolved.  ``gained`` flags the row elements an additive
+        update gained (see :meth:`select_many_additive`).  Shared by
+        :meth:`select_many` and :meth:`select_many_additive`.
         """
+        if not references:
+            return {}
         column = member_of.column
         reference_ids = _ids(references)
-        if column.dimension != 2:
-            return self._select_many_dispatch(
-                references,
-                dict(zip(reference_ids, rows)),
-                _VECTORISE_THRESHOLD,
-                self._select_vectorised,
-                member_of=member_of,
-            )
         member_ids, columns = np.unique(
             np.fromiter(chain.from_iterable(rows), dtype=np.int64), return_inverse=True
         )
-        selected = quadrant_skylines(
+        selected = orthant_skylines(
             column.gather(reference_ids),
             reference_ids,
             member_ids,
             column.gather(member_ids.tolist()),
             (np.repeat(np.arange(len(rows)), [len(row) for row in rows]), columns),
+            gained,
         )
         return dict(zip(reference_ids, selected))
 
@@ -182,15 +171,16 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         """A whole cohort of references from the index's coordinate column.
 
         In two dimensions every reference is answered by the batched
-        quadrant kernel (:func:`~repro.geometry.index.quadrant_skylines`)
+        quadrant kernel (:func:`~repro.geometry.index.orthant_skylines`)
         over the column -- array passes per chunk of references instead of
         four tree walks per reference, with the same results.  Other
-        dimensions keep the per-orthant walk of :meth:`_select_indexed`.
+        dimensions keep the k-d walk of :meth:`_select_indexed`: against a
+        whole column the pair pass compares far more than the walk visits.
         """
         if index.dimension != 2 or not references:
             return super()._select_many_indexed(references, index)
         reference_ids = _ids(references)
-        selected = quadrant_skylines(
+        selected = orthant_skylines(
             index.gather(reference_ids), reference_ids, *index.columns()
         )
         return dict(zip(reference_ids, selected))
@@ -227,7 +217,9 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         installed selection is boxed out by a member of it, and stays boxed
         out.  So every update, one gained peer or several, is the row
         ``selected + gained`` of one batched :meth:`_select_batch` call --
-        one kernel call for all two-dimensional references.
+        one kernel call for all references, where outside two dimensions
+        only pairs with a flagged gained end are compared (a skyline's
+        members never dominate each other).
 
         Only changed selections are returned: those some gained id survives
         in.  If none survives, each gained id is dominated by a kept member
@@ -244,12 +236,18 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
             ))
             updates = [(reference, _ids(selected), _ids(gained))
                        for reference, selected, gained in updates]
+        # The 2-D pass needs no flags, and the 2-D hot path builds none.
+        flags = None if member_of.column.dimension == 2 else np.fromiter(chain.from_iterable(
+            chain(repeat(False, len(selected)), repeat(True, len(gained)))
+            for _, selected, gained in updates
+        ), dtype=bool)
         # Not through the public select_many: that entry is the surface of
         # full recomputes, and is counted as such.
         results = self._select_batch(
             [reference for reference, _, _ in updates],
             [[*selected, *gained] for _, selected, gained in updates],
             member_of,
+            flags,
         )
         return {
             reference.peer_id: results[reference.peer_id]
@@ -285,7 +283,9 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
           transitivity, neither enter it nor evict anything from it.
 
         Total additive cost is therefore O(changed selections), independent
-        of cohort size -- the property the N=100k round protocol rests on.
+        of cohort size -- the property the N=100k round protocol rests on --
+        and those updates share one :func:`~repro.geometry.index.orthant_skylines`
+        call in any dimension.
         Falls back to the generic expansion when the caller passes no index
         or hands a cohort whose gains were not fully
         recomputed (never the engine; the precondition is asserted cheaply).
@@ -317,76 +317,6 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         if updates:
             results.update(self.select_many_additive(updates, member_of=member_of))
         return results
-
-    def _select_vectorised(
-        self, reference: PeerInfo, candidates: Sequence[PeerInfo]
-    ) -> List[int]:
-        """Numpy per-orthant skyline for one reference outside two dimensions
-        (see select()): a loop over the occupied orthants."""
-        others = self._exclude_reference(reference, candidates)
-        if not others:
-            return []
-        ids = np.asarray([peer.peer_id for peer in others], dtype=np.int64)
-        coords = np.asarray([tuple(peer.coordinates) for peer in others], dtype=float)
-        origin = np.asarray(tuple(reference.coordinates), dtype=float)
-        greater = coords > origin
-        # Sign-flipped raw coordinates (see select()): dominance checks on
-        # these are exactly the bounding-box comparisons of the paper.
-        keys = np.where(greater, coords, -coords)
-        powers = 1 << np.arange(coords.shape[1])
-        codes = (greater @ powers).astype(np.int64)
-        selected: List[int] = []
-        for code in np.unique(codes):
-            mask = codes == code
-            selected.extend(_skyline_ids(keys[mask], ids[mask]))
-        return sorted(selected)
-
-    def compute_equilibrium(self, peers: Sequence[PeerInfo]) -> Dict[int, Set[int]]:
-        """Vectorised full-knowledge equilibrium (per-orthant skylines in numpy)."""
-        if not peers:
-            return {}
-        peer_ids = np.asarray([peer.peer_id for peer in peers], dtype=np.int64)
-        coords = np.asarray([tuple(peer.coordinates) for peer in peers], dtype=float)
-        count, dimension = coords.shape
-        powers = 1 << np.arange(dimension)
-        result: Dict[int, Set[int]] = {}
-
-        for index in range(count):
-            greater = coords > coords[index]
-            # Sign-flipped raw coordinates (see select()): dominance checks on
-            # these are exactly the bounding-box comparisons of the paper.
-            keys = np.where(greater, coords, -coords)
-            codes = (greater @ powers).astype(np.int64)
-            mask = np.ones(count, dtype=bool)
-            mask[index] = False
-            other_indices = np.nonzero(mask)[0]
-            selected: Set[int] = set()
-            other_codes = codes[other_indices]
-            for code in np.unique(other_codes):
-                members = other_indices[other_codes == code]
-                selected.update(_skyline_ids(keys[members], peer_ids[members]))
-            result[int(peer_ids[index])] = selected
-        return result
-
-
-def _skyline_ids(member_keys: np.ndarray, member_ids: np.ndarray) -> List[int]:
-    """Ids of the Pareto-minimal rows of ``member_keys`` (component-wise ``<=``).
-
-    The numpy counterpart of :func:`_pareto_minima`, shared by the vectorised
-    equilibrium and batched-selection paths: rows are visited in lexicographic
-    ``(key, peer id)`` order, so a kept row can never be dominated by a later
-    one and one pass with dominance checks against the kept set suffices.
-    """
-    order = np.lexsort((member_ids, *member_keys.T[::-1]))
-    kept_rows: List[np.ndarray] = []
-    kept_ids: List[int] = []
-    for position in order:
-        row = member_keys[position]
-        if kept_rows and bool(np.all(np.asarray(kept_rows) <= row, axis=1).any()):
-            continue
-        kept_rows.append(row)
-        kept_ids.append(int(member_ids[position]))
-    return kept_ids
 
 
 def brute_force_empty_rectangle_neighbours(

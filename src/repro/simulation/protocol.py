@@ -505,11 +505,6 @@ class PeerProcess:
         """Reliable sends repeated because no ack arrived in time."""
         return self._retransmissions
 
-    @property
-    def outstanding_sends(self) -> int:
-        """Reliable sends still waiting for an ack (or further blind repeats)."""
-        return len(self._outstanding)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

@@ -8,6 +8,11 @@ def total_weight(weights):
     return sum(weights.values())  # expect: RPL003
 
 
+def sorted_total(values):
+    """Sorting fixes the order, but from Python 3.12 on builtin sum compensates."""
+    return sum(sorted(values))  # expect: RPL003
+
+
 def grid_mass(cells):
     return np.sum(cells)  # expect: RPL003
 

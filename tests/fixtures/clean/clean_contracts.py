@@ -16,10 +16,6 @@ def ordered_total(weights):
     return total
 
 
-def sorted_sum(values):
-    return sum(sorted(values))
-
-
 def insensitive_total(values):
     return math.fsum(values)
 

@@ -6,6 +6,10 @@ import random
 import numpy as np
 import pytest
 
+import repro.geometry.distance
+import repro.geometry.hyperplane
+import repro.geometry.index
+import repro.overlay.selection.hyperplanes
 from repro.geometry.distance import (
     chebyshev_distance,
     euclidean_distance,
@@ -91,3 +95,29 @@ class TestSummationOrder:
         expected = [get_distance(name)(row, origin) for row in rows]
         assert minkowski(np.array(rows), order).tolist() == expected
         assert [_point_distance(row, order) for row in rows] == expected
+
+
+def neumaier_sum(values, start=0):
+    """What builtin ``sum`` computes over floats from Python 3.12 on: a
+    Neumaier-compensated total, not a left-to-right one."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+class TestSummationOrderUnderCompensatedSum(TestSummationOrder):
+    """The same three paths with ``sum`` bound to Python 3.12's in every module
+    that computes a distance or a hyperplane value, so the order they add in
+    cannot depend on the interpreter's builtin."""
+
+    @pytest.fixture(autouse=True)
+    def compensated_sum(self, monkeypatch):
+        for module in (repro.geometry.distance, repro.geometry.hyperplane,
+                       repro.geometry.index, repro.overlay.selection.hyperplanes):
+            monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)

@@ -17,6 +17,10 @@ the whole member set and over per-reference candidate rows (the flat
 through), and at the edges of its packed integer key: one rank level on an
 axis, infinities, member counts where the field width steps, rows cut
 across passes, one row per pass at the widest fields, inputs it refuses.
+In every dimension from 1 to 5 the kernel equals the union of the brute-force
+orthant skylines -- whole member sets, drawn rows, additive rows with their
+gained flags -- and in two dimensions its pair pass, called directly, equals
+the packed pass.
 """
 
 import math
@@ -37,7 +41,7 @@ from repro.geometry.index import (
     brute_force_nearest_k,
     brute_force_orthant_skyline,
     brute_force_region_top_k,
-    quadrant_skylines,
+    orthant_skylines,
 )
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.empty_rectangle import (
@@ -140,7 +144,7 @@ def _assert_kernel_matches_brute_force(index, mirror):
     """The batched kernel vs the brute-force skyline of every quadrant."""
     ids, coordinates = index.columns()
     references = sorted(mirror)
-    selected = quadrant_skylines(
+    selected = orthant_skylines(
         np.asarray(
             [mirror[reference] for reference in references], dtype=float
         ).reshape(-1, 2),
@@ -228,7 +232,7 @@ def test_quadrant_kernel_drops_a_dominated_point_whose_key_sum_rounds_equal():
             index.insert(point_id, coords)
         _assert_kernel_matches_brute_force(index, mirror)
         ids, coordinates = index.columns()
-        (chosen,) = quadrant_skylines(
+        (chosen,) = orthant_skylines(
             np.zeros((1, 2)), np.asarray([9]), ids, coordinates
         )
         assert chosen == sorted([dominator, 3])
@@ -276,7 +280,7 @@ def _assert_row_kernel_matches_brute_force(index, mirror, data):
     ]
     subsets[0] = []
     subsets[-1] = list(references)
-    selected = quadrant_skylines(
+    selected = orthant_skylines(
         np.asarray([mirror[reference] for reference in references], dtype=float),
         np.asarray(references, dtype=np.int64),
         ids,
@@ -386,7 +390,7 @@ def test_row_quadrant_kernel_with_every_row_empty():
     ids = np.asarray(list(mirror), dtype=np.int64)
     coordinates = np.asarray(list(mirror.values()))
     nothing = np.empty(0, dtype=np.int64)
-    assert quadrant_skylines(coordinates[:3], ids[:3], ids, coordinates, (nothing, nothing)) == [
+    assert orthant_skylines(coordinates[:3], ids[:3], ids, coordinates, (nothing, nothing)) == [
         [], [], []
     ]
 
@@ -400,7 +404,7 @@ def test_row_quadrant_kernel_at_twenty_bit_fields_runs_one_row_per_pass(monkeypa
     subsets = [rng.choice(count, size=size, replace=False).tolist() for size in (40, 0, 25, 60)]
     references = [subset[0] if subset else count - 1 for subset in subsets]
     passes = _counted_passes(monkeypatch)
-    selected = quadrant_skylines(
+    selected = orthant_skylines(
         coordinates[references], np.asarray(references), ids, coordinates, _member_rows(ids, subsets)
     )
     assert [rows for rows, _ in passes] == [1, 1, 1, 1]
@@ -421,7 +425,7 @@ def _assert_raw_kernel_matches_brute_force(mirror, references=None, subsets=None
     ids = np.asarray(list(mirror), dtype=np.int64)
     coordinates = np.asarray(list(mirror.values()), dtype=float).reshape(-1, 2)
     references = list(mirror) if references is None else references
-    selected = quadrant_skylines(
+    selected = orthant_skylines(
         np.asarray([mirror[reference] for reference in references], dtype=float),
         np.asarray(references, dtype=np.int64),
         ids,
@@ -526,13 +530,13 @@ def test_quadrant_kernel_rejects_what_its_keys_cannot_hold():
     poisoned = coordinates.copy()
     poisoned[1, 1] = math.nan
     with pytest.raises(ValueError, match="member 2 has a NaN"):
-        quadrant_skylines(coordinates, ids, ids, poisoned)
+        orthant_skylines(coordinates, ids, ids, poisoned)
     with pytest.raises(ValueError, match="reference 2 has a NaN"):
-        quadrant_skylines(poisoned, ids, ids, coordinates)
+        orthant_skylines(poisoned, ids, ids, coordinates)
     # Rows are checked against the references and the member set, an empty
     # member set included.
     nobody = np.empty(0, dtype=np.int64), np.empty((0, 2))
-    assert quadrant_skylines(coordinates, ids, *nobody, (nobody[0], nobody[0])) == [[], [], []]
+    assert orthant_skylines(coordinates, ids, *nobody, (nobody[0], nobody[0])) == [[], [], []]
     for rows, columns, members in (
         ([0, 1, 2], [0, 0, 0], nobody),  # a column with no member
         ([0, 1], [0, 1, 2], (ids, coordinates)),  # unpaired
@@ -543,13 +547,151 @@ def test_quadrant_kernel_rejects_what_its_keys_cannot_hold():
         ([[0, 1]], [[0, 1]], (ids, coordinates)),  # not flat
     ):
         with pytest.raises(ValueError, match="member_rows"):
-            quadrant_skylines(coordinates, ids, *members, (np.asarray(rows), np.asarray(columns)))
+            orthant_skylines(coordinates, ids, *members, (np.asarray(rows), np.asarray(columns)))
     # Refused before any array the size of the member set is built.
     crowd = 1 << 20
     with pytest.raises(ValueError, match=f"at most {crowd - 1} members.*got {crowd}"):
-        quadrant_skylines(
+        orthant_skylines(
             coordinates, ids, np.arange(crowd), np.broadcast_to(np.zeros(2), (crowd, 2))
         )
+
+
+@st.composite
+def _orthant_draws(draw, min_dimension=1, max_dimension=5):
+    """One ``orthant_skylines`` input in ``D = 1 .. 5`` with its brute-force
+    answer.
+
+    Members sit on the small lattice, so coordinates tie on every axis; an
+    axis may be constant for everybody, and two members may share every
+    coordinate.  A reference is a member (excluded by id) or a point of its
+    own.  Rows either hold every member (``member_rows=None``), or are drawn
+    per reference -- empty ones and a repeated id among them -- or are
+    additive: the brute-force selection over a drawn subset, unflagged,
+    followed by flagged gains from outside it.
+    """
+    dimension = draw(st.integers(min_value=min_dimension, max_value=max_dimension))
+    count = draw(st.integers(min_value=1, max_value=14))
+    ids = draw(st.lists(st.integers(0, 999), min_size=count, max_size=count, unique=True))
+    coords = [[draw(_COORDINATE) for _ in range(dimension)] for _ in ids]
+    flat_axis = draw(st.sampled_from([None, *range(dimension)]))
+    if flat_axis is not None:
+        for row in coords:
+            row[flat_axis] = 2.5
+    if count > 1 and draw(st.booleans()):
+        coords[1] = list(coords[0])
+    mirror = {point_id: tuple(row) for point_id, row in zip(ids, coords)}
+
+    references, origins = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        if draw(st.booleans()):
+            reference = draw(st.sampled_from(ids))
+            origin = mirror[reference]
+        else:
+            reference = 1000 + len(references)
+            origin = tuple(draw(_COORDINATE) for _ in range(dimension))
+        references.append(reference)
+        origins.append(origin)
+
+    def selection(origin, reference, members):
+        subset = {point_id: mirror[point_id] for point_id in members}
+        return sorted(
+            point_id
+            for signs in product((-1, 1), repeat=dimension)
+            for point_id in brute_force_orthant_skyline(
+                subset, origin, signs, exclude=(reference,)
+            )
+        )
+
+    shape = draw(st.sampled_from(["full", "rows", "additive"]))
+    if shape == "full":
+        expected = [selection(origin, reference, ids)
+                    for origin, reference in zip(origins, references)]
+        return dimension, mirror, references, origins, None, None, expected
+    subsets, flags = [], []
+    for origin, reference in zip(origins, references):
+        if shape == "rows":
+            row = draw(st.lists(st.sampled_from(ids), max_size=count + 2))
+            flags.append([])
+        else:
+            installed = selection(
+                origin, reference, draw(st.lists(st.sampled_from(ids), unique=True))
+            )
+            outside = [point_id for point_id in ids if point_id not in installed]
+            gains = draw(st.lists(st.sampled_from(outside))) if outside else []
+            row = installed + gains
+            flags.append([False] * len(installed) + [True] * len(gains))
+        subsets.append(row)
+    subsets[0] = []
+    flags[0] = []
+    if shape == "rows":
+        subsets[-1] = subsets[-1] + subsets[-1][:1]
+    expected = [selection(origin, reference, row)
+                for origin, reference, row in zip(origins, references, subsets)]
+    gained = np.asarray([flag for row in flags for flag in row], dtype=bool)
+    return dimension, mirror, references, origins, subsets, (
+        gained if shape == "additive" else None
+    ), expected
+
+
+def _orthant_call(dimension, mirror, references, origins, subsets):
+    """The arguments of ``orthant_skylines`` for one draw, members in
+    insertion (not id) order."""
+    ids = np.asarray(list(mirror), dtype=np.int64)
+    coords = np.asarray(list(mirror.values()), dtype=float).reshape(-1, dimension)
+    return (
+        np.asarray(origins, dtype=float).reshape(-1, dimension),
+        np.asarray(references, dtype=np.int64),
+        ids,
+        coords,
+        None if subsets is None else _member_rows(ids, subsets),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(draw=_orthant_draws())
+def test_orthant_skylines_is_the_union_of_brute_force_orthant_skylines(draw):
+    dimension, mirror, references, origins, subsets, gained, expected = draw
+    call = _orthant_call(dimension, mirror, references, origins, subsets)
+    assert orthant_skylines(*call, gained) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(draw=_orthant_draws(min_dimension=2, max_dimension=2))
+def test_dominance_pass_equals_the_quadrant_pass_in_two_dimensions(draw):
+    """Two independent implementations of one rule: the packed-rank pass
+    that ``orthant_skylines`` runs in 2-D, and the flat pair pass it runs
+    elsewhere, called directly on the same members in id order."""
+    dimension, mirror, references, origins, subsets, gained, expected = draw
+    origins, reference_ids, ids, coords, member_rows = _orthant_call(
+        dimension, mirror, references, origins, subsets
+    )
+    by_id = np.argsort(ids)
+    rows = columns = None
+    if member_rows is not None:
+        rows, columns = member_rows
+        columns = np.argsort(by_id)[columns]
+    quadrant = orthant_skylines(origins, reference_ids, ids, coords, member_rows)
+    dominance = index_module._dominance_pass(
+        origins, reference_ids, rows, columns, gained, ids[by_id], coords[by_id]
+    )
+    assert quadrant == dominance == expected
+
+
+def test_orthant_skylines_rejects_flags_or_shapes_it_cannot_read():
+    ids = np.asarray([4, 2, 6], dtype=np.int64)
+    coordinates = np.asarray([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 2.0]])
+    rows = (np.asarray([0, 1]), np.asarray([1, 2]))
+    assert orthant_skylines(coordinates, ids, ids, coordinates, rows, [False, True]) == [
+        [2], [6], []
+    ]
+    with pytest.raises(ValueError, match="one flag per element"):
+        orthant_skylines(coordinates, ids, ids, coordinates, rows, [True])
+    with pytest.raises(ValueError, match="one flag per element"):
+        orthant_skylines(coordinates, ids, ids, coordinates, None, [True, True])
+    with pytest.raises(ValueError, match="one D >= 1"):
+        orthant_skylines(coordinates, ids, ids, coordinates[:, :2])
+    with pytest.raises(ValueError, match="one D >= 1"):
+        orthant_skylines(np.empty((3, 0)), ids, ids, np.empty((3, 0)))
 
 
 def test_batched_scan_selection_rejects_a_mixed_dimension_candidate():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.base import MemberOf
 from repro.overlay.selection.empty_rectangle import (
-    _VECTORISE_THRESHOLD,
     EmptyRectangleSelection,
     brute_force_empty_rectangle_neighbours,
 )
@@ -63,16 +62,15 @@ class TestAgainstBruteForce:
 
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_batched_scan_arm_matches_brute_force(self, dimension):
-        """``select_many`` without an index, at candidate counts that take
-        the numpy path: the quadrant kernel in 2-D, the orthant loop above."""
-        peers = generate_peers(2 * _VECTORISE_THRESHOLD, dimension, seed=40 + dimension)
+        """``select_many`` without an index over 63 candidates per reference:
+        the quadrant pass in 2-D, the dominance pass above."""
+        peers = generate_peers(64, dimension, seed=40 + dimension)
         selection = EmptyRectangleSelection()
         references = peers[:12]
         candidates = {
             reference.peer_id: [p for p in peers if p.peer_id != reference.peer_id]
             for reference in references
         }
-        assert len(peers) - 1 >= _VECTORISE_THRESHOLD
         batched = selection.select_many(references, candidates)
         for reference in references:
             assert batched[reference.peer_id] == brute_force_empty_rectangle_neighbours(
@@ -222,3 +220,44 @@ class TestConnectivity:
         peers = generate_peers(60, dimension, seed=dimension * 7)
         overlay = OverlayNetwork.build_equilibrium(peers, EmptyRectangleSelection())
         assert overlay.snapshot().is_connected()
+
+
+def test_one_additive_call_is_one_dominance_pass_outside_two_dimensions(monkeypatch):
+    """A D = 3 ``select_many_additive`` call over many rows runs one flat
+    pass and no per-reference ``select``, and every row -- returned or
+    omitted as unchanged -- is the definition over ``selected + gained``,
+    a gain listed twice included."""
+    from repro.geometry import index as index_module
+
+    peers = generate_peers(60, 3, seed=77)
+    rng = random.Random(77)
+    updates = []
+    for reference in peers[:20]:
+        others = [peer for peer in peers if peer.peer_id != reference.peer_id]
+        base = rng.sample(others, 25)
+        chosen = set(brute_force_empty_rectangle_neighbours(reference, base))
+        selected = [peer for peer in base if peer.peer_id in chosen]
+        gained = rng.sample([peer for peer in others if peer.peer_id not in chosen], 3)
+        updates.append((reference, selected, gained + gained[:1]))
+
+    calls = {"pass": 0, "select": 0}
+    one_pass = index_module._dominance_pass
+
+    def counted_pass(*args):
+        calls["pass"] += 1
+        return one_pass(*args)
+
+    def counted_select(self, *args, **kwargs):
+        calls["select"] += 1
+        raise AssertionError("an additive row went through select()")
+
+    monkeypatch.setattr(index_module, "_dominance_pass", counted_pass)
+    monkeypatch.setattr(EmptyRectangleSelection, "select", counted_select)
+    changed = EmptyRectangleSelection().select_many_additive(updates)
+    assert calls == {"pass": 1, "select": 0}
+    assert changed
+    for reference, selected, gained in updates:
+        expected = brute_force_empty_rectangle_neighbours(
+            reference, EmptyRectangleSelection.merge_candidate_delta(selected, gained)
+        )
+        assert changed.get(reference.peer_id, sorted(p.peer_id for p in selected)) == expected

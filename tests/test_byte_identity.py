@@ -1,7 +1,9 @@
 """The spatial index and the selection family rank candidates byte-identically
-with the scans they replace, so ``repro.geometry.index`` and
-``repro.overlay.selection.*`` spell every summation order out: no ``sum(...)``
-but ``sum(sorted(...))``, no numpy or ``.sum`` / ``.prod`` / ``.cumsum`` /
+with the scans they replace, so ``repro.geometry.index``,
+``repro.geometry.distance``, ``repro.geometry.hyperplane`` and
+``repro.overlay.selection.*`` spell every summation order out: no builtin
+``sum(...)`` (compensated from Python 3.12 on, even over ``sorted(...)``), no
+numpy or ``.sum`` / ``.prod`` / ``.cumsum`` /
 ``.dot`` reduction, and no loop over a set or dict, without ``sorted``, that
 feeds ``+=`` / ``-=`` or a ``min`` / ``max`` / ``heappush*`` tie-break.
 Set-like aliases are tracked per function scope.  Findings and the
@@ -17,6 +19,7 @@ ALLOWED = {}
 NUMPY_REDUCTIONS = {"sum", "nansum", "prod", "nanprod", "cumsum", "dot", "einsum", "inner", "vdot"}
 METHOD_REDUCTIONS = {"sum", "prod", "cumsum", "dot"}
 TIEBREAKS = {"min", "max", "heappush", "heappushpop", "heapreplace"}
+GUARDED = {"repro.geometry.index", "repro.geometry.distance", "repro.geometry.hyperplane"}
 
 
 def setlike(node, aliases):
@@ -61,9 +64,8 @@ class ByteIdentity(Finder):
 
     def visit_Call(self, node):
         name, attr = dotted(node.func) or "", getattr(node.func, "attr", None)
-        sorted_operand = node.args and dotted(getattr(node.args[0], "func", None)) == "sorted"
         numpy = name.split(".")[0] in {"np", "numpy"}
-        if name == "sum" and not sorted_operand or \
+        if name == "sum" or \
                 attr in (NUMPY_REDUCTIONS if numpy else METHOD_REDUCTIONS):
             self.flag(node, f"{name or '.' + attr}()")
         self.generic_visit(node)
@@ -84,7 +86,7 @@ def feeds_accumulator(loop):
 
 def guarded_sources(overrides=None):
     return {module: source for module, source in repro_sources(overrides).items()
-            if module == "repro.geometry.index" or module.startswith("repro.overlay.selection")}
+            if module in GUARDED or module.startswith("repro.overlay.selection")}
 
 
 def byte_identity_problems(sources=None, allowed=ALLOWED):
@@ -96,7 +98,7 @@ def test_index_and_selection_spell_their_summation_order_out():
 
 
 def test_the_walk_sees_the_guarded_modules():
-    assert {"repro.geometry.index", "repro.overlay.selection.base",
+    assert GUARDED | {"repro.overlay.selection.base",
             "repro.overlay.selection.hyperplanes", "repro.overlay.selection.k_closest",
             "repro.overlay.selection.empty_rectangle"} <= set(guarded_sources())
     assert sum(bool(marked_lines(path, "RPL003")) for path in FIXTURES) >= 2
