@@ -15,8 +15,8 @@ move} epochs at N ~ 120 (the shape of the ledger's ``bounded_gossip_er2d``):
   population;
 * the selection is handed ids and one handle per call, never a
   ``PeerInfo`` list, and on the 2-D empty-rectangle path never calls the
-  handle's resolver: every coordinate is a row gather from the overlay's
-  column.
+  handle's resolver: origins are the references' own coordinates, and
+  row members are positions in the overlay's column.
 
 The three counts and the per-epoch wall are printed; only the counts are
 asserted (runner timings are not comparable, and the claim-bearing timings

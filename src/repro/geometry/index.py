@@ -26,7 +26,9 @@ Division of labour
   in two dimensions (a whole column too), pair tests per (row, orthant)
   cell elsewhere (candidate rows only; the k-d walk keeps whole columns).
   An overlay owns exactly one column in either knowledge regime -- the
-  index itself under full knowledge, a bare column under a gossip radius.
+  index itself under full knowledge, a bare column under a gossip radius --
+  and the column caches what the passes derive from its points alone, so
+  the kernel calls of every round of one converge share that set-up.
 
 Byte-identical contract
 -----------------------
@@ -53,7 +55,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -176,12 +179,12 @@ def _build_kd(
 class CoordinateColumn:
     """Points as dense numpy rows: ``int64`` ids, ``float64`` coordinates.
 
-    The array form the batched skyline kernel reads (:meth:`columns` for
-    every point, :meth:`gather` for some).  ``insert``/``remove``/``move``
+    The form the batched skyline kernel reads.  ``insert``/``remove``/``move``
     are ``O(1)``: a removed row is overwritten by the last one, so rows
     ``[0, len)`` are exactly the live points in no particular order.  The
     dimension is fixed by the first inserted point and retained even when
-    the column drains back to empty.
+    the column drains back to empty.  Only ``insert`` and ``remove`` write
+    rows, and each drops the kernel's :class:`_SkylineTable` of them.
     """
 
     def __init__(self) -> None:
@@ -189,6 +192,7 @@ class CoordinateColumn:
         self._row_of: Dict[int, int] = {}
         self._row_ids = np.empty(0, dtype=np.int64)
         self._row_coords = np.empty((0, 0), dtype=np.float64)
+        self._table: Optional[_SkylineTable] = None
 
     def __len__(self) -> int:
         return len(self._row_of)
@@ -214,12 +218,11 @@ class CoordinateColumn:
         coordinates.flags.writeable = False
         return ids, coordinates
 
-    def gather(self, point_ids: Sequence[int]) -> np.ndarray:
-        """The coordinates of ``point_ids`` (each stored), one row per id."""
-        rows = np.fromiter(
-            map(self._row_of.__getitem__, point_ids), dtype=np.int64, count=len(point_ids)
-        )
-        return self._row_coords[rows]
+    def _skyline_table(self) -> "_SkylineTable":
+        """This version's table, built on the first call since a write."""
+        if self._table is None:
+            self._table = _SkylineTable(*self.columns())
+        return self._table
 
     def insert(self, point_id: int, coordinates: CoordinateLike) -> Point:
         """Add one point; rejects duplicate ids and mixed dimensions."""
@@ -244,6 +247,7 @@ class CoordinateColumn:
         self._row_of[point_id] = row
         self._row_ids[row] = point_id
         self._row_coords[row] = point
+        self._table = None
         return point
 
     def remove(self, point_id: int) -> None:
@@ -258,6 +262,7 @@ class CoordinateColumn:
             self._row_of[moved_id] = row
             self._row_ids[row] = moved_id
             self._row_coords[row] = self._row_coords[last]
+        self._table = None
 
     def move(self, point_id: int, coordinates: CoordinateLike) -> None:
         """Update one point's coordinates in place (same id).
@@ -752,130 +757,130 @@ def pareto_minima(
     return kept
 
 
+class _SkylineTable:
+    """What :func:`orthant_skylines` derives from one version of a column:
+    ``ids`` ascending with their ``coords`` (a pass breaks ties by id),
+    ``position[row]``, column row ``row``'s place among them, and in two
+    dimensions the ``quadrant`` arguments of :func:`_quadrant_skyline_pass`
+    (which packs at most ``2**20 - 1`` members), else ``None``."""
+
+    __slots__ = ("ids", "coords", "position", "quadrant")
+
+    def __init__(self, row_ids: np.ndarray, row_coords: np.ndarray) -> None:
+        count = row_ids.size
+        bits = count.bit_length()
+        planar = row_coords.shape[1] == 2
+        if planar and 3 * bits + 3 > 63:  # three fields under a 3-bit quadrant code
+            raise ValueError(
+                f"the quadrant kernel packs at most {(1 << 20) - 1} members into "
+                f"a 64-bit key, got {count}"
+            )
+        by_id = np.argsort(row_ids)
+        self.ids = row_ids[by_id]
+        self.coords = row_coords[by_id]
+        self.position = np.empty(count, dtype=np.int64)
+        self.position[by_id] = np.arange(count)
+        self.quadrant = None
+        if planar:
+            # A member's key on either side of the origin, one half per axis:
+            # the first axis brings quadrant bit 0 and the key0 rank, the
+            # second quadrant bit 1, the key1 rank and the id position.
+            first, second = np.ascontiguousarray(self.coords.T)
+            rank0 = np.unique(first, return_inverse=True)[1].astype(np.int64, copy=False)
+            rank1 = np.unique(second, return_inverse=True)[1].astype(np.int64, copy=False)
+            position = np.arange(count, dtype=np.int64)
+            top = count - 1
+            self.quadrant = (first, second, bits, (
+                (1 << bits | rank0) << 2 * bits,
+                (top - rank0) << 2 * bits,
+                (2 << 2 * bits | rank1) << bits | position,
+                (top - rank1) << bits | position,
+            ))
+
+
 def orthant_skylines(
+    column: CoordinateColumn,
     origins: np.ndarray,
-    reference_ids: np.ndarray,
-    member_ids: np.ndarray,
-    member_coords: np.ndarray,
-    member_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    reference_ids: Sequence[int],
+    rows: Optional[Sequence[Collection[int]]] = None,
     gained: Optional[np.ndarray] = None,
 ) -> List[List[int]]:
-    """Empty-rectangle selections of many references over one member set.
+    """Empty-rectangle selections of many references over a column's points.
 
     For every reference (``origins[r]``, excluded from the members by
-    ``reference_ids[r]``) the sorted union of its orthants'
-    :func:`pareto_minima` -- what one :meth:`SpatialIndex.orthant_skyline`
-    or :func:`brute_force_orthant_skyline` call per orthant returns -- from
-    array passes over ``member_ids`` (``int64[n]``, distinct) and
-    ``member_coords`` (``float64[n, D]``, any ``D >= 1``; a member may lie
-    at infinity, an origin may not, NaN is legal nowhere) instead of one walk
-    per orthant.
+    ``reference_ids[r]``; it need not be stored) the sorted union of its
+    orthants' :func:`pareto_minima` -- what one
+    :meth:`SpatialIndex.orthant_skyline` or
+    :func:`brute_force_orthant_skyline` call per orthant returns -- from
+    array passes over the ``column`` in any dimension instead of one walk
+    per orthant.  A member may lie at infinity; an origin may not (NaN
+    never enters a column: :class:`~repro.geometry.point.Point` refuses it).
 
-    ``member_rows`` gives every reference its own members instead of all
-    ``n``: CSR-ordered flat pairs ``(rows, columns)``, element ``k`` putting
-    ``member_ids[columns[k]]`` into the row of reference ``rows[k]``, with
-    ``rows`` non-decreasing -- what ``np.repeat(np.arange(R), sizes)`` and
-    the inverse of ``np.unique(flat_ids, return_inverse=True)`` produce.  A
+    ``rows`` gives every reference its own members instead of the whole
+    column: one collection of stored ids per reference, in any order.  A
     row may be empty, repeat an id (one copy is kept) or name its own
     reference (excluded by id as ever); a reference pays for its own row,
     not for the union of all of them.
 
-    ``gained`` (``bool``, one flag per element of ``member_rows``) states
+    ``gained`` (``bool``, one flag per element of the rows in order) states
     an additive input's precondition: each row's unflagged members are an
     installed selection, so they never dominate each other, and outside two
     dimensions only pairs with a flagged end are compared.
 
+    The set-up that depends on the points alone is the column's
+    :class:`_SkylineTable`, shared by every call until the column changes.
     A pass holds whole rows, about ``_KERNEL_ELEMENTS`` elements (at least
-    one row): :func:`_quadrant_skyline_pass` in two dimensions, which packs
-    at most ``2**20 - 1`` members, :func:`_dominance_pass` in any other.
+    one row): :func:`_quadrant_skyline_pass` in two dimensions,
+    :func:`_dominance_pass` in any other.
     """
     origins = np.asarray(origins, dtype=np.float64)
-    member_coords = np.asarray(member_coords, dtype=np.float64)
-    dimension = origins.shape[1] if origins.ndim == 2 else 0
-    if dimension < 1 or member_coords.shape[1:] != (dimension,):
-        raise ValueError(
-            "origins and member coordinates must be (count, D) arrays with one "
-            f"D >= 1: got shapes {origins.shape} and {member_coords.shape}"
-        )
     reference_ids = np.asarray(reference_ids, dtype=np.int64)
-    member_ids = np.asarray(member_ids, dtype=np.int64)
-    count = member_ids.size
-    bits = count.bit_length()
-    if dimension == 2 and 3 * bits + 3 > 63:  # three fields under a 3-bit quadrant code
-        raise ValueError(
-            f"the quadrant kernel packs at most {(1 << 20) - 1} members into "
-            f"a 64-bit key, got {count}"
-        )
-    rows = columns = None
-    if member_rows is not None:
-        rows, columns = (np.asarray(part, dtype=np.int64) for part in member_rows)
-        if rows.ndim != 1 or rows.shape != columns.shape or rows.size and (
-            rows[0] < 0
-            or rows[-1] >= len(origins)
-            or (rows[1:] < rows[:-1]).any()
-            or columns.min() < 0
-            or columns.max() >= count
-        ):
-            raise ValueError(
-                f"member_rows must be flat (row, column) pairs with rows "
-                f"non-decreasing below {len(origins)} and columns below {count}"
-            )
-    if gained is not None:
-        gained = np.asarray(gained, dtype=bool)
-        if rows is None or gained.shape != rows.shape:
-            raise ValueError("gained needs member_rows and one flag per element")
-    # Ranks would sort a NaN above everything; the float rule puts it nowhere.
     # An origin is a reference peer's position, which is finite.
-    for what, fault, names, invalid in (
-        ("reference", "NaN or infinite", reference_ids, ~np.isfinite(origins)),
-        ("member", "NaN", member_ids, np.isnan(member_coords)),
-    ):
-        if invalid.any():
-            raise ValueError(
-                f"{what} {names[invalid.any(axis=1).argmax()]} has a {fault} coordinate"
-            )
-    if not count:
-        return [[] for _ in origins]
-    # Members in id order: a column then breaks ties by id.
-    by_id = np.argsort(member_ids)
-    ids = member_ids[by_id]
-    coords = member_coords[by_id]
-    if columns is None:
-        offsets = np.arange(len(origins) + 1) * count
-    else:
-        offsets = np.searchsorted(rows, np.arange(len(origins) + 1))
-        columns = np.argsort(by_id)[columns]  # member_ids order -> id order
-    if dimension == 2:
-        # A member's key on either side of the origin, one half per axis:
-        # the first axis brings quadrant bit 0 and the key0 rank, the second
-        # quadrant bit 1, the key1 rank and the id position.
-        first, second = np.ascontiguousarray(coords.T)
-        rank0 = np.unique(first, return_inverse=True)[1].astype(np.int64, copy=False)
-        rank1 = np.unique(second, return_inverse=True)[1].astype(np.int64, copy=False)
-        position = np.arange(count, dtype=np.int64)
-        top = count - 1
-        halves = (
-            (1 << bits | rank0) << 2 * bits,
-            (top - rank0) << 2 * bits,
-            (2 << 2 * bits | rank1) << bits | position,
-            (top - rank1) << bits | position,
+    invalid = ~np.isfinite(origins)
+    if invalid.any():
+        raise ValueError(
+            f"reference {reference_ids[invalid.any(axis=1).argmax()]} has a NaN "
+            "or infinite coordinate"
         )
-        most_rows = 1 << 60 - 3 * bits  # row bits + 3 * bits + 3 <= 63
+    if not len(column):
+        return [[] for _ in reference_ids]
+    if origins.shape != (reference_ids.size, column.dimension):
+        raise ValueError(
+            f"origins must be one {column.dimension}-D row per reference, "
+            f"got shape {origins.shape} for {reference_ids.size} references"
+        )
+    table = column._skyline_table()
+    count = table.ids.size
+    columns = None
+    if rows is None:
+        offsets = np.arange(reference_ids.size + 1) * count
     else:
-        most_rows = len(origins)
+        # Each element's reference, and its member's id position through the
+        # column's id -> row map.
+        flat = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        columns = table.position[np.fromiter(
+            map(column._row_of.__getitem__, chain.from_iterable(rows)),
+            dtype=np.int64,
+            count=flat.size,
+        )]
+        rows = flat
+        offsets = np.searchsorted(rows, np.arange(reference_ids.size + 1))
+        gained = None if gained is None else np.asarray(gained, dtype=bool)
+    quadrant = table.quadrant  # packed: row bits + 3 * bits + 3 <= 63
+    most_rows = reference_ids.size if quadrant is None else 1 << 60 - 3 * quadrant[2]
     selected: List[List[int]] = []
     start = 0
-    while start < len(origins):
+    while start < reference_ids.size:
         stop = int(np.searchsorted(offsets, offsets[start] + _KERNEL_ELEMENTS, side="right")) - 1
         stop = min(max(stop, start + 1), start + most_rows)
         elements = slice(offsets[start], offsets[stop])
         block = (origins[start:stop], reference_ids[start:stop],
-                 None if rows is None else rows[elements] - start,
+                 None if columns is None else rows[elements] - start,
                  None if columns is None else columns[elements])
         selected.extend(
-            _quadrant_skyline_pass(*block, ids, first, second, bits, halves)
-            if dimension == 2
-            else _dominance_pass(*block, None if gained is None else gained[elements], ids, coords)
+            _dominance_pass(*block, gained if gained is None else gained[elements],
+                            table.ids, table.coords)
+            if quadrant is None else _quadrant_skyline_pass(*block, table.ids, *quadrant)
         )
         start = stop
     return selected

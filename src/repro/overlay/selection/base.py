@@ -55,7 +55,7 @@ class MemberOf:
     """The handle a caller that holds ids (the incremental engine) passes to
     the batched entry points instead of lists: called, it resolves a peer id
     to its :class:`~repro.overlay.peer.PeerInfo`; its ``column`` holds the
-    coordinates of every id it resolves, as rows an array path gathers
+    coordinates of every id it resolves, as rows an array path reads
     without resolving anything.  The two must agree; the overlay writes both
     in the same membership methods."""
 
@@ -129,8 +129,7 @@ class NeighbourSelectionMethod(abc.ABC):
     #: index-backed fast path producing *byte-identical* selections to the
     #: candidate-list scan.  Callers may then pass a
     #: :class:`repro.geometry.index.SpatialIndex` whose contents are exactly
-    #: the candidate set plus the reference peers (each excluded by id; the
-    #: 2-D empty-rectangle path reads their positions from it) to the
+    #: the candidate set plus the reference peers (each excluded by id) to the
     #: batched entry points :meth:`select_many` / :meth:`install_many` --
     #: the surface opting in guarantees.
     #: (The in-repo methods additionally accept ``index=`` on per-call

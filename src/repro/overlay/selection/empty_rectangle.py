@@ -47,7 +47,7 @@ from repro.overlay.peer import PeerInfo
 from repro.overlay.selection.base import AdditiveCohort, MemberOf, NeighbourSelectionMethod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.index import SpatialIndex
+    from repro.geometry.index import CoordinateColumn, SpatialIndex
 
 __all__ = ["EmptyRectangleSelection", "brute_force_empty_rectangle_neighbours"]
 
@@ -66,7 +66,8 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
     # The per-orthant skyline is exactly the spatial index's skyline query
     # (orthant_skylines' quadrant pass over its coordinate column in two
     # dimensions, the k-d branch-and-bound walk above), so the indexed path
-    # is byte-identical to the scan.
+    # is byte-identical to the scan.  Either reads a reference's position
+    # from the reference itself, never from the index.
     supports_index = True
 
     def select(
@@ -125,44 +126,32 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         if member_of is None:
             member_of = MemberOf.adapt(chain(references, *rows))
             rows = list(map(_ids, rows))
-        return self._select_batch(references, rows, member_of)
+        return self._select_batch(references, member_of.column, rows)
 
     def _select_batch(
         self,
         references: Sequence[PeerInfo],
-        rows: Sequence[Collection[int]],
-        member_of: MemberOf,
+        column: "CoordinateColumn",
+        rows: Optional[Sequence[Collection[int]]] = None,
         gained: Optional[np.ndarray] = None,
     ) -> Dict[int, List[int]]:
-        """Every reference answered from its own row of candidate ids (any
-        order; an id repeated in a row is harmless), in one
-        :func:`~repro.geometry.index.orthant_skylines` call whatever the
-        dimension.
-
-        The flat ids of every row go through one
-        ``unique(return_inverse=True)``, whose inverse is the rows' member
-        columns and whose sorted ids are the call's member set, so a
-        reference's cost is its own candidate count, not the union's.
-        Origins and members are row gathers from ``member_of.column``; no
-        id is resolved.  ``gained`` flags the row elements an additive
-        update gained (see :meth:`select_many_additive`).  Shared by
-        :meth:`select_many` and :meth:`select_many_additive`.
+        """Every reference answered in one
+        :func:`~repro.geometry.index.orthant_skylines` call over ``column``,
+        whatever the dimension: from its own row of stored ids (any order;
+        an id repeated in a row is harmless), or from the whole column
+        without ``rows``.  Origins are the references' own coordinates, so
+        a reference need not be stored; no id is resolved.  ``gained`` flags
+        the row elements an additive update gained (see
+        :meth:`select_many_additive`).
         """
         if not references:
             return {}
-        column = member_of.column
         reference_ids = _ids(references)
-        member_ids, columns = np.unique(
-            np.fromiter(chain.from_iterable(rows), dtype=np.int64), return_inverse=True
-        )
-        selected = orthant_skylines(
-            column.gather(reference_ids),
-            reference_ids,
-            member_ids,
-            column.gather(member_ids.tolist()),
-            (np.repeat(np.arange(len(rows)), [len(row) for row in rows]), columns),
-            gained,
-        )
+        origins = np.fromiter(
+            chain.from_iterable(reference.coordinates for reference in references),
+            dtype=np.float64,
+        ).reshape(len(references), -1)
+        selected = orthant_skylines(column, origins, reference_ids, rows, gained)
         return dict(zip(reference_ids, selected))
 
     def _select_many_indexed(
@@ -171,19 +160,15 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         """A whole cohort of references from the index's coordinate column.
 
         In two dimensions every reference is answered by the batched
-        quadrant kernel (:func:`~repro.geometry.index.orthant_skylines`)
-        over the column -- array passes per chunk of references instead of
-        four tree walks per reference, with the same results.  Other
-        dimensions keep the k-d walk of :meth:`_select_indexed`: against a
-        whole column the pair pass compares far more than the walk visits.
+        quadrant kernel over the whole column (:meth:`_select_batch`) --
+        array passes per chunk of references instead of four tree walks per
+        reference, with the same results.  Other dimensions keep the k-d
+        walk of :meth:`_select_indexed`: against a whole column the pair
+        pass compares far more than the walk visits.
         """
-        if index.dimension != 2 or not references:
+        if index.dimension != 2:
             return super()._select_many_indexed(references, index)
-        reference_ids = _ids(references)
-        selected = orthant_skylines(
-            index.gather(reference_ids), reference_ids, *index.columns()
-        )
-        return dict(zip(reference_ids, selected))
+        return self._select_batch(references, index)
 
     def _select_indexed(
         self, reference: PeerInfo, index: "SpatialIndex"
@@ -245,8 +230,8 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         # full recomputes, and is counted as such.
         results = self._select_batch(
             [reference for reference, _, _ in updates],
+            member_of.column,
             [[*selected, *gained] for _, selected, gained in updates],
-            member_of,
             flags,
         )
         return {

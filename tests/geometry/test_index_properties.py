@@ -12,15 +12,17 @@ cross-checked against the literal ``brute_force_*`` reference over a plain
 dict mirror.  The coordinate column is held to the point store after every
 mutation, and the batched quadrant kernel over it to the same brute-force
 skyline -- on the lattice and on magnitudes where float key sums tie, over
-the whole member set and over per-reference candidate rows (the flat
-``(row, column)`` pairs the scan arm's batched ``select_many`` answers
-through), and at the edges of its packed integer key: one rank level on an
-axis, infinities, member counts where the field width steps, rows cut
-across passes, one row per pass at the widest fields, inputs it refuses.
-In every dimension from 1 to 5 the kernel equals the union of the brute-force
-orthant skylines -- whole member sets, drawn rows, additive rows with their
-gained flags -- and in two dimensions its pair pass, called directly, equals
-the packed pass.
+the whole column and over per-reference candidate rows (the rows of stored
+ids the scan arm's batched ``select_many`` answers through), and at the
+edges of its packed integer key: one rank level on an axis, infinities,
+member counts where the field width steps, rows cut across passes, one row
+per pass at the widest fields, inputs it refuses.  In every dimension from 1
+to 5 the kernel equals the union of the brute-force orthant skylines --
+whole columns, drawn rows, additive rows with their gained flags -- and in
+two dimensions its pair pass, called directly, equals the packed pass.  The
+column's skyline table is built once per version of the column: kernel
+calls between the writes of a random history, re-inserts, moves onto
+another point and drains included, all equal the brute force.
 """
 
 import math
@@ -37,6 +39,7 @@ import pytest
 from repro.geometry import index as index_module
 from repro.geometry.hyperplane import Hyperplane, HyperplaneSet
 from repro.geometry.index import (
+    CoordinateColumn,
     SpatialIndex,
     brute_force_nearest_k,
     brute_force_orthant_skyline,
@@ -140,29 +143,33 @@ def _assert_column_is_the_point_store(index, mirror):
         assert tuple(row) == index.point(point_id) == tuple(mirror[point_id])
 
 
-def _assert_kernel_matches_brute_force(index, mirror):
-    """The batched kernel vs the brute-force skyline of every quadrant."""
-    ids, coordinates = index.columns()
-    references = sorted(mirror)
-    selected = orthant_skylines(
-        np.asarray(
-            [mirror[reference] for reference in references], dtype=float
-        ).reshape(-1, 2),
-        np.asarray(references, dtype=np.int64),
-        ids,
-        coordinates,
+def _brute_selection(points, origin, reference):
+    """The sorted union of the brute-force skylines of every orthant around
+    ``origin`` over ``points`` (``id -> coords``), ``reference`` excluded:
+    the orthants partition the members, so it equals the kernel's answer
+    exactly when every orthant's skyline does."""
+    return sorted(
+        point_id
+        for signs in product((-1, 1), repeat=len(origin))
+        for point_id in brute_force_orthant_skyline(points, origin, signs, exclude=(reference,))
     )
+
+
+def _column(mirror):
+    """A fresh column holding ``mirror`` (``id -> coords``) in its order."""
+    column = CoordinateColumn()
+    for point_id, coords in mirror.items():
+        column.insert(point_id, coords)
+    return column
+
+
+def _assert_kernel_matches_brute_force(index, mirror):
+    """The batched kernel over the index's column vs the brute force."""
+    references = sorted(mirror)
+    origins = np.asarray([mirror[reference] for reference in references], dtype=float)
+    selected = orthant_skylines(index, origins.reshape(-1, 2), references)
     for reference, chosen in zip(references, selected):
-        # The quadrants partition the members, so the sorted union is equal
-        # exactly when every quadrant's skyline is.
-        expected = []
-        for signs in product((-1, 1), repeat=2):
-            expected.extend(
-                brute_force_orthant_skyline(
-                    mirror, mirror[reference], signs, exclude=(reference,)
-                )
-            )
-        assert chosen == sorted(expected)
+        assert chosen == _brute_selection(mirror, mirror[reference], reference)
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,10 +238,7 @@ def test_quadrant_kernel_drops_a_dominated_point_whose_key_sum_rounds_equal():
         for point_id, coords in mirror.items():
             index.insert(point_id, coords)
         _assert_kernel_matches_brute_force(index, mirror)
-        ids, coordinates = index.columns()
-        (chosen,) = orthant_skylines(
-            np.zeros((1, 2)), np.asarray([9]), ids, coordinates
-        )
+        (chosen,) = orthant_skylines(index, np.zeros((1, 2)), [9])
         assert chosen == sorted([dominator, 3])
         peers = [make_peer(point_id, coords) for point_id, coords in mirror.items()]
         assert chosen == brute_force_empty_rectangle_neighbours(peers[-1], peers)
@@ -243,25 +247,7 @@ def test_quadrant_kernel_drops_a_dominated_point_whose_key_sum_rounds_equal():
 def _subset_skyline(mirror, reference, subset):
     """Brute-force selection of ``reference`` over exactly ``subset``."""
     members = {point_id: mirror[point_id] for point_id in subset}
-    expected = []
-    for signs in product((-1, 1), repeat=2):
-        expected.extend(
-            brute_force_orthant_skyline(
-                members, mirror[reference], signs, exclude=(reference,)
-            )
-        )
-    return sorted(expected)
-
-
-def _member_rows(ids, subsets):
-    """Flat ``(rows, columns)`` pairs: each subset's ids as positions in
-    ``ids``, in the subset's own order."""
-    column_of = {point_id: column for column, point_id in enumerate(ids.tolist())}
-    rows = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
-    columns = np.asarray(
-        [column_of[point_id] for subset in subsets for point_id in subset], dtype=np.int64
-    )
-    return rows, columns
+    return _brute_selection(members, mirror[reference], reference)
 
 
 def _assert_row_kernel_matches_brute_force(index, mirror, data):
@@ -273,7 +259,6 @@ def _assert_row_kernel_matches_brute_force(index, mirror, data):
     ``EmptyRectangleSelection.select_many`` without an index, which builds
     the sorted union and the rows itself.
     """
-    ids, coordinates = index.columns()
     references = sorted(mirror)
     subsets = [
         data.draw(st.lists(st.sampled_from(references), unique=True)) for _ in references
@@ -281,11 +266,10 @@ def _assert_row_kernel_matches_brute_force(index, mirror, data):
     subsets[0] = []
     subsets[-1] = list(references)
     selected = orthant_skylines(
+        index,
         np.asarray([mirror[reference] for reference in references], dtype=float),
-        np.asarray(references, dtype=np.int64),
-        ids,
-        coordinates,
-        _member_rows(ids, subsets),
+        references,
+        subsets,
     )
     peers = {point_id: make_peer(point_id, mirror[point_id]) for point_id in references}
     batched = EmptyRectangleSelection().select_many(
@@ -351,7 +335,7 @@ def test_row_quadrant_kernel_chunks_a_row_larger_than_one_pass(monkeypatch):
     references = ids[:3]
     subsets = [ids, [], [point_id for point_id in ids if rng.random() < 0.5]]
     passes = _counted_passes(monkeypatch)
-    selected = _assert_raw_kernel_matches_brute_force(mirror, references, subsets)
+    selected = _assert_column_kernel_matches_brute_force(mirror, references, subsets)
     assert selected[1] == []
     assert [rows for rows, _ in passes] == [1, 2]
 
@@ -367,7 +351,7 @@ def test_row_quadrant_kernel_splits_uneven_rows_on_row_boundaries(monkeypatch):
     subsets = [rng.permutation(ids)[:size].tolist() for size in sizes]
     references = ids[-len(sizes):]
     passes = _counted_passes(monkeypatch)
-    _assert_raw_kernel_matches_brute_force(mirror, references, subsets)
+    _assert_column_kernel_matches_brute_force(mirror, references, subsets)
     assert sum(rows for rows, _ in passes) == len(sizes)
     assert sum(size for _, size in passes) == sum(sizes)
     assert all(size <= elements or rows == 1 for rows, size in passes)
@@ -380,19 +364,16 @@ def test_row_quadrant_kernel_excludes_a_reference_listed_in_its_own_row():
     references = ids[:4]
     # Itself among others, itself alone, itself twice, itself among everyone.
     subsets = [ids[:30], [references[1]], ids[2:40] + [references[2]], ids]
-    selected = _assert_raw_kernel_matches_brute_force(mirror, references, subsets)
+    selected = _assert_column_kernel_matches_brute_force(mirror, references, subsets)
     assert selected[1] == []
     assert all(reference not in chosen for reference, chosen in zip(references, selected))
 
 
 def test_row_quadrant_kernel_with_every_row_empty():
     _, mirror = _shuffled_mirror(50, 44)
-    ids = np.asarray(list(mirror), dtype=np.int64)
-    coordinates = np.asarray(list(mirror.values()))
-    nothing = np.empty(0, dtype=np.int64)
-    assert orthant_skylines(coordinates[:3], ids[:3], ids, coordinates, (nothing, nothing)) == [
-        [], [], []
-    ]
+    references = list(mirror)[:3]
+    origins = np.asarray([mirror[reference] for reference in references])
+    assert orthant_skylines(_column(mirror), origins, references, [[], [], []]) == [[], [], []]
 
 
 def test_row_quadrant_kernel_at_twenty_bit_fields_runs_one_row_per_pass(monkeypatch):
@@ -400,13 +381,13 @@ def test_row_quadrant_kernel_at_twenty_bit_fields_runs_one_row_per_pass(monkeypa
     count = 1 << 19
     rng = np.random.default_rng(20)
     coordinates = np.stack([rng.permutation(count), rng.permutation(count)], axis=1) / 8.0
-    ids = np.arange(count, dtype=np.int64)
+    column = CoordinateColumn()
+    for point_id, coords in enumerate(coordinates.tolist()):
+        column.insert(point_id, coords)
     subsets = [rng.choice(count, size=size, replace=False).tolist() for size in (40, 0, 25, 60)]
     references = [subset[0] if subset else count - 1 for subset in subsets]
     passes = _counted_passes(monkeypatch)
-    selected = orthant_skylines(
-        coordinates[references], np.asarray(references), ids, coordinates, _member_rows(ids, subsets)
-    )
+    selected = orthant_skylines(column, coordinates[references], references, subsets)
     assert [rows for rows, _ in passes] == [1, 1, 1, 1]
     mirror = {point_id: tuple(coordinates[point_id]) for subset in subsets for point_id in subset}
     mirror[count - 1] = tuple(coordinates[count - 1])
@@ -414,27 +395,24 @@ def test_row_quadrant_kernel_at_twenty_bit_fields_runs_one_row_per_pass(monkeypa
         assert chosen == _subset_skyline(mirror, reference, subset)
 
 
-def _assert_raw_kernel_matches_brute_force(mirror, references=None, subsets=None):
-    """Plain arrays into the kernel, no index in between.
+def _assert_column_kernel_matches_brute_force(mirror, references=None, subsets=None):
+    """A bare column of ``mirror`` into the kernel, no index around it.
 
     ``references`` (default: every member) sit at their own points; with
     ``subsets``, reference ``r``'s row holds exactly the ids of
     ``subsets[r]``, as in the row suites.  Every returned list is ascending
     and duplicate-free.
     """
-    ids = np.asarray(list(mirror), dtype=np.int64)
-    coordinates = np.asarray(list(mirror.values()), dtype=float).reshape(-1, 2)
     references = list(mirror) if references is None else references
     selected = orthant_skylines(
+        _column(mirror),
         np.asarray([mirror[reference] for reference in references], dtype=float),
-        np.asarray(references, dtype=np.int64),
-        ids,
-        coordinates,
-        None if subsets is None else _member_rows(ids, subsets),
+        references,
+        subsets,
     )
     assert len(selected) == len(references)
     for row, (reference, chosen) in enumerate(zip(references, selected)):
-        subset = ids.tolist() if subsets is None else subsets[row]
+        subset = list(mirror) if subsets is None else subsets[row]
         assert chosen == _subset_skyline(mirror, reference, subset)
         assert chosen == sorted(set(chosen))
     return selected
@@ -448,7 +426,7 @@ def test_quadrant_kernel_with_every_member_on_one_axis_parallel_line(axis):
         coords = [2.5, 2.5]
         coords[1 - axis] = along
         mirror[point_id] = tuple(coords)
-    selected = _assert_raw_kernel_matches_brute_force(mirror)
+    selected = _assert_column_kernel_matches_brute_force(mirror)
     # On a line everybody sees at most the nearest member on either side.
     assert all(len(chosen) <= 2 for chosen in selected)
 
@@ -456,7 +434,7 @@ def test_quadrant_kernel_with_every_member_on_one_axis_parallel_line(axis):
 def test_quadrant_kernel_with_all_members_at_one_point():
     """Mutual non-strict dominance everywhere: the smallest other id survives."""
     mirror = {point_id: (1.5, -0.5) for point_id in (7, 3, 9, 1, 4)}
-    selected = _assert_raw_kernel_matches_brute_force(mirror)
+    selected = _assert_column_kernel_matches_brute_force(mirror)
     assert selected == [[1], [1], [1], [3], [1]]
 
 
@@ -471,16 +449,15 @@ def test_quadrant_kernel_sends_a_member_level_with_the_origin_to_the_flipped_sid
         mirror = {0: (5.0, 5.0), 1: (5.0, 7.0), 2: (4.0, 8.0), 3: (6.0, 7.5)}
         if swap:
             mirror = {point_id: (y, x) for point_id, (x, y) in mirror.items()}
-        selected = _assert_raw_kernel_matches_brute_force(mirror, references=[0])
+        selected = _assert_column_kernel_matches_brute_force(mirror, references=[0])
         assert selected == [[1, 3]]
 
 
 def test_quadrant_kernel_is_exact_on_infinite_coordinates():
     """+-inf on either axis is one more rank level, not a special case.
 
-    For the members only: an origin at ``+inf`` gives a member level with it
-    the key ``-inf``, and paired with ``+inf`` on the other axis the canonical
-    key sum is NaN, so a reference at infinity is refused.
+    For the members only: an origin is a reference peer's position, which is
+    finite, so a reference at infinity is refused.
     """
     inf = math.inf
     mirror = {
@@ -490,9 +467,9 @@ def test_quadrant_kernel_is_exact_on_infinite_coordinates():
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # inf - inf in the tie screen stays silent
-        _assert_raw_kernel_matches_brute_force(mirror, references=[0, 9, 10, 12])
+        _assert_column_kernel_matches_brute_force(mirror, references=[0, 9, 10, 12])
     with pytest.raises(ValueError, match="reference 1 has a NaN or infinite"):
-        _assert_raw_kernel_matches_brute_force(mirror, references=[0, 1, 5])
+        _assert_column_kernel_matches_brute_force(mirror, references=[0, 1, 5])
 
 
 @pytest.mark.parametrize("exponent", [1, 4, 8])
@@ -508,7 +485,7 @@ def test_quadrant_kernel_at_the_field_width_boundaries(exponent, offset):
         for point_id, row in zip(rng.permutation(3 * count)[:count], levels.tolist())
     }
     references = sorted(mirror)[:: max(1, count // 24)]
-    _assert_raw_kernel_matches_brute_force(mirror, references=references)
+    _assert_column_kernel_matches_brute_force(mirror, references=references)
 
 
 def test_row_quadrant_kernel_with_an_empty_row_beside_a_full_one():
@@ -520,40 +497,32 @@ def test_row_quadrant_kernel_with_an_empty_row_beside_a_full_one():
     ids = list(mirror)
     references = ids[:3]
     subsets = [[], ids, [point_id for point_id in ids if rng.random() < 0.5]]
-    selected = _assert_raw_kernel_matches_brute_force(mirror, references, subsets)
+    selected = _assert_column_kernel_matches_brute_force(mirror, references, subsets)
     assert selected[0] == [] and selected[1]
 
 
 def test_quadrant_kernel_rejects_what_its_keys_cannot_hold():
-    ids = np.asarray([4, 2, 6], dtype=np.int64)
-    coordinates = np.asarray([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    mirror = {4: (0.0, 1.0), 2: (1.0, 0.0), 6: (2.0, 2.0)}
+    column, references = _column(mirror), list(mirror)
+    coordinates = np.asarray(list(mirror.values()))
+    # NaN never enters a column: ranks and float comparisons disagree on it.
+    with pytest.raises(ValueError, match="must not be NaN"):
+        column.insert(7, (1.0, math.nan))
+    assert 7 not in column and len(column) == 3
     poisoned = coordinates.copy()
     poisoned[1, 1] = math.nan
-    with pytest.raises(ValueError, match="member 2 has a NaN"):
-        orthant_skylines(coordinates, ids, ids, poisoned)
     with pytest.raises(ValueError, match="reference 2 has a NaN"):
-        orthant_skylines(poisoned, ids, ids, coordinates)
-    # Rows are checked against the references and the member set, an empty
-    # member set included.
-    nobody = np.empty(0, dtype=np.int64), np.empty((0, 2))
-    assert orthant_skylines(coordinates, ids, *nobody, (nobody[0], nobody[0])) == [[], [], []]
-    for rows, columns, members in (
-        ([0, 1, 2], [0, 0, 0], nobody),  # a column with no member
-        ([0, 1], [0, 1, 2], (ids, coordinates)),  # unpaired
-        ([0, 3], [0, 1], (ids, coordinates)),  # a row with no reference
-        ([1, 0], [0, 1], (ids, coordinates)),  # not in row order
-        ([0, 1], [0, 3], (ids, coordinates)),  # a column past the members
-        ([0, -1], [0, 1], (ids, coordinates)),
-        ([[0, 1]], [[0, 1]], (ids, coordinates)),  # not flat
-    ):
-        with pytest.raises(ValueError, match="member_rows"):
-            orthant_skylines(coordinates, ids, *members, (np.asarray(rows), np.asarray(columns)))
-    # Refused before any array the size of the member set is built.
+        orthant_skylines(column, poisoned, references)
+    # An empty column answers every row with nothing; a row names stored ids.
+    assert orthant_skylines(CoordinateColumn(), coordinates, references, [[], [], []]) == [
+        [], [], []
+    ]
+    with pytest.raises(KeyError):
+        orthant_skylines(column, coordinates, references, [[4], [9], []])
+    # The table refuses before it builds any array the size of the members.
     crowd = 1 << 20
     with pytest.raises(ValueError, match=f"at most {crowd - 1} members.*got {crowd}"):
-        orthant_skylines(
-            coordinates, ids, np.arange(crowd), np.broadcast_to(np.zeros(2), (crowd, 2))
-        )
+        index_module._SkylineTable(np.arange(crowd), np.broadcast_to(np.zeros(2), (crowd, 2)))
 
 
 @st.composite
@@ -594,13 +563,7 @@ def _orthant_draws(draw, min_dimension=1, max_dimension=5):
 
     def selection(origin, reference, members):
         subset = {point_id: mirror[point_id] for point_id in members}
-        return sorted(
-            point_id
-            for signs in product((-1, 1), repeat=dimension)
-            for point_id in brute_force_orthant_skyline(
-                subset, origin, signs, exclude=(reference,)
-            )
-        )
+        return _brute_selection(subset, origin, reference)
 
     shape = draw(st.sampled_from(["full", "rows", "additive"]))
     if shape == "full":
@@ -634,16 +597,13 @@ def _orthant_draws(draw, min_dimension=1, max_dimension=5):
 
 
 def _orthant_call(dimension, mirror, references, origins, subsets):
-    """The arguments of ``orthant_skylines`` for one draw, members in
-    insertion (not id) order."""
-    ids = np.asarray(list(mirror), dtype=np.int64)
-    coords = np.asarray(list(mirror.values()), dtype=float).reshape(-1, dimension)
+    """The arguments of ``orthant_skylines`` for one draw: a column holding
+    the members in insertion (not id) order."""
     return (
+        _column(mirror),
         np.asarray(origins, dtype=float).reshape(-1, dimension),
-        np.asarray(references, dtype=np.int64),
-        ids,
-        coords,
-        None if subsets is None else _member_rows(ids, subsets),
+        references,
+        subsets,
     )
 
 
@@ -662,36 +622,139 @@ def test_dominance_pass_equals_the_quadrant_pass_in_two_dimensions(draw):
     that ``orthant_skylines`` runs in 2-D, and the flat pair pass it runs
     elsewhere, called directly on the same members in id order."""
     dimension, mirror, references, origins, subsets, gained, expected = draw
-    origins, reference_ids, ids, coords, member_rows = _orthant_call(
+    column, origins, references, subsets = _orthant_call(
         dimension, mirror, references, origins, subsets
     )
-    by_id = np.argsort(ids)
+    table = column._skyline_table()
     rows = columns = None
-    if member_rows is not None:
-        rows, columns = member_rows
-        columns = np.argsort(by_id)[columns]
-    quadrant = orthant_skylines(origins, reference_ids, ids, coords, member_rows)
+    if subsets is not None:
+        rows = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
+        columns = table.position[np.asarray(
+            [column._row_of[point_id] for subset in subsets for point_id in subset],
+            dtype=np.int64,
+        )]
+    quadrant = orthant_skylines(column, origins, references, subsets)
     dominance = index_module._dominance_pass(
-        origins, reference_ids, rows, columns, gained, ids[by_id], coords[by_id]
+        origins, np.asarray(references), rows, columns, gained, table.ids, table.coords
     )
     assert quadrant == dominance == expected
 
 
-def test_orthant_skylines_rejects_flags_or_shapes_it_cannot_read():
-    ids = np.asarray([4, 2, 6], dtype=np.int64)
-    coordinates = np.asarray([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 2.0]])
-    rows = (np.asarray([0, 1]), np.asarray([1, 2]))
-    assert orthant_skylines(coordinates, ids, ids, coordinates, rows, [False, True]) == [
+def test_orthant_skylines_reads_flags_and_refuses_a_misshapen_origin():
+    mirror = {4: (0.0, 1.0, 2.0), 2: (1.0, 0.0, 2.0), 6: (2.0, 2.0, 2.0)}
+    column, references = _column(mirror), list(mirror)
+    coordinates = np.asarray(list(mirror.values()))
+    assert orthant_skylines(column, coordinates, references, [[2], [6], []], [False, True]) == [
         [2], [6], []
     ]
-    with pytest.raises(ValueError, match="one flag per element"):
-        orthant_skylines(coordinates, ids, ids, coordinates, rows, [True])
-    with pytest.raises(ValueError, match="one flag per element"):
-        orthant_skylines(coordinates, ids, ids, coordinates, None, [True, True])
-    with pytest.raises(ValueError, match="one D >= 1"):
-        orthant_skylines(coordinates, ids, ids, coordinates[:, :2])
-    with pytest.raises(ValueError, match="one D >= 1"):
-        orthant_skylines(np.empty((3, 0)), ids, ids, np.empty((3, 0)))
+    for origins in (coordinates[:, :2], coordinates[:2], coordinates[0]):
+        with pytest.raises(ValueError, match="one 3-D row per reference"):
+            orthant_skylines(column, origins, references)
+
+
+def _assert_column_call_matches_brute_force(column, mirror, dimension, data):
+    """One kernel call over ``column``, which holds ``mirror``: up to four
+    stored references and one free point, each against the whole column or
+    its own drawn row."""
+    stored = sorted(mirror)
+    references = stored[:4] + [-1]
+    origins = [mirror[reference] for reference in stored[:4]]
+    origins.append(tuple(data.draw(_COORDINATE) for _ in range(dimension)))
+    rows = None
+    if data.draw(st.booleans()):
+        rows = [data.draw(st.lists(st.sampled_from(stored))) if stored else []
+                for _ in references]
+    selected = orthant_skylines(
+        column, np.asarray(origins, dtype=float), references, rows
+    )
+    for row, (reference, origin, chosen) in enumerate(zip(references, origins, selected)):
+        members = mirror if rows is None else {point_id: mirror[point_id]
+                                               for point_id in rows[row]}
+        assert chosen == _brute_selection(members, origin, reference)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dimension=st.integers(min_value=1, max_value=3), data=st.data())
+def test_column_kernel_follows_every_write_of_its_column(dimension, data):
+    """Kernel calls between the writes of one column's history, each held to
+    the brute force: a table that outlived a write would answer for the
+    column as it was.  The history re-inserts removed ids, moves points
+    onto other points' coordinates and drains the column to empty; a call
+    with no write before it reads the table the last call built."""
+    point = st.tuples(*([_COORDINATE] * dimension))
+    column, mirror, removed, next_id = CoordinateColumn(), {}, [], 0
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+        kind = data.draw(st.sampled_from(
+            ["insert", "reinsert", "remove", "move", "move onto", "drain", "call"]
+        ))
+        if kind == "reinsert" and removed:
+            point_id = removed.pop(data.draw(st.integers(0, len(removed) - 1)))
+            mirror[point_id] = data.draw(point)
+            column.insert(point_id, mirror[point_id])
+        elif kind in ("insert", "reinsert") or not mirror and kind != "call":
+            mirror[next_id] = data.draw(point)
+            column.insert(next_id, mirror[next_id])
+            next_id += 1
+        elif kind == "remove":
+            point_id = data.draw(st.sampled_from(sorted(mirror)))
+            column.remove(point_id)
+            del mirror[point_id]
+            removed.append(point_id)
+        elif kind.startswith("move"):
+            point_id = data.draw(st.sampled_from(sorted(mirror)))
+            target = (mirror[data.draw(st.sampled_from(sorted(mirror)))]
+                      if kind == "move onto" else data.draw(point))
+            column.move(point_id, target)
+            mirror[point_id] = target
+        elif kind == "drain":
+            for point_id in sorted(mirror):
+                column.remove(point_id)
+                removed.append(point_id)
+            mirror.clear()
+        _assert_column_call_matches_brute_force(column, mirror, dimension, data)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_the_column_builds_one_table_per_version(monkeypatch, dimension):
+    """Calls with no write in between share one table; ``insert``,
+    ``remove`` and ``move`` each force the next call to build a new one."""
+    built = []
+    table = index_module._SkylineTable
+
+    def counted(*arrays):
+        built.append(len(arrays[0]))
+        return table(*arrays)
+
+    monkeypatch.setattr(index_module, "_SkylineTable", counted)
+    rng = np.random.default_rng(dimension)
+    mirror = {int(point_id): tuple(row) for point_id, row in zip(
+        rng.permutation(90)[:40], (rng.integers(0, 40, (40, dimension)) / 4.0).tolist())}
+    column, ids = _column(mirror), sorted(mirror)
+
+    def call():
+        references = ids[:6]
+        origins = np.asarray([mirror[reference] for reference in references])
+        selected = orthant_skylines(column, origins, references)
+        assert selected == [
+            _brute_selection(mirror, mirror[reference], reference) for reference in references
+        ]
+        return selected
+
+    first = call()
+    for _ in range(4):
+        assert call() == first
+    assert built == [40]
+    mirror[100] = (0.125,) * dimension
+    column.insert(100, mirror[100])
+    call()
+    del mirror[100]
+    column.remove(100)
+    call()
+    mirror[ids[0]] = (9.875,) * dimension
+    column.move(ids[0], mirror[ids[0]])
+    call()
+    call()
+    assert built == [40, 41, 40, 40]
 
 
 def test_batched_scan_selection_rejects_a_mixed_dimension_candidate():

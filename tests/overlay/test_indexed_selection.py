@@ -28,7 +28,10 @@ from repro.multicast.incremental import StabilityTreeMaintainer
 from repro.multicast.stability import StabilityTreeBuilder
 from repro.overlay.network import BatchJoin, ConvergenceError, OverlayNetwork
 from repro.overlay.peer import make_peer
-from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
+from repro.overlay.selection.empty_rectangle import (
+    EmptyRectangleSelection,
+    brute_force_empty_rectangle_neighbours,
+)
 from repro.overlay.selection.k_closest import KClosestSelection
 from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
 from repro.overlay.selection.sign_vectors import SignCoefficientHyperplanesSelection
@@ -95,6 +98,26 @@ def test_indexed_select_equals_scan_select(peers, selection_factory):
         fast = selection.select(reference, (), index=index)
         assert fast == scan  # byte-identical: same ids, same emission order
         assert batched[reference.peer_id] == fast
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_a_reference_outside_the_index_is_placed_by_its_own_coordinates(dimension):
+    """``select(P, (), index=)`` for 20 peers ``P`` the index does not hold:
+    the 2-D kernel and the k-d walk alike read ``P``'s position from ``P``
+    and select among exactly what the index holds."""
+    rng = random.Random(dimension)
+    peers = [make_peer(peer_id, tuple(rng.uniform(0.0, 100.0) for _ in range(dimension)))
+             for peer_id in range(60)]
+    stored, outside = peers[:40], peers[40:]
+    index = SpatialIndex()
+    for peer in stored:
+        index.insert(peer.peer_id, peer.coordinates)
+    selection = EmptyRectangleSelection()
+    batched = selection.select_many(outside, {}, index=index)
+    for reference in outside:
+        expected = brute_force_empty_rectangle_neighbours(reference, stored)
+        assert selection.select(reference, (), index=index) == expected
+        assert batched[reference.peer_id] == expected
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,8 +4,10 @@ observe it yet; ``_links`` has only ``LINK_WRITERS``, each reporting its
 edge flips unless it only creates an isolated entry or a fresh overlay;
 ``_peers`` and ``.coordinates`` have only ``PEER_WRITERS``, each maintaining
 the overlay's coordinate column, in both regimes; nothing else writes the
-column.  A write is a store, delete, augmented assignment or mutating call on
-the map, an entry or a local alias.  At run time nothing
+column.  Inside the column, only ``COLUMN_WRITERS`` write its rows, and each
+drops the skyline table built from them, which only they and its lazy
+builder write.  A write is a store, delete, augmented assignment or mutating
+call on the map, an entry or a local alias.  At run time nothing
 but the overlay holds ``_links``: its readers go through ``overlay.links``."""
 
 import ast
@@ -20,11 +22,14 @@ from repro.workloads.peers import generate_peers_with_lifetimes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 NETWORK = "overlay/network.py"
+INDEX = "geometry/index.py"
 NEIGHBOUR_WRITERS = {"__init__", "add_peer", "remove_peer", "install_selections",
                      "build_equilibrium"}
 LINK_WRITERS = {"__init__", "add_peer", "remove_peer", "notify_selection_change",
                 "build_equilibrium"}
 PEER_WRITERS = {"__init__", "add_peer", "remove_peer", "move_peer", "build_equilibrium"}
+COLUMN_WRITERS = {"__init__", "insert", "remove"}
+COLUMN = ("CoordinateColumn", "SpatialIndex")
 MUTATORS = {"add", "discard", "remove", "update", "clear", "pop", "popitem", "setdefault",
             "difference_update", "intersection_update", "symmetric_difference_update",
             "insert", "move"}
@@ -42,13 +47,13 @@ def _functions(source):  # (qualified name, owning class, def)
     return found
 
 
-def _writes(function, owner, attrs):
+def _writes(function, owner, attrs, homes=("OverlayNetwork",)):
     def is_map(node):  # a class's own self._neighbours (PeerProcess) is its own
         node = node.value if isinstance(node, ast.Subscript) else node
         if isinstance(node, ast.Name):
             return node.id in aliases
         return isinstance(node, ast.Attribute) and node.attr in attrs and (
-            owner == "OverlayNetwork" or getattr(node.value, "id", None) != "self")
+            owner in homes or getattr(node.value, "id", None) != "self")
 
     nodes, aliases = list(ast.walk(function)), set()
     aliases.update(node.targets[0].id for node in nodes if isinstance(node, ast.Assign)
@@ -69,25 +74,34 @@ def _calls(function, attrs, on=None):
 
 def census_problems(sources):
     """Every way ``{path under src/repro: source}`` breaks the census."""
+    overlay = (NETWORK, "OverlayNetwork", ("OverlayNetwork",))
+    column = (INDEX, "CoordinateColumn", COLUMN)
+    drops_the_table = (column, COLUMN_WRITERS, "dropping the table", lambda function: (
+        _writes(function, "CoordinateColumn", {"_table"}, COLUMN)))
     duties = {
-        "_neighbours": (NEIGHBOUR_WRITERS, "notifying the recorders", lambda function: (
+        "_neighbours": (overlay, NEIGHBOUR_WRITERS, "notifying the recorders", lambda function: (
             function.name in {"__init__", "build_equilibrium"}  # a fresh overlay
             or _calls(function, {"notify_selection_change", "note_touch"}))),
-        "_links": (LINK_WRITERS, "reporting the flips", lambda function: (
+        "_links": (overlay, LINK_WRITERS, "reporting the flips", lambda function: (
             function.name in {"__init__", "add_peer", "build_equilibrium"}
             or _calls(function, {"note_edge_flip"}))),
-        "_peers": (PEER_WRITERS, "maintaining the column", lambda function: (
+        "_peers": (overlay, PEER_WRITERS, "maintaining the column", lambda function: (
             _writes(function, "OverlayNetwork", {"_column"}))),
-        "_column": (PEER_WRITERS, "maintaining the peer map", lambda function: (
+        "_column": (overlay, PEER_WRITERS, "maintaining the peer map", lambda function: (
             _writes(function, "OverlayNetwork", {"_peers", "coordinates"}))),
+        "_row_of": drops_the_table,
+        "_row_ids": drops_the_table,
+        "_row_coords": drops_the_table,
+        # Filled lazily by the kernel's first call; every other writer drops it.
+        "_table": (column, COLUMN_WRITERS | {"_skyline_table"}, "", lambda function: True),
     }
     problems = []
-    for label, (pinned, what, duty) in duties.items():
+    for label, ((home, cls, homes), pinned, what, duty) in duties.items():
         attrs = {label, "coordinates"} if label == "_peers" else {label}
         writers = {f"{path}::{name}": function for path, source in sorted(sources.items())
                    for name, owner, function in _functions(source)
-                   if _writes(function, owner, attrs)}
-        expected = {f"{NETWORK}::OverlayNetwork.{name}" for name in pinned}
+                   if _writes(function, owner, attrs, homes)}
+        expected = {f"{home}::{cls}.{name}" for name in pinned}
         problems += [f"{where} writes {label} outside the pinned writers"
                      for where in sorted(set(writers) - expected)]
         problems += [f"{where} no longer writes {label}; unpin it"
@@ -97,13 +111,14 @@ def census_problems(sources):
     return problems
 
 
-def network_sources(needle=None, replacement="", appended=""):
-    """``src/repro`` by path, ``network.py`` optionally seeded with one edit."""
-    sources = {path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
-               for path in SRC.rglob("*.py")}
-    network = sources[NETWORK]
-    assert needle is None or needle in network, f"network.py drifted: {needle!r}"
-    sources[NETWORK] = (network.replace(needle, replacement, 1) if needle else network) + appended
+def network_sources(needle=None, replacement="", appended="", path=NETWORK):
+    """``src/repro`` by path, ``path`` (``network.py``) optionally seeded
+    with one edit."""
+    sources = {source.relative_to(SRC).as_posix(): source.read_text(encoding="utf-8")
+               for source in SRC.rglob("*.py")}
+    seeded = sources[path]
+    assert needle is None or needle in seeded, f"{path} drifted: {needle!r}"
+    sources[path] = (seeded.replace(needle, replacement, 1) if needle else seeded) + appended
     return sources
 
 
@@ -171,3 +186,23 @@ def test_rpl002_catches_a_column_write_outside_the_peer_writers():
                                        "    overlay._column.move(peer_id, coordinates)\n")
     assert census_problems(sources) == [
         f"{NETWORK}::relocate writes _column outside the pinned writers"]
+
+
+def test_rpl002_catches_a_column_method_that_keeps_a_stale_table():
+    """A row written anywhere but the pinned writers flags, and so does a
+    pinned writer that stops dropping the table: either would let the
+    skyline kernel answer for the column as it was."""
+    nudge = ("    def nudge(self, point_id, coordinates):\n"
+             "        self._row_coords[self._row_of[point_id]] = coordinates\n\n"
+             "    def _skyline_table(self)")
+    sources = network_sources("    def _skyline_table(self)", nudge, path=INDEX)
+    assert census_problems(sources) == [
+        f"{INDEX}::CoordinateColumn.nudge writes _row_coords outside the pinned writers"]
+    insert = INDEX + "::CoordinateColumn.insert"
+    sources = network_sources("        self._table = None\n        return point\n",
+                              "        return point\n", path=INDEX)
+    assert census_problems(sources) == [
+        f"{insert} writes _row_of without dropping the table",
+        f"{insert} writes _row_ids without dropping the table",
+        f"{insert} writes _row_coords without dropping the table",
+        f"{insert} no longer writes _table; unpin it"]
