@@ -14,7 +14,11 @@ At churn scale (``N = 1000``) the same build is timed.
 Outside two dimensions, the Figure 1 cells ``N = 400, D = 3`` and ``N = 300,
 D = 5`` are built by insertion under absolute wall budgets (``slow``, in the
 weekly job): an additive update there once went through a per-reference
-numpy loop and the builds ran 7-12x slower with every count unchanged.
+numpy loop and the builds ran 7-12x slower with every count unchanged.  So
+are two Orthogonal Hyperplanes cells of the Section 3 sweep, ``N = 300, D =
+10, K = 5`` and ``N = 1000, D = 3, K = 2``, each map checked against the
+literal per-peer loop: a per-pair Python additive rule and a k-d region
+walk once took 184 s and 76 s there.
 """
 
 import random
@@ -26,7 +30,9 @@ from conftest import persist_bench_record, print_report
 from repro.experiments.common import derive_seed
 from repro.metrics.reporting import format_table
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.selection.base import NeighbourSelectionMethod
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
+from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
 from repro.workloads.peers import generate_peers, generate_peers_with_lifetimes
 
 # Counted sizes with their reselection ceilings (about twice the measured
@@ -41,6 +47,12 @@ _CHURN_SCALE_SIZE = {"smoke": 300, "bench": 1000, "paper": 1000}
 # 2-vCPU x86-64 box, so a slower runner does not flake and the old
 # per-reference path (15.0 s and 62.1 s there) cannot pass.
 _FIGURE1_CELLS = ((400, 3, 6.0), (300, 5, 16.0))
+
+# (N, D, K) of the Orthogonal Hyperplanes cells built by insertion, each under
+# a 25 s wall budget: about three times the 8.5-9.0 s both took on the same
+# box, where the per-pair additive rule took 184 s and 76 s.
+_ORTHOGONAL_CELLS = ((300, 10, 5), (1000, 3, 2))
+_ORTHOGONAL_BUDGET = 25.0
 
 
 class _CountingSelection(EmptyRectangleSelection):
@@ -153,4 +165,37 @@ def test_insertion_outside_two_dimensions_meets_its_wall_budget(count, dimension
     assert seconds <= budget, (
         f"building N={count} D={dimension} by insertion took {seconds:.2f} s; "
         f"the budget is {budget} s"
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("count,dimension,k", _ORTHOGONAL_CELLS)
+def test_orthogonal_insertion_meets_its_wall_budget(count, dimension, k):
+    peers = generate_peers_with_lifetimes(count, dimension, seed=1)
+    selection = OrthogonalHyperplanesSelection(k=k)
+    overlay, seconds = _build(peers, 1, selection=selection)
+    start = time.perf_counter()
+    literal = NeighbourSelectionMethod.compute_equilibrium(selection, peers)
+    witness_seconds = time.perf_counter() - start
+    assert overlay.directed_neighbour_map() == literal
+    persist_bench_record(
+        f"figure1_insertion_orthogonal_n{count}_d{dimension}_k{k}",
+        peer_count=count,
+        wall_seconds=seconds,
+        wall_budget_seconds=_ORTHOGONAL_BUDGET,
+        dimension=dimension,
+        k=k,
+        witness_wall_seconds=round(witness_seconds, 3),
+    )
+    print_report(
+        f"Orthogonal Hyperplanes insert-one-converge [N={count}, D={dimension}, K={k}]",
+        format_table(
+            ["N", "D", "K", "wall (s)", "budget (s)", "literal loop (s)"],
+            [[count, dimension, k, f"{seconds:.2f}", _ORTHOGONAL_BUDGET,
+              f"{witness_seconds:.2f}"]],
+        ),
+    )
+    assert seconds <= _ORTHOGONAL_BUDGET, (
+        f"building Orthogonal N={count} D={dimension} K={k} by insertion took "
+        f"{seconds:.2f} s; the budget is {_ORTHOGONAL_BUDGET} s"
     )

@@ -1,8 +1,9 @@
 """Command-line interface: run the paper's experiments from a shell.
 
-Installed as ``python -m repro.cli`` (no console-script entry point is
-registered, so offline editable installs stay simple).  Sub-commands map
-one-to-one onto the experiment drivers:
+Run in place as ``PYTHONPATH=src python -m repro.cli <command>``, or, once
+the package is installed (``pip install -e .``), as the ``repro`` console
+script that ``pyproject.toml`` registers.  Sub-commands map one-to-one onto
+the experiment drivers:
 
 * ``figure1a`` / ``figure1b`` / ``figure1c`` -- the Section 2 panels,
 * ``figure1d`` / ``figure1e`` -- the Section 3 sweep (diameter / degree view),

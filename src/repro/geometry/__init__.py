@@ -14,9 +14,10 @@ rest of the library is written in:
   hyperplane sets, used by the Hyperplanes neighbour-selection family.
 * :mod:`repro.geometry.regions` -- orthant sign vectors (the regions of the
   Orthogonal Hyperplanes method) and their conversion to hyper-rectangles.
-* :mod:`repro.geometry.index` -- the coordinate column + k-d tree spatial
-  index a full-knowledge overlay owns and its selection method queries
-  instead of scanning the population.
+* :mod:`repro.geometry.index` -- the coordinate column every overlay owns,
+  the two batched selection kernels that read it (empty-rectangle skylines,
+  Hyperplanes per-region top-``K``) and the spatial index (the column plus a
+  k-d tree for the ``D >= 3`` skyline) of a full-knowledge overlay.
 """
 
 from repro.geometry.point import Point, as_point, validate_coordinates

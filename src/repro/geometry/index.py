@@ -12,23 +12,28 @@ answers them instead.  Its owner is the full-knowledge
 Division of labour
 ------------------
 
-* the **k-d tree** answers :meth:`~SpatialIndex.orthant_skyline` (the
-  skyline in ``D >= 3``) and :meth:`~SpatialIndex.region_top_k` (the
-  Hyperplanes family) by best-first branch-and-bound.  It is rebuilt
-  lazily: mutations go into a tombstone set / pending-insert buffer that
-  every query folds in exactly, and the tree is rebuilt from scratch only
-  once the stale fraction passes a threshold -- so churn costs ``O(1)`` per
-  event amortised, and queries stay exact at every moment in between;
 * the **coordinate column** (:class:`CoordinateColumn`, the index's base
-  class: the live points as dense numpy rows) is what
-  :func:`orthant_skylines` reads: the empty-rectangle rule for many
-  references at once, as array passes instead of tree walks -- packed ranks
-  in two dimensions (a whole column too), pair tests per (row, orthant)
-  cell elsewhere (candidate rows only; the k-d walk keeps whole columns).
-  An overlay owns exactly one column in either knowledge regime -- the
-  index itself under full knowledge, a bare column under a gossip radius --
-  and the column caches what the passes derive from its points alone, so
-  the kernel calls of every round of one converge share that set-up.
+  class: the live points as dense numpy rows) is what the two batched
+  kernels read, each answering many references at once as array passes,
+  every reference against the whole column or against its own row of
+  stored ids: :func:`orthant_skylines` (the empty-rectangle rule: packed
+  ranks in two dimensions, pair tests per (row, orthant) cell elsewhere)
+  and :func:`region_top_ks` (the Hyperplanes family: one sort by
+  ``(row, region, distance, id)``).  An overlay owns exactly one column in
+  either knowledge regime -- the index itself under full knowledge, a bare
+  column under a gossip radius -- and the column caches what the passes
+  derive from its points alone, so the kernel calls of every round of one
+  converge share that set-up;
+* the **k-d tree** serves only the empty-rectangle skyline in ``D >= 3``
+  against the whole column (:meth:`~SpatialIndex.orthant_skyline`, by
+  best-first branch-and-bound), where a pair pass would compare far more
+  than the walk visits.  It is rebuilt lazily: mutations go into a
+  tombstone set / pending-insert buffer that every query folds in exactly,
+  and the tree is rebuilt from scratch only once the stale fraction passes
+  a threshold -- so churn costs ``O(1)`` per event amortised, and queries
+  stay exact at every moment in between.  :meth:`~SpatialIndex.region_top_k`
+  and :meth:`~SpatialIndex.nearest_k` are the literal brute force over the
+  stored points; no selection path calls them.
 
 Byte-identical contract
 -----------------------
@@ -36,12 +41,13 @@ Byte-identical contract
 The index exists to *replace* scans, so every query is defined purely in
 terms of the comparisons the scan it replaces performs -- same candidate
 keys (sign-flipped raw coordinates for skylines, per-axis deltas for
-distances), same sequential left-to-right float summation of distances,
-same ``(distance, peer id)`` tie-break, same lexicographic ``(key, peer
-id)`` skyline order, same non-strict dominance.  Branch-and-bound bounds
-are computed with monotone floating-point operations only (each bound is
-the same formula evaluated at a per-axis clamped coordinate), so pruning
-can never cut a point a scan would have kept.  The hypothesis suites in ``tests/geometry`` and
+distances and hyperplane sides), same sequential left-to-right float
+summation of distances and of hyperplane sides, same ``(distance, peer
+id)`` tie-break, same lexicographic ``(key, peer id)`` skyline order, same
+non-strict dominance.  Branch-and-bound bounds are computed with monotone
+floating-point operations only (each bound is the same formula evaluated
+at a per-axis clamped coordinate), so pruning can never cut a point a scan
+would have kept.  The hypothesis suites in ``tests/geometry`` and
 ``tests/overlay`` hold the index to exactly this: every query equals its
 brute-force twin, and index-backed overlays reach the fixed points of
 ``build_equilibrium`` and the synchronous-sweep oracle.
@@ -56,18 +62,22 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import chain
-from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+)
 
 import numpy as np
 
-from repro.geometry.hyperplane import Hyperplane, HyperplaneSet
+from repro.geometry.hyperplane import HyperplaneSet
 from repro.geometry.point import CoordinateLike, Point, as_point
 
 __all__ = [
     "CoordinateColumn",
     "SpatialIndex",
+    "minkowski",
     "pareto_minima",
     "orthant_skylines",
+    "region_top_ks",
     "brute_force_nearest_k",
     "brute_force_orthant_skyline",
     "brute_force_region_top_k",
@@ -100,16 +110,18 @@ _KERNEL_ELEMENTS = 4096
 # never selected): above the four real quadrants, so no skyline reads it.
 _OWN_ROW = 4
 
+# Hyperplane sides one region code takes before it is re-ranked: a code is
+# below 3**20 (about 2**31.7) times the pass's element count, inside int64.
+_SIDES_PER_CODE = 20
+
 
 def _point_distance(deltas: Sequence[float], order: float) -> float:
     """Minkowski norm of a delta vector, matching the scan paths bit for bit.
 
     The accumulation is sequential left-to-right, which is what both the
     plain-python distance functions (:mod:`repro.geometry.distance`) and
-    the numpy column loop of
-    :func:`repro.overlay.selection.hyperplanes.minkowski` perform at every
-    dimension, so a ranking computed here never disagrees with either scan
-    path.
+    the numpy column loop of :func:`minkowski` perform at every dimension,
+    so a ranking computed here never disagrees with either.
     """
     if order == 1.0:
         total = 0.0
@@ -129,6 +141,29 @@ def _point_distance(deltas: Sequence[float], order: float) -> float:
                 largest = magnitude
         return largest
     raise ValueError(f"unsupported Minkowski order {order!r}; known: 1, 2, inf")
+
+
+def minkowski(deltas: np.ndarray, order: float) -> np.ndarray:
+    """Row-wise Minkowski norm of a matrix of coordinate differences.
+
+    Columns are added left to right, squaring by multiplication for L2: the
+    order and the arithmetic of :func:`_point_distance` and of the python
+    distance functions, so all of them rank candidates byte-identically at
+    every dimension (numpy's ``.sum`` adds eight or more columns pairwise).
+    Supports the orders the named distances map to (1, 2 and infinity);
+    other orders are rejected rather than silently miscomputed.
+    """
+    magnitudes = np.abs(deltas)
+    if order == _INF:
+        return magnitudes.max(axis=1)
+    if order not in (1.0, 2.0):
+        raise ValueError(f"unsupported Minkowski order {order!r}; known: 1, 2, inf")
+    if order == 2.0:
+        magnitudes = magnitudes * magnitudes
+    total = magnitudes[:, 0].copy()
+    for column in magnitudes.T[1:]:
+        total += column
+    return np.sqrt(total) if order == 2.0 else total
 
 
 class _KDNode:
@@ -179,12 +214,12 @@ def _build_kd(
 class CoordinateColumn:
     """Points as dense numpy rows: ``int64`` ids, ``float64`` coordinates.
 
-    The form the batched skyline kernel reads.  ``insert``/``remove``/``move``
+    The form the batched kernels read.  ``insert``/``remove``/``move``
     are ``O(1)``: a removed row is overwritten by the last one, so rows
     ``[0, len)`` are exactly the live points in no particular order.  The
     dimension is fixed by the first inserted point and retained even when
     the column drains back to empty.  Only ``insert`` and ``remove`` write
-    rows, and each drops the kernel's :class:`_SkylineTable` of them.
+    rows, and each drops the kernels' :class:`_SkylineTable` of them.
     """
 
     def __init__(self) -> None:
@@ -362,7 +397,7 @@ class SpatialIndex(CoordinateColumn):
             )
 
     # ------------------------------------------------------------------
-    # Queries: nearest-k (k-d tree)
+    # Queries: literal nearest-k and per-region top-k
     # ------------------------------------------------------------------
     def nearest_k(
         self,
@@ -372,20 +407,39 @@ class SpatialIndex(CoordinateColumn):
         order: float = 2.0,
         exclude: Iterable[int] = (),
     ) -> List[int]:
-        """The ``k`` ids closest to ``origin``, ranked by ``(distance, id)``.
+        """The ``k`` ids closest to ``origin``, ranked by ``(distance, id)``:
+        :func:`brute_force_nearest_k` over the stored points.  No selection
+        path calls it; the benchmark ledger patches it."""
+        point = as_point(origin)
+        self._check_dimension(point.dimension, "origin")
+        return brute_force_nearest_k(self._points, point, k, order=order, exclude=exclude)
 
-        ``order`` is the Minkowski order (1, 2 or inf -- the named distances
-        of :mod:`repro.geometry.distance`); ``exclude`` ids never appear in
-        the result (the reference peer excludes itself by id, never by
-        position, so coordinate duplicates of the origin are still ranked).
-        No selection path calls it; the benchmark ledger patches it.
-        """
+    def region_top_k(
+        self,
+        origin: CoordinateLike,
+        hyperplane_set: Optional[HyperplaneSet],
+        k: int,
+        *,
+        order: float = 2.0,
+        exclude: Iterable[int] = (),
+    ) -> Dict[Tuple[int, ...], List[int]]:
+        """The ``k`` closest ids of every non-empty hyperplane region
+        (``None`` or an empty set: the single region ``()``), each list
+        ranked by ``(distance, id)``: :func:`brute_force_region_top_k` over
+        the stored points.  The Hyperplanes family selects through
+        :func:`region_top_ks` instead; the benchmark ledger patches this."""
         if k < 1:
-            return []
-        regions = self.region_top_k(
-            origin, None, k, order=order, exclude=exclude
+            raise ValueError(f"k must be at least 1, got {k}")
+        point = as_point(origin)
+        self._check_dimension(point.dimension, "origin")
+        if hyperplane_set is not None and hyperplane_set.dimension != point.dimension:
+            raise ValueError(
+                f"hyperplane set dimension {hyperplane_set.dimension} does not "
+                f"match origin dimension {point.dimension}"
+            )
+        return brute_force_region_top_k(
+            self._points, point, hyperplane_set, k, order=order, exclude=exclude
         )
-        return regions.get((), [])
 
     # ------------------------------------------------------------------
     # Queries: per-orthant skyline (k-d tree branch-and-bound)
@@ -539,197 +593,6 @@ class SpatialIndex(CoordinateColumn):
                 corner.append(-(high if high <= bound else bound))
         return tuple(corner)
 
-    # ------------------------------------------------------------------
-    # Queries: per-region top-k (k-d tree branch-and-bound)
-    # ------------------------------------------------------------------
-    def region_top_k(
-        self,
-        origin: CoordinateLike,
-        hyperplane_set: Optional[HyperplaneSet],
-        k: int,
-        *,
-        order: float = 2.0,
-        exclude: Iterable[int] = (),
-    ) -> Dict[Tuple[int, ...], List[int]]:
-        """The ``k`` closest ids of every non-empty hyperplane region.
-
-        This is the Hyperplanes-family selection rule as one index query:
-        points are conceptually translated so ``origin`` is at the origin,
-        ``hyperplane_set`` splits space into regions (``None`` or an empty
-        set: the single region ``()``), and within every region the ``k``
-        candidates closest to the origin win, ranked by ``(distance, id)``.
-        Returns only non-empty regions, each list in rank order -- exactly
-        the per-region structure the scan selection builds.
-
-        Best-first by a monotone distance lower bound: a subtree is pruned
-        once every hyperplane side is determined for its whole box *and*
-        that region already holds ``k`` members strictly closer than the
-        box can offer.  Region signatures of individual points use
-        :meth:`HyperplaneSet.signature` verbatim (points exactly on a plane
-        form their own ``0``-signature regions, as in the scan).
-        """
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        point = as_point(origin)
-        self._check_dimension(point.dimension, "origin")
-        if not self._points:
-            return {}
-        dimension = point.dimension
-        if hyperplane_set is not None and hyperplane_set.dimension != dimension:
-            raise ValueError(
-                f"hyperplane set dimension {hyperplane_set.dimension} does not "
-                f"match origin dimension {dimension}"
-            )
-        excluded = frozenset(exclude)
-        origin_t = tuple(point)
-        planes = hyperplane_set.hyperplanes if hyperplane_set is not None else ()
-
-        def signature_of(coords: Point) -> Tuple[int, ...]:
-            if hyperplane_set is None:
-                return ()
-            return hyperplane_set.signature(coords, reference=origin_t)
-
-        def distance_of(coords: Point) -> float:
-            return _point_distance(
-                tuple(value - base for value, base in zip(coords, origin_t)), order
-            )
-
-        regions: Dict[Tuple[int, ...], List[Tuple[float, int]]] = {}
-
-        def offer(point_id: int, coords: Point) -> None:
-            signature = signature_of(coords)
-            members = regions.setdefault(signature, [])
-            if len(members) < k:
-                members.append((distance_of(coords), point_id))
-
-        # Flat heap entries (priority, kind, tiebreak, payload); see
-        # orthant_skyline for the ordering rationale.
-        heap: List[tuple] = []
-        counter = 0
-        tree = self._ensure_tree()
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        if tree is not None:
-            heap.append((self._box_mindist(tree, origin_t, order), 0, counter, tree))
-            counter += 1
-        while heap:
-            priority, kind, _tick, payload = heappop(heap)
-            if kind == 1:
-                point_id, coords = payload
-                offer(point_id, coords)
-                continue
-            node = payload
-            side_signature = _box_signature(node, origin_t, planes)
-            if side_signature is not None:
-                members = regions.get(side_signature)
-                if members is not None and len(members) >= k and members[-1][0] < priority:
-                    continue
-            if node.ids is not None:
-                for point_id in node.ids:
-                    if point_id in excluded or not self._alive_in_tree(point_id):
-                        continue
-                    coords = self._points[point_id]
-                    heappush(
-                        heap, (distance_of(coords), 1, point_id, (point_id, coords))
-                    )
-                continue
-            for child in (node.left, node.right):
-                if child is None:
-                    continue
-                heappush(
-                    heap,
-                    (self._box_mindist(child, origin_t, order), 0, counter, child),
-                )
-                counter += 1
-
-        # Merge the pending-insert buffer: per region, the union's top-k is
-        # the top-k of (tree top-k + buffer members of the region).
-        if self._buffer:
-            merged: Dict[Tuple[int, ...], List[Tuple[float, int]]] = {
-                signature: list(members) for signature, members in regions.items()
-            }
-            for point_id, coords in self._buffer.items():
-                if point_id in excluded:
-                    continue
-                merged.setdefault(signature_of(coords), []).append(
-                    (distance_of(coords), point_id)
-                )
-            regions = {
-                signature: sorted(members)[:k]
-                for signature, members in merged.items()
-            }
-        return {
-            signature: [point_id for _, point_id in members]
-            for signature, members in regions.items()
-        }
-
-    @staticmethod
-    def _box_mindist(
-        node: _KDNode, origin: Tuple[float, ...], order: float
-    ) -> float:
-        """Distance from ``origin`` to the box: the point formula at the clamp.
-
-        Each per-axis delta is the exact delta of a coordinate inside the
-        box (the clamped one), and every operation downstream of it is
-        monotone in float arithmetic, so the bound never exceeds the true
-        distance of any point in the box.
-        """
-        deltas = []
-        for axis, value in enumerate(origin):
-            low, high = node.lower[axis], node.upper[axis]
-            if value < low:
-                deltas.append(low - value)
-            elif value > high:
-                deltas.append(value - high)
-            else:
-                deltas.append(0.0)
-        return _point_distance(deltas, order)
-
-
-def _box_signature(
-    node: _KDNode,
-    origin: Tuple[float, ...],
-    planes: Tuple[Hyperplane, ...],
-) -> Optional[Tuple[int, ...]]:
-    """Region signature shared by the whole box, or ``None`` if straddling."""
-    signature = []
-    for plane in planes:
-        low, high = _plane_bounds(node.lower, node.upper, origin, plane.coefficients)
-        if low > 0.0:
-            signature.append(1)
-        elif high < 0.0:
-            signature.append(-1)
-        else:
-            return None
-    return tuple(signature)
-
-
-def _plane_bounds(
-    lower: Tuple[float, ...],
-    upper: Tuple[float, ...],
-    origin: Tuple[float, ...],
-    coefficients: Tuple[float, ...],
-) -> Tuple[float, float]:
-    """Bounds of ``a · (x - origin)`` over a box, monotone in float arithmetic.
-
-    Each per-axis term is evaluated with the same two operations the exact
-    point evaluation performs (subtract, multiply) at the box corners, and
-    the sequential sums are monotone, so the interval always contains every
-    point's evaluated side value.
-    """
-    low_total = 0.0
-    high_total = 0.0
-    for axis, coefficient in enumerate(coefficients):
-        at_lower = coefficient * (lower[axis] - origin[axis])
-        at_upper = coefficient * (upper[axis] - origin[axis])
-        if at_lower <= at_upper:
-            low_total += at_lower
-            high_total += at_upper
-        else:
-            low_total += at_upper
-            high_total += at_lower
-    return low_total, high_total
-
 
 def pareto_minima(
     entries: List[Tuple[Tuple[float, ...], int]]
@@ -758,8 +621,8 @@ def pareto_minima(
 
 
 class _SkylineTable:
-    """What :func:`orthant_skylines` derives from one version of a column:
-    ``ids`` ascending with their ``coords`` (a pass breaks ties by id),
+    """What the kernels derive from one version of a column: ``ids``
+    ascending with their ``coords`` (a pass breaks ties by id),
     ``position[row]``, column row ``row``'s place among them, and in two
     dimensions the ``quadrant`` arguments of :func:`_quadrant_skyline_pass`
     (which packs at most ``2**20 - 1`` members), else ``None``."""
@@ -798,6 +661,67 @@ class _SkylineTable:
             ))
 
 
+def _kernel_input(
+    column: CoordinateColumn, origins: np.ndarray, reference_ids: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A kernel's references as arrays: finite origins, one row each."""
+    origins = np.asarray(origins, dtype=np.float64)
+    reference_ids = np.asarray(reference_ids, dtype=np.int64)
+    # An origin is a reference peer's position, which is finite.
+    invalid = ~np.isfinite(origins)
+    if invalid.any():
+        raise ValueError(
+            f"reference {reference_ids[invalid.any(axis=1).argmax()]} has a NaN "
+            "or infinite coordinate"
+        )
+    if len(column) and origins.shape != (reference_ids.size, column.dimension):
+        raise ValueError(
+            f"origins must be one {column.dimension}-D row per reference, "
+            f"got shape {origins.shape} for {reference_ids.size} references"
+        )
+    return origins, reference_ids
+
+
+def _passes(
+    column: CoordinateColumn,
+    table: _SkylineTable,
+    reference_count: int,
+    rows: Optional[Sequence[Collection[int]]],
+    most_rows: int,
+) -> Iterator[Tuple[int, int, slice, Optional[np.ndarray], Optional[np.ndarray]]]:
+    """Cut a kernel call into passes of whole rows, about
+    ``_KERNEL_ELEMENTS`` elements each (at least one row, at most
+    ``most_rows``): ``(start, stop, elements, rows, columns)`` per pass, the
+    references ``[start, stop)``, their slice of the call's elements and
+    the pass's (local row, id position) pairs -- both ``None`` when every
+    row holds every member.  A row's stored ids become id positions through
+    the column's ``id -> row`` map (an id it does not hold is a
+    :class:`KeyError`): on the gossip workload's calls, a median of 205
+    elements, that is cheaper than a ``searchsorted`` into the table's ids
+    and its unknown-id check."""
+    count = table.ids.size
+    flat = columns = None
+    if rows is None:
+        offsets = np.arange(reference_count + 1) * count
+    else:
+        flat = np.repeat(np.arange(reference_count), [len(row) for row in rows])
+        columns = table.position[np.fromiter(
+            map(column._row_of.__getitem__, chain.from_iterable(rows)),
+            dtype=np.int64,
+            count=flat.size,
+        )]
+        offsets = np.searchsorted(flat, np.arange(reference_count + 1))
+    start = 0
+    while start < reference_count:
+        stop = int(np.searchsorted(offsets, offsets[start] + _KERNEL_ELEMENTS, side="right")) - 1
+        stop = min(max(stop, start + 1), start + most_rows)
+        elements = slice(offsets[start], offsets[stop])
+        yield (start, stop, elements,
+               None if flat is None else flat[elements] - start,
+               None if columns is None else columns[elements])
+        start = stop
+
+
 def orthant_skylines(
     column: CoordinateColumn,
     origins: np.ndarray,
@@ -820,7 +744,8 @@ def orthant_skylines(
     column: one collection of stored ids per reference, in any order.  A
     row may be empty, repeat an id (one copy is kept) or name its own
     reference (excluded by id as ever); a reference pays for its own row,
-    not for the union of all of them.
+    not for the union of all of them.  An id the column does not hold is a
+    :class:`KeyError` naming it.
 
     ``gained`` (``bool``, one flag per element of the rows in order) states
     an additive input's precondition: each row's unflagged members are an
@@ -829,61 +754,131 @@ def orthant_skylines(
 
     The set-up that depends on the points alone is the column's
     :class:`_SkylineTable`, shared by every call until the column changes.
-    A pass holds whole rows, about ``_KERNEL_ELEMENTS`` elements (at least
-    one row): :func:`_quadrant_skyline_pass` in two dimensions,
-    :func:`_dominance_pass` in any other.
+    A pass holds whole rows (:func:`_passes`): :func:`_quadrant_skyline_pass`
+    in two dimensions, :func:`_dominance_pass` in any other.
     """
-    origins = np.asarray(origins, dtype=np.float64)
-    reference_ids = np.asarray(reference_ids, dtype=np.int64)
-    # An origin is a reference peer's position, which is finite.
-    invalid = ~np.isfinite(origins)
-    if invalid.any():
-        raise ValueError(
-            f"reference {reference_ids[invalid.any(axis=1).argmax()]} has a NaN "
-            "or infinite coordinate"
-        )
+    origins, reference_ids = _kernel_input(column, origins, reference_ids)
     if not len(column):
         return [[] for _ in reference_ids]
-    if origins.shape != (reference_ids.size, column.dimension):
-        raise ValueError(
-            f"origins must be one {column.dimension}-D row per reference, "
-            f"got shape {origins.shape} for {reference_ids.size} references"
-        )
     table = column._skyline_table()
-    count = table.ids.size
-    columns = None
-    if rows is None:
-        offsets = np.arange(reference_ids.size + 1) * count
-    else:
-        # Each element's reference, and its member's id position through the
-        # column's id -> row map.
-        flat = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-        columns = table.position[np.fromiter(
-            map(column._row_of.__getitem__, chain.from_iterable(rows)),
-            dtype=np.int64,
-            count=flat.size,
-        )]
-        rows = flat
-        offsets = np.searchsorted(rows, np.arange(reference_ids.size + 1))
-        gained = None if gained is None else np.asarray(gained, dtype=bool)
     quadrant = table.quadrant  # packed: row bits + 3 * bits + 3 <= 63
     most_rows = reference_ids.size if quadrant is None else 1 << 60 - 3 * quadrant[2]
+    gained = None if gained is None else np.asarray(gained, dtype=bool)
     selected: List[List[int]] = []
-    start = 0
-    while start < reference_ids.size:
-        stop = int(np.searchsorted(offsets, offsets[start] + _KERNEL_ELEMENTS, side="right")) - 1
-        stop = min(max(stop, start + 1), start + most_rows)
-        elements = slice(offsets[start], offsets[stop])
-        block = (origins[start:stop], reference_ids[start:stop],
-                 None if columns is None else rows[elements] - start,
-                 None if columns is None else columns[elements])
+    for start, stop, elements, local_rows, columns in _passes(
+        column, table, reference_ids.size, rows, most_rows
+    ):
+        block = (origins[start:stop], reference_ids[start:stop], local_rows, columns)
         selected.extend(
             _dominance_pass(*block, gained if gained is None else gained[elements],
                             table.ids, table.coords)
             if quadrant is None else _quadrant_skyline_pass(*block, table.ids, *quadrant)
         )
-        start = stop
     return selected
+
+
+def region_top_ks(
+    column: CoordinateColumn,
+    origins: np.ndarray,
+    reference_ids: Sequence[int],
+    hyperplane_set: HyperplaneSet,
+    k: int,
+    order: float,
+    rows: Optional[Sequence[Collection[int]]] = None,
+) -> List[List[int]]:
+    """Hyperplanes-family selections of many references over a column's points.
+
+    For every reference (as in :func:`orthant_skylines`: ``origins[r]``,
+    excluded by ``reference_ids[r]``, against the whole column or its own
+    ``rows[r]`` of stored ids) the ``k`` members closest to the origin in
+    every region of ``hyperplane_set`` -- what the scan
+    :meth:`~repro.overlay.selection.hyperplanes.HyperplanesSelection.select`
+    keeps, in its emission order: regions in sorted signature order, each
+    ranked by ``(distance, id)``, ``distance`` the Minkowski norm of
+    ``order``.  A repeated id is kept once.  :func:`_region_pass` computes
+    signatures and distances as the scan does, so it is the scan's rule on
+    ties and on points exactly on a plane too.
+    """
+    origins, reference_ids = _kernel_input(column, origins, reference_ids)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if not len(column):
+        return [[] for _ in reference_ids]
+    if hyperplane_set.dimension != column.dimension:
+        raise ValueError(
+            f"hyperplane set dimension {hyperplane_set.dimension} does not "
+            f"match column dimension {column.dimension}"
+        )
+    table = column._skyline_table()
+    planes = np.asarray(
+        [plane.coefficients for plane in hyperplane_set.hyperplanes], dtype=np.float64
+    ).reshape(len(hyperplane_set), column.dimension)
+    selected: List[List[int]] = []
+    for start, stop, _, local_rows, columns in _passes(
+        column, table, reference_ids.size, rows, reference_ids.size
+    ):
+        selected.extend(_region_pass(
+            origins[start:stop], reference_ids[start:stop], local_rows, columns,
+            table.ids, table.coords, planes, k, order,
+        ))
+    return selected
+
+
+def _region_pass(
+    origins: np.ndarray,
+    reference_ids: np.ndarray,
+    rows: Optional[np.ndarray],
+    columns: Optional[np.ndarray],
+    ids: np.ndarray,
+    coords: np.ndarray,
+    planes: np.ndarray,
+    k: int,
+    order: float,
+) -> List[List[int]]:
+    """One pass of :func:`region_top_ks` (arguments as in
+    :func:`_dominance_pass`; ``planes`` the hyperplane normals, one per row).
+
+    A member's side of a plane is the sign of ``a . (member - origin)``,
+    summed left to right from ``0.0`` as
+    :meth:`~repro.geometry.hyperplane.Hyperplane.evaluate` does, so a
+    member on the plane is on side ``0`` (and so is a NaN sum, a zero
+    coefficient against an infinite delta).  Its region code ranks its
+    signature lexicographically; the elements sort by ``(row, region,
+    distance, id position)`` and the first ``k`` of each (row, region)
+    survive."""
+    count = ids.size
+    if columns is None:
+        rows = np.repeat(np.arange(len(origins)), count)
+        columns = np.tile(np.arange(count), len(origins))
+    others = ids[columns] != reference_ids[rows]
+    rows, columns = rows[others], columns[others]
+    deltas = coords[columns] - origins[rows]
+    # Signatures three sides at a time per digit, _SIDES_PER_CODE digits
+    # per code; a longer signature re-ranks the code (order kept) and goes on.
+    codes = np.zeros(rows.size, dtype=np.int64)
+    for first in range(0, len(planes), _SIDES_PER_CODE):
+        if first:
+            codes = np.unique(codes, return_inverse=True)[1].astype(np.int64, copy=False)
+        normals = planes[first:first + _SIDES_PER_CODE]
+        totals = np.zeros((rows.size, len(normals)))
+        for axis, coefficients in enumerate(normals.T):
+            totals += coefficients * deltas[:, axis:axis + 1]
+        sides = 1 + (totals > 0).astype(np.int64) - (totals < 0)
+        codes = codes * 3 ** len(normals) + sides @ 3 ** np.arange(len(normals))[::-1]
+    ranked = np.lexsort((columns, minkowski(deltas, order), codes, rows))
+    rows, columns, codes = rows[ranked], columns[ranked], codes[ranked]
+    # A repeated id is adjacent to its copy; the first k of each (row,
+    # region) run survive.
+    fresh = np.ones(rows.size, dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]) | (columns[1:] != columns[:-1])
+    rows, columns, codes = rows[fresh], columns[fresh], codes[fresh]
+    place = np.arange(rows.size)
+    run = np.ones(rows.size, dtype=bool)
+    run[1:] = (rows[1:] != rows[:-1]) | (codes[1:] != codes[:-1])
+    keep = place - np.maximum.accumulate(np.where(run, place, 0)) < k
+    bounds = np.searchsorted(rows[keep], np.arange(len(origins) + 1)).tolist()
+    picked = ids[columns[keep]].tolist()
+    return [picked[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _quadrant_skyline_pass(

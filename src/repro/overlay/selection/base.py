@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Callable,
     Collection,
@@ -16,6 +17,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from repro.geometry.index import CoordinateColumn, SpatialIndex
 from repro.overlay.peer import PeerInfo
@@ -99,10 +102,10 @@ class NeighbourSelectionMethod(abc.ABC):
     Subclasses implement :meth:`select`.  The default
     :meth:`compute_equilibrium` evaluates :meth:`select` for every peer with
     the full population as candidates -- the fixed point the gossip process
-    converges to when every peer eventually learns about every other peer.
-    Methods with a faster vectorised path (the ones used at ``N = 1000``)
-    override it.  Batched reselection (the incremental convergence engine)
-    goes through :meth:`select_many`, which methods may also vectorise.
+    converges to when every peer eventually learns about every other peer --
+    and is the literal oracle the tests hold batched paths to.  Batched
+    reselection (the incremental convergence engine) goes through
+    :meth:`select_many`, which methods may answer with one array pass.
     """
 
     #: ``True`` when :meth:`select` is a *path-independent* choice function,
@@ -125,9 +128,9 @@ class NeighbourSelectionMethod(abc.ABC):
     #: recomputation, which is always correct.
     path_independent: bool = False
 
-    #: ``True`` when the method implements ``_select_indexed`` -- an
-    #: index-backed fast path producing *byte-identical* selections to the
-    #: candidate-list scan.  Callers may then pass a
+    #: ``True`` when the method has an index-backed path producing
+    #: *byte-identical* selections to the candidate-list scan.  Callers may
+    #: then pass a
     #: :class:`repro.geometry.index.SpatialIndex` whose contents are exactly
     #: the candidate set plus the reference peers (each excluded by id) to the
     #: batched entry points :meth:`select_many` / :meth:`install_many` --
@@ -194,10 +197,18 @@ class NeighbourSelectionMethod(abc.ABC):
         instead and ``candidates_by_peer`` is ignored -- the index contents
         *are* the candidate set by the caller's contract, so entries need
         not (and for the churn-scale hot path deliberately do not) exist.
+        With ``member_of`` the candidate ids are resolved to the same
+        id-sorted list a ``PeerInfo``-holding caller would have passed.
         """
-        return self._select_many_dispatch(
-            references, candidates_by_peer, 0, self.select, index=index, member_of=member_of
-        )
+        if index is not None:
+            return self._select_many_indexed(references, index)
+        results: Dict[int, List[int]] = {}
+        for reference in references:
+            candidates = candidates_by_peer[reference.peer_id]
+            if member_of is not None:
+                candidates = self._id_sorted(candidates, member_of)
+            results[reference.peer_id] = self.select(reference, candidates)
+        return results
 
     def _check_index_support(self) -> None:
         """Reject ``index=`` on methods that never opted in (shared guard)."""
@@ -225,38 +236,6 @@ class NeighbourSelectionMethod(abc.ABC):
             f"{type(self).__name__} has no index-backed selection path; "
             "check supports_index before passing index="
         )
-
-    def _select_many_dispatch(
-        self,
-        references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Collection],
-        threshold: int,
-        vectorised,
-        *,
-        index: "Optional[SpatialIndex]" = None,
-        member_of: Optional[MemberOf] = None,
-    ) -> Dict[int, List[int]]:
-        """Shared :meth:`select_many` body: one candidate list per reference.
-
-        Per reference: candidate sets below ``threshold`` go through the
-        plain-python :meth:`select` (array construction would dominate),
-        larger ones through ``vectorised(reference, candidates)``.  With an
-        ``index`` every reference goes through the indexed path instead;
-        with ``member_of`` the candidate ids are resolved here, to the same
-        id-sorted list a ``PeerInfo``-holding caller would have passed.
-        """
-        if index is not None:
-            return self._select_many_indexed(references, index)
-        results: Dict[int, List[int]] = {}
-        for reference in references:
-            candidates = candidates_by_peer[reference.peer_id]
-            if member_of is not None:
-                candidates = self._id_sorted(candidates, member_of)
-            if len(candidates) < threshold:
-                results[reference.peer_id] = self.select(reference, candidates)
-            else:
-                results[reference.peer_id] = vectorised(reference, candidates)
-        return results
 
     def select_many_additive(
         self,
@@ -388,6 +367,63 @@ class NeighbourSelectionMethod(abc.ABC):
     def _id_sorted(ids: Collection[int], member_of: MemberOf) -> List[PeerInfo]:
         """The ``PeerInfo`` list a scan iterates: ascending peer id."""
         return [member_of(other) for other in sorted(ids)]
+
+    # The array paths read ids off a coordinate column; a caller holding
+    # ``PeerInfo`` lists (no ``member_of``) is adapted to ids and a
+    # temporary column (:meth:`MemberOf.adapt`).
+    @staticmethod
+    def _candidate_rows(
+        references: Sequence[PeerInfo],
+        candidates_by_peer: Mapping[int, Collection],
+        member_of: Optional[MemberOf],
+    ) -> Tuple[CoordinateColumn, List[Collection[int]]]:
+        """``(column, rows)``: each reference's candidates as stored ids."""
+        rows = [candidates_by_peer[reference.peer_id] for reference in references]
+        if member_of is None:
+            member_of = MemberOf.adapt(chain(references, *rows))
+            rows = [[peer.peer_id for peer in row] for row in rows]
+        return member_of.column, rows
+
+    @classmethod
+    def _additive_rows(
+        cls,
+        updates: Sequence[Tuple[PeerInfo, Collection, Collection]],
+        member_of: Optional[MemberOf],
+    ) -> Tuple[CoordinateColumn, List[Tuple[PeerInfo, Collection[int], Collection[int]]]]:
+        """``(column, updates)`` with ``selected`` and ``gained`` as stored
+        ids; a gained info wins a duplicate id within its update."""
+        if member_of is None:
+            member_of = MemberOf.adapt(chain.from_iterable(
+                (reference, *cls.merge_candidate_delta(selected, gained))
+                for reference, selected, gained in updates
+            ))
+            updates = [
+                (reference, [peer.peer_id for peer in selected], [peer.peer_id for peer in gained])
+                for reference, selected, gained in updates
+            ]
+        return member_of.column, updates
+
+    @staticmethod
+    def _origins(references: Sequence[PeerInfo]) -> Tuple[List[int], np.ndarray]:
+        """The references' ids and coordinates, one row each."""
+        origins = np.fromiter(
+            chain.from_iterable(reference.coordinates for reference in references),
+            dtype=np.float64,
+        ).reshape(len(references), -1)
+        return [reference.peer_id for reference in references], origins
+
+    @staticmethod
+    def _changed(
+        updates: Sequence[Tuple[PeerInfo, Collection[int], Collection[int]]],
+        results: Mapping[int, List[int]],
+    ) -> Dict[int, List[int]]:
+        """The additive results some gained id survives in: by path
+        independence, exactly the changed selections."""
+        return {
+            reference.peer_id: results[reference.peer_id]
+            for reference, _, gained in updates
+            if not set(gained).isdisjoint(results[reference.peer_id])
+        }
 
     @staticmethod
     def _exclude_reference(

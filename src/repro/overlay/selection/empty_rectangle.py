@@ -52,10 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["EmptyRectangleSelection", "brute_force_empty_rectangle_neighbours"]
 
 
-def _ids(peers: Sequence[PeerInfo]) -> List[int]:
-    return [peer.peer_id for peer in peers]
-
-
 class EmptyRectangleSelection(NeighbourSelectionMethod):
     """Keep every candidate whose bounding box with the reference peer is empty."""
 
@@ -122,11 +118,9 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         """
         if index is not None:
             return self._select_many_indexed(references, index)
-        rows = [candidates_by_peer[reference.peer_id] for reference in references]
-        if member_of is None:
-            member_of = MemberOf.adapt(chain(references, *rows))
-            rows = list(map(_ids, rows))
-        return self._select_batch(references, member_of.column, rows)
+        return self._select_batch(
+            references, *self._candidate_rows(references, candidates_by_peer, member_of)
+        )
 
     def _select_batch(
         self,
@@ -146,11 +140,7 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         """
         if not references:
             return {}
-        reference_ids = _ids(references)
-        origins = np.fromiter(
-            chain.from_iterable(reference.coordinates for reference in references),
-            dtype=np.float64,
-        ).reshape(len(references), -1)
+        reference_ids, origins = self._origins(references)
         selected = orthant_skylines(column, origins, reference_ids, rows, gained)
         return dict(zip(reference_ids, selected))
 
@@ -214,15 +204,9 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         temporary column (:meth:`MemberOf.adapt`), a gained info winning a
         duplicate id within its update.
         """
-        if member_of is None:
-            member_of = MemberOf.adapt(chain.from_iterable(
-                (reference, *self.merge_candidate_delta(selected, gained))
-                for reference, selected, gained in updates
-            ))
-            updates = [(reference, _ids(selected), _ids(gained))
-                       for reference, selected, gained in updates]
+        column, updates = self._additive_rows(updates, member_of)
         # The 2-D pass needs no flags, and the 2-D hot path builds none.
-        flags = None if member_of.column.dimension == 2 else np.fromiter(chain.from_iterable(
+        flags = None if column.dimension == 2 else np.fromiter(chain.from_iterable(
             chain(repeat(False, len(selected)), repeat(True, len(gained)))
             for _, selected, gained in updates
         ), dtype=bool)
@@ -230,15 +214,11 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         # full recomputes, and is counted as such.
         results = self._select_batch(
             [reference for reference, _, _ in updates],
-            member_of.column,
+            column,
             [[*selected, *gained] for _, selected, gained in updates],
             flags,
         )
-        return {
-            reference.peer_id: results[reference.peer_id]
-            for reference, _, gained in updates
-            if not set(gained).isdisjoint(results[reference.peer_id])
-        }
+        return self._changed(updates, results)
 
     def install_many(
         self,

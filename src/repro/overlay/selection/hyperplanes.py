@@ -12,6 +12,16 @@ specialisations:
 * :class:`~repro.overlay.selection.orthogonal.OrthogonalHyperplanesSelection`
 * :class:`~repro.overlay.selection.sign_vectors.SignCoefficientHyperplanesSelection`
 * :class:`~repro.overlay.selection.k_closest.KClosestSelection` (``H = 0``)
+
+One rule, two computations of it.  :meth:`HyperplanesSelection.select`
+over a candidate list is the literal scan.  With a distance named by a
+Minkowski norm (L1, L2, L-infinity), every batched entry point --
+``select_many``, ``select_many_additive``, ``select(index=)`` and
+``compute_equilibrium`` -- is one :func:`~repro.geometry.index.region_top_ks`
+call over a coordinate column, which computes the scan's signatures,
+distances and ``(distance, id)`` order, ties and points on a plane
+included.  A custom distance callable has no array form: its batches run
+the base class's loops over ``select``.
 """
 
 from __future__ import annotations
@@ -25,53 +35,26 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
-import numpy as np
-
 from repro.geometry.distance import DistanceFunction, get_distance
 from repro.geometry.hyperplane import HyperplaneSet
+from repro.geometry.index import region_top_ks
 from repro.overlay.peer import PeerInfo
 from repro.overlay.selection.base import MemberOf, NeighbourSelectionMethod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.index import SpatialIndex
+    from repro.geometry.index import CoordinateColumn, SpatialIndex
 
-__all__ = ["HyperplanesSelection", "minkowski"]
+__all__ = ["HyperplanesSelection"]
 
 HyperplaneSetFactory = Callable[[int], HyperplaneSet]
 
-# Minkowski orders of the distance names the numpy fast paths understand.
+# Minkowski orders of the distance names the array pass understands.
 MINKOWSKI_ORDERS = {"l1": 1.0, "manhattan": 1.0, "l2": 2.0, "euclidean": 2.0,
                     "linf": float("inf"), "chebyshev": float("inf")}
-
-# Below this many candidates the generic python selection beats building
-# numpy arrays; the batched APIs switch implementation per reference.
-VECTORISE_THRESHOLD = 48
-
-
-def minkowski(deltas: np.ndarray, order: float) -> np.ndarray:
-    """Row-wise Minkowski norm of a matrix of coordinate differences.
-
-    Columns are added left to right, squaring by multiplication for L2: the
-    order and the arithmetic of the python distance functions and of the
-    spatial index, so all three rank candidates byte-identically at every
-    dimension (numpy's ``.sum`` adds eight or more columns pairwise).
-    Supports the orders the named distances map to (1, 2 and infinity);
-    other orders are rejected rather than silently miscomputed.
-    """
-    magnitudes = np.abs(deltas)
-    if order == float("inf"):
-        return magnitudes.max(axis=1)
-    if order not in (1.0, 2.0):
-        raise ValueError(f"unsupported Minkowski order {order!r}; known: 1, 2, inf")
-    if order == 2.0:
-        magnitudes = magnitudes * magnitudes
-    total = magnitudes[:, 0].copy()
-    for column in magnitudes.T[1:]:
-        total += column
-    return np.sqrt(total) if order == 2.0 else total
 
 
 class HyperplanesSelection(NeighbourSelectionMethod):
@@ -98,13 +81,10 @@ class HyperplanesSelection(NeighbourSelectionMethod):
 
     @property
     def supports_index(self) -> bool:  # type: ignore[override]
-        """Indexed selection needs a distance with box lower bounds.
+        """Indexed selection is the array pass over the index's column.
 
-        The spatial index prunes subtrees through monotone Minkowski
-        distance bounds, so the index-backed path exists exactly when the
-        configured distance is one of the named Minkowski norms -- the same
-        condition that gates the numpy fast paths.  Arbitrary distance
-        callables fall back to the candidate-list scan.
+        It exists exactly when the configured distance is one of the named
+        Minkowski norms; arbitrary distance callables scan candidate lists.
         """
         return self._distance_order is not None
 
@@ -120,7 +100,7 @@ class HyperplanesSelection(NeighbourSelectionMethod):
         self._hyperplane_factory = hyperplane_factory
         self._k = k
         # Minkowski order of the distance when it is a norm known by name;
-        # the vectorised subclasses only take their numpy paths when set.
+        # the batched entry points take the array pass only when set.
         self._distance_order: Optional[float] = (
             MINKOWSKI_ORDERS.get(distance.strip().lower())
             if isinstance(distance, str)
@@ -165,7 +145,8 @@ class HyperplanesSelection(NeighbourSelectionMethod):
         index: "Optional[SpatialIndex]" = None,
     ) -> List[int]:
         if index is not None:
-            return self._select_indexed(reference, index)
+            self._check_index_support()
+            return self._select_batch([reference], index)[reference.peer_id]
         others = self._exclude_reference(reference, candidates)
         if not others:
             return []
@@ -190,9 +171,14 @@ class HyperplanesSelection(NeighbourSelectionMethod):
             selected.extend(peer.peer_id for peer in region_candidates[: self._k])
         return selected
 
-    #: ``(reference, candidates) -> ids``: the numpy selection of the instances
-    #: that have one (orthogonal, K-closest), for named Minkowski distances.
-    _select_vectorised: Optional[Callable[[PeerInfo, Sequence[PeerInfo]], List[int]]] = None
+    def compute_equilibrium(self, peers: Sequence[PeerInfo]) -> Dict[int, Set[int]]:
+        """Full knowledge: every peer against the whole population in one
+        pass (:meth:`_select_batch` over a temporary column), or the base
+        class's literal loop for a custom distance callable."""
+        if self._distance_order is None:
+            return super().compute_equilibrium(peers)
+        selected = self._select_batch(peers, MemberOf.adapt(peers).column)
+        return {peer_id: set(ids) for peer_id, ids in selected.items()}
 
     def select_many(
         self,
@@ -202,53 +188,18 @@ class HyperplanesSelection(NeighbourSelectionMethod):
         index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
-        """Batched selection; numpy per reference where an instance has it.
-
-        The numpy path assumes the well-formed inputs the overlay layer
-        provides and is only taken for large candidate sets where it pays
-        off; everything else goes through the generic per-peer loop.  With
-        an ``index`` every reference is one ``region_top_k`` query.
-        """
-        if self._distance_order is None or self._select_vectorised is None:
+        """Batched selection: one pass for a whole batch (:meth:`_select_batch`),
+        against the ``index``'s whole column or each reference's own
+        candidates, or the base class's loop for a custom distance."""
+        if self._distance_order is None:
             return super().select_many(
                 references, candidates_by_peer, index=index, member_of=member_of
             )
-        return self._select_many_dispatch(
-            references,
-            candidates_by_peer,
-            VECTORISE_THRESHOLD,
-            self._select_vectorised,
-            index=index,
-            member_of=member_of,
+        if index is not None:
+            return self._select_batch(references, index)
+        return self._select_batch(
+            references, *self._candidate_rows(references, candidates_by_peer, member_of)
         )
-
-    def _select_indexed(
-        self, reference: PeerInfo, index: "SpatialIndex"
-    ) -> List[int]:
-        """Per-region top-``K`` over the spatial index.
-
-        One :meth:`~repro.geometry.index.SpatialIndex.region_top_k` query
-        answers the whole selection: the index discovers the non-empty
-        regions and their ``K`` closest members by best-first traversal,
-        output-sensitive in ``regions x K`` instead of linear in the
-        candidate count.  The emission order matches the scan exactly --
-        regions in sorted signature order, members in ``(distance, peer
-        id)`` rank order.  Shared by the whole Hyperplanes family
-        (orthogonal, sign-coefficient and the ``H = 0`` K-closest instance,
-        whose single region makes this the classic nearest-``K`` query).
-        """
-        hyperplane_set = self.hyperplane_set(reference.dimension)
-        regions = index.region_top_k(
-            reference.coordinates,
-            hyperplane_set,
-            self._k,
-            order=self._distance_order,
-            exclude=(reference.peer_id,),
-        )
-        selected: List[int] = []
-        for signature in sorted(regions):
-            selected.extend(regions[signature])
-        return selected
 
     def select_many_additive(
         self,
@@ -256,71 +207,49 @@ class HyperplanesSelection(NeighbourSelectionMethod):
         *,
         member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
-        """Per-region top-``K`` delta rule for candidate sets that only gained.
+        """Per-region top-``K`` of ``selected + gained``, every update a row
+        of one pass.
 
-        The regions are independent and the per-region ranking is the strict
-        total order ``(distance, peer id)``, so a single gained candidate
-        ``Q`` can only affect *its own* region of the reference peer: the
-        new selection of that region is the top ``K`` of ``previous region
-        selection + Q``, and every other region is untouched.  Concretely:
-
-        * if the region already holds ``K`` members that all rank ahead of
-          ``Q``, the selection is unchanged (the reference is *omitted* from
-          the result, which callers read as "unchanged");
-        * otherwise ``Q`` enters and the now ``(K+1)``-th ranked member of
-          the region -- if any -- is evicted.
-
-        Updates with several gained candidates (gossip-limited rounds on
-        small neighbourhoods) fall back to a full ``select`` over ``selected
-        + gained``, which path independence makes exact.  The rule is shared
-        by the whole Hyperplanes family -- orthogonal, sign-coefficient and
-        the degenerate ``H = 0`` (K-closest, one region) instance.
+        Path independence makes ``selected + gained`` stand in for the full
+        candidate set of a clean reference.  Only changed selections are
+        returned: those some gained id survives in.  If none survives, every
+        region's top ``K`` is drawn from ``selected`` alone, which is
+        ``selected``.  A custom distance runs the base class's loop.
         """
-        results: Dict[int, List[int]] = {}
-        for reference, selected, gained in updates:
-            if member_of is not None:  # the rule ranks PeerInfo objects
-                selected = self._id_sorted(selected, member_of)
-                gained = self._id_sorted(gained, member_of)
-            gained_others = self._exclude_reference(reference, gained)
-            if not gained_others:
-                continue
-            selected_ids = {peer.peer_id for peer in selected}
-            if len(gained_others) > 1 or gained_others[0].peer_id in selected_ids:
-                results[reference.peer_id] = self.select(
-                    reference, self.merge_candidate_delta(selected, gained)
-                )
-                continue
-            gained_peer = gained_others[0]
-            hyperplane_set = self.hyperplane_set(reference.dimension)
-            signature = hyperplane_set.signature(
-                gained_peer.coordinates, reference=reference.coordinates
-            )
+        if self._distance_order is None:
+            return super().select_many_additive(updates, member_of=member_of)
+        column, updates = self._additive_rows(updates, member_of)
+        results = self._select_batch(
+            [reference for reference, _, _ in updates],
+            column,
+            [[*selected, *gained] for _, selected, gained in updates],
+        )
+        return self._changed(updates, results)
 
-            def rank(peer: PeerInfo) -> Tuple[float, int]:
-                return (
-                    self._distance(reference.coordinates, peer.coordinates),
-                    peer.peer_id,
-                )
-
-            region = [
-                peer
-                for peer in selected
-                if hyperplane_set.signature(
-                    peer.coordinates, reference=reference.coordinates
-                )
-                == signature
-            ]
-            ranked = sorted(region + [gained_peer], key=rank)
-            kept = ranked[: self._k]
-            if gained_peer not in kept:
-                continue
-            evicted = {peer.peer_id for peer in ranked[self._k :]}
-            new_selection = [
-                peer.peer_id for peer in selected if peer.peer_id not in evicted
-            ]
-            new_selection.append(gained_peer.peer_id)
-            results[reference.peer_id] = sorted(new_selection)
-        return results
+    def _select_batch(
+        self,
+        references: Sequence[PeerInfo],
+        column: "CoordinateColumn",
+        rows: Optional[Sequence[Collection[int]]] = None,
+    ) -> Dict[int, List[int]]:
+        """Every reference answered in one
+        :func:`~repro.geometry.index.region_top_ks` call over ``column``:
+        from its own row of stored ids (any order, a repeat harmless), or
+        from the whole column without ``rows``.  Origins are the references'
+        own coordinates, so a reference need not be stored."""
+        if not references:
+            return {}
+        reference_ids, origins = self._origins(references)
+        selected = region_top_ks(
+            column,
+            origins,
+            reference_ids,
+            self.hyperplane_set(references[0].dimension),
+            self._k,
+            self._distance_order,
+            rows,
+        )
+        return dict(zip(reference_ids, selected))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(k={self._k})"

@@ -18,7 +18,7 @@ from repro.geometry.distance import (
     minkowski_distance,
 )
 from repro.geometry.index import _point_distance
-from repro.overlay.selection.hyperplanes import minkowski
+from repro.geometry.index import minkowski
 
 A = (1.0, 2.0, 3.0)
 B = (4.0, 0.0, 3.0)

@@ -22,7 +22,13 @@ whole columns, drawn rows, additive rows with their gained flags -- and in
 two dimensions its pair pass, called directly, equals the packed pass.  The
 column's skyline table is built once per version of the column: kernel
 calls between the writes of a random history, re-inserts, moves onto
-another point and drains included, all equal the brute force.
+another point and drains included, all equal the brute force.  The
+Hyperplanes pass over the same column is held to
+``brute_force_region_top_k`` in the scan's emission order the same ways:
+``D = 1 .. 5``, the three named hyperplane sets and sloped ones, whole
+columns and drawn rows, and between the writes of a column's history.  The
+public ``region_top_k`` / ``nearest_k`` are that brute force over the
+stored points, one test each.
 """
 
 import math
@@ -45,6 +51,7 @@ from repro.geometry.index import (
     brute_force_orthant_skyline,
     brute_force_region_top_k,
     orthant_skylines,
+    region_top_ks,
 )
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.empty_rectangle import (
@@ -106,8 +113,8 @@ def _histories(
 def _replay(operations):
     """Apply a script to a fresh index and a plain dict mirror.
 
-    A query is poked in periodically *during* the history: the k-d tree is
-    built lazily on first query, so without this every final query would run
+    A skyline query is poked in periodically *during* the history: the k-d
+    tree is built lazily on first query, so without this every final query would run
     against a freshly built tree and the tombstone/buffer dynamisation --
     the riskiest code in the index -- would never be on the hook.  With it,
     mutations after the poke land in the tombstone set and the insert
@@ -128,8 +135,9 @@ def _replay(operations):
         _assert_column_is_the_point_store(index, mirror)
         if step % 7 == 2 and mirror:
             some_id = next(iter(mirror))
-            assert index.nearest_k(index.point(some_id), 1) == (
-                brute_force_nearest_k(mirror, mirror[some_id], 1)
+            signs = (1,) * index.dimension
+            assert index.orthant_skyline(index.point(some_id), signs) == (
+                brute_force_orthant_skyline(mirror, mirror[some_id], signs)
             )
     return index, mirror
 
@@ -161,6 +169,36 @@ def _column(mirror):
     for point_id, coords in mirror.items():
         column.insert(point_id, coords)
     return column
+
+
+def _emitted(regions):
+    """``brute_force_region_top_k``'s regions in ``select``'s emission
+    order: sorted signatures, each ranked by ``(distance, id)``."""
+    return [point_id for signature in sorted(regions) for point_id in regions[signature]]
+
+
+def _region_selection(points, origin, reference, hyperplane_set, k, order):
+    """The Hyperplanes scan over ``points`` (``id -> coords``), flattened."""
+    return _emitted(brute_force_region_top_k(
+        points, origin, hyperplane_set, k, order=order, exclude=(reference,)
+    ))
+
+
+def _hyperplane_sets(dimension):
+    """The three named instances and a few sloped planes, whose sides sum
+    non-zero terms on several axes."""
+    coefficient = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    sloped = st.lists(
+        st.tuples(*([coefficient] * dimension)).filter(any), min_size=1, max_size=3
+    ).map(lambda normals: HyperplaneSet(map(Hyperplane, normals), dimension=dimension))
+    return st.one_of(
+        st.sampled_from([
+            HyperplaneSet.empty(dimension),
+            HyperplaneSet.orthogonal(dimension),
+            HyperplaneSet.sign_coefficients(dimension),
+        ]),
+        sloped,
+    )
 
 
 def _assert_kernel_matches_brute_force(index, mirror):
@@ -652,6 +690,112 @@ def test_orthant_skylines_reads_flags_and_refuses_a_misshapen_origin():
             orthant_skylines(column, origins, references)
 
 
+@st.composite
+def _region_draws(draw):
+    """One ``region_top_ks`` input in ``D = 1 .. 5`` with the scan's answer.
+
+    Members sit on the small lattice (ties on every axis, and points
+    exactly on a plane through a reference); an axis may be constant for
+    everybody and two members may share every coordinate.  A reference is
+    a member (excluded by id) or a point of its own.  Rows hold every
+    member, or are drawn per reference: empty, with repeats, naming their
+    own reference.
+    """
+    dimension = draw(st.integers(min_value=1, max_value=5))
+    count = draw(st.integers(min_value=0, max_value=14))
+    ids = draw(st.lists(st.integers(0, 999), min_size=count, max_size=count, unique=True))
+    coords = [[draw(_COORDINATE) for _ in range(dimension)] for _ in ids]
+    flat_axis = draw(st.sampled_from([None, *range(dimension)]))
+    if flat_axis is not None:
+        for row in coords:
+            row[flat_axis] = 2.5
+    if count > 1 and draw(st.booleans()):
+        coords[1] = list(coords[0])
+    mirror = {point_id: tuple(row) for point_id, row in zip(ids, coords)}
+    references, origins = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if ids and draw(st.booleans()):
+            reference = draw(st.sampled_from(ids))
+            origin = mirror[reference]
+        else:
+            reference = 1000 + len(references)
+            origin = tuple(draw(_COORDINATE) for _ in range(dimension))
+        references.append(reference)
+        origins.append(origin)
+    rows = None
+    if draw(st.booleans()):
+        rows = [draw(st.lists(st.sampled_from(ids), max_size=count + 2)) if ids else []
+                for _ in references]
+        rows[0] = []
+        if ids and references[-1] in mirror:
+            rows[-1] = [*rows[-1], references[-1], *rows[-1]]
+    hyperplane_set = draw(_hyperplane_sets(dimension))
+    k, order = draw(st.integers(min_value=1, max_value=4)), draw(_ORDERS)
+    expected = [
+        _region_selection(
+            mirror if row is None else {point_id: mirror[point_id] for point_id in row},
+            origin, reference, hyperplane_set, k, order,
+        )
+        for origin, reference, row in zip(origins, references, rows or [None] * len(origins))
+    ]
+    origins = np.asarray(origins, dtype=float).reshape(-1, dimension)
+    return mirror, references, origins, rows, (hyperplane_set, k, order), expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(draw=_region_draws())
+def test_region_top_ks_is_the_scan_rule_in_emission_order(draw):
+    """The Hyperplanes pass equals ``brute_force_region_top_k`` -- the
+    scan's signatures, ``(distance, id)`` ranks and region order -- for
+    every reference, on lattice ties, on-plane points, an all-equal axis
+    and repeated points, for the orthogonal, sign-coefficient (121 planes
+    at ``D = 5``), empty and sloped sets under L1, L2 and L-infinity."""
+    mirror, references, origins, rows, (hyperplane_set, k, order), expected = draw
+    assert region_top_ks(
+        _column(mirror), origins, references, hyperplane_set, k, order, rows
+    ) == expected
+
+
+def test_region_codes_outlast_int64_by_re_ranking():
+    """Sign-coefficient sets have 40 planes at ``D = 4`` and 121 at
+    ``D = 5``: more sides than one ``int64`` code holds.  Points on a grid
+    land in many regions, which still come out in sorted-signature order."""
+    for dimension in (4, 5):
+        hyperplane_set = HyperplaneSet.sign_coefficients(dimension)
+        rng = np.random.default_rng(dimension)
+        mirror = {point_id: tuple(row) for point_id, row in enumerate(
+            (rng.integers(-3, 4, (60, dimension)) / 2.0).tolist())}
+        origin = (0.25,) * dimension
+        selected = region_top_ks(
+            _column(mirror), np.asarray([origin]), [-1], hyperplane_set, 1, 2.0
+        )
+        expected = _region_selection(mirror, origin, -1, hyperplane_set, 1, 2.0)
+        assert selected == [expected] and len(expected) > 20
+
+
+def test_region_top_ks_refuses_what_the_scan_cannot_rank():
+    mirror = {4: (0.0, 1.0), 2: (1.0, 0.0), 6: (2.0, 2.0)}
+    column, references = _column(mirror), list(mirror)
+    origins = np.asarray(list(mirror.values()))
+    orthogonal = HyperplaneSet.orthogonal(2)
+    with pytest.raises(ValueError, match="one 2-D row per reference"):
+        region_top_ks(column, origins[:, :1], references, orthogonal, 1, 2.0)
+    with pytest.raises(ValueError, match="hyperplane set dimension 3"):
+        region_top_ks(column, origins, references, HyperplaneSet.orthogonal(3), 1, 2.0)
+    with pytest.raises(ValueError, match="k must be"):
+        region_top_ks(column, origins, references, orthogonal, 0, 2.0)
+    with pytest.raises(ValueError, match="Minkowski"):
+        region_top_ks(column, origins, references, orthogonal, 1, 3.0)
+    poisoned = origins.copy()
+    poisoned[1, 1] = math.nan
+    with pytest.raises(ValueError, match="reference 2 has a NaN"):
+        region_top_ks(column, poisoned, references, orthogonal, 1, 2.0)
+    with pytest.raises(KeyError, match="9"):
+        region_top_ks(column, origins, references, orthogonal, 1, 2.0, [[4], [9], []])
+    assert region_top_ks(CoordinateColumn(), origins, references, orthogonal, 1, 2.0,
+                         [[], [], []]) == [[], [], []]
+
+
 def _assert_column_call_matches_brute_force(column, mirror, dimension, data):
     """One kernel call over ``column``, which holds ``mirror``: up to four
     stored references and one free point, each against the whole column or
@@ -667,18 +811,28 @@ def _assert_column_call_matches_brute_force(column, mirror, dimension, data):
     selected = orthant_skylines(
         column, np.asarray(origins, dtype=float), references, rows
     )
-    for row, (reference, origin, chosen) in enumerate(zip(references, origins, selected)):
+    # The region rule itself is drawn widely elsewhere; here it only has to
+    # read the column as it is now.
+    hyperplane_set = HyperplaneSet.orthogonal(dimension)
+    k, order = data.draw(st.integers(1, 3)), data.draw(_ORDERS)
+    regions = region_top_ks(
+        column, np.asarray(origins, dtype=float), references, hyperplane_set, k, order, rows
+    )
+    for row, (reference, origin, chosen, ranked) in enumerate(
+        zip(references, origins, selected, regions)
+    ):
         members = mirror if rows is None else {point_id: mirror[point_id]
                                                for point_id in rows[row]}
         assert chosen == _brute_selection(members, origin, reference)
+        assert ranked == _region_selection(members, origin, reference, hyperplane_set, k, order)
 
 
 @settings(max_examples=80, deadline=None)
 @given(dimension=st.integers(min_value=1, max_value=3), data=st.data())
 def test_column_kernel_follows_every_write_of_its_column(dimension, data):
-    """Kernel calls between the writes of one column's history, each held to
-    the brute force: a table that outlived a write would answer for the
-    column as it was.  The history re-inserts removed ids, moves points
+    """Calls of both kernels between the writes of one column's history,
+    each held to the brute force: a table that outlived a write would
+    answer for the column as it was.  The history re-inserts removed ids, moves points
     onto other points' coordinates and drains the column to empty; a call
     with no write before it reads the table the last call built."""
     point = st.tuples(*([_COORDINATE] * dimension))
@@ -812,9 +966,9 @@ def test_queries_stay_exact_after_drain_and_regrowth(history, data):
     assert len(index) == 0
     assert index.dimension == dimension  # retained across the drain
     assert index.ids() == []
-    assert index.nearest_k((0.0,) * dimension, 3) == []
+    empty = HyperplaneSet.empty(dimension)
+    assert region_top_ks(index, np.zeros((1, dimension)), [-1], empty, 3, 2.0) == [[]]
     assert index.orthant_skyline((0.0,) * dimension, (1,) * dimension) == []
-    assert index.region_top_k((0.0,) * dimension, None, 2) == {}
     _assert_column_is_the_point_store(index, {})
     regrown = {}
     # Ids the drain removed come back first, then fresh ones.
@@ -825,14 +979,16 @@ def test_queries_stay_exact_after_drain_and_regrowth(history, data):
         regrown[point_id] = coords
     _assert_column_is_the_point_store(index, regrown)
     origin = tuple(data.draw(_COORDINATE) for _ in range(dimension))
-    assert index.nearest_k(origin, 4) == brute_force_nearest_k(regrown, origin, 4)
+    nearest = region_top_ks(index, np.asarray([origin]), [-1], empty, 4, 2.0)
+    assert nearest == [brute_force_nearest_k(regrown, origin, 4)]
     signs = tuple(data.draw(st.sampled_from([-1, 1])) for _ in range(dimension))
     assert index.orthant_skyline(origin, signs) == (
         brute_force_orthant_skyline(regrown, origin, signs)
     )
-    assert index.region_top_k(origin, None, 3) == (
-        brute_force_region_top_k(regrown, origin, None, 3)
-    )
+    orthogonal = HyperplaneSet.orthogonal(dimension)
+    assert region_top_ks(index, np.asarray([origin]), [-1], orthogonal, 3, 1.0) == [
+        _region_selection(regrown, origin, -1, orthogonal, 3, 1.0)
+    ]
 
 
 def test_duplicate_coordinates_are_first_class():
@@ -844,13 +1000,16 @@ def test_duplicate_coordinates_are_first_class():
     mirror = {5: (2.0, 2.0), 1: (2.0, 2.0), 9: (2.0, 2.0), 3: (2.0, 2.0), 7: (4.0, 2.0)}
     _assert_column_is_the_point_store(index, mirror)
     # Every duplicate is its own row, and the whole group, on both planes
-    # through the origin, forms one zero-signature region.
-    assert index.region_top_k((2.0, 2.0), HyperplaneSet.orthogonal(2), 5) == {
-        (0, 0): [1, 3, 5, 9], (1, 0): [7]
-    }
-    # (distance, id) ranking: duplicates of the origin come first, id order.
-    assert index.nearest_k((2.0, 2.0), 3) == [1, 3, 5]
-    assert index.nearest_k((2.0, 2.0), 3, exclude={1, 3}) == [5, 9, 7]
+    # through the origin, forms one zero-signature region, emitted first.
+    origin = np.asarray([(2.0, 2.0)])
+    assert region_top_ks(index, origin, [-1], HyperplaneSet.orthogonal(2), 5, 2.0) == [
+        [1, 3, 5, 9, 7]
+    ]
+    # (distance, id) ranking: duplicates of the origin come first, id order;
+    # a duplicate that is the reference is excluded by id, not position.
+    empty = HyperplaneSet.empty(2)
+    assert region_top_ks(index, origin, [-1], empty, 3, 2.0) == [[1, 3, 5]]
+    assert region_top_ks(index, origin, [3], empty, 3, 2.0, [[9, 3, 7, 5, 9]]) == [[5, 9, 7]]
     # Mutual non-strict dominance between identical points: the scan keeps
     # the first in lexicographic (key, id) order, and so must the index.
     got = index.orthant_skyline((1.0, 1.0), (1, 1))
@@ -872,16 +1031,15 @@ def test_collinear_points_skyline_and_regions():
             brute_force_orthant_skyline(mirror, origin, signs)
         )
     hyperplane_set = HyperplaneSet.orthogonal(2)
-    assert index.region_top_k(origin, hyperplane_set, 2) == (
-        brute_force_region_top_k(mirror, origin, hyperplane_set, 2)
-    )
+    assert region_top_ks(index, np.asarray([origin]), [-1], hyperplane_set, 2, 2.0) == [
+        _region_selection(mirror, origin, -1, hyperplane_set, 2, 2.0)
+    ]
     # Every point is exactly on this plane through (anything, 3.0): one
-    # zero-signature region, whole.
+    # zero-signature region, whole, ranked by distance from x = 0.
     on_the_line = HyperplaneSet([Hyperplane((0.0, 1.0))], dimension=2)
-    assert index.region_top_k((0.0, 3.0), on_the_line, 24) == {(0,): list(range(24))}
-    assert index.region_top_k((0.0, 3.0), on_the_line, 24) == (
-        brute_force_region_top_k(mirror, (0.0, 3.0), on_the_line, 24)
-    )
+    assert region_top_ks(index, np.asarray([(0.0, 3.0)]), [-1], on_the_line, 24, 2.0) == [
+        list(range(24))
+    ]
 
 
 def test_maintenance_error_paths():
@@ -901,16 +1059,8 @@ def test_maintenance_error_paths():
     _assert_column_is_the_point_store(index, {1: (0.0, 0.0)})
     with pytest.raises(ValueError, match="origin dimension 3"):
         index.orthant_skyline((0.0, 0.0, 0.0), (1, 1, 1))
-    with pytest.raises(ValueError, match="origin dimension 3"):
-        index.region_top_k((0.0, 0.0, 0.0), None, 1)
-    with pytest.raises(ValueError, match="hyperplane set dimension 3"):
-        index.region_top_k((0.0, 0.0), HyperplaneSet.orthogonal(3), 1)
     with pytest.raises(ValueError, match="orthant signs"):
         index.orthant_skyline((0.0, 0.0), (1, 0))
-    with pytest.raises(ValueError, match="k must be"):
-        index.region_top_k((0.0, 0.0), None, 0)
-    with pytest.raises(ValueError, match="Minkowski"):
-        index.nearest_k((0.0, 0.0), 1, order=3.0)
     assert index.point(1) == (0.0, 0.0)
     assert 1 in index and 99 not in index
 
@@ -930,7 +1080,7 @@ def test_stale_tree_answers_through_tombstones_and_buffer():
         coords = (float(point_id % 11), float(point_id % 7), float(point_id) / 3)
         index.insert(point_id, coords)
         mirror[point_id] = coords
-    index.nearest_k((0.0, 0.0, 0.0), 1)  # builds the tree
+    index.orthant_skyline((0.0, 0.0, 0.0), (1, 1, 1))  # builds the tree
     assert index.rebuilds == 1
     for point_id in range(0, 20, 2):  # 10 tombstones
         index.remove(point_id)
@@ -944,22 +1094,19 @@ def test_stale_tree_answers_through_tombstones_and_buffer():
         index.move(point_id, coords)
         mirror[point_id] = coords
     origin = (4.0, 3.0, 2.0)
-    assert index.nearest_k(origin, 7) == brute_force_nearest_k(mirror, origin, 7)
     for signs in ((1, 1, 1), (-1, 1, -1)):
         assert index.orthant_skyline(origin, signs) == (
             brute_force_orthant_skyline(mirror, origin, signs)
         )
-    hyperplane_set = HyperplaneSet.orthogonal(3)
-    assert index.region_top_k(origin, hyperplane_set, 2) == (
-        brute_force_region_top_k(mirror, origin, hyperplane_set, 2)
-    )
-    sloped = HyperplaneSet([Hyperplane((1.0, -1.0, 0.5))], dimension=3)
-    assert index.region_top_k(origin, sloped, 4, order=1.0) == (
-        brute_force_region_top_k(mirror, origin, sloped, 4, order=1.0)
-    )
-    assert index.nearest_k(origin, len(mirror) + 5) == (
-        brute_force_nearest_k(mirror, origin, len(mirror) + 5)
-    )
+    # The Hyperplanes pass reads the column, which every write kept exact.
+    for hyperplane_set, k, order in (
+        (HyperplaneSet.orthogonal(3), 2, 2.0),
+        (HyperplaneSet([Hyperplane((1.0, -1.0, 0.5))], dimension=3), 4, 1.0),
+        (HyperplaneSet.empty(3), len(mirror) + 5, 2.0),
+    ):
+        assert region_top_ks(index, np.asarray([origin]), [-1], hyperplane_set, k, order) == [
+            _region_selection(mirror, origin, -1, hyperplane_set, k, order)
+        ]
     _assert_column_is_the_point_store(index, mirror)
     assert index.rebuilds == 1  # everything above ran against the stale tree
 
@@ -972,12 +1119,14 @@ def test_rebuild_amortisation_is_observable():
         coords = (float(point_id % 17), float(point_id % 13))
         index.insert(point_id, coords)
         mirror[point_id] = coords
-    index.nearest_k((0.0, 0.0), 1)  # builds the tree
+    index.orthant_skyline((0.0, 0.0), (1, 1))  # builds the tree
     built = index.rebuilds
     for point_id in range(100):
         index.remove(point_id)
         del mirror[point_id]
     origin = (8.0, 6.0)
-    assert index.nearest_k(origin, 5) == brute_force_nearest_k(mirror, origin, 5)
+    assert index.orthant_skyline(origin, (-1, 1)) == (
+        brute_force_orthant_skyline(mirror, origin, (-1, 1))
+    )
     assert index.rebuilds > built  # the deletion wave crossed the threshold
     assert not math.isnan(index.point(150)[0])

@@ -1,8 +1,20 @@
-"""Unit tests for the Hyperplanes selection family and the registry."""
+"""Unit tests for the Hyperplanes selection family and the registry.
+
+On a lattice, where coordinates tie and candidates sit on a reference's
+planes, the family's array pass, its scan, the literal equilibrium loop, the
+engine and the sweep oracle all agree.
+"""
+
+import random
+from itertools import product
 
 import pytest
+from sweep_oracle import sweep_build
 
+from repro.geometry import index as index_module
 from repro.geometry.hyperplane import HyperplaneSet
+from repro.overlay.network import OverlayNetwork
+from repro.overlay.selection.base import NeighbourSelectionMethod
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.peer import make_peer
 from repro.overlay.selection import (
@@ -64,13 +76,14 @@ class TestOrthogonalHyperplanesSelection:
         assert by_l1 == [2]
         assert by_linf == [1]
 
-    def test_equilibrium_matches_generic_path(self, peers_2d):
+    def test_equilibrium_matches_the_literal_loop(self, peers_2d):
         selection = OrthogonalHyperplanesSelection(k=2)
-        fast = selection.compute_equilibrium(peers_2d)
-        generic = HyperplanesSelection(HyperplaneSet.orthogonal, k=2).compute_equilibrium(
-            peers_2d
-        )
-        assert fast == generic
+        literal = NeighbourSelectionMethod.compute_equilibrium(selection, peers_2d)
+        assert selection.compute_equilibrium(peers_2d) == literal
+        custom = HyperplanesSelection(
+            HyperplaneSet.orthogonal, k=2, distance=selection.distance
+        )  # a distance callable: the base class's loop
+        assert custom.compute_equilibrium(peers_2d) == literal
 
     def test_equilibrium_empty_population(self):
         assert OrthogonalHyperplanesSelection(k=1).compute_equilibrium([]) == {}
@@ -172,9 +185,8 @@ class TestSelectAdditive:
         additive = selection.select_additive(reference, selected, gained)
         assert sorted(additive) == sorted(selection.select(reference, others))
 
-    def test_matches_the_full_selection_via_fallback(self):
-        # The hyperplane family is path independent but has no vectorised
-        # delta rule: select_additive falls back to selected + gained.
+    def test_matches_the_full_selection_over_selected_and_gained(self):
+        # Path independence: top K per region of selected + gained.
         selection = OrthogonalHyperplanesSelection(k=2)
         reference, others, selected, gained = self._pair(selection, dimension=3)
         additive = selection.select_additive(reference, selected, gained)
@@ -187,3 +199,86 @@ class TestSelectAdditive:
         # A gained candidate boxed out by the selected one: no change.
         additive = selection.select_additive(reference, selected, [make_peer(2, (5.0, 5.0))])
         assert additive == [1]
+
+    def test_one_additive_call_is_one_pass(self, monkeypatch):
+        """20 rows of one ``select_many_additive`` call run one array pass and
+        no ``select``; every row -- returned or omitted as unchanged -- is
+        the scan over ``selected + gained``, a gain listed twice included."""
+        selection = OrthogonalHyperplanesSelection(k=2)
+        peers = generate_peers(60, 3, seed=77)
+        rng = random.Random(77)
+        updates = []
+        for reference in peers[:20]:
+            others = [peer for peer in peers if peer.peer_id != reference.peer_id]
+            base = rng.sample(others, 25)
+            chosen = set(selection.select(reference, base))
+            selected = [peer for peer in base if peer.peer_id in chosen]
+            gained = rng.sample([peer for peer in others if peer.peer_id not in chosen], 3)
+            updates.append((reference, selected, gained + gained[:1]))
+        expected = {
+            reference.peer_id: selection.select(
+                reference, selection.merge_candidate_delta(selected, gained)
+            )
+            for reference, selected, gained in updates
+        }
+
+        calls = {"pass": 0, "select": 0}
+        one_pass = index_module._region_pass
+
+        def counted_pass(*args):
+            calls["pass"] += 1
+            return one_pass(*args)
+
+        def counted_select(self, *args, **kwargs):
+            calls["select"] += 1
+            raise AssertionError("an additive row went through select()")
+
+        monkeypatch.setattr(index_module, "_region_pass", counted_pass)
+        monkeypatch.setattr(HyperplanesSelection, "select", counted_select)
+        changed = selection.select_many_additive(updates)
+        assert calls == {"pass": 1, "select": 0}
+        assert changed
+        for reference, selected, gained in updates:
+            unchanged = sorted(peer.peer_id for peer in selected)
+            if reference.peer_id in changed:
+                assert changed[reference.peer_id] == expected[reference.peer_id]
+            else:
+                assert sorted(expected[reference.peer_id]) == unchanged
+
+
+def _lattice(count, seed):
+    """``count`` peers on distinct cells of an 8 x 8 integer lattice: every
+    axis ties, and many candidates sit on a reference's planes."""
+    cells = random.Random(seed).sample(list(product(range(8), repeat=2)), count)
+    return [make_peer(peer_id, tuple(map(float, cell))) for peer_id, cell in enumerate(cells)]
+
+
+class TestTiesOnALattice:
+    def test_select_many_over_59_candidates_equals_select(self):
+        reference = make_peer(100, (3.0, 3.0))
+        candidates = [peer for peer in _lattice(64, 4) if peer.coordinates != (3.0, 3.0)][:59]
+        selection = OrthogonalHyperplanesSelection(k=2)
+        batched = selection.select_many([reference], {100: candidates})
+        assert batched[100] == selection.select(reference, candidates)
+
+    @pytest.mark.parametrize("selection", [
+        OrthogonalHyperplanesSelection(k=2),
+        SignCoefficientHyperplanesSelection(k=1),
+        KClosestSelection(k=3, distance="l1"),
+    ], ids=type)
+    def test_build_equilibrium_is_the_literal_loop(self, selection):
+        for seed in (1, 2, 3):
+            peers = _lattice(40, seed)
+            literal = NeighbourSelectionMethod.compute_equilibrium(selection, peers)
+            overlay = OverlayNetwork.build_equilibrium(peers, selection)
+            assert overlay.directed_neighbour_map() == literal
+
+    def test_insertion_under_a_gossip_radius_equals_the_sweep(self):
+        peers = _lattice(60, 3)
+        built = OverlayNetwork.build_incremental(
+            peers, OrthogonalHyperplanesSelection(k=2), gossip_radius=3, rng=random.Random(3)
+        )
+        swept = sweep_build(
+            peers, OrthogonalHyperplanesSelection(k=2), rng=random.Random(3), gossip_radius=3
+        )
+        assert built.directed_neighbour_map() == swept.directed_neighbour_map()
