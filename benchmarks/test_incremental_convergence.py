@@ -11,11 +11,14 @@ an engine that stopped skipping clean peers would read like the sweep).  The
 counts repeat exactly for a seed; the wall time is printed, not asserted.
 At churn scale (``N = 1000``) the same build is timed.
 
-Outside two dimensions, the Figure 1 cells ``N = 400, D = 3`` and ``N = 300,
-D = 5`` are built by insertion under absolute wall budgets (``slow``, in the
-weekly job): an additive update there once went through a per-reference
-numpy loop and the builds ran 7-12x slower with every count unchanged.  So
-are two Orthogonal Hyperplanes cells of the Section 3 sweep, ``N = 300, D =
+Outside two dimensions, the Figure 1 cells ``N = 400, D = 3``, ``N = 300,
+D = 5`` and ``N = 1000, D = 3`` are built by insertion under absolute wall
+budgets (``slow``, in the weekly job), each map checked against
+``build_equilibrium``: an additive update there once went through a
+per-reference numpy loop and the builds ran 7-12x slower with every count
+unchanged, and a whole-column full recompute there is the presorted skyline
+pass, whose cells take many rounds at these sizes.  So are two Orthogonal
+Hyperplanes cells of the Section 3 sweep, ``N = 300, D =
 10, K = 5`` and ``N = 1000, D = 3, K = 2``, each map checked against the
 literal per-peer loop: a per-pair Python additive rule and a k-d region
 walk once took 184 s and 76 s there.
@@ -43,10 +46,10 @@ _RESELECTION_CEILINGS = {60: 1_000, 150: 3_600, 100: 2_000, 300: 9_000}
 _CHURN_SCALE_SIZE = {"smoke": 300, "bench": 1000, "paper": 1000}
 
 # (N, D, wall budget in seconds) of the Figure 1 cells built outside two
-# dimensions: about three times the 2.1 s and 5.2 s they took on a shared
-# 2-vCPU x86-64 box, so a slower runner does not flake and the old
-# per-reference path (15.0 s and 62.1 s there) cannot pass.
-_FIGURE1_CELLS = ((400, 3, 6.0), (300, 5, 16.0))
+# dimensions: about three times the 2.1 s, 5.2 s and 4.7-5.5 s they took on a
+# shared 2-vCPU x86-64 box, so a slower runner does not flake and the old
+# per-reference path (15.0 s and 62.1 s for the first two there) cannot pass.
+_FIGURE1_CELLS = ((400, 3, 6.0), (300, 5, 16.0), (1000, 3, 15.0))
 
 # (N, D, K) of the Orthogonal Hyperplanes cells built by insertion, each under
 # a 25 s wall budget: about three times the 8.5-9.0 s both took on the same

@@ -68,12 +68,12 @@ def test_indexed_convergence_meets_its_budget_with_identical_fixed_point(scale):
     assert overlay.directed_neighbour_map() == witness.directed_neighbour_map()
     expected = StabilityTreeBuilder().build(overlay.snapshot())
     assert maintainer.engine.parent_map() == dict(expected.preferred)
-    assert overlay.index is not None and overlay.index.ids() == overlay.peer_ids
+    assert overlay.index is not None
+    assert sorted(overlay.index.columns()[0].tolist()) == overlay.peer_ids
 
     print_report(
         f"Index-backed convergence [N={_PEER_COUNT}, D={_DIMENSION}]",
         f"rounds: {rounds}; converge {converge_seconds:.2f}s, churn {churn_seconds:.2f}s",
-        f"kd-tree rebuilds: {overlay.index.rebuilds}",
         f"wall: {total:.2f}s (budget {_WALL_BUDGET_SECONDS}s)",
     )
     assert total <= _WALL_BUDGET_SECONDS, (

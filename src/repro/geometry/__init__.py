@@ -16,8 +16,8 @@ rest of the library is written in:
   Orthogonal Hyperplanes method) and their conversion to hyper-rectangles.
 * :mod:`repro.geometry.index` -- the coordinate column every overlay owns,
   the two batched selection kernels that read it (empty-rectangle skylines,
-  Hyperplanes per-region top-``K``) and the spatial index (the column plus a
-  k-d tree for the ``D >= 3`` skyline) of a full-knowledge overlay.
+  Hyperplanes per-region top-``K``) and the spatial index, the name that
+  column has in a full-knowledge overlay.
 """
 
 from repro.geometry.point import Point, as_point, validate_coordinates

@@ -4,10 +4,11 @@ The paper's selection rules ask a full-knowledge candidate set -- every
 alive peer -- exactly two geometric questions: the per-orthant
 empty-rectangle skyline (Section 2) and the per-region top-``K`` of the
 Hyperplanes family.  A scan answers each by walking the whole population,
-``O(N)`` per reference.  :class:`SpatialIndex` is the one structure that
-answers them instead.  Its owner is the full-knowledge
+``O(N)`` per reference in Python.  This module answers them as array
+passes over a coordinate column instead; the full-knowledge
 :class:`~repro.overlay.network.OverlayNetwork` of a method with
-``supports_index``, and its only reader is that method.
+``supports_index`` owns that column as a :class:`SpatialIndex`, and its
+only reader is that method.
 
 Division of labour
 ------------------
@@ -17,23 +18,18 @@ Division of labour
   kernels read, each answering many references at once as array passes,
   every reference against the whole column or against its own row of
   stored ids: :func:`orthant_skylines` (the empty-rectangle rule: packed
-  ranks in two dimensions, pair tests per (row, orthant) cell elsewhere)
-  and :func:`region_top_ks` (the Hyperplanes family: one sort by
-  ``(row, region, distance, id)``).  An overlay owns exactly one column in
-  either knowledge regime -- the index itself under full knowledge, a bare
-  column under a gossip radius -- and the column caches what the passes
-  derive from its points alone, so the kernel calls of every round of one
+  ranks in two dimensions; elsewhere one presorted pass over a whole
+  column and pair tests per (row, orthant) cell over rows) and
+  :func:`region_top_ks` (the Hyperplanes family: one sort by ``(row,
+  region, distance, id)``).  An overlay owns exactly one column in either
+  knowledge regime -- the index itself under full knowledge, a bare column
+  under a gossip radius -- and the column caches what the passes derive
+  from its points alone, so the kernel calls of every round of one
   converge share that set-up;
-* the **k-d tree** serves only the empty-rectangle skyline in ``D >= 3``
-  against the whole column (:meth:`~SpatialIndex.orthant_skyline`, by
-  best-first branch-and-bound), where a pair pass would compare far more
-  than the walk visits.  It is rebuilt lazily: mutations go into a
-  tombstone set / pending-insert buffer that every query folds in exactly,
-  and the tree is rebuilt from scratch only once the stale fraction passes
-  a threshold -- so churn costs ``O(1)`` per event amortised, and queries
-  stay exact at every moment in between.  :meth:`~SpatialIndex.region_top_k`
-  and :meth:`~SpatialIndex.nearest_k` are the literal brute force over the
-  stored points; no selection path calls them.
+* :class:`SpatialIndex` is that column under full knowledge, by name.  Its
+  :meth:`~SpatialIndex.orthant_skyline`, :meth:`~SpatialIndex.region_top_k`
+  and :meth:`~SpatialIndex.nearest_k` are the literal brute force over its
+  rows; no selection path calls them.
 
 Byte-identical contract
 -----------------------
@@ -44,13 +40,14 @@ keys (sign-flipped raw coordinates for skylines, per-axis deltas for
 distances and hyperplane sides), same sequential left-to-right float
 summation of distances and of hyperplane sides, same ``(distance, peer
 id)`` tie-break, same lexicographic ``(key, peer id)`` skyline order, same
-non-strict dominance.  Branch-and-bound bounds are computed with monotone
-floating-point operations only (each bound is the same formula evaluated
-at a per-axis clamped coordinate), so pruning can never cut a point a scan
-would have kept.  The hypothesis suites in ``tests/geometry`` and
-``tests/overlay`` hold the index to exactly this: every query equals its
-brute-force twin, and index-backed overlays reach the fixed points of
-``build_equilibrium`` and the synchronous-sweep oracle.
+non-strict dominance.  Where a pass orders members by a float sum of their
+keys (:func:`_sorted_pass`), the sum only decides which member is taken
+first: addition is monotone, so a dominator never sorts after what it
+dominates, and no survivor depends on how a sum rounds.  The hypothesis
+suites in ``tests/geometry`` and ``tests/overlay`` hold the index to
+exactly this: every query equals its brute-force twin, and index-backed
+overlays reach the fixed points of ``build_equilibrium`` and the
+synchronous-sweep oracle.
 
 The module-level ``brute_force_*`` functions are those twins: literal
 restatements of each query over a plain id -> coordinates mapping, used by
@@ -59,11 +56,10 @@ the property tests as ground truth.
 
 from __future__ import annotations
 
-import heapq
 import math
 from itertools import chain
 from typing import (
-    Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+    Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 )
 
 import numpy as np
@@ -84,15 +80,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-# A leaf of the k-d tree holds at most this many points; below it the
-# per-node bookkeeping costs more than the brute scan it saves.
-_LEAF_SIZE = 16
-
-# The tree is rebuilt once tombstones + buffered inserts exceed
-# max(_REBUILD_MINIMUM, population / _REBUILD_DIVISOR).
-_REBUILD_MINIMUM = 32
-_REBUILD_DIVISOR = 4
 
 # Rows the coordinate column starts with; it doubles when full.
 _COLUMN_ROWS = 64
@@ -164,51 +151,6 @@ def minkowski(deltas: np.ndarray, order: float) -> np.ndarray:
     for column in magnitudes.T[1:]:
         total += column
     return np.sqrt(total) if order == 2.0 else total
-
-
-class _KDNode:
-    """One node of the k-d tree: a bounding box plus children or a leaf list."""
-
-    __slots__ = ("lower", "upper", "left", "right", "ids")
-
-    def __init__(
-        self,
-        lower: Tuple[float, ...],
-        upper: Tuple[float, ...],
-        *,
-        left: "Optional[_KDNode]" = None,
-        right: "Optional[_KDNode]" = None,
-        ids: Optional[Tuple[int, ...]] = None,
-    ) -> None:
-        self.lower = lower
-        self.upper = upper
-        self.left = left
-        self.right = right
-        self.ids = ids
-
-
-def _build_kd(
-    ids: List[int], coords: Mapping[int, Point], dimension: int
-) -> Optional[_KDNode]:
-    """Recursive median build: split the widest axis, leaves of ``_LEAF_SIZE``."""
-    if not ids:
-        return None
-    lower = [min(coords[i][axis] for i in ids) for axis in range(dimension)]
-    upper = [max(coords[i][axis] for i in ids) for axis in range(dimension)]
-    node = _KDNode(tuple(lower), tuple(upper))
-    if len(ids) <= _LEAF_SIZE:
-        node.ids = tuple(ids)
-        return node
-    axis = max(range(dimension), key=lambda a: upper[a] - lower[a])
-    if upper[axis] == lower[axis]:
-        # Every point identical on every axis (duplicates): nothing to split.
-        node.ids = tuple(ids)
-        return node
-    ordered = sorted(ids, key=lambda i: (coords[i][axis], i))
-    half = len(ordered) // 2
-    node.left = _build_kd(ordered[:half], coords, dimension)
-    node.right = _build_kd(ordered[half:], coords, dimension)
-    return node
 
 
 class CoordinateColumn:
@@ -317,88 +259,44 @@ class CoordinateColumn:
 
 
 class SpatialIndex(CoordinateColumn):
-    """A :class:`CoordinateColumn` plus a k-d tree over the same points.
+    """The full-knowledge overlay's :class:`CoordinateColumn`, by name.
 
-    Maintenance is exact and cheap: ``insert``/``remove``/``move`` update
-    the column and a point store in ``O(1)`` and defer k-d tree work to a
-    tombstone set and an insert buffer that queries fold in; the tree itself
-    is rebuilt only when the stale fraction passes a threshold.  Queries are
-    therefore always answered against the *current* point set, a drained
-    index included (it keeps its dimension).
+    The batched kernels read its rows like any column's.  Its three query
+    methods are the literal ``brute_force_*`` definitions over those rows,
+    kept with their argument checks for callers that ask one question at a
+    time (the benchmark ledger patches them by name); no selection path
+    calls them.  A drained index keeps its dimension.
     """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._points: Dict[int, Point] = {}
-        # K-d tree + dynamisation state.
-        self._tree: Optional[_KDNode] = None
-        self._tombstones: Set[int] = set()
-        self._buffer: Dict[int, Point] = {}
-        self._rebuilds = 0
 
     @property
     def rebuilds(self) -> int:
-        """K-d tree rebuilds performed so far (amortisation observability).
+        """Always 0: the index keeps no structure besides its rows.
 
         The benchmark ledger reads it as ``index.rebuilds``."""
-        return self._rebuilds
+        return 0
 
     def ids(self) -> List[int]:
         """All indexed ids, sorted."""
-        return sorted(self._points)
+        return sorted(self._row_of)
 
     def point(self, point_id: int) -> Point:
-        """Coordinates of one indexed point, as the tuple that was stored."""
-        return self._points[point_id]
+        """Coordinates of one indexed point, read from its row."""
+        return Point(self._row_coords[self._row_of[point_id]].tolist())
 
-    def insert(self, point_id: int, coordinates: CoordinateLike) -> Point:
-        """Add one point; rejects duplicate ids and mixed dimensions."""
-        point = super().insert(point_id, coordinates)
-        self._points[point_id] = point
-        if self._tree is not None:
-            # Queries read the id from the buffer; a tombstoned tree copy of
-            # the same id (a remove-then-reinsert) stays dead.
-            self._buffer[point_id] = point
-        return point
-
-    def remove(self, point_id: int) -> None:
-        """Remove one point."""
-        super().remove(point_id)
-        del self._points[point_id]
-        if self._buffer.pop(point_id, None) is None and self._tree is not None:
-            self._tombstones.add(point_id)
-
-    # ------------------------------------------------------------------
-    # K-d tree internals
-    # ------------------------------------------------------------------
-    def _ensure_tree(self) -> Optional[_KDNode]:
-        stale = len(self._tombstones) + len(self._buffer)
-        if self._tree is None or stale > max(
-            _REBUILD_MINIMUM, len(self._points) // _REBUILD_DIVISOR
-        ):
-            self._tombstones = set()
-            self._buffer = {}
-            self._tree = (
-                _build_kd(list(self._points), self._points, self._dimension)
-                if self._points and self._dimension is not None
-                else None
-            )
-            self._rebuilds += 1
-        return self._tree
-
-    def _alive_in_tree(self, point_id: int) -> bool:
-        return point_id not in self._tombstones and point_id not in self._buffer
-
-    def _check_dimension(self, dimension: int, what: str) -> None:
-        if self._dimension is not None and dimension != self._dimension:
+    def _brute_force_input(
+        self, origin: CoordinateLike
+    ) -> Tuple[Dict[int, List[float]], Point]:
+        """The rows as ``id -> coordinates`` and ``origin`` checked against
+        the index's dimension: the brute force's arguments."""
+        point = as_point(origin)
+        if self._dimension is not None and point.dimension != self._dimension:
             raise ValueError(
-                f"{what} dimension {dimension} does not match index "
+                f"origin dimension {point.dimension} does not match index "
                 f"dimension {self._dimension}"
             )
+        ids, coordinates = self.columns()
+        return dict(zip(ids.tolist(), coordinates.tolist())), point
 
-    # ------------------------------------------------------------------
-    # Queries: literal nearest-k and per-region top-k
-    # ------------------------------------------------------------------
     def nearest_k(
         self,
         origin: CoordinateLike,
@@ -408,11 +306,9 @@ class SpatialIndex(CoordinateColumn):
         exclude: Iterable[int] = (),
     ) -> List[int]:
         """The ``k`` ids closest to ``origin``, ranked by ``(distance, id)``:
-        :func:`brute_force_nearest_k` over the stored points.  No selection
-        path calls it; the benchmark ledger patches it."""
-        point = as_point(origin)
-        self._check_dimension(point.dimension, "origin")
-        return brute_force_nearest_k(self._points, point, k, order=order, exclude=exclude)
+        :func:`brute_force_nearest_k` over the rows."""
+        points, point = self._brute_force_input(origin)
+        return brute_force_nearest_k(points, point, k, order=order, exclude=exclude)
 
     def region_top_k(
         self,
@@ -426,24 +322,20 @@ class SpatialIndex(CoordinateColumn):
         """The ``k`` closest ids of every non-empty hyperplane region
         (``None`` or an empty set: the single region ``()``), each list
         ranked by ``(distance, id)``: :func:`brute_force_region_top_k` over
-        the stored points.  The Hyperplanes family selects through
-        :func:`region_top_ks` instead; the benchmark ledger patches this."""
+        the rows.  The Hyperplanes family selects through
+        :func:`region_top_ks` instead."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        point = as_point(origin)
-        self._check_dimension(point.dimension, "origin")
+        points, point = self._brute_force_input(origin)
         if hyperplane_set is not None and hyperplane_set.dimension != point.dimension:
             raise ValueError(
                 f"hyperplane set dimension {hyperplane_set.dimension} does not "
                 f"match origin dimension {point.dimension}"
             )
         return brute_force_region_top_k(
-            self._points, point, hyperplane_set, k, order=order, exclude=exclude
+            points, point, hyperplane_set, k, order=order, exclude=exclude
         )
 
-    # ------------------------------------------------------------------
-    # Queries: per-orthant skyline (k-d tree branch-and-bound)
-    # ------------------------------------------------------------------
     def orthant_skyline(
         self,
         origin: CoordinateLike,
@@ -451,147 +343,18 @@ class SpatialIndex(CoordinateColumn):
         *,
         exclude: Iterable[int] = (),
     ) -> List[int]:
-        """Pareto-minimal ids of one orthant around ``origin``.
-
-        The orthant and the dominance order are exactly the empty-rectangle
-        scan's: a point belongs to orthant ``signs`` when, on every axis,
-        ``coordinate > origin`` iff the sign is ``+1`` (ties side with
-        ``-1``); candidates are ranked by their sign-flipped *raw*
-        coordinates and a candidate survives when no other candidate of the
-        orthant dominates it component-wise (non-strict).  Candidates are
-        visited in lexicographic ``(key, id)`` order -- the same order as
-        the scan -- so coordinate-duplicate ties resolve to the same
-        survivor.
-
-        This is the branch-and-bound skyline (BBS) walk: tree nodes enter a
-        priority queue keyed by their per-axis minimum corner, which is
-        component-wise, hence lexicographically, at most every key their
-        box holds; a node is pruned when an already-accepted skyline member
-        dominates that corner -- which dominates everything in the box, so
-        no survivor is ever cut.
-        """
-        point = as_point(origin)
-        self._check_dimension(point.dimension, "origin")
-        dimension = point.dimension
-        if len(signs) != dimension:
+        """Pareto-minimal ids of one orthant around ``origin``, in
+        :func:`pareto_minima` order: :func:`brute_force_orthant_skyline`
+        over the rows.  The empty-rectangle family selects through
+        :func:`orthant_skylines` instead."""
+        points, point = self._brute_force_input(origin)
+        if len(signs) != point.dimension:
             raise ValueError(
-                f"expected {dimension} orthant signs, got {len(signs)}"
+                f"expected {point.dimension} orthant signs, got {len(signs)}"
             )
         if any(s not in (-1, 1) for s in signs):
             raise ValueError("orthant signs must be -1 or +1")
-        if not self._points:
-            return []
-        excluded = frozenset(exclude)
-        origin_t = tuple(point)
-        signs_t = tuple(signs)
-
-        def member_key(coords: Point) -> Optional[Tuple[float, ...]]:
-            """Sign-flipped raw coordinates, or ``None`` outside the orthant."""
-            key = []
-            for axis in range(dimension):
-                value = coords[axis]
-                greater = value > origin_t[axis]
-                if (1 if greater else -1) != signs_t[axis]:
-                    return None
-                key.append(value if greater else -value)
-            return tuple(key)
-
-        # Flat heap entries (corner or key, kind, tiebreak, node): nodes
-        # (kind 0, tiebreak = an insertion counter) surface before points
-        # (kind 1, tiebreak = the id, no node) at equal priority, so a
-        # potential dominator is always accepted before anything it might
-        # dominate is judged, and equal-key duplicates resolve in id order
-        # exactly like the scan.
-        heap: List[tuple] = []
-        counter = 0
-        tree = self._ensure_tree()
-        skyline_keys: List[Tuple[float, ...]] = []
-        skyline_ids: List[int] = []
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        points = self._points
-
-        def dominated(key: Tuple[float, ...]) -> bool:
-            for kept in skyline_keys:
-                for kept_value, value in zip(kept, key):
-                    if kept_value > value:
-                        break
-                else:
-                    return True
-            return False
-
-        if tree is not None:
-            corner = self._orthant_min_corner(tree, origin_t, signs_t)
-            if corner is not None:
-                heap.append((corner, 0, counter, tree))
-                counter += 1
-        while heap:
-            priority, kind, tiebreak, node = heappop(heap)
-            # Re-check: the skyline may have grown since the push, and a
-            # member dominating a box's corner dominates its whole extent.
-            if dominated(priority):
-                continue
-            if kind == 1:
-                skyline_keys.append(priority)
-                skyline_ids.append(tiebreak)
-                continue
-            if node.ids is not None:
-                for point_id in node.ids:
-                    if point_id in excluded or not self._alive_in_tree(point_id):
-                        continue
-                    key = member_key(points[point_id])
-                    if key is None or dominated(key):
-                        continue
-                    heappush(heap, (key, 1, point_id, None))
-                continue
-            for child in (node.left, node.right):
-                if child is None:
-                    continue
-                corner = self._orthant_min_corner(child, origin_t, signs_t)
-                if corner is None or dominated(corner):
-                    continue
-                heappush(heap, (corner, 0, counter, child))
-                counter += 1
-
-        # Fold the pending-insert buffer in: the Pareto minima of the union
-        # equal the Pareto minima of (tree skyline + buffer members).
-        entries: List[Tuple[Tuple[float, ...], int]] = [
-            (key, point_id) for key, point_id in zip(skyline_keys, skyline_ids)
-        ]
-        for point_id, coords in self._buffer.items():
-            if point_id in excluded:
-                continue
-            key = member_key(coords)
-            if key is not None:
-                entries.append((key, point_id))
-        if len(entries) != len(skyline_ids):
-            return [point_id for _, point_id in pareto_minima(entries)]
-        return list(skyline_ids)
-
-    @staticmethod
-    def _orthant_min_corner(
-        node: _KDNode,
-        origin: Tuple[float, ...],
-        signs: Tuple[int, ...],
-    ) -> Optional[Tuple[float, ...]]:
-        """Per-axis minimum of the sign-flipped key over ``box ∩ orthant``.
-
-        Pure selections and negations of stored floats -- no rounding -- so
-        the corner is an exact componentwise lower bound of every member
-        key, and dominance of the corner implies dominance of the box.
-        """
-        corner = []
-        for axis, sign in enumerate(signs):
-            low, high, bound = node.lower[axis], node.upper[axis], origin[axis]
-            if sign == 1:
-                if high <= bound:
-                    return None
-                corner.append(low if low > bound else bound)
-            else:
-                if low > bound:
-                    return None
-                corner.append(-(high if high <= bound else bound))
-        return tuple(corner)
+        return brute_force_orthant_skyline(points, point, signs, exclude=exclude)
 
 
 def pareto_minima(
@@ -600,8 +363,9 @@ def pareto_minima(
     """Pareto-minimal ``(key, id)`` entries under non-strict dominance.
 
     THE canonical statement of the empty-rectangle tie-break rule, shared by
-    the scan selection (:mod:`repro.overlay.selection.empty_rectangle`), the
-    index's buffer merge and the brute-force reference: entries are visited
+    the scan selection (:mod:`repro.overlay.selection.empty_rectangle`) and
+    the brute-force reference, and the rule every kernel pass of
+    :func:`orthant_skylines` is held to: entries are visited
     in lexicographic ``(key, id)`` order -- a dominator is lexicographically
     smaller than what it dominates, so an entry already kept can never be
     dominated by a later one, and one pass with dominance checks against the
@@ -734,10 +498,8 @@ def orthant_skylines(
     For every reference (``origins[r]``, excluded from the members by
     ``reference_ids[r]``; it need not be stored) the sorted union of its
     orthants' :func:`pareto_minima` -- what one
-    :meth:`SpatialIndex.orthant_skyline` or
     :func:`brute_force_orthant_skyline` call per orthant returns -- from
-    array passes over the ``column`` in any dimension instead of one walk
-    per orthant.  A member may lie at infinity; an origin may not (NaN
+    array passes over the ``column`` in any dimension.  A member may lie at infinity; an origin may not (NaN
     never enters a column: :class:`~repro.geometry.point.Point` refuses it).
 
     ``rows`` gives every reference its own members instead of the whole
@@ -755,7 +517,9 @@ def orthant_skylines(
     The set-up that depends on the points alone is the column's
     :class:`_SkylineTable`, shared by every call until the column changes.
     A pass holds whole rows (:func:`_passes`): :func:`_quadrant_skyline_pass`
-    in two dimensions, :func:`_dominance_pass` in any other.
+    in two dimensions; in any other, :func:`_sorted_pass` against the whole
+    column and :func:`_dominance_pass` over ``rows``, which compares only
+    the pairs of each row's own members.
     """
     origins, reference_ids = _kernel_input(column, origins, reference_ids)
     if not len(column):
@@ -768,12 +532,18 @@ def orthant_skylines(
     for start, stop, elements, local_rows, columns in _passes(
         column, table, reference_ids.size, rows, most_rows
     ):
-        block = (origins[start:stop], reference_ids[start:stop], local_rows, columns)
-        selected.extend(
-            _dominance_pass(*block, gained if gained is None else gained[elements],
-                            table.ids, table.coords)
-            if quadrant is None else _quadrant_skyline_pass(*block, table.ids, *quadrant)
-        )
+        block = (origins[start:stop], reference_ids[start:stop])
+        if quadrant is not None:
+            selected.extend(_quadrant_skyline_pass(
+                *block, local_rows, columns, table.ids, *quadrant
+            ))
+        elif rows is None:
+            selected.extend(_sorted_pass(*block, table.ids, table.coords))
+        else:
+            selected.extend(_dominance_pass(
+                *block, local_rows, columns, gained if gained is None else gained[elements],
+                table.ids, table.coords,
+            ))
     return selected
 
 
@@ -938,6 +708,30 @@ def _quadrant_skyline_pass(
     return [picked[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def _orthant_elements(
+    origins: np.ndarray,
+    reference_ids: np.ndarray,
+    rows: Optional[np.ndarray],
+    columns: Optional[np.ndarray],
+    ids: np.ndarray,
+    coords: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A pass's (row, member) elements outside two dimensions, each
+    reference excluded by id: their ``rows``, id positions (``columns``),
+    cells -- ``row << D | orthant code`` -- and keys, the sign-flipped raw
+    coordinates, plus the mask of the input elements kept."""
+    count, dimension = coords.shape
+    if columns is None:
+        rows = np.repeat(np.arange(len(origins)), count)
+        columns = np.tile(np.arange(count), len(origins))
+    others = ids[columns] != reference_ids[rows]
+    rows, columns = rows[others], columns[others]
+    points = coords[columns]
+    greater = points > origins[rows]
+    cells = rows << dimension | greater @ (1 << np.arange(dimension))
+    return rows, columns, cells, np.where(greater, points, -points), others
+
+
 def _dominance_pass(
     origins: np.ndarray,
     reference_ids: np.ndarray,
@@ -957,18 +751,11 @@ def _dominance_pass(
     :func:`pareto_minima`, as what a dropped member dominates, the member
     that dropped it dominates too.  With ``gained`` flags only pairs with a
     flagged end are compared: about ``|row| * |gains|``, not ``|row|**2``."""
-    count = ids.size
-    if columns is None:
-        rows = np.repeat(np.arange(len(origins)), count)
-        columns = np.tile(np.arange(count), len(origins))
-    others = ids[columns] != reference_ids[rows]
-    rows, columns = rows[others], columns[others]
-    points = coords[columns]
-    greater = points > origins[rows]
-    cells = rows << coords.shape[1] | greater @ (1 << np.arange(coords.shape[1]))
+    rows, columns, cells, keys, others = _orthant_elements(
+        origins, reference_ids, rows, columns, ids, coords
+    )
     order = np.argsort(cells)
-    rows, columns, cells = rows[order], columns[order], cells[order]
-    keys = np.where(greater, points, -points)[order]
+    rows, columns, cells, keys = rows[order], columns[order], cells[order], keys[order]
 
     # Every tested element against its cell, the run [first, first + size)
     # of the sorted codes: pair k of a tested element is first + k.
@@ -987,11 +774,72 @@ def _dominance_pass(
     dominated = np.zeros(cells.size, dtype=bool)
     dominated[right[~tied | (columns[left] < columns[right])]] = True
 
-    # Survivors as ``row * count + id position``: one sort leaves every
-    # reference's ids ascending, and a repeated id is kept once.
-    chosen = np.sort(rows[~dominated] * count + columns[~dominated])
+    return _survivors(rows[~dominated], columns[~dominated], len(origins), ids)
+
+
+def _sorted_pass(
+    origins: np.ndarray,
+    reference_ids: np.ndarray,
+    ids: np.ndarray,
+    coords: np.ndarray,
+) -> List[List[int]]:
+    """One pass of :func:`orthant_skylines` in any dimension, every row the
+    whole column (arguments as in :func:`_dominance_pass`): a presorted
+    skyline (SFS; Chomicki, Godfrey, Gryz and Liang, ICDE 2003).
+
+    Cells, keys and the reference's exclusion are :func:`_orthant_elements`'s,
+    as in :func:`_dominance_pass`.
+    The elements sort by ``(cell, key total, key, id position)``, the total
+    the key's axes added left to right; then, round after round, the first
+    undecided element of every cell is kept and drops every undecided
+    element of its cell it is ``<=`` on every axis, until none is undecided.
+
+    Exact whatever the totals round to: a dominator is ``<=`` on every axis,
+    and float addition is monotone, so its left-to-right total is never
+    larger than the dominated element's; equal totals fall to the
+    lexicographic key, which the dominator never exceeds, and equal keys to
+    the id.  So every dominator sorts before what it dominates -- it is
+    :func:`pareto_minima`'s ``(key, id)`` rule, exact duplicates included --
+    and the first undecided element of a cell is dominated by nothing still
+    undecided, nor by anything decided (a dropped dominator's own dropper
+    would have dropped it too).  A key is never ``-inf`` (origins are
+    finite), so no total is NaN and members at infinity are exact.  The
+    total only decides which member is taken first: one that dominates
+    much of its cell, so few rounds remain."""
+    rows, columns, cells, keys, _ = _orthant_elements(
+        origins, reference_ids, None, None, ids, coords
+    )
+    total = keys[:, 0].copy()
+    for axis in keys.T[1:]:
+        total += axis
+    order = np.lexsort((columns, *keys.T[::-1], total, cells))
+    rows, columns, cells, keys = rows[order], columns[order], cells[order], keys[order]
+
+    kept = []
+    undecided = np.arange(cells.size)
+    while undecided.size:
+        runs = cells[undecided]
+        first = np.ones(undecided.size, dtype=bool)
+        first[1:] = runs[1:] != runs[:-1]
+        kept.append(undecided[first])
+        # Every undecided element against its cell's first (which it is
+        # itself, and drops itself with the rest).
+        heads = undecided[np.maximum.accumulate(np.where(first, np.arange(first.size), 0))]
+        undecided = undecided[~(keys[heads] <= keys[undecided]).all(axis=1)]
+    survivors = np.concatenate(kept) if kept else undecided
+    return _survivors(rows[survivors], columns[survivors], len(origins), ids)
+
+
+def _survivors(
+    rows: np.ndarray, columns: np.ndarray, reference_count: int, ids: np.ndarray
+) -> List[List[int]]:
+    """Every reference's surviving ids, ascending, from the survivors'
+    (local row, id position) pairs: as ``row * count + id position`` one
+    sort orders them, and a repeated id is kept once."""
+    count = ids.size
+    chosen = np.sort(rows * count + columns)
     chosen = chosen[np.diff(chosen, prepend=-1) > 0]
-    bounds = np.searchsorted(chosen, np.arange(len(origins) + 1) * count).tolist()
+    bounds = np.searchsorted(chosen, np.arange(reference_count + 1) * count).tolist()
     picked = ids[chosen % count].tolist()
     return [picked[a:b] for a, b in zip(bounds, bounds[1:])]
 

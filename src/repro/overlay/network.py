@@ -151,7 +151,7 @@ class OverlayNetwork:
     exactly when ``gossip_radius`` is ``None`` and the method has
     ``supports_index``: only there is the population every peer's candidate
     set, and only such a method reads the index.  Every full selection is
-    then answered from it.  A method without an indexed path scans the
+    then one kernel call over the index's whole column.  A method without an indexed path scans the
     population instead; under a gossip radius every selection scans its own
     candidate set.
     """

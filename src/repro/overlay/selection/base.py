@@ -134,9 +134,10 @@ class NeighbourSelectionMethod(abc.ABC):
     #: :class:`repro.geometry.index.SpatialIndex` whose contents are exactly
     #: the candidate set plus the reference peers (each excluded by id) to the
     #: batched entry points :meth:`select_many` / :meth:`install_many` --
-    #: the surface opting in guarantees.
-    #: (The in-repo methods additionally accept ``index=`` on per-call
-    #: :meth:`select` as a convenience.)  Methods that do not opt in never
+    #: the surface opting in guarantees, by overriding :meth:`select_many`
+    #: (the in-repo methods answer every reference with one kernel call over
+    #: the index's whole column, and accept ``index=`` on per-call
+    #: :meth:`select` as a convenience).  Methods that do not opt in never
     #: receive an ``index`` -- the overlay layer checks this flag before
     #: taking the indexed path, so third-party subclasses keep working
     #: unchanged.
@@ -201,7 +202,9 @@ class NeighbourSelectionMethod(abc.ABC):
         id-sorted list a ``PeerInfo``-holding caller would have passed.
         """
         if index is not None:
-            return self._select_many_indexed(references, index)
+            # The base class has no indexed path: a method that opts in
+            # answers ``index=`` in its own override.
+            raise self._no_index_path()
         results: Dict[int, List[int]] = {}
         for reference in references:
             candidates = candidates_by_peer[reference.peer_id]
@@ -213,26 +216,10 @@ class NeighbourSelectionMethod(abc.ABC):
     def _check_index_support(self) -> None:
         """Reject ``index=`` on methods that never opted in (shared guard)."""
         if not self.supports_index:
-            raise TypeError(
-                f"{type(self).__name__} has no index-backed selection path; "
-                "check supports_index before passing index="
-            )
+            raise self._no_index_path()
 
-    def _select_many_indexed(
-        self, references: Sequence[PeerInfo], index: "SpatialIndex"
-    ) -> Dict[int, List[int]]:
-        """Shared indexed :meth:`select_many` body (supporting methods only)."""
-        self._check_index_support()
-        return {
-            reference.peer_id: self._select_indexed(reference, index)
-            for reference in references
-        }
-
-    def _select_indexed(
-        self, reference: PeerInfo, index: "SpatialIndex"
-    ) -> List[int]:
-        """Index-backed :meth:`select` body; provided by supporting methods."""
-        raise TypeError(
+    def _no_index_path(self) -> TypeError:
+        return TypeError(
             f"{type(self).__name__} has no index-backed selection path; "
             "check supports_index before passing index="
         )

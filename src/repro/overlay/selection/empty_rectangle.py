@@ -32,15 +32,15 @@ distinct-coordinate assumption; the workload generators enforce it.
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.rectangle import HyperRectangle
 # The canonical lexicographic (key, id)-ordered non-strict dominance rule,
-# shared with the spatial index and the brute-force reference so the three
-# paths cannot drift apart.
+# shared with the brute-force reference and the rule the kernel passes are
+# held to, so the paths cannot drift apart.
 from repro.geometry.index import pareto_minima as _pareto_minima
 from repro.geometry.index import orthant_skylines
 from repro.overlay.peer import PeerInfo
@@ -59,11 +59,11 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
     # selected) candidates cannot change the Pareto minima of the orthant.
     path_independent = True
 
-    # The per-orthant skyline is exactly the spatial index's skyline query
-    # (orthant_skylines' quadrant pass over its coordinate column in two
-    # dimensions, the k-d branch-and-bound walk above), so the indexed path
-    # is byte-identical to the scan.  Either reads a reference's position
-    # from the reference itself, never from the index.
+    # The per-orthant skyline is exactly what orthant_skylines computes over
+    # the index's whole column (the packed quadrant pass in two dimensions,
+    # the presorted pass in any other), so the indexed path is
+    # byte-identical to the scan.  It reads a reference's position from the
+    # reference itself, never from the index.
     supports_index = True
 
     def select(
@@ -74,7 +74,7 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         index: "Optional[SpatialIndex]" = None,
     ) -> List[int]:
         if index is not None:
-            return self._select_many_indexed([reference], index)[reference.peer_id]
+            return self._select_batch([reference], index)[reference.peer_id]
         others = self._exclude_reference(reference, candidates)
         if not others:
             return []
@@ -109,15 +109,15 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
     ) -> Dict[int, List[int]]:
         """Batched selection: one kernel call for a whole batch.
 
-        With an ``index`` every reference is answered from the index instead
-        of any scan (see :meth:`_select_many_indexed`); without one, from
-        its own candidate ids (see :meth:`_select_batch`) -- the arm a
-        bounded gossip radius runs, where candidate sets are per-peer.
+        With an ``index`` every reference is answered from the index's
+        whole column instead of any scan; without one, from its own
+        candidate ids -- the arm a bounded gossip radius runs, where
+        candidate sets are per-peer.  Either is one :meth:`_select_batch`.
         ``PeerInfo`` candidate lists (no ``member_of``) are adapted to ids
         and a temporary column (:meth:`MemberOf.adapt`).
         """
         if index is not None:
-            return self._select_many_indexed(references, index)
+            return self._select_batch(references, index)
         return self._select_batch(
             references, *self._candidate_rows(references, candidates_by_peer, member_of)
         )
@@ -143,41 +143,6 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         reference_ids, origins = self._origins(references)
         selected = orthant_skylines(column, origins, reference_ids, rows, gained)
         return dict(zip(reference_ids, selected))
-
-    def _select_many_indexed(
-        self, references: Sequence[PeerInfo], index: "SpatialIndex"
-    ) -> Dict[int, List[int]]:
-        """A whole cohort of references from the index's coordinate column.
-
-        In two dimensions every reference is answered by the batched
-        quadrant kernel over the whole column (:meth:`_select_batch`) --
-        array passes per chunk of references instead of four tree walks per
-        reference, with the same results.  Other dimensions keep the k-d
-        walk of :meth:`_select_indexed`: against a whole column the pair
-        pass compares far more than the walk visits.
-        """
-        if index.dimension != 2:
-            return super()._select_many_indexed(references, index)
-        return self._select_batch(references, index)
-
-    def _select_indexed(
-        self, reference: PeerInfo, index: "SpatialIndex"
-    ) -> List[int]:
-        """Per-orthant branch-and-bound skylines over the spatial index.
-
-        One :meth:`~repro.geometry.index.SpatialIndex.orthant_skyline` query
-        per orthant around the reference peer, each output-sensitive in the
-        skyline size instead of linear in the candidate count.  The index
-        contents are the candidate set by the caller's contract; the
-        reference excludes itself by id (never by position, matching
-        ``_exclude_reference``).
-        """
-        origin = reference.coordinates
-        exclude = (reference.peer_id,)
-        selected: List[int] = []
-        for signs in product((-1, 1), repeat=reference.dimension):
-            selected.extend(index.orthant_skyline(origin, signs, exclude=exclude))
-        return sorted(selected)
 
     def select_many_additive(
         self,
@@ -266,7 +231,7 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
                 member_of=member_of,
                 index=index,
             )
-        results = self._select_many_indexed(full_references, index)
+        results = self._select_batch(full_references, index)
         updates: List[Tuple[PeerInfo, Collection[int], List[int]]] = []
         for cohort in additive_cohorts:
             member_ids = np.asarray(cohort.member_ids, dtype=np.int64)

@@ -6,11 +6,10 @@ comparisons, same tie-breaks -- at every moment of an arbitrary
 ``insert`` / ``remove`` / ``move`` history.  These tests let hypothesis hunt
 for counterexamples: random mutation scripts over coordinates drawn from a
 deliberately small lattice (so duplicate coordinates, collinear
-configurations, and points exactly on query boundaries all occur), with the
-tree rebuilt, tombstoned and buffered states all reachable, then every query
-cross-checked against the literal ``brute_force_*`` reference over a plain
-dict mirror.  The coordinate column is held to the point store after every
-mutation, and the batched quadrant kernel over it to the same brute-force
+configurations, and points exactly on query boundaries all occur), then
+every query cross-checked against the literal ``brute_force_*`` reference
+over a plain dict mirror.  The coordinate column is held to the mirror after
+every mutation, and the batched quadrant kernel over it to the same brute-force
 skyline -- on the lattice and on magnitudes where float key sums tie, over
 the whole column and over per-reference candidate rows (the rows of stored
 ids the scan arm's batched ``select_many`` answers through), and at the
@@ -19,7 +18,10 @@ member counts where the field width steps, rows cut across passes, one row
 per pass at the widest fields, inputs it refuses.  In every dimension from 1
 to 5 the kernel equals the union of the brute-force orthant skylines --
 whole columns, drawn rows, additive rows with their gained flags -- and in
-two dimensions its pair pass, called directly, equals the packed pass.  The
+two dimensions its pair pass, called directly, equals the packed pass.  Its
+presorted whole-column pass, called directly, equals the pair pass and the
+brute force in ``D = 1, 3, 4, 5``, on the lattice and on members at huge
+magnitudes and at infinity, where key totals round equal.  The
 column's skyline table is built once per version of the column: kernel
 calls between the writes of a random history, re-inserts, moves onto
 another point and drains included, all equal the brute force.  The
@@ -27,8 +29,8 @@ Hyperplanes pass over the same column is held to
 ``brute_force_region_top_k`` in the scan's emission order the same ways:
 ``D = 1 .. 5``, the three named hyperplane sets and sloped ones, whole
 columns and drawn rows, and between the writes of a column's history.  The
-public ``region_top_k`` / ``nearest_k`` are that brute force over the
-stored points, one test each.
+public ``orthant_skyline`` / ``region_top_k`` / ``nearest_k`` are that
+brute force over the index's rows, one test each.
 """
 
 import math
@@ -58,6 +60,7 @@ from repro.overlay.selection.empty_rectangle import (
     EmptyRectangleSelection,
     brute_force_empty_rectangle_neighbours,
 )
+from repro.workloads.peers import generate_peers
 
 # A small lattice provokes the degenerate geometry the paper assumes away:
 # duplicate points, shared per-axis values, points exactly on boundaries.
@@ -111,18 +114,11 @@ def _histories(
 
 
 def _replay(operations):
-    """Apply a script to a fresh index and a plain dict mirror.
-
-    A skyline query is poked in periodically *during* the history: the k-d
-    tree is built lazily on first query, so without this every final query would run
-    against a freshly built tree and the tombstone/buffer dynamisation --
-    the riskiest code in the index -- would never be on the hook.  With it,
-    mutations after the poke land in the tombstone set and the insert
-    buffer, and the final cross-checked queries must fold them in exactly.
-    """
+    """Apply a script to a fresh index and a plain dict mirror, holding the
+    column to the mirror after every write."""
     index = SpatialIndex()
     mirror = {}
-    for step, (kind, point_id, coords) in enumerate(operations):
+    for kind, point_id, coords in operations:
         if kind == "insert":
             index.insert(point_id, coords)
             mirror[point_id] = coords
@@ -133,22 +129,16 @@ def _replay(operations):
             index.move(point_id, coords)
             mirror[point_id] = coords
         _assert_column_is_the_point_store(index, mirror)
-        if step % 7 == 2 and mirror:
-            some_id = next(iter(mirror))
-            signs = (1,) * index.dimension
-            assert index.orthant_skyline(index.point(some_id), signs) == (
-                brute_force_orthant_skyline(mirror, mirror[some_id], signs)
-            )
     return index, mirror
 
 
 def _assert_column_is_the_point_store(index, mirror):
-    """Every live id has exactly one column row, holding ``point(id)``."""
+    """Every live id has exactly one column row, holding its mirror point."""
     ids, coordinates = index.columns()
     assert sorted(ids.tolist()) == sorted(mirror)
     assert coordinates.shape == (len(mirror), index.dimension)
     for point_id, row in zip(ids.tolist(), coordinates.tolist()):
-        assert tuple(row) == index.point(point_id) == tuple(mirror[point_id])
+        assert tuple(row) == tuple(mirror[point_id])
 
 
 def _brute_selection(points, origin, reference):
@@ -564,22 +554,26 @@ def test_quadrant_kernel_rejects_what_its_keys_cannot_hold():
 
 
 @st.composite
-def _orthant_draws(draw, min_dimension=1, max_dimension=5):
+def _orthant_draws(
+    draw, min_dimension=1, max_dimension=5, coordinate=_COORDINATE, max_members=14,
+    shapes=("full", "rows", "additive"),
+):
     """One ``orthant_skylines`` input in ``D = 1 .. 5`` with its brute-force
     answer.
 
-    Members sit on the small lattice, so coordinates tie on every axis; an
-    axis may be constant for everybody, and two members may share every
-    coordinate.  A reference is a member (excluded by id) or a point of its
-    own.  Rows either hold every member (``member_rows=None``), or are drawn
-    per reference -- empty ones and a repeated id among them -- or are
-    additive: the brute-force selection over a drawn subset, unflagged,
-    followed by flagged gains from outside it.
+    Members sit on the small lattice by default, so coordinates tie on every
+    axis; an axis may be constant for everybody, and two members may share
+    every coordinate.  A reference is a member with finite coordinates
+    (excluded by id) or a finite point of its own.  Rows either hold every
+    member (``member_rows=None``), or are drawn per reference -- empty ones
+    and a repeated id among them -- or are additive: the brute-force
+    selection over a drawn subset, unflagged, followed by flagged gains from
+    outside it.
     """
     dimension = draw(st.integers(min_value=min_dimension, max_value=max_dimension))
-    count = draw(st.integers(min_value=1, max_value=14))
+    count = draw(st.integers(min_value=1, max_value=max_members))
     ids = draw(st.lists(st.integers(0, 999), min_size=count, max_size=count, unique=True))
-    coords = [[draw(_COORDINATE) for _ in range(dimension)] for _ in ids]
+    coords = [[draw(coordinate) for _ in range(dimension)] for _ in ids]
     flat_axis = draw(st.sampled_from([None, *range(dimension)]))
     if flat_axis is not None:
         for row in coords:
@@ -587,15 +581,16 @@ def _orthant_draws(draw, min_dimension=1, max_dimension=5):
     if count > 1 and draw(st.booleans()):
         coords[1] = list(coords[0])
     mirror = {point_id: tuple(row) for point_id, row in zip(ids, coords)}
+    finite = [point_id for point_id in ids if all(map(math.isfinite, mirror[point_id]))]
 
     references, origins = [], []
     for _ in range(draw(st.integers(min_value=1, max_value=5))):
-        if draw(st.booleans()):
-            reference = draw(st.sampled_from(ids))
+        if finite and draw(st.booleans()):
+            reference = draw(st.sampled_from(finite))
             origin = mirror[reference]
         else:
             reference = 1000 + len(references)
-            origin = tuple(draw(_COORDINATE) for _ in range(dimension))
+            origin = tuple(draw(coordinate.filter(math.isfinite)) for _ in range(dimension))
         references.append(reference)
         origins.append(origin)
 
@@ -603,7 +598,7 @@ def _orthant_draws(draw, min_dimension=1, max_dimension=5):
         subset = {point_id: mirror[point_id] for point_id in members}
         return _brute_selection(subset, origin, reference)
 
-    shape = draw(st.sampled_from(["full", "rows", "additive"]))
+    shape = draw(st.sampled_from(shapes))
     if shape == "full":
         expected = [selection(origin, reference, ids)
                     for origin, reference in zip(origins, references)]
@@ -676,6 +671,75 @@ def test_dominance_pass_equals_the_quadrant_pass_in_two_dimensions(draw):
         origins, np.asarray(references), rows, columns, gained, table.ids, table.coords
     )
     assert quadrant == dominance == expected
+
+
+# Members at huge magnitudes and at infinity: key totals round equal (or
+# to +inf) between a member and the one it dominates, and a cell of up to
+# 40 members keeps several, so the presorted pass runs several rounds.
+_EXTREME_OR_INFINITE = st.one_of(_EXTREME, st.sampled_from([math.inf, -math.inf]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(draw=st.one_of(
+    _orthant_draws(shapes=("full",)),
+    _orthant_draws(min_dimension=3, coordinate=_EXTREME_OR_INFINITE, max_members=40,
+                   shapes=("full",)),
+).filter(lambda draw: draw[0] != 2))
+def test_sorted_pass_equals_the_dominance_pass_on_whole_columns(draw):
+    """The presorted pass ``orthant_skylines`` runs against a whole column
+    outside two dimensions, and the pair pass it runs over rows, called
+    directly on the same members in id order."""
+    dimension, mirror, references, origins, _, _, expected = draw
+    column, origins, references, _ = _orthant_call(dimension, mirror, references, origins, None)
+    table = column._skyline_table()
+    references = np.asarray(references)
+    presorted = index_module._sorted_pass(origins, references, table.ids, table.coords)
+    dominance = index_module._dominance_pass(
+        origins, references, None, None, None, table.ids, table.coords
+    )
+    assert presorted == dominance == expected
+
+
+def test_sorted_pass_drops_a_dominated_member_whose_key_total_rounds_equal():
+    """``1e17 + 1`` and ``1e17 + 2`` both round to ``1e17``: the totals of
+    member 1 and of member 2, which dominates it, tie, and the lower id
+    comes first.  The lexicographic key decides before the id does, so
+    member 2 is taken first and member 1 goes."""
+    mirror = {1: (1e17, 2.0, 0.0), 2: (1e17, 1.0, 0.0)}
+    column = _column(mirror)
+    table = column._skyline_table()
+    origin = np.zeros((1, 3))
+    assert index_module._sorted_pass(origin, np.asarray([-1]), table.ids, table.coords) == [[2]]
+    assert orthant_skylines(column, origin, [-1]) == [_brute_selection(mirror, (0.0,) * 3, -1)]
+
+
+def test_a_whole_column_selection_outside_two_dimensions_is_one_sorted_pass(monkeypatch):
+    """``select_many(index=)`` of 8 references at ``D = 3`` is one presorted
+    pass over the index's column and never asks the index a per-orthant
+    question."""
+    calls = []
+    sorted_pass = index_module._sorted_pass
+
+    def counted(*args):
+        calls.append("_sorted_pass")
+        return sorted_pass(*args)
+
+    def refused(*args, **kwargs):
+        calls.append("orthant_skyline")
+        raise AssertionError("SpatialIndex.orthant_skyline is not a selection path")
+
+    monkeypatch.setattr(index_module, "_sorted_pass", counted)
+    monkeypatch.setattr(SpatialIndex, "orthant_skyline", refused)
+    peers = generate_peers(60, 3, seed=11)
+    index = SpatialIndex()
+    for peer in peers:
+        index.insert(peer.peer_id, peer.coordinates)
+    selected = EmptyRectangleSelection().select_many(peers[:8], {}, index=index)
+    assert calls == ["_sorted_pass"]
+    for reference in peers[:8]:
+        assert selected[reference.peer_id] == brute_force_empty_rectangle_neighbours(
+            reference, peers
+        )
 
 
 def test_orthant_skylines_reads_flags_and_refuses_a_misshapen_origin():
@@ -952,12 +1016,9 @@ def test_region_top_k_matches_brute_force(history, data):
 @settings(max_examples=25, deadline=None)
 @given(history=_histories(max_operations=60), data=st.data())
 def test_queries_stay_exact_after_drain_and_regrowth(history, data):
-    """Drain the index to empty, regrow it, and cross-check again.
-
-    This walks the full dynamisation surface in one script: tombstones from
-    the drain, a rebuilt (possibly empty) tree, then buffered re-inserts --
-    and the degenerate empty-index state in the middle, where every query
-    must return nothing rather than fail.
+    """Drain the index to empty, regrow it, and cross-check again -- with
+    the degenerate empty-index state in the middle, where every query must
+    return nothing rather than fail.
     """
     dimension, operations = history
     index, mirror = _replay(operations)
@@ -1063,70 +1124,3 @@ def test_maintenance_error_paths():
         index.orthant_skyline((0.0, 0.0), (1, 0))
     assert index.point(1) == (0.0, 0.0)
     assert 1 in index and 99 not in index
-
-
-def test_stale_tree_answers_through_tombstones_and_buffer():
-    """Below the rebuild threshold, queries must fold stale state in exactly.
-
-    After the tree is built, a small wave of removes/inserts/moves stays
-    under the rebuild threshold -- so every query here is answered by a
-    *stale* tree plus the tombstone set and insert buffer, the merge paths
-    a lazy rebuild would silently paper over.  ``rebuilds`` staying at 1
-    proves no rebuild bailed them out.
-    """
-    index = SpatialIndex()
-    mirror = {}
-    for point_id in range(60):
-        coords = (float(point_id % 11), float(point_id % 7), float(point_id) / 3)
-        index.insert(point_id, coords)
-        mirror[point_id] = coords
-    index.orthant_skyline((0.0, 0.0, 0.0), (1, 1, 1))  # builds the tree
-    assert index.rebuilds == 1
-    for point_id in range(0, 20, 2):  # 10 tombstones
-        index.remove(point_id)
-        del mirror[point_id]
-    for offset in range(10):  # 10 buffered inserts
-        coords = (float(offset) / 2, 3.5, float(offset))
-        index.insert(100 + offset, coords)
-        mirror[100 + offset] = coords
-    for point_id in (1, 3, 5):  # moves: tombstone + buffer for one id
-        coords = (9.25, float(point_id), 0.75)
-        index.move(point_id, coords)
-        mirror[point_id] = coords
-    origin = (4.0, 3.0, 2.0)
-    for signs in ((1, 1, 1), (-1, 1, -1)):
-        assert index.orthant_skyline(origin, signs) == (
-            brute_force_orthant_skyline(mirror, origin, signs)
-        )
-    # The Hyperplanes pass reads the column, which every write kept exact.
-    for hyperplane_set, k, order in (
-        (HyperplaneSet.orthogonal(3), 2, 2.0),
-        (HyperplaneSet([Hyperplane((1.0, -1.0, 0.5))], dimension=3), 4, 1.0),
-        (HyperplaneSet.empty(3), len(mirror) + 5, 2.0),
-    ):
-        assert region_top_ks(index, np.asarray([origin]), [-1], hyperplane_set, k, order) == [
-            _region_selection(mirror, origin, -1, hyperplane_set, k, order)
-        ]
-    _assert_column_is_the_point_store(index, mirror)
-    assert index.rebuilds == 1  # everything above ran against the stale tree
-
-
-def test_rebuild_amortisation_is_observable():
-    """Churn past the stale threshold forces a rebuild; queries stay exact."""
-    index = SpatialIndex()
-    mirror = {}
-    for point_id in range(200):
-        coords = (float(point_id % 17), float(point_id % 13))
-        index.insert(point_id, coords)
-        mirror[point_id] = coords
-    index.orthant_skyline((0.0, 0.0), (1, 1))  # builds the tree
-    built = index.rebuilds
-    for point_id in range(100):
-        index.remove(point_id)
-        del mirror[point_id]
-    origin = (8.0, 6.0)
-    assert index.orthant_skyline(origin, (-1, 1)) == (
-        brute_force_orthant_skyline(mirror, origin, (-1, 1))
-    )
-    assert index.rebuilds > built  # the deletion wave crossed the threshold
-    assert not math.isnan(index.point(150)[0])

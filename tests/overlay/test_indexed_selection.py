@@ -103,7 +103,7 @@ def test_indexed_select_equals_scan_select(peers, selection_factory):
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_a_reference_outside_the_index_is_placed_by_its_own_coordinates(dimension):
     """``select(P, (), index=)`` for 20 peers ``P`` the index does not hold:
-    the 2-D kernel and the k-d walk alike read ``P``'s position from ``P``
+    the 2-D kernel and the presorted pass alike read ``P``'s position from ``P``
     and select among exactly what the index holds."""
     rng = random.Random(dimension)
     peers = [make_peer(peer_id, tuple(rng.uniform(0.0, 100.0) for _ in range(dimension)))
