@@ -35,12 +35,12 @@ engine asks of either:
 
 * **full knowledge** --
   :class:`repro.overlay.columnar.ColumnarCandidateState`: ``I(P)`` is
-  "everyone alive but ``P``", so the view keeps a population epoch counter
-  plus per-row epoch stamps and needs-full flags in dense numpy columns
-  over a ``peer id -> row`` map it builds when the engine adopts the
-  overlay.  Membership notes are O(1) / O(selectors) array writes; a round
-  is one ``plan_round()`` call that schedules *and* classifies it as
-  verdict columns (:class:`RoundPlan`), installed cohort by cohort;
+  "everyone alive but ``P``", and one round installs the fixed point, so
+  the view keeps a needs-full id set and one window -- the membership
+  events since the last round -- and reads the alive ids off the overlay's
+  coordinate column.  Membership notes are O(1) / O(selectors) set writes;
+  a round is one ``plan_round()`` call that schedules *and* classifies it
+  as verdict columns (:class:`RoundPlan`), installed as one cohort;
 * **a gossip radius** -- :class:`RadiusCandidateState` (next section):
   ``begin_round()`` schedules, the engine classifies peer by peer from
   ``delta(P)`` and commits each planned peer after the batched install.
@@ -165,7 +165,6 @@ __all__ = [
     "OverlayDeltaRecorder",
     "RadiusCandidateState",
     "RoundPlan",
-    "RoundWindow",
 ]
 
 
@@ -282,42 +281,23 @@ _PlanEntry = Tuple[int, str, Set[int], Set[int]]
 
 
 @dataclass(frozen=True)
-class RoundWindow:
-    """One shared delta window of a :class:`RoundPlan`.
-
-    ``members`` is a boolean mask over the plan's scheduled positions
-    selecting the peers that carry this window *and* classified additive;
-    ``gained`` is the candidate-id set their candidate sets gained -- one
-    set shared by the whole group, which is what collapses the per-peer
-    delta bookkeeping into a cohort install.  (The window's lost ids never
-    reach the install phase: losses only matter to classification.)
-    """
-
-    members: "np.ndarray"
-    gained: FrozenSet[int]
-
-
-@dataclass(frozen=True)
 class RoundPlan:
-    """A whole convergence round, classified as columns over dense rows.
+    """A whole full-knowledge convergence round, classified as columns.
 
     Produced by
     :meth:`repro.overlay.columnar.ColumnarCandidateState.plan_round`:
-    ``scheduled_rows`` are the dirty
-    :class:`~repro.overlay.columnar.DenseIdMap` rows (in row order),
-    ``scheduled_ids`` the aligned peer ids, and the three verdict masks
-    partition the scheduled positions by the :func:`classify_reselect`
-    decision table (``full | skip | additive``, mutually disjoint).
-    Additive positions are grouped into :class:`RoundWindow` cohorts sharing
-    one gained set each.
+    ``scheduled_ids`` are the dirty peer ids, and the three verdict masks
+    partition their positions by the :func:`classify_reselect` decision
+    table (``full | skip | additive``, mutually disjoint).  Every additive
+    peer gained the same ids, the window's gains, so ``gained`` is one set,
+    empty exactly when no position is additive.
     """
 
-    scheduled_rows: "np.ndarray"
     scheduled_ids: "np.ndarray"
     full_mask: "np.ndarray"
     skip_mask: "np.ndarray"
     additive_mask: "np.ndarray"
-    windows: Tuple[RoundWindow, ...]
+    gained: FrozenSet[int]
 
 #: Non-``None`` stand-in passed to :func:`classify_reselect` when a view
 #: reports per-peer history without materialising the candidate set itself
@@ -562,9 +542,9 @@ class IncrementalReselectionEngine:
         the full sweep, restricted to dirty peers.
 
         This wrapper is the *deliberately O(N)* sweep entry: building the
-        schedule costs one pass over the population (a vectorised mask over
-        the row columns under full knowledge, a sort of the dirty set under
-        a radius), which is the right trade for a synchronous round.
+        schedule costs one pass over the population (a copy of the
+        column's ids under full knowledge, a sort of the dirty set under a
+        radius), which is the right trade for a synchronous round.
 
         Under full knowledge one ``plan_round`` call schedules *and*
         classifies the round as numpy verdict columns, and
@@ -581,7 +561,7 @@ class IncrementalReselectionEngine:
             plan = view.plan_round(
                 self._overlay.selectors, self._overlay.selection.path_independent
             )
-            if plan.scheduled_rows.size == 0:
+            if plan.scheduled_ids.size == 0:
                 return False
             changed = self._install_plan(plan)
         else:
@@ -671,11 +651,11 @@ class IncrementalReselectionEngine:
         -- and the results land in ``OverlayNetwork._neighbours`` through
         the single :meth:`~repro.overlay.network.OverlayNetwork.install_selections`
         fan-out, which preserves the delta-stream contract per peer.
-        Python work here is O(full verdicts + changed selections): additive
-        cohorts stay implicit id arrays, so the (usually population-sized)
-        additive cohort after an epoch costs numpy passes plus the changed
-        members only.  The view folds the round's history wholesale in
-        ``end_round``.
+        Python work here is O(full verdicts + changed selections): the
+        additive cohort stays an implicit id array, so the (usually
+        population-sized) cohort after an epoch costs numpy passes plus the
+        changed members only.  The view folds the round's history wholesale
+        in ``end_round``.
         """
         overlay = self._overlay
         members = overlay._peers  # noqa: SLF001
@@ -693,14 +673,15 @@ class IncrementalReselectionEngine:
                 candidates_by_peer[reference.peer_id] = view.full_candidate_ids(
                     reference.peer_id
                 )
-        cohorts = [
-            AdditiveCohort(
-                member_ids=np.sort(ids[window.members]),
-                gained=tuple(sorted(window.gained)),
-                selected_of=neighbour_sets.__getitem__,
+        cohorts = []
+        if plan.gained:
+            cohorts.append(
+                AdditiveCohort(
+                    member_ids=np.sort(ids[plan.additive_mask]),
+                    gained=tuple(sorted(plan.gained)),
+                    selected_of=neighbour_sets.__getitem__,
+                )
             )
-            for window in plan.windows
-        ]
         results = selection.install_many(
             full_references,
             candidates_by_peer,

@@ -22,6 +22,7 @@ from repro.metrics.trees import tree_metrics
 from repro.multicast.incremental import StabilityTreeMaintainer
 from repro.multicast.stability import StabilityTreeBuilder
 from repro.overlay.gossip import knowledge_sets
+from repro.overlay.incremental import IncrementalReselectionEngine
 from repro.overlay.network import (
     BatchJoin,
     BatchLeave,
@@ -319,11 +320,11 @@ class TestConvergenceErrorRecovery:
     def test_abort_inside_a_full_knowledge_batch_rebuilds_the_row_map(self, selection_factory):
         """Fault injection: the columnar view adopting a populated overlay.
 
-        The aborted engine takes its ``peer id -> row`` map with it, and the
-        membership keeps changing while no engine exists to be told.  The
-        next incremental convergence builds the map from the overlay's peers
-        as they are then and reaches the equilibrium witness; from there the
-        membership notes keep it exact.
+        The aborted engine takes its view with it, and the membership keeps
+        changing while no engine exists to be told.  The view adopted next
+        schedules exactly the overlay's peers as they are then and reaches
+        the equilibrium witness; from there a membership note's window
+        schedules exactly the overlay's peers again.
         """
         peers = generate_peers_with_lifetimes(40, 2, seed=16)
         overlay = OverlayNetwork.build_incremental(
@@ -346,17 +347,27 @@ class TestConvergenceErrorRecovery:
         overlay.add_peer(replace(peers[17], coordinates=(0.456, 0.544)), bootstrap={0})
         overlay.move_peer(8, (0.789, 0.211))
 
+        def assert_schedules_the_peers():
+            view = overlay._engine._view  # noqa: SLF001 - the adopted view
+            plan = view.plan_round(overlay.selectors, overlay.selection.path_independent)
+            assert sorted(plan.scheduled_ids.tolist()) == overlay.peer_ids
+
         def assert_exact():
-            rows = overlay._engine._view._rows  # noqa: SLF001 - the adopted map
-            assert sorted(rows.alive_ids()) == overlay.peer_ids
             assert overlay.index.ids() == overlay.peer_ids
             witness = OverlayNetwork.build_equilibrium(overlay.peers(), selection_factory())
             assert overlay.directed_neighbour_map() == witness.directed_neighbour_map()
 
+        # What converge() does lazily, done first to read the adopted plan.
+        overlay._engine = IncrementalReselectionEngine(overlay)  # noqa: SLF001
+        assert_schedules_the_peers()
         overlay.converge()
         assert 17 in overlay and 21 not in overlay
         assert_exact()
         overlay.apply_batch([BatchLeave(30), BatchJoin(peers[21], bootstrap=frozenset({0}))])
+        assert_exact()
+        overlay.remove_peer(31)
+        assert_schedules_the_peers()
+        overlay.converge()
         assert_exact()
 
 
@@ -504,11 +515,13 @@ def test_batched_epochs_match_per_event_convergence(peers, selection_factory, sc
     slow_maintainer = StabilityTreeMaintainer(slow)
 
     for batch in batches:
-        fast.apply_batch(batch)
+        # Under full knowledge one round installs the fixed point and a
+        # second confirms it, however many events the epoch holds.
+        assert fast.apply_batch(batch) <= 2
         fast_maintainer.refresh()
         _assert_links_are_literal(fast)
         for event in batch:
-            slow.apply_batch((event,))
+            assert slow.apply_batch((event,)) <= 2
             slow_maintainer.refresh()
             _assert_links_are_literal(slow)
 

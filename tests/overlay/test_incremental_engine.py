@@ -167,8 +167,8 @@ def _next_plan(overlay):
     masks = (plan.full_mask, plan.skip_mask, plan.additive_mask)
     # Pairwise disjoint and covering the schedule.
     assert (sum(mask.astype(int) for mask in masks) == 1).all()
-    windowed = sum(window.members.astype(int) for window in plan.windows)
-    assert ((windowed == 1) == plan.additive_mask).all()
+    # One shared gained set, present exactly when some position is additive.
+    assert bool(plan.gained) == bool(plan.additive_mask.any())
     return plan
 
 
@@ -202,7 +202,7 @@ class TestRoundPlanDecisionTable:
             overlay.remove_peer(7)
         plan = _next_plan(fast)
         assert _ids(plan, plan.full_mask) == former and len(former) == 8
-        assert int(plan.skip_mask.sum()) == 31 and not plan.windows
+        assert int(plan.skip_mask.sum()) == 31 and not plan.gained
         converge_both()
 
         # A single join: the joiner has no history; everyone else gained it.
@@ -211,7 +211,7 @@ class TestRoundPlanDecisionTable:
         plan = _next_plan(fast)
         assert _ids(plan, plan.full_mask) == {40}
         assert int(plan.additive_mask.sum()) == 39
-        assert [window.gained for window in plan.windows] == [frozenset({40})]
+        assert plan.gained == frozenset({40})
         converge_both()
 
         # A move: lost and gained at once -- full for the mover and for the
@@ -222,7 +222,7 @@ class TestRoundPlanDecisionTable:
         plan = _next_plan(fast)
         assert _ids(plan, plan.full_mask) == holders | {12} and len(holders) == 9
         assert int(plan.additive_mask.sum()) == 30
-        assert [window.gained for window in plan.windows] == [frozenset({12})]
+        assert plan.gained == frozenset({12})
         converge_both()
 
     def test_a_path_dependent_method_recomputes_every_scheduled_peer(self):
@@ -234,22 +234,22 @@ class TestRoundPlanDecisionTable:
         for overlay in (fast, slow):
             overlay.add_peer(peers[40])
         plan = _next_plan(fast)
-        assert int(plan.full_mask.sum()) == 41 and not plan.windows
+        assert int(plan.full_mask.sum()) == 41 and not plan.gained
         fast.converge()
         sweep_converge(slow)
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
 
     def test_a_peer_with_history_inside_its_own_window_is_an_error(self):
-        """Every event naming a peer clears its history or its alive flag;
-        a state where one did not is corruption, and planning says which
-        peer and which stamp instead of classifying it."""
+        """Every event naming a peer clears its history or takes it out of
+        the population; a state where one did not is corruption, and
+        planning says which peer instead of classifying it."""
         overlay = OverlayNetwork.build_incremental(
             generate_peers(12, 2, seed=5), EmptyRectangleSelection(), rng=random.Random(1)
         )
         overlay.move_peer(3, (512.25, 256.75))
         view = overlay._engine._view  # noqa: SLF001
-        view._needs_full[view._rows.row_of(3)] = False  # noqa: SLF001 - the injected fault
-        with pytest.raises(RuntimeError, match=r"peer 3 .* stamp \d+ .* own window"):
+        view._needs_full.discard(3)  # noqa: SLF001 - the injected fault
+        with pytest.raises(RuntimeError, match=r"peer 3 .* own window"):
             overlay.converge()
 
 

@@ -297,6 +297,32 @@ def test_index_drains_to_empty_with_the_overlay():
     assert overlay.index.ids() == [7]
 
 
+@pytest.mark.parametrize("gossip_radius", [None, 2], ids=["full_knowledge", "radius_2"])
+def test_a_live_engine_follows_the_column_a_drained_overlay_replaces(gossip_radius):
+    """A drained overlay starts its column over when the next population has
+    another dimension, and the engine stays alive across the drain: its
+    view must read the overlay's column as it is now, never the one it
+    adopted."""
+    first = [make_peer(i, (float(i), float(i * 7 % 13))) for i in range(8)]
+    second = [make_peer(20 + i, (float(i), float(i * 5 % 11), float(i * 3 % 7)))
+              for i in range(4)]
+    overlay = OverlayNetwork(EmptyRectangleSelection(), gossip_radius=gossip_radius)
+    for peer in first:
+        overlay.insert_and_converge(peer)
+    for peer in first:
+        overlay.remove_and_converge(peer.peer_id)
+    assert overlay.peer_count == 0 and overlay._engine is not None  # noqa: SLF001
+    oracle = OverlayNetwork(EmptyRectangleSelection(), gossip_radius=gossip_radius)
+    for peer in second:
+        overlay.insert_and_converge(peer)
+        oracle.add_peer(peer)
+        sweep_converge(oracle)
+    assert overlay._column.dimension == 3  # noqa: SLF001 - the replaced column
+    equilibrium = OverlayNetwork.build_equilibrium(second, EmptyRectangleSelection())
+    assert overlay.directed_neighbour_map() == equilibrium.directed_neighbour_map()
+    assert overlay.directed_neighbour_map() == oracle.directed_neighbour_map()
+
+
 class _ArbitraryDistance(OrthogonalHyperplanesSelection):
     """A Hyperplanes method under a callable distance: no indexed path."""
 

@@ -1,7 +1,8 @@
 """Churn steps never walk the peer population.  After an overlay, its tree
-maintainer and connectivity feed bootstrap, the population maps raise once
-an iteration yields a second element (``add_peer`` reads the dimension off
-the first).  A converged join, leave, move and mixed batch, each refreshed
+maintainer and connectivity feed bootstrap, the population maps (the
+overlay's and its coordinate column's ``id -> row`` map) raise once an
+iteration yields a second element (``add_peer`` reads the dimension off the
+first).  A converged join, leave, move and mixed batch, each refreshed
 and queried, must not trip them."""
 
 import __future__
@@ -48,9 +49,8 @@ def bootstrapped(radius):
     ids = overlay.peer_ids
     for name in ("_peers", "_neighbours", "_links"):
         setattr(overlay, name, _Guarded(getattr(overlay, name)))
-    view = overlay._engine._view  # noqa: SLF001 - the maps under test are private
-    if isinstance(view, ColumnarCandidateState):
-        view._rows._row_of_id = _Guarded(view._rows._row_of_id)  # noqa: SLF001
+    column = overlay._column  # noqa: SLF001 - the maps under test are private
+    column._row_of = _Guarded(column._row_of)  # noqa: SLF001
     return overlay, maintainer, feed, ids, peers[POPULATION:]
 
 
@@ -115,8 +115,9 @@ def test_rpl005_catches_an_implicit_set_silently_materialised(monkeypatch):
 
 
 def test_rpl005_catches_population_scheduling_in_plan_round(monkeypatch):
-    """``plan_round`` swapping its mask-algebra dirty scan for a sort of the
-    row map puts an O(N) Python pass back on every convergence round."""
+    """``plan_round`` swapping its read of the column's id array for a sort
+    of the column's id -> row map puts an O(N) Python pass back on every
+    convergence round."""
     _assert_seeded_walk(monkeypatch, ColumnarCandidateState, "plan_round",
-                        "scheduled_rows = self._dirty_row_array()",
-                        "scheduled_rows = np.asarray(sorted(self._rows._row_of_id))")
+                        "scheduled = self._schedule()",
+                        "scheduled = np.asarray(sorted(self._overlay._column._row_of))")
