@@ -67,7 +67,7 @@ class _CountingSelection(EmptyRectangleSelection):
         self.reselections = 0
         self._installing = False
 
-    def select_many(self, references, candidates_by_peer, **kwargs):
+    def select_many(self, references, candidates_by_peer=None, **kwargs):
         if not self._installing:
             self.reselections += len(references)
         return super().select_many(references, candidates_by_peer, **kwargs)
@@ -76,13 +76,11 @@ class _CountingSelection(EmptyRectangleSelection):
         self.reselections += len(updates)
         return super().select_many_additive(updates, **kwargs)
 
-    def install_many(self, full_references, candidates_by_peer, additive_cohorts, **kwargs):
+    def install_many(self, full_references, additive_cohorts, **kwargs):
         self.reselections += len(full_references)
         self._installing = True
         try:
-            return super().install_many(
-                full_references, candidates_by_peer, additive_cohorts, **kwargs
-            )
+            return super().install_many(full_references, additive_cohorts, **kwargs)
         finally:
             self._installing = False
 

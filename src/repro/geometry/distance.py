@@ -21,6 +21,7 @@ __all__ = [
     "minkowski_distance",
     "get_distance",
     "DISTANCE_FUNCTIONS",
+    "MINKOWSKI_ORDERS",
 ]
 
 DistanceFunction = Callable[[Sequence[float], Sequence[float]], float]
@@ -70,13 +71,25 @@ def minkowski_distance(a: Sequence[float], b: Sequence[float], p: float = 2.0) -
     return total ** (1.0 / p)
 
 
+#: Every accepted distance name, with the Minkowski order it names: the
+#: one list both the functions below and the Hyperplanes array pass read.
+MINKOWSKI_ORDERS: Dict[str, float] = {
+    "l1": 1.0,
+    "manhattan": 1.0,
+    "l2": 2.0,
+    "euclidean": 2.0,
+    "linf": math.inf,
+    "chebyshev": math.inf,
+}
+
+_FUNCTION_OF_ORDER: Dict[float, DistanceFunction] = {
+    1.0: manhattan_distance,
+    2.0: euclidean_distance,
+    math.inf: chebyshev_distance,
+}
+
 DISTANCE_FUNCTIONS: Dict[str, DistanceFunction] = {
-    "l1": manhattan_distance,
-    "manhattan": manhattan_distance,
-    "l2": euclidean_distance,
-    "euclidean": euclidean_distance,
-    "linf": chebyshev_distance,
-    "chebyshev": chebyshev_distance,
+    name: _FUNCTION_OF_ORDER[order] for name, order in MINKOWSKI_ORDERS.items()
 }
 
 
@@ -84,11 +97,11 @@ def get_distance(name: str) -> DistanceFunction:
     """Look up a distance function by name.
 
     Recognised names: ``l1``/``manhattan``, ``l2``/``euclidean``,
-    ``linf``/``chebyshev`` (case-insensitive).
+    ``linf``/``chebyshev`` (case-insensitive).  Anything else, a
+    non-string included, is a :class:`ValueError` listing them.
     """
-    key = name.strip().lower()
-    try:
-        return DISTANCE_FUNCTIONS[key]
-    except KeyError:
-        known = ", ".join(sorted(set(DISTANCE_FUNCTIONS)))
-        raise ValueError(f"unknown distance function {name!r}; known: {known}") from None
+    function = DISTANCE_FUNCTIONS.get(name.strip().lower()) if isinstance(name, str) else None
+    if function is None:
+        known = ", ".join(sorted(MINKOWSKI_ORDERS))
+        raise ValueError(f"unknown distance function {name!r}; known: {known}")
+    return function

@@ -5,10 +5,10 @@ alive peer -- exactly two geometric questions: the per-orthant
 empty-rectangle skyline (Section 2) and the per-region top-``K`` of the
 Hyperplanes family.  A scan answers each by walking the whole population,
 ``O(N)`` per reference in Python.  This module answers them as array
-passes over a coordinate column instead; the full-knowledge
-:class:`~repro.overlay.network.OverlayNetwork` of a method with
-``supports_index`` owns that column as a :class:`SpatialIndex`, and its
-only reader is that method.
+passes over a coordinate column instead; a full-knowledge
+:class:`~repro.overlay.network.OverlayNetwork` owns that column as a
+:class:`SpatialIndex`, and its only reader is the overlay's selection
+method.
 
 Division of labour
 ------------------

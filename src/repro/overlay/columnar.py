@@ -175,13 +175,6 @@ class ColumnarCandidateState(CandidateView):
             gained=frozenset(gained) if additive_mask.any() else frozenset(),
         )
 
-    def full_candidate_ids(self, peer_id: int) -> Set[int]:
-        """Materialise one peer's candidates (full recomputes of a method
-        without an index path only)."""
-        ids = set(self._alive_ids().tolist())
-        ids.discard(peer_id)
-        return ids
-
     def end_round(self) -> None:
         """Every scheduled peer now has history under the current population."""
         self._needs_full.clear()

@@ -340,11 +340,6 @@ class CandidateView:
         sets do not depend on the topology, so the default ignores it.
         """
 
-    def full_candidate_ids(self, peer_id: int) -> AbstractSet[int]:
-        """One peer's current candidate ids (scan path only; may be a live
-        view, so the round consumes it before its installs)."""
-        raise NotImplementedError
-
     def end_round(self) -> None:
         """Close the round: clean every scheduled peer, drop round memos."""
         raise NotImplementedError
@@ -454,8 +449,9 @@ class RadiusCandidateState(CandidateView):
         return True, gained, lost
 
     def full_candidate_ids(self, peer_id: int) -> AbstractSet[int]:
-        """``known(P)``, live; it already holds ``_neighbours[P]`` (bootstrap
-        edges are reported as flips like any other)."""
+        """``known(P)``, live (so the round consumes it before its
+        installs); it already holds ``_neighbours[P]`` (bootstrap edges are
+        reported as flips like any other)."""
         return self._knowledge.known(peer_id)
 
     def commit(self, peer_id: int) -> None:
@@ -605,7 +601,7 @@ class IncrementalReselectionEngine:
     def _install_round(self, plan: List[_PlanEntry]) -> bool:
         """Run and install a bounded-radius round's planned selections, then
         commit the radius view's history.  Every selection scans its own
-        candidate set: a shared index cannot answer per-peer subsets."""
+        candidate set: a whole-column call cannot answer per-peer subsets."""
         overlay = self._overlay
         view = self._view
         members = overlay._peers  # noqa: SLF001
@@ -661,18 +657,10 @@ class IncrementalReselectionEngine:
         members = overlay._peers  # noqa: SLF001
         neighbour_sets = overlay._neighbours  # noqa: SLF001
         selection = overlay.selection
-        view = self._view
-        index = overlay.index
         ids = plan.scheduled_ids
 
         full_ids = np.sort(ids[plan.full_mask])
         full_references = [members[int(peer_id)] for peer_id in full_ids]
-        candidates_by_peer: Dict[int, AbstractSet[int]] = {}
-        if index is None:
-            for reference in full_references:
-                candidates_by_peer[reference.peer_id] = view.full_candidate_ids(
-                    reference.peer_id
-                )
         cohorts = []
         if plan.gained:
             cohorts.append(
@@ -684,9 +672,7 @@ class IncrementalReselectionEngine:
             )
         results = selection.install_many(
             full_references,
-            candidates_by_peer,
             cohorts,
             member_of=MemberOf(members.__getitem__, overlay._column),  # noqa: SLF001
-            index=index,
         )
         return overlay.install_selections(results)

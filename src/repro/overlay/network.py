@@ -53,7 +53,7 @@ from repro.geometry.index import CoordinateColumn, SpatialIndex
 from repro.overlay.gossip import knowledge_sets, peers_within_hops
 from repro.overlay.incremental import IncrementalReselectionEngine, OverlayDeltaRecorder
 from repro.overlay.peer import PeerInfo
-from repro.overlay.selection.base import NeighbourSelectionMethod
+from repro.overlay.selection.base import MemberOf, NeighbourSelectionMethod
 from repro.overlay.topology import TopologySnapshot
 
 __all__ = [
@@ -147,13 +147,12 @@ class OverlayNetwork:
 
     The overlay owns one :class:`~repro.geometry.index.CoordinateColumn`
     over the alive peers' coordinates, which the batched selection reads.
-    It is a :class:`~repro.geometry.index.SpatialIndex` (:attr:`index`)
-    exactly when ``gossip_radius`` is ``None`` and the method has
-    ``supports_index``: only there is the population every peer's candidate
-    set, and only such a method reads the index.  Every full selection is
-    then one kernel call over the index's whole column.  A method without an indexed path scans the
-    population instead; under a gossip radius every selection scans its own
-    candidate set.
+    Under full knowledge (``gossip_radius`` is ``None``) it is a
+    :class:`~repro.geometry.index.SpatialIndex` (:attr:`index`), and the
+    column *is* every peer's candidate set: each full selection is one
+    ``select_many`` call over the whole column, with no candidate set
+    materialised.  Under a gossip radius every selection reads its own
+    candidate ids.
     """
 
     def __init__(
@@ -170,9 +169,7 @@ class OverlayNetwork:
         # move_peer / the bulk builders); convergence failures never touch
         # coordinates, so the column stays exact through them.
         self._column: CoordinateColumn = (
-            SpatialIndex()
-            if gossip_radius is None and selection.supports_index
-            else CoordinateColumn()
+            SpatialIndex() if gossip_radius is None else CoordinateColumn()
         )
         self._peers: Dict[int, PeerInfo] = {}
         self._neighbours: Dict[int, Set[int]] = {}
@@ -203,7 +200,7 @@ class OverlayNetwork:
 
     @property
     def index(self) -> Optional[SpatialIndex]:
-        """The spatial index the selection reads (``None`` when it reads none)."""
+        """The full-knowledge coordinate column (``None`` under a gossip radius)."""
         column = self._column
         return column if isinstance(column, SpatialIndex) else None
 
@@ -498,35 +495,28 @@ class OverlayNetwork:
         This is the oracle the incremental engine is cross-checked against
         (the tests loop it to a fixed point); running it re-selects every
         peer behind the engine's back, so any live engine state is
-        discarded.  With an owned index, every selection is answered from
-        it instead of a materialised candidate list.
+        discarded.  Under full knowledge the sweep is one whole-column
+        :meth:`~repro.overlay.selection.base.NeighbourSelectionMethod.select_many`.
         """
         # Dropped first: the engine's bookkeeping (under a gossip radius, the
         # knowledge sets it maintains from the edge flips notified below)
         # must not see a sweep it cannot follow.
         self.invalidate_engine()
-        if self.index is not None:
-            # The batched entry point is the one every supports_index method
-            # guarantees (select's index= keyword is a convenience the
-            # in-repo methods add on top).
-            results = self._selection.select_many(
-                list(self._peers.values()), {}, index=self.index
-            )
-            return self.install_selections(results)
         if self._gossip_radius is None:
-            candidates_by_peer = {
-                peer_id: [info for other, info in self._peers.items() if other != peer_id]
-                for peer_id in self._peers
-            }
-        else:
-            reachable = knowledge_sets(self._links, self._gossip_radius)
-            candidates_by_peer = {
-                peer_id: [
-                    self._peers[other]
-                    for other in sorted(self._candidate_ids(peer_id, reachable[peer_id]))
-                ]
-                for peer_id in self._peers
-            }
+            return self.install_selections(
+                self._selection.select_many(
+                    list(self._peers.values()),
+                    member_of=MemberOf(self._peers.__getitem__, self._column),
+                )
+            )
+        reachable = knowledge_sets(self._links, self._gossip_radius)
+        candidates_by_peer = {
+            peer_id: [
+                self._peers[other]
+                for other in sorted(self._candidate_ids(peer_id, reachable[peer_id]))
+            ]
+            for peer_id in self._peers
+        }
         # Every selection is computed against the pre-round topology before
         # the first one is installed.
         return self.install_selections(

@@ -20,7 +20,7 @@ from typing import (
 
 import numpy as np
 
-from repro.geometry.index import CoordinateColumn, SpatialIndex
+from repro.geometry.index import CoordinateColumn
 from repro.overlay.peer import PeerInfo
 
 __all__ = ["AdditiveCohort", "MemberOf", "NeighbourSelectionMethod"]
@@ -30,11 +30,11 @@ __all__ = ["AdditiveCohort", "MemberOf", "NeighbourSelectionMethod"]
 class AdditiveCohort:
     """One shared-window additive batch for :meth:`~NeighbourSelectionMethod.install_many`.
 
-    A cohort is the vectorised round protocol's unit of additive work: every
-    member's candidate set gained exactly the same peers (they share one
-    delta window), so the batch is described *implicitly* -- an ascending id
-    array, the gained ids and one resolver callable -- instead of per-member
-    Python lists.  Methods that can exploit the shared structure (one gain
+    A cohort is the full-knowledge round protocol's unit of additive work:
+    every member's candidate set is the whole column, so all of them gained
+    exactly the same peers (they share one delta window), and the batch is
+    described *implicitly* -- an ascending id array, the gained ids and one
+    resolver callable -- instead of per-member Python lists.  Methods that can exploit the shared structure (one gain
     set, many members) stay O(changes); the generic fallback expands members
     into per-peer :meth:`~NeighbourSelectionMethod.select_many_additive`
     updates.
@@ -128,21 +128,6 @@ class NeighbourSelectionMethod(abc.ABC):
     #: recomputation, which is always correct.
     path_independent: bool = False
 
-    #: ``True`` when the method has an index-backed path producing
-    #: *byte-identical* selections to the candidate-list scan.  Callers may
-    #: then pass a
-    #: :class:`repro.geometry.index.SpatialIndex` whose contents are exactly
-    #: the candidate set plus the reference peers (each excluded by id) to the
-    #: batched entry points :meth:`select_many` / :meth:`install_many` --
-    #: the surface opting in guarantees, by overriding :meth:`select_many`
-    #: (the in-repo methods answer every reference with one kernel call over
-    #: the index's whole column, and accept ``index=`` on per-call
-    #: :meth:`select` as a convenience).  Methods that do not opt in never
-    #: receive an ``index`` -- the overlay layer checks this flag before
-    #: taking the indexed path, so third-party subclasses keep working
-    #: unchanged.
-    supports_index: bool = False
-
     @abc.abstractmethod
     def select(
         self, reference: PeerInfo, candidates: Sequence[PeerInfo]
@@ -175,9 +160,8 @@ class NeighbourSelectionMethod(abc.ABC):
     def select_many(
         self,
         references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Collection],
+        candidates_by_peer: Optional[Mapping[int, Collection]] = None,
         *,
-        index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
         """Batched :meth:`select`: one selection per reference peer.
@@ -186,25 +170,23 @@ class NeighbourSelectionMethod(abc.ABC):
         candidate set ``I(P)``: a ``PeerInfo`` sequence, or -- when the
         caller passes the ``member_of`` handle -- a collection of peer
         *ids* in any order, which methods without an array path read as the
-        id-sorted ``PeerInfo`` list.  The default implementation simply
-        loops over :meth:`select`; methods with a vectorised path override
-        it so the incremental reselection engine can amortise per-call
-        overhead across a whole batch of dirty peers.  Overrides must return
-        exactly what the per-peer loop would (same ids per reference, order
-        irrelevant to callers that treat the result as a set).
+        id-sorted ``PeerInfo`` list.  Without ``candidates_by_peer`` every
+        reference's candidates are the whole ``member_of.column``: full
+        knowledge, where ``I(P)`` is everyone alive (the reference itself is
+        never selected, and need not be stored).
 
-        When ``index`` is given (only valid on methods with
-        :attr:`supports_index`), every reference is answered from the index
-        instead and ``candidates_by_peer`` is ignored -- the index contents
-        *are* the candidate set by the caller's contract, so entries need
-        not (and for the churn-scale hot path deliberately do not) exist.
-        With ``member_of`` the candidate ids are resolved to the same
-        id-sorted list a ``PeerInfo``-holding caller would have passed.
+        The default implementation loops over :meth:`select`, resolving the
+        column's ids once for a whole-column batch; methods with an array
+        path override it so the incremental reselection engine can amortise
+        per-call overhead across a whole batch of dirty peers.  Overrides
+        must return exactly what the per-peer loop would (same ids per
+        reference, order irrelevant to callers that treat the result as a
+        set).
         """
-        if index is not None:
-            # The base class has no indexed path: a method that opts in
-            # answers ``index=`` in its own override.
-            raise self._no_index_path()
+        if candidates_by_peer is None:
+            ids = self._whole_column(member_of).columns()[0].tolist()
+            everyone = self._id_sorted(ids, member_of)
+            return {reference.peer_id: self.select(reference, everyone) for reference in references}
         results: Dict[int, List[int]] = {}
         for reference in references:
             candidates = candidates_by_peer[reference.peer_id]
@@ -212,17 +194,6 @@ class NeighbourSelectionMethod(abc.ABC):
                 candidates = self._id_sorted(candidates, member_of)
             results[reference.peer_id] = self.select(reference, candidates)
         return results
-
-    def _check_index_support(self) -> None:
-        """Reject ``index=`` on methods that never opted in (shared guard)."""
-        if not self.supports_index:
-            raise self._no_index_path()
-
-    def _no_index_path(self) -> TypeError:
-        return TypeError(
-            f"{type(self).__name__} has no index-backed selection path; "
-            "check supports_index before passing index="
-        )
 
     def select_many_additive(
         self,
@@ -248,9 +219,7 @@ class NeighbourSelectionMethod(abc.ABC):
         The default has no delta rule: it re-selects every reference from
         ``currently_selected + gained`` through :meth:`select` -- not through
         :meth:`select_many`, the entry of full recomputes.  Only meaningful
-        for methods with ``path_independent = True``.  An additive update
-        touches only ``O(|selection| + |gained|)`` candidates, so it takes
-        no index.
+        for methods with ``path_independent = True``.
         """
         return {
             reference.peer_id: self.select(
@@ -265,42 +234,32 @@ class NeighbourSelectionMethod(abc.ABC):
     def install_many(
         self,
         full_references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Collection[int]],
         additive_cohorts: Sequence[AdditiveCohort],
         *,
         member_of: MemberOf,
-        index: "Optional[SpatialIndex]" = None,
     ) -> Dict[int, List[int]]:
-        """One batched selection call for a whole convergence round.
+        """One batched selection call for a whole full-knowledge round.
 
         The cohort install entry the vectorised round protocol drives, and
         id-speaking throughout (``member_of`` resolves): ``full_references``
-        are recomputed against their complete candidate sets (from ``index``
-        when given, else from the candidate ids in ``candidates_by_peer``),
-        and every :class:`AdditiveCohort` is resolved through the method's
-        additive delta rule.  Returns ``peer_id -> selected ids``; cohort
-        members omitted from the result are provably unchanged -- exactly
-        the contract of :meth:`select_many_additive`, extended to the whole
+        are recomputed against the whole ``member_of.column`` (as
+        :meth:`select_many` without candidates), and every
+        :class:`AdditiveCohort` is resolved through the method's additive
+        delta rule.  Returns ``peer_id -> selected ids``; cohort members
+        omitted from the result are provably unchanged -- exactly the
+        contract of :meth:`select_many_additive`, extended to the whole
         round.
 
         The default implementation reproduces the per-peer engine loop:
         cohorts expand into one additive update per member (sharing the
-        cohort's gains) for :meth:`select_many_additive`, and -- matching the
-        engine's install phase -- only full-candidate recomputations may
-        consult the index.
-        Methods with structure linking full and additive results (see
+        cohort's gains) for :meth:`select_many_additive`.  Methods with
+        structure linking full and additive results (see
         :class:`~repro.overlay.selection.empty_rectangle.EmptyRectangleSelection`)
         override this to keep the whole round sub-linear in the population.
         """
-        if index is not None:
-            self._check_index_support()
         results: Dict[int, List[int]] = {}
         if full_references:
-            results.update(
-                self.select_many(full_references, {}, index=index)
-                if index is not None
-                else self.select_many(full_references, candidates_by_peer, member_of=member_of)
-            )
+            results.update(self.select_many(full_references, member_of=member_of))
         updates = [
             (member_of(member_id), cohort.selected_of(member_id), cohort.gained)
             for cohort in additive_cohorts
@@ -355,16 +314,27 @@ class NeighbourSelectionMethod(abc.ABC):
         """The ``PeerInfo`` list a scan iterates: ascending peer id."""
         return [member_of(other) for other in sorted(ids)]
 
+    @staticmethod
+    def _whole_column(member_of: Optional[MemberOf]) -> CoordinateColumn:
+        """The column a batch without candidate sets is answered against."""
+        if member_of is None:
+            raise TypeError("select_many needs candidates_by_peer or member_of")
+        return member_of.column
+
     # The array paths read ids off a coordinate column; a caller holding
     # ``PeerInfo`` lists (no ``member_of``) is adapted to ids and a
     # temporary column (:meth:`MemberOf.adapt`).
-    @staticmethod
+    @classmethod
     def _candidate_rows(
+        cls,
         references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Collection],
+        candidates_by_peer: Optional[Mapping[int, Collection]],
         member_of: Optional[MemberOf],
-    ) -> Tuple[CoordinateColumn, List[Collection[int]]]:
-        """``(column, rows)``: each reference's candidates as stored ids."""
+    ) -> Tuple[CoordinateColumn, Optional[List[Collection[int]]]]:
+        """``(column, rows)``: each reference's candidates as stored ids, or
+        no rows -- the whole column -- without ``candidates_by_peer``."""
+        if candidates_by_peer is None:
+            return cls._whole_column(member_of), None
         rows = [candidates_by_peer[reference.peer_id] for reference in references]
         if member_of is None:
             member_of = MemberOf.adapt(chain(references, *rows))

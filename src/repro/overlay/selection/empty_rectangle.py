@@ -47,7 +47,7 @@ from repro.overlay.peer import PeerInfo
 from repro.overlay.selection.base import AdditiveCohort, MemberOf, NeighbourSelectionMethod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.index import CoordinateColumn, SpatialIndex
+    from repro.geometry.index import CoordinateColumn
 
 __all__ = ["EmptyRectangleSelection", "brute_force_empty_rectangle_neighbours"]
 
@@ -59,22 +59,7 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
     # selected) candidates cannot change the Pareto minima of the orthant.
     path_independent = True
 
-    # The per-orthant skyline is exactly what orthant_skylines computes over
-    # the index's whole column (the packed quadrant pass in two dimensions,
-    # the presorted pass in any other), so the indexed path is
-    # byte-identical to the scan.  It reads a reference's position from the
-    # reference itself, never from the index.
-    supports_index = True
-
-    def select(
-        self,
-        reference: PeerInfo,
-        candidates: Sequence[PeerInfo],
-        *,
-        index: "Optional[SpatialIndex]" = None,
-    ) -> List[int]:
-        if index is not None:
-            return self._select_batch([reference], index)[reference.peer_id]
+    def select(self, reference: PeerInfo, candidates: Sequence[PeerInfo]) -> List[int]:
         others = self._exclude_reference(reference, candidates)
         if not others:
             return []
@@ -102,22 +87,20 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
     def select_many(
         self,
         references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Collection],
+        candidates_by_peer: Optional[Mapping[int, Collection]] = None,
         *,
-        index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
-        """Batched selection: one kernel call for a whole batch.
+        """Batched selection: one kernel call for a whole batch
+        (:meth:`_select_batch`).
 
-        With an ``index`` every reference is answered from the index's
-        whole column instead of any scan; without one, from its own
+        Without ``candidates_by_peer`` every reference is answered from the
+        whole ``member_of.column`` (full knowledge); with it, from its own
         candidate ids -- the arm a bounded gossip radius runs, where
-        candidate sets are per-peer.  Either is one :meth:`_select_batch`.
-        ``PeerInfo`` candidate lists (no ``member_of``) are adapted to ids
-        and a temporary column (:meth:`MemberOf.adapt`).
+        candidate sets are per-peer.  ``PeerInfo`` candidate lists (no
+        ``member_of``) are adapted to ids and a temporary column
+        (:meth:`MemberOf.adapt`).
         """
-        if index is not None:
-            return self._select_batch(references, index)
         return self._select_batch(
             references, *self._candidate_rows(references, candidates_by_peer, member_of)
         )
@@ -188,11 +171,9 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
     def install_many(
         self,
         full_references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Collection[int]],
         additive_cohorts: Sequence[AdditiveCohort],
         *,
         member_of: MemberOf,
-        index: "Optional[SpatialIndex]" = None,
     ) -> Dict[int, List[int]]:
         """Cohort install via the empty-rectangle symmetry fan-out.
 
@@ -201,9 +182,9 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         ``P`` is in ``select(Q, everyone)``.  On the vectorised round path
         every gained candidate of an additive cohort is itself a
         full-recompute reference (joins, moves and rejoins all force the
-        gained peer onto the full path), so the gained peers' own indexed
-        recomputations double as a *reverse index* of exactly the cohort
-        members whose selection can change:
+        gained peer onto the full path), so the gained peers' own
+        whole-column recomputations double as a *reverse index* of exactly
+        the cohort members whose selection can change:
 
         * a member ``P`` named by some gain's recompute gains that peer
           (symmetry: the box is empty both ways), so its additive update is
@@ -216,22 +197,14 @@ class EmptyRectangleSelection(NeighbourSelectionMethod):
         of cohort size -- the property the N=100k round protocol rests on --
         and those updates share one :func:`~repro.geometry.index.orthant_skylines`
         call in any dimension.
-        Falls back to the generic expansion when the caller passes no index
-        or hands a cohort whose gains were not fully
-        recomputed (never the engine; the precondition is asserted cheaply).
+        Falls back to the generic expansion when handed a cohort whose
+        gains were not fully recomputed (never the engine; the precondition
+        is asserted cheaply).
         """
         full_ids = {reference.peer_id for reference in full_references}
-        if index is None or any(
-            gain not in full_ids for cohort in additive_cohorts for gain in cohort.gained
-        ):
-            return super().install_many(
-                full_references,
-                candidates_by_peer,
-                additive_cohorts,
-                member_of=member_of,
-                index=index,
-            )
-        results = self._select_batch(full_references, index)
+        if any(gain not in full_ids for cohort in additive_cohorts for gain in cohort.gained):
+            return super().install_many(full_references, additive_cohorts, member_of=member_of)
+        results = self._select_batch(full_references, member_of.column)
         updates: List[Tuple[PeerInfo, Collection[int], List[int]]] = []
         for cohort in additive_cohorts:
             member_ids = np.asarray(cohort.member_ids, dtype=np.int64)

@@ -14,14 +14,14 @@ specialisations:
 * :class:`~repro.overlay.selection.k_closest.KClosestSelection` (``H = 0``)
 
 One rule, two computations of it.  :meth:`HyperplanesSelection.select`
-over a candidate list is the literal scan.  With a distance named by a
-Minkowski norm (L1, L2, L-infinity), every batched entry point --
-``select_many``, ``select_many_additive``, ``select(index=)`` and
-``compute_equilibrium`` -- is one :func:`~repro.geometry.index.region_top_ks`
-call over a coordinate column, which computes the scan's signatures,
-distances and ``(distance, id)`` order, ties and points on a plane
-included.  A custom distance callable has no array form: its batches run
-the base class's loops over ``select``.
+over a candidate list is the literal scan.  Every batched entry point --
+``select_many`` (per-peer candidate sets or the whole column),
+``select_many_additive`` and ``compute_equilibrium`` -- is one
+:func:`~repro.geometry.index.region_top_ks` call over a coordinate column,
+which computes the scan's signatures, distances and ``(distance, id)``
+order, ties and points on a plane included.  That is why the distance is
+named, never a callable: each of the six names is a Minkowski norm (L1, L2,
+L-infinity) the array pass knows by its order.
 """
 
 from __future__ import annotations
@@ -39,22 +39,18 @@ from typing import (
     Tuple,
 )
 
-from repro.geometry.distance import DistanceFunction, get_distance
+from repro.geometry.distance import MINKOWSKI_ORDERS, DistanceFunction, get_distance
 from repro.geometry.hyperplane import HyperplaneSet
 from repro.geometry.index import region_top_ks
 from repro.overlay.peer import PeerInfo
 from repro.overlay.selection.base import MemberOf, NeighbourSelectionMethod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.index import CoordinateColumn, SpatialIndex
+    from repro.geometry.index import CoordinateColumn
 
 __all__ = ["HyperplanesSelection"]
 
 HyperplaneSetFactory = Callable[[int], HyperplaneSet]
-
-# Minkowski orders of the distance names the array pass understands.
-MINKOWSKI_ORDERS = {"l1": 1.0, "manhattan": 1.0, "l2": 2.0, "euclidean": 2.0,
-                    "linf": float("inf"), "chebyshev": float("inf")}
 
 
 class HyperplanesSelection(NeighbourSelectionMethod):
@@ -69,8 +65,9 @@ class HyperplanesSelection(NeighbourSelectionMethod):
     k:
         Number of neighbours kept per region (the paper's ``K``).
     distance:
-        Distance function used for the "closest" ranking, either a callable
-        or a name understood by :func:`repro.geometry.distance.get_distance`.
+        Name of the distance used for the "closest" ranking, one of the keys
+        of :data:`repro.geometry.distance.MINKOWSKI_ORDERS`
+        (case-insensitive); anything else is a :class:`ValueError`.
         Defaults to Euclidean distance.
     """
 
@@ -79,34 +76,20 @@ class HyperplanesSelection(NeighbourSelectionMethod):
     # region never changes any region's top K.
     path_independent = True
 
-    @property
-    def supports_index(self) -> bool:  # type: ignore[override]
-        """Indexed selection is the array pass over the index's column.
-
-        It exists exactly when the configured distance is one of the named
-        Minkowski norms; arbitrary distance callables scan candidate lists.
-        """
-        return self._distance_order is not None
-
     def __init__(
         self,
         hyperplane_factory: HyperplaneSetFactory,
         *,
         k: int = 1,
-        distance: "DistanceFunction | str" = "l2",
+        distance: str = "l2",
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         self._hyperplane_factory = hyperplane_factory
         self._k = k
-        # Minkowski order of the distance when it is a norm known by name;
-        # the batched entry points take the array pass only when set.
-        self._distance_order: Optional[float] = (
-            MINKOWSKI_ORDERS.get(distance.strip().lower())
-            if isinstance(distance, str)
-            else None
-        )
-        self._distance = get_distance(distance) if isinstance(distance, str) else distance
+        self._distance = get_distance(distance)  # validates the name
+        # The Minkowski order the array pass ranks by.
+        self._order = MINKOWSKI_ORDERS[distance.strip().lower()]
         self._sets_by_dimension: Dict[int, HyperplaneSet] = {}
 
     # ------------------------------------------------------------------
@@ -137,16 +120,7 @@ class HyperplanesSelection(NeighbourSelectionMethod):
     # ------------------------------------------------------------------
     # Selection
     # ------------------------------------------------------------------
-    def select(
-        self,
-        reference: PeerInfo,
-        candidates: Sequence[PeerInfo],
-        *,
-        index: "Optional[SpatialIndex]" = None,
-    ) -> List[int]:
-        if index is not None:
-            self._check_index_support()
-            return self._select_batch([reference], index)[reference.peer_id]
+    def select(self, reference: PeerInfo, candidates: Sequence[PeerInfo]) -> List[int]:
         others = self._exclude_reference(reference, candidates)
         if not others:
             return []
@@ -173,30 +147,20 @@ class HyperplanesSelection(NeighbourSelectionMethod):
 
     def compute_equilibrium(self, peers: Sequence[PeerInfo]) -> Dict[int, Set[int]]:
         """Full knowledge: every peer against the whole population in one
-        pass (:meth:`_select_batch` over a temporary column), or the base
-        class's literal loop for a custom distance callable."""
-        if self._distance_order is None:
-            return super().compute_equilibrium(peers)
+        pass (:meth:`_select_batch` over a temporary column)."""
         selected = self._select_batch(peers, MemberOf.adapt(peers).column)
         return {peer_id: set(ids) for peer_id, ids in selected.items()}
 
     def select_many(
         self,
         references: Sequence[PeerInfo],
-        candidates_by_peer: Mapping[int, Collection],
+        candidates_by_peer: Optional[Mapping[int, Collection]] = None,
         *,
-        index: "Optional[SpatialIndex]" = None,
         member_of: Optional[MemberOf] = None,
     ) -> Dict[int, List[int]]:
         """Batched selection: one pass for a whole batch (:meth:`_select_batch`),
-        against the ``index``'s whole column or each reference's own
-        candidates, or the base class's loop for a custom distance."""
-        if self._distance_order is None:
-            return super().select_many(
-                references, candidates_by_peer, index=index, member_of=member_of
-            )
-        if index is not None:
-            return self._select_batch(references, index)
+        against each reference's own candidates or, without
+        ``candidates_by_peer``, the whole ``member_of.column``."""
         return self._select_batch(
             references, *self._candidate_rows(references, candidates_by_peer, member_of)
         )
@@ -214,10 +178,8 @@ class HyperplanesSelection(NeighbourSelectionMethod):
         candidate set of a clean reference.  Only changed selections are
         returned: those some gained id survives in.  If none survives, every
         region's top ``K`` is drawn from ``selected`` alone, which is
-        ``selected``.  A custom distance runs the base class's loop.
+        ``selected``.
         """
-        if self._distance_order is None:
-            return super().select_many_additive(updates, member_of=member_of)
         column, updates = self._additive_rows(updates, member_of)
         results = self._select_batch(
             [reference for reference, _, _ in updates],
@@ -246,7 +208,7 @@ class HyperplanesSelection(NeighbourSelectionMethod):
             reference_ids,
             self.hyperplane_set(references[0].dimension),
             self._k,
-            self._distance_order,
+            self._order,
             rows,
         )
         return dict(zip(reference_ids, selected))

@@ -11,7 +11,6 @@ quantify that difference.
 
 from __future__ import annotations
 
-from repro.geometry.distance import DistanceFunction
 from repro.geometry.hyperplane import HyperplaneSet
 from repro.overlay.selection.hyperplanes import HyperplanesSelection
 
@@ -21,5 +20,5 @@ __all__ = ["KClosestSelection"]
 class KClosestSelection(HyperplanesSelection):
     """Keep the ``K`` closest candidates overall (single region)."""
 
-    def __init__(self, *, k: int = 1, distance: "DistanceFunction | str" = "l2") -> None:
+    def __init__(self, *, k: int = 1, distance: str = "l2") -> None:
         super().__init__(HyperplaneSet.empty, k=k, distance=distance)

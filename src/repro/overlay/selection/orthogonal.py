@@ -16,7 +16,6 @@ its batches and its full-knowledge equilibrium.
 
 from __future__ import annotations
 
-from repro.geometry.distance import DistanceFunction
 from repro.geometry.hyperplane import HyperplaneSet
 from repro.overlay.selection.hyperplanes import HyperplanesSelection
 
@@ -26,5 +25,5 @@ __all__ = ["OrthogonalHyperplanesSelection"]
 class OrthogonalHyperplanesSelection(HyperplanesSelection):
     """Keep the ``K`` closest candidates in each of the ``2^D`` orthants."""
 
-    def __init__(self, *, k: int = 1, distance: "DistanceFunction | str" = "l2") -> None:
+    def __init__(self, *, k: int = 1, distance: str = "l2") -> None:
         super().__init__(HyperplaneSet.orthogonal, k=k, distance=distance)

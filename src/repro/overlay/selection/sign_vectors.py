@@ -11,7 +11,6 @@ storage-architecture work.
 
 from __future__ import annotations
 
-from repro.geometry.distance import DistanceFunction
 from repro.geometry.hyperplane import HyperplaneSet
 from repro.overlay.selection.hyperplanes import HyperplanesSelection
 
@@ -28,5 +27,5 @@ class SignCoefficientHyperplanesSelection(HyperplanesSelection):
     ``D``.
     """
 
-    def __init__(self, *, k: int = 1, distance: "DistanceFunction | str" = "l2") -> None:
+    def __init__(self, *, k: int = 1, distance: str = "l2") -> None:
         super().__init__(HyperplaneSet.sign_coefficients, k=k, distance=distance)

@@ -12,7 +12,7 @@ over a plain dict mirror.  The coordinate column is held to the mirror after
 every mutation, and the batched quadrant kernel over it to the same brute-force
 skyline -- on the lattice and on magnitudes where float key sums tie, over
 the whole column and over per-reference candidate rows (the rows of stored
-ids the scan arm's batched ``select_many`` answers through), and at the
+ids a bounded-radius ``select_many`` answers through), and at the
 edges of its packed integer key: one rank level on an axis, infinities,
 member counts where the field width steps, rows cut across passes, one row
 per pass at the widest fields, inputs it refuses.  In every dimension from 1
@@ -56,6 +56,7 @@ from repro.geometry.index import (
     region_top_ks,
 )
 from repro.overlay.peer import make_peer
+from repro.overlay.selection.base import MemberOf
 from repro.overlay.selection.empty_rectangle import (
     EmptyRectangleSelection,
     brute_force_empty_rectangle_neighbours,
@@ -714,9 +715,9 @@ def test_sorted_pass_drops_a_dominated_member_whose_key_total_rounds_equal():
 
 
 def test_a_whole_column_selection_outside_two_dimensions_is_one_sorted_pass(monkeypatch):
-    """``select_many(index=)`` of 8 references at ``D = 3`` is one presorted
-    pass over the index's column and never asks the index a per-orthant
-    question."""
+    """A whole-column ``select_many`` of 8 references at ``D = 3`` is one
+    presorted pass over the index's column and never asks the index a
+    per-orthant question."""
     calls = []
     sorted_pass = index_module._sorted_pass
 
@@ -734,7 +735,8 @@ def test_a_whole_column_selection_outside_two_dimensions_is_one_sorted_pass(monk
     index = SpatialIndex()
     for peer in peers:
         index.insert(peer.peer_id, peer.coordinates)
-    selected = EmptyRectangleSelection().select_many(peers[:8], {}, index=index)
+    member_of = MemberOf({peer.peer_id: peer for peer in peers}.__getitem__, index)
+    selected = EmptyRectangleSelection().select_many(peers[:8], member_of=member_of)
     assert calls == ["_sorted_pass"]
     for reference in peers[:8]:
         assert selected[reference.peer_id] == brute_force_empty_rectangle_neighbours(

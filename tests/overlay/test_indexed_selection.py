@@ -1,15 +1,15 @@
-"""Property-based cross-checks: index-backed selection vs the scan oracles.
+"""Property-based cross-checks: whole-column selection vs the scan oracles.
 
-The spatial index exists to *replace* the candidate-set scans, so the whole
-contract is byte-identity: a selection method given ``index=`` must produce
-the same selection as the same method given the materialised candidate
-list, and an :class:`~repro.overlay.network.OverlayNetwork` that owns an
-index must reach, after every step of arbitrary interleavings of joins,
-leaves and batched epochs, the fixed point of ``build_equilibrium`` (the
-method's own full-population scan) in the round count of the
-synchronous-sweep oracle, with the maintained stability tree equal to
-``StabilityTreeBuilder`` over its snapshot.  The overlay owns an index
-exactly when knowledge is full and the method reads one.
+Under full knowledge every candidate set is the whole coordinate column,
+which replaces the candidate-set scans, so the whole contract is
+byte-identity: a whole-column ``select_many`` must produce the same
+selection as the same method given the materialised candidate list, and an
+:class:`~repro.overlay.network.OverlayNetwork` that owns an index must
+reach, after every step of arbitrary interleavings of joins, leaves and
+batched epochs, the fixed point of ``build_equilibrium`` (the method's own
+full-population scan) in the round count of the synchronous-sweep oracle,
+with the maintained stability tree equal to ``StabilityTreeBuilder`` over
+its snapshot.  The overlay owns an index exactly when knowledge is full.
 
 Populations honour the paper's distinct-coordinate assumption (the same
 strategy the engine cross-checks use); distinct first coordinates double as
@@ -28,6 +28,7 @@ from repro.multicast.incremental import StabilityTreeMaintainer
 from repro.multicast.stability import StabilityTreeBuilder
 from repro.overlay.network import BatchJoin, ConvergenceError, OverlayNetwork
 from repro.overlay.peer import make_peer
+from repro.overlay.selection.base import MemberOf, NeighbourSelectionMethod
 from repro.overlay.selection.empty_rectangle import (
     EmptyRectangleSelection,
     brute_force_empty_rectangle_neighbours,
@@ -79,44 +80,41 @@ _SELECTIONS = st.sampled_from(
 @settings(max_examples=60, deadline=None)
 @given(peers=_populations(min_size=2, max_size=18), selection_factory=_SELECTIONS)
 def test_indexed_select_equals_scan_select(peers, selection_factory):
-    """``select(index=)`` == ``select(candidates)`` for every reference peer.
+    """Whole-column ``select_many`` == ``select(candidates)`` for every
+    reference peer, batched and one reference at a time.
 
-    The index holds the whole population including the reference (the
+    The column holds the whole population including the reference (the
     overlay's maintenance contract); the scan receives the same population
     as a candidate list.  Byte-identical output lists are required -- same
-    ids in the same order -- as is agreement of the batched ``select_many``
-    entry point the convergence engine uses.
+    ids in the same order.
     """
     selection = selection_factory()
-    assert selection.supports_index
-    index = SpatialIndex()
-    for peer in peers:
-        index.insert(peer.peer_id, peer.coordinates)
-    batched = selection.select_many(peers, {}, index=index)
+    member_of = MemberOf.adapt(peers)
+    batched = selection.select_many(peers, member_of=member_of)
     for reference in peers:
         scan = selection.select(reference, peers)
-        fast = selection.select(reference, (), index=index)
-        assert fast == scan  # byte-identical: same ids, same emission order
-        assert batched[reference.peer_id] == fast
+        single = selection.select_many([reference], member_of=member_of)
+        assert single[reference.peer_id] == scan  # byte-identical: same ids, same order
+        assert batched[reference.peer_id] == scan
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_a_reference_outside_the_index_is_placed_by_its_own_coordinates(dimension):
-    """``select(P, (), index=)`` for 20 peers ``P`` the index does not hold:
-    the 2-D kernel and the presorted pass alike read ``P``'s position from ``P``
-    and select among exactly what the index holds."""
+    """Whole-column ``select_many`` for 20 peers ``P`` the column does not
+    hold: the 2-D kernel and the presorted pass alike read ``P``'s position
+    from ``P`` and select among exactly what the column holds."""
     rng = random.Random(dimension)
     peers = [make_peer(peer_id, tuple(rng.uniform(0.0, 100.0) for _ in range(dimension)))
              for peer_id in range(60)]
     stored, outside = peers[:40], peers[40:]
-    index = SpatialIndex()
-    for peer in stored:
-        index.insert(peer.peer_id, peer.coordinates)
+    member_of = MemberOf.adapt(stored)
     selection = EmptyRectangleSelection()
-    batched = selection.select_many(outside, {}, index=index)
+    batched = selection.select_many(outside, member_of=member_of)
     for reference in outside:
         expected = brute_force_empty_rectangle_neighbours(reference, stored)
-        assert selection.select(reference, (), index=index) == expected
+        assert selection.select_many([reference], member_of=member_of)[
+            reference.peer_id
+        ] == expected
         assert batched[reference.peer_id] == expected
 
 
@@ -323,11 +321,15 @@ def test_a_live_engine_follows_the_column_a_drained_overlay_replaces(gossip_radi
     assert overlay.directed_neighbour_map() == oracle.directed_neighbour_map()
 
 
-class _ArbitraryDistance(OrthogonalHyperplanesSelection):
-    """A Hyperplanes method under a callable distance: no indexed path."""
+class _SelectOnly(NeighbourSelectionMethod):
+    """The Orthogonal L1 rule through ``select`` alone: no batched path of
+    its own, so the base class's loops answer every batch."""
 
     def __init__(self):
-        super().__init__(k=1, distance=lambda a, b: sum(abs(x - y) for x, y in zip(a, b)))
+        self._rule = OrthogonalHyperplanesSelection(k=1, distance="l1")
+
+    def select(self, reference, candidates):
+        return self._rule.select(reference, candidates)
 
 
 @pytest.mark.parametrize(
@@ -337,19 +339,20 @@ class _ArbitraryDistance(OrthogonalHyperplanesSelection):
         (lambda: OrthogonalHyperplanesSelection(k=2), None, True),
         (EmptyRectangleSelection, 2, False),
         (lambda: OrthogonalHyperplanesSelection(k=2), 2, False),
-        (_ArbitraryDistance, None, False),
-        (_ArbitraryDistance, 2, False),
+        (_SelectOnly, None, True),
+        (_SelectOnly, 2, False),
     ],
-    ids=["er_full", "hp_full", "er_radius_2", "hp_radius_2", "no_index_full", "no_index_radius_2"],
+    ids=["er_full", "hp_full", "er_radius_2", "hp_radius_2", "select_only_full",
+         "select_only_radius_2"],
 )
-def test_an_overlay_owns_an_index_exactly_when_its_selection_reads_one(
+def test_an_overlay_owns_an_index_exactly_under_full_knowledge(
     selection_factory, gossip_radius, owns_index
 ):
-    """``index is not None`` iff full knowledge and ``supports_index``, for
+    """``index is not None`` iff full knowledge, whatever the method, for
     the constructor and both bulk builders; an owned index is the overlay's
     one coordinate column."""
     selection = selection_factory()
-    assert owns_index == (gossip_radius is None and selection.supports_index)
+    assert owns_index == (gossip_radius is None)
     peers = [make_peer(i, (float(i), float(9 - i) / 3)) for i in range(6)]
     for overlay in (
         OverlayNetwork(selection, gossip_radius=gossip_radius),
@@ -362,21 +365,25 @@ def test_an_overlay_owns_an_index_exactly_when_its_selection_reads_one(
         assert (overlay.index is not None) == owns_index
 
 
-def test_unsupported_methods_never_receive_an_index():
-    """A selection without an indexed path keeps the overlay on scans."""
-    overlay = OverlayNetwork(_ArbitraryDistance())
-    assert not overlay.selection.supports_index
-    assert overlay.index is None
+def test_a_select_only_method_under_full_knowledge_converges_to_its_equilibrium():
+    """A method with nothing but ``select`` is answered by the base class's
+    whole-column loop, lands on its ``build_equilibrium``, and takes no
+    ``index=`` anywhere; a batch with neither candidate sets nor a column is
+    refused by name."""
+    overlay = OverlayNetwork(_SelectOnly())
+    assert overlay.index is not None
     peers = [make_peer(i, (float(i), float(9 - i))) for i in range(6)]
     for peer in peers:
         overlay.insert_and_converge(peer)
-    witness = OverlayNetwork.build_equilibrium(peers, _ArbitraryDistance())
+    witness = OverlayNetwork.build_equilibrium(peers, _SelectOnly())
     assert overlay.directed_neighbour_map() == witness.directed_neighbour_map()
     index = SpatialIndex()
-    with pytest.raises(TypeError, match="no index-backed selection path"):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'index'"):
         overlay.selection.select_many([], {}, index=index)
     with pytest.raises(TypeError, match="unexpected keyword argument 'index'"):
         overlay.selection.select_many_additive([], index=index)
+    with pytest.raises(TypeError, match="candidates_by_peer or member_of"):
+        overlay.selection.select_many(peers)
 
 
 def _rotated_pair(near):
@@ -408,10 +415,8 @@ def test_scan_numpy_and_index_agree_at_eight_dimensions():
                            0.044550264396397435, 0.1797785919507678, 0.16138438507011152,
                            0.1495363214598558, 0.1822527934805366))
     selection = KClosestSelection(k=1, distance="l1")
-    index = SpatialIndex()
-    for peer in peers:
-        index.insert(peer.peer_id, peer.coordinates)
     reference = peers[0]
     scan = selection.select(reference, peers)
     assert selection.select_many([reference], {0: peers})[0] == scan
-    assert selection.select(reference, (), index=index) == scan == [1]
+    whole_column = selection.select_many([reference], member_of=MemberOf.adapt(peers))
+    assert whole_column[0] == scan == [1]

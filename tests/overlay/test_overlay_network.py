@@ -4,15 +4,18 @@ import pytest
 
 from repro.overlay.network import ConvergenceError, OverlayNetwork
 from repro.overlay.peer import make_peer
+from repro.overlay.selection.base import NeighbourSelectionMethod
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.orthogonal import OrthogonalHyperplanesSelection
 from repro.workloads.peers import generate_peers
 
 
-class _ScanOnlyEmptyRectangle(EmptyRectangleSelection):
-    """The empty-rectangle rule without an index path: a scanning method."""
+class _SelectOnlyEmptyRectangle(NeighbourSelectionMethod):
+    """The empty-rectangle rule through ``select`` alone: the base class's
+    loop scans the whole column for every reference."""
 
-    supports_index = False
+    def select(self, reference, candidates):
+        return EmptyRectangleSelection().select(reference, candidates)
 
 
 class TestMembership:
@@ -129,7 +132,7 @@ class TestConvergence:
         ("selection_factory", "knowledge", "owns_index"),
         [
             (EmptyRectangleSelection, {}, True),
-            (_ScanOnlyEmptyRectangle, {}, False),
+            (_SelectOnlyEmptyRectangle, {}, True),
             (EmptyRectangleSelection, {"gossip_radius": 2}, False),
         ],
         ids=["indexed", "scan", "radius_2"],
@@ -140,8 +143,8 @@ class TestConvergence:
         """Each sweep branch installs through ``install_selections``: it
         returns ``True`` iff a selection changed, every changed peer reaches
         the delta stream, and the selection map is updated in place.  The
-        full-knowledge scan branch is the one a method without an index
-        path takes."""
+        full-knowledge scan is the base class's whole-column loop, which a
+        method with nothing but ``select`` runs."""
         overlay = OverlayNetwork(selection_factory(), **knowledge)
         assert (overlay.index is not None) == owns_index
         for peer in generate_peers(12, 2, seed=2):

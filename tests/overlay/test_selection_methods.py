@@ -80,10 +80,12 @@ class TestOrthogonalHyperplanesSelection:
         selection = OrthogonalHyperplanesSelection(k=2)
         literal = NeighbourSelectionMethod.compute_equilibrium(selection, peers_2d)
         assert selection.compute_equilibrium(peers_2d) == literal
-        custom = HyperplanesSelection(
-            HyperplaneSet.orthogonal, k=2, distance=selection.distance
-        )  # a distance callable: the base class's loop
+        # The generic family under the same rule, its distance named in
+        # another case: the same one pass, not a callable's loop.
+        custom = HyperplanesSelection(HyperplaneSet.orthogonal, k=2, distance=" Euclidean")
         assert custom.compute_equilibrium(peers_2d) == literal
+        with pytest.raises(ValueError, match="known: chebyshev, euclidean"):
+            HyperplanesSelection(HyperplaneSet.orthogonal, k=2, distance=selection.distance)
 
     def test_equilibrium_empty_population(self):
         assert OrthogonalHyperplanesSelection(k=1).compute_equilibrium([]) == {}

@@ -11,6 +11,7 @@ from repro.experiments.trace_runner import TraceRunner
 from repro.geometry import index as index_module
 from repro.multicast.incremental import StabilityTreeMaintainer
 from repro.multicast.stability import choose_preferred_parent
+from repro.overlay.selection.registry import available_methods
 from repro.simulation.network import SimulatedNetwork
 from repro.simulation.protocol import PeerProcess
 from repro.simulation.runner import run_gossip_overlay
@@ -101,6 +102,28 @@ class TestPublicSurface:
             assert not hasattr(repro.SpatialIndex, removed)
         for removed in ("brute_force_range", "brute_force_halfspace"):
             assert not hasattr(index_module, removed)
+
+    @pytest.mark.parametrize("name", available_methods())
+    def test_selection_entry_points_take_no_index(self, name):
+        """Full knowledge is the whole ``member_of`` column: no method
+        opts into an index, and no entry point takes one."""
+        selection = repro.make_selection_method(name)
+        assert not hasattr(selection, "supports_index")
+        for entry in ("select", "select_many", "select_many_additive", "install_many"):
+            parameters = inspect.signature(getattr(selection, entry)).parameters
+            assert "index" not in parameters, f"{name}.{entry}"
+        with pytest.raises(TypeError, match="unexpected keyword argument 'index'"):
+            selection.select_many([], {}, index=repro.SpatialIndex())
+
+    @pytest.mark.parametrize("name", ["orthogonal", "sign-coefficients", "k-closest"])
+    @pytest.mark.parametrize(
+        "distance", [lambda a, b: 0.0, "l3", 3], ids=["callable", "l3", "int"]
+    )
+    def test_hyperplanes_distance_is_one_of_six_names(self, name, distance):
+        with pytest.raises(ValueError) as refused:
+            repro.make_selection_method(name, distance=distance)
+        for known in ("l1", "manhattan", "l2", "euclidean", "linf", "chebyshev"):
+            assert known in str(refused.value)
 
     @pytest.mark.parametrize("entry_point", _ENTRY_POINTS, ids=lambda f: f.__qualname__)
     def test_no_entry_point_takes_a_twin_knob(self, entry_point):
